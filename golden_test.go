@@ -13,6 +13,9 @@ import (
 // interface. CFR runs through the generic driver now; these goldens prove
 // the refactor — and any future technique work — is byte-invisible to CFR
 // users: same Report.Fingerprint, same canonical trace, same best time.
+// The adaptive trace hash and the compare case (Random, FR, G and CFR)
+// were pinned before early stopping, Random and FR moved onto that
+// driver.
 func TestCFRGoldenFingerprints(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -22,9 +25,10 @@ func TestCFRGoldenFingerprints(t *testing.T) {
 		topx         int
 		seed         string
 		faults       bool
-		adaptive     bool
+		rule         StopRule // non-zero: TuneAdaptive under this rule
+		compare      bool
 		fingerprint  uint64
-		traceHash    uint64 // 0: not pinned (adaptive trace covered elsewhere)
+		traceHash    uint64
 		best         float64
 	}{
 		{
@@ -43,8 +47,24 @@ func TestCFRGoldenFingerprints(t *testing.T) {
 		},
 		{
 			name: "adaptive", app: CloverLeaf, machine: "broadwell",
-			samples: 120, topx: 12, seed: "technique-golden", adaptive: true,
+			samples: 120, topx: 12, seed: "technique-golden", rule: DefaultStopRule(),
 			fingerprint: 0x94f5505fbc86957a,
+			traceHash:   0x4c0fc30c6d28cb51,
+		},
+		{
+			name: "adaptive-early", app: CloverLeaf, machine: "broadwell",
+			samples: 120, topx: 12, seed: "technique-golden", faults: true,
+			rule:        StopRule{MinEvaluations: 20, Patience: 25},
+			fingerprint: 0xf2b6c70ae694ab11,
+			traceHash:   0xad86e508d17731f7,
+			best:        18.391845812009002,
+		},
+		{
+			name: "compare", app: CloverLeaf, machine: "broadwell",
+			samples: 120, topx: 12, seed: "technique-golden", compare: true,
+			fingerprint: 0xe9eda8ff5ac44e5a,
+			traceHash:   0x821369599f4dbed,
+			best:        19.093228197221265,
 		},
 	}
 	for _, c := range cases {
@@ -67,9 +87,12 @@ func TestCFRGoldenFingerprints(t *testing.T) {
 			opts.Trace = rec
 			in := TuningInput(c.app, m)
 			var rep *Report
-			if c.adaptive {
-				rep, err = NewTuner(opts).TuneAdaptive(prog, in, DefaultStopRule())
-			} else {
+			switch {
+			case c.rule != StopRule{}:
+				rep, err = NewTuner(opts).TuneAdaptive(prog, in, c.rule)
+			case c.compare:
+				rep, err = NewTuner(opts).Compare(prog, in)
+			default:
 				rep, err = NewTuner(opts).Tune(prog, in)
 			}
 			if err != nil {
@@ -81,14 +104,12 @@ func TestCFRGoldenFingerprints(t *testing.T) {
 			if c.best != 0 && rep.Best.BestMeasured != c.best {
 				t.Errorf("Best.BestMeasured = %v, want %v", rep.Best.BestMeasured, c.best)
 			}
-			if c.traceHash != 0 {
-				var sb strings.Builder
-				if err := rec.Snapshot().Canonical().WriteJSONL(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if got := xrand.HashString(sb.String()); got != c.traceHash {
-					t.Errorf("canonical trace hash = %#x, want pre-refactor %#x", got, c.traceHash)
-				}
+			var sb strings.Builder
+			if err := rec.Snapshot().Canonical().WriteJSONL(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if got := xrand.HashString(sb.String()); got != c.traceHash {
+				t.Errorf("canonical trace hash = %#x, want pre-refactor %#x", got, c.traceHash)
 			}
 		})
 	}
