@@ -118,7 +118,7 @@ func parseFlags(args []string, errOut io.Writer) (cliConfig, error) {
 	fs.BoolVar(&cfg.skipExist, "skip-exist", false, "serve an identical already-completed run from -repo instead of re-tuning")
 	fs.BoolVar(&cfg.compare, "compare", false, "run Random/FR/G/CFR side by side (§4.1 protocol)")
 	fs.BoolVar(&cfg.showFlags, "flags", false, "print the winning per-module compilation vectors")
-	fs.BoolVar(&cfg.adaptive, "adaptive", false, "early-stopped CFR (convergence-trend budget policy)")
+	fs.BoolVar(&cfg.adaptive, "adaptive", false, "early-stopped search (convergence-trend budget policy)")
 	fs.StringVar(&cfg.save, "save", "", "write the winning configuration as JSON to this file")
 	fs.Float64Var(&cfg.faultRate, "fault-rate", 0, "scale the default injected fault mix (0 = off, 1 = default rates)")
 	fs.IntVar(&cfg.maxRetries, "max-retries", 0, "retry budget for transient failures (0 = default 2)")
@@ -149,8 +149,8 @@ func (cfg cliConfig) validate() error {
 		return fmt.Errorf("-technique must be cfr, bo or ga, got %q", cfg.technique)
 	}
 	nonCFR := cfg.technique != "" && cfg.technique != "cfr"
-	if nonCFR && (cfg.adaptive || cfg.compare) {
-		return fmt.Errorf("-technique %s is incompatible with -adaptive/-compare (they are defined in terms of CFR)", cfg.technique)
+	if nonCFR && cfg.compare {
+		return fmt.Errorf("-technique %s is incompatible with -compare (the §4.1 protocol is defined in terms of CFR)", cfg.technique)
 	}
 	if cfg.warmStart {
 		if cfg.repoPath == "" {
@@ -158,6 +158,9 @@ func (cfg cliConfig) validate() error {
 		}
 		if !nonCFR {
 			return fmt.Errorf("-warm-start requires -technique bo or ga (CFR has no initial design to seed)")
+		}
+		if cfg.adaptive {
+			return fmt.Errorf("-warm-start applies only to plain tuning, not -adaptive")
 		}
 	}
 	return nil

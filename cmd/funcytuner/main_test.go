@@ -62,8 +62,17 @@ func TestParseFlags(t *testing.T) {
 			},
 		},
 		{name: "unknown-technique", args: []string{"-technique=annealing"}, wantErr: "-technique must be cfr, bo or ga"},
-		{name: "bo-with-adaptive", args: []string{"-technique=bo", "-adaptive"}, wantErr: "incompatible with -adaptive/-compare"},
-		{name: "ga-with-compare", args: []string{"-technique=ga", "-compare"}, wantErr: "incompatible with -adaptive/-compare"},
+		{
+			name: "bo-with-adaptive",
+			args: []string{"-technique=bo", "-adaptive"},
+			check: func(t *testing.T, cfg cliConfig) {
+				if cfg.technique != "bo" || !cfg.adaptive {
+					t.Errorf("cfg = %+v", cfg)
+				}
+			},
+		},
+		{name: "ga-with-compare", args: []string{"-technique=ga", "-compare"}, wantErr: "incompatible with -compare"},
+		{name: "warm-start-with-adaptive", args: []string{"-technique=bo", "-adaptive", "-warm-start", "-repo=/tmp/r"}, wantErr: "-warm-start applies only to plain tuning"},
 		{name: "warm-start-without-repo", args: []string{"-technique=bo", "-warm-start"}, wantErr: "-warm-start requires -repo"},
 		{name: "warm-start-without-technique", args: []string{"-warm-start", "-repo=/tmp/r"}, wantErr: "-warm-start requires -technique bo or ga"},
 		{name: "warm-start-with-cfr", args: []string{"-technique=cfr", "-warm-start", "-repo=/tmp/r"}, wantErr: "-warm-start requires -technique bo or ga"},

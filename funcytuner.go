@@ -43,6 +43,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -193,8 +194,9 @@ type Options struct {
 	// pools and run behind the same suggest/observe driver, so the full
 	// determinism contract holds regardless of technique: equal seeds
 	// reproduce exactly, kill/resume is bit-equal, and caches, fleets
-	// and worker counts cannot change the Report. Only valid with Tune;
-	// TuneAdaptive and Compare are defined in terms of CFR.
+	// and worker counts cannot change the Report. TuneAdaptive stops
+	// the selected technique early; Compare runs the §4.1 protocol,
+	// which is defined in terms of CFR, and accepts only the default.
 	Technique string
 	// WarmStart seeds the technique's initial design/population with
 	// the best assemblies of related prior runs found in the results
@@ -784,11 +786,13 @@ type StopRule = core.StopRule
 // evaluations, patience 150).
 func DefaultStopRule() StopRule { return core.DefaultStopRule() }
 
-// TuneAdaptive runs the pipeline with early-stopped CFR: identical
-// pruning and sampling, but the search halts once `rule` fires — the
+// TuneAdaptive runs the pipeline with an early-stopped search: the
+// configured technique (CFR by default) measures exactly what its full
+// search would, in the same order, but halts once `rule` fires — the
 // §4.3 observation that CFR converges in tens-to-hundreds of evaluations,
 // turned into a budget policy. The collection phase still uses the full
-// sample budget (its cost is what the per-loop guidance buys).
+// sample budget (its cost is what the per-loop guidance buys). Warm
+// starts apply only to Tune.
 func (t *Tuner) TuneAdaptive(prog *Program, in Input, rule StopRule) (*Report, error) {
 	return t.TuneAdaptiveContext(context.Background(), prog, in, rule)
 }
@@ -796,8 +800,8 @@ func (t *Tuner) TuneAdaptive(prog *Program, in Input, rule StopRule) (*Report, e
 // TuneAdaptiveContext is TuneAdaptive under a context, with the same
 // cancellation semantics as TuneContext.
 func (t *Tuner) TuneAdaptiveContext(ctx context.Context, prog *Program, in Input, rule StopRule) (*Report, error) {
-	if err := t.requireCFR("TuneAdaptive"); err != nil {
-		return nil, err
+	if t.opts.WarmStart {
+		return nil, fmt.Errorf("funcytuner: WarmStart applies only to Tune, not TuneAdaptive")
 	}
 	if rep, ok := t.serveFromRepo(modeAdaptive, prog, in, rule, 0); ok {
 		return rep, nil
@@ -806,22 +810,21 @@ func (t *Tuner) TuneAdaptiveContext(ctx context.Context, prog *Program, in Input
 	if err != nil {
 		return nil, err
 	}
-	maxEvals := int64(rule.MaxEvaluations)
-	if maxEvals <= 0 || maxEvals > int64(t.opts.Samples) {
-		maxEvals = int64(t.opts.Samples)
+	norm, err := rule.Normalize(t.opts.Samples)
+	if err != nil {
+		return nil, err
 	}
-	stop := t.startProgress(sess, int64(t.opts.Samples)+maxEvals)
+	stop := t.startProgress(sess, int64(t.opts.Samples+norm.MaxEvaluations))
 	defer stop()
 	col, err := sess.Collect(ctx)
 	if err != nil {
 		return nil, err
 	}
-	cfr, err := sess.CFRAdaptive(ctx, col, rule)
+	res, err := sess.SearchAdaptive(ctx, col, rule)
 	if err != nil {
 		return nil, err
 	}
-	rep := t.report(sess, out, map[string]*Result{"CFR": cfr})
-	rep.Best = cfr
+	rep := t.report(sess, out, map[string]*Result{strings.TrimSuffix(res.Algorithm, ".adaptive"): res})
 	t.storeInRepo(modeAdaptive, prog, in, rule, rep, 0)
 	return rep, nil
 }
@@ -835,8 +838,8 @@ func (t *Tuner) Compare(prog *Program, in Input) (*Report, error) {
 // CompareContext is Compare under a context, with the same cancellation
 // semantics as TuneContext.
 func (t *Tuner) CompareContext(ctx context.Context, prog *Program, in Input) (*Report, error) {
-	if err := t.requireCFR("Compare"); err != nil {
-		return nil, err
+	if tag := core.TechniqueTag(t.opts.Technique); tag != "" {
+		return nil, fmt.Errorf("funcytuner: Compare supports only the default CFR technique, got %q", t.opts.Technique)
 	}
 	if rep, ok := t.serveFromRepo(modeCompare, prog, in, StopRule{}, 0); ok {
 		return rep, nil
@@ -855,15 +858,6 @@ func (t *Tuner) CompareContext(ctx context.Context, prog *Program, in Input) (*R
 	rep := t.report(sess, out, all)
 	t.storeInRepo(modeCompare, prog, in, StopRule{}, rep, 0)
 	return rep, nil
-}
-
-// requireCFR rejects protocols that are defined in terms of CFR when a
-// different search technique is selected.
-func (t *Tuner) requireCFR(protocol string) error {
-	if tag := core.TechniqueTag(t.opts.Technique); tag != "" {
-		return fmt.Errorf("funcytuner: %s supports only the default CFR technique, got %q", protocol, t.opts.Technique)
-	}
-	return nil
 }
 
 // bestResult picks the search result out of an algorithm map: the

@@ -3,15 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"funcytuner/internal/flagspec"
 )
 
-// StopRule configures adaptive (early-stopping) CFR. §4.3 observes that
-// "the tuning overhead may be dramatically reduced ... by exploiting
-// program-specific CFR convergence trends, i.e., CFR finds the best code
-// variant in tens or several hundreds of evaluations" — CFRAdaptive turns
-// that observation into a budget policy.
+// StopRule configures early stopping for any search technique. §4.3
+// observes that "the tuning overhead may be dramatically reduced ... by
+// exploiting program-specific CFR convergence trends, i.e., CFR finds the
+// best code variant in tens or several hundreds of evaluations" —
+// SearchAdaptive turns that observation into a budget policy.
 type StopRule struct {
 	// MinEvaluations always run before early stopping is considered.
 	MinEvaluations int
@@ -28,90 +26,53 @@ func DefaultStopRule() StopRule {
 	return StopRule{MinEvaluations: 50, Patience: 150}
 }
 
-// CFRAdaptive is CFR (Algorithm 1) with early stopping: the pruning and
-// re-sampling are identical, but assemblies are measured sequentially and
-// the search stops once the rule fires. The returned result reports how
-// many evaluations were actually spent.
-func (s *Session) CFRAdaptive(ctx context.Context, col *Collection, rule StopRule) (*Result, error) {
-	if err := s.checkCollection(col); err != nil {
-		return nil, err
+// Normalize returns the rule as a search over a budget of samples
+// evaluations applies it: MaxEvaluations clamped to [1, samples] (zero
+// selects samples) and MinEvaluations raised to at least 1. A
+// non-positive Patience is an error.
+func (r StopRule) Normalize(samples int) (StopRule, error) {
+	if r.Patience <= 0 {
+		return r, fmt.Errorf("core: StopRule.Patience must be positive")
 	}
-	if rule.MaxEvaluations <= 0 || rule.MaxEvaluations > s.Config.Samples {
-		rule.MaxEvaluations = s.Config.Samples
+	if r.MaxEvaluations <= 0 || r.MaxEvaluations > samples {
+		r.MaxEvaluations = samples
 	}
-	if rule.Patience <= 0 {
-		return nil, fmt.Errorf("core: StopRule.Patience must be positive")
+	if r.MinEvaluations < 1 {
+		r.MinEvaluations = 1
 	}
-	if rule.MinEvaluations < 1 {
-		rule.MinEvaluations = 1
-	}
-	// The adaptive search evaluates the same "cfr" phase stream, so its
-	// spans share the phase name; the marker keeps the ordinal moving.
-	s.tr.Phase("cfr")
+	return r, nil
+}
 
-	// Pruning identical to CFR (quarantine and degradation included).
-	pruned, degraded := s.prunedPools(col)
-
-	// Checkpoint replay: previously persisted evaluations feed the same
-	// sequential stopping logic, so a resumed adaptive search stops at
-	// exactly the evaluation the uninterrupted run would have.
-	ckTimes := make([]float64, s.Config.Samples)
-	ckDone := make([]bool, s.Config.Samples)
-	if s.ckpt != nil {
-		s.ckpt.restoreCFR(ckTimes, ckDone)
-	}
-
-	// Sequential re-sampling with the same stream as CFR, so the first N
-	// assemblies are identical to the full run's first N.
-	draw := s.rng.Split("cfr-assign", 0)
-	var (
-		bestTime = 0.0
-		bestCVs  []flagspec.CV
-		times    []float64
-		dry      int
-	)
-	for k := 0; k < rule.MaxEvaluations; k++ {
-		a := make([]flagspec.CV, len(s.Part.Modules))
-		for mi := range a {
-			a[mi] = pruned[mi][draw.Intn(len(pruned[mi]))]
-		}
-		var t float64
-		if ckDone[k] {
-			t = ckTimes[k]
-		} else {
-			var ec evalCost
-			var err error
-			t, ec, err = s.measureEval(ctx, a, "cfr", k)
-			if err != nil {
-				if s.ckpt != nil {
-					s.ckpt.Flush() // persist progress before surfacing the kill
-				}
-				return nil, err
-			}
-			if s.ckpt != nil {
-				s.ckpt.markCFR(s, k, t, ec)
-			}
-		}
-		times = append(times, t)
-		if bestCVs == nil || t < bestTime {
-			bestTime, bestCVs = t, a
-			dry = 0
-		} else {
-			dry++
-		}
-		if k+1 >= rule.MinEvaluations && dry >= rule.Patience {
-			break
-		}
-	}
-	if s.ckpt != nil {
-		if err := s.ckpt.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	res, err := s.finish("CFR.adaptive", bestCVs, bestTime, times)
+// SearchAdaptive is Search with early stopping: the configured technique
+// runs on the same driver, which halts as soon as rule fires. The
+// measured assemblies are an exact prefix of the full search's, and the
+// result, named after the technique plus ".adaptive", reports how many
+// evaluations were actually spent.
+func (s *Session) SearchAdaptive(ctx context.Context, col *Collection, rule StopRule) (*Result, error) {
+	rule, err := rule.Normalize(s.Config.Samples)
 	if err != nil {
 		return nil, err
 	}
-	res.DegradedModules = degraded
-	return res, nil
+	return s.searchWith(ctx, col, TechniqueTag(s.Config.Technique), &rule)
+}
+
+// stopper applies a normalized StopRule to a search's measured times in
+// evaluation-index order.
+type stopper struct {
+	rule   StopRule
+	n, dry int
+	best   float64
+}
+
+// done records the next evaluation's time and reports whether the rule
+// fires.
+func (st *stopper) done(t float64) bool {
+	if st.n == 0 || t < st.best {
+		st.best, st.dry = t, 0
+	} else {
+		st.dry++
+	}
+	st.n++
+	return st.n >= st.rule.MaxEvaluations ||
+		(st.n >= st.rule.MinEvaluations && st.dry >= st.rule.Patience)
 }

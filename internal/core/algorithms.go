@@ -6,12 +6,15 @@ import (
 	"math"
 
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/search"
 	"funcytuner/internal/stats"
 )
 
 // Result reports one algorithm's outcome on a session.
 type Result struct {
-	// Algorithm is "Random", "FR", "G.realized", "G.Independent" or "CFR".
+	// Algorithm is "Random", "FR", "G.realized", "G.Independent" or the
+	// search technique's name ("CFR", "BO", "GA"), suffixed ".adaptive"
+	// when the search stopped early.
 	Algorithm string
 	// ModuleCVs is the chosen CV per partition module (all equal for
 	// Random). Empty for G.Independent, which never assembles a binary.
@@ -110,77 +113,37 @@ func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 // variants of the original program, minimum measured runtime wins. It is
 // evaluated on the un-outlined program; construct the session with
 // ir.WholeProgram for strict fidelity (outlining is a no-op for uniform
-// compilation in this model, but the paper draws the distinction).
+// compilation in this model, but the paper draws the distinction). It
+// runs on the search driver and, like FR, is not checkpointed.
 func (s *Session) Random(ctx context.Context) (*Result, error) {
-	s.tr.Phase("random")
-	cvs := s.PreSample()
-	times := make([]float64, len(cvs))
-	errs := make([]error, len(cvs))
-	// The per-evaluation uniform expansion is pooled on the local path
-	// only: a remote evaluation's request may outlive this closure, so it
-	// keeps a fresh slice.
-	usePool := s.Config.Remote == nil && !s.Config.Unpooled
-	s.parFor(ctx, len(cvs), func(k int) {
-		var uniform []flagspec.CV
-		var sc *evalScratch
-		if usePool {
-			sc = s.getScratch()
-			defer s.putScratch(sc)
-			uniform = sc.uniform
-		} else {
-			uniform = make([]flagspec.CV, len(s.Part.Modules))
-		}
-		for i := range uniform {
-			uniform[i] = cvs[k]
-		}
-		times[k], errs[k] = s.measure(ctx, uniform, "random", k)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := s.checkCancelled(ctx); err != nil {
+	tech, err := search.NewRandom(s.presampleConfig("search/random"))
+	if err != nil {
 		return nil, err
 	}
-	_, bestK := stats.Min(times)
-	uniform := make([]flagspec.CV, len(s.Part.Modules))
-	for i := range uniform {
-		uniform[i] = cvs[bestK]
-	}
-	return s.finish("Random", uniform, times[bestK], times)
+	return s.runTechnique(ctx, tech, nil, nil, nil)
 }
 
 // FR is per-function random search (§2.2.2): for each of K rounds, every
 // module independently draws one CV from the K pre-sampled CVs (with
 // replacement); the assembled executable is measured end-to-end.
 func (s *Session) FR(ctx context.Context) (*Result, error) {
-	s.tr.Phase("fr")
-	cvs := s.PreSample()
-	assignments := make([][]flagspec.CV, s.Config.Samples)
-	draw := s.rng.Split("fr-assign", 0)
-	for k := range assignments {
-		a := make([]flagspec.CV, len(s.Part.Modules))
-		for mi := range a {
-			a[mi] = cvs[draw.Intn(len(cvs))]
-		}
-		assignments[k] = a
-	}
-	times := make([]float64, len(assignments))
-	errs := make([]error, len(assignments))
-	s.parFor(ctx, len(assignments), func(k int) {
-		times[k], errs[k] = s.measure(ctx, assignments[k], "fr", k)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := s.checkCancelled(ctx); err != nil {
+	tech, err := search.NewFR(s.presampleConfig("fr-assign"))
+	if err != nil {
 		return nil, err
 	}
-	_, bestK := stats.Min(times)
-	return s.finish("FR", assignments[bestK], times[bestK], times)
+	return s.runTechnique(ctx, tech, nil, nil, nil)
+}
+
+// presampleConfig is the search space of the §2.2 baselines: every
+// module's pool is the full, unpruned set of K pre-sampled CVs, and the
+// technique's stream is split off under key.
+func (s *Session) presampleConfig(key string) search.Config {
+	cvs := s.PreSample()
+	pools := make([][]flagspec.CV, len(s.Part.Modules))
+	for mi := range pools {
+		pools[mi] = cvs
+	}
+	return search.Config{Pools: pools, Budget: s.Config.Samples, Rng: s.rng.Split(key, 0)}
 }
 
 // Greedy implements greedy combination (§2.2.3) on a completed collection:
@@ -234,7 +197,7 @@ func (s *Session) Greedy(ctx context.Context, col *Collection) (realized, indepe
 // "cfr-assign" stream drawn in the same order, so CFR Reports and
 // canonical traces are byte-identical to the pre-interface code.
 func (s *Session) CFR(ctx context.Context, col *Collection) (*Result, error) {
-	return s.searchWith(ctx, col, "")
+	return s.searchWith(ctx, col, "", nil)
 }
 
 // RunAll executes the full §4.1 protocol on the session: Random, then the

@@ -147,7 +147,7 @@ func TestKillResumeAdaptiveEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := uninterrupted.CFRAdaptive(context.Background(), col, rule)
+	want, err := uninterrupted.SearchAdaptive(context.Background(), col, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestKillResumeAdaptiveEquality(t *testing.T) {
 	dying := newCkptSession(t, path, 55, 1)
 	_, err = dying.Collect(context.Background())
 	if err == nil {
-		_, err = dying.CFRAdaptive(context.Background(), col, rule)
+		_, err = dying.SearchAdaptive(context.Background(), col, rule)
 	}
 	if !errors.Is(err, ErrKilled) {
 		t.Fatalf("expected ErrKilled, got %v", err)
@@ -166,7 +166,7 @@ func TestKillResumeAdaptiveEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := resumed.CFRAdaptive(context.Background(), rcol, rule)
+	got, err := resumed.SearchAdaptive(context.Background(), rcol, rule)
 	if err != nil {
 		t.Fatal(err)
 	}

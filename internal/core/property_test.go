@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -68,44 +69,78 @@ func TestPropertyBestMeasuredIsTraceMin(t *testing.T) {
 	}
 }
 
-// TestPropertyCFRAdaptivePrefixConsistency: for any patience, the
-// adaptive run's measured assemblies form a prefix of the full CFR run's,
-// so its best can never beat the full run's.
+// TestPropertyCFRAdaptivePrefixConsistency: for every technique and any
+// patience, the adaptive run's measured assemblies form a prefix of the
+// full run's, so its best can never beat the full run's.
 func TestPropertyCFRAdaptivePrefixConsistency(t *testing.T) {
-	s := newCLSession(t, 120, 20, true)
+	for _, tech := range Techniques() {
+		t.Run(tech, func(t *testing.T) {
+			session := func() *Session {
+				s := newCLSession(t, 120, 20, true)
+				s.Config.Technique = tech
+				return s
+			}
+			s := session()
+			col, err := s.Collect(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := s.Search(context.Background(), col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := func(p uint8) bool {
+				patience := 10 + int(p%100)
+				adaptive, err := session().SearchAdaptive(context.Background(), col, StopRule{MinEvaluations: 5, Patience: patience})
+				if err != nil {
+					return false
+				}
+				if adaptive.Evaluations > full.Evaluations {
+					return false
+				}
+				// Prefix property: the adaptive trace equals the head of the
+				// full run's trace.
+				for i, v := range adaptive.Trace {
+					if v != full.Trace[i] {
+						return false
+					}
+				}
+				return adaptive.BestMeasured >= full.BestMeasured
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// countingGate counts Acquire calls and never blocks.
+type countingGate struct{ acquired atomic.Int64 }
+
+func (g *countingGate) Acquire(ctx context.Context) error {
+	g.acquired.Add(1)
+	return ctx.Err()
+}
+
+func (g *countingGate) Release() {}
+
+// The adaptive search phase holds a WorkerGate slot per evaluation like
+// every other phase, so a daemon's global worker bound covers it too.
+func TestTechniqueAdaptiveAcquiresGatePerEvaluation(t *testing.T) {
+	s := newCLSession(t, 60, 10, true)
+	gate := &countingGate{}
+	s.Config.Gate = gate
 	col, err := s.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := s.CFR(context.Background(), col)
+	before := gate.acquired.Load()
+	res, err := s.SearchAdaptive(context.Background(), col, StopRule{MinEvaluations: 5, Patience: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(p uint8) bool {
-		patience := 10 + int(p%100)
-		s2 := newCLSession(t, 120, 20, true)
-		col2, err := s2.Collect(context.Background())
-		if err != nil {
-			return false
-		}
-		adaptive, err := s2.CFRAdaptive(context.Background(), col2, StopRule{MinEvaluations: 5, Patience: patience})
-		if err != nil {
-			return false
-		}
-		if adaptive.Evaluations > full.Evaluations {
-			return false
-		}
-		// Prefix property: the adaptive trace equals the head of the
-		// full run's trace.
-		for i, v := range adaptive.Trace {
-			if v != full.Trace[i] {
-				return false
-			}
-		}
-		return adaptive.BestMeasured >= full.BestMeasured
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Error(err)
+	if got := gate.acquired.Load() - before; got != int64(res.Evaluations) {
+		t.Fatalf("%d gate acquisitions for %d search evaluations", got, res.Evaluations)
 	}
 }
 
@@ -115,10 +150,10 @@ func TestCFRAdaptiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CFRAdaptive(context.Background(), col, StopRule{Patience: 0}); err == nil {
+	if _, err := s.SearchAdaptive(context.Background(), col, StopRule{Patience: 0}); err == nil {
 		t.Error("zero patience accepted")
 	}
-	res, err := s.CFRAdaptive(context.Background(), col, StopRule{MinEvaluations: 0, Patience: 5, MaxEvaluations: 99999})
+	res, err := s.SearchAdaptive(context.Background(), col, StopRule{MinEvaluations: 0, Patience: 5, MaxEvaluations: 99999})
 	if err != nil {
 		t.Fatal(err)
 	}

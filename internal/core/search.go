@@ -51,11 +51,12 @@ func TechniqueTag(name string) string {
 // injection, checkpoint/resume, remote dispatch, tracing — and are
 // deterministic per seed.
 func (s *Session) Search(ctx context.Context, col *Collection) (*Result, error) {
-	return s.searchWith(ctx, col, TechniqueTag(s.Config.Technique))
+	return s.searchWith(ctx, col, TechniqueTag(s.Config.Technique), nil)
 }
 
-// searchWith runs one named technique; "" selects CFR.
-func (s *Session) searchWith(ctx context.Context, col *Collection, tag string) (*Result, error) {
+// searchWith runs one named technique ("" selects CFR) on col, stopping
+// early under rule when it is non-nil.
+func (s *Session) searchWith(ctx context.Context, col *Collection, tag string, rule *StopRule) (*Result, error) {
 	if err := s.checkCollection(col); err != nil {
 		return nil, err
 	}
@@ -63,7 +64,7 @@ func (s *Session) searchWith(ctx context.Context, col *Collection, tag string) (
 	if err != nil {
 		return nil, err
 	}
-	return s.runTechnique(ctx, tech, degraded)
+	return s.runTechnique(ctx, tech, degraded, rule, s.ckpt)
 }
 
 // newTechnique prunes the collection into per-module pools (Algorithm
@@ -129,31 +130,46 @@ func (s *Session) adaptWarmSeeds() [][]flagspec.CV {
 	return out
 }
 
-// runTechnique is the generic suggest/evaluate/observe driver. Each
-// Suggest batch is evaluated on the session's worker pool (or fleet),
-// checkpointed per sample under the batch's global indices, and fed
-// back through Observe in index order before the next Suggest. For CFR
-// — a single Suggest of the whole budget — the loop body is
-// step-for-step the pre-interface implementation, which is what keeps
-// the default technique's Report and canonical trace byte-identical.
+// runTechnique is the one suggest/evaluate/observe driver every search
+// runs on. Each Suggest batch is evaluated on the session's worker pool
+// (or fleet), checkpointed per sample under the batch's global indices
+// when ckpt is set, and fed back through Observe in index order before
+// the next Suggest. For CFR — a single Suggest of the whole budget — the
+// loop body is step-for-step the pre-interface implementation, which is
+// what keeps the default technique's Report and canonical trace
+// byte-identical.
+//
+// A non-nil rule evaluates each batch one index at a time, still through
+// parFor so the gate, cancellation and panic recovery apply, and stops
+// mid-batch as soon as the rule fires. The unused suggestions are
+// dropped: they came from the technique's private stream, so an
+// early-stopped run is an exact prefix of the full one.
 //
 // Checkpoint replay works for every technique without serializing any
 // technique state: a resumed run replays the same Suggest/Observe
 // sequence (techniques are deterministic functions of their RNG and the
 // observations), with persisted samples substituting their recorded
-// times for re-evaluation.
-func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degraded []int) (*Result, error) {
+// times for re-evaluation. Random and FR run with a nil ckpt: they are
+// not checkpointed, and their times must not land in the search slots.
+func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degraded []int, rule *StopRule, ckpt *Checkpointer) (*Result, error) {
 	s.tr.Phase(tech.Phase())
 	budget := s.Config.Samples
 	ckTimes := make([]float64, budget)
 	ckDone := make([]bool, budget)
-	if s.ckpt != nil {
-		s.ckpt.restoreCFR(ckTimes, ckDone)
+	if ckpt != nil {
+		ckpt.restoreCFR(ckTimes, ckDone)
+	}
+	name := tech.Name()
+	var stop *stopper
+	if rule != nil {
+		name += ".adaptive"
+		stop = &stopper{rule: *rule}
 	}
 	assemblies := make([][]flagspec.CV, 0, budget)
 	times := make([]float64, 0, budget)
 	phase := tech.Phase()
-	for len(times) < budget {
+	stopped := false
+	for !stopped && len(times) < budget {
 		batch := tech.Suggest(budget - len(times))
 		if len(batch) == 0 {
 			break
@@ -165,7 +181,7 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 		k0 := len(times)
 		batchTimes := make([]float64, len(batch))
 		errs := make([]error, len(batch))
-		s.parFor(ctx, len(batch), func(i int) {
+		eval := func(i int) {
 			k := k0 + i
 			if ckDone[k] {
 				batchTimes[i] = ckTimes[k]
@@ -177,12 +193,27 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 				return
 			}
 			batchTimes[i] = t
-			if s.ckpt != nil {
-				s.ckpt.markCFR(s, k, t, ec)
+			if ckpt != nil {
+				ckpt.markCFR(s, k, t, ec)
 			}
-		})
-		if s.ckpt != nil {
-			if err := s.ckpt.Flush(); err != nil {
+		}
+		// Without a rule the whole batch is one parallel step. With one,
+		// every index is its own step, so the rule sees each time in
+		// index order and the search can stop mid-batch.
+		step := len(batch)
+		if stop != nil {
+			step = 1
+		}
+		n := 0
+		for n < len(batch) && !stopped {
+			lo := n
+			s.parFor(ctx, step, func(i int) { eval(lo + i) })
+			n += step
+			// An error or cancellation also ends the loop; both surface below.
+			stopped = stop != nil && (errs[lo] != nil || ctx.Err() != nil || stop.done(batchTimes[lo]))
+		}
+		if ckpt != nil {
+			if err := ckpt.Flush(); err != nil {
 				return nil, err
 			}
 		}
@@ -194,18 +225,18 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 		if err := s.checkCancelled(ctx); err != nil {
 			return nil, err
 		}
-		for i := range batch {
+		for i := 0; i < n; i++ {
 			tech.Observe(k0+i, batch[i], batchTimes[i])
 		}
-		assemblies = append(assemblies, batch...)
-		times = append(times, batchTimes...)
-		s.met.searchBatch(len(batch))
+		assemblies = append(assemblies, batch[:n]...)
+		times = append(times, batchTimes[:n]...)
+		s.met.searchBatch(n)
 	}
 	if len(times) == 0 {
 		return nil, fmt.Errorf("core: technique %s suggested no assemblies", tech.Name())
 	}
 	_, bestK := stats.Min(times)
-	res, err := s.finish(tech.Name(), assemblies[bestK], times[bestK], times)
+	res, err := s.finish(name, assemblies[bestK], times[bestK], times)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,9 @@
 // The built-in techniques are CFR (this package — Algorithm 1's pruned
 // re-sampling, kept byte-identical to the pre-interface implementation),
 // an analytical-surrogate Bayesian optimizer (package bo) and a
-// FOGA-style genetic algorithm (package ga).
+// FOGA-style genetic algorithm (package ga). The §2.2 baselines FR and
+// Random are techniques of this package too, so every search the engine
+// runs goes through the same driver.
 package search
 
 import (
@@ -82,11 +84,12 @@ func (c Config) Validate() error {
 // the next Suggest.
 type Technique interface {
 	// Name is the algorithm label reported in Result.Algorithm
-	// ("CFR", "BO", "GA").
+	// ("CFR", "BO", "GA", "FR", "Random").
 	Name() string
-	// Phase is the evaluation-phase tag ("cfr", "bo", "ga"). It keys the
-	// per-phase measurement-noise streams and trace spans, so distinct
-	// techniques draw independent noise by construction.
+	// Phase is the evaluation-phase tag ("cfr", "bo", "ga", "fr",
+	// "random"). It keys the per-phase measurement-noise streams and
+	// trace spans, so distinct techniques draw independent noise by
+	// construction.
 	Phase() string
 	// Suggest returns the next batch of at most n per-module assemblies
 	// (each len(Config.Pools) CVs). The technique chooses its own batch
@@ -100,49 +103,67 @@ type Technique interface {
 	Observe(k int, assembly []flagspec.CV, t float64)
 }
 
-// cfr is Caliper-guided random search (Algorithm 1) behind the
-// technique interface: every assembly draws each module's CV uniformly
-// from that module's pruned pool. It is deliberately draw-for-draw
-// identical to the pre-interface implementation — one Suggest(Budget)
-// call consumes the "cfr-assign" stream in exactly the historical
-// k-then-module order, which the facade's pinned-fingerprint regression
-// test enforces.
-type cfr struct {
-	cfg    Config
-	issued int
+// sampler is the family of non-learning techniques: each assembly takes,
+// per module, one candidate of that module's pool, chosen by pick from
+// the pool size and the assembly's index. Config.Seeds are ignored.
+type sampler struct {
+	cfg         Config
+	name, phase string
+	pick        func(n, k int) int
+	issued      int
 }
 
-// NewCFR builds the CFR technique. Config.Seeds are ignored: CFR is the
-// paper's fixed-budget random baseline and must stay byte-identical to
-// its pre-interface behaviour.
+// NewCFR builds Caliper-guided random search (Algorithm 1): every
+// assembly draws each module's CV uniformly from its pruned pool. It is
+// deliberately draw-for-draw identical to the pre-interface
+// implementation — one Suggest(Budget) call consumes the "cfr-assign"
+// stream in exactly the historical k-then-module order, which the
+// facade's pinned-fingerprint regression test enforces.
 func NewCFR(cfg Config) (Technique, error) {
+	return newSampler(cfg, "CFR", "cfr", func(n, _ int) int { return cfg.Rng.Intn(n) })
+}
+
+// NewFR builds per-function random search (§2.2.2): CFR's uniform draw
+// over unpruned pools. The engine passes the K pre-sampled CVs as every
+// module's pool and its "fr-assign" stream, so the draws are exactly
+// those of the historical FR loop.
+func NewFR(cfg Config) (Technique, error) {
+	return newSampler(cfg, "FR", "fr", func(n, _ int) int { return cfg.Rng.Intn(n) })
+}
+
+// NewRandom builds per-program random search (§2.2.1): assembly k takes
+// candidate k of every pool, wrapping at the pool's end, and draws
+// nothing from Config.Rng. The engine passes the K pre-sampled CVs as
+// every module's pool, so assembly k is the uniform variant of CV k.
+func NewRandom(cfg Config) (Technique, error) {
+	return newSampler(cfg, "Random", "random", func(n, k int) int { return k % n })
+}
+
+func newSampler(cfg Config, name, phase string, pick func(n, k int) int) (Technique, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &cfr{cfg: cfg}, nil
+	return &sampler{cfg: cfg, name: name, phase: phase, pick: pick}, nil
 }
 
-func (c *cfr) Name() string  { return "CFR" }
-func (c *cfr) Phase() string { return "cfr" }
+func (s *sampler) Name() string  { return s.name }
+func (s *sampler) Phase() string { return s.phase }
 
-func (c *cfr) Suggest(n int) [][]flagspec.CV {
-	if rem := c.cfg.Budget - c.issued; n > rem {
-		n = rem
-	}
+func (s *sampler) Suggest(n int) [][]flagspec.CV {
+	n = min(n, s.cfg.Budget-s.issued)
 	if n <= 0 {
 		return nil
 	}
 	out := make([][]flagspec.CV, n)
 	for k := range out {
-		a := make([]flagspec.CV, len(c.cfg.Pools))
-		for mi := range a {
-			pool := c.cfg.Pools[mi]
-			a[mi] = pool[c.cfg.Rng.Intn(len(pool))]
+		a := make([]flagspec.CV, len(s.cfg.Pools))
+		for mi, pool := range s.cfg.Pools {
+			a[mi] = pool[s.pick(len(pool), s.issued+k)]
 		}
 		out[k] = a
 	}
-	c.issued += n
+	s.issued += n
 	return out
 }
 
-func (c *cfr) Observe(int, []flagspec.CV, float64) {}
+func (s *sampler) Observe(int, []flagspec.CV, float64) {}

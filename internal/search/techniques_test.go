@@ -12,14 +12,18 @@ import (
 )
 
 // techniques lists every built-in constructor so the property tests
-// below run identically over CFR, BO and GA.
+// below run identically over CFR, BO, GA, FR and Random. seeded marks
+// the techniques that propose Config.Seeds first.
 var techniques = []struct {
-	name string
-	make func(search.Config) (search.Technique, error)
+	name   string
+	make   func(search.Config) (search.Technique, error)
+	seeded bool
 }{
-	{"cfr", search.NewCFR},
-	{"bo", bo.New},
-	{"ga", ga.New},
+	{"cfr", search.NewCFR, false},
+	{"bo", bo.New, true},
+	{"ga", ga.New, true},
+	{"fr", search.NewFR, false},
+	{"random", search.NewRandom, false},
 }
 
 // testConfig builds a small but realistic Config: 3 modules over the
@@ -232,7 +236,10 @@ func TestWarmSeedsLeadInitialDesign(t *testing.T) {
 		{space.Random(srng), space.Random(srng), space.Random(srng)},
 		{space.Random(srng), space.Random(srng), space.Random(srng)},
 	}
-	for _, tc := range techniques[1:] { // bo, ga — CFR ignores seeds
+	for _, tc := range techniques {
+		if !tc.seeded {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(t, "warm", 80, seeds)
 			tech, err := tc.make(cfg)

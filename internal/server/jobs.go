@@ -70,14 +70,16 @@ type JobSpec struct {
 	// of running them in-process. Requires the manager to be configured
 	// with a fleet coordinator.
 	Distributed bool `json:"distributed,omitempty"`
-	// Adaptive selects early-stopped CFR; Compare the full §4.1 protocol.
+	// Adaptive stops the search early (DefaultStopRule); Compare runs
+	// the full §4.1 protocol.
 	Adaptive bool `json:"adaptive,omitempty"`
 	Compare  bool `json:"compare,omitempty"`
 	// Technique selects the search algorithm ("cfr" default, "bo",
-	// "ga"); non-CFR techniques are incompatible with Adaptive/Compare.
+	// "ga"), early-stopped under Adaptive; Compare accepts only CFR.
 	Technique string `json:"technique,omitempty"`
 	// WarmStart seeds the technique from the manager's results
-	// repository. Requires a repository and Technique "bo" or "ga".
+	// repository. Requires a repository, Technique "bo" or "ga", and a
+	// plain tune job.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// CheckpointEvery is the flush cadence in completed evaluations.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
@@ -124,11 +126,14 @@ func (sp *JobSpec) validate() error {
 		return fmt.Errorf("server: unknown technique %q (want cfr, bo, or ga)", sp.Technique)
 	}
 	nonCFR := sp.Technique != "" && sp.Technique != "cfr"
-	if nonCFR && (sp.Adaptive || sp.Compare) {
-		return fmt.Errorf("server: technique %q is incompatible with adaptive/compare (they are defined in terms of CFR)", sp.Technique)
+	if nonCFR && sp.Compare {
+		return fmt.Errorf("server: technique %q is incompatible with compare (the §4.1 protocol is defined in terms of CFR)", sp.Technique)
 	}
 	if sp.WarmStart && !nonCFR {
 		return fmt.Errorf("server: warm_start requires technique \"bo\" or \"ga\"")
+	}
+	if sp.WarmStart && sp.Adaptive {
+		return fmt.Errorf("server: warm_start applies only to plain tune jobs, not adaptive")
 	}
 	return nil
 }
@@ -303,12 +308,13 @@ func dedupKey(spec JobSpec) (string, bool) {
 // runs, later ones attach to it in one map lookup and mirror its
 // outcome (Status.Deduped set).
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	// Defaults apply only to plain tune jobs: adaptive/compare are
-	// defined in terms of CFR and must not inherit a bo/ga default.
-	if spec.Technique == "" && !spec.Adaptive && !spec.Compare {
+	// Defaults apply only to plain tune jobs: compare is defined in terms
+	// of CFR, and an adaptive job runs the technique it names.
+	plain := !spec.Adaptive && !spec.Compare
+	if spec.Technique == "" && plain {
 		spec.Technique = m.cfg.DefaultTechnique
 	}
-	if m.cfg.DefaultWarmStart && !spec.WarmStart &&
+	if m.cfg.DefaultWarmStart && !spec.WarmStart && plain &&
 		(spec.Technique == "bo" || spec.Technique == "ga") {
 		spec.WarmStart = true
 	}

@@ -17,7 +17,6 @@ func TestTechniqueSpecValidation(t *testing.T) {
 	base := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 10, TopX: 4, Seed: "tv"}
 	bad := []func(s *JobSpec){
 		func(s *JobSpec) { s.Technique = "tabu" },
-		func(s *JobSpec) { s.Technique = "bo"; s.Adaptive = true },
 		func(s *JobSpec) { s.Technique = "ga"; s.Compare = true },
 		func(s *JobSpec) { s.WarmStart = true },                      // no technique
 		func(s *JobSpec) { s.Technique = "cfr"; s.WarmStart = true }, // CFR cannot warm-start
@@ -46,27 +45,31 @@ func TestTechniqueSpecValidation(t *testing.T) {
 	}
 }
 
-// TestTechniqueJobsComplete runs one BO and one GA job to completion
-// through the service and checks the result carries the technique's
-// algorithm label.
+// TestTechniqueJobsComplete runs one BO and one GA job, and one adaptive
+// BO job, to completion through the service and checks the result
+// carries the technique's algorithm label.
 func TestTechniqueJobsComplete(t *testing.T) {
 	mgr := newTestManager(t, Config{})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
-	for tech, algo := range map[string]string{"bo": "BO", "ga": "GA"} {
+	for _, tc := range []struct {
+		tech     string
+		adaptive bool
+		algo     string
+	}{{"bo", false, "BO"}, {"ga", false, "GA"}, {"bo", true, "BO.adaptive"}} {
 		spec := JobSpec{
 			Benchmark: "swim", Machine: "sandybridge", Samples: 25, TopX: 5,
-			Seed: "tech-job", Technique: tech,
+			Seed: "tech-job", Technique: tc.tech, Adaptive: tc.adaptive,
 		}
 		resp := postJSON(t, ts.URL+"/jobs", spec)
 		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("%s: submit got %d", tech, resp.StatusCode)
+			t.Fatalf("%s: submit got %d", tc.algo, resp.StatusCode)
 		}
 		st := decode[Status](t, resp)
 		j, ok := mgr.Get(st.ID)
 		if !ok {
-			t.Fatalf("%s: job missing", tech)
+			t.Fatalf("%s: job missing", tc.algo)
 		}
 		waitJob(t, j)
 
@@ -75,18 +78,18 @@ func TestTechniqueJobsComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := decode[Result](t, resp)
-		if res.Algorithm != algo {
-			t.Fatalf("%s: result algorithm %q, want %q", tech, res.Algorithm, algo)
+		if res.Algorithm != tc.algo {
+			t.Fatalf("%s: result algorithm %q", tc.algo, res.Algorithm)
 		}
 		if len(res.Fingerprint) != 16 || res.Speedup <= 0 {
-			t.Fatalf("%s: result = %+v", tech, res)
+			t.Fatalf("%s: result = %+v", tc.algo, res)
 		}
 	}
 }
 
 // TestDefaultTechniqueApplied checks the daemon-level default: specs
-// that leave Technique empty inherit it, while adaptive/compare jobs —
-// which are defined in terms of CFR — are exempt rather than broken.
+// that leave Technique empty inherit it, while adaptive/compare jobs are
+// exempt: defaults apply only to plain tune jobs.
 func TestDefaultTechniqueApplied(t *testing.T) {
 	mgr := newTestManager(t, Config{DefaultTechnique: "ga"})
 

@@ -79,15 +79,15 @@ func (t *Tuner) keySpec(mode string, prog *Program, in Input, rule StopRule, war
 		BackoffSeconds:    t.opts.BackoffSeconds,
 		BackoffCapSeconds: t.opts.BackoffCapSeconds,
 		TimeoutBudget:     t.opts.TimeoutBudget,
+		// CFR's tag is "" and a cold run's digest 0, so neither changes a
+		// key that predates techniques or warm starts, in any mode.
+		Technique:  core.TechniqueTag(t.opts.Technique),
+		WarmDigest: warmDigest,
 	}
 	if mode == modeAdaptive {
 		ks.StopMinEvaluations = rule.MinEvaluations
 		ks.StopPatience = rule.Patience
 		ks.StopMaxEvaluations = rule.MaxEvaluations
-	}
-	if mode == modeTune {
-		ks.Technique = core.TechniqueTag(t.opts.Technique)
-		ks.WarmDigest = warmDigest
 	}
 	return ks
 }

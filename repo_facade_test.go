@@ -187,6 +187,15 @@ func TestRepoKeyDiscriminates(t *testing.T) {
 	if rep2.Fingerprint() != rep.Fingerprint() {
 		t.Error("served adaptive fingerprint diverged")
 	}
+	// Adaptive runs key by technique too.
+	opts.Technique = "bo"
+	rep3, err := NewTuner(opts).TuneAdaptive(prog, in, DefaultStopRule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep3.Served {
+		t.Error("adaptive bo submission was served the adaptive cfr entry")
+	}
 }
 
 // An entry stored without a trace cannot serve a caller that wants one;

@@ -74,33 +74,69 @@ func TestTechniqueKillResumeFingerprint(t *testing.T) {
 				Machine: m, Samples: 70, TopX: 8, Seed: "technique-resume",
 				Technique: tech, Faults: DefaultFaultRates(), CheckpointEvery: 5,
 			}
-			want, err := NewTuner(base).Tune(prog, in)
+			tune := func(tu *Tuner) (*Report, error) { return tu.Tune(prog, in) }
+			want, err := tune(NewTuner(base))
 			if err != nil {
 				t.Fatal(err)
 			}
-
 			// Kill once in the collection phase and once mid-search, so
 			// resume is proven from both sides of the technique handoff.
-			for _, killAt := range []int{20, 55} {
-				path := filepath.Join(t.TempDir(), "tune.ckpt")
-				killOpts := base
-				killOpts.Checkpoint = path
-				killOpts.KillAfterEvals = killAt
-				if _, err := NewTuner(killOpts).Tune(prog, in); !errors.Is(err, ErrKilled) {
-					t.Fatalf("kill at %d: expected ErrKilled, got %v", killAt, err)
-				}
-				resumeOpts := base
-				resumeOpts.Resume = path
-				got, err := NewTuner(resumeOpts).Tune(prog, in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Fingerprint() != want.Fingerprint() {
-					t.Fatalf("kill at %d: resumed fingerprint %#x != uninterrupted %#x",
-						killAt, got.Fingerprint(), want.Fingerprint())
-				}
-			}
+			checkKillResume(t, base, want, tune, 20, 55)
 		})
+	}
+}
+
+// An early-stopped BO campaign killed mid-run resumes to the
+// uninterrupted fingerprint: the stop rule sees the checkpointed times
+// exactly as it saw the measured ones.
+func TestTechniqueAdaptiveKillResumeFingerprint(t *testing.T) {
+	t.Parallel()
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(CloverLeaf, m)
+	base := Options{
+		Machine: m, Samples: 70, TopX: 8, Seed: "technique-adaptive-resume",
+		Technique: "bo", Faults: DefaultFaultRates(), CheckpointEvery: 5,
+	}
+	adaptive := func(tu *Tuner) (*Report, error) {
+		return tu.TuneAdaptive(prog, in, StopRule{MinEvaluations: 10, Patience: 12})
+	}
+	want, err := adaptive(NewTuner(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Best.Algorithm != "BO.adaptive" || want.Best.Evaluations >= base.Samples {
+		t.Fatalf("want an early-stopped BO.adaptive run, got %s after %d evaluations",
+			want.Best.Algorithm, want.Best.Evaluations)
+	}
+	checkKillResume(t, base, want, adaptive, 20, base.Samples+want.Best.Evaluations/2)
+}
+
+// checkKillResume kills run at each evaluation count in killAts and
+// checks that resuming from the checkpoint reproduces want's fingerprint.
+func checkKillResume(t *testing.T, base Options, want *Report, run func(*Tuner) (*Report, error), killAts ...int) {
+	t.Helper()
+	for _, killAt := range killAts {
+		path := filepath.Join(t.TempDir(), "tune.ckpt")
+		killOpts := base
+		killOpts.Checkpoint = path
+		killOpts.KillAfterEvals = killAt
+		if _, err := run(NewTuner(killOpts)); !errors.Is(err, ErrKilled) {
+			t.Fatalf("kill at %d: expected ErrKilled, got %v", killAt, err)
+		}
+		resumeOpts := base
+		resumeOpts.Resume = path
+		got, err := run(NewTuner(resumeOpts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("kill at %d: resumed fingerprint %#x != uninterrupted %#x",
+				killAt, got.Fingerprint(), want.Fingerprint())
+		}
 	}
 }
 
