@@ -287,7 +287,9 @@ type Options struct {
 	// names a different one.
 	Resume string
 	// CheckpointEvery is the flush cadence in completed evaluations
-	// (default 25).
+	// (default 25). Cadence writes run in the background, so a crash
+	// loses at most this many evaluations plus those completed during
+	// one in-flight write; phase ends and cancellation flush everything.
 	CheckpointEvery int
 	// KillAfterEvals, when > 0, simulates a node failure after that many
 	// evaluations (the run aborts with ErrKilled) — the crash-testing

@@ -6,9 +6,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"funcytuner/internal/fsx"
 )
@@ -169,14 +170,32 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 
 // Checkpointer persists tuning progress to a file. It is safe for
 // concurrent use by the session's evaluation workers: marks are applied
-// under a lock and flushed atomically (write-temp-then-rename) every
-// `every` completed evaluations and at phase boundaries.
+// under a lock, and every `every` completed evaluations a background
+// writer commits the newest state atomically (write-temp, fsync, rename,
+// fsync the directory). The writer encodes under the lock but commits
+// with it released, so a cadence write never stalls the marking worker
+// or its gate slot, and writes that come due while one is in flight
+// coalesce into the next. Flush, called at phase boundaries and on
+// cancellation, kill and drain, waits for the writer and then writes
+// synchronously, so the file it leaves reflects every marked evaluation.
+// A crash therefore loses at most `every` evaluations plus those
+// completed during one in-flight cadence write.
 type Checkpointer struct {
 	mu      sync.Mutex
-	path    string
 	every   int
 	pending int
 	ck      *Checkpoint
+
+	// buf is the one encode buffer, reused across writes. The cadence
+	// writer fills and commits it while writer is non-nil; Flush only
+	// touches it after the writer has exited, under mu.
+	buf []byte
+	// writer is closed when the running cadence writer exits; nil when
+	// none is running.
+	writer chan struct{}
+	// commit durably replaces the checkpoint file with data (tests
+	// substitute it to hold a cadence write in flight).
+	commit func(data []byte) error
 }
 
 // NewCheckpointer writes checkpoints to path every `every` completed
@@ -186,19 +205,61 @@ func NewCheckpointer(path string, every int) *Checkpointer {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
-	return &Checkpointer{path: path, every: every}
+	return &Checkpointer{every: every, commit: func(data []byte) error {
+		return atomicWriteFile(path, data, 0o644)
+	}}
 }
 
 // Resume primes the checkpointer with previously persisted state. It must
-// be called before AttachCheckpointer.
+// be called before AttachCheckpointer. The checkpointer keeps a canonical
+// copy: done times and quarantine keys are re-formatted from their parsed
+// values and every slot not marked done is emptied, so no string read
+// from disk is ever copied raw into a later checkpoint file.
 func (c *Checkpointer) Resume(ck *Checkpoint) error {
 	if err := ck.Validate(); err != nil {
 		return err
 	}
+	canon := ck.canonical()
 	c.mu.Lock()
-	c.ck = ck
+	c.ck = canon
 	c.mu.Unlock()
 	return nil
+}
+
+// canonical returns a copy of a validated checkpoint holding only what
+// its done lists and quarantine keys vouch for, in the formatting this
+// package writes.
+func (ck *Checkpoint) canonical() *Checkpoint {
+	out := *ck
+	out.CollectDone = slices.Clone(ck.CollectDone)
+	out.CFRDone = slices.Clone(ck.CFRDone)
+	out.Times = make([][]string, len(ck.Times))
+	for mi := range out.Times {
+		out.Times[mi] = make([]string, ck.Samples)
+	}
+	out.Totals = make([]string, ck.Samples)
+	out.CFRTimes = make([]string, ck.Samples)
+	reformat := func(s string) string {
+		v, _ := parseTime(s)
+		return formatTime(v)
+	}
+	for _, k := range ck.CollectDone {
+		out.Totals[k] = reformat(ck.Totals[k])
+		for mi := range ck.Times {
+			out.Times[mi][k] = reformat(ck.Times[mi][k])
+		}
+	}
+	for _, k := range ck.CFRDone {
+		out.CFRTimes[k] = reformat(ck.CFRTimes[k])
+	}
+	if ck.Quarantine != nil {
+		out.Quarantine = make([]string, len(ck.Quarantine))
+		for i, q := range ck.Quarantine {
+			v, _ := strconv.ParseUint(q, 16, 64)
+			out.Quarantine[i] = strconv.FormatUint(v, 16)
+		}
+	}
+	return &out
 }
 
 // AttachCheckpointer binds a checkpointer to the session. If the
@@ -322,9 +383,27 @@ func (c *Checkpointer) markedLocked(s *Session, ec evalCost) {
 	c.ck.Cost = c.ck.Cost.addEval(ec)
 	c.syncQuarantineLocked(s)
 	c.pending++
-	if c.pending >= c.every {
-		c.flushLocked() // best effort on cadence; Flush reports errors
+	if c.pending >= c.every && c.writer == nil {
+		c.writer = make(chan struct{})
+		go c.writeBehind()
 	}
+}
+
+// writeBehind is the cadence writer. It encodes the newest state under
+// the lock, commits it with the lock released, and loops while another
+// cadence came due during the commit. A cadence write is best effort: a
+// failure that persists surfaces from the next Flush.
+func (c *Checkpointer) writeBehind() {
+	c.mu.Lock()
+	for c.pending >= c.every {
+		data := c.encodeLocked()
+		c.mu.Unlock()
+		_ = c.commit(data)
+		c.mu.Lock()
+	}
+	close(c.writer)
+	c.writer = nil
+	c.mu.Unlock()
 }
 
 // syncQuarantineLocked snapshots the session's quarantine set. The set may
@@ -340,25 +419,163 @@ func (c *Checkpointer) syncQuarantineLocked(s *Session) {
 	c.ck.Quarantine = qs
 }
 
-// Flush writes the checkpoint to disk atomically.
+// Flush writes the checkpoint to disk atomically. It first waits for a
+// cadence write in flight to finish, then commits the current state
+// itself and returns the commit's error.
 func (c *Checkpointer) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.flushLocked()
-}
-
-func (c *Checkpointer) flushLocked() error {
+	for c.writer != nil {
+		w := c.writer
+		c.mu.Unlock()
+		<-w
+		c.mu.Lock()
+	}
 	if c.ck == nil {
 		return nil
 	}
+	return c.commit(c.encodeLocked())
+}
+
+// encodeLocked resets the cadence and encodes the current state into the
+// reused buffer.
+func (c *Checkpointer) encodeLocked() []byte {
 	c.pending = 0
-	sort.Ints(c.ck.CollectDone)
-	sort.Ints(c.ck.CFRDone)
-	data, err := json.MarshalIndent(c.ck, "", "  ")
-	if err != nil {
-		return err
+	slices.Sort(c.ck.CollectDone)
+	slices.Sort(c.ck.CFRDone)
+	c.buf = appendCheckpoint(c.buf[:0], c.ck)
+	return c.buf
+}
+
+// appendCheckpoint appends ck as compact JSON, byte for byte what
+// json.Marshal produces, without reflection. Header strings are escaped;
+// time and quarantine strings are appended verbatim, which is safe
+// because every one of them comes from formatTime or FormatUint: marks
+// format what they store, and Resume re-formats what it loads.
+func appendCheckpoint(b []byte, ck *Checkpoint) []byte {
+	b = appendInt(b, `{"version":`, int64(ck.Version))
+	b = appendJSONString(append(b, `,"program":`...), ck.Program)
+	b = appendJSONString(append(b, `,"machine":`...), ck.Machine)
+	b = appendJSONString(append(b, `,"flavor":`...), ck.Flavor)
+	b = appendJSONString(append(b, `,"seed":`...), ck.Seed)
+	b = appendInt(b, `,"samples":`, int64(ck.Samples))
+	b = appendInt(b, `,"topx":`, int64(ck.TopX))
+	b = appendInt(b, `,"modules":`, int64(ck.Modules))
+	if ck.Technique != "" {
+		b = appendJSONString(append(b, `,"technique":`...), ck.Technique)
 	}
-	return atomicWriteFile(c.path, data, 0o644)
+	b = appendInts(append(b, `,"collect_done":`...), ck.CollectDone)
+	b = append(b, `,"times":`...)
+	if ck.Times == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for mi, row := range ck.Times {
+			if mi > 0 {
+				b = append(b, ',')
+			}
+			b = appendStrings(b, row)
+		}
+		b = append(b, ']')
+	}
+	b = appendStrings(append(b, `,"totals":`...), ck.Totals)
+	b = appendInts(append(b, `,"cfr_done":`...), ck.CFRDone)
+	b = appendStrings(append(b, `,"cfr_times":`...), ck.CFRTimes)
+	b = appendStrings(append(b, `,"quarantine":`...), ck.Quarantine)
+	c := ck.Cost
+	b = appendInt(b, `,"cost":{"compiles":`, c.Compiles)
+	b = appendInt(b, `,"runs":`, c.Runs)
+	b = appendInt(b, `,"sim_micros":`, c.SimMicros)
+	b = appendInt(b, `,"retries":`, c.Retries)
+	b = appendInt(b, `,"wasted_compiles":`, c.WastedCompiles)
+	b = appendInt(b, `,"fault_micros":`, c.FaultMicros)
+	b = appendInt(b, `,"compile_fails":`, c.CompileFails)
+	b = appendInt(b, `,"run_crashes":`, c.RunCrashes)
+	b = appendInt(b, `,"timeouts":`, c.Timeouts)
+	b = appendInt(b, `,"flakes":`, c.Flakes)
+	return append(b, "}}"...)
+}
+
+// appendInt appends key, which carries its own punctuation, and v.
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+func appendInts(b []byte, xs []int) []byte {
+	if xs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
+}
+
+// appendStrings appends strings that need no escaping (see
+// appendCheckpoint) as a JSON array.
+func appendStrings(b []byte, ss []string) []byte {
+	if ss == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, s...)
+		b = append(b, '"')
+	}
+	return append(b, ']')
+}
+
+// appendJSONString appends s as a JSON string literal, escaped exactly as
+// encoding/json escapes it: quotes, backslashes and control characters,
+// the HTML-sensitive <, > and &, U+2028 and U+2029, and invalid UTF-8 as
+// U+FFFD.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&':
+				b = append(b, c)
+			case c == '"' || c == '\\':
+				b = append(b, '\\', c)
+			case c == '\b':
+				b = append(b, '\\', 'b')
+			case c == '\f':
+				b = append(b, '\\', 'f')
+			case c == '\n':
+				b = append(b, '\\', 'n')
+			case c == '\r':
+				b = append(b, '\\', 'r')
+			case c == '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			b = append(b, s[i:i+size]...)
+		}
+		i += size
+	}
+	return append(b, '"')
 }
 
 // atomicWriteFile commits data to path with full crash durability:

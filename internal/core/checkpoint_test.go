@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
-
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"funcytuner/internal/apps"
 	"funcytuner/internal/arch"
@@ -368,5 +371,165 @@ func TestFlushFailureLeavesResumableCheckpoint(t *testing.T) {
 	}
 	if err := ck.Validate(); err != nil {
 		t.Fatalf("previous checkpoint invalid after failed flush: %v", err)
+	}
+}
+
+// The hand-written encoder writes exactly what json.Marshal writes: the
+// v1 fields in struct order, compact, with header strings escaped the
+// same way.
+func TestCheckpointEncodingMatchesMarshal(t *testing.T) {
+	s := newCkptSession(t, filepath.Join(t.TempDir(), "ck.json"), 0, 4)
+	col, err := s.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CFR(context.Background(), col); err != nil {
+		t.Fatal(err)
+	}
+	session := s.ckpt.ck
+	if len(session.Quarantine) == 0 {
+		t.Fatal("faulted session quarantined nothing; the case covers no keys")
+	}
+	escaped := *session
+	escaped.Seed = "q\"b\\s <a>&b \b\f\n\r\t\x00\x1f\x7f é \u2028\u2029 \xff\xc3 \ufffd end"
+	escaped.Program = "</script>"
+	escaped.Technique = "ga"
+	for name, ck := range map[string]*Checkpoint{
+		"session": session,
+		"escaped": &escaped,
+		"empty":   {Version: CheckpointVersion, Seed: "s"},
+	} {
+		want, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendCheckpoint(nil, ck); !bytes.Equal(got, want) {
+			t.Errorf("%s: encoder output differs from json.Marshal\n got: %.300s\nwant: %.300s", name, got, want)
+		}
+	}
+}
+
+// The cadence writer runs behind the evaluation workers. With eight
+// workers marking at every evaluation and Flush racing the marks, the
+// final Flush must leave exactly the final state on disk and no temp
+// file. A Flush issued while a cadence write is in flight must wait for
+// the writer to exit and still return its own commit's error.
+func TestCheckpointWriteBehind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.json")
+	s := newCLSession(t, 60, 8, true)
+	s.Config.Workers = 8
+	s.Config.Faults = faults.Default()
+	c := NewCheckpointer(path, 1)
+	if err := s.AttachCheckpointer(c); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	flushErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				flushErr <- nil
+				return
+			default:
+			}
+			if err := c.Flush(); err != nil {
+				flushErr <- err
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	col, err := s.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CFR(context.Background(), col); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if err := <-flushErr; err != nil {
+		t.Fatalf("interleaved Flush: %v", err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	want, err := json.Marshal(c.ck)
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("file after the final Flush is not the final state (%d bytes, want %d)", len(got), len(want))
+	}
+	ck, err := DecodeCheckpoint(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.CollectDone) != 60 || len(ck.CFRDone) != 60 {
+		t.Fatalf("final checkpoint has %d collect and %d search samples, want 60 each", len(ck.CollectDone), len(ck.CFRDone))
+	}
+	for k, v := range col.Totals {
+		if ck.Totals[k] != formatTime(v) {
+			t.Fatalf("total %d: file has %q, collection measured %v", k, ck.Totals[k], v)
+		}
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+
+	// Hold a cadence write in flight, then block the temp path.
+	path = filepath.Join(t.TempDir(), "ck.json")
+	s = newCLSession(t, 10, 2, true)
+	c = NewCheckpointer(path, 1)
+	if err := s.AttachCheckpointer(c); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held, returned atomic.Bool
+	commit := c.commit
+	c.commit = func(data []byte) error {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+			defer returned.Store(true)
+		}
+		return commit(data)
+	}
+	c.markCollect(s, 0, make([]float64, len(s.Part.Modules)), 1.5, evalCost{runs: 1})
+	<-entered
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Flush() }()
+	select {
+	case err := <-done:
+		t.Fatalf("Flush returned (%v) while a cadence write was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err == nil {
+		t.Fatal("Flush through a blocked temp path should fail")
+	}
+	c.mu.Lock()
+	running := c.writer != nil
+	c.mu.Unlock()
+	if running || !returned.Load() {
+		t.Fatalf("Flush returned before the writer exited (running=%v, commit returned=%v)", running, returned.Load())
+	}
+	if err := os.Remove(path + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush after clearing the temp path: %v", err)
+	}
+	if ck, err := LoadCheckpointFile(path); err != nil || len(ck.CollectDone) != 1 {
+		t.Fatalf("recovered checkpoint: %v (%+v)", err, ck)
 	}
 }

@@ -71,9 +71,16 @@ func TestParForCancelStopsScheduling(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran int32
 		s.parFor(ctx, 1000, func(i int) {
-			atomic.AddInt32(&ran, 1)
-			if atomic.LoadInt32(&ran) == 5 {
+			// Compare the value this index's increment produced: a
+			// separate load can see two workers step past 5 together,
+			// and then nothing ever cancels. An index past 5 waits for
+			// the cancel, so a canceller descheduled between its
+			// increment and cancel() cannot let the others run on.
+			switch n := atomic.AddInt32(&ran, 1); {
+			case n == 5:
 				cancel()
+			case n > 5:
+				<-ctx.Done()
 			}
 		})
 		// Workers already past the claim check may finish their index, so

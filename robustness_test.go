@@ -1,11 +1,16 @@
 package funcytuner
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"funcytuner/internal/core"
 )
 
 // Every benchmark must complete a tuning run under the default fault mix
@@ -99,6 +104,65 @@ func TestKillResumeReportEquality(t *testing.T) {
 	}
 	if got.Faults != want.Faults {
 		t.Fatalf("resumed fault tally %+v != uninterrupted %+v", got.Faults, want.Faults)
+	}
+}
+
+// Checkpoints written before the compact encoder were indented
+// (json.MarshalIndent with two spaces). Resuming from one must still
+// reproduce the uninterrupted run exactly, in either phase, and the
+// resumed run must write its own checkpoints compactly.
+func TestResumeFromIndentedCheckpoint(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(CloverLeaf, m)
+	base := Options{
+		Machine: m, Samples: 40, TopX: 8, Seed: "indented-resume",
+		Faults: DefaultFaultRates(), CheckpointEvery: 3,
+	}
+	want, err := NewTuner(base).Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, killAt := range []int{13, 52} {
+		path := filepath.Join(t.TempDir(), "tune.ckpt")
+		killOpts := base
+		killOpts.Checkpoint = path
+		killOpts.KillAfterEvals = killAt
+		if _, err := NewTuner(killOpts).Tune(prog, in); !errors.Is(err, ErrKilled) {
+			t.Fatalf("kill at %d: expected ErrKilled, got %v", killAt, err)
+		}
+		ck, err := core.LoadCheckpointFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indented, err := json.MarshalIndent(ck, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, indented, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		resumeOpts := base
+		resumeOpts.Resume = path
+		got, err := NewTuner(resumeOpts).Tune(prog, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewritten, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(rewritten, []byte("\n")) {
+			t.Fatalf("kill at %d: resumed run wrote an indented checkpoint", killAt)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("kill at %d: resumed fingerprint %#x != uninterrupted %#x",
+				killAt, got.Fingerprint(), want.Fingerprint())
+		}
 	}
 }
 
