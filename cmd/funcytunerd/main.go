@@ -130,7 +130,7 @@ func parseFlags(args []string, errOut io.Writer) (config, error) {
 	fs.StringVar(&cfg.workerID, "worker-id", "", "stable worker identity; default hostname-pid (worker)")
 	fs.IntVar(&cfg.concurrency, "concurrency", runtime.GOMAXPROCS(0), "simultaneous claims (worker)")
 	fs.IntVar(&cfg.claimBatch, "claim-batch", 1,
-		"tasks leased per claim round-trip; >1 batches claims and reports (worker)")
+		"tasks leased per claim round-trip, reported back in one batch (worker)")
 	fs.DurationVar(&cfg.poll, "poll", 2*time.Second, "claim long-poll bound (worker)")
 	fs.Float64Var(&cfg.faultRate, "worker-fault-rate", 0,
 		"scale of the injected worker fault mix, for chaos testing (worker)")

@@ -27,7 +27,8 @@ const (
 	// WorkerOK means the worker evaluates and reports normally.
 	WorkerOK WorkerClass = iota
 	// WorkerDieMidEval means the worker goes silent mid-evaluation:
-	// heartbeats stop, no report is ever sent, and the lease expires.
+	// heartbeats stop and no report is ever sent for any lease in the
+	// claimed batch, so every one of them expires.
 	WorkerDieMidEval
 	// WorkerStall means the worker hangs past its lease deadline, then
 	// wakes up and reports anyway — a late report with a stale epoch.

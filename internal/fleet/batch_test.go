@@ -3,6 +3,15 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,44 +100,188 @@ func TestClaimBatchFIFOAndPerTaskEpochs(t *testing.T) {
 }
 
 // TestReportBatchIndependentVerdicts proves a batched report is judged
-// entry by entry against the same rules as single Report calls: a stale
-// epoch, an unknown task and a duplicate all bounce individually without
-// poisoning the valid reports sharing their batch, and each accepted
-// report resolves its task exactly once.
+// entry by entry, in one lock hold and one journal append:
+//   - a stale epoch, an unknown task and a duplicate all bounce
+//     individually without poisoning the valid reports sharing their
+//     batch, and each accepted report resolves its task exactly once;
+//   - the same live entry twice in one batch is accepted once — both
+//     copies pass the lease check, so without the in-batch duplicate rule
+//     one append would journal two report records for one task, and
+//     replay would stop at the second;
+//   - a coordinator killed right after the batch's append resolves none
+//     of it, and a restart over the journal serves every outcome.
 func TestReportBatchIndependentVerdicts(t *testing.T) {
-	reg := metrics.NewRegistry()
-	coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: 5 * time.Second, Registry: reg})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	defer coord.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
-	defer cancel()
+	t.Run("stale-unknown-duplicate", func(t *testing.T) {
+		reg := metrics.NewRegistry()
+		coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: 5 * time.Second, Registry: reg})
+		if err != nil {
+			t.Fatalf("coordinator: %v", err)
+		}
+		defer coord.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+		defer cancel()
 
-	spec := testSpec()
-	t1, err := coord.enqueue("job-rb", spec, batchRequest(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := coord.enqueue("job-rb", spec, batchRequest(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	claimed, err := coord.ClaimBatch(ctx, "w1", 5*time.Second, 2)
-	if err != nil || len(claimed) != 2 {
-		t.Fatalf("claim batch: tasks %v err %v", claimed, err)
-	}
+		spec := testSpec()
+		t1, err := coord.enqueue("job-rb", spec, batchRequest(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2, err := coord.enqueue("job-rb", spec, batchRequest(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		claimed, err := coord.ClaimBatch(ctx, "w1", 5*time.Second, 2)
+		if err != nil || len(claimed) != 2 {
+			t.Fatalf("claim batch: tasks %v err %v", claimed, err)
+		}
 
-	got, err := coord.ReportBatch("w1", []TaskReport{
-		{Task: t1.id, Epoch: claimed[0].Epoch + 1, Outcome: fabricatedOutcome(1.5)}, // burned epoch
-		{Task: t2.id, Epoch: claimed[1].Epoch, Outcome: fabricatedOutcome(2.5)},     // live lease
-		{Task: "no-such-task", Epoch: 1, Outcome: fabricatedOutcome(3.5)},           // unknown
-		{Task: t1.id, Epoch: claimed[0].Epoch, Outcome: fabricatedOutcome(4.5)},     // live lease
+		got, err := coord.ReportBatch("w1", []TaskReport{
+			{Task: t1.id, Epoch: claimed[0].Epoch + 1, Outcome: fabricatedOutcome(1.5)}, // burned epoch
+			{Task: t2.id, Epoch: claimed[1].Epoch, Outcome: fabricatedOutcome(2.5)},     // live lease
+			{Task: "no-such-task", Epoch: 1, Outcome: fabricatedOutcome(3.5)},           // unknown
+			{Task: t1.id, Epoch: claimed[0].Epoch, Outcome: fabricatedOutcome(4.5)},     // live lease
+		})
+		if err != nil {
+			t.Fatalf("report batch: %v", err)
+		}
+		wantVerdicts(t, got, false, true, false, true)
+
+		// Duplicates of the accepted entries bounce on a later batch too.
+		dup, err := coord.ReportBatch("w1", []TaskReport{
+			{Task: t2.id, Epoch: claimed[1].Epoch, Outcome: fabricatedOutcome(2.5)},
+		})
+		if err != nil || len(dup) != 1 || dup[0] {
+			t.Errorf("duplicate batched report = (%v, %v), want ([false], nil)", dup, err)
+		}
+
+		// Each accepted report resolved its task with its own outcome.
+		for i, task := range []*task{t1, t2} {
+			wantTotal := []float64{4.5, 2.5}[i]
+			select {
+			case res := <-task.done:
+				if res.err != nil || res.out.Total != wantTotal {
+					t.Errorf("task %s resolved (%v, %v), want total %v", task.id, res.out.Total, res.err, wantTotal)
+				}
+			default:
+				t.Errorf("task %s never resolved", task.id)
+			}
+		}
+
+		snap := reg.Snapshot()
+		if ok := snap.Counter(MetricReportsOK); ok != 2 {
+			t.Errorf("reports_ok = %d, want 2", ok)
+		}
+		if stale := snap.Counter(MetricReportsStale); stale != 3 {
+			t.Errorf("reports_stale = %d, want 3", stale)
+		}
 	})
-	if err != nil {
-		t.Fatalf("report batch: %v", err)
-	}
-	want := []bool{false, true, false, true}
+	t.Run("same-entry-twice", func(t *testing.T) {
+		reg := metrics.NewRegistry()
+		path := filepath.Join(t.TempDir(), "journal")
+		coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: 5 * time.Second, Registry: reg, JournalPath: path})
+		if err != nil {
+			t.Fatalf("coordinator: %v", err)
+		}
+		defer coord.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+		defer cancel()
+
+		t1, err := coord.enqueue("job-dup", testSpec(), batchRequest(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		task, err := claimOne(ctx, coord, "w1", 5*time.Second)
+		if err != nil || task == nil {
+			t.Fatalf("claim: %v %v", task, err)
+		}
+		entry := TaskReport{Task: task.ID, Epoch: task.Epoch, Outcome: fabricatedOutcome(1.5)}
+		got, err := coord.ReportBatch("w1", []TaskReport{entry, entry})
+		if err != nil {
+			t.Fatalf("report batch: %v", err)
+		}
+		wantVerdicts(t, got, true, false)
+
+		reports := 0
+		for _, op := range journalOps(t, path) {
+			if op == opReport {
+				reports++
+			}
+		}
+		if reports != 1 {
+			t.Errorf("journal holds %d report records, want 1", reports)
+		}
+		if res := <-t1.done; res.err != nil || res.out.Total != 1.5 {
+			t.Errorf("task resolved (%v, %v), want total 1.5", res.out.Total, res.err)
+		}
+		snap := reg.Snapshot()
+		if ok, stale := snap.Counter(MetricReportsOK), snap.Counter(MetricReportsStale); ok != 1 || stale != 1 {
+			t.Errorf("reports_ok/stale = %d/%d, want 1/1", ok, stale)
+		}
+	})
+	t.Run("kill-after-append", func(t *testing.T) {
+		cfg := CoordinatorConfig{LeaseTTL: time.Minute, Heartbeat: time.Second, JournalPath: filepath.Join(t.TempDir(), "journal")}
+		coord, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatalf("coordinator: %v", err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+		defer cancel()
+
+		spec := testSpec()
+		var tasks []*task
+		for s := 1; s <= 3; s++ {
+			tk, err := coord.enqueue("job-kill", spec, batchRequest(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks = append(tasks, tk)
+		}
+		claimed, err := coord.ClaimBatch(ctx, "w1", time.Second, 3)
+		if err != nil || len(claimed) != 3 {
+			t.Fatalf("claim batch: %d tasks, err %v", len(claimed), err)
+		}
+		fired := armKill(coord, killReportAccepted, 1)
+		reports := make([]TaskReport, len(claimed))
+		for i, c := range claimed {
+			reports[i] = TaskReport{Task: c.ID, Epoch: c.Epoch, Outcome: fabricatedOutcome(float64(i) + 1.5)}
+		}
+		if _, err := coord.ReportBatch("w1", reports); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("report batch through the kill: err=%v, want ErrUnavailable", err)
+		}
+		if !fired.Load() {
+			t.Fatal("kill point never fired")
+		}
+		for _, tk := range tasks {
+			if res := <-tk.done; !errors.Is(res.err, ErrUnavailable) {
+				t.Errorf("task %s resolved (%v, %v) through the kill, want ErrUnavailable", tk.id, res.out.Total, res.err)
+			}
+		}
+		coord.Kill()
+
+		coord2, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		defer coord2.Close()
+		ev, err := coord2.Evaluator("job-retry", spec)
+		if err != nil {
+			t.Fatalf("evaluator: %v", err)
+		}
+		for i := range tasks {
+			out, err := ev.Evaluate(ctx, batchRequest(i+1))
+			if err != nil || out.Total != float64(i)+1.5 {
+				t.Errorf("sample %d after restart = (%v, %v), want the journaled %v", i+1, out.Total, err, float64(i)+1.5)
+			}
+		}
+		if js := coord2.JournalState(); js.Served != 3 {
+			t.Errorf("journal served = %d, want 3", js.Served)
+		}
+	})
+}
+
+// wantVerdicts compares a report batch's verdicts with want.
+func wantVerdicts(t *testing.T, got []bool, want ...bool) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("verdicts = %v, want %v", got, want)
 	}
@@ -137,35 +290,31 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 			t.Errorf("verdict[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
+}
 
-	// Duplicates of the accepted entries bounce on a later batch too.
-	dup, err := coord.ReportBatch("w1", []TaskReport{
-		{Task: t2.id, Epoch: claimed[1].Epoch, Outcome: fabricatedOutcome(2.5)},
-	})
-	if err != nil || len(dup) != 1 || dup[0] {
-		t.Errorf("duplicate batched report = (%v, %v), want ([false], nil)", dup, err)
+// journalOps lists the op of every record in the journal at path.
+func journalOps(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Each accepted report resolved its task with its own outcome.
-	for i, task := range []*task{t1, t2} {
-		wantTotal := []float64{4.5, 2.5}[i]
-		select {
-		case res := <-task.done:
-			if res.err != nil || res.out.Total != wantTotal {
-				t.Errorf("task %s resolved (%v, %v), want total %v", task.id, res.out.Total, res.err, wantTotal)
-			}
-		default:
-			t.Errorf("task %s never resolved", task.id)
+	if _, good := replayJournal(data); good != len(data) {
+		t.Fatalf("journal replay stops at byte %d of %d", good, len(data))
+	}
+	var ops []string
+	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+		var rec journalRecord
+		var b journalBody
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
 		}
+		if err := json.Unmarshal(rec.Body, &b); err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, b.Op)
 	}
-
-	snap := reg.Snapshot()
-	if ok := snap.Counter(MetricReportsOK); ok != 2 {
-		t.Errorf("reports_ok = %d, want 2", ok)
-	}
-	if stale := snap.Counter(MetricReportsStale); stale != 3 {
-		t.Errorf("reports_stale = %d, want 3", stale)
-	}
+	return ops
 }
 
 // TestBatchedWorkersMatchLocal runs the distributed happy path with
@@ -216,5 +365,193 @@ func TestBatchedWorkersSurviveChaos(t *testing.T) {
 	}
 	if !bytes.Equal(gotTrace, wantTrace) {
 		t.Errorf("batched chaos canonical trace differs from local (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+	}
+}
+
+// verbCounter is a worker transport that counts requests per protocol
+// verb and stamps when each claimbatch left and each reportbatch was
+// answered.
+type verbCounter struct {
+	mu              sync.Mutex
+	counts          map[string]int
+	claimSent       []time.Time
+	reportsAnswered []time.Time
+}
+
+func (v *verbCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	verb := path.Base(req.URL.Path)
+	v.mu.Lock()
+	v.counts[verb]++
+	if verb == "claimbatch" {
+		v.claimSent = append(v.claimSent, time.Now())
+	}
+	v.mu.Unlock()
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if verb == "reportbatch" {
+		v.mu.Lock()
+		v.reportsAnswered = append(v.reportsAnswered, time.Now())
+		v.mu.Unlock()
+	}
+	return resp, err
+}
+
+func (v *verbCounter) count(verb string) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.counts[verb]
+}
+
+// waitFor polls cond until it holds, failing the test after testTimeout.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(testTimeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestWorkerFaultModesInsideBatch pins what each injected worker fault
+// mode does to a whole claimed batch. One worker with the mode always on
+// claims every enqueued task in its first round-trip; the coordinator's
+// counters and the worker's own requests show the outcome. The chaos
+// suites cannot pin this: there, whether a mode fires at all depends on
+// scheduling.
+func TestWorkerFaultModesInsideBatch(t *testing.T) {
+	const leaseTTL = 400 * time.Millisecond
+	// always is the highest rate WorkerRates.Validate admits: a mode at
+	// this rate fires on all but one draw in 2^53.
+	always := math.Nextafter(1, 0)
+	type run struct {
+		reg   *metrics.Registry
+		rt    *verbCounter
+		tasks []*task
+	}
+	counter := func(r run, name string) int64 { return r.reg.Snapshot().Counter(name) }
+	resolveAll := func(t *testing.T, r run) {
+		t.Helper()
+		for _, tk := range r.tasks {
+			select {
+			case <-tk.done:
+			case <-time.After(testTimeout):
+				t.Fatalf("task %s never resolved", tk.id)
+			}
+		}
+	}
+
+	dieMidEval := func(t *testing.T, r run) {
+		// One sweep expires the whole batch: its leases share a deadline,
+		// and the dark worker sits out longer than that before reclaiming.
+		waitFor(t, "the batch's leases to expire", func() bool { return counter(r, MetricLeasesExpired) > 0 })
+		if got := counter(r, MetricLeasesExpired); got != int64(len(r.tasks)) {
+			t.Errorf("first expiry sweep took %d leases, want the whole batch of %d", got, len(r.tasks))
+		}
+		if n := r.rt.count("reportbatch") + r.rt.count("heartbeat"); n != 0 {
+			t.Errorf("dark worker sent %d reports/heartbeats, want none", n)
+		}
+	}
+	staleReport := func(t *testing.T, r run) {
+		resolveAll(t, r)
+		waitFor(t, "the replayed reports", func() bool { return counter(r, MetricReportsStale) >= int64(len(r.tasks)) })
+		ok, stale := counter(r, MetricReportsOK), counter(r, MetricReportsStale)
+		if ok != int64(len(r.tasks)) || stale != int64(len(r.tasks)) {
+			t.Errorf("reports_ok/stale = %d/%d, want %d/%d", ok, stale, len(r.tasks), len(r.tasks))
+		}
+		if n := r.rt.count("reportbatch"); n != 2 {
+			t.Errorf("worker sent %d report batches, want the report and its replay", n)
+		}
+	}
+	cases := []struct {
+		name  string
+		rates faults.WorkerRates
+		batch int
+		check func(*testing.T, run)
+	}{
+		{"die-mid-eval", faults.WorkerRates{DieMidEval: always}, 4, dieMidEval},
+		{"die-mid-eval/batch-of-one", faults.WorkerRates{DieMidEval: always}, 1, dieMidEval},
+		{"stall", faults.WorkerRates{Stall: always}, 4, func(t *testing.T, r run) {
+			// Each task sleeps past its deadline in turn, so even the first
+			// is reported after its lease expired: the whole report bounces.
+			waitFor(t, "the late report", func() bool { return r.rt.count("reportbatch") > 0 })
+			waitFor(t, "the late report's verdicts", func() bool { return counter(r, MetricReportsStale) > 0 })
+			if stale := counter(r, MetricReportsStale); stale != int64(len(r.tasks)) {
+				t.Errorf("reports_stale = %d, want all %d entries", stale, len(r.tasks))
+			}
+			if ok := counter(r, MetricReportsOK); ok != 0 {
+				t.Errorf("reports_ok = %d, want 0", ok)
+			}
+			if n := r.rt.count("heartbeat"); n != 0 {
+				t.Errorf("stalled worker sent %d heartbeats, want none", n)
+			}
+		}},
+		{"stale-report", faults.WorkerRates{StaleReport: always}, 4, staleReport},
+		{"stale-report/batch-of-one", faults.WorkerRates{StaleReport: always}, 1, staleReport},
+		{"report-then-die", faults.WorkerRates{ReportThenDie: always}, 4, func(t *testing.T, r run) {
+			resolveAll(t, r)
+			waitFor(t, "the claim after the report", func() bool { return r.rt.count("claimbatch") >= 2 })
+			if ok := counter(r, MetricReportsOK); ok != int64(len(r.tasks)) {
+				t.Errorf("reports_ok = %d, want %d", ok, len(r.tasks))
+			}
+			r.rt.mu.Lock()
+			gap := r.rt.claimSent[1].Sub(r.rt.reportsAnswered[0])
+			r.rt.mu.Unlock()
+			if gap < leaseTTL {
+				t.Errorf("next claim %v after the report, want at least the lease TTL %v", gap, leaseTTL)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			coord, err := NewCoordinator(CoordinatorConfig{
+				// The stall sleeps leaseTTL+Heartbeat; the reaper sweeps every
+				// leaseTTL/4, so a stalled lease has expired well before its
+				// report lands.
+				LeaseTTL:          leaseTTL,
+				Heartbeat:         leaseTTL / 2,
+				RequeueBackoff:    time.Millisecond,
+				RequeueBackoffCap: 2 * time.Millisecond,
+				MaxLeaseLosses:    1 << 20,
+				Registry:          reg,
+			})
+			if err != nil {
+				t.Fatalf("coordinator: %v", err)
+			}
+			defer coord.Close()
+			srv := httptest.NewServer(coord.Handler())
+			defer srv.Close()
+
+			r := run{reg: reg, rt: &verbCounter{counts: map[string]int{}}}
+			for s := 1; s <= tc.batch; s++ {
+				// Collect-phase claims carry one uniform CV, which a real
+				// worker executes without the benchmark's module partition.
+				tk, err := coord.enqueue("job-faults", testSpec(), core.EvalRequest{Phase: "collect", Sample: s, CVs: []flagspec.CV{flagspec.ICC().Baseline()}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.tasks = append(r.tasks, tk)
+			}
+			w, err := NewWorker(WorkerConfig{
+				ID: "w-fault", Coordinator: srv.URL, Concurrency: 1, ClaimBatch: tc.batch,
+				Poll: 100 * time.Millisecond, Faults: tc.rates,
+				HTTPClient: &http.Client{Transport: r.rt}, Logf: t.Logf,
+			})
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+			defer cancel()
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = w.Run(ctx) // cancelled below once the check is done
+			}()
+			defer wg.Wait()
+			defer cancel()
+			tc.check(t, r)
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -811,23 +812,12 @@ func (c *Coordinator) abandon(t *task) {
 	c.updateGauges()
 }
 
-// Claim leases the oldest claimable task to worker, long-polling up to
-// maxWait for one to appear. Returns (nil, nil) when nothing became
-// claimable in time (the HTTP layer's 204).
-func (c *Coordinator) Claim(ctx context.Context, worker string, maxWait time.Duration) (*Task, error) {
-	ts, err := c.ClaimBatch(ctx, worker, maxWait, 1)
-	if err != nil || len(ts) == 0 {
-		return nil, err
-	}
-	return ts[0], nil
-}
-
 // ClaimBatch leases up to max claimable tasks to worker in FIFO order,
-// long-polling up to maxWait for at least one to appear. It grants
-// whatever is claimable the moment anything is — it never holds a
-// partial batch hoping to fill it, so a batch-1 claim and a batch-N
-// claim have identical latency. Returns (nil, nil) when nothing became
-// claimable in time (the HTTP layer's 204).
+// long-polling up to maxWait for at least one to appear; a single claim
+// is a batch of one. It grants whatever is claimable the moment anything
+// is — it never holds a partial batch hoping to fill it, so a batch-1
+// claim and a batch-N claim have identical latency. Returns (nil, nil)
+// when nothing became claimable in time (the HTTP layer's 204).
 //
 // Each granted task gets its own lease and epoch, exactly as if it had
 // been claimed alone: heartbeats, expiry, requeue backoff and report
@@ -980,65 +970,85 @@ func (c *Coordinator) Heartbeat(worker, taskID string, epoch int) (bool, error) 
 	return true, nil
 }
 
-// Report resolves a claim. Exactly one report per task is accepted — the
-// one carrying the live lease's worker and epoch; everything else
-// (expired lease, burned epoch, duplicate send, abandoned task) reports
-// false and is cost-accounted nowhere, which is what keeps the merged
-// run byte-identical to a clean one. An accepted report is journaled —
-// full wire outcome, trace events included — before the task resolves,
-// so a crash one instant later still has the evaluation.
-func (c *Coordinator) Report(worker, taskID string, epoch int, out *Outcome, evalErr string) (accepted bool, err error) {
+// ReportBatch resolves claims; a single report is a batch of one. Each
+// entry is judged on its own, and the verdicts come back in request
+// order: exactly one report per task is accepted — the one carrying the
+// live lease's worker and epoch, and not already accepted earlier in the
+// same batch. Everything else (expired lease, burned epoch, duplicate
+// send, abandoned task) gets false, is cost-accounted nowhere and does
+// not poison its batchmates, which is what keeps the merged run
+// byte-identical to a clean one.
+//
+// The whole batch is judged under one lock hold, and every accepted
+// report — full wire outcome, trace events included — is journaled in
+// one append (one sync) before any task resolves or any verdict is
+// returned, so a crash one instant later still has the evaluations. A
+// kill or journal failure leaves the whole batch unresolved.
+func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, error) {
 	c.mu.Lock()
 	if c.killed {
 		c.mu.Unlock()
-		return false, ErrUnavailable
+		return nil, ErrUnavailable
 	}
-	l := c.leases[taskID]
-	if l == nil || l.worker != worker || l.t.epoch != epoch {
-		c.mStale.Inc()
-		c.mu.Unlock()
-		return false, nil
+	accepted := make([]bool, len(reports))
+	var bodies []journalBody
+	var won []*task
+	for i, r := range reports {
+		l := c.leases[r.Task]
+		if l == nil || l.worker != worker || l.t.epoch != r.Epoch || slices.Contains(won, l.t) {
+			continue
+		}
+		accepted[i] = true
+		won = append(won, l.t)
+		bodies = append(bodies, journalBody{Op: opReport, Task: r.Task, Worker: worker, Epoch: r.Epoch, Outcome: r.Outcome, Error: r.Error})
 	}
-	t := l.t
-	if err := c.journalAppend(journalBody{Op: opReport, Task: taskID, Worker: worker, Epoch: epoch, Outcome: out, Error: evalErr}); err != nil {
-		c.mu.Unlock()
-		return false, err
-	}
-	if c.killAt(killReportAccepted) {
-		c.mu.Unlock()
-		return false, ErrUnavailable
-	}
-	delete(c.leases, taskID)
-	delete(c.tasks, taskID)
-	if c.journal != nil {
-		// Mirror the journal's completed set in memory: compaction and
-		// orphaned-report adoption both read from here.
-		c.buffer[t.key] = replayOutcome{out: out, evalErr: evalErr}
-		if t.orphan {
-			c.dropOrphanLocked(t)
+	if len(won) > 0 {
+		if err := c.journalAppend(bodies...); err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+		if c.killAt(killReportAccepted) {
+			c.mu.Unlock()
+			return nil, ErrUnavailable
 		}
 	}
-	if ws := c.workers[worker]; ws != nil {
+	for i, t := range won {
+		delete(c.leases, t.id)
+		delete(c.tasks, t.id)
+		if c.journal != nil {
+			// Mirror the journal's completed set in memory: compaction and
+			// orphaned-report adoption both read from here.
+			c.buffer[t.key] = replayOutcome{out: bodies[i].Outcome, evalErr: bodies[i].Error}
+			if t.orphan {
+				c.dropOrphanLocked(t)
+			}
+		}
+	}
+	if ws := c.workers[worker]; ws != nil && len(won) > 0 {
 		ws.losses = 0
 	}
-	c.mOK.Inc()
+	c.mOK.Add(int64(len(won)))
+	c.mStale.Add(int64(len(reports) - len(won)))
 	c.updateGauges()
 	c.mu.Unlock()
 
-	var res taskResult
-	switch {
-	case evalErr != "":
-		res.err = fmt.Errorf("fleet: worker %s failed task %s: %s", worker, taskID, evalErr)
-	case out == nil:
-		res.err = fmt.Errorf("fleet: worker %s reported task %s with no outcome", worker, taskID)
-	default:
-		res.out, res.err = out.decode()
+	for i, t := range won {
+		b := bodies[i]
+		var res taskResult
+		switch {
+		case b.Error != "":
+			res.err = fmt.Errorf("fleet: worker %s failed task %s: %s", worker, t.id, b.Error)
+		case b.Outcome == nil:
+			res.err = fmt.Errorf("fleet: worker %s reported task %s with no outcome", worker, t.id)
+		default:
+			res.out, res.err = b.Outcome.decode()
+		}
+		select {
+		case t.done <- res:
+		default:
+		}
 	}
-	select {
-	case t.done <- res:
-	default:
-	}
-	return true, nil
+	return accepted, nil
 }
 
 // dropOrphanLocked removes a completed orphan from the adoption index:
@@ -1057,23 +1067,6 @@ func (c *Coordinator) dropOrphanLocked(t *task) {
 	} else {
 		c.orphans[t.key] = ts
 	}
-}
-
-// ReportBatch delivers several outcomes in one call. Each report is
-// judged independently against its own lease — a stale entry does not
-// poison its batchmates — and the verdicts come back in request order.
-// Batching is a transport optimization only: the accept/reject rules
-// are byte-for-byte those of Report.
-func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, error) {
-	accepted := make([]bool, len(reports))
-	for i, r := range reports {
-		ok, err := c.Report(worker, r.Task, r.Epoch, r.Outcome, r.Error)
-		if err != nil {
-			return nil, err
-		}
-		accepted[i] = ok
-	}
-	return accepted, nil
 }
 
 // reap expires overdue leases. An expired lease is a worker fault: the

@@ -197,8 +197,9 @@ func TestDistributedSurvivesWorkerChaos(t *testing.T) {
 	}
 }
 
-// killAfterReports cancels a context after the worker has delivered n
-// reports — an abrupt mid-run death from the coordinator's perspective.
+// killAfterReports cancels a context after the worker has sent n report
+// batches (n reports at the default batch of one) — an abrupt mid-run
+// death from the coordinator's perspective.
 type killAfterReports struct {
 	n      int64
 	cancel context.CancelFunc
@@ -206,7 +207,7 @@ type killAfterReports struct {
 }
 
 func (k *killAfterReports) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(req.URL.Path, "/fleet/report") && k.seen.Add(1) >= k.n {
+	if strings.HasSuffix(req.URL.Path, "/fleet/reportbatch") && k.seen.Add(1) >= k.n {
 		k.cancel()
 	}
 	return http.DefaultTransport.RoundTrip(req)
@@ -313,6 +314,26 @@ func fabricatedOutcome(total float64) *Outcome {
 	return &Outcome{Total: formatFloat(total), Cost: core.CostSnapshot{Runs: 1, SimMicros: int64(total * 1e6)}}
 }
 
+// claimOne leases at most one task: the protocol's claim of a batch of
+// one. (nil, nil) means nothing became claimable within wait.
+func claimOne(ctx context.Context, c *Coordinator, worker string, wait time.Duration) (*Task, error) {
+	ts, err := c.ClaimBatch(ctx, worker, wait, 1)
+	if err != nil || len(ts) == 0 {
+		return nil, err
+	}
+	return ts[0], nil
+}
+
+// reportOne delivers one outcome as a report batch of one and returns
+// its verdict.
+func reportOne(c *Coordinator, worker, taskID string, epoch int, out *Outcome, evalErr string) (bool, error) {
+	verdicts, err := c.ReportBatch(worker, []TaskReport{{Task: taskID, Epoch: epoch, Outcome: out, Error: evalErr}})
+	if err != nil {
+		return false, err
+	}
+	return verdicts[0], nil
+}
+
 // baselineRequest is a minimal claim for protocol tests.
 func baselineRequest() core.EvalRequest {
 	return core.EvalRequest{Phase: "cfr", Sample: 3, CVs: []flagspec.CV{flagspec.ICC().Baseline()}}
@@ -353,7 +374,7 @@ func TestStaleReportRejectedOnce(t *testing.T) {
 		resCh <- evalRes{out, err}
 	}()
 
-	t1, err := coord.Claim(ctx, "w1", 5*time.Second)
+	t1, err := claimOne(ctx, coord, "w1", 5*time.Second)
 	if err != nil || t1 == nil {
 		t.Fatalf("first claim: task %v err %v", t1, err)
 	}
@@ -368,7 +389,7 @@ func TestStaleReportRejectedOnce(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t2, err := coord.Claim(ctx, "w2", 5*time.Second)
+	t2, err := claimOne(ctx, coord, "w2", 5*time.Second)
 	if err != nil || t2 == nil {
 		t.Fatalf("re-claim: task %v err %v", t2, err)
 	}
@@ -383,14 +404,14 @@ func TestStaleReportRejectedOnce(t *testing.T) {
 	if ok, _ := coord.Heartbeat("w1", t1.ID, t1.Epoch); ok {
 		t.Errorf("stale heartbeat accepted")
 	}
-	if acc, _ := coord.Report("w1", t1.ID, t1.Epoch, fabricatedOutcome(1.5), ""); acc {
+	if acc, _ := reportOne(coord, "w1", t1.ID, t1.Epoch, fabricatedOutcome(1.5), ""); acc {
 		t.Errorf("stale report accepted")
 	}
 	// The live lease's report is accepted; its duplicate is not.
-	if acc, _ := coord.Report("w2", t2.ID, t2.Epoch, fabricatedOutcome(2.5), ""); !acc {
+	if acc, _ := reportOne(coord, "w2", t2.ID, t2.Epoch, fabricatedOutcome(2.5), ""); !acc {
 		t.Fatalf("live report rejected")
 	}
-	if acc, _ := coord.Report("w2", t2.ID, t2.Epoch, fabricatedOutcome(2.5), ""); acc {
+	if acc, _ := reportOne(coord, "w2", t2.ID, t2.Epoch, fabricatedOutcome(2.5), ""); acc {
 		t.Errorf("duplicate report accepted")
 	}
 
@@ -445,7 +466,7 @@ func TestWorkerQuarantineAfterLeaseLosses(t *testing.T) {
 	go ev.Evaluate(evalCtx, baselineRequest()) //nolint:errcheck // cancelled at cleanup
 
 	for loss := 0; loss < 2; loss++ {
-		task, err := coord.Claim(ctx, "w-flaky", 5*time.Second)
+		task, err := claimOne(ctx, coord, "w-flaky", 5*time.Second)
 		if err != nil || task == nil {
 			t.Fatalf("loss %d claim: task %v err %v", loss, task, err)
 		}
@@ -457,10 +478,10 @@ func TestWorkerQuarantineAfterLeaseLosses(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	if _, err := coord.Claim(ctx, "w-flaky", 100*time.Millisecond); err != ErrQuarantined {
+	if _, err := claimOne(ctx, coord, "w-flaky", 100*time.Millisecond); err != ErrQuarantined {
 		t.Errorf("quarantined worker claim error = %v, want ErrQuarantined", err)
 	}
-	if task, err := coord.Claim(ctx, "w-healthy", 5*time.Second); err != nil || task == nil {
+	if task, err := claimOne(ctx, coord, "w-healthy", 5*time.Second); err != nil || task == nil {
 		t.Errorf("healthy worker blocked after peer quarantine: task %v err %v", task, err)
 	}
 	if got := reg.Snapshot().Counter(MetricWorkersQuarantined); got != 1 {
@@ -496,7 +517,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 		_, err := ev.Evaluate(ctx, baselineRequest())
 		done <- err
 	}()
-	task, err := coord.Claim(ctx, "w1", 5*time.Second)
+	task, err := claimOne(ctx, coord, "w1", 5*time.Second)
 	if err != nil || task == nil {
 		t.Fatalf("claim: task %v err %v", task, err)
 	}
@@ -506,7 +527,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 		}
 		time.Sleep(15 * time.Millisecond)
 	}
-	if acc, _ := coord.Report("w1", task.ID, task.Epoch, fabricatedOutcome(1), ""); !acc {
+	if acc, _ := reportOne(coord, "w1", task.ID, task.Epoch, fabricatedOutcome(1), ""); !acc {
 		t.Fatalf("report rejected after sustained heartbeats")
 	}
 	if err := <-done; err != nil {
@@ -559,7 +580,7 @@ func TestCoordinatorClosedAndCancelled(t *testing.T) {
 
 	coord.Close()
 	coord.Close() // idempotent
-	if _, err := coord.Claim(ctx, "w1", 10*time.Millisecond); err != ErrClosed {
+	if _, err := claimOne(ctx, coord, "w1", 10*time.Millisecond); err != ErrClosed {
 		t.Errorf("claim on closed coordinator: %v, want ErrClosed", err)
 	}
 	if _, err := ev.Evaluate(ctx, baselineRequest()); err != ErrClosed {

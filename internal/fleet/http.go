@@ -10,24 +10,22 @@ import (
 	"time"
 )
 
-// HTTP status mapping of the protocol:
+// HTTP status mapping of the protocol. A single claim or report is a
+// batch of one; there is no separate single-task verb.
 //
-//	POST /fleet/claim        200 Task | 204 nothing claimable | 403 worker
+//	POST /fleet/claimbatch   200 {tasks} | 204 nothing claimable | 403 worker
 //	                         quarantined | 502 coordinator dead (killed
 //	                         mid-flight) | 503 coordinator closed
-//	POST /fleet/claimbatch   200 {tasks} | 204/403/502/503 as claim
 //	POST /fleet/heartbeat    200 lease extended | 409 lease gone/stale
 //	                         epoch | 502 coordinator dead
-//	POST /fleet/report       200 accepted | 409 stale (rejected, counted) |
-//	                         502 coordinator dead | 400 malformed
 //	POST /fleet/reportbatch  200 {accepted[]} (per-entry verdicts; a stale
-//	                         entry is accepted[i]=false, never a 409) |
-//	                         502 coordinator dead | 400 malformed
+//	                         entry is accepted[i]=false) | 502 coordinator
+//	                         dead | 400 malformed
 //
-// 409 is deliberately not an error for the worker: a stale heartbeat or
-// report is the normal aftermath of a lease the coordinator already
-// re-dispatched. The worker's only correct reaction is to drop the
-// evaluation and claim fresh work.
+// 409 and a false verdict are deliberately not errors for the worker: a
+// stale heartbeat or report is the normal aftermath of a lease the
+// coordinator already re-dispatched. The worker's only correct reaction
+// is to drop the evaluation and claim fresh work.
 //
 // 502 vs 503 is the durability distinction: 503 (ErrClosed) is a clean
 // shutdown workers obey by exiting, while 502 (ErrUnavailable) means the
@@ -48,10 +46,8 @@ const maxClaimBatch = 256
 // Handler exposes the coordinator over HTTP under /fleet/.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /fleet/claim", c.handleClaim)
 	mux.HandleFunc("POST /fleet/claimbatch", c.handleClaimBatch)
 	mux.HandleFunc("POST /fleet/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /fleet/report", c.handleReport)
 	mux.HandleFunc("POST /fleet/reportbatch", c.handleReportBatch)
 	return mux
 }
@@ -71,35 +67,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
-}
-
-func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[claimRequest](w, r)
-	if !ok {
-		return
-	}
-	wait := time.Duration(req.WaitMillis) * time.Millisecond
-	if wait < 0 {
-		wait = 0
-	}
-	if max := 30 * time.Second; wait > max {
-		wait = max
-	}
-	t, err := c.Claim(r.Context(), req.Worker, wait)
-	switch {
-	case err == ErrClosed:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-	case err == ErrUnavailable:
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
-	case err == ErrQuarantined:
-		writeJSON(w, http.StatusForbidden, map[string]string{"error": err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-	case t == nil:
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeJSON(w, http.StatusOK, t)
-	}
 }
 
 func (c *Coordinator) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
@@ -155,24 +122,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	default:
 		writeJSON(w, http.StatusConflict, map[string]string{"error": "lease gone or epoch stale"})
-	}
-}
-
-func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[reportRequest](w, r)
-	if !ok {
-		return
-	}
-	accepted, err := c.Report(req.Worker, req.Task, req.Epoch, req.Outcome, req.Error)
-	switch {
-	case err == ErrUnavailable:
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-	case !accepted:
-		writeJSON(w, http.StatusConflict, map[string]string{"error": "report stale: lease gone or epoch burned"})
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}
 }
 
@@ -233,29 +182,6 @@ func (cl *client) post(ctx context.Context, path string, in, out any) (int, erro
 	return resp.StatusCode, nil
 }
 
-// claim long-polls for one task. (nil, nil) means nothing claimable.
-func (cl *client) claim(ctx context.Context, worker string, wait time.Duration) (*Task, error) {
-	var t Task
-	code, err := cl.post(ctx, "/fleet/claim", claimRequest{Worker: worker, WaitMillis: wait.Milliseconds()}, &t)
-	if err != nil {
-		return nil, err
-	}
-	switch code {
-	case http.StatusOK:
-		return &t, nil
-	case http.StatusNoContent:
-		return nil, nil
-	case http.StatusForbidden:
-		return nil, ErrQuarantined
-	case http.StatusServiceUnavailable:
-		return nil, ErrClosed
-	case http.StatusBadGateway:
-		return nil, ErrUnavailable
-	default:
-		return nil, fmt.Errorf("fleet: claim: unexpected status %d", code)
-	}
-}
-
 // claimBatch long-polls for up to max tasks. (nil, 0, nil) means nothing
 // claimable. granted is non-zero when the coordinator clamped max to its
 // own per-round-trip cap — callers should shrink later requests to it.
@@ -297,25 +223,6 @@ func (cl *client) heartbeat(ctx context.Context, worker, taskID string, epoch in
 		return false, ErrUnavailable
 	default:
 		return false, fmt.Errorf("fleet: heartbeat: unexpected status %d", code)
-	}
-}
-
-// report delivers an outcome; accepted=false means the report was stale.
-func (cl *client) report(ctx context.Context, worker, taskID string, epoch int, out *Outcome, evalErr string) (accepted bool, err error) {
-	code, err := cl.post(ctx, "/fleet/report",
-		reportRequest{Worker: worker, Task: taskID, Epoch: epoch, Outcome: out, Error: evalErr}, nil)
-	if err != nil {
-		return false, err
-	}
-	switch code {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusConflict:
-		return false, nil
-	case http.StatusBadGateway:
-		return false, ErrUnavailable
-	default:
-		return false, fmt.Errorf("fleet: report: unexpected status %d", code)
 	}
 }
 

@@ -85,12 +85,6 @@ type journalBody struct {
 	Quarantined bool   `json:"quarantined,omitempty"`
 }
 
-// journalChecksum guards one record body, same construction as the
-// results repository's entry checksum.
-func journalChecksum(body []byte) string {
-	return fmt.Sprintf("%016x", xrand.HashString(string(body)))
-}
-
 // encodeJournalRecord renders one body as its newline-terminated
 // on-disk line.
 func encodeJournalRecord(b journalBody) ([]byte, error) {
@@ -98,7 +92,7 @@ func encodeJournalRecord(b journalBody) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding journal body: %w", err)
 	}
-	line, err := json.Marshal(journalRecord{V: journalVersion, Sum: journalChecksum(body), Body: body})
+	line, err := json.Marshal(journalRecord{V: journalVersion, Sum: fsx.Checksum(body), Body: body})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding journal record: %w", err)
 	}
@@ -225,7 +219,7 @@ func (st *replayState) apply(line []byte) bool {
 	if err := json.Unmarshal(line, &rec); err != nil || rec.V != journalVersion {
 		return false
 	}
-	if journalChecksum(rec.Body) != rec.Sum {
+	if fsx.Checksum(rec.Body) != rec.Sum {
 		return false
 	}
 	var b journalBody

@@ -309,11 +309,11 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	done1 := evaluateAsync(ctx, ev, baselineRequest())
 	var t1 *Task
 	for t1 == nil {
-		if t1, err = coord.Claim(ctx, "w1", time.Second); err != nil {
+		if t1, err = claimOne(ctx, coord, "w1", time.Second); err != nil {
 			t.Fatalf("claim: %v", err)
 		}
 	}
-	if acc, err := coord.Report("w1", t1.ID, t1.Epoch, fabricatedOutcome(1.5), ""); err != nil || !acc {
+	if acc, err := reportOne(coord, "w1", t1.ID, t1.Epoch, fabricatedOutcome(1.5), ""); err != nil || !acc {
 		t.Fatalf("report: accepted=%v err=%v", acc, err)
 	}
 	res1 := <-done1
@@ -331,7 +331,7 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	if res2 := <-done2; !errors.Is(res2.err, ErrUnavailable) {
 		t.Fatalf("pending evaluate after kill: err=%v, want ErrUnavailable", res2.err)
 	}
-	if _, err := coord.Claim(ctx, "w1", 0); !errors.Is(err, ErrUnavailable) {
+	if _, err := claimOne(ctx, coord, "w1", 0); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("claim after kill: err=%v, want ErrUnavailable", err)
 	}
 
@@ -375,14 +375,14 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	if depth := coord2.QueueDepth(); depth != 1 {
 		t.Errorf("queue depth after adoption = %d, want 1", depth)
 	}
-	t2, err := coord2.Claim(ctx, "w1", 5*time.Second)
+	t2, err := claimOne(ctx, coord2, "w1", 5*time.Second)
 	if err != nil || t2 == nil {
 		t.Fatalf("claim from restarted coordinator: %v %v", t2, err)
 	}
 	if t2.Job != "job-1" {
 		t.Errorf("adopted task kept job %q, want original job-1 (recovered identity)", t2.Job)
 	}
-	if acc, err := coord2.Report("w1", t2.ID, t2.Epoch, fabricatedOutcome(2.5), ""); err != nil || !acc {
+	if acc, err := reportOne(coord2, "w1", t2.ID, t2.Epoch, fabricatedOutcome(2.5), ""); err != nil || !acc {
 		t.Fatalf("report to restarted coordinator: accepted=%v err=%v", acc, err)
 	}
 	if res3 := <-done3; res3.err != nil {
@@ -405,7 +405,7 @@ func TestRecoveryBumpsExpiredLeaseEpoch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 	defer cancel()
 	done := evaluateAsync(ctx, ev, baselineRequest())
-	t1, err := coord.Claim(ctx, "w1", time.Second)
+	t1, err := claimOne(ctx, coord, "w1", time.Second)
 	if err != nil || t1 == nil {
 		t.Fatalf("claim: %v %v", t1, err)
 	}
@@ -421,19 +421,19 @@ func TestRecoveryBumpsExpiredLeaseEpoch(t *testing.T) {
 	if ok, err := coord2.Heartbeat("w1", t1.ID, t1.Epoch); err != nil || ok {
 		t.Errorf("pre-crash heartbeat accepted after recovery bump (ok=%v err=%v)", ok, err)
 	}
-	if acc, err := coord2.Report("w1", t1.ID, t1.Epoch, fabricatedOutcome(9), ""); err != nil || acc {
+	if acc, err := reportOne(coord2, "w1", t1.ID, t1.Epoch, fabricatedOutcome(9), ""); err != nil || acc {
 		t.Errorf("pre-crash report accepted after recovery bump (acc=%v err=%v)", acc, err)
 	}
 	ev2, _ := coord2.Evaluator("job-retry", testSpec())
 	done2 := evaluateAsync(ctx, ev2, baselineRequest())
-	t2, err := coord2.Claim(ctx, "w2", 5*time.Second)
+	t2, err := claimOne(ctx, coord2, "w2", 5*time.Second)
 	if err != nil || t2 == nil {
 		t.Fatalf("re-claim: %v %v", t2, err)
 	}
 	if t2.ID != t1.ID || t2.Epoch <= t1.Epoch {
 		t.Errorf("re-grant = %s epoch %d, want same task %s with epoch > %d", t2.ID, t2.Epoch, t1.ID, t1.Epoch)
 	}
-	if acc, err := coord2.Report("w2", t2.ID, t2.Epoch, fabricatedOutcome(3), ""); err != nil || !acc {
+	if acc, err := reportOne(coord2, "w2", t2.ID, t2.Epoch, fabricatedOutcome(3), ""); err != nil || !acc {
 		t.Fatalf("fresh report: accepted=%v err=%v", acc, err)
 	}
 	if res := <-done2; res.err != nil {
@@ -455,7 +455,7 @@ func TestRecoveryKeepsLiveLease(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 	defer cancel()
 	done := evaluateAsync(ctx, ev, baselineRequest())
-	t1, err := coord.Claim(ctx, "w1", time.Second)
+	t1, err := claimOne(ctx, coord, "w1", time.Second)
 	if err != nil || t1 == nil {
 		t.Fatalf("claim: %v %v", t1, err)
 	}
@@ -473,7 +473,7 @@ func TestRecoveryKeepsLiveLease(t *testing.T) {
 	if ok, err := coord2.Heartbeat("w1", t1.ID, t1.Epoch); err != nil || !ok {
 		t.Errorf("live lease heartbeat rejected after restart (ok=%v err=%v)", ok, err)
 	}
-	if acc, err := coord2.Report("w1", t1.ID, t1.Epoch, fabricatedOutcome(4), ""); err != nil || !acc {
+	if acc, err := reportOne(coord2, "w1", t1.ID, t1.Epoch, fabricatedOutcome(4), ""); err != nil || !acc {
 		t.Fatalf("live lease report rejected after restart (acc=%v err=%v)", acc, err)
 	}
 	// The outcome buffered before any re-run asked for it is served the
@@ -504,11 +504,11 @@ func TestJournalCompaction(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 		defer cancel()
 		done := evaluateAsync(ctx, ev, baselineRequest())
-		t1, err := coord.Claim(ctx, "w1", time.Second)
+		t1, err := claimOne(ctx, coord, "w1", time.Second)
 		if err != nil || t1 == nil {
 			t.Fatalf("claim: %v %v", t1, err)
 		}
-		if acc, err := coord.Report("w1", t1.ID, t1.Epoch, fabricatedOutcome(1), ""); err != nil || !acc {
+		if acc, err := reportOne(coord, "w1", t1.ID, t1.Epoch, fabricatedOutcome(1), ""); err != nil || !acc {
 			t.Fatalf("report: %v %v", acc, err)
 		}
 		<-done
@@ -537,7 +537,7 @@ func TestJournalCompaction(t *testing.T) {
 		for coord.QueueDepth() < 2 {
 			time.Sleep(time.Millisecond)
 		}
-		t1, err := coord.Claim(ctx, "w1", time.Second)
+		t1, err := claimOne(ctx, coord, "w1", time.Second)
 		if err != nil || t1 == nil {
 			t.Fatalf("claim: %v %v", t1, err)
 		}
@@ -558,7 +558,7 @@ func TestJournalCompaction(t *testing.T) {
 		}
 		// The compacted lease's epoch was burned: its holder's stale
 		// report bounces, the re-grant goes higher.
-		if acc, err := coord2.Report("w1", t1.ID, t1.Epoch, fabricatedOutcome(9), ""); err != nil || acc {
+		if acc, err := reportOne(coord2, "w1", t1.ID, t1.Epoch, fabricatedOutcome(9), ""); err != nil || acc {
 			t.Errorf("stale report accepted after compaction (acc=%v err=%v)", acc, err)
 		}
 		ev2, _ := coord2.Evaluator("job-retry", testSpec())
@@ -628,7 +628,7 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	data := clean.Bytes()
 	f.Add(data)
-	f.Add(data[:len(data)-7]) // torn tail
+	f.Add(data[:len(data)-7])                         // torn tail
 	f.Add(append(append([]byte{}, data...), data...)) // full duplication
 	flipped := append([]byte{}, data...)
 	flipped[len(flipped)/2] ^= 0x10

@@ -100,7 +100,7 @@ func TestCoordinatorChaosMatrix(t *testing.T) {
 	// lease expiry drives the requeue/quarantine sweep kill points.
 	probeHold := func(ctx context.Context, coord *Coordinator) {
 		for ctx.Err() == nil {
-			task, err := coord.Claim(ctx, "probe", 2*time.Second)
+			task, err := claimOne(ctx, coord, "probe", 2*time.Second)
 			if err != nil {
 				return
 			}
@@ -114,7 +114,7 @@ func TestCoordinatorChaosMatrix(t *testing.T) {
 	// record, since healthy workers report faster than they heartbeat.
 	probeHeartbeat := func(ctx context.Context, coord *Coordinator) {
 		for ctx.Err() == nil {
-			task, err := coord.Claim(ctx, "probe", 2*time.Second)
+			task, err := claimOne(ctx, coord, "probe", 2*time.Second)
 			if err != nil {
 				return
 			}
@@ -486,9 +486,10 @@ func TestQuarantineExpirySweep(t *testing.T) {
 }
 
 // TestHTTPProtocolSurface walks the wire protocol's status mapping end
-// to end through the real handler and the worker's client: grants,
-// stale verdicts (409), a killed coordinator (502 → ErrUnavailable, the
-// "retry" signal) and a closed one (503 → ErrClosed, the "exit" signal).
+// to end through the real handler and the worker's client: grants, stale
+// verdicts, a killed coordinator (502 → ErrUnavailable, the "retry"
+// signal), a closed one (503 → ErrClosed, the "exit" signal), and the
+// retired single-task verbs (404: a single claim is a batch of one).
 func TestHTTPProtocolSurface(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	coord, err := NewCoordinator(CoordinatorConfig{
@@ -503,9 +504,16 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 	defer cancel()
 
+	for _, verb := range []string{"/fleet/claim", "/fleet/report"} {
+		code, err := cl.post(ctx, verb, map[string]string{"worker": "w1"}, nil)
+		if err != nil || code != http.StatusNotFound {
+			t.Errorf("POST %s = %d, %v; want 404 (retired single-task verb)", verb, code, err)
+		}
+	}
+
 	// Empty queue: claim long-poll drains to 204 → (nil, nil).
-	if task, err := cl.claim(ctx, "w1", 0); err != nil || task != nil {
-		t.Fatalf("claim on empty queue = %v, %v; want nil, nil", task, err)
+	if ts, _, err := cl.claimBatch(ctx, "w1", 0, 1); err != nil || ts != nil {
+		t.Fatalf("claim on empty queue = %v, %v; want nil, nil", ts, err)
 	}
 
 	ev, err := coord.Evaluator("job-1", testSpec())
@@ -515,8 +523,12 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	done := evaluateAsync(ctx, ev, baselineRequest())
 	var task *Task
 	for task == nil {
-		if task, err = cl.claim(ctx, "w1", time.Second); err != nil {
+		ts, _, err := cl.claimBatch(ctx, "w1", time.Second, 1)
+		if err != nil {
 			t.Fatalf("claim: %v", err)
+		}
+		if len(ts) > 0 {
+			task = ts[0]
 		}
 	}
 	if ok, err := cl.heartbeat(ctx, "w1", task.ID, task.Epoch); err != nil || !ok {
@@ -525,39 +537,38 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	if ok, err := cl.heartbeat(ctx, "w1", task.ID, task.Epoch+1); err != nil || ok {
 		t.Errorf("stale-epoch heartbeat = %v, %v; want false, nil (409)", ok, err)
 	}
-	if acc, err := cl.report(ctx, "w1", task.ID, task.Epoch+1, fabricatedOutcome(1), ""); err != nil || acc {
-		t.Errorf("stale-epoch report = %v, %v; want false, nil (409)", acc, err)
+	report := func(epoch int) ([]bool, error) {
+		return cl.reportBatch(ctx, "w1", []TaskReport{{Task: task.ID, Epoch: epoch, Outcome: fabricatedOutcome(1)}})
 	}
-	if acc, err := cl.report(ctx, "w1", task.ID, task.Epoch, fabricatedOutcome(1), ""); err != nil || !acc {
-		t.Fatalf("report = %v, %v; want true, nil", acc, err)
+	if verdicts, err := report(task.Epoch + 1); err != nil || len(verdicts) != 1 || verdicts[0] {
+		t.Errorf("stale-epoch report = %v, %v; want [false], nil", verdicts, err)
+	}
+	if verdicts, err := report(task.Epoch); err != nil || len(verdicts) != 1 || !verdicts[0] {
+		t.Fatalf("report = %v, %v; want [true], nil", verdicts, err)
 	}
 	if res := <-done; res.err != nil {
 		t.Fatalf("evaluate: %v", res.err)
 	}
-	// A duplicate of the accepted report is stale through reportBatch too.
-	verdicts, err := cl.reportBatch(ctx, "w1", []TaskReport{
-		{Task: task.ID, Epoch: task.Epoch, Outcome: fabricatedOutcome(1)},
-	})
-	if err != nil || len(verdicts) != 1 || verdicts[0] {
-		t.Errorf("duplicate reportBatch = %v, %v; want [false], nil", verdicts, err)
+	// A duplicate of the accepted report is stale.
+	if verdicts, err := report(task.Epoch); err != nil || len(verdicts) != 1 || verdicts[0] {
+		t.Errorf("duplicate report = %v, %v; want [false], nil", verdicts, err)
 	}
 
 	// Killed coordinator: every verb maps to 502 → ErrUnavailable.
 	coord.Kill()
-	if _, err := cl.claim(ctx, "w1", 0); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("claim after kill: %v, want ErrUnavailable", err)
-	}
-	if _, _, err := cl.claimBatch(ctx, "w1", 0, 2); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("claimBatch after kill: %v, want ErrUnavailable", err)
+	for _, n := range []int{1, 2} {
+		if _, _, err := cl.claimBatch(ctx, "w1", 0, n); !errors.Is(err, ErrUnavailable) {
+			t.Errorf("claim of %d after kill: %v, want ErrUnavailable", n, err)
+		}
 	}
 	if _, err := cl.heartbeat(ctx, "w1", task.ID, task.Epoch); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("heartbeat after kill: %v, want ErrUnavailable", err)
 	}
-	if _, err := cl.report(ctx, "w1", task.ID, task.Epoch, fabricatedOutcome(1), ""); !errors.Is(err, ErrUnavailable) {
+	if _, err := report(task.Epoch); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("report after kill: %v, want ErrUnavailable", err)
 	}
 	if _, err := cl.reportBatch(ctx, "w1", []TaskReport{{Task: task.ID, Epoch: task.Epoch}}); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("reportBatch after kill: %v, want ErrUnavailable", err)
+		t.Errorf("outcome-less report after kill: %v, want ErrUnavailable", err)
 	}
 
 	// Closed coordinator: claims map to 503 → ErrClosed.
@@ -569,11 +580,10 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	defer srv2.Close()
 	coord2.Close()
 	cl2 := newClient(srv2.URL, nil)
-	if _, err := cl2.claim(ctx, "w1", 0); !errors.Is(err, ErrClosed) {
-		t.Errorf("claim after close: %v, want ErrClosed", err)
-	}
-	if _, _, err := cl2.claimBatch(ctx, "w1", 0, 2); !errors.Is(err, ErrClosed) {
-		t.Errorf("claimBatch after close: %v, want ErrClosed", err)
+	for _, n := range []int{1, 2} {
+		if _, _, err := cl2.claimBatch(ctx, "w1", 0, n); !errors.Is(err, ErrClosed) {
+			t.Errorf("claim of %d after close: %v, want ErrClosed", n, err)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 // Package fsx holds the small filesystem idioms the rest of the tree
-// shares: atomic file commits with a choice of durability level.
+// shares: atomic file commits with a choice of durability level, and the
+// checksum every on-disk record (results-repository entry, compile-cache
+// spill entry, fleet journal record) carries over its exact body bytes.
 //
 // WriteFileAtomic is the fsync-hardened path checkpoints and the results
 // repository use — a crash at any point leaves either the old bytes or
@@ -11,9 +13,19 @@
 package fsx
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+
+	"funcytuner/internal/xrand"
 )
+
+// Checksum guards one on-disk record body: 16 hex digits of its hash.
+// Readers recompute it over the exact bytes they read, so a torn write,
+// truncation or bit flip is detected before the body is interpreted.
+func Checksum(body []byte) string {
+	return fmt.Sprintf("%016x", xrand.HashString(string(body)))
+}
 
 // WriteFileAtomic commits data to path with full crash durability:
 // write-temp, fsync the temp file, rename over the destination, then

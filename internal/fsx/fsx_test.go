@@ -58,3 +58,18 @@ func TestWriteFileAtomicLeavesOldOnFailure(t *testing.T) {
 		t.Fatalf("committed file corrupted: %q", got)
 	}
 }
+
+// TestChecksumPinned pins Checksum to the bytes already on disk: every
+// results-repository entry, spill entry and fleet journal record written
+// before the three record formats shared this function carries these
+// values, and a changed construction would turn them all into misses.
+func TestChecksumPinned(t *testing.T) {
+	for body, want := range map[string]string{
+		"": "c3817c016ba4ff30",
+		`{"seq":1,"op":"worker","worker":"w1","losses":2}`: "d6f6c90a32ac3393",
+	} {
+		if got := Checksum([]byte(body)); got != want {
+			t.Errorf("Checksum(%q) = %s, want %s", body, got, want)
+		}
+	}
+}

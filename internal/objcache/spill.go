@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"funcytuner/internal/fsx"
-	"funcytuner/internal/xrand"
 )
 
 // The spill tier persists evicted and resident entries to disk so a
@@ -129,7 +128,7 @@ func (c *Cache) spillLoad(key uint64) (val any, work int64, ok bool) {
 		os.Remove(path)
 		return nil, 0, false
 	}
-	if e.Checksum != spillChecksum(e.Body) {
+	if e.Checksum != fsx.Checksum(e.Body) {
 		sp.corrupt.Add(1)
 		os.Remove(path)
 		return nil, 0, false
@@ -162,7 +161,7 @@ func (c *Cache) spillWrite(it spillItem) {
 		Version:  spillVersion,
 		Key:      fmt.Sprintf("%016x", it.key),
 		Work:     it.work,
-		Checksum: spillChecksum(compact.Bytes()),
+		Checksum: fsx.Checksum(compact.Bytes()),
 		Body:     json.RawMessage(compact.Bytes()),
 	}
 	out, err := json.Marshal(&e)
@@ -211,10 +210,4 @@ func (c *Cache) SpillAll() {
 			c.spillWrite(it)
 		}
 	}
-}
-
-// spillChecksum covers the exact body bytes; spill commits are off the
-// hot path, so the string conversion's copy is irrelevant.
-func spillChecksum(body []byte) string {
-	return fmt.Sprintf("%016x", xrand.HashString(string(body)))
 }

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"funcytuner/internal/fsx"
 )
 
 // jsonCodec round-trips string values as JSON — enough to exercise the
@@ -177,7 +179,7 @@ func TestSpillCorruptionTolerance(t *testing.T) {
 		{"undecodable-body", func(t *testing.T, path string) {
 			rewriteSpill(t, path, func(e *spillEntry) {
 				e.Body = json.RawMessage(`{"not":"a string"}`)
-				e.Checksum = spillChecksum(e.Body)
+				e.Checksum = fsx.Checksum(e.Body)
 			})
 		}},
 		{"crash-mid-rename", func(t *testing.T, path string) {

@@ -156,10 +156,6 @@ type entry struct {
 	Body     json.RawMessage `json:"body"`
 }
 
-func checksum(body []byte) string {
-	return fmt.Sprintf("%016x", xrand.HashString(string(body)))
-}
-
 // Stats is a snapshot of repository activity since Open.
 type Stats struct {
 	// Entries is the current index size.
@@ -284,7 +280,7 @@ func decode(data []byte, key uint64) ([]byte, bool) {
 	if k, err := strconv.ParseUint(e.Key, 16, 64); err != nil || k != key {
 		return nil, false
 	}
-	if e.Checksum != checksum(e.Body) {
+	if e.Checksum != fsx.Checksum(e.Body) {
 		return nil, false
 	}
 	return e.Body, true
@@ -326,7 +322,7 @@ func (r *Repo) Put(key uint64, body []byte) error {
 	e := entry{
 		Version:  Version,
 		Key:      fmt.Sprintf("%016x", key),
-		Checksum: checksum(compact.Bytes()),
+		Checksum: fsx.Checksum(compact.Bytes()),
 		Body:     json.RawMessage(compact.Bytes()),
 	}
 	// json.Marshal stores a RawMessage compacted, i.e. byte-for-byte the

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"funcytuner/internal/fsx"
 )
 
 func testSpec() KeySpec {
@@ -317,7 +319,7 @@ func FuzzDecode(f *testing.F) {
 	valid := entry{
 		Version:  Version,
 		Key:      fmt.Sprintf("%016x", key),
-		Checksum: checksum([]byte(`{"x":1}`)),
+		Checksum: fsx.Checksum([]byte(`{"x":1}`)),
 		Body:     json.RawMessage(`{"x":1}`),
 	}
 	seed, _ := json.Marshal(&valid)
@@ -327,7 +329,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, ok := decode(data, key)
-		if ok && checksum(body) == "" {
+		if ok && fsx.Checksum(body) == "" {
 			t.Fatal("unreachable")
 		}
 		if ok {
@@ -335,7 +337,7 @@ func FuzzDecode(f *testing.F) {
 			if err := json.Unmarshal(data, &e); err != nil {
 				t.Fatalf("decode accepted bytes Unmarshal rejects: %v", err)
 			}
-			if e.Checksum != checksum(body) {
+			if e.Checksum != fsx.Checksum(body) {
 				t.Fatal("decode returned a body failing its own checksum")
 			}
 		}
