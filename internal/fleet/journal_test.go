@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -596,6 +597,33 @@ func TestAdoptionKeyIdentity(t *testing.T) {
 		if other == base {
 			t.Errorf("key ignores %s", name)
 		}
+	}
+}
+
+// TestJournalEnqueueLinePinned pins the bytes a plain spec's enqueue
+// writes to the journal and the adoption key its claims are matched by.
+// A journal written by one build is replayed by the next, so a change
+// in how the spec is declared must not change either.
+func TestJournalEnqueueLinePinned(t *testing.T) {
+	if got := fmt.Sprintf("%016x", adoptionKey(testSpec(), "cfr", 3, [][]int{{1, 2}})); got != "7bc0559d383b0e76" {
+		t.Errorf("adoption key = %s, want 7bc0559d383b0e76", got)
+	}
+	path := filepath.Join(t.TempDir(), "journal")
+	coord, err := NewCoordinator(CoordinatorConfig{JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.enqueue("job-0001", testSpec(), baselineRequest()); err != nil {
+		t.Fatal(err)
+	}
+	coord.Kill()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"v":1,"sum":"823a3fb301d0f9b8","body":{"seq":1,"op":"enqueue","task":"job-0001/cfr/3#1","job":"job-0001","spec":{"benchmark":"CL","machine":"broadwell","samples":24,"topx":6,"seed":"fleet-test","fault_rate":1},"phase":"cfr","sample":3,"cvs":[[2,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0]]}}` + "\n"
+	if string(data) != want {
+		t.Errorf("enqueue journal line changed:\n got %s\nwant %s", data, want)
 	}
 }
 

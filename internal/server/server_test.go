@@ -153,6 +153,24 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobSpecJSONPinned pins the wire form of a fully populated JobSpec:
+// clients and the benchmark harness submit it, and Status echoes it.
+func TestJobSpecJSONPinned(t *testing.T) {
+	spec := JobSpec{
+		Benchmark: "CL", Machine: "broadwell", Samples: 60, TopX: 50, Seed: "pin",
+		Workers: 2, FaultRate: 0.5, Distributed: true, Adaptive: true, Compare: true,
+		Technique: "bo", WarmStart: true, CheckpointEvery: 5, Resume: "job-0001",
+	}
+	got, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"benchmark":"CL","machine":"broadwell","samples":60,"topx":50,"seed":"pin","workers":2,"fault_rate":0.5,"distributed":true,"adaptive":true,"compare":true,"technique":"bo","warm_start":true,"checkpoint_every":5,"resume":"job-0001"}`
+	if string(got) != want {
+		t.Errorf("JobSpec JSON changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestAPIRejections covers the failure paths: malformed and invalid
 // specs, unknown jobs, and results requested before completion.
 func TestAPIRejections(t *testing.T) {

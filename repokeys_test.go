@@ -1,0 +1,95 @@
+package funcytuner
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestRepoKeysPinned pins the results-repository key of every valid
+// protocol × technique × warm-start combination to a literal, so no
+// change in how a run is specified can silently re-key stored results
+// (a re-keyed repository serves nothing it already holds). Each case
+// tunes at a tiny budget into a fresh repository and compares the new
+// entry's file name — its 16-hex key — against the literal. Warm cases
+// first store one fixed donor run, so their warm digest is not the
+// digest of an empty seed set.
+func TestRepoKeysPinned(t *testing.T) {
+	m, err := MachineByName("broadwell")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Benchmark(Swim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(Swim, m)
+	cases := []struct {
+		name, mode, tech string
+		warm             bool
+		want             string
+	}{
+		{"tune-cfr", modeTune, "", false, "f61f2d9416879908"},
+		{"tune-bo", modeTune, "bo", false, "f175aceca287e782"},
+		{"tune-ga", modeTune, "ga", false, "a4944e5df261cb29"},
+		{"tune-bo-warm", modeTune, "bo", true, "b2f397ffe3ed3790"},
+		{"tune-ga-warm", modeTune, "ga", true, "7404b15cb0bced46"},
+		{"adaptive-cfr", modeAdaptive, "", false, "98cc8ed3aa4e395a"},
+		{"adaptive-bo", modeAdaptive, "bo", false, "dab14e7ac3525d32"},
+		{"adaptive-ga", modeAdaptive, "ga", false, "2aea9a83542534cb"},
+		{"compare", modeCompare, "", false, "7467ea4dad8264b1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Machine: m, Samples: 20, TopX: 4, Seed: "key-pin", RepoPath: dir}
+			if tc.warm {
+				donor := opts
+				donor.Seed = "key-pin-donor"
+				if _, err := NewTuner(donor).Tune(prog, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := repoEntryNames(t, dir)
+			opts.Technique, opts.WarmStart = tc.tech, tc.warm
+			tuner := NewTuner(opts)
+			switch tc.mode {
+			case modeTune:
+				_, err = tuner.Tune(prog, in)
+			case modeAdaptive:
+				_, err = tuner.TuneAdaptive(prog, in, DefaultStopRule())
+			case modeCompare:
+				_, err = tuner.Compare(prog, in)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var added []string
+			for name := range repoEntryNames(t, dir) {
+				if !before[name] {
+					added = append(added, name)
+				}
+			}
+			if len(added) != 1 {
+				t.Fatalf("run added %d repository entries %v, want 1", len(added), added)
+			}
+			if got := strings.TrimSuffix(added[0], ".json"); got != tc.want {
+				t.Errorf("repository key = %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// repoEntryNames lists the entry file names in a repository directory.
+func repoEntryNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool, len(paths))
+	for _, p := range paths {
+		names[filepath.Base(p)] = true
+	}
+	return names
+}
