@@ -59,29 +59,21 @@ import (
 	"funcytuner/internal/report"
 )
 
-// cliConfig is the parsed, validated command line.
+// cliConfig is the parsed, validated command line. spec holds every flag
+// that decides the run's outcome; the rest are how and where it runs.
 type cliConfig struct {
-	bench       string
+	spec        funcytuner.Spec
 	programFile string
 	size        float64
 	steps       int
-	machine     string
-	samples     int
-	topx        int
-	technique   string
-	warmStart   bool
-	seed        string
 	workers     int
 	cache       bool
 	cacheSize   int
 	cacheSpill  string
 	repoPath    string
 	skipExist   bool
-	compare     bool
 	showFlags   bool
-	adaptive    bool
 	save        string
-	faultRate   float64
 	maxRetries  int
 	timeout     float64
 	checkpoint  string
@@ -98,29 +90,29 @@ func parseFlags(args []string, errOut io.Writer) (cliConfig, error) {
 	var cfg cliConfig
 	fs := flag.NewFlagSet("funcytuner", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	fs.StringVar(&cfg.bench, "bench", funcytuner.CloverLeaf, "benchmark name (LULESH, CL, AMG, Optewe, bwaves, fma3d, swim)")
+	fs.StringVar(&cfg.spec.Benchmark, "bench", funcytuner.CloverLeaf, "benchmark name (LULESH, CL, AMG, Optewe, bwaves, fma3d, swim)")
 	fs.StringVar(&cfg.programFile, "program", "", "tune a user-defined JSON program model instead of a built-in benchmark")
 	fs.Float64Var(&cfg.size, "size", 0, "input size for -program (defaults to the model's BaseSize)")
 	fs.IntVar(&cfg.steps, "steps", 0, "input steps for -program (defaults to the model's BaseSteps)")
-	fs.StringVar(&cfg.machine, "machine", "broadwell", "machine (opteron, sandybridge, broadwell)")
-	fs.IntVar(&cfg.samples, "samples", 1000, "evaluation budget K")
-	fs.IntVar(&cfg.topx, "topx", 50, "CFR pruning width X")
-	fs.StringVar(&cfg.technique, "technique", "",
+	fs.StringVar(&cfg.spec.Machine, "machine", "broadwell", "machine (opteron, sandybridge, broadwell)")
+	fs.IntVar(&cfg.spec.Samples, "samples", 1000, "evaluation budget K")
+	fs.IntVar(&cfg.spec.TopX, "topx", 50, "CFR pruning width X")
+	fs.StringVar(&cfg.spec.Technique, "technique", "",
 		"search technique: cfr (default), bo (Bayesian optimization) or ga (genetic algorithm)")
-	fs.BoolVar(&cfg.warmStart, "warm-start", false,
+	fs.BoolVar(&cfg.spec.WarmStart, "warm-start", false,
 		"seed the technique from related prior runs in -repo; requires -technique bo or ga")
-	fs.StringVar(&cfg.seed, "seed", "funcytuner", "tuning seed (equal seeds reproduce exactly)")
+	fs.StringVar(&cfg.spec.Seed, "seed", "funcytuner", "tuning seed (equal seeds reproduce exactly)")
 	fs.IntVar(&cfg.workers, "workers", 0, "parallel evaluation workers (0 = GOMAXPROCS)")
 	fs.BoolVar(&cfg.cache, "cache", true, "memoize compile/link work (bit-identical results, less work)")
 	fs.IntVar(&cfg.cacheSize, "cache-size", 0, "compile cache bound in entries (0 = default size)")
 	fs.StringVar(&cfg.cacheSpill, "cache-spill", "", "directory the compile cache spills evicted objects to and reloads them from")
 	fs.StringVar(&cfg.repoPath, "repo", "", "results repository directory: the finished run is stored there, content-addressed")
 	fs.BoolVar(&cfg.skipExist, "skip-exist", false, "serve an identical already-completed run from -repo instead of re-tuning")
-	fs.BoolVar(&cfg.compare, "compare", false, "run Random/FR/G/CFR side by side (§4.1 protocol)")
+	fs.BoolVar(&cfg.spec.Compare, "compare", false, "run Random/FR/G/CFR side by side (§4.1 protocol)")
 	fs.BoolVar(&cfg.showFlags, "flags", false, "print the winning per-module compilation vectors")
-	fs.BoolVar(&cfg.adaptive, "adaptive", false, "early-stopped search (convergence-trend budget policy)")
+	fs.BoolVar(&cfg.spec.Adaptive, "adaptive", false, "early-stopped search (convergence-trend budget policy)")
 	fs.StringVar(&cfg.save, "save", "", "write the winning configuration as JSON to this file")
-	fs.Float64Var(&cfg.faultRate, "fault-rate", 0, "scale the default injected fault mix (0 = off, 1 = default rates)")
+	fs.Float64Var(&cfg.spec.FaultRate, "fault-rate", 0, "scale the default injected fault mix (0 = off, 1 = default rates)")
 	fs.IntVar(&cfg.maxRetries, "max-retries", 0, "retry budget for transient failures (0 = default 2)")
 	fs.Float64Var(&cfg.timeout, "timeout", 0, "per-evaluation deadline in simulated seconds (0 = off)")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "persist tuning progress to this file")
@@ -138,6 +130,8 @@ func parseFlags(args []string, errOut io.Writer) (cliConfig, error) {
 	return cfg, cfg.validate()
 }
 
+// validate checks the flags that are the CLI's own, then the spec the
+// way the tuner will.
 func (cfg cliConfig) validate() error {
 	if cfg.size < 0 {
 		return fmt.Errorf("-size must be >= 0, got %v", cfg.size)
@@ -145,25 +139,13 @@ func (cfg cliConfig) validate() error {
 	if cfg.steps < 0 {
 		return fmt.Errorf("-steps must be >= 0, got %d", cfg.steps)
 	}
-	if !funcytuner.ValidTechnique(cfg.technique) {
-		return fmt.Errorf("-technique must be cfr, bo or ga, got %q", cfg.technique)
+	if cfg.skipExist && cfg.repoPath == "" {
+		return fmt.Errorf("-skip-exist requires -repo")
 	}
-	nonCFR := cfg.technique != "" && cfg.technique != "cfr"
-	if nonCFR && cfg.compare {
-		return fmt.Errorf("-technique %s is incompatible with -compare (the §4.1 protocol is defined in terms of CFR)", cfg.technique)
+	if cfg.spec.WarmStart && cfg.repoPath == "" {
+		return fmt.Errorf("-warm-start requires -repo")
 	}
-	if cfg.warmStart {
-		if cfg.repoPath == "" {
-			return fmt.Errorf("-warm-start requires -repo")
-		}
-		if !nonCFR {
-			return fmt.Errorf("-warm-start requires -technique bo or ga (CFR has no initial design to seed)")
-		}
-		if cfg.adaptive {
-			return fmt.Errorf("-warm-start applies only to plain tuning, not -adaptive")
-		}
-	}
-	return nil
+	return cfg.spec.Validate()
 }
 
 func main() {
@@ -180,38 +162,21 @@ func main() {
 }
 
 func run(cfg cliConfig) {
-	m, err := funcytuner.MachineByName(cfg.machine)
+	m, err := funcytuner.MachineByName(cfg.spec.Machine)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var prog *funcytuner.Program
-	var in funcytuner.Input
+	var userProg *funcytuner.Program
 	if cfg.programFile != "" {
 		f, err := os.Open(cfg.programFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		prog, err = funcytuner.LoadProgram(f)
+		userProg, err = funcytuner.LoadProgram(f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		in = funcytuner.Input{Name: "user", Size: prog.BaseSize, Steps: prog.BaseSteps}
-		if cfg.size > 0 {
-			in.Size = cfg.size
-		}
-		if cfg.steps > 0 {
-			in.Steps = cfg.steps
-		}
-		if in.Steps == 0 {
-			in.Steps = 10
-		}
-	} else {
-		prog, err = funcytuner.Benchmark(cfg.bench)
-		if err != nil {
-			log.Fatal(err)
-		}
-		in = funcytuner.TuningInput(cfg.bench, m)
 	}
 	cacheBound := cfg.cacheSize
 	if !cfg.cache {
@@ -233,16 +198,12 @@ func run(cfg cliConfig) {
 	if cfg.progress {
 		progressTo = os.Stderr
 	}
-	tuner := funcytuner.NewTuner(funcytuner.Options{
-		Machine: m, Samples: cfg.samples, TopX: cfg.topx, Seed: cfg.seed,
-		Technique:      cfg.technique,
-		WarmStart:      cfg.warmStart,
+	tuner, prog, in, err := cfg.spec.Tuner(funcytuner.Options{
 		Workers:        cfg.workers,
 		CacheSize:      cacheBound,
 		CacheSpill:     cfg.cacheSpill,
 		RepoPath:       cfg.repoPath,
 		SkipExist:      cfg.skipExist,
-		Faults:         funcytuner.DefaultFaultRates().Scale(cfg.faultRate),
 		MaxRetries:     cfg.maxRetries,
 		TimeoutBudget:  cfg.timeout,
 		Checkpoint:     cfg.checkpoint,
@@ -251,6 +212,22 @@ func run(cfg cliConfig) {
 		Trace:          rec,
 		Progress:       progressTo,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if userProg != nil {
+		prog = userProg
+		in = funcytuner.Input{Name: "user", Size: prog.BaseSize, Steps: prog.BaseSteps}
+		if cfg.size > 0 {
+			in.Size = cfg.size
+		}
+		if cfg.steps > 0 {
+			in.Steps = cfg.steps
+		}
+		if in.Steps == 0 {
+			in.Steps = 10
+		}
+	}
 
 	// Ctrl-C (or SIGTERM) cancels the run at its next evaluation boundary;
 	// with -checkpoint set, the flushed checkpoint makes the interrupted
@@ -259,15 +236,7 @@ func run(cfg cliConfig) {
 	defer stopSignals()
 
 	fmt.Printf("tuning %s on %s with input %s\n", prog.Name, m, in)
-	var rep *funcytuner.Report
-	switch {
-	case cfg.compare:
-		rep, err = tuner.CompareContext(ctx, prog, in)
-	case cfg.adaptive:
-		rep, err = tuner.TuneAdaptiveContext(ctx, prog, in, funcytuner.DefaultStopRule())
-	default:
-		rep, err = tuner.TuneContext(ctx, prog, in)
-	}
+	rep, err := tuner.Run(ctx, prog, in, cfg.spec)
 	stopSignals() // a second Ctrl-C past this point kills us immediately
 	// The trace is written even when the run died (ErrKilled): the partial
 	// event stream is exactly what post-mortem debugging wants.

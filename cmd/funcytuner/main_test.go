@@ -17,10 +17,10 @@ func TestParseFlags(t *testing.T) {
 			name: "defaults",
 			args: nil,
 			check: func(t *testing.T, cfg cliConfig) {
-				if cfg.samples != 1000 || cfg.topx != 50 || !cfg.cache {
+				if cfg.spec.Samples != 1000 || cfg.spec.TopX != 50 || !cfg.cache {
 					t.Errorf("cfg = %+v", cfg)
 				}
-				if cfg.technique != "" || cfg.warmStart {
+				if cfg.spec.Technique != "" || cfg.spec.WarmStart {
 					t.Errorf("technique/warmStart defaults wrong: %+v", cfg)
 				}
 			},
@@ -29,8 +29,8 @@ func TestParseFlags(t *testing.T) {
 			name: "explicit-cfr",
 			args: []string{"-technique=cfr"},
 			check: func(t *testing.T, cfg cliConfig) {
-				if cfg.technique != "cfr" {
-					t.Errorf("technique = %q", cfg.technique)
+				if cfg.spec.Technique != "cfr" {
+					t.Errorf("technique = %q", cfg.spec.Technique)
 				}
 			},
 		},
@@ -38,7 +38,7 @@ func TestParseFlags(t *testing.T) {
 			name: "cfr-with-adaptive",
 			args: []string{"-technique=cfr", "-adaptive"},
 			check: func(t *testing.T, cfg cliConfig) {
-				if !cfg.adaptive {
+				if !cfg.spec.Adaptive {
 					t.Errorf("adaptive = false")
 				}
 			},
@@ -47,8 +47,8 @@ func TestParseFlags(t *testing.T) {
 			name: "bo",
 			args: []string{"-technique=bo"},
 			check: func(t *testing.T, cfg cliConfig) {
-				if cfg.technique != "bo" {
-					t.Errorf("technique = %q", cfg.technique)
+				if cfg.spec.Technique != "bo" {
+					t.Errorf("technique = %q", cfg.spec.Technique)
 				}
 			},
 		},
@@ -56,26 +56,28 @@ func TestParseFlags(t *testing.T) {
 			name: "ga-warm-start-with-repo",
 			args: []string{"-technique=ga", "-warm-start", "-repo=/tmp/ft-repo"},
 			check: func(t *testing.T, cfg cliConfig) {
-				if cfg.technique != "ga" || !cfg.warmStart || cfg.repoPath != "/tmp/ft-repo" {
+				if cfg.spec.Technique != "ga" || !cfg.spec.WarmStart || cfg.repoPath != "/tmp/ft-repo" {
 					t.Errorf("cfg = %+v", cfg)
 				}
 			},
 		},
-		{name: "unknown-technique", args: []string{"-technique=annealing"}, wantErr: "-technique must be cfr, bo or ga"},
+		{name: "unknown-technique", args: []string{"-technique=annealing"}, wantErr: `unknown Technique "annealing"`},
 		{
 			name: "bo-with-adaptive",
 			args: []string{"-technique=bo", "-adaptive"},
 			check: func(t *testing.T, cfg cliConfig) {
-				if cfg.technique != "bo" || !cfg.adaptive {
+				if cfg.spec.Technique != "bo" || !cfg.spec.Adaptive {
 					t.Errorf("cfg = %+v", cfg)
 				}
 			},
 		},
-		{name: "ga-with-compare", args: []string{"-technique=ga", "-compare"}, wantErr: "incompatible with -compare"},
-		{name: "warm-start-with-adaptive", args: []string{"-technique=bo", "-adaptive", "-warm-start", "-repo=/tmp/r"}, wantErr: "-warm-start applies only to plain tuning"},
+		{name: "ga-with-compare", args: []string{"-technique=ga", "-compare"}, wantErr: "Compare supports only the default CFR technique"},
+		{name: "warm-start-with-adaptive", args: []string{"-technique=bo", "-adaptive", "-warm-start", "-repo=/tmp/r"}, wantErr: "WarmStart applies only to Tune"},
 		{name: "warm-start-without-repo", args: []string{"-technique=bo", "-warm-start"}, wantErr: "-warm-start requires -repo"},
-		{name: "warm-start-without-technique", args: []string{"-warm-start", "-repo=/tmp/r"}, wantErr: "-warm-start requires -technique bo or ga"},
-		{name: "warm-start-with-cfr", args: []string{"-technique=cfr", "-warm-start", "-repo=/tmp/r"}, wantErr: "-warm-start requires -technique bo or ga"},
+		{name: "warm-start-without-technique", args: []string{"-warm-start", "-repo=/tmp/r"}, wantErr: `WarmStart requires Technique "bo" or "ga"`},
+		{name: "warm-start-with-cfr", args: []string{"-technique=cfr", "-warm-start", "-repo=/tmp/r"}, wantErr: `WarmStart requires Technique "bo" or "ga"`},
+		{name: "samples-below-default-topx", args: []string{"-samples=10"}, wantErr: "TopX must be in [1, Samples]"},
+		{name: "skip-exist-without-repo", args: []string{"-skip-exist"}, wantErr: "-skip-exist requires -repo"},
 		{name: "negative-size", args: []string{"-size=-1"}, wantErr: "-size must be >= 0"},
 		{name: "negative-steps", args: []string{"-steps=-1"}, wantErr: "-steps must be >= 0"},
 		{name: "stray-args", args: []string{"CL"}, wantErr: "unexpected arguments"},

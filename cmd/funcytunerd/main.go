@@ -190,16 +190,12 @@ func (cfg config) validate() error {
 	if cfg.cacheSpill != "" && cfg.sharedCache == 0 {
 		return fmt.Errorf("-cache-spill requires -shared-cache")
 	}
-	if !funcytuner.ValidTechnique(cfg.technique) {
-		return fmt.Errorf("-technique must be cfr, bo or ga, got %q", cfg.technique)
+	if cfg.warmStart && cfg.repo == "" {
+		return fmt.Errorf("-warm-start requires -repo")
 	}
-	if cfg.warmStart {
-		if cfg.repo == "" {
-			return fmt.Errorf("-warm-start requires -repo")
-		}
-		if cfg.technique != "bo" && cfg.technique != "ga" {
-			return fmt.Errorf("-warm-start requires -technique bo or ga")
-		}
+	// The job defaults must make a valid job on their own.
+	if err := (funcytuner.Spec{Technique: cfg.technique, WarmStart: cfg.warmStart}).Validate(); err != nil {
+		return err
 	}
 	if cfg.drainTimeout <= 0 {
 		return fmt.Errorf("-drain-timeout must be positive, got %v", cfg.drainTimeout)

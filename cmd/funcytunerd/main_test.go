@@ -140,9 +140,9 @@ func TestParseFlags(t *testing.T) {
 				}
 			},
 		},
-		{name: "unknown-technique", args: []string{"-technique=tabu"}, wantErr: "-technique must be cfr, bo or ga"},
+		{name: "unknown-technique", args: []string{"-technique=tabu"}, wantErr: `unknown Technique "tabu"`},
 		{name: "warm-start-without-repo", args: []string{"-technique=bo", "-warm-start"}, wantErr: "-warm-start requires -repo"},
-		{name: "warm-start-with-cfr", args: []string{"-warm-start", "-repo=/tmp/r"}, wantErr: "-warm-start requires -technique bo or ga"},
+		{name: "warm-start-with-cfr", args: []string{"-warm-start", "-repo=/tmp/r"}, wantErr: `WarmStart requires Technique "bo" or "ga"`},
 		{name: "worker-technique", args: []string{"-mode=worker", "-coordinator=http://x", "-technique=bo"}, wantErr: "-technique is a job default, not a worker setting"},
 		{name: "worker-warm-start", args: []string{"-mode=worker", "-coordinator=http://x", "-warm-start"}, wantErr: "-warm-start is a job default, not a worker setting"},
 		{name: "worker-negative-shared-cache", args: []string{"-mode=worker", "-coordinator=http://x", "-shared-cache=-2"}, wantErr: "-shared-cache must be >= 0"},

@@ -166,10 +166,6 @@ func TuningInput(app string, m *Machine) Input { return apps.TuningInput(app, m)
 // order ("cfr", "bo", "ga").
 func Techniques() []string { return core.Techniques() }
 
-// ValidTechnique reports whether name is a selectable Options.Technique
-// (the empty string selects the default, CFR).
-func ValidTechnique(name string) bool { return core.ValidTechnique(name) }
-
 // ICCSpace returns the 33-flag Intel-compiler-like optimization space.
 func ICCSpace() *Space { return flagspec.ICC() }
 
@@ -359,16 +355,11 @@ func (o Options) validate() error {
 	if o.SkipExist && o.RepoPath == "" && o.Repo == nil {
 		return fmt.Errorf("funcytuner: SkipExist requires RepoPath or Repo")
 	}
-	if !core.ValidTechnique(o.Technique) {
-		return fmt.Errorf("funcytuner: unknown Technique %q (want cfr, bo, or ga)", o.Technique)
+	if err := checkMode(o.Technique, o.WarmStart, false, false); err != nil {
+		return err
 	}
-	if o.WarmStart {
-		if o.RepoPath == "" && o.Repo == nil {
-			return fmt.Errorf("funcytuner: WarmStart requires RepoPath or Repo")
-		}
-		if tag := core.TechniqueTag(o.Technique); tag != core.TechniqueBO && tag != core.TechniqueGA {
-			return fmt.Errorf("funcytuner: WarmStart requires Technique \"bo\" or \"ga\" (CFR has no initial design to seed)")
-		}
+	if o.WarmStart && o.RepoPath == "" && o.Repo == nil {
+		return fmt.Errorf("funcytuner: WarmStart requires RepoPath or Repo")
 	}
 	if o.CacheSpill != "" {
 		if o.SharedCache != nil {
@@ -755,30 +746,7 @@ func (t *Tuner) Tune(prog *Program, in Input) (*Report, error) {
 // same evaluation index — resuming the checkpoint yields a Report
 // bit-identical to an uninterrupted run.
 func (t *Tuner) TuneContext(ctx context.Context, prog *Program, in Input) (*Report, error) {
-	warm, digest, err := t.warmSeeds(prog)
-	if err != nil {
-		return nil, err
-	}
-	if rep, ok := t.serveFromRepo(modeTune, prog, in, StopRule{}, digest); ok {
-		return rep, nil
-	}
-	sess, out, err := t.session(prog, in, warm)
-	if err != nil {
-		return nil, err
-	}
-	stop := t.startProgress(sess, 2*int64(t.opts.Samples))
-	defer stop()
-	col, err := sess.Collect(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.Search(ctx, col)
-	if err != nil {
-		return nil, err
-	}
-	rep := t.report(sess, out, map[string]*Result{res.Algorithm: res})
-	t.storeInRepo(modeTune, prog, in, StopRule{}, rep, digest)
-	return rep, nil
+	return t.run(ctx, prog, in, nil, false)
 }
 
 // StopRule configures early stopping for TuneAdaptive.
@@ -802,33 +770,7 @@ func (t *Tuner) TuneAdaptive(prog *Program, in Input, rule StopRule) (*Report, e
 // TuneAdaptiveContext is TuneAdaptive under a context, with the same
 // cancellation semantics as TuneContext.
 func (t *Tuner) TuneAdaptiveContext(ctx context.Context, prog *Program, in Input, rule StopRule) (*Report, error) {
-	if t.opts.WarmStart {
-		return nil, fmt.Errorf("funcytuner: WarmStart applies only to Tune, not TuneAdaptive")
-	}
-	if rep, ok := t.serveFromRepo(modeAdaptive, prog, in, rule, 0); ok {
-		return rep, nil
-	}
-	sess, out, err := t.session(prog, in, nil)
-	if err != nil {
-		return nil, err
-	}
-	norm, err := rule.Normalize(t.opts.Samples)
-	if err != nil {
-		return nil, err
-	}
-	stop := t.startProgress(sess, int64(t.opts.Samples+norm.MaxEvaluations))
-	defer stop()
-	col, err := sess.Collect(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.SearchAdaptive(ctx, col, rule)
-	if err != nil {
-		return nil, err
-	}
-	rep := t.report(sess, out, map[string]*Result{strings.TrimSuffix(res.Algorithm, ".adaptive"): res})
-	t.storeInRepo(modeAdaptive, prog, in, rule, rep, 0)
-	return rep, nil
+	return t.run(ctx, prog, in, &rule, false)
 }
 
 // Compare runs the full §4.1 protocol — Random, FR, G (both variants) and
@@ -840,26 +782,67 @@ func (t *Tuner) Compare(prog *Program, in Input) (*Report, error) {
 // CompareContext is Compare under a context, with the same cancellation
 // semantics as TuneContext.
 func (t *Tuner) CompareContext(ctx context.Context, prog *Program, in Input) (*Report, error) {
-	if tag := core.TechniqueTag(t.opts.Technique); tag != "" {
-		return nil, fmt.Errorf("funcytuner: Compare supports only the default CFR technique, got %q", t.opts.Technique)
+	return t.run(ctx, prog, in, nil, true)
+}
+
+// run is the one body behind every entry point: a plain Tune, the
+// early-stopped search when rule is non-nil, or the §4.1 protocol when
+// compare is set. A repository entry for the same run is served instead
+// of running it, and a fresh Report is stored.
+func (t *Tuner) run(ctx context.Context, prog *Program, in Input, rule *StopRule, compare bool) (*Report, error) {
+	if err := checkMode(t.opts.Technique, t.opts.WarmStart, rule != nil, compare); err != nil {
+		return nil, err
 	}
-	if rep, ok := t.serveFromRepo(modeCompare, prog, in, StopRule{}, 0); ok {
+	warm, digest := t.warmSeeds(prog)
+	if rep, ok := t.serveFromRepo(prog, in, rule, compare, digest); ok {
 		return rep, nil
 	}
-	sess, out, err := t.session(prog, in, nil)
+	sess, out, err := t.session(prog, in, warm)
 	if err != nil {
 		return nil, err
 	}
-	// Random K + collection K + FR K + greedy 1 + CFR K.
-	stop := t.startProgress(sess, 4*int64(t.opts.Samples)+1)
-	defer stop()
-	all, err := sess.RunAll(ctx)
+	all, err := t.algorithms(ctx, sess, rule, compare)
 	if err != nil {
 		return nil, err
 	}
 	rep := t.report(sess, out, all)
-	t.storeInRepo(modeCompare, prog, in, StopRule{}, rep, 0)
+	t.storeInRepo(prog, in, rule, compare, rep, digest)
 	return rep, nil
+}
+
+// algorithms runs the protocol's evaluations on sess under the progress
+// reporter: Compare's full set, or the collection and then the
+// configured technique, stopped early under rule when it is non-nil.
+func (t *Tuner) algorithms(ctx context.Context, sess *core.Session, rule *StopRule, compare bool) (map[string]*Result, error) {
+	k := int64(t.opts.Samples)
+	if compare {
+		// Random K + collection K + FR K + greedy 1 + CFR K.
+		defer t.startProgress(sess, 4*k+1)()
+		return sess.RunAll(ctx)
+	}
+	expected := 2 * k // collection K + search K
+	if rule != nil {
+		norm, err := rule.Normalize(t.opts.Samples)
+		if err != nil {
+			return nil, err
+		}
+		expected = k + int64(norm.MaxEvaluations)
+	}
+	defer t.startProgress(sess, expected)()
+	col, err := sess.Collect(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var res *Result
+	if rule == nil {
+		res, err = sess.Search(ctx, col)
+	} else {
+		res, err = sess.SearchAdaptive(ctx, col, *rule)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return map[string]*Result{strings.TrimSuffix(res.Algorithm, ".adaptive"): res}, nil
 }
 
 // bestResult picks the search result out of an algorithm map: the

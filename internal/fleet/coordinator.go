@@ -673,7 +673,7 @@ func (c *Coordinator) updateGauges() {
 // into funcytuner.Options.Evaluator, it turns an ordinary tuning run
 // into the fleet's search loop.
 func (c *Coordinator) Evaluator(job string, spec Spec) (core.RemoteEvaluator, error) {
-	if err := spec.validate(); err != nil {
+	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
 	return &jobEvaluator{c: c, job: job, spec: spec}, nil

@@ -678,7 +678,7 @@ func TestWireCVRoundTrip(t *testing.T) {
 
 func TestSpecValidate(t *testing.T) {
 	good := testSpec()
-	if err := good.validate(); err != nil {
+	if err := validateSpec(good); err != nil {
 		t.Errorf("good spec rejected: %v", err)
 	}
 	for name, mut := range map[string]func(*Spec){
@@ -690,7 +690,7 @@ func TestSpecValidate(t *testing.T) {
 	} {
 		s := testSpec()
 		mut(&s)
-		if err := s.validate(); err == nil {
+		if err := validateSpec(s); err == nil {
 			t.Errorf("%s: expected validation error", name)
 		}
 	}

@@ -235,7 +235,7 @@ func (st *replayState) apply(line []byte) bool {
 	t := st.tasks[b.Task]
 	switch b.Op {
 	case opEnqueue, opTask:
-		if t != nil || b.Task == "" || b.Spec == nil || b.Spec.validate() != nil {
+		if t != nil || b.Task == "" || b.Spec == nil || validateSpec(*b.Spec) != nil {
 			return false
 		}
 		st.tasks[b.Task] = &replayTask{

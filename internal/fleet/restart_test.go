@@ -18,6 +18,7 @@ import (
 	"funcytuner"
 	"funcytuner/internal/core"
 	"funcytuner/internal/faults"
+	"funcytuner/internal/flagspec"
 )
 
 // swapServer keeps one stable URL serving whatever handler is currently
@@ -386,6 +387,81 @@ func TestWorkerReconnectGiveUp(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("outage logged %d times, want exactly once:\n%s", n, strings.Join(lines, "\n"))
+	}
+}
+
+// TestWorkerReconnectReusedJobID: a worker outlives a coordinator
+// restart, and the restarted daemon numbers its jobs from the start
+// again, so a new run arrives under a job ID the worker has already
+// evaluated a different run for. The worker must evaluate the new run's
+// claim as that run, not as the old one nor reject it.
+func TestWorkerReconnectReusedJobID(t *testing.T) {
+	ss := newSwapServer(t)
+	ccfg := CoordinatorConfig{LeaseTTL: 2 * time.Second, Heartbeat: 100 * time.Millisecond}
+	coord1, err := NewCoordinator(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss.set(coord1.Handler())
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	w, err := NewWorker(WorkerConfig{
+		ID: "w1", Coordinator: ss.srv.URL, Poll: 50 * time.Millisecond,
+		ReconnectAttempts: 1 << 20, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w.Run(ctx) //nolint:errcheck // cancelled at cleanup
+	}()
+	defer wg.Wait()
+	defer cancel()
+
+	// A collect claim carries one CV whatever the module count.
+	req := core.EvalRequest{Phase: "collect", Sample: 3, CVs: []flagspec.CV{flagspec.ICC().Baseline()}}
+	specA := testSpec()
+	evA, err := coord1.Evaluator("job-0002", specA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := evA.Evaluate(ctx, req); err != nil {
+		t.Fatalf("spec A: %v", err)
+	}
+	coord1.Kill()
+
+	coord2, err := NewCoordinator(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	ss.set(coord2.Handler())
+	specB := specA
+	specB.Seed = "fleet-test-restarted"
+	evB, err := coord2.Evaluator("job-0002", specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := evB.Evaluate(ctx, req)
+	if err != nil {
+		t.Fatalf("spec B under a reused job ID: %v", err)
+	}
+	svc, err := funcytuner.NewTuner(funcytuner.Options{
+		Machine: mustMachine(t, specB.Machine), Samples: specB.Samples, TopX: specB.TopX,
+		Seed: specB.Seed, Faults: funcytuner.DefaultFaultRates().Scale(specB.FaultRate),
+	}).EvalService(mustBenchmark(t, specB.Benchmark), funcytuner.TuningInput(specB.Benchmark, mustMachine(t, specB.Machine)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := svc.Evaluate(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Total != want.Total {
+		t.Errorf("claim evaluated as the wrong run: total %v, want spec B's %v", got.Total, want.Total)
 	}
 }
 

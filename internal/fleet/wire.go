@@ -33,40 +33,24 @@ import (
 	"fmt"
 	"strconv"
 
+	"funcytuner"
 	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
 	"funcytuner/internal/trace"
 )
 
 // Spec identifies a tuning run precisely enough for a worker to rebuild
-// the coordinator's session bit-for-bit: the deterministic inputs only.
-// Scheduling knobs (workers, gates, checkpoint cadence) deliberately
-// don't travel — they can differ per process without affecting results.
-// Zero fields take the funcytuner facade defaults, except Seed, which
-// the coordinator must always resolve before enqueueing work.
-type Spec struct {
-	// Benchmark names a built-in program (LULESH, CL, AMG, ...).
-	Benchmark string `json:"benchmark"`
-	// Machine is the platform model (opteron, sandybridge, broadwell).
-	Machine string `json:"machine"`
-	// Samples is the evaluation budget K; TopX the CFR pruning width.
-	Samples int `json:"samples,omitempty"`
-	TopX    int `json:"topx,omitempty"`
-	// Seed names the run. Never empty on the wire: equal seeds are what
-	// make coordinator and worker sessions interchangeable.
-	Seed string `json:"seed"`
-	// FaultRate scales the default injected evaluation-fault mix.
-	FaultRate float64 `json:"fault_rate,omitempty"`
-	// Technique is the coordinator's search technique ("" = cfr). Claim
-	// execution is technique-agnostic — workers replay whatever CVs a
-	// claim carries — but recovery needs it: a journal-recovered job
-	// must re-run under the technique that issued the journaled claims,
-	// or none of them would be served.
-	Technique string `json:"technique,omitempty"`
-}
+// the coordinator's session bit-for-bit. Claims ignore its technique and
+// protocol (workers replay the CVs a claim carries), but recovery needs
+// them: a journal-recovered job must re-run as submitted, or none of its
+// journaled claims would be served.
+type Spec = funcytuner.Spec
 
-// validate rejects specs a worker could not faithfully execute.
-func (sp Spec) validate() error {
+// validateSpec rejects specs a worker could not faithfully execute. Zero
+// fields take the facade defaults, except Seed, which the coordinator
+// must always resolve before enqueueing work: equal seeds are what make
+// coordinator and worker sessions interchangeable.
+func validateSpec(sp Spec) error {
 	if sp.Benchmark == "" {
 		return fmt.Errorf("fleet: spec benchmark is empty")
 	}

@@ -136,12 +136,13 @@ func reconnectDelay(poll time.Duration, failures int) time.Duration {
 	return d
 }
 
-// jobService caches one job's claim executor. Built on first claim, so
-// a worker that joins mid-run needs no handshake beyond claiming.
-type jobService struct {
+// serviceKey names the run a claim belongs to. A job ID alone is not a
+// run: a restarted daemon numbers its jobs from the start again. Nor is
+// a spec: two jobs may share one (warm starts and resumes are not
+// deduplicated), and a session rejects a claim already in flight.
+type serviceKey struct {
+	job  string
 	spec Spec
-	svc  *funcytuner.EvalService
-	err  error
 }
 
 // Worker claims, evaluates and reports until its context is cancelled,
@@ -164,7 +165,7 @@ type Worker struct {
 	clampOnce sync.Once
 
 	mu       sync.Mutex
-	services map[string]*jobService
+	services map[serviceKey]*funcytuner.EvalService
 	models   map[string]*faults.WorkerModel
 }
 
@@ -183,7 +184,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:      cfg,
 		cl:       newClient(cfg.Coordinator, cfg.HTTPClient),
 		cache:    cache,
-		services: make(map[string]*jobService),
+		services: make(map[serviceKey]*funcytuner.EvalService),
 		models:   make(map[string]*faults.WorkerModel),
 	}, nil
 }
@@ -295,21 +296,21 @@ func (w *Worker) classify(t *Task) faults.WorkerClass {
 	return m.Classify(xrand.Combine(xrand.HashString(t.ID), uint64(t.Epoch)))
 }
 
-// service returns the claim executor for the task's job, building it on
-// first contact.
+// service returns the claim executor for the task's run, building it on
+// first contact, so a worker that joins mid-run needs no handshake
+// beyond claiming. A build error fails the claim, and with it the run.
 func (w *Worker) service(t *Task) (*funcytuner.EvalService, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if s, ok := w.services[t.Job]; ok {
-		if s.spec != t.Spec {
-			return nil, fmt.Errorf("fleet: job %s spec changed mid-run", t.Job)
-		}
-		return s.svc, s.err
+	key := serviceKey{t.Job, t.Spec}
+	if svc, ok := w.services[key]; ok {
+		return svc, nil
 	}
-	s := &jobService{spec: t.Spec}
-	s.svc, s.err = buildService(t.Spec, w.cache)
-	w.services[t.Job] = s
-	return s.svc, s.err
+	svc, err := buildService(t.Spec, w.cache)
+	if err == nil {
+		w.services[key] = svc
+	}
+	return svc, err
 }
 
 // buildService rebuilds the coordinator's session from the Spec — same
@@ -317,26 +318,16 @@ func (w *Worker) service(t *Task) (*funcytuner.EvalService, error) {
 // local evaluation on the coordinator. cache, when non-nil, is shared
 // with every other service in the process (see Worker.cache).
 func buildService(spec Spec, cache *funcytuner.CompileCache) (*funcytuner.EvalService, error) {
-	if err := spec.validate(); err != nil {
+	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
-	prog, err := funcytuner.Benchmark(spec.Benchmark)
+	// Claims carry their CVs, so the executor never consults a
+	// repository: a warm-started run evaluates like a cold one.
+	spec.WarmStart = false
+	tuner, prog, in, err := spec.Tuner(funcytuner.Options{SharedCache: cache})
 	if err != nil {
 		return nil, err
 	}
-	machine, err := funcytuner.MachineByName(spec.Machine)
-	if err != nil {
-		return nil, err
-	}
-	in := funcytuner.TuningInput(spec.Benchmark, machine)
-	tuner := funcytuner.NewTuner(funcytuner.Options{
-		Machine:     machine,
-		Samples:     spec.Samples,
-		TopX:        spec.TopX,
-		Seed:        spec.Seed,
-		Faults:      funcytuner.DefaultFaultRates().Scale(spec.FaultRate),
-		SharedCache: cache,
-	})
 	return tuner.EvalService(prog, in)
 }
 

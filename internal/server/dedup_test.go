@@ -72,6 +72,37 @@ func TestDedupSingleflight(t *testing.T) {
 	}
 }
 
+// TestDedupDefaultsSpelledOut submits the same run twice, once with
+// TopX left to its default and once with the default spelled out. Both
+// are one run, so the second must attach to the first in flight.
+func TestDedupDefaultsSpelledOut(t *testing.T) {
+	mgr := newTestManager(t, Config{Gate: NewGate(4)})
+	leader, err := mgr.Submit(JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 60, TopX: 50, Seed: "eq"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := mgr.Submit(JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 60, Seed: "eq"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !follower.Status().Deduped {
+		t.Fatal("the default spelled out is the same run; the second submission should have deduped")
+	}
+	waitJob(t, leader)
+	waitJob(t, follower)
+	lres, err := leader.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fres, err := follower.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lres.Fingerprint != "a1dbd62140d31f62" || fres.Fingerprint != lres.Fingerprint {
+		t.Fatalf("fingerprints leader %s follower %s, want both a1dbd62140d31f62", lres.Fingerprint, fres.Fingerprint)
+	}
+}
+
 // TestDedupFollowerCancelIndependent cancels a deduped follower and
 // checks the leader keeps running to completion.
 func TestDedupFollowerCancelIndependent(t *testing.T) {

@@ -168,9 +168,38 @@ func TestHealthzReportsState(t *testing.T) {
 // re-attaches the job automatically, the re-run completes against the
 // journal-buffered evaluations, and its fingerprint matches a local run
 // of the same spec. The probe endpoint reports the recovery.
+//
+// The re-attached job must be the journaled run as it was submitted: an
+// adaptive job comes back adaptive, and a job that left Technique empty
+// stays CFR even when the restarted daemon defaults jobs to another
+// technique. That row's local reference spells "cfr" out, because a
+// local run on the defaulted manager would turn into GA as well.
 func TestReattachRecoveredFleetJob(t *testing.T) {
+	base := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 20, TopX: 5, Seed: "reattach", Workers: 4, FaultRate: 1, Distributed: true}
+	adaptive := base
+	adaptive.Adaptive = true
+	spelledCFR := base
+	spelledCFR.Technique = "cfr"
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		// local is the spec of the in-process reference run.
+		local JobSpec
+		// defaultTechnique configures the restarted daemon.
+		defaultTechnique string
+	}{
+		{name: "plain", spec: base, local: base},
+		{name: "adaptive", spec: adaptive, local: adaptive},
+		{name: "empty-technique-under-daemon-default", spec: base, local: spelledCFR, defaultTechnique: "ga"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testReattach(t, tc.spec, tc.local, tc.defaultTechnique)
+		})
+	}
+}
+
+func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string) {
 	journal := filepath.Join(t.TempDir(), "journal")
-	spec := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 20, TopX: 5, Seed: "reattach", Workers: 4, FaultRate: 1, Distributed: true}
 	ccfg := fleet.CoordinatorConfig{
 		LeaseTTL:    2 * time.Second,
 		Heartbeat:   200 * time.Millisecond,
@@ -218,13 +247,16 @@ func TestReattachRecoveredFleetJob(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer coord2.Close()
-	mgr2 := newTestManager(t, Config{Fleet: coord2})
+	mgr2 := newTestManager(t, Config{Fleet: coord2, DefaultTechnique: defaultTechnique})
 	reattached, err := mgr2.ReattachFleetJobs()
 	if err != nil {
 		t.Fatalf("re-attach: %v", err)
 	}
 	if len(reattached) != 1 {
 		t.Fatalf("re-attached %d jobs, want 1", len(reattached))
+	}
+	if got, want := outcomeFields(reattached[0].Status().Spec), outcomeFields(spec); got != want {
+		t.Errorf("re-attached spec %+v, want the submitted %+v", got, want)
 	}
 	ts2 := httptest.NewServer(NewServer(mgr2))
 	defer ts2.Close()
@@ -252,7 +284,6 @@ func TestReattachRecoveredFleetJob(t *testing.T) {
 	}
 
 	// Byte-identical to a local run of the same spec.
-	local := spec
 	local.Distributed = false
 	lresp := postJSON(t, ts2.URL+"/jobs", local)
 	if lresp.StatusCode != http.StatusAccepted {
@@ -266,6 +297,15 @@ func TestReattachRecoveredFleetJob(t *testing.T) {
 		t.Fatalf("local result: %v", err)
 	}
 	if res.Fingerprint != lres.Fingerprint {
-		t.Errorf("re-attached fingerprint %s != local %s", res.Fingerprint, lres.Fingerprint)
+		t.Errorf("re-attached fingerprint %s (%s) != local %s (%s)", res.Fingerprint, res.Algorithm, lres.Fingerprint, lres.Algorithm)
+	}
+}
+
+// outcomeFields keeps the JobSpec fields that decide a run's outcome.
+func outcomeFields(s JobSpec) JobSpec {
+	return JobSpec{
+		Benchmark: s.Benchmark, Machine: s.Machine, Samples: s.Samples, TopX: s.TopX,
+		Seed: s.Seed, FaultRate: s.FaultRate, Technique: s.Technique,
+		Adaptive: s.Adaptive, Compare: s.Compare, WarmStart: s.WarmStart,
 	}
 }

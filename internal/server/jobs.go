@@ -89,53 +89,33 @@ type JobSpec struct {
 	Resume string `json:"resume,omitempty"`
 }
 
-// validate rejects specs the tuner would reject hours later, plus
-// negative values that facade defaults would otherwise mask.
-func (sp *JobSpec) validate() error {
+// validate applies the benchmark and machine defaults, checks the
+// scheduling fields a Spec does not carry, and returns the spec's
+// repository key: funcytuner.Spec.Key rejects the rest of what the tuner
+// would reject once the job ran.
+func (sp *JobSpec) validate() (uint64, error) {
 	if sp.Benchmark == "" {
 		sp.Benchmark = funcytuner.CloverLeaf
 	}
 	if sp.Machine == "" {
 		sp.Machine = "broadwell"
 	}
-	if _, err := funcytuner.Benchmark(sp.Benchmark); err != nil {
-		return err
-	}
-	if _, err := funcytuner.MachineByName(sp.Machine); err != nil {
-		return err
-	}
-	if sp.Samples < 0 {
-		return fmt.Errorf("server: samples must be >= 0, got %d", sp.Samples)
-	}
-	if sp.TopX < 0 {
-		return fmt.Errorf("server: topx must be >= 0, got %d", sp.TopX)
-	}
 	if sp.Workers < 0 {
-		return fmt.Errorf("server: workers must be >= 0, got %d", sp.Workers)
+		return 0, fmt.Errorf("server: workers must be >= 0, got %d", sp.Workers)
 	}
 	if sp.CheckpointEvery < 0 {
-		return fmt.Errorf("server: checkpoint_every must be >= 0, got %d", sp.CheckpointEvery)
+		return 0, fmt.Errorf("server: checkpoint_every must be >= 0, got %d", sp.CheckpointEvery)
 	}
-	if sp.FaultRate < 0 {
-		return fmt.Errorf("server: fault_rate must be >= 0, got %v", sp.FaultRate)
+	return sp.spec().Key()
+}
+
+// spec is the job's outcome-determining description.
+func (sp JobSpec) spec() funcytuner.Spec {
+	return funcytuner.Spec{
+		Benchmark: sp.Benchmark, Machine: sp.Machine, Samples: sp.Samples, TopX: sp.TopX,
+		Seed: sp.Seed, FaultRate: sp.FaultRate, Technique: sp.Technique,
+		Adaptive: sp.Adaptive, Compare: sp.Compare, WarmStart: sp.WarmStart,
 	}
-	if sp.Adaptive && sp.Compare {
-		return fmt.Errorf("server: adaptive and compare are mutually exclusive")
-	}
-	if !funcytuner.ValidTechnique(sp.Technique) {
-		return fmt.Errorf("server: unknown technique %q (want cfr, bo, or ga)", sp.Technique)
-	}
-	nonCFR := sp.Technique != "" && sp.Technique != "cfr"
-	if nonCFR && sp.Compare {
-		return fmt.Errorf("server: technique %q is incompatible with compare (the §4.1 protocol is defined in terms of CFR)", sp.Technique)
-	}
-	if sp.WarmStart && !nonCFR {
-		return fmt.Errorf("server: warm_start requires technique \"bo\" or \"ga\"")
-	}
-	if sp.WarmStart && sp.Adaptive {
-		return fmt.Errorf("server: warm_start applies only to plain tune jobs, not adaptive")
-	}
-	return nil
 }
 
 // Job is one tuning campaign owned by the manager.
@@ -148,10 +128,10 @@ type Job struct {
 	progress *lineLog
 	trace    *funcytuner.TraceRecorder
 	done     chan struct{}
-	// dedupKey is the submission's identity for singleflight (leader
-	// jobs only; "" when the spec is not dedupable or the job attached
-	// to another); deduped marks a follower that mirrors a leader.
-	dedupKey string
+	// dedupKey is the submission's repository key, its identity for
+	// singleflight (set on leader jobs only); deduped marks a follower
+	// that mirrors a leader.
+	dedupKey uint64
 	deduped  bool
 
 	mu        sync.Mutex
@@ -245,7 +225,7 @@ type Manager struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string
-	inflight map[string]*Job // dedup key → leader job, singleflight
+	inflight map[uint64]*Job // dedup key → leader job, singleflight
 	seq      int
 	draining bool
 	running  int
@@ -264,7 +244,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:      cfg,
 		reg:      metrics.NewRegistry(),
 		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
+		inflight: make(map[uint64]*Job),
 	}
 	if g, ok := cfg.Gate.(*Gate); ok && g != nil {
 		m.reg.Gauge(MetricWorkerSlots).Set(float64(g.Slots()))
@@ -275,38 +255,12 @@ func NewManager(cfg Config) (*Manager, error) {
 // Metrics returns the manager's registry (jobs_* counters, gauges).
 func (m *Manager) Metrics() *metrics.Registry { return m.reg }
 
-// dedupKey is the submission's singleflight identity: the spec fields
-// that determine the tuning outcome. Scheduling-only fields (workers,
-// checkpoint cadence, distribution) are deliberately absent — two specs
-// differing only there produce bit-identical Reports. A spec with no
-// explicit seed is not dedupable (its seed defaults to the job ID, so
-// every submission is a distinct run), and neither is a resume nor a
-// warm start (a warm run's outcome depends on the repository's contents
-// at scan time, not on the spec alone).
-func dedupKey(spec JobSpec) (string, bool) {
-	if spec.Seed == "" || spec.Resume != "" || spec.WarmStart {
-		return "", false
-	}
-	mode := "tune"
-	switch {
-	case spec.Adaptive:
-		mode = "adaptive"
-	case spec.Compare:
-		mode = "compare"
-	}
-	tech := spec.Technique
-	if tech == "cfr" { // explicit default, same outcome as ""
-		tech = ""
-	}
-	return fmt.Sprintf("%s|%s|%s|%d|%d|%s|%g|%s",
-		mode, spec.Benchmark, spec.Machine, spec.Samples, spec.TopX, spec.Seed, spec.FaultRate, tech), true
-}
-
-// Submit validates spec, registers a job and starts it immediately; the
-// shared gate, not admission control, bounds actual compute. Identical
-// concurrent submissions singleflight: the first becomes the leader and
-// runs, later ones attach to it in one map lookup and mirror its
-// outcome (Status.Deduped set).
+// Submit applies the manager's job defaults to spec, validates it,
+// registers a job and starts it immediately; the shared gate, not
+// admission control, bounds actual compute. Identical concurrent
+// submissions singleflight: the first becomes the leader and runs, later
+// ones attach to it in one map lookup and mirror its outcome
+// (Status.Deduped set).
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	// Defaults apply only to plain tune jobs: compare is defined in terms
 	// of CFR, and an adaptive job runs the technique it names.
@@ -314,11 +268,22 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	if spec.Technique == "" && plain {
 		spec.Technique = m.cfg.DefaultTechnique
 	}
-	if m.cfg.DefaultWarmStart && !spec.WarmStart && plain &&
-		(spec.Technique == "bo" || spec.Technique == "ga") {
-		spec.WarmStart = true
+	if m.cfg.DefaultWarmStart && !spec.WarmStart {
+		// Only where a warm start is legal: its technique supports one.
+		warm := spec
+		warm.WarmStart = true
+		if warm.spec().Validate() == nil {
+			spec = warm
+		}
 	}
-	if err := spec.validate(); err != nil {
+	return m.submit(spec)
+}
+
+// submit validates spec and starts it as is; Submit applies the
+// manager's defaults first.
+func (m *Manager) submit(spec JobSpec) (*Job, error) {
+	key, err := spec.validate()
+	if err != nil {
 		return nil, err
 	}
 	if spec.Distributed && m.cfg.Fleet == nil {
@@ -327,6 +292,12 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	if spec.WarmStart && m.cfg.Repo == nil {
 		return nil, fmt.Errorf("server: warm_start needs a results repository (run with -repo)")
 	}
+	// Dedup is the repository key's singleflight. A spec with no explicit
+	// seed is not dedupable (its seed defaults to the job ID, so every
+	// submission is a distinct run), and neither is a resume nor a warm
+	// start (a warm run's outcome depends on the repository's contents at
+	// scan time, not on the spec alone).
+	dedupable := spec.Seed != "" && spec.Resume == "" && !spec.WarmStart
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
@@ -341,7 +312,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		}
 		resumeFrom = prior.ckptPath
 	}
-	key, dedupable := dedupKey(spec)
 	var leader *Job
 	if dedupable {
 		leader = m.inflight[key]
@@ -392,8 +362,8 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 
 // ReattachFleetJobs resubmits the distributed jobs a journal-recovered
 // fleet coordinator was carrying when the previous daemon died. Each
-// comes back as a fresh job (new ID, same outcome-determining spec,
-// Distributed set) that re-runs the search from the top — cheaply,
+// comes back as a fresh job (new ID, the journaled spec, Distributed
+// set) that re-runs the search from the top — cheaply,
 // because the coordinator serves every evaluation it accepted before
 // the crash straight from its journal, and re-adopts the in-flight
 // tasks workers are still heartbeating. Call once, after NewManager and
@@ -404,17 +374,15 @@ func (m *Manager) ReattachFleetJobs() ([]*Job, error) {
 	}
 	var jobs []*Job
 	for _, rj := range m.cfg.Fleet.RecoveredJobs() {
-		spec := JobSpec{
-			Benchmark:   rj.Spec.Benchmark,
-			Machine:     rj.Spec.Machine,
-			Samples:     rj.Spec.Samples,
-			TopX:        rj.Spec.TopX,
-			Seed:        rj.Spec.Seed,
-			FaultRate:   rj.Spec.FaultRate,
-			Technique:   rj.Spec.Technique,
+		// The journaled spec as it is: the manager's defaults are for new
+		// submissions, and this one was submitted before the restart.
+		s := rj.Spec
+		j, err := m.submit(JobSpec{
+			Benchmark: s.Benchmark, Machine: s.Machine, Samples: s.Samples, TopX: s.TopX,
+			Seed: s.Seed, FaultRate: s.FaultRate, Technique: s.Technique,
+			Adaptive: s.Adaptive, Compare: s.Compare, WarmStart: s.WarmStart,
 			Distributed: true,
-		}
-		j, err := m.Submit(spec)
+		})
 		if err != nil {
 			return jobs, fmt.Errorf("server: re-attaching recovered fleet job %s: %w", rj.Job, err)
 		}
@@ -459,34 +427,15 @@ func (m *Manager) run(ctx context.Context, j *Job, resumeFrom string) {
 	defer close(j.done)
 	defer j.progress.Close()
 
-	prog, err := funcytuner.Benchmark(j.Spec.Benchmark)
-	if err != nil {
-		m.finish(j, nil, err)
-		return
-	}
-	machine, err := funcytuner.MachineByName(j.Spec.Machine)
-	if err != nil {
-		m.finish(j, nil, err)
-		return
-	}
-	in := funcytuner.TuningInput(j.Spec.Benchmark, machine)
-	seed := j.Spec.Seed
-	if seed == "" {
-		seed = j.ID
+	spec := j.Spec.spec()
+	if spec.Seed == "" {
+		spec.Seed = j.ID
 	}
 	gate := m.cfg.Gate
 	var evaluator funcytuner.Evaluator
 	if j.Spec.Distributed {
-		evaluator, err = m.cfg.Fleet.Evaluator(j.ID, fleet.Spec{
-			Benchmark: j.Spec.Benchmark,
-			Machine:   j.Spec.Machine,
-			Samples:   j.Spec.Samples,
-			TopX:      j.Spec.TopX,
-			Seed:      seed,
-			FaultRate: j.Spec.FaultRate,
-			Technique: j.Spec.Technique,
-		})
-		if err != nil {
+		var err error
+		if evaluator, err = m.cfg.Fleet.Evaluator(j.ID, spec); err != nil {
 			m.finish(j, nil, err)
 			return
 		}
@@ -494,15 +443,8 @@ func (m *Manager) run(ctx context.Context, j *Job, resumeFrom string) {
 		// while blocked on the network would only throttle the fleet.
 		gate = nil
 	}
-	tuner := funcytuner.NewTuner(funcytuner.Options{
-		Machine:         machine,
-		Samples:         j.Spec.Samples,
-		TopX:            j.Spec.TopX,
-		Technique:       j.Spec.Technique,
-		WarmStart:       j.Spec.WarmStart,
-		Seed:            seed,
+	tuner, prog, in, err := spec.Tuner(funcytuner.Options{
 		Workers:         j.Spec.Workers,
-		Faults:          funcytuner.DefaultFaultRates().Scale(j.Spec.FaultRate),
 		Checkpoint:      j.ckptPath,
 		Resume:          resumeFrom,
 		CheckpointEvery: j.Spec.CheckpointEvery,
@@ -515,15 +457,11 @@ func (m *Manager) run(ctx context.Context, j *Job, resumeFrom string) {
 		Progress:        j.progress,
 		ProgressEvery:   time.Second,
 	})
-	var rep *funcytuner.Report
-	switch {
-	case j.Spec.Compare:
-		rep, err = tuner.CompareContext(ctx, prog, in)
-	case j.Spec.Adaptive:
-		rep, err = tuner.TuneAdaptiveContext(ctx, prog, in, funcytuner.DefaultStopRule())
-	default:
-		rep, err = tuner.TuneContext(ctx, prog, in)
+	if err != nil {
+		m.finish(j, nil, err)
+		return
 	}
+	rep, err := tuner.Run(ctx, prog, in, spec)
 	m.finish(j, rep, err)
 }
 
@@ -552,7 +490,7 @@ func (m *Manager) finish(j *Job, rep *funcytuner.Report, err error) {
 	j.mu.Unlock()
 	m.mu.Lock()
 	m.running--
-	if j.dedupKey != "" && m.inflight[j.dedupKey] == j {
+	if m.inflight[j.dedupKey] == j {
 		delete(m.inflight, j.dedupKey)
 	}
 	m.reg.Gauge(MetricJobsRunning).Set(float64(m.running))

@@ -188,6 +188,8 @@ func TestAPIRejections(t *testing.T) {
 		{FaultRate: -0.5},
 		{Adaptive: true, Compare: true},
 		{Resume: "job-9999"},
+		{Samples: 10},
+		{Samples: 10, TopX: 20},
 	} {
 		resp := postJSON(t, ts.URL+"/jobs", spec)
 		resp.Body.Close()

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"funcytuner"
 )
 
 // TestTechniqueSpecValidation covers the technique/warm-start spec
@@ -119,4 +121,42 @@ func TestDefaultTechniqueApplied(t *testing.T) {
 		t.Fatalf("explicit cfr overridden to %q", explicit.Spec.Technique)
 	}
 	waitJob(t, explicit)
+}
+
+// TestDefaultWarmStartApplied checks the daemon-level warm-start
+// default: it applies exactly where a warm start is legal, a plain tune
+// job whose technique is bo or ga, and leaves every other job cold.
+func TestDefaultWarmStartApplied(t *testing.T) {
+	repo, err := funcytuner.OpenResultRepo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := newTestManager(t, Config{Repo: repo, DefaultTechnique: "bo", DefaultWarmStart: true})
+	base := JobSpec{Benchmark: "swim", Machine: "sandybridge", Samples: 15, TopX: 4, Seed: "dflt-warm"}
+	for _, tc := range []struct {
+		name     string
+		mut      func(*JobSpec)
+		wantWarm bool
+	}{
+		{"defaulted-bo", func(s *JobSpec) {}, true},
+		{"explicit-ga", func(s *JobSpec) { s.Technique = "ga" }, true},
+		{"explicit-cfr", func(s *JobSpec) { s.Technique = "cfr" }, false},
+		{"adaptive-ga", func(s *JobSpec) { s.Technique = "ga"; s.Adaptive = true }, false},
+		{"compare", func(s *JobSpec) { s.Compare = true }, false},
+	} {
+		spec := base
+		spec.Seed += "-" + tc.name
+		tc.mut(&spec)
+		j, err := mgr.Submit(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if j.Spec.WarmStart != tc.wantWarm {
+			t.Errorf("%s: WarmStart = %v, want %v", tc.name, j.Spec.WarmStart, tc.wantWarm)
+		}
+		waitJob(t, j)
+		if st := j.Status(); st.State != StateDone {
+			t.Errorf("%s: state %q (err %q), want done", tc.name, st.State, st.Error)
+		}
+	}
 }

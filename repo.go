@@ -52,12 +52,13 @@ const (
 )
 
 // keySpec enumerates the tuner's outcome-determining configuration for
-// (mode, prog, in). Scheduling-only options (Workers, CacheSize, Gate,
-// Trace, Progress, Checkpoint/Resume, Evaluator, Unpooled) are absent
-// by design — the determinism suite proves they cannot change a Report.
-func (t *Tuner) keySpec(mode string, prog *Program, in Input, rule StopRule, warmDigest uint64) resultrepo.KeySpec {
+// prog on in under the entry point that rule and compare select (see
+// Tuner.run). Scheduling-only options (Workers, CacheSize, Gate, Trace,
+// Progress, Checkpoint/Resume, Evaluator, Unpooled) are absent by
+// design — the determinism suite proves they cannot change a Report.
+func (t *Tuner) keySpec(prog *Program, in Input, rule *StopRule, compare bool, warmDigest uint64) resultrepo.KeySpec {
 	ks := resultrepo.KeySpec{
-		Mode:              mode,
+		Mode:              modeTune,
 		Program:           prog.Name,
 		ProgramSeed:       prog.Seed,
 		InputName:         in.Name,
@@ -84,7 +85,11 @@ func (t *Tuner) keySpec(mode string, prog *Program, in Input, rule StopRule, war
 		Technique:  core.TechniqueTag(t.opts.Technique),
 		WarmDigest: warmDigest,
 	}
-	if mode == modeAdaptive {
+	switch {
+	case compare:
+		ks.Mode = modeCompare
+	case rule != nil:
+		ks.Mode = modeAdaptive
 		ks.StopMinEvaluations = rule.MinEvaluations
 		ks.StopPatience = rule.Patience
 		ks.StopMaxEvaluations = rule.MaxEvaluations
@@ -343,19 +348,19 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 	return rep, tr, b.Fingerprint, nil
 }
 
-// serveFromRepo resolves (mode, prog, in) against the repository:
+// serveFromRepo resolves the run (see keySpec) against the repository:
 // one key derivation, one indexed Get, one decode — no outlining, no
 // session, no evaluations. The reconstructed Report's fingerprint must
 // equal the one stored with the entry; anything less invalidates the
 // entry and falls through to a real run. When the caller wants a trace,
 // an entry stored without one is also a miss (the recompute will store
 // it with the trace attached).
-func (t *Tuner) serveFromRepo(mode string, prog *Program, in Input, rule StopRule, warmDigest uint64) (*Report, bool) {
+func (t *Tuner) serveFromRepo(prog *Program, in Input, rule *StopRule, compare bool, warmDigest uint64) (*Report, bool) {
 	if t.repo == nil || !t.opts.SkipExist || t.err != nil ||
 		t.opts.KillAfterEvals > 0 || prog == nil {
 		return nil, false
 	}
-	key := t.keySpec(mode, prog, in, rule, warmDigest).Key()
+	key := t.keySpec(prog, in, rule, compare, warmDigest).Key()
 	body, ok := t.repo.Get(key)
 	if !ok {
 		return nil, false
@@ -382,7 +387,7 @@ func (t *Tuner) serveFromRepo(mode string, prog *Program, in Input, rule StopRul
 // storage failure never fails the tuning run that produced the result.
 // Crash-simulation runs (KillAfterEvals) are never stored — they are
 // the checkpoint machinery's test hook, not results.
-func (t *Tuner) storeInRepo(mode string, prog *Program, in Input, rule StopRule, rep *Report, warmDigest uint64) {
+func (t *Tuner) storeInRepo(prog *Program, in Input, rule *StopRule, compare bool, rep *Report, warmDigest uint64) {
 	if t.repo == nil || t.opts.KillAfterEvals > 0 || rep == nil || rep.sess == nil {
 		return
 	}
@@ -394,7 +399,7 @@ func (t *Tuner) storeInRepo(mode string, prog *Program, in Input, rule StopRule,
 	if err != nil {
 		return
 	}
-	_ = t.repo.Put(t.keySpec(mode, prog, in, rule, warmDigest).Key(), body)
+	_ = t.repo.Put(t.keySpec(prog, in, rule, compare, warmDigest).Key(), body)
 }
 
 // RepoStats snapshots the attached results repository's activity (zero

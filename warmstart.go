@@ -19,11 +19,11 @@ const maxWarmSeeds = 4
 
 // warmSeeds scans the attached results repository for prior runs related
 // to prog and returns up to maxWarmSeeds winning assemblies (nearest
-// first) plus a digest of the chosen set. It returns (nil, 0, nil) when
+// first) plus a digest of the chosen set. It returns (nil, 0) when
 // warm-starting is off; option errors surface later through session().
-func (t *Tuner) warmSeeds(prog *Program) ([][]CV, uint64, error) {
+func (t *Tuner) warmSeeds(prog *Program) ([][]CV, uint64) {
 	if !t.opts.WarmStart || t.err != nil || t.repo == nil || prog == nil {
-		return nil, 0, nil
+		return nil, 0
 	}
 	type candidate struct {
 		key   uint64
@@ -87,7 +87,7 @@ func (t *Tuner) warmSeeds(prog *Program) ([][]CV, uint64, error) {
 			h.Add(cv.Key())
 		}
 	}
-	return seeds, h.Sum(), nil
+	return seeds, h.Sum()
 }
 
 // bestRepoResult is bestResult over the wire-form result map.
