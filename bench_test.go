@@ -19,7 +19,6 @@ package funcytuner
 
 import (
 	"context"
-	"path/filepath"
 	"runtime"
 
 	"testing"
@@ -391,45 +390,6 @@ func BenchmarkSessionTraceDisabled(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkCheckpointFlush measures one full synchronous Checkpointer.Flush
-// of a finished paper-scale session (CL/broadwell, K=1000, top-50): every
-// collection and search slot filled, the size every late-campaign flush
-// writes. It includes the fsynced atomic commit, so ns/op depends on the
-// disk; B/op counts what a flush allocates and is ratcheted in CI.
-func BenchmarkCheckpointFlush(b *testing.B) {
-	prog := apps.MustGet(apps.CloverLeaf)
-	m := arch.Broadwell()
-	in := apps.TuningInput(apps.CloverLeaf, m)
-	tc := compiler.NewToolchain(flagspec.ICC())
-	tc.AttachCache(compiler.NewCompileCache(0))
-	res, err := outline.AutoOutline(tc, prog, m, in, outline.HotThreshold, 1, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := core.NewSession(tc, prog, res.Partition, m, in, core.DefaultConfig("bench-cfr"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ckpt := core.NewCheckpointer(filepath.Join(b.TempDir(), "checkpoint.json"), 0)
-	if err := sess.AttachCheckpointer(ckpt); err != nil {
-		b.Fatal(err)
-	}
-	col, err := sess.Collect(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sess.CFR(context.Background(), col); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ckpt.Flush(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

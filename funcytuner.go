@@ -83,7 +83,8 @@ type (
 	// probabilities of compile failure, run crash, timeout and transient
 	// flake). The zero value disables injection.
 	FaultRates = faults.Rates
-	// Checkpoint is the JSON-portable partial state of a tuning run.
+	// Checkpoint is a tuning run's persisted progress, replayed from
+	// its checkpoint log.
 	Checkpoint = core.Checkpoint
 	// TraceRecorder accumulates structured trace events from a run (see
 	// Options.Trace and internal/trace for the event taxonomy).
@@ -131,7 +132,7 @@ var ErrKilled = core.ErrKilled
 // FaultRates.Scale to dial severity.
 func DefaultFaultRates() FaultRates { return faults.Default() }
 
-// LoadCheckpoint reads and validates a checkpoint file written during a
+// LoadCheckpoint reads and replays a checkpoint file written during a
 // run with Options.Checkpoint set.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return core.LoadCheckpointFile(path) }
 
@@ -614,9 +615,7 @@ func (t *Tuner) session(prog *Program, in Input, warm [][]CV) (*core.Session, ou
 			case err != nil:
 				return nil, outline.Result{}, err
 			default:
-				if err := ckpt.Resume(ck); err != nil {
-					return nil, outline.Result{}, err
-				}
+				ckpt.Resume(ck)
 			}
 		}
 		if err := sess.AttachCheckpointer(ckpt); err != nil {

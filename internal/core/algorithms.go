@@ -90,7 +90,7 @@ func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 		}
 		col.Totals[k] = total
 		if s.ckpt != nil {
-			s.ckpt.markCollect(s, k, per, total, ec)
+			s.ckpt.markCollect(k, per, total, ec)
 		}
 	})
 	if s.ckpt != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,7 +10,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"funcytuner/internal/fsx"
 )
@@ -17,24 +17,38 @@ import (
 // Checkpoint/resume for long tuning runs. The paper's real campaigns run
 // 1.5 days to a week (§4.3); a killed process must not lose the whole
 // Collection. The checkpoint persists every completed sample of the
-// collection phase and of CFR's search phase, the quarantine set, and the
-// cumulative cost of the persisted work. Because every evaluation is a
-// pure function of (seed, sample index), a resumed session recomputes
-// only the missing samples and produces a result bit-identical to an
-// uninterrupted run.
+// collection phase and of the search phase, with the cost and the
+// quarantine decisions of exactly those samples. Because every
+// evaluation is a pure function of (seed, sample index), a resumed
+// session recomputes only the missing samples and produces a result
+// bit-identical to an uninterrupted run.
 //
-// Measured times are serialized as strconv hexadecimal float strings:
+// The file is a log of fsx sealed records: a header record holding the
+// session identity, then one record per completed evaluation in the
+// order the evaluations completed. Replay stops at the first torn,
+// damaged or inconsistent record, so damage costs recomputation, never
+// a wrong result. Measured times are strconv hexadecimal float strings:
 // exact round-trip, including the ±Inf values that crashed variants
 // legitimately produce (plain JSON numbers cannot encode Inf).
 
 // CheckpointVersion is the current checkpoint format version.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // DefaultCheckpointEvery is the default flush cadence (completed
 // evaluations between checkpoint writes).
 const DefaultCheckpointEvery = 25
 
-// Checkpoint is the JSON-portable partial state of a tuning run.
+// Record phases: a completed collection or search-phase sample, and the
+// cost and quarantine a resumed log inherited from its samples.
+const (
+	phaseCollect = "collect"
+	phaseSearch  = "search"
+	phaseResumed = "resumed"
+)
+
+// Checkpoint is a tuning run's persisted progress, replayed from its
+// log. The identity fields are the header record; the progress fields
+// gather the evaluation records that follow it.
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Program string `json:"program"`
@@ -46,32 +60,32 @@ type Checkpoint struct {
 	Modules int    `json:"modules"`
 
 	// Technique tags the search strategy whose progress CFRDone/CFRTimes
-	// record ("" = CFR, the default — kept empty so pre-technique
-	// checkpoints stay byte-identical). Resuming under a different
+	// record ("" = CFR, the default). Resuming under a different
 	// technique is rejected: the same sample indices would map to
 	// different assemblies.
 	Technique string `json:"technique,omitempty"`
 
-	// CollectDone lists the completed collection sample indices. Times
-	// is [modules][samples] and Totals [samples]; entries for samples
-	// not in CollectDone are empty strings.
-	CollectDone []int      `json:"collect_done"`
-	Times       [][]string `json:"times"`
-	Totals      []string   `json:"totals"`
+	// CollectDone lists the completed collection samples in the order
+	// they completed; Totals[i] and Times[i] (one time per module) are
+	// sample CollectDone[i]'s measurements.
+	CollectDone []int       `json:"-"`
+	Totals      []float64   `json:"-"`
+	Times       [][]float64 `json:"-"`
 
 	// CFRDone / CFRTimes mirror the search phase.
-	CFRDone  []int    `json:"cfr_done"`
-	CFRTimes []string `json:"cfr_times"`
+	CFRDone  []int     `json:"-"`
+	CFRTimes []float64 `json:"-"`
 
-	// Quarantine holds poison CV fingerprints as hexadecimal strings
-	// (JSON numbers cannot carry full uint64 precision).
-	Quarantine []string `json:"quarantine"`
+	// Quarantine holds the poison CV fingerprints, sorted.
+	Quarantine []uint64 `json:"-"`
 
 	// Cost is the cumulative cost of exactly the persisted samples.
-	Cost CostSnapshot `json:"cost"`
+	Cost CostSnapshot `json:"-"`
 }
 
-func formatTime(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+func appendTime(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(append(b, '"'), v, 'x', -1, 64), '"')
+}
 
 func parseTime(s string) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
@@ -84,118 +98,222 @@ func parseTime(s string) (float64, error) {
 	return v, nil
 }
 
-// Validate checks the checkpoint's internal consistency (shape, index
-// ranges, parsable times, non-negative cost). Compatibility with a
-// specific session is checked separately at attach time.
-func (ck *Checkpoint) Validate() error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("core: unsupported checkpoint version %d (want %d)", ck.Version, CheckpointVersion)
+// appendMark appends one progress record's body: the phase, the sample
+// index and its times (none for a "resumed" record), then the non-zero
+// cost fields and the quarantined keys, if any. It allocates nothing
+// once b has room.
+func appendMark(b []byte, phase string, k int, t float64, per []float64, cost CostSnapshot, keys []uint64) []byte {
+	b = append(append(append(b, `{"phase":"`...), phase...), '"')
+	if phase != phaseResumed {
+		b = strconv.AppendInt(append(b, `,"k":`...), int64(k), 10)
+		b = appendTime(append(b, `,"time":`...), t)
 	}
-	if ck.Samples < 1 || ck.TopX < 1 || ck.TopX > ck.Samples {
-		return fmt.Errorf("core: checkpoint has implausible budget (samples=%d, topx=%d)", ck.Samples, ck.TopX)
+	sep := `,"modules":[`
+	for _, v := range per {
+		b = appendTime(append(b, sep...), v)
+		sep = ","
 	}
-	if ck.Modules < 1 {
-		return fmt.Errorf("core: checkpoint has %d modules", ck.Modules)
+	if len(per) > 0 {
+		b = append(b, ']')
 	}
-	if len(ck.Times) != ck.Modules {
-		return fmt.Errorf("core: checkpoint has %d time rows for %d modules", len(ck.Times), ck.Modules)
+	fields := [...]struct {
+		name string
+		v    int64
+	}{
+		{`"compiles":`, cost.Compiles}, {`"runs":`, cost.Runs}, {`"sim_micros":`, cost.SimMicros},
+		{`"retries":`, cost.Retries}, {`"wasted_compiles":`, cost.WastedCompiles},
+		{`"fault_micros":`, cost.FaultMicros}, {`"compile_fails":`, cost.CompileFails},
+		{`"run_crashes":`, cost.RunCrashes}, {`"timeouts":`, cost.Timeouts}, {`"flakes":`, cost.Flakes},
 	}
-	for mi, row := range ck.Times {
-		if len(row) != ck.Samples {
-			return fmt.Errorf("core: checkpoint module %d has %d entries for %d samples", mi, len(row), ck.Samples)
+	sep = `,"cost":{`
+	for _, f := range fields {
+		if f.v != 0 {
+			b = strconv.AppendInt(append(append(b, sep...), f.name...), f.v, 10)
+			sep = ","
 		}
 	}
-	if len(ck.Totals) != ck.Samples || len(ck.CFRTimes) != ck.Samples {
-		return fmt.Errorf("core: checkpoint totals/cfr arrays not sized to %d samples", ck.Samples)
+	if sep == "," {
+		b = append(b, '}')
 	}
-	checkDone := func(name string, done []int, filled []string) error {
-		seen := make(map[int]bool, len(done))
-		for _, k := range done {
-			if k < 0 || k >= ck.Samples {
-				return fmt.Errorf("core: checkpoint %s index %d out of range", name, k)
-			}
-			if seen[k] {
-				return fmt.Errorf("core: checkpoint %s index %d duplicated", name, k)
-			}
-			seen[k] = true
-			if _, err := parseTime(filled[k]); err != nil {
-				return err
-			}
-		}
-		return nil
+	sep = `,"quarantine":["`
+	for _, q := range keys {
+		b = append(strconv.AppendUint(append(b, sep...), q, 16), '"')
+		sep = `,"`
 	}
-	if err := checkDone("collect", ck.CollectDone, ck.Totals); err != nil {
-		return err
+	if len(keys) > 0 {
+		b = append(b, ']')
 	}
-	for _, k := range ck.CollectDone {
-		for mi := range ck.Times {
-			if _, err := parseTime(ck.Times[mi][k]); err != nil {
-				return err
-			}
-		}
-	}
-	if err := checkDone("cfr", ck.CFRDone, ck.CFRTimes); err != nil {
-		return err
-	}
-	for _, q := range ck.Quarantine {
-		if _, err := strconv.ParseUint(q, 16, 64); err != nil {
-			return fmt.Errorf("core: bad quarantine key %q", q)
-		}
-	}
-	return ck.Cost.validate()
+	return append(b, '}')
 }
 
-// DecodeCheckpoint parses and validates a checkpoint document.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var ck Checkpoint
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ck); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
+// apply adds one progress record to the replayed checkpoint, or reports
+// false, changing nothing, if the record does not fit the header and
+// the records before it. done holds the samples already replayed.
+func (ck *Checkpoint) apply(body []byte, done map[capKey]bool) bool {
+	var r struct {
+		Phase      string       `json:"phase"`
+		K          int          `json:"k"`
+		Time       string       `json:"time"`
+		Modules    []string     `json:"modules"`
+		Cost       CostSnapshot `json:"cost"`
+		Quarantine []string     `json:"quarantine"`
 	}
-	if err := ck.Validate(); err != nil {
-		return nil, err
+	if json.Unmarshal(body, &r) != nil || r.Cost.validate() != nil {
+		return false
 	}
-	return &ck, nil
+	// Deltas are non-negative, so a negative sum means it overflowed.
+	cost := ck.Cost.addEval(evalCostFromSnapshot(r.Cost))
+	if cost.validate() != nil {
+		return false
+	}
+	keys := make([]uint64, len(r.Quarantine))
+	for i, q := range r.Quarantine {
+		v, err := strconv.ParseUint(q, 16, 64)
+		if err != nil {
+			return false
+		}
+		keys[i] = v
+	}
+	if r.Phase != phaseResumed {
+		key := capKey{r.Phase, r.K}
+		t, err := parseTime(r.Time)
+		if err != nil || r.K < 0 || r.K >= ck.Samples || done[key] {
+			return false
+		}
+		switch r.Phase {
+		case phaseCollect:
+			if len(r.Modules) != ck.Modules {
+				return false
+			}
+			per := make([]float64, len(r.Modules))
+			for mi, s := range r.Modules {
+				if per[mi], err = parseTime(s); err != nil {
+					return false
+				}
+			}
+			ck.CollectDone = append(ck.CollectDone, r.K)
+			ck.Totals = append(ck.Totals, t)
+			ck.Times = append(ck.Times, per)
+		case phaseSearch:
+			if len(r.Modules) != 0 {
+				return false
+			}
+			ck.CFRDone = append(ck.CFRDone, r.K)
+			ck.CFRTimes = append(ck.CFRTimes, t)
+		default:
+			return false
+		}
+		done[key] = true
+	}
+	ck.Cost = cost
+	ck.Quarantine = append(ck.Quarantine, keys...)
+	return true
 }
 
-// LoadCheckpointFile reads and validates a checkpoint from disk.
-func LoadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+// decodeCheckpoint replays a checkpoint log: the header record, then
+// every progress record up to the first torn, damaged or inconsistent
+// one. A missing or damaged header is an error.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	var ck *Checkpoint
+	var err error
+	done := make(map[capKey]bool)
+	fsx.ReadRecords(data, func(body []byte) bool {
+		if ck != nil {
+			return ck.apply(body, done)
+		}
+		ck, err = decodeHeader(body)
+		return err == nil
+	})
+	if ck == nil && err == nil {
+		// A version-1 checkpoint is one JSON document, not a log.
+		var doc struct {
+			Version int `json:"version"`
+		}
+		if json.Unmarshal(data, &doc) == nil && doc.Version != 0 {
+			return nil, versionError(doc.Version)
+		}
+		return nil, errors.New("core: checkpoint has no valid header record")
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return DecodeCheckpoint(f)
+	slices.Sort(ck.Quarantine)
+	ck.Quarantine = slices.Compact(ck.Quarantine)
+	return ck, nil
 }
 
-// Checkpointer persists tuning progress to a file. It is safe for
-// concurrent use by the session's evaluation workers: marks are applied
-// under a lock, and every `every` completed evaluations a background
-// writer commits the newest state atomically (write-temp, fsync, rename,
-// fsync the directory). The writer encodes under the lock but commits
-// with it released, so a cadence write never stalls the marking worker
-// or its gate slot, and writes that come due while one is in flight
-// coalesce into the next. Flush, called at phase boundaries and on
-// cancellation, kill and drain, waits for the writer and then writes
-// synchronously, so the file it leaves reflects every marked evaluation.
-// A crash therefore loses at most `every` evaluations plus those
-// completed during one in-flight cadence write.
+func decodeHeader(body []byte) (*Checkpoint, error) {
+	ck := new(Checkpoint)
+	if err := json.Unmarshal(body, ck); err != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint header: %w", err)
+	}
+	if ck.Version != CheckpointVersion {
+		return nil, versionError(ck.Version)
+	}
+	if ck.Samples < 1 || ck.TopX < 1 || ck.TopX > ck.Samples {
+		return nil, fmt.Errorf("core: checkpoint has implausible budget (samples=%d, topx=%d)", ck.Samples, ck.TopX)
+	}
+	if ck.Modules < 1 {
+		return nil, fmt.Errorf("core: checkpoint has %d modules", ck.Modules)
+	}
+	return ck, nil
+}
+
+func versionError(v int) error {
+	return fmt.Errorf("core: unsupported checkpoint version %d (want %d)", v, CheckpointVersion)
+}
+
+// DecodeCheckpoint reads and replays a checkpoint log.
+func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	return decodeCheckpoint(data)
+}
+
+// LoadCheckpointFile reads and replays a checkpoint log from disk.
+func LoadCheckpointFile(path string) (*Checkpoint, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return decodeCheckpoint(data)
+}
+
+// Checkpointer persists tuning progress to a log file. It is safe for
+// concurrent use by the session's evaluation workers: each mark seals
+// one record onto an in-memory tail under a lock, and every `every`
+// completed evaluations a background writer appends the tail to the
+// file and fsyncs it with the lock released, so a cadence write never
+// stalls the marking worker or its gate slot, and writes that come due
+// while one is in flight coalesce into the next. Flush, called at phase
+// boundaries and on cancellation, kill and drain, waits for the writer
+// and then writes the rest itself, so the file it leaves holds every
+// marked evaluation. A crash therefore loses at most `every`
+// evaluations plus those completed during one in-flight cadence write.
 type Checkpointer struct {
 	mu      sync.Mutex
 	every   int
 	pending int
-	ck      *Checkpoint
+	// ck is the log's header and the progress Resume loaded (none for a
+	// fresh run). Marks do not update it; they only append records.
+	ck *Checkpoint
 
-	// buf is the one encode buffer, reused across writes. The cadence
-	// writer fills and commits it while writer is non-nil; Flush only
-	// touches it after the writer has exited, under mu.
-	buf []byte
+	// tail holds the sealed records no write has landed yet: until the
+	// first write, the header and any resumed progress too. A write
+	// takes it and leaves spare, its previous buffer, in its place; mark
+	// is the reused record-encoding buffer.
+	tail, spare, mark []byte
+	// durable is the length of the file's landed prefix; 0 until the
+	// first write lands.
+	durable int64
 	// writer is closed when the running cadence writer exits; nil when
 	// none is running.
 	writer chan struct{}
-	// commit durably replaces the checkpoint file with data (tests
-	// substitute it to hold a cadence write in flight).
-	commit func(data []byte) error
+	// commit writes data at offset off of the checkpoint file (tests
+	// substitute it to hold a write in flight or fail it part-way).
+	commit func(off int64, data []byte) error
 }
 
 // NewCheckpointer writes checkpoints to path every `every` completed
@@ -205,61 +323,68 @@ func NewCheckpointer(path string, every int) *Checkpointer {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
-	return &Checkpointer{every: every, commit: func(data []byte) error {
-		return atomicWriteFile(path, data, 0o644)
+	return &Checkpointer{every: every, commit: func(off int64, data []byte) error {
+		return writeLog(path, off, data)
 	}}
 }
 
-// Resume primes the checkpointer with previously persisted state. It must
-// be called before AttachCheckpointer. The checkpointer keeps a canonical
-// copy: done times and quarantine keys are re-formatted from their parsed
-// values and every slot not marked done is emptied, so no string read
-// from disk is ever copied raw into a later checkpoint file.
-func (c *Checkpointer) Resume(ck *Checkpoint) error {
-	if err := ck.Validate(); err != nil {
+// writeLog writes data at offset off of the log at path. The first
+// write (off 0) creates the file atomically. A later one first cuts
+// away whatever a failed write left past off, so a torn append never
+// strands the records after it, then appends and fsyncs.
+func writeLog(path string, off int64, data []byte) error {
+	if off == 0 {
+		return fsx.WriteFileAtomic(path, data, 0o644)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
 		return err
 	}
-	canon := ck.canonical()
-	c.mu.Lock()
-	c.ck = canon
-	c.mu.Unlock()
-	return nil
+	err = f.Truncate(off)
+	if err == nil {
+		_, err = f.WriteAt(data, off)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// canonical returns a copy of a validated checkpoint holding only what
-// its done lists and quarantine keys vouch for, in the formatting this
-// package writes.
-func (ck *Checkpoint) canonical() *Checkpoint {
-	out := *ck
-	out.CollectDone = slices.Clone(ck.CollectDone)
-	out.CFRDone = slices.Clone(ck.CFRDone)
-	out.Times = make([][]string, len(ck.Times))
-	for mi := range out.Times {
-		out.Times[mi] = make([]string, ck.Samples)
+// Resume primes the checkpointer with progress LoadCheckpointFile or
+// DecodeCheckpoint returned. It must be called before
+// AttachCheckpointer. It queues a fresh log of that progress — the
+// header, one record per done sample, then one record with the cost
+// and quarantine — encoded from the parsed values, so nothing read from
+// disk is copied raw into a later file.
+func (c *Checkpointer) Resume(ck *Checkpoint) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ck = ck
+	c.queueHeaderLocked()
+	for i, k := range ck.CollectDone {
+		c.queueLocked(appendMark(c.mark[:0], phaseCollect, k, ck.Totals[i], ck.Times[i], CostSnapshot{}, nil))
 	}
-	out.Totals = make([]string, ck.Samples)
-	out.CFRTimes = make([]string, ck.Samples)
-	reformat := func(s string) string {
-		v, _ := parseTime(s)
-		return formatTime(v)
+	for i, k := range ck.CFRDone {
+		c.queueLocked(appendMark(c.mark[:0], phaseSearch, k, ck.CFRTimes[i], nil, CostSnapshot{}, nil))
 	}
-	for _, k := range ck.CollectDone {
-		out.Totals[k] = reformat(ck.Totals[k])
-		for mi := range ck.Times {
-			out.Times[mi][k] = reformat(ck.Times[mi][k])
-		}
-	}
-	for _, k := range ck.CFRDone {
-		out.CFRTimes[k] = reformat(ck.CFRTimes[k])
-	}
-	if ck.Quarantine != nil {
-		out.Quarantine = make([]string, len(ck.Quarantine))
-		for i, q := range ck.Quarantine {
-			v, _ := strconv.ParseUint(q, 16, 64)
-			out.Quarantine[i] = strconv.FormatUint(v, 16)
-		}
-	}
-	return &out
+	c.queueLocked(appendMark(c.mark[:0], phaseResumed, 0, 0, nil, ck.Cost, ck.Quarantine))
+}
+
+// queueHeaderLocked seals c.ck's identity fields as the header record.
+func (c *Checkpointer) queueHeaderLocked() {
+	// Cannot fail: the encoded fields are strings and ints.
+	hdr, _ := json.Marshal(c.ck)
+	c.queueLocked(hdr)
+}
+
+// queueLocked seals one record body onto the tail and keeps the body's
+// buffer for the next mark.
+func (c *Checkpointer) queueLocked(body []byte) {
+	c.mark = body
+	c.tail = fsx.AppendRecord(c.tail, body)
 }
 
 // AttachCheckpointer binds a checkpointer to the session. If the
@@ -285,13 +410,8 @@ func (s *Session) AttachCheckpointer(c *Checkpointer) error {
 			TopX:      s.Config.TopX,
 			Modules:   len(s.Part.Modules),
 			Technique: TechniqueTag(s.Config.Technique),
-			Totals:    make([]string, s.Config.Samples),
-			CFRTimes:  make([]string, s.Config.Samples),
 		}
-		c.ck.Times = make([][]string, len(s.Part.Modules))
-		for mi := range c.ck.Times {
-			c.ck.Times[mi] = make([]string, s.Config.Samples)
-		}
+		c.queueHeaderLocked()
 	} else {
 		ck := c.ck
 		mismatch := func(field, got, want string) error {
@@ -319,15 +439,7 @@ func (s *Session) AttachCheckpointer(c *Checkpointer) error {
 		if ck.Modules != len(s.Part.Modules) {
 			return fmt.Errorf("core: checkpoint has %d modules, session has %d", ck.Modules, len(s.Part.Modules))
 		}
-		keys := make([]uint64, 0, len(ck.Quarantine))
-		for _, q := range ck.Quarantine {
-			v, err := strconv.ParseUint(q, 16, 64)
-			if err != nil {
-				return fmt.Errorf("core: bad quarantine key %q", q)
-			}
-			keys = append(keys, v)
-		}
-		s.restoreQuarantine(keys)
+		s.restoreQuarantine(ck.Quarantine)
 		s.Cost.restore(ck.Cost)
 	}
 	s.ckpt = c
@@ -336,52 +448,41 @@ func (s *Session) AttachCheckpointer(c *Checkpointer) error {
 
 // restoreCollect fills completed collection samples into col and done.
 func (c *Checkpointer) restoreCollect(col *Collection, done []bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, k := range c.ck.CollectDone {
+	ck := c.ck
+	for i, k := range ck.CollectDone {
 		done[k] = true
-		col.Totals[k], _ = parseTime(c.ck.Totals[k])
+		col.Totals[k] = ck.Totals[i]
 		for mi := range col.Times {
-			col.Times[mi][k], _ = parseTime(c.ck.Times[mi][k])
+			col.Times[mi][k] = ck.Times[i][mi]
 		}
 	}
 }
 
 // restoreCFR fills completed search-phase samples into times and done.
 func (c *Checkpointer) restoreCFR(times []float64, done []bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, k := range c.ck.CFRDone {
+	for i, k := range c.ck.CFRDone {
 		done[k] = true
-		times[k], _ = parseTime(c.ck.CFRTimes[k])
+		times[k] = c.ck.CFRTimes[i]
 	}
 }
 
 // markCollect records one completed collection sample with its cost and
-// the session's current quarantine set, flushing on cadence.
-func (c *Checkpointer) markCollect(s *Session, k int, per []float64, total float64, ec evalCost) {
+// the keys it quarantined, writing on cadence.
+func (c *Checkpointer) markCollect(k int, per []float64, total float64, ec evalCost) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ck.CollectDone = append(c.ck.CollectDone, k)
-	c.ck.Totals[k] = formatTime(total)
-	for mi := range per {
-		c.ck.Times[mi][k] = formatTime(per[mi])
-	}
-	c.markedLocked(s, ec)
+	c.markedLocked(appendMark(c.mark[:0], phaseCollect, k, total, per, snapshotEval(ec), ec.quarantined))
 }
 
 // markCFR records one completed search-phase sample.
-func (c *Checkpointer) markCFR(s *Session, k int, t float64, ec evalCost) {
+func (c *Checkpointer) markCFR(k int, t float64, ec evalCost) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ck.CFRDone = append(c.ck.CFRDone, k)
-	c.ck.CFRTimes[k] = formatTime(t)
-	c.markedLocked(s, ec)
+	c.markedLocked(appendMark(c.mark[:0], phaseSearch, k, t, nil, snapshotEval(ec), ec.quarantined))
 }
 
-func (c *Checkpointer) markedLocked(s *Session, ec evalCost) {
-	c.ck.Cost = c.ck.Cost.addEval(ec)
-	c.syncQuarantineLocked(s)
+func (c *Checkpointer) markedLocked(body []byte) {
+	c.queueLocked(body)
 	c.pending++
 	if c.pending >= c.every && c.writer == nil {
 		c.writer = make(chan struct{})
@@ -389,39 +490,27 @@ func (c *Checkpointer) markedLocked(s *Session, ec evalCost) {
 	}
 }
 
-// writeBehind is the cadence writer. It encodes the newest state under
-// the lock, commits it with the lock released, and loops while another
-// cadence came due during the commit. A cadence write is best effort: a
-// failure that persists surfaces from the next Flush.
+// writeBehind is the cadence writer. It takes the tail under the lock,
+// writes it with the lock released, and loops while another cadence
+// came due during the write. A cadence write is best effort: a failure
+// that persists surfaces from the next Flush.
 func (c *Checkpointer) writeBehind() {
 	c.mu.Lock()
 	for c.pending >= c.every {
-		data := c.encodeLocked()
+		data, off := c.takeLocked()
 		c.mu.Unlock()
-		_ = c.commit(data)
+		err := c.commit(off, data)
 		c.mu.Lock()
+		c.landedLocked(data, off, err)
 	}
 	close(c.writer)
 	c.writer = nil
 	c.mu.Unlock()
 }
 
-// syncQuarantineLocked snapshots the session's quarantine set. The set may
-// momentarily include CVs from evaluations not yet marked complete; that
-// is harmless, because quarantine membership is deterministic per CV and
-// a resumed run re-derives the same entries when it re-evaluates them.
-func (c *Checkpointer) syncQuarantineLocked(s *Session) {
-	keys := s.Quarantined()
-	qs := make([]string, len(keys))
-	for i, k := range keys {
-		qs[i] = strconv.FormatUint(k, 16)
-	}
-	c.ck.Quarantine = qs
-}
-
-// Flush writes the checkpoint to disk atomically. It first waits for a
-// cadence write in flight to finish, then commits the current state
-// itself and returns the commit's error.
+// Flush writes every record not yet on disk. It first waits for a
+// cadence write in flight to finish, then writes the rest itself and
+// returns the write's error.
 func (c *Checkpointer) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -431,156 +520,34 @@ func (c *Checkpointer) Flush() error {
 		<-w
 		c.mu.Lock()
 	}
-	if c.ck == nil {
+	if len(c.tail) == 0 {
 		return nil
 	}
-	return c.commit(c.encodeLocked())
+	data, off := c.takeLocked()
+	return c.landedLocked(data, off, c.commit(off, data))
 }
 
-// encodeLocked resets the cadence and encodes the current state into the
-// reused buffer.
-func (c *Checkpointer) encodeLocked() []byte {
+// takeLocked resets the cadence and hands the tail to a write at the
+// durable length.
+func (c *Checkpointer) takeLocked() ([]byte, int64) {
 	c.pending = 0
-	slices.Sort(c.ck.CollectDone)
-	slices.Sort(c.ck.CFRDone)
-	c.buf = appendCheckpoint(c.buf[:0], c.ck)
-	return c.buf
+	data := c.tail
+	c.tail = c.spare[:0]
+	return data, c.durable
 }
 
-// appendCheckpoint appends ck as compact JSON, byte for byte what
-// json.Marshal produces, without reflection. Header strings are escaped;
-// time and quarantine strings are appended verbatim, which is safe
-// because every one of them comes from formatTime or FormatUint: marks
-// format what they store, and Resume re-formats what it loads.
-func appendCheckpoint(b []byte, ck *Checkpoint) []byte {
-	b = appendInt(b, `{"version":`, int64(ck.Version))
-	b = appendJSONString(append(b, `,"program":`...), ck.Program)
-	b = appendJSONString(append(b, `,"machine":`...), ck.Machine)
-	b = appendJSONString(append(b, `,"flavor":`...), ck.Flavor)
-	b = appendJSONString(append(b, `,"seed":`...), ck.Seed)
-	b = appendInt(b, `,"samples":`, int64(ck.Samples))
-	b = appendInt(b, `,"topx":`, int64(ck.TopX))
-	b = appendInt(b, `,"modules":`, int64(ck.Modules))
-	if ck.Technique != "" {
-		b = appendJSONString(append(b, `,"technique":`...), ck.Technique)
+// landedLocked settles a write of data at off. On success the file's
+// durable prefix grows by data; on failure data goes back in front of
+// the records marked meanwhile, for the next write to retry at the same
+// offset.
+func (c *Checkpointer) landedLocked(data []byte, off int64, err error) error {
+	if err != nil {
+		marked := c.tail
+		c.tail = append(data, marked...)
+		c.spare = marked
+		return err
 	}
-	b = appendInts(append(b, `,"collect_done":`...), ck.CollectDone)
-	b = append(b, `,"times":`...)
-	if ck.Times == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for mi, row := range ck.Times {
-			if mi > 0 {
-				b = append(b, ',')
-			}
-			b = appendStrings(b, row)
-		}
-		b = append(b, ']')
-	}
-	b = appendStrings(append(b, `,"totals":`...), ck.Totals)
-	b = appendInts(append(b, `,"cfr_done":`...), ck.CFRDone)
-	b = appendStrings(append(b, `,"cfr_times":`...), ck.CFRTimes)
-	b = appendStrings(append(b, `,"quarantine":`...), ck.Quarantine)
-	c := ck.Cost
-	b = appendInt(b, `,"cost":{"compiles":`, c.Compiles)
-	b = appendInt(b, `,"runs":`, c.Runs)
-	b = appendInt(b, `,"sim_micros":`, c.SimMicros)
-	b = appendInt(b, `,"retries":`, c.Retries)
-	b = appendInt(b, `,"wasted_compiles":`, c.WastedCompiles)
-	b = appendInt(b, `,"fault_micros":`, c.FaultMicros)
-	b = appendInt(b, `,"compile_fails":`, c.CompileFails)
-	b = appendInt(b, `,"run_crashes":`, c.RunCrashes)
-	b = appendInt(b, `,"timeouts":`, c.Timeouts)
-	b = appendInt(b, `,"flakes":`, c.Flakes)
-	return append(b, "}}"...)
-}
-
-// appendInt appends key, which carries its own punctuation, and v.
-func appendInt(b []byte, key string, v int64) []byte {
-	return strconv.AppendInt(append(b, key...), v, 10)
-}
-
-func appendInts(b []byte, xs []int) []byte {
-	if xs == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, x := range xs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(x), 10)
-	}
-	return append(b, ']')
-}
-
-// appendStrings appends strings that need no escaping (see
-// appendCheckpoint) as a JSON array.
-func appendStrings(b []byte, ss []string) []byte {
-	if ss == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, s := range ss {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '"')
-		b = append(b, s...)
-		b = append(b, '"')
-	}
-	return append(b, ']')
-}
-
-// appendJSONString appends s as a JSON string literal, escaped exactly as
-// encoding/json escapes it: quotes, backslashes and control characters,
-// the HTML-sensitive <, > and &, U+2028 and U+2029, and invalid UTF-8 as
-// U+FFFD.
-func appendJSONString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			switch {
-			case c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&':
-				b = append(b, c)
-			case c == '"' || c == '\\':
-				b = append(b, '\\', c)
-			case c == '\b':
-				b = append(b, '\\', 'b')
-			case c == '\f':
-				b = append(b, '\\', 'f')
-			case c == '\n':
-				b = append(b, '\\', 'n')
-			case c == '\r':
-				b = append(b, '\\', 'r')
-			case c == '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			b = append(b, s[i:i+size]...)
-		}
-		i += size
-	}
-	return append(b, '"')
-}
-
-// atomicWriteFile commits data to path with full crash durability:
-// write-temp, fsync, rename, fsync the parent directory. Shared with
-// the results repository via internal/fsx.
-func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	return fsx.WriteFileAtomic(path, data, perm)
+	c.durable = off + int64(len(data))
+	c.spare = data
+	return nil
 }

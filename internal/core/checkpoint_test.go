@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"funcytuner/internal/compiler"
 	"funcytuner/internal/faults"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/fsx"
 	"funcytuner/internal/outline"
 )
 
@@ -46,9 +49,7 @@ func newCkptSession(t *testing.T, path string, killAfter, workers int) *Session 
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ckpt.Resume(ck); err != nil {
-				t.Fatal(err)
-			}
+			ckpt.Resume(ck)
 		}
 		if err := s.AttachCheckpointer(ckpt); err != nil {
 			t.Fatal(err)
@@ -209,9 +210,7 @@ func TestAttachMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCheckpointer(filepath.Join(t.TempDir(), "x.ckpt"), 0)
-		if err := c.Resume(&cp); err != nil {
-			return err
-		}
+		c.Resume(&cp)
 		return sess.AttachCheckpointer(c)
 	}
 	good := Config{Samples: 50, TopX: 8, Seed: "ckpt-test", Noisy: true}
@@ -239,16 +238,17 @@ func TestAttachMismatch(t *testing.T) {
 // Hex-float serialization must round-trip every legitimate measurement,
 // including the ±Inf of failed evaluations.
 func TestTimeRoundTrip(t *testing.T) {
+	format := func(v float64) string { return strings.Trim(string(appendTime(nil, v)), `"`) }
 	for _, v := range []float64{0, 1.5, 1e-300, 123.456789012345678, math.Inf(1), math.Inf(-1), 5772.25} {
-		got, err := parseTime(formatTime(v))
+		got, err := parseTime(format(v))
 		if err != nil {
-			t.Fatalf("parseTime(formatTime(%v)): %v", v, err)
+			t.Fatalf("parseTime(%s): %v", format(v), err)
 		}
 		if got != v {
 			t.Fatalf("round-trip %v -> %v", v, got)
 		}
 	}
-	if _, err := parseTime(formatTime(math.NaN())); err == nil {
+	if _, err := parseTime(format(math.NaN())); err == nil {
 		t.Error("NaN accepted")
 	}
 	if _, err := parseTime("bogus"); err == nil {
@@ -256,41 +256,84 @@ func TestTimeRoundTrip(t *testing.T) {
 	}
 }
 
-// DecodeCheckpoint rejects structurally broken documents.
-func TestDecodeCheckpointRejects(t *testing.T) {
-	bad := []string{
-		`not json`,
-		`{"version":99}`,
-		`{"version":1,"samples":0,"topx":0,"modules":1}`,
-		`{"version":1,"samples":4,"topx":2,"modules":1,"times":[[]],"totals":[],"cfr_times":[]}`,
-		`{"version":1,"samples":2,"topx":1,"modules":1,
-		  "times":[["",""]],"totals":["",""],"cfr_times":["",""],
-		  "collect_done":[5]}`,
-		`{"version":1,"samples":2,"topx":1,"modules":1,
-		  "times":[["",""]],"totals":["",""],"cfr_times":["",""],
-		  "cfr_done":[0,0]}`,
-		`{"version":1,"samples":2,"topx":1,"modules":1,
-		  "times":[["",""]],"totals":["",""],"cfr_times":["",""],
-		  "quarantine":["zzz"]}`,
-		`{"version":1,"samples":2,"topx":1,"modules":1,
-		  "times":[["",""]],"totals":["",""],"cfr_times":["",""],
-		  "cost":{"runs":-1}}`,
+// sealed builds a checkpoint log from record bodies.
+func sealed(bodies ...string) []byte {
+	var log []byte
+	for _, b := range bodies {
+		log = fsx.AppendRecord(log, []byte(b))
 	}
-	for i, doc := range bad {
-		if _, err := DecodeCheckpoint(strings.NewReader(doc)); err == nil {
-			t.Errorf("bad checkpoint %d accepted", i)
+	return log
+}
+
+const testHeader = `{"version":2,"program":"CL","machine":"broadwell","flavor":"icc","seed":"s","samples":4,"topx":2,"modules":2}`
+
+// DecodeCheckpoint rejects a log without a valid header, naming the
+// version of a document from another format version, and replay stops
+// at the first record that does not fit the header or the records
+// before it.
+func TestDecodeCheckpointRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"empty", "no valid header", nil},
+		{"not a log", "no valid header", []byte("not json")},
+		{"version-1 document", "unsupported checkpoint version 1 ", []byte(`{"version":1,"program":"CL","samples":4,"topx":2,"modules":1,
+		  "collect_done":[0],"times":[["0x1p+00","","",""]],"totals":["0x1p+00","","",""],"cfr_done":[],"cfr_times":["","","",""]}`)},
+		{"cut header", "no valid header", sealed(testHeader)[:40]},
+		{"header not JSON", "decoding checkpoint header", sealed(`[1]`)},
+		{"header version 99", "unsupported checkpoint version 99", sealed(strings.Replace(testHeader, `"version":2`, `"version":99`, 1))},
+		{"no samples", "implausible budget", sealed(strings.Replace(testHeader, `"samples":4`, `"samples":0`, 1))},
+		{"topx above samples", "implausible budget", sealed(strings.Replace(testHeader, `"topx":2`, `"topx":5`, 1))},
+		{"no modules", "0 modules", sealed(strings.Replace(testHeader, `"modules":2`, `"modules":0`, 1))},
+	} {
+		if _, err := DecodeCheckpoint(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	good := []string{
+		testHeader,
+		`{"phase":"collect","k":1,"time":"0x1.8p+01","modules":["0x1p+00","+Inf"],"cost":{"compiles":2,"runs":1},"quarantine":["a3"]}`,
+		`{"phase":"search","k":1,"time":"-Inf","cost":{"runs":1,"sim_micros":7}}`,
+	}
+	for _, bad := range []string{
+		`{"phase":"collect","k":4,"time":"0x1p+00","modules":["0x1p+00","0x1p+00"]}`,
+		`{"phase":"collect","k":-1,"time":"0x1p+00","modules":["0x1p+00","0x1p+00"]}`,
+		`{"phase":"collect","k":1,"time":"0x1p+00","modules":["0x1p+00","0x1p+00"]}`,
+		`{"phase":"search","k":1,"time":"0x1p+00"}`,
+		`{"phase":"collect","k":2,"time":"0x1p+00","modules":["0x1p+00"]}`,
+		`{"phase":"collect","k":2,"time":"0x1p+00","modules":["0x1p+00","NaN"]}`,
+		`{"phase":"search","k":2,"time":"soon"}`,
+		`{"phase":"search","k":2}`,
+		`{"phase":"search","k":2,"time":"0x1p+00","modules":["0x1p+00","0x1p+00"]}`,
+		`{"phase":"search","k":2,"time":"0x1p+00","cost":{"runs":-1}}`,
+		`{"phase":"search","k":2,"time":"0x1p+00","cost":{"runs":9223372036854775807}}`,
+		`{"phase":"search","k":2,"time":"0x1p+00","quarantine":["zz"]}`,
+		`{"phase":"greedy","k":2,"time":"0x1p+00"}`,
+		`{"k":2,"time":"0x1p+00"}`,
+		`not json`,
+	} {
+		ck, err := DecodeCheckpoint(bytes.NewReader(sealed(append(good[:len(good):len(good)], bad, good[2])...)))
+		if err != nil {
+			t.Fatalf("record %s: %v", bad, err)
+		}
+		if !slices.Equal(ck.CollectDone, []int{1}) || !slices.Equal(ck.CFRDone, []int{1}) ||
+			!slices.Equal(ck.Quarantine, []uint64{0xa3}) || ck.Cost != (CostSnapshot{Compiles: 2, Runs: 2, SimMicros: 7}) {
+			t.Errorf("record %s: replay did not stop before it: %+v", bad, ck)
 		}
 	}
 }
 
-// A failed flush must never corrupt the previously committed
-// checkpoint: atomicWriteFile stages into a temp file and only renames
-// a fully synced image over the destination. This is the torn-write
-// regression test for the durability fix (fsync before rename).
+// A failed write must never corrupt the previously committed file:
+// fsx.WriteFileAtomic, which creates every checkpoint log, stages into a
+// temp file and only renames a fully synced image over the destination.
+// This is the torn-write regression test for the durability fix (fsync
+// before rename).
 func TestAtomicWriteFailureKeepsCommitted(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
-	if err := atomicWriteFile(path, []byte("committed"), 0o644); err != nil {
+	if err := fsx.WriteFileAtomic(path, []byte("committed"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Sabotage the staging path: a directory squatting on <path>.tmp
@@ -298,7 +341,7 @@ func TestAtomicWriteFailureKeepsCommitted(t *testing.T) {
 	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWriteFile(path, []byte("torn"), 0o644); err == nil {
+	if err := fsx.WriteFileAtomic(path, []byte("torn"), 0o644); err == nil {
 		t.Fatal("write through a blocked temp path should fail")
 	}
 	got, err := os.ReadFile(path)
@@ -311,7 +354,7 @@ func TestAtomicWriteFailureKeepsCommitted(t *testing.T) {
 	if err := os.Remove(path + ".tmp"); err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWriteFile(path, []byte("recovered"), 0o644); err != nil {
+	if err := fsx.WriteFileAtomic(path, []byte("recovered"), 0o644); err != nil {
 		t.Fatalf("write after clearing temp path: %v", err)
 	}
 	if got, _ := os.ReadFile(path); string(got) != "recovered" {
@@ -322,98 +365,232 @@ func TestAtomicWriteFailureKeepsCommitted(t *testing.T) {
 	}
 }
 
-// A checkpoint torn mid-file (as a crash between write and fsync could
-// leave it without the durability ordering) must be rejected on load,
-// never half-resumed.
+// recordEnds returns the byte offset just past each whole record of log.
+func recordEnds(log []byte) []int {
+	var ends []int
+	end := 0
+	fsx.ReadRecords(log, func([]byte) bool {
+		end += bytes.IndexByte(log[end:], '\n') + 1
+		ends = append(ends, end)
+		return true
+	})
+	return ends
+}
+
+// progress counts the samples a checkpoint holds.
+func progress(ck *Checkpoint) int { return len(ck.CollectDone) + len(ck.CFRDone) }
+
+// A checkpoint log torn at any byte — as a crash mid-append leaves it —
+// loads as its valid prefix; only a log torn inside its header is
+// rejected. Resuming from a torn log still reproduces the uninterrupted
+// run.
 func TestTruncatedCheckpointRejected(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
-	s := newCkptSession(t, path, 0, 1)
-	if err := s.ckpt.Flush(); err != nil {
+	path := filepath.Join(t.TempDir(), "ck.json")
+	full := newCkptSession(t, path, 0, 1)
+	col, err := full.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.CFR(context.Background(), col)
+	if err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpointFile(path); err != nil {
-		t.Fatalf("full checkpoint should load: %v", err)
+	ends := recordEnds(data)
+	if len(ends) != 101 || ends[100] != len(data) {
+		t.Fatalf("finished log has %d records over %d of %d bytes, want a header and 100 samples", len(ends), ends[len(ends)-1], len(data))
 	}
-	for _, frac := range []float64{0.25, 0.5, 0.9} {
-		torn := data[:int(float64(len(data))*frac)]
-		if err := os.WriteFile(path, torn, 0o644); err != nil {
+	// Every byte of the first records, then around every later record
+	// boundary and mid-record.
+	cuts := make([]int, 0, ends[2]+4*len(ends))
+	for n := 0; n <= ends[2]; n++ {
+		cuts = append(cuts, n)
+	}
+	for i := 3; i < len(ends); i++ {
+		cuts = append(cuts, ends[i-1]+1, (ends[i-1]+ends[i])/2, ends[i]-1, ends[i])
+	}
+	for _, n := range cuts {
+		ck, err := DecodeCheckpoint(bytes.NewReader(data[:n]))
+		whole := sort.SearchInts(ends, n+1) // records entirely within data[:n]
+		if whole == 0 {
+			if err == nil {
+				t.Fatalf("log torn inside its header (%d of %d bytes) accepted", n, ends[0])
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("log torn at %d bytes: %v", n, err)
+		}
+		if progress(ck) != whole-1 {
+			t.Fatalf("log torn at %d bytes loads %d samples, want the %d complete records", n, progress(ck), whole-1)
+		}
+	}
+
+	for _, cut := range []int{ends[20] + 9, ends[70] - 1} {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadCheckpointFile(path); err == nil {
-			t.Errorf("torn checkpoint (%d/%d bytes) accepted", len(torn), len(data))
-		}
-	}
-}
-
-// A flush that fails on cadence mid-run must leave the previous
-// checkpoint loadable and resumable.
-func TestFlushFailureLeavesResumableCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
-	s := newCkptSession(t, path, 0, 1)
-	if err := s.ckpt.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ckpt.Flush(); err == nil {
-		t.Fatal("flush through a blocked temp path should fail")
-	}
-	ck, err := LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatalf("previous checkpoint unreadable after failed flush: %v", err)
-	}
-	if err := ck.Validate(); err != nil {
-		t.Fatalf("previous checkpoint invalid after failed flush: %v", err)
-	}
-}
-
-// The hand-written encoder writes exactly what json.Marshal writes: the
-// v1 fields in struct order, compact, with header strings escaped the
-// same way.
-func TestCheckpointEncodingMatchesMarshal(t *testing.T) {
-	s := newCkptSession(t, filepath.Join(t.TempDir(), "ck.json"), 0, 4)
-	col, err := s.Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CFR(context.Background(), col); err != nil {
-		t.Fatal(err)
-	}
-	session := s.ckpt.ck
-	if len(session.Quarantine) == 0 {
-		t.Fatal("faulted session quarantined nothing; the case covers no keys")
-	}
-	escaped := *session
-	escaped.Seed = "q\"b\\s <a>&b \b\f\n\r\t\x00\x1f\x7f é \u2028\u2029 \xff\xc3 \ufffd end"
-	escaped.Program = "</script>"
-	escaped.Technique = "ga"
-	for name, ck := range map[string]*Checkpoint{
-		"session": session,
-		"escaped": &escaped,
-		"empty":   {Version: CheckpointVersion, Seed: "s"},
-	} {
-		want, err := json.Marshal(ck)
+		resumed := newCkptSession(t, path, 0, 4)
+		rcol, err := resumed.Collect(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendCheckpoint(nil, ck); !bytes.Equal(got, want) {
-			t.Errorf("%s: encoder output differs from json.Marshal\n got: %.300s\nwant: %.300s", name, got, want)
+		got, err := resumed.CFR(context.Background(), rcol)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got.BestMeasured != want.BestMeasured || !slices.Equal(got.Trace, want.Trace) || snapshot(resumed) != snapshot(full) {
+			t.Fatalf("resumed from a log torn at %d bytes: best %v, cost %+v; uninterrupted %v, %+v",
+				cut, got.BestMeasured, snapshot(resumed), want.BestMeasured, snapshot(full))
+		}
+	}
+}
+
+// A write that fails part-way must leave the previous log loadable, and
+// the next write must persist every mark and its cost over whatever the
+// failed write left behind.
+func TestFlushFailureLeavesResumableCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.json")
+	s := newCLSession(t, 10, 2, true)
+	c := NewCheckpointer(path, 100)
+	if err := s.AttachCheckpointer(c); err != nil {
+		t.Fatal(err)
+	}
+	per := make([]float64, len(s.Part.Modules))
+	c.markCollect(0, per, 1.5, evalCost{runs: 1, simMicros: 10})
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := c.commit
+	c.commit = func(off int64, data []byte) error {
+		if err := commit(off, data[:len(data)/2]); err != nil {
+			return err
+		}
+		return errors.New("disk full")
+	}
+	c.markCollect(1, per, 2.5, evalCost{runs: 1, simMicros: 20, quarantined: []uint64{0x7}})
+	c.markCFR(0, 3.5, evalCost{runs: 1, simMicros: 30})
+	if err := c.Flush(); err == nil {
+		t.Fatal("a write that failed part-way reported success")
+	}
+	torn, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(torn, before) || len(torn) == len(before) {
+		t.Fatalf("the failed write did not leave a torn append after the previous log (%d -> %d bytes)", len(before), len(torn))
+	}
+	if ck, err := LoadCheckpointFile(path); err != nil || ck.CollectDone[0] != 0 {
+		t.Fatalf("previous log unreadable after a failed write: %v", err)
+	}
+
+	c.commit = commit
+	if err := c.Flush(); err != nil {
+		t.Fatalf("write after the failure: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ends := recordEnds(data); len(ends) != 4 || ends[3] != len(data) {
+		t.Fatalf("log after the retry has %d whole records over %d bytes, want 4 and nothing else", len(ends), len(data))
+	}
+	ck, err := LoadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ck.CollectDone, []int{0, 1}) || !slices.Equal(ck.Totals, []float64{1.5, 2.5}) ||
+		!slices.Equal(ck.CFRDone, []int{0}) || !slices.Equal(ck.CFRTimes, []float64{3.5}) ||
+		!slices.Equal(ck.Quarantine, []uint64{0x7}) || ck.Cost != (CostSnapshot{Runs: 3, SimMicros: 60}) {
+		t.Fatalf("retried log lost marks: %+v", ck)
+	}
+}
+
+// A mark seals its record into the checkpointer's reused buffers: once
+// they have grown, marking an evaluation allocates nothing.
+func TestMarkAllocatesNothing(t *testing.T) {
+	s := newCLSession(t, 10, 2, true)
+	c := NewCheckpointer(filepath.Join(t.TempDir(), "ck.json"), 1<<30)
+	if err := s.AttachCheckpointer(c); err != nil {
+		t.Fatal(err)
+	}
+	per := make([]float64, len(s.Part.Modules))
+	for mi := range per {
+		per[mi] = 1.0 / float64(mi+3)
+	}
+	ec := evalCost{compiles: int64(len(per)), runs: 1, simMicros: 20123, flakes: 1, quarantined: []uint64{0xfeedc0de}}
+	mark := func() {
+		c.tail = c.tail[:0] // no writer runs at this cadence; keep the tail from growing
+		c.markCollect(3, per, 1.5, ec)
+		c.markCFR(4, math.Inf(1), ec)
+	}
+	mark()
+	if n := testing.AllocsPerRun(100, mark); n != 0 {
+		t.Fatalf("two marks allocated %v times", n)
+	}
+}
+
+// The log's bytes are pinned: the header line, one collection record
+// (with a +Inf total, a cost and a quarantine key) and one search
+// record, each decoded back to what was marked.
+func TestCheckpointLogPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.json")
+	s := newCkptSession(t, "", 0, 1)
+	c := NewCheckpointer(path, 100)
+	if err := s.AttachCheckpointer(c); err != nil {
+		t.Fatal(err)
+	}
+	per := make([]float64, len(s.Part.Modules))
+	for mi := range per {
+		per[mi] = 0.75 * float64(mi+1)
+	}
+	c.markCollect(3, per, math.Inf(1), evalCost{compiles: int64(len(per)), runs: 1, simMicros: 100,
+		wastedCompiles: int64(len(per)), compileFails: 1, quarantined: []uint64{0xfeedc0de}})
+	c.markCFR(7, 12.25, evalCost{compiles: 2, runs: 2, simMicros: 12250000, flakes: 1, retries: 1})
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"v":1,"sum":"3bf04f0cacdb7d79","body":{"version":2,"program":"CL","machine":"broadwell","flavor":"icc","seed":"ckpt-test","samples":50,"topx":8,"modules":12}}
+{"v":1,"sum":"9a3ce7d0c9a9abc6","body":{"phase":"collect","k":3,"time":"+Inf","modules":["0x1.8p-01","0x1.8p+00","0x1.2p+01","0x1.8p+01","0x1.ep+01","0x1.2p+02","0x1.5p+02","0x1.8p+02","0x1.bp+02","0x1.ep+02","0x1.08p+03","0x1.2p+03"],"cost":{"compiles":12,"runs":1,"sim_micros":100,"wasted_compiles":12,"compile_fails":1},"quarantine":["feedc0de"]}}
+{"v":1,"sum":"c06d9807f7f90107","body":{"phase":"search","k":7,"time":"0x1.88p+03","cost":{"compiles":2,"runs":2,"sim_micros":12250000,"retries":1,"flakes":1}}}
+`
+	if string(data) != want {
+		t.Errorf("checkpoint log changed:\n got %s\nwant %s", data, want)
+	}
+	ck, err := LoadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ck.CollectDone, []int{3}) || !math.IsInf(ck.Totals[0], 1) || !slices.Equal(ck.Times[0], per) ||
+		!slices.Equal(ck.CFRDone, []int{7}) || !slices.Equal(ck.CFRTimes, []float64{12.25}) ||
+		!slices.Equal(ck.Quarantine, []uint64{0xfeedc0de}) {
+		t.Fatalf("decoded progress differs from the marks: %+v", ck)
+	}
+	wantCost := CostSnapshot{Compiles: int64(len(per)) + 2, Runs: 3, SimMicros: 12250100, Retries: 1,
+		WastedCompiles: int64(len(per)), CompileFails: 1, Flakes: 1}
+	if ck.Cost != wantCost {
+		t.Fatalf("decoded cost %+v, want %+v", ck.Cost, wantCost)
 	}
 }
 
 // The cadence writer runs behind the evaluation workers. With eight
 // workers marking at every evaluation and Flush racing the marks, the
-// final Flush must leave exactly the final state on disk and no temp
-// file. A Flush issued while a cadence write is in flight must wait for
-// the writer to exit and still return its own commit's error.
+// file after the final Flush must replay to exactly the collection and
+// search the session measured, each write must append only the records
+// marked since the previous one, and no temp file may remain. A Flush
+// issued while a cadence write is in flight must wait for the writer to
+// exit and still return its own write's error.
 func TestCheckpointWriteBehind(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
 	s := newCLSession(t, 60, 8, true)
@@ -422,6 +599,15 @@ func TestCheckpointWriteBehind(t *testing.T) {
 	c := NewCheckpointer(path, 1)
 	if err := s.AttachCheckpointer(c); err != nil {
 		t.Fatal(err)
+	}
+	var wmu sync.Mutex
+	var writes [][2]int64 // offset and length of every write
+	commit := c.commit
+	c.commit = func(off int64, data []byte) error {
+		wmu.Lock()
+		writes = append(writes, [2]int64{off, int64(len(data))})
+		wmu.Unlock()
+		return commit(off, data)
 	}
 	stop := make(chan struct{})
 	flushErr := make(chan error, 1)
@@ -444,7 +630,8 @@ func TestCheckpointWriteBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CFR(context.Background(), col); err != nil {
+	res, err := s.CFR(context.Background(), col)
+	if err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -458,14 +645,19 @@ func TestCheckpointWriteBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	want, err := json.Marshal(c.ck)
-	c.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
+	wmu.Lock()
+	var end int64
+	for i, w := range writes {
+		if w[0] != end {
+			t.Fatalf("write %d lands at offset %d, not where the previous write ended (%d)", i, w[0], end)
+		}
+		end += w[1]
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("file after the final Flush is not the final state (%d bytes, want %d)", len(got), len(want))
+	nwrites := len(writes)
+	wmu.Unlock()
+	if end != int64(len(got)) || len(recordEnds(got)) != 121 {
+		t.Fatalf("%d writes of %d bytes left a %d-byte file of %d records, want the header and 120 samples once each",
+			nwrites, end, len(got), len(recordEnds(got)))
 	}
 	ck, err := DecodeCheckpoint(bytes.NewReader(got))
 	if err != nil {
@@ -474,10 +666,23 @@ func TestCheckpointWriteBehind(t *testing.T) {
 	if len(ck.CollectDone) != 60 || len(ck.CFRDone) != 60 {
 		t.Fatalf("final checkpoint has %d collect and %d search samples, want 60 each", len(ck.CollectDone), len(ck.CFRDone))
 	}
-	for k, v := range col.Totals {
-		if ck.Totals[k] != formatTime(v) {
-			t.Fatalf("total %d: file has %q, collection measured %v", k, ck.Totals[k], v)
+	for i, k := range ck.CollectDone {
+		if ck.Totals[i] != col.Totals[k] {
+			t.Fatalf("total %d: file has %v, collection measured %v", k, ck.Totals[i], col.Totals[k])
 		}
+		for mi := range col.Times {
+			if ck.Times[i][mi] != col.Times[mi][k] {
+				t.Fatalf("time %d/%d: file has %v, collection measured %v", mi, k, ck.Times[i][mi], col.Times[mi][k])
+			}
+		}
+	}
+	best := math.Inf(1)
+	for _, v := range ck.CFRTimes {
+		best = math.Min(best, v)
+	}
+	if best != res.BestMeasured || ck.Cost != snapshot(s) || !slices.Equal(ck.Quarantine, s.Quarantined()) {
+		t.Fatalf("file replays to best %v, cost %+v, %d quarantined; session measured %v, %+v, %d",
+			best, ck.Cost, len(ck.Quarantine), res.BestMeasured, snapshot(s), len(s.Quarantined()))
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)
@@ -492,16 +697,16 @@ func TestCheckpointWriteBehind(t *testing.T) {
 	}
 	entered, release := make(chan struct{}), make(chan struct{})
 	var held, returned atomic.Bool
-	commit := c.commit
-	c.commit = func(data []byte) error {
+	commit = c.commit
+	c.commit = func(off int64, data []byte) error {
 		if held.CompareAndSwap(false, true) {
 			close(entered)
 			<-release
 			defer returned.Store(true)
 		}
-		return commit(data)
+		return commit(off, data)
 	}
-	c.markCollect(s, 0, make([]float64, len(s.Part.Modules)), 1.5, evalCost{runs: 1})
+	c.markCollect(0, make([]float64, len(s.Part.Modules)), 1.5, evalCost{runs: 1})
 	<-entered
 	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
@@ -531,5 +736,60 @@ func TestCheckpointWriteBehind(t *testing.T) {
 	}
 	if ck, err := LoadCheckpointFile(path); err != nil || len(ck.CollectDone) != 1 {
 		t.Fatalf("recovered checkpoint: %v (%+v)", err, ck)
+	}
+}
+
+// BenchmarkCheckpointFlush measures one paper-scale cadence write: the
+// DefaultCheckpointEvery marks of a K=1000 CloverLeaf/Broadwell session
+// that bring a write due, then the Flush that waits for it. Each op
+// appends and fsyncs those records, so ns/op depends on the disk; B/op
+// counts what a cadence write allocates, and CI ratchets it.
+func BenchmarkCheckpointFlush(b *testing.B) {
+	tc := compiler.NewToolchain(flagspec.ICC())
+	tc.AttachCache(compiler.NewCompileCache(0))
+	p := apps.MustGet(apps.CloverLeaf)
+	m := arch.Broadwell()
+	in := apps.TuningInput(apps.CloverLeaf, m)
+	res, err := outline.AutoOutline(tc, p, m, in, outline.HotThreshold, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSession(tc, p, res.Partition, m, in, DefaultConfig("bench-cfr"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	col, err := s.Collect(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	per := make([][]float64, len(col.Totals))
+	for k := range per {
+		per[k] = make([]float64, len(col.Times))
+		for mi := range col.Times {
+			per[k][mi] = col.Times[mi][k]
+		}
+	}
+	c := NewCheckpointer(filepath.Join(b.TempDir(), "checkpoint.json"), 0)
+	if err := s.AttachCheckpointer(c); err != nil {
+		b.Fatal(err)
+	}
+	write := func(i int) {
+		for j := 0; j < DefaultCheckpointEvery; j++ {
+			k := (i*DefaultCheckpointEvery + j) % len(per)
+			c.markCollect(k, per[k], col.Totals[k], evalCost{compiles: int64(len(col.Times)), runs: 1,
+				simMicros: int64(col.Totals[k] * 1e6)})
+		}
+		if err := c.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The first write creates the file and later ones append; the first
+	// two also grow both buffers the writer alternates between.
+	write(0)
+	write(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 2; i < b.N+2; i++ {
+		write(i)
 	}
 }

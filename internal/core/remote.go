@@ -75,7 +75,8 @@ type RemoteEvaluator interface {
 	Evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error)
 }
 
-// capKey identifies one in-flight captured evaluation.
+// capKey identifies one evaluation by phase and sample index: an
+// in-flight captured claim, or a sample replayed from a checkpoint log.
 type capKey struct {
 	phase  string
 	sample int

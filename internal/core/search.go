@@ -194,7 +194,7 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 			}
 			batchTimes[i] = t
 			if ckpt != nil {
-				ckpt.markCFR(s, k, t, ec)
+				ckpt.markCFR(k, t, ec)
 			}
 		}
 		// Without a rule the whole batch is one parallel step. With one,

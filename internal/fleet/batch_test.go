@@ -18,6 +18,7 @@ import (
 	"funcytuner/internal/core"
 	"funcytuner/internal/faults"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/fsx"
 	"funcytuner/internal/metrics"
 )
 
@@ -303,17 +304,14 @@ func journalOps(t *testing.T, path string) []string {
 		t.Fatalf("journal replay stops at byte %d of %d", good, len(data))
 	}
 	var ops []string
-	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		var rec journalRecord
+	fsx.ReadRecords(data, func(body []byte) bool {
 		var b journalBody
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(rec.Body, &b); err != nil {
+		if err := json.Unmarshal(body, &b); err != nil {
 			t.Fatal(err)
 		}
 		ops = append(ops, b.Op)
-	}
+		return true
+	})
 	return ops
 }
 

@@ -21,17 +21,13 @@ import (
 // encoding as the protocol itself (Outcome), so a recovered report is
 // byte-identical to the one the worker measured.
 //
-// Integrity follows the results-repository discipline: each record
-// carries a version and a checksum over its body, and replay stops at
-// the first record that fails any check — a torn or bit-flipped tail
-// degrades to "the crash happened a little earlier", never to an error
-// or a half-applied transition. Record sequence numbers are strictly
+// Each line is one fsx sealed record, and replay stops at the first
+// record that fails any check — a torn or bit-flipped tail degrades to
+// "the crash happened a little earlier", never to an error or a
+// half-applied transition. Record sequence numbers are strictly
 // increasing; a duplicate or reordered record (a fuzzer's favourite)
 // also stops replay, which is what keeps recovery from double-granting
 // a live epoch.
-
-// journalVersion is the record format version.
-const journalVersion = 1
 
 // Journal op codes. "enqueue" and "task" both introduce a task ("task"
 // is the compacted form carrying accumulated epoch/backoff state);
@@ -47,14 +43,6 @@ const (
 	opAbandon = "abandon"
 	opOutcome = "outcome"
 )
-
-// journalRecord is the on-disk envelope: one JSON object per line, the
-// checksum covering the exact body bytes.
-type journalRecord struct {
-	V    int             `json:"v"`
-	Sum  string          `json:"sum"`
-	Body json.RawMessage `json:"body"`
-}
 
 // journalBody is the union of all record payloads; each op uses the
 // fields it needs and omits the rest. Times are absolute unix
@@ -85,18 +73,13 @@ type journalBody struct {
 	Quarantined bool   `json:"quarantined,omitempty"`
 }
 
-// encodeJournalRecord renders one body as its newline-terminated
-// on-disk line.
+// encodeJournalRecord renders one body as its sealed on-disk line.
 func encodeJournalRecord(b journalBody) ([]byte, error) {
 	body, err := json.Marshal(b)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding journal body: %w", err)
 	}
-	line, err := json.Marshal(journalRecord{V: journalVersion, Sum: fsx.Checksum(body), Body: body})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encoding journal record: %w", err)
-	}
-	return append(line, '\n'), nil
+	return fsx.AppendRecord(nil, body), nil
 }
 
 // adoptionKey is a task's job-agnostic identity: a hash of every input
@@ -197,33 +180,15 @@ func newReplayState() *replayState {
 // crash happened here", exactly like a shorter journal.
 func replayJournal(data []byte) (*replayState, int) {
 	st := newReplayState()
-	good := 0
-	for len(data) > good {
-		nl := bytes.IndexByte(data[good:], '\n')
-		if nl < 0 {
-			break // torn tail: no newline, the record never finished
-		}
-		line := data[good : good+nl]
-		if !st.apply(line) {
-			break
-		}
-		good += nl + 1
-		st.records++
-	}
+	var good int
+	st.records, good = fsx.ReadRecords(data, st.apply)
 	return st, good
 }
 
-// apply decodes and applies one record line; false stops replay.
-func (st *replayState) apply(line []byte) bool {
-	var rec journalRecord
-	if err := json.Unmarshal(line, &rec); err != nil || rec.V != journalVersion {
-		return false
-	}
-	if fsx.Checksum(rec.Body) != rec.Sum {
-		return false
-	}
+// apply decodes and applies one record body; false stops replay.
+func (st *replayState) apply(body []byte) bool {
 	var b journalBody
-	if err := json.Unmarshal(rec.Body, &b); err != nil {
+	if err := json.Unmarshal(body, &b); err != nil {
 		return false
 	}
 	// Sequence numbers are strictly increasing in a well-formed journal;

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -114,39 +113,6 @@ func TestJournalReplayStopsAtDamage(t *testing.T) {
 			if st.seq != want.seq || st.records != want.records ||
 				len(st.tasks) != len(want.tasks) || len(st.completed) != len(want.completed) {
 				t.Errorf("damaged replay state differs from its valid prefix")
-			}
-		})
-	}
-}
-
-// TestJournalReplayChecksumAndVersion: a record with a forged checksum
-// or an unknown version stops replay even though the JSON is valid.
-func TestJournalReplayChecksumAndVersion(t *testing.T) {
-	good := journalLine(t, journalBody{Seq: 1, Op: opWorker, Worker: "w1", Losses: 2})
-	var rec journalRecord
-	if err := json.Unmarshal(bytes.TrimSuffix(good, []byte("\n")), &rec); err != nil {
-		t.Fatalf("decode own record: %v", err)
-	}
-	forge := func(mutate func(*journalRecord)) []byte {
-		r := rec
-		mutate(&r)
-		out, err := json.Marshal(r)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		return append(out, '\n')
-	}
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{
-		{"bad checksum", forge(func(r *journalRecord) { r.Sum = "0000000000000000" })},
-		{"bad version", forge(func(r *journalRecord) { r.V = 99 })},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st, good := replayJournal(tc.data)
-			if good != 0 || st.records != 0 {
-				t.Errorf("damaged record applied: good=%d records=%d", good, st.records)
 			}
 		})
 	}

@@ -1,7 +1,11 @@
 // Package fsx holds the small filesystem idioms the rest of the tree
 // shares: atomic file commits with a choice of durability level, and the
-// checksum every on-disk record (results-repository entry, compile-cache
-// spill entry, fleet journal record) carries over its exact body bytes.
+// sealed record (record.go), the one envelope every file FuncyTuner
+// writes is made of. The fleet journal and the checkpoint are logs of
+// records; results-repository and compile-cache spill entries are two
+// records each, a key header and the body. Each record carries Checksum
+// over its exact body bytes, and readers replay records up to the first
+// torn or damaged one.
 //
 // WriteFileAtomic is the fsync-hardened path checkpoints and the results
 // repository use — a crash at any point leaves either the old bytes or
@@ -13,18 +17,16 @@
 package fsx
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-
-	"funcytuner/internal/xrand"
 )
 
-// Checksum guards one on-disk record body: 16 hex digits of its hash.
-// Readers recompute it over the exact bytes they read, so a torn write,
+// Checksum guards one record body: 16 hex digits of its hash. Readers
+// recompute it over the exact bytes they read, so a torn write,
 // truncation or bit flip is detected before the body is interpreted.
 func Checksum(body []byte) string {
-	return fmt.Sprintf("%016x", xrand.HashString(string(body)))
+	var sum [16]byte
+	return string(appendSum(sum[:0], body))
 }
 
 // WriteFileAtomic commits data to path with full crash durability:

@@ -1,6 +1,7 @@
 package fsx
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,5 +72,99 @@ func TestChecksumPinned(t *testing.T) {
 		if got := Checksum([]byte(body)); got != want {
 			t.Errorf("Checksum(%q) = %s, want %s", body, got, want)
 		}
+	}
+}
+
+// The sealed-record layout is what the fleet journal has always written,
+// so every journal already on disk replays through ReadRecords.
+func TestAppendRecordPinned(t *testing.T) {
+	body := `{"seq":1,"op":"worker","worker":"w1","losses":2}`
+	want := `{"v":1,"sum":"d6f6c90a32ac3393","body":` + body + "}\n"
+	if got := string(AppendRecord(nil, []byte(body))); got != want {
+		t.Fatalf("AppendRecord = %q, want %q", got, want)
+	}
+}
+
+// ReadRecords returns every record of an intact log, verbatim and in
+// order, and stops at the first torn, damaged or rejected one with the
+// valid prefix's length.
+func TestReadRecordsStopsAtDamage(t *testing.T) {
+	bodies := []string{`{"a":1}`, `{"note":"a<b &  "}`, `[1,2,3]`}
+	var log []byte
+	var ends []int
+	for _, b := range bodies {
+		log = AppendRecord(log, []byte(b))
+		ends = append(ends, len(log))
+	}
+	read := func(data []byte, reject string) (got []string, records, good int) {
+		records, good = ReadRecords(data, func(body []byte) bool {
+			if string(body) == reject {
+				return false
+			}
+			got = append(got, string(body))
+			return true
+		})
+		return got, records, good
+	}
+	got, n, good := read(log, "")
+	if n != 3 || good != len(log) || len(got) != 3 {
+		t.Fatalf("intact log: %d records, %d of %d bytes", n, good, len(log))
+	}
+	for i := range bodies {
+		if got[i] != bodies[i] {
+			t.Fatalf("record %d = %q, want %q", i, got[i], bodies[i])
+		}
+	}
+
+	second := func(mutate func(rec []byte) []byte) []byte {
+		out := append([]byte{}, log[:ends[0]]...)
+		out = append(out, mutate(append([]byte{}, log[ends[0]:ends[1]]...))...)
+		return append(out, log[ends[1]:]...)
+	}
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		reject string
+	}{
+		{"bad checksum", second(func(r []byte) []byte {
+			copy(r[len(`{"v":1,"sum":"`):], "0000000000000000")
+			return r
+		}), ""},
+		{"bad version", second(func(r []byte) []byte {
+			return bytes.Replace(r, []byte(`{"v":1,`), []byte(`{"v":99,`), 1)
+		}), ""},
+		{"flipped body byte", second(func(r []byte) []byte {
+			r[len(r)-5] ^= 0x01
+			return r
+		}), ""},
+		{"reformatted envelope", second(func(r []byte) []byte {
+			return bytes.Replace(r, []byte(`"body":`), []byte(`"body": `), 1)
+		}), ""},
+		{"empty body", second(func([]byte) []byte { return AppendRecord(nil, nil) }), ""},
+		{"torn", log[:ends[1]-1], ""},
+		{"rejected", log, bodies[1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, n, good := read(tc.data, tc.reject)
+			if n != 1 || good != ends[0] || len(got) != 1 || got[0] != bodies[0] {
+				t.Fatalf("replay kept %d records (%q), %d bytes; want the first record, %d bytes", n, got, good, ends[0])
+			}
+		})
+	}
+	if n, good := ReadRecords([]byte("garbage\n"), func([]byte) bool { return true }); n != 0 || good != 0 {
+		t.Fatalf("garbage replayed as %d records, %d bytes", n, good)
+	}
+}
+
+// Sealing into a buffer with room and replaying allocate nothing: the
+// checkpoint appends one record per evaluation.
+func TestRecordCodecAllocationFree(t *testing.T) {
+	body := []byte(`{"phase":"search","k":7,"time":"0x1.8p+03"}`)
+	buf := AppendRecord(nil, body)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendRecord(buf[:0], body) }); n != 0 {
+		t.Errorf("AppendRecord allocated %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ReadRecords(buf, func([]byte) bool { return true }) }); n != 0 {
+		t.Errorf("ReadRecords allocated %v times per call", n)
 	}
 }

@@ -1,0 +1,78 @@
+package fsx
+
+import (
+	"bytes"
+
+	"funcytuner/internal/xrand"
+)
+
+// A sealed record is one line: {"v":1,"sum":"<16 hex>","body":<body>}
+// and a newline. The body is compact JSON stored verbatim, and sum is
+// Checksum over exactly those bytes, so a reader gets back the bytes the
+// writer sealed or nothing. The layout is fixed byte for byte; the
+// reader checks it without parsing JSON, and v is the only version any
+// file format carries.
+const (
+	recordHead = `{"v":1,"sum":"`
+	recordMid  = `","body":`
+	recordTail = "}\n"
+	bodyStart  = len(recordHead) + 16 + len(recordMid)
+)
+
+// AppendRecord appends body, sealed, to dst and returns the extended
+// slice. body must be non-empty compact JSON: the record stores it
+// verbatim, so a newline inside it would tear the record.
+func AppendRecord(dst, body []byte) []byte {
+	dst = append(dst, recordHead...)
+	dst = appendSum(dst, body)
+	dst = append(dst, recordMid...)
+	dst = append(dst, body...)
+	return append(dst, recordTail...)
+}
+
+// ReadRecords replays the sealed records at the start of data in order,
+// handing each body to apply, and stops at the first record that has no
+// newline, breaks the layout, fails its checksum or that apply rejects.
+// It returns the number of records applied and the byte length of that
+// valid prefix. The bodies alias data.
+func ReadRecords(data []byte, apply func(body []byte) bool) (records, good int) {
+	for good < len(data) {
+		nl := bytes.IndexByte(data[good:], '\n')
+		if nl < 0 {
+			break
+		}
+		body, ok := openRecord(data[good : good+nl])
+		if !ok || !apply(body) {
+			break
+		}
+		good += nl + 1
+		records++
+	}
+	return records, good
+}
+
+// openRecord returns the body of one sealed line (newline stripped), or
+// false if the line is not a record this package sealed.
+func openRecord(line []byte) ([]byte, bool) {
+	if len(line) <= bodyStart+1 || line[len(line)-1] != '}' ||
+		!bytes.HasPrefix(line, []byte(recordHead)) ||
+		!bytes.Equal(line[bodyStart-len(recordMid):bodyStart], []byte(recordMid)) {
+		return nil, false
+	}
+	body := line[bodyStart : len(line)-1]
+	var sum [16]byte
+	if !bytes.Equal(line[len(recordHead):bodyStart-len(recordMid)], appendSum(sum[:0], body)) {
+		return nil, false
+	}
+	return body, true
+}
+
+// appendSum appends Checksum(body) to dst.
+func appendSum(dst, body []byte) []byte {
+	const hex = "0123456789abcdef"
+	h := xrand.HashBytes(body)
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[h>>uint(shift)&0xf])
+	}
+	return dst
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -29,13 +28,16 @@ import (
 // SpillCodec. A codec may decline values that cannot round-trip
 // (Encode returns false) — those entries simply stay memory-only.
 //
+// A spill file is two fsx sealed records: a header naming the key and
+// the entry's work, then the codec's bytes verbatim (compacted).
 // Durability is deliberately weaker than the results repository's:
 // files are committed by rename without fsync (readers never see a
 // partial write from a live process), and any torn, truncated or
-// bit-flipped file reads as a counted miss that falls through to
-// compute. Because compilation is a pure function of the key, a lost
-// or corrupt spill entry can only cost work, never change a result —
-// the spill bit-identity tests prove exactly that.
+// bit-flipped file — or one in another layout, such as older builds
+// wrote — reads as a counted miss that falls through to compute.
+// Because compilation is a pure function of the key, a lost or corrupt
+// spill entry can only cost work, never change a result — the spill
+// bit-identity tests prove exactly that.
 
 // SpillCodec serializes cache values for the spill tier. Encode
 // returns the value's portable form (must be valid JSON) or ok=false
@@ -46,18 +48,9 @@ type SpillCodec interface {
 	Decode(key uint64, data []byte) (val any, ok bool)
 }
 
-// spillVersion is the on-disk spill entry format version.
-const spillVersion = 1
-
-// spillEntry is the on-disk envelope: the codec's bytes are stored
-// verbatim (compacted) and checksummed, so any damage is detected
-// before the codec ever sees the payload.
-type spillEntry struct {
-	Version  int             `json:"version"`
-	Key      string          `json:"key"`
-	Work     int64           `json:"work"`
-	Checksum string          `json:"checksum"`
-	Body     json.RawMessage `json:"body"`
+// spillHeader is the first record of key's spill file.
+func spillHeader(key uint64, work int64) []byte {
+	return fmt.Appendf(nil, `{"key":"%016x","work":%d}`, key, work)
 }
 
 type spillState struct {
@@ -116,31 +109,28 @@ func (c *Cache) spillLoad(key uint64) (val any, work int64, ok bool) {
 		}
 		return nil, 0, false
 	}
-	var e spillEntry
-	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Version != spillVersion || len(e.Body) == 0 || e.Work < 0 {
+	var recs [][]byte
+	_, good := fsx.ReadRecords(data, func(body []byte) bool {
+		recs = append(recs, body)
+		return true
+	})
+	var h struct {
+		Work int64 `json:"work"`
+	}
+	if good != len(data) || len(recs) != 2 || json.Unmarshal(recs[0], &h) != nil || h.Work < 0 ||
+		!bytes.Equal(recs[0], spillHeader(key, h.Work)) {
 		sp.corrupt.Add(1)
 		os.Remove(path)
 		return nil, 0, false
 	}
-	if k, err := strconv.ParseUint(e.Key, 16, 64); err != nil || k != key {
-		sp.corrupt.Add(1)
-		os.Remove(path)
-		return nil, 0, false
-	}
-	if e.Checksum != fsx.Checksum(e.Body) {
-		sp.corrupt.Add(1)
-		os.Remove(path)
-		return nil, 0, false
-	}
-	v, ok := sp.codec.Decode(key, e.Body)
+	v, ok := sp.codec.Decode(key, recs[1])
 	if !ok {
 		sp.corrupt.Add(1)
 		os.Remove(path)
 		return nil, 0, false
 	}
 	sp.hits.Add(1)
-	return v, e.Work, true
+	return v, h.Work, true
 }
 
 // spillWrite commits one entry, best-effort: encode failures mean the
@@ -157,20 +147,9 @@ func (c *Cache) spillWrite(it spillItem) {
 		sp.errs.Add(1)
 		return
 	}
-	e := spillEntry{
-		Version:  spillVersion,
-		Key:      fmt.Sprintf("%016x", it.key),
-		Work:     it.work,
-		Checksum: fsx.Checksum(compact.Bytes()),
-		Body:     json.RawMessage(compact.Bytes()),
-	}
-	out, err := json.Marshal(&e)
-	if err != nil {
-		sp.errs.Add(1)
-		return
-	}
+	out := fsx.AppendRecord(fsx.AppendRecord(nil, spillHeader(it.key, it.work)), compact.Bytes())
 	sp.wmu.Lock()
-	err = fsx.WriteFileAtomicFast(sp.path(it.key), out, 0o644)
+	err := fsx.WriteFileAtomicFast(sp.path(it.key), out, 0o644)
 	sp.wmu.Unlock()
 	if err != nil {
 		sp.errs.Add(1)

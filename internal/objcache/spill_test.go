@@ -1,6 +1,7 @@
 package objcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -153,34 +154,29 @@ func TestSpillCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, nil)
 		}},
 		{"flipped-byte-in-body", func(t *testing.T, path string) {
-			data := mustRead(t, path)
-			var e spillEntry
-			if err := json.Unmarshal(data, &e); err != nil {
-				t.Fatal(err)
-			}
-			// Flip inside the body payload, re-embedding it verbatim so
+			// Flip inside the body payload, which stays valid JSON, so
 			// only the checksum can catch the damage.
-			e.Body[len(e.Body)/2] ^= 0x04
-			out, err := json.Marshal(&e)
-			if err != nil {
-				t.Fatal(err)
+			data := mustRead(t, path)
+			i := bytes.LastIndex(data, []byte(`"good"`))
+			if i < 0 {
+				t.Fatal("body not found")
 			}
-			mustWrite(t, path, out)
+			data[i+2] ^= 0x04
+			mustWrite(t, path, data)
 		}},
 		{"garbage", func(t *testing.T, path string) {
 			mustWrite(t, path, []byte("\xde\xad\xbe\xef"))
 		}},
 		{"wrong-version", func(t *testing.T, path string) {
-			rewriteSpill(t, path, func(e *spillEntry) { e.Version = spillVersion + 1 })
+			// The one-document layout older builds wrote, intact.
+			mustWrite(t, path, []byte(fmt.Sprintf(`{"version":1,"key":"%016x","work":1,"checksum":"%s","body":"good"}`,
+				key, fsx.Checksum([]byte(`"good"`)))))
 		}},
 		{"wrong-key", func(t *testing.T, path string) {
-			rewriteSpill(t, path, func(e *spillEntry) { e.Key = "00000000000000ff" })
+			mustWrite(t, path, fsx.AppendRecord(fsx.AppendRecord(nil, spillHeader(0xff, 1)), []byte(`"good"`)))
 		}},
 		{"undecodable-body", func(t *testing.T, path string) {
-			rewriteSpill(t, path, func(e *spillEntry) {
-				e.Body = json.RawMessage(`{"not":"a string"}`)
-				e.Checksum = fsx.Checksum(e.Body)
-			})
+			mustWrite(t, path, fsx.AppendRecord(fsx.AppendRecord(nil, spillHeader(key, 1)), []byte(`{"not":"a string"}`)))
 		}},
 		{"crash-mid-rename", func(t *testing.T, path string) {
 			data := mustRead(t, path)
@@ -299,18 +295,4 @@ func mustWrite(t *testing.T, path string, data []byte) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func rewriteSpill(t *testing.T, path string, mut func(*spillEntry)) {
-	t.Helper()
-	var e spillEntry
-	if err := json.Unmarshal(mustRead(t, path), &e); err != nil {
-		t.Fatal(err)
-	}
-	mut(&e)
-	out, err := json.Marshal(&e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustWrite(t, path, out)
 }

@@ -10,8 +10,10 @@
 // leaves the old entry or the new one, never a torn file), and loading
 // is corruption-tolerant — a truncated, bit-flipped or otherwise
 // unreadable entry is a counted miss, never an error and never a wrong
-// result. Entry bodies carry a checksum over their exact bytes; Get
-// verifies it before returning anything.
+// result. An entry file is two fsx sealed records, a header naming the
+// key it was filed under and the body verbatim; Get verifies both
+// before returning anything, so an entry in any other layout (including
+// the one older builds wrote) is a counted miss too.
 //
 // Layout: <dir>/<kk>/<key16>.json, sharded by the key's top byte so no
 // directory grows unboundedly. The in-memory index is built from file
@@ -33,11 +35,6 @@ import (
 	"funcytuner/internal/fsx"
 	"funcytuner/internal/xrand"
 )
-
-// Version is the on-disk entry format version. Entries with a different
-// version are treated as misses (forward-compatible: a downgraded
-// binary re-tunes rather than misreading a newer entry).
-const Version = 1
 
 // KeySpec enumerates everything that determines a tuning outcome. Two
 // submissions with equal KeySpecs produce bit-identical Reports, so one
@@ -146,15 +143,8 @@ func (ks KeySpec) Key() uint64 {
 	return h.Sum()
 }
 
-// entry is the on-disk envelope: the body is stored verbatim and
-// checksummed over its exact bytes, so any torn write, truncation or
-// bit flip is detected before the body is ever interpreted.
-type entry struct {
-	Version  int             `json:"version"`
-	Key      string          `json:"key"`
-	Checksum string          `json:"checksum"`
-	Body     json.RawMessage `json:"body"`
-}
+// header is the first record of key's entry file.
+func header(key uint64) []byte { return fmt.Appendf(nil, `{"key":"%016x"}`, key) }
 
 // Stats is a snapshot of repository activity since Open.
 type Stats struct {
@@ -267,23 +257,18 @@ func (r *Repo) Get(key uint64) ([]byte, bool) {
 }
 
 // decode validates one on-disk entry against the key it was filed
-// under. Every failure mode — not JSON, wrong version, wrong key,
-// checksum mismatch, empty body — reads as corrupt.
+// under. Every failure mode — a missing, extra, torn or damaged record,
+// another layout, a header naming another key — reads as corrupt.
 func decode(data []byte, key uint64) ([]byte, bool) {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	var recs [][]byte
+	_, good := fsx.ReadRecords(data, func(body []byte) bool {
+		recs = append(recs, body)
+		return true
+	})
+	if good != len(data) || len(recs) != 2 || !bytes.Equal(recs[0], header(key)) {
 		return nil, false
 	}
-	if e.Version != Version || len(e.Body) == 0 {
-		return nil, false
-	}
-	if k, err := strconv.ParseUint(e.Key, 16, 64); err != nil || k != key {
-		return nil, false
-	}
-	if e.Checksum != fsx.Checksum(e.Body) {
-		return nil, false
-	}
-	return e.Body, true
+	return recs[1], true
 }
 
 // drop records a corrupt entry: counted, de-indexed, best-effort
@@ -306,9 +291,9 @@ func (r *Repo) Invalidate(key uint64) {
 }
 
 // Put stores body under key via the fsync-hardened atomic write path.
-// body must be valid JSON; it is compacted before storage so the
-// checksum covers exactly the bytes the envelope serializer emits.
-// Re-putting an existing key rewrites it — identical keys imply
+// body must be valid JSON; it is compacted, because a sealed record
+// holds its body verbatim on one line, and Get returns the compacted
+// bytes. Re-putting an existing key rewrites it — identical keys imply
 // identical bodies, so this is idempotent in correct use. Puts are
 // serialized (they share the index lock): a results repository sees one
 // Put per completed tuning run, so write contention is not a concern,
@@ -319,18 +304,7 @@ func (r *Repo) Put(key uint64, body []byte) error {
 	if err := json.Compact(&compact, body); err != nil {
 		return fmt.Errorf("resultrepo: body for key %016x is not valid JSON: %w", key, err)
 	}
-	e := entry{
-		Version:  Version,
-		Key:      fmt.Sprintf("%016x", key),
-		Checksum: fsx.Checksum(compact.Bytes()),
-		Body:     json.RawMessage(compact.Bytes()),
-	}
-	// json.Marshal stores a RawMessage compacted, i.e. byte-for-byte the
-	// buffer the checksum covers; decode re-extracts the same bytes.
-	data, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("resultrepo: %w", err)
-	}
+	data := fsx.AppendRecord(fsx.AppendRecord(nil, header(key)), compact.Bytes())
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := fsx.WriteFileAtomic(r.path(key), data, 0o644); err != nil {

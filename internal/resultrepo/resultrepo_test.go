@@ -2,7 +2,6 @@ package resultrepo
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -86,39 +85,52 @@ func TestKeySpecDiscriminates(t *testing.T) {
 	}
 }
 
+// Every valid JSON body Put accepts reads back byte for byte, before
+// and after a reopen. The HTML-sensitive characters and U+2028 are the
+// bodies a re-escaping envelope would store under a checksum that no
+// longer matches.
 func TestPutGetSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testSpec().Key()
-	body := []byte(`{"fingerprint":"00deadbeef001234","speedup":"0x1.8p+00"}`)
-	if _, ok := r.Get(key); ok {
-		t.Fatal("hit on empty repo")
-	}
-	if err := r.Put(key, body); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := r.Get(key)
-	if !ok || !bytes.Equal(got, body) {
-		t.Fatalf("Get = %q, %v; want stored body", got, ok)
-	}
+	for _, tc := range []struct{ name, body string }{
+		{"plain", `{"fingerprint":"00deadbeef001234","speedup":"0x1.8p+00"}`},
+		{"less-than", `{"note":"a<b"}`},
+		{"ampersand", `{"note":"x&y"}`},
+		{"line-separator", "{\"note\":\"p\u2028q\"}"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := testSpec().Key()
+			body := []byte(tc.body)
+			if _, ok := r.Get(key); ok {
+				t.Fatal("hit on empty repo")
+			}
+			if err := r.Put(key, body); err != nil {
+				t.Fatal(err)
+			}
+			got, ok := r.Get(key)
+			if !ok || !bytes.Equal(got, body) {
+				t.Fatalf("Get = %q, %v; want stored body (stats %+v)", got, ok, r.Stats())
+			}
 
-	r2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Len() != 1 {
-		t.Fatalf("reopened index has %d entries, want 1", r2.Len())
-	}
-	got, ok = r2.Get(key)
-	if !ok || !bytes.Equal(got, body) {
-		t.Fatalf("reopened Get = %q, %v; want stored body", got, ok)
-	}
-	st := r2.Stats()
-	if st.Hits != 1 || st.Corrupt != 0 {
-		t.Fatalf("stats = %+v, want 1 hit, 0 corrupt", st)
+			r2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r2.Len() != 1 {
+				t.Fatalf("reopened index has %d entries, want 1", r2.Len())
+			}
+			got, ok = r2.Get(key)
+			if !ok || !bytes.Equal(got, body) {
+				t.Fatalf("reopened Get = %q, %v; want stored body", got, ok)
+			}
+			st := r2.Stats()
+			if st.Hits != 1 || st.Corrupt != 0 {
+				t.Fatalf("stats = %+v, want 1 hit, 0 corrupt", st)
+			}
+		})
 	}
 }
 
@@ -133,9 +145,10 @@ func TestPutRejectsInvalidJSON(t *testing.T) {
 }
 
 // TestCorruptionTolerance is the satellite table test: every way an
-// entry can be damaged on disk — truncation, bit flips, garbage,
-// version/key mismatches, a writer crash mid-rename — must read as a
-// counted corrupt miss, never an error and never a wrong body.
+// entry can be damaged on disk — truncation, bit flips, garbage, an
+// entry in the layout older builds wrote, a key mismatch, a writer crash
+// mid-rename — must read as a counted corrupt miss, never an error and
+// never a wrong body.
 func TestCorruptionTolerance(t *testing.T) {
 	key := testSpec().Key()
 	body := []byte(`{"fingerprint":"00deadbeef001234","best":"0x1.91eb851eb851fp+01"}`)
@@ -163,11 +176,11 @@ func TestCorruptionTolerance(t *testing.T) {
 		}, true},
 		{"flipped-byte-in-checksum", func(t *testing.T, path string) {
 			data := mustRead(t, path)
-			i := bytes.Index(data, []byte(`"checksum":"`))
+			i := bytes.LastIndex(data, []byte(`"sum":"`))
 			if i < 0 {
 				t.Fatal("checksum marker not found")
 			}
-			i += len(`"checksum":"`)
+			i += len(`"sum":"`)
 			if data[i] == '0' {
 				data[i] = '1'
 			} else {
@@ -179,10 +192,18 @@ func TestCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, []byte("\x00\xff\x00\xffnot even json"))
 		}, true},
 		{"wrong-version", func(t *testing.T, path string) {
-			rewrite(t, path, func(e *entry) { e.Version = Version + 1 })
+			// The one-document layout older builds wrote, intact.
+			mustWrite(t, path, []byte(fmt.Sprintf(`{"version":1,"key":"%016x","checksum":"%s","body":%s}`,
+				key, fsx.Checksum(body), body)))
 		}, true},
 		{"wrong-key", func(t *testing.T, path string) {
-			rewrite(t, path, func(e *entry) { e.Key = "0000000000000001" })
+			mustWrite(t, path, fsx.AppendRecord(fsx.AppendRecord(nil, header(1)), body))
+		}, true},
+		{"extra-record", func(t *testing.T, path string) {
+			mustWrite(t, path, fsx.AppendRecord(mustRead(t, path), body))
+		}, true},
+		{"missing-body", func(t *testing.T, path string) {
+			mustWrite(t, path, fsx.AppendRecord(nil, header(key)))
 		}, true},
 		{"deleted-file", func(t *testing.T, path string) {
 			if err := os.Remove(path); err != nil {
@@ -313,33 +334,22 @@ func TestConcurrentPutGet(t *testing.T) {
 }
 
 // FuzzDecode drives the entry validator with arbitrary bytes: it must
-// never panic and never return a body whose checksum does not match.
+// never panic, and whatever it accepts is exactly the entry Put writes
+// for the returned body, checksums included.
 func FuzzDecode(f *testing.F) {
 	key := testSpec().Key()
-	valid := entry{
-		Version:  Version,
-		Key:      fmt.Sprintf("%016x", key),
-		Checksum: fsx.Checksum([]byte(`{"x":1}`)),
-		Body:     json.RawMessage(`{"x":1}`),
-	}
-	seed, _ := json.Marshal(&valid)
+	seed := fsx.AppendRecord(fsx.AppendRecord(nil, header(key)), []byte(`{"x":1}`))
 	f.Add(seed)
 	f.Add([]byte("{}"))
 	f.Add([]byte(""))
 	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, ok := decode(data, key)
-		if ok && fsx.Checksum(body) == "" {
-			t.Fatal("unreachable")
+		if !ok {
+			return
 		}
-		if ok {
-			var e entry
-			if err := json.Unmarshal(data, &e); err != nil {
-				t.Fatalf("decode accepted bytes Unmarshal rejects: %v", err)
-			}
-			if e.Checksum != fsx.Checksum(body) {
-				t.Fatal("decode returned a body failing its own checksum")
-			}
+		if resealed := fsx.AppendRecord(fsx.AppendRecord(nil, header(key)), body); !bytes.Equal(resealed, data) {
+			t.Fatalf("decode accepted %q, which is not the entry of its body %q", data, body)
 		}
 	})
 }
@@ -358,18 +368,4 @@ func mustWrite(t *testing.T, path string, data []byte) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func rewrite(t *testing.T, path string, mut func(*entry)) {
-	t.Helper()
-	var e entry
-	if err := json.Unmarshal(mustRead(t, path), &e); err != nil {
-		t.Fatal(err)
-	}
-	mut(&e)
-	data, err := json.Marshal(&e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustWrite(t, path, data)
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -123,12 +124,16 @@ func TestCanonical(t *testing.T) {
 		{Kind: KindRun, PhaseSeq: 1, Phase: "collect", Sample: 1, Step: 1, Wall: 98},
 		{Kind: KindCompile, PhaseSeq: 1, Phase: "collect", Sample: 1, Step: 0, Wall: 97},
 		{Kind: KindSession, PhaseSeq: 0, Sample: -1, Name: "s", Wall: 96},
+		// Same span position: ties break on kind, then name.
+		{Kind: KindRun, PhaseSeq: 3, Sample: 0, Name: "ok"},
+		{Kind: KindFault, PhaseSeq: 3, Sample: 0, Name: "flake"},
+		{Kind: KindFault, PhaseSeq: 3, Sample: 0, Name: "crash"},
 	}}
 	canon := tr.Canonical()
-	if len(canon.Events) != 4 {
-		t.Fatalf("expected 4 canonical events, got %d", len(canon.Events))
+	if len(canon.Events) != 7 {
+		t.Fatalf("expected 7 canonical events, got %d", len(canon.Events))
 	}
-	want := []Kind{KindSession, KindCompile, KindRun, KindRun}
+	want := []Kind{KindSession, KindCompile, KindRun, KindRun, KindFault, KindFault, KindRun}
 	for i, e := range canon.Events {
 		if e.Kind != want[i] {
 			t.Fatalf("canonical order wrong at %d: got %s, want %s", i, e.Kind, want[i])
@@ -140,8 +145,11 @@ func TestCanonical(t *testing.T) {
 			t.Fatalf("canonical event %d is scheduling-dependent", i)
 		}
 	}
+	if canon.Events[4].Name != "crash" || canon.Events[5].Name != "flake" {
+		t.Fatalf("equal-kind tie not broken by name: %q before %q", canon.Events[4].Name, canon.Events[5].Name)
+	}
 	// The original trace is untouched.
-	if tr.Events[0].Wall != 99 || len(tr.Events) != 5 {
+	if tr.Events[0].Wall != 99 || len(tr.Events) != 8 {
 		t.Fatal("Canonical mutated its receiver")
 	}
 }
@@ -186,6 +194,12 @@ func TestNilRecorderAndBatch(t *testing.T) {
 	}
 	b.Add(Event{Kind: KindRun})
 	b.Commit()
+	if b.Events() != nil {
+		t.Fatal("nil batch has events")
+	}
+	r.SetBatchPooling(false)
+	r.CommitSpan([]Event{{Kind: KindRun}})
+	r.Replay(&Trace{Events: sampleEvents()})
 }
 
 // The recorder must stamp phase ordinals and wall clocks, and batches
@@ -262,6 +276,132 @@ func TestRecorderConcurrency(t *testing.T) {
 	for s, n := range seen {
 		if n != 2 {
 			t.Fatalf("sample %d has %d events, want 2", s, n)
+		}
+	}
+}
+
+// With pooling off, a committed batch is never handed out again: every
+// span gets a fresh batch, and the committed one keeps no buffer.
+func TestBatchPoolingOff(t *testing.T) {
+	r := NewRecorder()
+	r.SetBatchPooling(false)
+	r.Phase("collect")
+	b := r.Batch("collect", 3)
+	b.Add(Event{Kind: KindRun, Seconds: 2})
+	b.Commit()
+	if b.events != nil {
+		t.Fatal("unpooled batch kept its buffer after Commit")
+	}
+	if next := r.Batch("collect", 4); next == b {
+		t.Fatal("unpooled recorder recycled a committed batch")
+	}
+	evs := r.Snapshot().Events
+	if len(evs) != 2 || evs[1].Phase != "collect" || evs[1].Sample != 3 || evs[1].PhaseSeq != 1 || evs[1].Seconds != 2 {
+		t.Fatalf("recorded %+v", evs)
+	}
+}
+
+// A detached batch stamps span identity with phase ordinal 0 and no
+// wall clock, keeps its events through Commit (a no-op), and hands out
+// copies.
+func TestDetachedSpanBatch(t *testing.T) {
+	b := NewSpanBatch("cfr", 7)
+	b.Add(Event{Kind: KindCompile, Modules: 3})
+	b.Add(Event{Kind: KindRun, Name: "ok", Seconds: 1.5})
+	b.Commit()
+	evs := b.Events()
+	if len(evs) != 2 {
+		t.Fatalf("detached batch holds %d events after Commit, want 2", len(evs))
+	}
+	for i, e := range evs {
+		if e.Phase != "cfr" || e.Sample != 7 || e.Step != i || e.PhaseSeq != 0 || e.Wall != 0 {
+			t.Fatalf("event %d stamped %+v", i, e)
+		}
+	}
+	evs[0].Name = "changed"
+	if b.Events()[0].Name != "" {
+		t.Fatal("Events returned the batch's own buffer")
+	}
+}
+
+// CommitSpan re-stamps a captured span with the recorder's phase
+// ordinal and wall clock, keeps each event's phase, sample and step, and
+// leaves the caller's slice alone.
+func TestCommitSpanRestamps(t *testing.T) {
+	b := NewSpanBatch("cfr", 7)
+	b.Add(Event{Kind: KindCompile})
+	b.Add(Event{Kind: KindRun, Name: "ok"})
+	span := b.Events()
+
+	r := NewRecorder()
+	r.WallClock(func() int64 { return 42 })
+	r.Phase("collect")
+	r.Phase("cfr")
+	r.CommitSpan(nil)
+	if r.Len() != 2 {
+		t.Fatalf("empty span recorded events: %d", r.Len())
+	}
+	r.CommitSpan(span)
+	evs := r.Snapshot().Events[2:]
+	if len(evs) != 2 {
+		t.Fatalf("recorded %d span events, want 2", len(evs))
+	}
+	for i, e := range evs {
+		if e.PhaseSeq != 2 || e.Wall != 42 || e.Phase != "cfr" || e.Sample != 7 || e.Step != i || e.Kind != span[i].Kind {
+			t.Fatalf("span event %d recorded as %+v", i, e)
+		}
+	}
+	if span[0].PhaseSeq != 0 || span[0].Wall != 0 {
+		t.Fatal("CommitSpan mutated the caller's events")
+	}
+}
+
+// Replay appends events verbatim, wall stamps included, and a replayed
+// canonical trace snapshots canonically to the same bytes.
+func TestReplayVerbatim(t *testing.T) {
+	canon := (&Trace{Events: sampleEvents()}).Canonical()
+	r := NewRecorder()
+	r.WallClock(func() int64 { return 7 })
+	r.Replay(nil)
+	r.Replay(&Trace{})
+	r.Replay(canon)
+	got := r.Snapshot()
+	if len(got.Events) != len(canon.Events) {
+		t.Fatalf("replayed %d events, want %d", len(got.Events), len(canon.Events))
+	}
+	for i := range canon.Events {
+		if got.Events[i] != canon.Events[i] {
+			t.Fatalf("event %d replayed as %+v, want %+v", i, got.Events[i], canon.Events[i])
+		}
+	}
+	var want, again bytes.Buffer
+	if err := canon.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Canonical().WriteJSONL(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), again.Bytes()) {
+		t.Fatalf("replayed canonical trace differs:\n%s\nvs\n%s", again.Bytes(), want.Bytes())
+	}
+}
+
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// WriteJSONL returns the writer's error, whether it surfaces when the
+// buffer fills mid-trace or at the final flush.
+func TestWriteJSONLWriterError(t *testing.T) {
+	broken := errors.New("disk full")
+	small := &Trace{Events: sampleEvents()}
+	large := &Trace{}
+	for len(large.Events) < 200 {
+		large.Events = append(large.Events, sampleEvents()...)
+	}
+	for name, tr := range map[string]*Trace{"flush": small, "mid-trace": large} {
+		if err := tr.WriteJSONL(failWriter{broken}); !errors.Is(err, broken) {
+			t.Errorf("%s: WriteJSONL returned %v, want the writer's error", name, err)
 		}
 	}
 }

@@ -29,7 +29,12 @@ func splitMix64(state *uint64) uint64 {
 // HashString folds a string into a 64-bit seed using an FNV-1a pass
 // followed by a splitmix64 finalizer. It is stable across runs and
 // platforms.
-func HashString(s string) uint64 {
+func HashString(s string) uint64 { return hash(s) }
+
+// HashBytes is HashString over a byte slice, without converting it.
+func HashBytes(b []byte) uint64 { return hash(b) }
+
+func hash[T string | []byte](s T) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -1,15 +1,18 @@
 package funcytuner
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
 	"funcytuner/internal/core"
+	"funcytuner/internal/fsx"
 )
 
 // FuzzLoadTuning: arbitrary JSON must never panic the loader, and
@@ -42,46 +45,72 @@ func FuzzLoadTuning(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCheckpoint: arbitrary JSON must never panic the checkpoint
-// loader, and anything it accepts must re-validate and survive Resume →
-// Flush → LoadCheckpointFile with the same progress: header, done lists,
-// bit-equal done times, quarantine and cost, and every slot not marked
-// done empty — whatever the loaded document held there.
+// FuzzDecodeCheckpoint feeds arbitrary bytes — torn, bit-flipped,
+// duplicated and forged records — through checkpoint replay and holds
+// FuzzJournalReplay's contract: never panic, always deterministic, and
+// a torn record appended to the input changing nothing. Whatever replay
+// accepts must survive Resume → Flush → LoadCheckpointFile unchanged:
+// header, done samples in order with bit-equal times, quarantine and
+// cost.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Add(`{"version":1,"program":"CL","machine":"broadwell","flavor":"icc",
-	  "seed":"s","samples":2,"topx":1,"modules":1,
-	  "times":[["0x1p+02",""]],"totals":["0x1.8p+02",""],"cfr_times":["",""],
-	  "collect_done":[0],"quarantine":["a3"],"cost":{"compiles":3,"runs":1,"sim_micros":7}}`)
-	f.Add(`{"version":1,"samples":2,"topx":1,"modules":1,
-	  "times":[["+Inf",""]],"totals":["+Inf",""],"cfr_times":["",""],"collect_done":[0]}`)
-	f.Add(`{"version":99}`)
-	f.Add(`{"version":1,"samples":2,"topx":1,"modules":1,
-	  "times":[["",""]],"totals":["",""],"cfr_times":["",""],"cost":{"runs":-1}}`)
-	f.Add(`not json`)
-	// Not-done slots that would inject a field if copied raw, next to
-	// done times and quarantine keys in non-canonical spellings.
-	f.Add(`{"version":1,"samples":3,"topx":1,"modules":2,
-	  "times":[["0x1.0p+02","x\"],\"evil\":[\"","8"],["-inf","x\"],\"evil\":[\"",""]],
-	  "totals":["0x1.80p+02","x\"],\"evil\":[\"",""],
-	  "cfr_times":["x\"],\"evil\":[\"","1e3","Inf"],
-	  "collect_done":[0],"cfr_done":[2,1],"quarantine":["00A3","FFFFFFFFFFFFFFFF"]}`)
-	// Header strings that need escaping.
-	f.Add(`{"version":1,"program":"C\"L\\","machine":"<b>&amp;</b>","flavor":"\u2028\u0001\u001f",
-	  "seed":"\t\n\ud800 \u2029 s\u00e9ed","technique":"bo\u0000","samples":1,"topx":1,"modules":1,
-	  "times":[[""]],"totals":[""],"cfr_times":[""]}`)
-	f.Fuzz(func(t *testing.T, input string) {
-		ck, err := core.DecodeCheckpoint(strings.NewReader(input))
+	seal := func(bodies ...string) []byte {
+		var log []byte
+		for _, b := range bodies {
+			log = fsx.AppendRecord(log, []byte(b))
+		}
+		return log
+	}
+	header := `{"version":2,"program":"CL","machine":"broadwell","flavor":"icc","seed":"s","samples":3,"topx":1,"modules":2}`
+	collect := `{"phase":"collect","k":0,"time":"0x1.8p+02","modules":["0x1p+02","-0x0p+00"],"cost":{"compiles":2,"runs":1,"sim_micros":7},"quarantine":["a3"]}`
+	search := `{"phase":"search","k":2,"time":"+Inf","cost":{"runs":1,"timeouts":1}}`
+	resumed := `{"phase":"resumed","cost":{"compiles":3,"flakes":2},"quarantine":["FFFFFFFFFFFFFFFF","00a3"]}`
+
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "run.ckpt")
+	// A small real log: the fuzzer minimizes every input that finds new
+	// coverage, and each accepted input costs a synced write.
+	opts := Options{Machine: m, Samples: 4, TopX: 2, Seed: "fuzz-seed", Faults: DefaultFaultRates(),
+		Checkpoint: path, CheckpointEvery: 2, KillAfterEvals: 6}
+	if _, err := NewTuner(opts).Tune(prog, TuningInput(CloverLeaf, m)); !errors.Is(err, ErrKilled) {
+		f.Fatalf("expected ErrKilled, got %v", err)
+	}
+	real, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Add(seal(header, collect, search, resumed))
+	f.Add(seal(header, collect, collect, search))
+	flipped := seal(header, collect, search)
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(flipped)
+	f.Add(real[:len(real)-9])
+	f.Add([]byte(`{"version":1,"program":"CL","machine":"broadwell","flavor":"icc","seed":"s","samples":2,"topx":1,"modules":1,` +
+		`"times":[["0x1p+02",""]],"totals":["0x1.8p+02",""],"cfr_times":["",""],"collect_done":[0],"quarantine":["a3"],"cost":{"runs":1}}`))
+	f.Add(seal(`{"version":2,"program":"C\"L\\","machine":"<b>&amp;</b>","flavor":"\u2028\u0001","seed":"\t\ud800 s\u00e9ed",`+
+		`"technique":"bo\u0000","samples":3,"topx":1,"modules":2}`, search))
+	f.Add([]byte("not json"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := core.DecodeCheckpoint(bytes.NewReader(data))
+		again, err2 := core.DecodeCheckpoint(bytes.NewReader(data))
+		if (err == nil) != (err2 == nil) || !sameProgress(ck, again) {
+			t.Fatal("replay is not deterministic")
+		}
+		torn, err3 := core.DecodeCheckpoint(bytes.NewReader(append(data[:len(data):len(data)], `{"v":1,"sum":"beef`...)))
+		if (err == nil) != (err3 == nil) || !sameProgress(ck, torn) {
+			t.Fatal("a torn tail changed the replayed checkpoint")
+		}
 		if err != nil {
 			return
 		}
-		if err := ck.Validate(); err != nil {
-			t.Fatalf("accepted checkpoint fails re-validation: %v", err)
-		}
 		path := filepath.Join(t.TempDir(), "checkpoint.json")
 		c := core.NewCheckpointer(path, 0)
-		if err := c.Resume(ck); err != nil {
-			t.Fatalf("accepted checkpoint rejected by Resume: %v", err)
-		}
+		c.Resume(ck)
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -89,57 +118,30 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("flushed checkpoint does not load: %v", err)
 		}
-		checkSameProgress(t, ck, got)
+		if !sameProgress(ck, got) {
+			t.Fatalf("progress changed across Resume, Flush and load:\n%+v\n%+v", ck, got)
+		}
 	})
 }
 
-// checkSameProgress fails unless got records exactly the progress want
-// does, in canonical form.
-func checkSameProgress(t *testing.T, want, got *core.Checkpoint) {
-	t.Helper()
-	header := func(c *core.Checkpoint) core.Checkpoint {
-		return core.Checkpoint{Version: c.Version, Program: c.Program, Machine: c.Machine, Flavor: c.Flavor,
-			Seed: c.Seed, Technique: c.Technique, Samples: c.Samples, TopX: c.TopX, Modules: c.Modules, Cost: c.Cost}
+// sameProgress reports whether two replayed checkpoints hold the same
+// header and progress, with every time equal bit for bit.
+func sameProgress(a, b *core.Checkpoint) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	if !reflect.DeepEqual(header(got), header(want)) {
-		t.Fatalf("header or cost changed: %+v -> %+v", header(want), header(got))
-	}
-	// sameTime: b holds a's value bit for bit, in canonical hex-float form.
-	sameTime := func(a, b string) bool {
-		x, errx := strconv.ParseFloat(a, 64)
-		y, erry := strconv.ParseFloat(b, 64)
-		return errx == nil && erry == nil && math.Float64bits(x) == math.Float64bits(y) &&
-			b == strconv.FormatFloat(y, 'x', -1, 64)
-	}
-	checkPhase := func(name string, wantDone, gotDone []int, wantRows, gotRows [][]string) {
-		sorted := slices.Clone(wantDone)
-		slices.Sort(sorted)
-		if !slices.Equal(sorted, gotDone) {
-			t.Fatalf("%s done list %v -> %v", name, wantDone, gotDone)
-		}
-		for ri := range wantRows {
-			for k := range wantRows[ri] {
-				done := slices.Contains(gotDone, k)
-				if done && !sameTime(wantRows[ri][k], gotRows[ri][k]) {
-					t.Fatalf("%s row %d sample %d: time %q -> %q", name, ri, k, wantRows[ri][k], gotRows[ri][k])
-				}
-				if !done && gotRows[ri][k] != "" {
-					t.Fatalf("%s row %d sample %d: not-done slot kept %q", name, ri, k, gotRows[ri][k])
-				}
+	bits := func(c *core.Checkpoint) []uint64 {
+		var out []uint64
+		for _, row := range append([][]float64{c.Totals, c.CFRTimes}, c.Times...) {
+			for _, v := range row {
+				out = append(out, math.Float64bits(v))
 			}
 		}
+		return out
 	}
-	checkPhase("collect", want.CollectDone, got.CollectDone,
-		append(slices.Clone(want.Times), want.Totals), append(slices.Clone(got.Times), got.Totals))
-	checkPhase("cfr", want.CFRDone, got.CFRDone, [][]string{want.CFRTimes}, [][]string{got.CFRTimes})
-	if len(got.Quarantine) != len(want.Quarantine) {
-		t.Fatalf("quarantine %v -> %v", want.Quarantine, got.Quarantine)
+	strip := func(c core.Checkpoint) core.Checkpoint {
+		c.Totals, c.Times, c.CFRTimes = nil, nil, nil
+		return c
 	}
-	for i := range want.Quarantine {
-		x, _ := strconv.ParseUint(want.Quarantine[i], 16, 64)
-		y, err := strconv.ParseUint(got.Quarantine[i], 16, 64)
-		if err != nil || x != y || got.Quarantine[i] != strconv.FormatUint(y, 16) {
-			t.Fatalf("quarantine key %q -> %q", want.Quarantine[i], got.Quarantine[i])
-		}
-	}
+	return reflect.DeepEqual(strip(*a), strip(*b)) && slices.Equal(bits(a), bits(b))
 }

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"funcytuner/internal/xrand"
+	"funcytuner/internal/fsx"
 )
 
 // repoOpts is the shared configuration for repository facade tests:
@@ -338,24 +337,23 @@ func TestRepoFingerprintMismatchInvalidates(t *testing.T) {
 	}
 
 	// Tamper with the body (bump CFR's evaluation count) and re-seal the
-	// envelope with a freshly computed checksum, so only the fingerprint
-	// verification can catch it.
+	// body record with a freshly computed checksum, so only the
+	// fingerprint verification can catch it.
 	path := repoEntryPath(t, dir)
-	var env struct {
-		Version  int             `json:"version"`
-		Key      string          `json:"key"`
-		Checksum string          `json:"checksum"`
-		Body     json.RawMessage `json:"body"`
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatal(err)
+	var recs [][]byte
+	_, good := fsx.ReadRecords(raw, func(b []byte) bool {
+		recs = append(recs, b)
+		return true
+	})
+	if good != len(raw) || len(recs) != 2 {
+		t.Fatalf("stored entry is not two sealed records (%d records, %d of %d bytes)", len(recs), good, len(raw))
 	}
 	var body map[string]json.RawMessage
-	if err := json.Unmarshal(env.Body, &body); err != nil {
+	if err := json.Unmarshal(recs[1], &body); err != nil {
 		t.Fatal(err)
 	}
 	var results map[string]map[string]json.RawMessage
@@ -372,12 +370,7 @@ func TestRepoFingerprintMismatchInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Body = newBody
-	env.Checksum = fmt.Sprintf("%016x", xrand.HashString(string(newBody)))
-	sealed, err := json.Marshal(&env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sealed := fsx.AppendRecord(fsx.AppendRecord(nil, recs[0]), newBody)
 	if err := os.WriteFile(path, sealed, 0o644); err != nil {
 		t.Fatal(err)
 	}

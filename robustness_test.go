@@ -2,15 +2,12 @@ package funcytuner
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"funcytuner/internal/core"
 )
 
 // Every benchmark must complete a tuning run under the default fault mix
@@ -107,11 +104,13 @@ func TestKillResumeReportEquality(t *testing.T) {
 	}
 }
 
-// Checkpoints written before the compact encoder were indented
-// (json.MarshalIndent with two spaces). Resuming from one must still
-// reproduce the uninterrupted run exactly, in either phase, and the
-// resumed run must write its own checkpoints compactly.
-func TestResumeFromIndentedCheckpoint(t *testing.T) {
+// A checkpoint damaged on disk costs recomputation, never a wrong
+// result. With one hex digit of a stored time flipped in the middle of
+// the log, the load keeps exactly the progress before the damaged
+// record, and resuming reproduces the uninterrupted run, in either
+// phase. A version-1 checkpoint is rejected with an error naming its
+// version.
+func TestResumeFromDamagedCheckpoint(t *testing.T) {
 	m, _ := MachineByName("broadwell")
 	prog, err := Benchmark(CloverLeaf)
 	if err != nil {
@@ -119,13 +118,14 @@ func TestResumeFromIndentedCheckpoint(t *testing.T) {
 	}
 	in := TuningInput(CloverLeaf, m)
 	base := Options{
-		Machine: m, Samples: 40, TopX: 8, Seed: "indented-resume",
+		Machine: m, Samples: 40, TopX: 8, Seed: "damaged-resume",
 		Faults: DefaultFaultRates(), CheckpointEvery: 3,
 	}
 	want, err := NewTuner(base).Tune(prog, in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	progress := func(ck *Checkpoint) int { return len(ck.CollectDone) + len(ck.CFRDone) }
 	for _, killAt := range []int{13, 52} {
 		path := filepath.Join(t.TempDir(), "tune.ckpt")
 		killOpts := base
@@ -134,16 +134,31 @@ func TestResumeFromIndentedCheckpoint(t *testing.T) {
 		if _, err := NewTuner(killOpts).Tune(prog, in); !errors.Is(err, ErrKilled) {
 			t.Fatalf("kill at %d: expected ErrKilled, got %v", killAt, err)
 		}
-		ck, err := core.LoadCheckpointFile(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		indented, err := json.MarshalIndent(ck, "", "  ")
-		if err != nil {
+		i := bytes.Index(data[len(data)/2:], []byte(`"0x1.`))
+		if i < 0 {
+			t.Fatalf("kill at %d: no time with a fraction in the second half of the checkpoint", killAt)
+		}
+		i += len(data)/2 + len(`"0x1.`)
+		if data[i] == '8' {
+			data[i] = '9'
+		} else {
+			data[i] = '8'
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, indented, 0o644); err != nil {
-			t.Fatal(err)
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("kill at %d: damaged checkpoint: %v", killAt, err)
+		}
+		// Every whole line before the damaged one is the header or one
+		// completed sample.
+		if got, before := progress(ck), bytes.Count(data[:i], []byte("\n"))-1; got != before {
+			t.Fatalf("kill at %d: damaged checkpoint loads %d samples, want the %d before the damaged record", killAt, got, before)
 		}
 
 		resumeOpts := base
@@ -152,17 +167,25 @@ func TestResumeFromIndentedCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rewritten, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(rewritten, []byte("\n")) {
-			t.Fatalf("kill at %d: resumed run wrote an indented checkpoint", killAt)
-		}
 		if got.Fingerprint() != want.Fingerprint() {
 			t.Fatalf("kill at %d: resumed fingerprint %#x != uninterrupted %#x",
 				killAt, got.Fingerprint(), want.Fingerprint())
 		}
+		if ck, err := LoadCheckpoint(path); err != nil || progress(ck) != 80 {
+			t.Fatalf("kill at %d: the resumed run did not rewrite a whole log: %v", killAt, err)
+		}
+	}
+
+	v1 := filepath.Join(t.TempDir(), "v1.ckpt")
+	doc := `{"version":1,"program":"CloverLeaf","machine":"broadwell","flavor":"icc","seed":"damaged-resume","samples":40,"topx":8,"modules":12,` +
+		`"collect_done":[],"times":null,"totals":null,"cfr_done":[],"cfr_times":null,"quarantine":[],"cost":{}}`
+	if err := os.WriteFile(v1, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumeOpts := base
+	resumeOpts.Resume = v1
+	if _, err := NewTuner(resumeOpts).Tune(prog, in); err == nil || !strings.Contains(err.Error(), "version 1 ") {
+		t.Fatalf("version-1 checkpoint: error %v, want one naming version 1", err)
 	}
 }
 
