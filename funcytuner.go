@@ -52,7 +52,6 @@ import (
 	"funcytuner/internal/caliper"
 	"funcytuner/internal/compiler"
 	"funcytuner/internal/core"
-	"funcytuner/internal/exec"
 	"funcytuner/internal/faults"
 	"funcytuner/internal/flagspec"
 	"funcytuner/internal/ir"
@@ -537,15 +536,16 @@ type Evaluation struct {
 // Evaluate compiles the report's program with per-module CVs (e.g.
 // Report.Best.ModuleCVs, or any modification of them) and measures it
 // noise-free on an arbitrary input — the §4.3 generalization protocol.
+// A crashing assembly (§3.2) reports Total +Inf and no PerLoop times;
+// its Notes are still filled.
 func (r *Report) Evaluate(cvs []CV, in Input) (*Evaluation, error) {
 	if r.sess == nil {
 		return nil, ErrServed
 	}
-	exe, err := r.sess.Toolchain.Compile(r.sess.Prog, r.sess.Part, cvs, r.sess.Machine)
+	exe, res, err := r.sess.TrueRun(cvs, in)
 	if err != nil {
 		return nil, err
 	}
-	res := exec.Run(exe, r.sess.Machine, in, exec.Options{})
 	ev := &Evaluation{Total: res.Total, PerLoop: res.PerLoop}
 	for li := range exe.PerLoop {
 		ev.Notes = append(ev.Notes, exe.PerLoop[li].Notes())

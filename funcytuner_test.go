@@ -3,6 +3,8 @@ package funcytuner
 import (
 	"math"
 	"testing"
+
+	"funcytuner/internal/compiler"
 )
 
 func testTuner(t *testing.T) *Tuner {
@@ -70,6 +72,34 @@ func TestTunePipeline(t *testing.T) {
 	}
 	if len(rep.Best.ModuleCVs) != rep.Modules {
 		t.Error("ModuleCVs does not match module count")
+	}
+}
+
+// Report.Evaluate applies the crash model TrueTime does (§3.2): a
+// crashing assembly reports +Inf and no per-loop times, with its notes.
+func TestEvaluateCrashingAssembly(t *testing.T) {
+	prog, _ := Benchmark(CloverLeaf)
+	m, _ := MachineByName("broadwell")
+	in := TuningInput(CloverLeaf, m)
+	rep, err := NewTuner(Options{Machine: m, Samples: 20, TopX: 4, Seed: "crash-eval"}).Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := compiler.CrashProbe(ICCSpace(), prog.Seed, m.ID, 50000)
+	if crash.IsZero() {
+		t.Fatal("no crashing CV found")
+	}
+	cvs := make([]CV, rep.Modules)
+	for i := range cvs {
+		cvs[i] = crash
+	}
+	ev, err := rep.Evaluate(cvs, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(ev.Total, 1) || ev.PerLoop != nil || len(ev.Notes) != prog.NumLoops() {
+		t.Errorf("crashing assembly evaluated to Total %v, %d per-loop times, %d notes; want +Inf, none, %d",
+			ev.Total, len(ev.PerLoop), len(ev.Notes), prog.NumLoops())
 	}
 }
 

@@ -298,27 +298,24 @@ type Prepared struct {
 	modStatic []xrand.Hasher
 	asmStatic xrand.Hasher
 
-	// scratch recycles per-compile working buffers (module keys, uniform
-	// CV expansion) across the thousands of compiles a session issues
-	// through one Prepared. The buffers are fully overwritten before each
-	// use and nothing downstream retains them: keys feed the cache tiers
-	// by value, and link copies CVs out of the objects, never the slice.
+	// scratch recycles per-compile module-key buffers across the
+	// thousands of compiles a session issues through one Prepared. The
+	// buffers are fully overwritten before each use and nothing
+	// downstream retains them: keys feed the cache tiers by value.
 	scratch sync.Pool
 }
 
-// prepScratch is one compile's worth of reusable working buffers, both
-// sized to the partition's module count.
+// prepScratch is one compile's worth of reusable working buffers, sized
+// to the partition's module count.
 type prepScratch struct {
 	keys []uint64
-	cvs  []flagspec.CV
 }
 
 func (pp *Prepared) getScratch() *prepScratch {
 	if v := pp.scratch.Get(); v != nil {
 		return v.(*prepScratch)
 	}
-	n := len(pp.part.Modules)
-	return &prepScratch{keys: make([]uint64, n), cvs: make([]flagspec.CV, n)}
+	return &prepScratch{keys: make([]uint64, len(pp.part.Modules))}
 }
 
 // Prepare validates the partition and snapshots the static key prefixes.
@@ -340,7 +337,9 @@ func (tc *Toolchain) Prepare(prog *ir.Program, part ir.Partition, m *arch.Machin
 	return pp, nil
 }
 
-// Compile is Toolchain.Compile over the prepared partition.
+// Compile is Toolchain.Compile over the prepared partition. It does not
+// retain cvs (an Executable records no CVs), so callers may pass a
+// reused buffer.
 func (pp *Prepared) Compile(cvs []flagspec.CV) (*Executable, error) {
 	tc := pp.tc
 	if len(cvs) != len(pp.part.Modules) {
@@ -373,18 +372,6 @@ func (pp *Prepared) Compile(cvs []flagspec.CV) (*Executable, error) {
 	}).(compiled)
 	pp.scratch.Put(sc)
 	return res.exe, res.err
-}
-
-// CompileUniform is Toolchain.CompileUniform over the prepared partition.
-func (pp *Prepared) CompileUniform(cv flagspec.CV) (*Executable, error) {
-	sc := pp.getScratch()
-	cvs := sc.cvs
-	for i := range cvs {
-		cvs[i] = cv
-	}
-	exe, err := pp.Compile(cvs)
-	pp.scratch.Put(sc)
-	return exe, err
 }
 
 func boolKey(b bool) uint64 {

@@ -61,7 +61,7 @@ type Collection struct {
 // ctx stops the phase at an evaluation boundary with the checkpoint
 // flushed; the error satisfies errors.Is(err, context.Canceled).
 func (s *Session) Collect(ctx context.Context) (*Collection, error) {
-	s.tr.Phase("collect")
+	s.tr.Phase(phaseCollect)
 	cvs := s.PreSample()
 	col := &Collection{
 		CVs:    cvs,
@@ -80,17 +80,17 @@ func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 		if done[k] {
 			return
 		}
-		per, total, ec, err := s.measureUniformEval(ctx, cvs[k], "collect", k)
+		out, err := s.evaluate(ctx, EvalRequest{Phase: phaseCollect, Sample: k, CVs: cvs[k : k+1 : k+1]})
 		if err != nil {
 			errs[k] = err
 			return
 		}
-		for mi := range per {
-			col.Times[mi][k] = per[mi]
+		for mi, t := range out.PerModule {
+			col.Times[mi][k] = t
 		}
-		col.Totals[k] = total
+		col.Totals[k] = out.Total
 		if s.ckpt != nil {
-			s.ckpt.markCollect(k, per, total, ec)
+			s.ckpt.record(phaseCollect, k, out)
 		}
 	})
 	if s.ckpt != nil {
@@ -163,11 +163,11 @@ func (s *Session) Greedy(ctx context.Context, col *Collection) (realized, indepe
 		chosen[mi] = col.CVs[bestK]
 		indepSum += best
 	}
-	measured, err := s.measure(ctx, chosen, "greedy", 0)
+	out, err := s.evaluate(ctx, EvalRequest{Phase: "greedy", CVs: chosen})
 	if err != nil {
 		return nil, nil, err
 	}
-	realized, err = s.finish("G.realized", chosen, measured, []float64{measured})
+	realized, err = s.finish("G.realized", chosen, out.Total, []float64{out.Total})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -40,6 +40,7 @@ const DefaultCheckpointEvery = 25
 
 // Record phases: a completed collection or search-phase sample, and the
 // cost and quarantine a resumed log inherited from its samples.
+// phaseCollect is also the collection phase's evaluation name.
 const (
 	phaseCollect = "collect"
 	phaseSearch  = "search"
@@ -162,7 +163,8 @@ func (ck *Checkpoint) apply(body []byte, done map[capKey]bool) bool {
 		return false
 	}
 	// Deltas are non-negative, so a negative sum means it overflowed.
-	cost := ck.Cost.addEval(evalCostFromSnapshot(r.Cost))
+	cost := ck.Cost
+	cost.add(r.Cost)
 	if cost.validate() != nil {
 		return false
 	}
@@ -466,23 +468,13 @@ func (c *Checkpointer) restoreCFR(times []float64, done []bool) {
 	}
 }
 
-// markCollect records one completed collection sample with its cost and
-// the keys it quarantined, writing on cadence.
-func (c *Checkpointer) markCollect(k int, per []float64, total float64, ec evalCost) {
+// record appends one completed evaluation as a record of the given
+// phase (phaseCollect or phaseSearch): its times, cost delta and the keys
+// it quarantined. It writes on cadence.
+func (c *Checkpointer) record(phase string, k int, out EvalOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.markedLocked(appendMark(c.mark[:0], phaseCollect, k, total, per, snapshotEval(ec), ec.quarantined))
-}
-
-// markCFR records one completed search-phase sample.
-func (c *Checkpointer) markCFR(k int, t float64, ec evalCost) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.markedLocked(appendMark(c.mark[:0], phaseSearch, k, t, nil, snapshotEval(ec), ec.quarantined))
-}
-
-func (c *Checkpointer) markedLocked(body []byte) {
-	c.queueLocked(body)
+	c.queueLocked(appendMark(c.mark[:0], phase, k, out.Total, out.PerModule, out.Cost, out.Quarantined))
 	c.pending++
 	if c.pending >= c.every && c.writer == nil {
 		c.writer = make(chan struct{})

@@ -460,7 +460,7 @@ func TestFlushFailureLeavesResumableCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	per := make([]float64, len(s.Part.Modules))
-	c.markCollect(0, per, 1.5, evalCost{runs: 1, simMicros: 10})
+	c.record(phaseCollect, 0, EvalOutcome{PerModule: per, Total: 1.5, Cost: CostSnapshot{Runs: 1, SimMicros: 10}})
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -475,8 +475,9 @@ func TestFlushFailureLeavesResumableCheckpoint(t *testing.T) {
 		}
 		return errors.New("disk full")
 	}
-	c.markCollect(1, per, 2.5, evalCost{runs: 1, simMicros: 20, quarantined: []uint64{0x7}})
-	c.markCFR(0, 3.5, evalCost{runs: 1, simMicros: 30})
+	c.record(phaseCollect, 1, EvalOutcome{PerModule: per, Total: 2.5, Cost: CostSnapshot{Runs: 1, SimMicros: 20},
+		Quarantined: []uint64{0x7}})
+	c.record(phaseSearch, 0, EvalOutcome{Total: 3.5, Cost: CostSnapshot{Runs: 1, SimMicros: 30}})
 	if err := c.Flush(); err == nil {
 		t.Fatal("a write that failed part-way reported success")
 	}
@@ -525,11 +526,12 @@ func TestMarkAllocatesNothing(t *testing.T) {
 	for mi := range per {
 		per[mi] = 1.0 / float64(mi+3)
 	}
-	ec := evalCost{compiles: int64(len(per)), runs: 1, simMicros: 20123, flakes: 1, quarantined: []uint64{0xfeedc0de}}
+	cost := CostSnapshot{Compiles: int64(len(per)), Runs: 1, SimMicros: 20123, Flakes: 1}
+	q := []uint64{0xfeedc0de}
 	mark := func() {
 		c.tail = c.tail[:0] // no writer runs at this cadence; keep the tail from growing
-		c.markCollect(3, per, 1.5, ec)
-		c.markCFR(4, math.Inf(1), ec)
+		c.record(phaseCollect, 3, EvalOutcome{PerModule: per, Total: 1.5, Cost: cost, Quarantined: q})
+		c.record(phaseSearch, 4, EvalOutcome{Total: math.Inf(1), Cost: cost, Quarantined: q})
 	}
 	mark()
 	if n := testing.AllocsPerRun(100, mark); n != 0 {
@@ -551,9 +553,12 @@ func TestCheckpointLogPinned(t *testing.T) {
 	for mi := range per {
 		per[mi] = 0.75 * float64(mi+1)
 	}
-	c.markCollect(3, per, math.Inf(1), evalCost{compiles: int64(len(per)), runs: 1, simMicros: 100,
-		wastedCompiles: int64(len(per)), compileFails: 1, quarantined: []uint64{0xfeedc0de}})
-	c.markCFR(7, 12.25, evalCost{compiles: 2, runs: 2, simMicros: 12250000, flakes: 1, retries: 1})
+	c.record(phaseCollect, 3, EvalOutcome{PerModule: per, Total: math.Inf(1),
+		Cost: CostSnapshot{Compiles: int64(len(per)), Runs: 1, SimMicros: 100,
+			WastedCompiles: int64(len(per)), CompileFails: 1},
+		Quarantined: []uint64{0xfeedc0de}})
+	c.record(phaseSearch, 7, EvalOutcome{Total: 12.25,
+		Cost: CostSnapshot{Compiles: 2, Runs: 2, SimMicros: 12250000, Flakes: 1, Retries: 1}})
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +711,8 @@ func TestCheckpointWriteBehind(t *testing.T) {
 		}
 		return commit(off, data)
 	}
-	c.markCollect(0, make([]float64, len(s.Part.Modules)), 1.5, evalCost{runs: 1})
+	c.record(phaseCollect, 0, EvalOutcome{PerModule: make([]float64, len(s.Part.Modules)), Total: 1.5,
+		Cost: CostSnapshot{Runs: 1}})
 	<-entered
 	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
@@ -776,8 +782,8 @@ func BenchmarkCheckpointFlush(b *testing.B) {
 	write := func(i int) {
 		for j := 0; j < DefaultCheckpointEvery; j++ {
 			k := (i*DefaultCheckpointEvery + j) % len(per)
-			c.markCollect(k, per[k], col.Totals[k], evalCost{compiles: int64(len(col.Times)), runs: 1,
-				simMicros: int64(col.Totals[k] * 1e6)})
+			c.record(phaseCollect, k, EvalOutcome{PerModule: per[k], Total: col.Totals[k],
+				Cost: CostSnapshot{Compiles: int64(len(col.Times)), Runs: 1, SimMicros: int64(col.Totals[k] * 1e6)}})
 		}
 		if err := c.Flush(); err != nil {
 			b.Fatal(err)

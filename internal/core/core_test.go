@@ -309,6 +309,36 @@ func TestTrueTimeOnDifferentInput(t *testing.T) {
 	}
 }
 
+// A crashing assembly (§3.2) scores +Inf on every noise-free path, on
+// the tuning input and on any other.
+func TestTrueTimeCrashingAssembly(t *testing.T) {
+	s := newCLSession(t, 10, 2, false)
+	crash := compiler.CrashProbe(s.Toolchain.Space, s.Prog.Seed, s.Machine.ID, 50000)
+	if crash.IsZero() {
+		t.Fatal("no crashing CV found")
+	}
+	cvs := make([]flagspec.CV, len(s.Part.Modules))
+	for i := range cvs {
+		cvs[i] = crash
+	}
+	for _, tc := range []struct {
+		name    string
+		measure func() (float64, error)
+	}{
+		{"TrueTime", func() (float64, error) { return s.TrueTime(cvs) }},
+		{"TrueTimeOn/tuning", func() (float64, error) { return s.TrueTimeOn(cvs, s.Input) }},
+		{"TrueTimeOn/small", func() (float64, error) { return s.TrueTimeOn(cvs, apps.SmallInput(apps.CloverLeaf)) }},
+	} {
+		got, err := tc.measure()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsInf(got, 1) {
+			t.Errorf("%s of a crashing assembly = %v, want +Inf", tc.name, got)
+		}
+	}
+}
+
 func TestDefaultConfigs(t *testing.T) {
 	cfg := DefaultConfig("x")
 	if cfg.Samples != 1000 || cfg.TopX != 50 || !cfg.Noisy {

@@ -18,10 +18,11 @@ import (
 // neither is attached the cost is a handful of nil-receiver method
 // calls per evaluation (see BenchmarkSessionTraceDisabled).
 //
-// Metric names the session registers. Counters are incremented at the
-// same branch sites that mutate the evalCost ledger, so after any run
-// each counter equals the corresponding CostAccount accessor exactly —
-// a cross-check the metrics property tests enforce.
+// Metric names the session registers. Every cost counter is fed from an
+// evaluation's cost delta in the same call that adds it to the
+// CostAccount, so after any run each counter equals the corresponding
+// CostAccount accessor exactly — a cross-check the metrics property tests
+// enforce.
 const (
 	// MetricEvals counts completed evaluations (finishEval calls).
 	MetricEvals = "evals"
@@ -155,42 +156,31 @@ func (m *sessionMetrics) searchBatch(n int) {
 	m.searchObserved.Add(int64(n))
 }
 
-// finishEval feeds the aggregate counters and per-evaluation histograms
-// from a completed evaluation's cost delta, mirroring CostAccount.add.
-func (m *sessionMetrics) finishEval(ec evalCost) {
+// finishEval feeds every counter and the per-evaluation histograms from
+// a completed evaluation's cost delta — the value the CostAccount takes in
+// the same Session.finishEval call, local and remote evaluations alike.
+func (m *sessionMetrics) finishEval(d CostSnapshot) {
 	if !m.enabled {
 		return
 	}
 	m.evals.Inc()
-	m.compiles.Add(ec.compiles)
-	m.runs.Add(ec.runs)
-	m.simMicros.Add(ec.simMicros)
-	m.faultMicros.Add(ec.faultMicros)
-	m.evalSim.Observe(ec.simSeconds())
-	m.evalRetries.Observe(float64(ec.retries))
+	m.compiles.Add(d.Compiles)
+	m.runs.Add(d.Runs)
+	m.simMicros.Add(d.SimMicros)
+	m.faultMicros.Add(d.FaultMicros)
+	m.retries.Add(d.Retries)
+	m.flakes.Add(d.Flakes)
+	m.timeouts.Add(d.Timeouts)
+	m.compileFails.Add(d.CompileFails)
+	m.runCrashes.Add(d.RunCrashes)
+	m.wastedCompiles.Add(d.WastedCompiles)
+	m.evalSim.Observe(d.simSeconds())
+	m.evalRetries.Observe(float64(d.Retries))
 }
 
-// applyRemote mirrors the per-fault-class counters for a remotely
-// executed evaluation. Local evaluations increment these at the branch
-// sites inside icePass/faultedRun, which run on the worker for a remote
-// claim; replaying them from the cost delta preserves the invariant that
-// each counter equals its CostAccount accessor exactly. The aggregate
-// counters and histograms come from the usual finishEval call.
-func (m *sessionMetrics) applyRemote(ec evalCost) {
-	if !m.enabled {
-		return
-	}
-	m.retries.Add(ec.retries)
-	m.flakes.Add(ec.flakes)
-	m.timeouts.Add(ec.timeouts)
-	m.compileFails.Add(ec.compileFails)
-	m.runCrashes.Add(ec.runCrashes)
-	m.wastedCompiles.Add(ec.wastedCompiles)
-}
-
-// simSeconds is the evaluation's simulated-clock offset so far, in
-// seconds — the deterministic timestamp trace events carry.
-func (ec *evalCost) simSeconds() float64 { return float64(ec.simMicros) / 1e6 }
+// simSeconds is the simulated clock of the cost so far, in seconds — the
+// deterministic timestamp trace events carry.
+func (s CostSnapshot) simSeconds() float64 { return float64(s.SimMicros) / 1e6 }
 
 // AttachTrace attaches a trace recorder to the session and emits the
 // session marker. Call after NewSession, before the first evaluation.
@@ -277,7 +267,7 @@ func (s *Session) observeCache(tier string, oc objcache.Outcome) {
 // closeEval stamps the evaluation-close event ("ok" for a finite
 // measurement, "lost" for an abandoned one) and flushes the span to the
 // recorder in one locked append.
-func (s *Session) closeEval(tb *trace.Batch, ec *evalCost, t float64) {
+func (s *Session) closeEval(tb *trace.Batch, cost CostSnapshot, t float64) {
 	if tb == nil {
 		return
 	}
@@ -285,6 +275,6 @@ func (s *Session) closeEval(tb *trace.Batch, ec *evalCost, t float64) {
 	if math.IsInf(t, 1) {
 		name = "lost"
 	}
-	tb.Add(trace.Event{Kind: trace.KindEval, Name: name, Seconds: t, Sim: ec.simSeconds()})
+	tb.Add(trace.Event{Kind: trace.KindEval, Name: name, Seconds: t, Sim: cost.simSeconds()})
 	tb.Commit()
 }

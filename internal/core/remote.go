@@ -20,24 +20,26 @@ import (
 // outcome exactly as if it had evaluated locally, so the merged Report
 // (and its Fingerprint) cannot distinguish local from remote execution.
 //
-// The seam has two halves:
+// The seam has two halves around the one evaluation path,
+// Session.evaluate:
 //
 //   - Config.Remote (a RemoteEvaluator) turns this session into a
-//     coordinator: measureEval/measureUniformEval dispatch each claim
-//     through the evaluator instead of compiling and running locally,
-//     and applyRemote merges the outcome (cost, quarantine, metrics,
-//     trace span) on return. The parFor claim loop above is unchanged —
-//     it bounds in-flight claims exactly as it bounds local workers.
-//   - EvaluateClaim is the worker half: it executes one claim on a
-//     local session and captures the evaluation's portable outcome,
-//     including the trace span, via a detached batch.
+//     coordinator: evaluate dispatches each request through the
+//     evaluator instead of compiling and running locally, and merges the
+//     outcome (quarantine, trace span, then cost and metrics through the
+//     same finishEval a local evaluation ends with) on return. The
+//     parFor claim loop is unchanged — it bounds in-flight claims
+//     exactly as it bounds local workers.
+//   - EvaluateClaim is the worker half: it runs evaluate for one claim on
+//     a local session and returns the outcome evaluate built, plus the
+//     trace span it captured through a detached batch.
 
 // EvalRequest identifies one evaluation claim. Phase "collect" is the
 // instrumented uniform evaluation (CVs holds the single uniform CV);
 // every other phase measures the CV-per-module assembly end-to-end.
 type EvalRequest struct {
-	// Phase is the pipeline phase name ("collect", "cfr", "random",
-	// "fr", "greedy").
+	// Phase is the pipeline phase name ("collect", "random", "fr",
+	// "greedy", or the search technique's "cfr", "bo" or "ga").
 	Phase string
 	// Sample is the evaluation's index within the phase.
 	Sample int
@@ -95,25 +97,6 @@ func (s *Session) batchFor(phase string, k int) *trace.Batch {
 	return s.tr.Batch(phase, k)
 }
 
-// snapshotEval converts an evaluation cost delta to its portable form.
-func snapshotEval(ec evalCost) CostSnapshot { return CostSnapshot{}.addEval(ec) }
-
-// evalCostFromSnapshot is the inverse of snapshotEval.
-func evalCostFromSnapshot(s CostSnapshot) evalCost {
-	return evalCost{
-		compiles:       s.Compiles,
-		runs:           s.Runs,
-		simMicros:      s.SimMicros,
-		retries:        s.Retries,
-		wastedCompiles: s.WastedCompiles,
-		faultMicros:    s.FaultMicros,
-		compileFails:   s.CompileFails,
-		runCrashes:     s.RunCrashes,
-		timeouts:       s.Timeouts,
-		flakes:         s.Flakes,
-	}
-}
-
 // EvaluateClaim executes one evaluation claim on this session — the
 // fleet-worker entry point. The claim's trace span is captured through a
 // detached batch (the session's own recorder, if any, does not receive
@@ -129,7 +112,7 @@ func (s *Session) EvaluateClaim(ctx context.Context, req EvalRequest) (EvalOutco
 	if req.Sample < 0 || req.Sample >= s.Config.Samples {
 		return EvalOutcome{}, fmt.Errorf("core: claim sample %d outside [0, %d)", req.Sample, s.Config.Samples)
 	}
-	uniform := req.Phase == "collect"
+	uniform := req.Phase == phaseCollect
 	switch {
 	case uniform && len(req.CVs) != 1:
 		return EvalOutcome{}, fmt.Errorf("core: collect claim carries %d CVs, want 1", len(req.CVs))
@@ -157,58 +140,41 @@ func (s *Session) EvaluateClaim(ctx context.Context, req EvalRequest) (EvalOutco
 		s.capMu.Unlock()
 	}()
 
-	var out EvalOutcome
-	if uniform {
-		per, total, ec, err := s.measureUniformEval(ctx, req.CVs[0], req.Phase, req.Sample)
-		if err != nil {
-			return EvalOutcome{}, err
-		}
-		out = EvalOutcome{PerModule: per, Total: total, Cost: snapshotEval(ec), Quarantined: ec.quarantined}
-	} else {
-		t, ec, err := s.measureEval(ctx, req.CVs, req.Phase, req.Sample)
-		if err != nil {
-			return EvalOutcome{}, err
-		}
-		out = EvalOutcome{Total: t, Cost: snapshotEval(ec), Quarantined: ec.quarantined}
+	out, err := s.evaluate(ctx, req)
+	if err != nil {
+		return EvalOutcome{}, err
 	}
 	out.Events = tb.Events()
 	return out, nil
 }
 
-// remoteEval dispatches one claim through the configured RemoteEvaluator
-// and merges the outcome. The cancellation check guards the evaluation
-// boundary exactly like the local path: a cancelled run never applies a
-// partial claim's cost.
-func (s *Session) remoteEval(ctx context.Context, req EvalRequest) (EvalOutcome, evalCost, error) {
-	var ec evalCost
+// remoteEval is evaluate on a coordinator session: it dispatches the
+// request through the configured RemoteEvaluator and merges the outcome
+// as the local path would have applied it. The cancellation check guards
+// the evaluation boundary exactly like the local path, so a cancelled run
+// never applies a partial claim's cost, and a malformed outcome is
+// rejected before anything is merged. Every ingredient of the merge is
+// commutative, so it is deterministic no matter which worker reported
+// first.
+func (s *Session) remoteEval(ctx context.Context, req EvalRequest) (EvalOutcome, error) {
 	if err := s.checkCancelled(ctx); err != nil {
-		return EvalOutcome{}, ec, err
+		return EvalOutcome{}, err
 	}
 	out, err := s.Config.Remote.Evaluate(ctx, req)
 	if err != nil {
-		return EvalOutcome{}, ec, fmt.Errorf("core: remote evaluation %s/%d: %w", req.Phase, req.Sample, err)
+		return EvalOutcome{}, fmt.Errorf("core: remote evaluation %s/%d: %w", req.Phase, req.Sample, err)
 	}
 	if math.IsNaN(out.Total) {
-		return EvalOutcome{}, ec, fmt.Errorf("core: remote evaluation %s/%d returned NaN", req.Phase, req.Sample)
+		return EvalOutcome{}, fmt.Errorf("core: remote evaluation %s/%d returned NaN", req.Phase, req.Sample)
 	}
-	ec = s.applyRemote(out)
-	return out, ec, nil
-}
-
-// applyRemote merges a completed remote evaluation into the session:
-// quarantine decisions, the cost ledger, the per-class metric counters
-// that local evaluations increment at their branch sites, and the trace
-// span (re-stamped with this session's phase ordinal). Order-independent
-// by construction — every ingredient is commutative — so the merge is
-// deterministic no matter which worker reported first.
-func (s *Session) applyRemote(out EvalOutcome) evalCost {
+	if req.Phase == phaseCollect && len(out.PerModule) != len(s.Part.Modules) {
+		return EvalOutcome{}, fmt.Errorf("core: remote collect %d returned %d module times, want %d",
+			req.Sample, len(out.PerModule), len(s.Part.Modules))
+	}
 	for _, key := range out.Quarantined {
 		s.quarantineCV(key)
 	}
-	ec := evalCostFromSnapshot(out.Cost)
-	ec.quarantined = out.Quarantined
-	s.met.applyRemote(ec)
 	s.tr.CommitSpan(out.Events)
-	s.finishEval(ec)
-	return ec
+	s.finishEval(out.Cost)
+	return out, nil
 }

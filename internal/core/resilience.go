@@ -51,12 +51,14 @@ func (s *Session) checkCancelled(ctx context.Context) error {
 	return s.checkKilled()
 }
 
-// finishEval applies the evaluation's cost, feeds the observability
-// layer, and advances the simulated node-failure clock.
-func (s *Session) finishEval(ec evalCost) {
-	s.Cost.add(ec)
+// finishEval applies a completed evaluation's cost delta to the
+// CostAccount and the metrics, and advances the simulated node-failure
+// clock. It is the only place either ledger grows, so the metrics move
+// exactly as the CostAccount does.
+func (s *Session) finishEval(d CostSnapshot) {
+	s.Cost.add(d)
 	s.completed.Add(1)
-	s.met.finishEval(ec)
+	s.met.finishEval(d)
 	if s.Config.KillAfterEvals > 0 {
 		if s.evals.Add(1) >= int64(s.Config.KillAfterEvals) {
 			s.killed.Store(true)
@@ -101,10 +103,122 @@ func (s *Session) restoreQuarantine(keys []uint64) {
 	s.qmu.Unlock()
 }
 
+// evaluate is the one measurement path: every evaluation the pipeline
+// makes, local or remote, is a request in and an outcome out. A collect
+// request compiles its one CV into every module and runs it with Caliper
+// instrumentation (Fig. 4), reporting per-module times; any other request
+// runs its CV-per-module assembly end to end (Algorithm 1). Crashing code
+// variants (§3.2: some flag settings "prevent a program from running
+// successfully") and injected faults that exhaust the retry budget
+// measure +Inf, so they lose every argmin without special-casing; a lost
+// collect evaluation reports +Inf for every module, so its CV drops out
+// of all pruned pools. The outcome's Cost and Quarantined are the
+// evaluation's cost delta and quarantine decisions, already applied to
+// the session when evaluate returns.
+func (s *Session) evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error) {
+	if s.Config.Remote != nil {
+		return s.remoteEval(ctx, req)
+	}
+	if err := s.checkCancelled(ctx); err != nil {
+		return EvalOutcome{}, err
+	}
+	var sc *evalScratch
+	if !s.Config.Unpooled {
+		sc = s.getScratch()
+		defer s.putScratch(sc)
+	}
+	collect := req.Phase == phaseCollect
+	cvs := req.CVs
+	var crashQ []flagspec.CV
+	if collect {
+		// Every module compiles with the one CV, so a permanent run
+		// crash is that CV's fault.
+		if sc != nil {
+			cvs = sc.uniform
+		} else {
+			cvs = make([]flagspec.CV, len(s.Part.Modules))
+		}
+		for i := range cvs {
+			cvs[i] = req.CVs[0]
+		}
+		crashQ = req.CVs
+	}
+	out := EvalOutcome{Total: math.Inf(1)}
+	tb := s.batchFor(req.Phase, req.Sample)
+	var prof caliper.Profile
+	if !s.icePass(cvs, &out, tb) {
+		exe, err := s.prep.Compile(cvs)
+		if err != nil {
+			return EvalOutcome{}, err
+		}
+		out.Cost.Compiles += int64(len(s.Part.Modules))
+		tb.Add(trace.Event{Kind: trace.KindCompile, Modules: len(s.Part.Modules)})
+		tb.Add(trace.Event{Kind: trace.KindLink})
+		if exe.Crashes() {
+			out.Cost.addRun(0.1) // the failed launch still costs a moment
+			tb.Add(trace.Event{Kind: trace.KindFault, Name: "crash", Seconds: 0.1, Sim: out.Cost.simSeconds()})
+		} else {
+			stamp := func(res exec.Result) {
+				name := "ok"
+				if res.Killed {
+					name = "killed"
+				}
+				tb.Add(trace.Event{Kind: trace.KindRun, Name: name, Seconds: res.Total, Sim: out.Cost.simSeconds()})
+			}
+			out.Total, err = s.faultedRun(ctx, &out, cvs, crashQ, tb, func() exec.Result {
+				if collect {
+					// The caliper path doesn't go through exec.Options, so
+					// the harness deadline is emulated here with the same
+					// semantics.
+					prof = s.caliperProfile(exe, sc, req.Phase, req.Sample)
+					res := exec.Result{Total: prof.Total}
+					if dl := s.Config.TimeoutBudget; dl > 0 && prof.Total > dl {
+						res = exec.Result{Total: dl, Killed: true}
+					}
+					stamp(res)
+					return res
+				}
+				opt := exec.Options{
+					Noise:           s.noiseFor(sc, req.Phase, req.Sample),
+					DeadlineSeconds: s.Config.TimeoutBudget,
+					Observer:        stamp,
+				}
+				if sc != nil {
+					return s.runProf.RunInto(exe, opt, sc.perLoop)
+				}
+				return s.runProf.Run(exe, opt)
+			})
+			if err != nil {
+				return EvalOutcome{}, err
+			}
+		}
+	}
+	if collect {
+		out.PerModule = make([]float64, len(s.Part.Modules))
+		for mi, mod := range s.Part.Modules {
+			if math.IsInf(out.Total, 1) {
+				out.PerModule[mi] = math.Inf(1)
+				continue
+			}
+			if mod.IsBase {
+				// The base module's time is the non-loop time plus the
+				// loops left in it (under the hotness threshold).
+				out.PerModule[mi] = prof.NonLoop
+			}
+			for _, li := range mod.LoopIdx {
+				out.PerModule[mi] += prof.PerLoop[li]
+			}
+		}
+	}
+	s.finishEval(out.Cost)
+	s.closeEval(tb, out.Cost, out.Total)
+	return out, nil
+}
+
 // icePass applies the injected compile-failure model to an assignment:
 // any module CV classified as an ICE is quarantined. It reports whether
 // the assembly's compilation died.
-func (s *Session) icePass(cvs []flagspec.CV, ec *evalCost, tb *trace.Batch) bool {
+func (s *Session) icePass(cvs []flagspec.CV, out *EvalOutcome, tb *trace.Batch) bool {
 	if s.faults == nil {
 		return false
 	}
@@ -113,17 +227,15 @@ func (s *Session) icePass(cvs []flagspec.CV, ec *evalCost, tb *trace.Batch) bool
 		key := cv.Key()
 		if s.faults.CompileFails(key) {
 			s.quarantineCV(key)
-			ec.quarantined = append(ec.quarantined, key)
+			out.Quarantined = append(out.Quarantined, key)
 			ice = true
 		}
 	}
 	if ice {
-		ec.wastedCompiles += int64(len(s.Part.Modules))
-		ec.compileFails++
-		s.met.compileFails.Inc()
-		s.met.wastedCompiles.Add(int64(len(s.Part.Modules)))
+		out.Cost.WastedCompiles += int64(len(s.Part.Modules))
+		out.Cost.CompileFails++
 		tb.Add(trace.Event{Kind: trace.KindFault, Name: faults.CompileFail.String(),
-			Modules: len(s.Part.Modules), Sim: ec.simSeconds()})
+			Modules: len(s.Part.Modules), Sim: out.Cost.simSeconds()})
 	}
 	return ice
 }
@@ -146,53 +258,54 @@ func (s *Session) assemblyKey(cvs []flagspec.CV) (key uint64, allBaseline bool) 
 // faultedRun wraps one successful compile's run phase with the injected
 // run-level fault model and the per-evaluation deadline. run() must be a
 // pure function of the session state (it is invoked exactly once) and
-// returns the run's end-to-end simulated time plus whether the harness
-// deadline killed it (exec.Result.Killed; a killed run's t is the
-// deadline it consumed). faultedRun returns the measured value: t on
-// success, +Inf when the evaluation is lost. crashQ lists CV
-// fingerprints to quarantine on a permanent run crash (used by uniform
-// evaluations, where the crash is attributable to a single CV). A ctx
-// cancelled between retry attempts abandons the evaluation with the
-// context's error: no cost is applied and the sample is never marked
-// complete, so a resumed run recomputes it from scratch, bit-identically.
-func (s *Session) faultedRun(ctx context.Context, ec *evalCost, akey uint64, exempt bool, crashQ []uint64, tb *trace.Batch, run func() (float64, bool)) (float64, error) {
+// returns the run's result: its end-to-end simulated time plus whether
+// the harness deadline killed it (a killed run's Total is the deadline it
+// consumed). faultedRun returns the measured value: the run's time on
+// success, +Inf when the evaluation is lost. crashQ lists the CVs to
+// quarantine on a permanent run crash (a collect evaluation's one CV,
+// where the crash is attributable to it). A ctx cancelled between retry
+// attempts abandons the evaluation with the context's error: no cost is
+// applied and the sample is never marked complete, so a resumed run
+// recomputes it from scratch, bit-identically.
+func (s *Session) faultedRun(ctx context.Context, out *EvalOutcome, cvs, crashQ []flagspec.CV, tb *trace.Batch, run func() exec.Result) (float64, error) {
+	c := &out.Cost
+	akey, exempt := s.assemblyKey(cvs)
 	if s.faults != nil && !exempt {
 		if s.faults.RunCrashes(akey) {
-			for _, q := range crashQ {
-				s.quarantineCV(q)
-				ec.quarantined = append(ec.quarantined, q)
+			for _, cv := range crashQ {
+				key := cv.Key()
+				s.quarantineCV(key)
+				out.Quarantined = append(out.Quarantined, key)
 			}
-			ec.runCrashes++
-			ec.addRun(0.1) // the failed launch still costs a moment
-			ec.addFault(0.1)
-			s.met.runCrashes.Inc()
+			c.RunCrashes++
+			c.addRun(0.1) // the failed launch still costs a moment
+			c.addFault(0.1)
 			tb.Add(trace.Event{Kind: trace.KindFault, Name: faults.RunCrash.String(),
-				Seconds: 0.1, Sim: ec.simSeconds()})
+				Seconds: 0.1, Sim: c.simSeconds()})
 			return math.Inf(1), nil
 		}
 		if s.faults.TimesOut(akey) {
 			// Runtime blowup: the run burns the whole deadline budget
 			// before the harness kills it.
 			budget := s.Config.timeoutBudget()
-			ec.timeouts++
-			ec.addRun(budget)
-			ec.addFault(budget)
-			s.met.timeouts.Inc()
+			c.Timeouts++
+			c.addRun(budget)
+			c.addFault(budget)
 			tb.Add(trace.Event{Kind: trace.KindFault, Name: faults.Timeout.String(),
-				Seconds: budget, Sim: ec.simSeconds()})
+				Seconds: budget, Sim: c.simSeconds()})
 			return math.Inf(1), nil
 		}
 	}
-	t, killed := run()
-	if killed {
+	res := run()
+	t := res.Total
+	if res.Killed {
 		// Genuinely pathological variant: the harness killed the run at
 		// the deadline, so the deadline is the wall-clock it consumed.
-		ec.timeouts++
-		ec.addRun(t)
-		ec.addFault(t)
-		s.met.timeouts.Inc()
+		c.Timeouts++
+		c.addRun(t)
+		c.addFault(t)
 		tb.Add(trace.Event{Kind: trace.KindFault, Name: "deadline",
-			Seconds: t, Sim: ec.simSeconds()})
+			Seconds: t, Sim: c.simSeconds()})
 		return math.Inf(1), nil
 	}
 	// Transient flakes: retry with capped exponential backoff. Each
@@ -200,211 +313,27 @@ func (s *Session) faultedRun(ctx context.Context, ec *evalCost, akey uint64, exe
 	// of (seed, assembly, attempt) and retries are bit-reproducible.
 	if s.faults != nil {
 		for attempt := 0; s.faults.Flakes(akey, attempt); attempt++ {
-			ec.flakes++
-			ec.addRun(t) // the flaked attempt still ran
-			ec.addFault(t)
-			s.met.flakes.Inc()
+			c.Flakes++
+			c.addRun(t) // the flaked attempt still ran
+			c.addFault(t)
 			tb.Add(trace.Event{Kind: trace.KindFault, Name: faults.Flake.String(),
-				Attempt: attempt + 1, Seconds: t, Sim: ec.simSeconds()})
+				Attempt: attempt + 1, Seconds: t, Sim: c.simSeconds()})
 			if attempt >= s.Config.maxRetries() {
 				return math.Inf(1), nil // give up; transient, so no quarantine
 			}
 			back := s.Config.backoff(attempt)
-			ec.retries++
-			ec.simMicros += int64(back * 1e6) // backoff burns wall-clock
-			ec.addFault(back)
-			s.met.retries.Inc()
+			c.Retries++
+			c.SimMicros += int64(back * 1e6) // backoff burns wall-clock
+			c.addFault(back)
 			tb.Add(trace.Event{Kind: trace.KindRetry,
-				Attempt: attempt + 1, Seconds: back, Sim: ec.simSeconds()})
+				Attempt: attempt + 1, Seconds: back, Sim: c.simSeconds()})
 			if err := ctx.Err(); err != nil {
 				return 0, fmt.Errorf("core: evaluation abandoned between retries: %w", err)
 			}
 		}
 	}
-	ec.addRun(t)
+	c.addRun(t)
 	return t, nil
-}
-
-// measureEval is measure plus the evaluation's cost delta, for
-// checkpointing. The delta is applied to the session CostAccount before
-// returning.
-func (s *Session) measureEval(ctx context.Context, cvs []flagspec.CV, phase string, k int) (float64, evalCost, error) {
-	var ec evalCost
-	if s.Config.Remote != nil {
-		out, ec, err := s.remoteEval(ctx, EvalRequest{Phase: phase, Sample: k, CVs: cvs})
-		if err != nil {
-			return 0, ec, err
-		}
-		return out.Total, ec, nil
-	}
-	if err := s.checkCancelled(ctx); err != nil {
-		return 0, ec, err
-	}
-	var sc *evalScratch
-	if !s.Config.Unpooled {
-		sc = s.getScratch()
-		defer s.putScratch(sc)
-	}
-	tb := s.batchFor(phase, k)
-	if s.icePass(cvs, &ec, tb) {
-		s.finishEval(ec)
-		s.closeEval(tb, &ec, math.Inf(1))
-		return math.Inf(1), ec, nil
-	}
-	exe, err := s.prep.Compile(cvs)
-	if err != nil {
-		return 0, ec, err
-	}
-	ec.compiles += int64(len(s.Part.Modules))
-	tb.Add(trace.Event{Kind: trace.KindCompile, Modules: len(s.Part.Modules)})
-	tb.Add(trace.Event{Kind: trace.KindLink})
-	if exe.Crashes() {
-		ec.addRun(0.1) // the failed launch still costs a moment
-		tb.Add(trace.Event{Kind: trace.KindFault, Name: "crash", Seconds: 0.1, Sim: ec.simSeconds()})
-		s.finishEval(ec)
-		s.closeEval(tb, &ec, math.Inf(1))
-		return math.Inf(1), ec, nil
-	}
-	akey, exempt := s.assemblyKey(cvs)
-	opt := exec.Options{
-		Noise:           s.noiseFor(sc, phase, k),
-		DeadlineSeconds: s.Config.TimeoutBudget,
-	}
-	if tb != nil {
-		opt.Observer = func(res exec.Result) {
-			name := "ok"
-			if res.Killed {
-				name = "killed"
-			}
-			tb.Add(trace.Event{Kind: trace.KindRun, Name: name,
-				Seconds: res.Total, Sim: ec.simSeconds()})
-		}
-	}
-	t, err := s.faultedRun(ctx, &ec, akey, exempt, nil, tb, func() (float64, bool) {
-		var res exec.Result
-		if sc != nil {
-			res = s.runProf.RunInto(exe, opt, sc.perLoop)
-		} else {
-			res = s.runProf.Run(exe, opt)
-		}
-		return res.Total, res.Killed
-	})
-	if err != nil {
-		return 0, ec, err
-	}
-	s.finishEval(ec)
-	s.closeEval(tb, &ec, t)
-	return t, ec, nil
-}
-
-// measureUniform compiles every module with cv and runs instrumented,
-// returning per-coupling-unit times: entries 0..J-1 are hot-loop times in
-// module order, entry J is the derived non-loop time (§3.3), and the
-// returned total is the end-to-end time.
-func (s *Session) measureUniform(ctx context.Context, cv flagspec.CV, phase string, k int) (perModule []float64, total float64, err error) {
-	per, total, _, err := s.measureUniformEval(ctx, cv, phase, k)
-	return per, total, err
-}
-
-// infPerModule is the per-module outcome of a failed uniform evaluation:
-// every module entry goes to +Inf so the CV drops out of all pruned pools.
-func (s *Session) infPerModule() []float64 {
-	per := make([]float64, len(s.Part.Modules))
-	for i := range per {
-		per[i] = math.Inf(1)
-	}
-	return per
-}
-
-// measureUniformEval is measureUniform plus the evaluation's cost delta.
-func (s *Session) measureUniformEval(ctx context.Context, cv flagspec.CV, phase string, k int) (perModule []float64, total float64, ec evalCost, err error) {
-	if s.Config.Remote != nil {
-		out, rec, rerr := s.remoteEval(ctx, EvalRequest{Phase: phase, Sample: k, CVs: []flagspec.CV{cv}})
-		if rerr != nil {
-			return nil, 0, rec, rerr
-		}
-		if len(out.PerModule) != len(s.Part.Modules) {
-			return nil, 0, rec, fmt.Errorf("core: remote collect %d returned %d module times, want %d",
-				k, len(out.PerModule), len(s.Part.Modules))
-		}
-		return out.PerModule, out.Total, rec, nil
-	}
-	if err := s.checkCancelled(ctx); err != nil {
-		return nil, 0, ec, err
-	}
-	var sc *evalScratch
-	var uniform []flagspec.CV
-	if s.Config.Unpooled {
-		uniform = make([]flagspec.CV, len(s.Part.Modules))
-	} else {
-		sc = s.getScratch()
-		defer s.putScratch(sc)
-		uniform = sc.uniform
-	}
-	for i := range uniform {
-		uniform[i] = cv
-	}
-	tb := s.batchFor(phase, k)
-	if s.icePass(uniform, &ec, tb) {
-		s.finishEval(ec)
-		s.closeEval(tb, &ec, math.Inf(1))
-		return s.infPerModule(), math.Inf(1), ec, nil
-	}
-	exe, err := s.prep.CompileUniform(cv)
-	if err != nil {
-		return nil, 0, ec, err
-	}
-	ec.compiles += int64(len(s.Part.Modules))
-	tb.Add(trace.Event{Kind: trace.KindCompile, Modules: len(s.Part.Modules)})
-	tb.Add(trace.Event{Kind: trace.KindLink})
-	if exe.Crashes() {
-		// A crashing variant yields no per-loop data.
-		ec.addRun(0.1)
-		tb.Add(trace.Event{Kind: trace.KindFault, Name: "crash", Seconds: 0.1, Sim: ec.simSeconds()})
-		s.finishEval(ec)
-		s.closeEval(tb, &ec, math.Inf(1))
-		return s.infPerModule(), math.Inf(1), ec, nil
-	}
-	akey, exempt := s.assemblyKey(uniform)
-	var prof caliper.Profile
-	t, err := s.faultedRun(ctx, &ec, akey, exempt, []uint64{cv.Key()}, tb, func() (float64, bool) {
-		// The caliper path doesn't go through exec.Options, so the
-		// harness deadline is emulated here with the same semantics (and
-		// the run event is stamped here, where the profile is in hand).
-		prof = s.caliperProfile(exe, sc, phase, k)
-		if dl := s.Config.TimeoutBudget; dl > 0 && prof.Total > dl {
-			tb.Add(trace.Event{Kind: trace.KindRun, Name: "killed", Seconds: dl, Sim: ec.simSeconds()})
-			return dl, true
-		}
-		tb.Add(trace.Event{Kind: trace.KindRun, Name: "ok", Seconds: prof.Total, Sim: ec.simSeconds()})
-		return prof.Total, false
-	})
-	if err != nil {
-		return nil, 0, ec, err
-	}
-	if math.IsInf(t, 1) {
-		s.finishEval(ec)
-		s.closeEval(tb, &ec, t)
-		return s.infPerModule(), math.Inf(1), ec, nil
-	}
-	perModule = make([]float64, len(s.Part.Modules))
-	for mi, mod := range s.Part.Modules {
-		if mod.IsBase {
-			perModule[mi] = prof.NonLoop
-			// Loops left in the base module (under the hotness
-			// threshold) count toward the base module's time.
-			for _, li := range mod.LoopIdx {
-				perModule[mi] += prof.PerLoop[li]
-			}
-			continue
-		}
-		for _, li := range mod.LoopIdx {
-			perModule[mi] += prof.PerLoop[li]
-		}
-	}
-	s.finishEval(ec)
-	s.closeEval(tb, &ec, t)
-	return perModule, prof.Total, ec, nil
 }
 
 // prunedPools applies Algorithm 1's per-module pruning (top-X by measured

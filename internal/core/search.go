@@ -187,14 +187,14 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 				batchTimes[i] = ckTimes[k]
 				return
 			}
-			t, ec, err := s.measureEval(ctx, batch[i], phase, k)
+			out, err := s.evaluate(ctx, EvalRequest{Phase: phase, Sample: k, CVs: batch[i]})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			batchTimes[i] = t
+			batchTimes[i] = out.Total
 			if ckpt != nil {
-				ckpt.markCFR(k, t, ec)
+				ckpt.record(phaseSearch, k, out)
 			}
 		}
 		// Without a rule the whole batch is one parallel step. With one,

@@ -294,48 +294,26 @@ func (c *CostAccount) Timeouts() int64 { return c.timeouts.Load() }
 // that flaked counts once).
 func (c *CostAccount) Flakes() int64 { return c.flakes.Load() }
 
-// evalCost is one evaluation's contribution to the CostAccount. Evaluation
-// paths accumulate into an evalCost and apply it once, so checkpointing
-// can record exactly the cost of the samples it marks complete.
-type evalCost struct {
-	compiles, runs, simMicros                  int64
-	retries, wastedCompiles, faultMicros       int64
-	compileFails, runCrashes, timeouts, flakes int64
-	// quarantined lists the CV fingerprints this evaluation classified as
-	// poison, so a remote outcome can replay the quarantine decisions on
-	// the coordinator. Transport only — never enters the CostAccount.
-	quarantined []uint64
-}
-
-// addRun charges one program execution of the given simulated duration.
-func (ec *evalCost) addRun(seconds float64) {
-	ec.runs++
-	ec.simMicros += int64(seconds * 1e6)
-}
-
-// addFault charges simulated wall-clock lost to a fault (already counted
-// in simMicros where applicable).
-func (ec *evalCost) addFault(seconds float64) {
-	ec.faultMicros += int64(seconds * 1e6)
-}
-
-// add applies a completed evaluation's cost to the account.
-func (c *CostAccount) add(ec evalCost) {
-	c.compiles.Add(ec.compiles)
-	c.runs.Add(ec.runs)
-	c.simMicros.Add(ec.simMicros)
-	c.retries.Add(ec.retries)
-	c.wastedCompiles.Add(ec.wastedCompiles)
-	c.faultMicros.Add(ec.faultMicros)
-	c.compileFails.Add(ec.compileFails)
-	c.runCrashes.Add(ec.runCrashes)
-	c.timeouts.Add(ec.timeouts)
-	c.flakes.Add(ec.flakes)
+// add applies a completed evaluation's cost delta to the account.
+func (c *CostAccount) add(d CostSnapshot) {
+	c.compiles.Add(d.Compiles)
+	c.runs.Add(d.Runs)
+	c.simMicros.Add(d.SimMicros)
+	c.retries.Add(d.Retries)
+	c.wastedCompiles.Add(d.WastedCompiles)
+	c.faultMicros.Add(d.FaultMicros)
+	c.compileFails.Add(d.CompileFails)
+	c.runCrashes.Add(d.RunCrashes)
+	c.timeouts.Add(d.Timeouts)
+	c.flakes.Add(d.Flakes)
 }
 
 // CostSnapshot is the JSON-portable form of a CostAccount, carried inside
 // checkpoints so a resumed campaign reports the full cost of the work it
-// inherited.
+// inherited. It is also one evaluation's cost delta: the evaluation path
+// accumulates into its outcome's CostSnapshot and applies it once, so the
+// CostAccount, the metrics and the checkpoint record all take exactly the
+// cost of the evaluations that completed.
 type CostSnapshot struct {
 	Compiles       int64 `json:"compiles"`
 	Runs           int64 `json:"runs"`
@@ -349,18 +327,30 @@ type CostSnapshot struct {
 	Flakes         int64 `json:"flakes"`
 }
 
-func (s CostSnapshot) addEval(ec evalCost) CostSnapshot {
-	s.Compiles += ec.compiles
-	s.Runs += ec.runs
-	s.SimMicros += ec.simMicros
-	s.Retries += ec.retries
-	s.WastedCompiles += ec.wastedCompiles
-	s.FaultMicros += ec.faultMicros
-	s.CompileFails += ec.compileFails
-	s.RunCrashes += ec.runCrashes
-	s.Timeouts += ec.timeouts
-	s.Flakes += ec.flakes
-	return s
+// addRun charges one program execution of the given simulated duration.
+func (s *CostSnapshot) addRun(seconds float64) {
+	s.Runs++
+	s.SimMicros += int64(seconds * 1e6)
+}
+
+// addFault charges simulated wall-clock lost to a fault (already counted
+// in SimMicros where applicable).
+func (s *CostSnapshot) addFault(seconds float64) {
+	s.FaultMicros += int64(seconds * 1e6)
+}
+
+// add sums the cost delta d into s.
+func (s *CostSnapshot) add(d CostSnapshot) {
+	s.Compiles += d.Compiles
+	s.Runs += d.Runs
+	s.SimMicros += d.SimMicros
+	s.Retries += d.Retries
+	s.WastedCompiles += d.WastedCompiles
+	s.FaultMicros += d.FaultMicros
+	s.CompileFails += d.CompileFails
+	s.RunCrashes += d.RunCrashes
+	s.Timeouts += d.Timeouts
+	s.Flakes += d.Flakes
 }
 
 func (s CostSnapshot) validate() error {
@@ -585,16 +575,6 @@ func (s *Session) noiseStream(phase string) xrand.Stream {
 	return st
 }
 
-// measure compiles the partition with per-module CVs and runs it once,
-// returning the end-to-end measured time. Crashing code variants (§3.2:
-// some flag settings "prevent a program from running successfully")
-// report +Inf, so they lose every argmin without special-casing; so do
-// injected faults that exhaust the retry budget.
-func (s *Session) measure(ctx context.Context, cvs []flagspec.CV, phase string, k int) (float64, error) {
-	t, _, err := s.measureEval(ctx, cvs, phase, k)
-	return t, err
-}
-
 // baselineExe returns the O3 whole-program executable, memoized for the
 // session's lifetime (compilation is pure, so every call would rebuild
 // the identical image). Unpooled sessions recompile per call, preserving
@@ -623,24 +603,31 @@ func (s *Session) BaselineTime() (float64, error) {
 // stable reporting of a chosen configuration. Crashing configurations
 // report +Inf.
 func (s *Session) TrueTime(cvs []flagspec.CV) (float64, error) {
-	exe, err := s.prep.Compile(cvs)
-	if err != nil {
-		return 0, err
-	}
-	if exe.Crashes() {
-		return math.Inf(1), nil
-	}
-	return s.runProf.Run(exe, exec.Options{}).Total, nil
+	return s.TrueTimeOn(cvs, s.Input)
 }
 
 // TrueTimeOn is TrueTime evaluated on a different input (the §4.3
 // generalization experiments tune on one input and test on another).
 func (s *Session) TrueTimeOn(cvs []flagspec.CV, in ir.Input) (float64, error) {
+	_, res, err := s.TrueRun(cvs, in)
+	return res.Total, err
+}
+
+// TrueRun compiles a per-module CV assignment and runs it once without
+// noise on in: the measurement behind TrueTime, TrueTimeOn and the
+// facade's Report.Evaluate. A crashing assembly (§3.2) does not run: its
+// result is Total +Inf with no per-loop times.
+func (s *Session) TrueRun(cvs []flagspec.CV, in ir.Input) (*compiler.Executable, exec.Result, error) {
 	exe, err := s.prep.Compile(cvs)
-	if err != nil {
-		return 0, err
+	switch {
+	case err != nil:
+		return nil, exec.Result{}, err
+	case exe.Crashes():
+		return exe, exec.Result{Total: math.Inf(1)}, nil
+	case in == s.Input:
+		return exe, s.runProf.Run(exe, exec.Options{}), nil
 	}
-	return exec.Run(exe, s.Machine, in, exec.Options{}).Total, nil
+	return exe, exec.Run(exe, s.Machine, in, exec.Options{}), nil
 }
 
 // BaselineTimeOn returns the noise-free O3 time on a specific input.
@@ -750,8 +737,7 @@ func (s *Session) parFor(ctx context.Context, n int, fn func(i int)) {
 	wp.rethrow()
 }
 
-// caliperProfile is the instrumented run for measureUniform, factored out
-// so the resilient wrapper can re-run it per attempt bookkeeping. With a
+// caliperProfile is the instrumented run of a collect evaluation. With a
 // scratch attached, the profile's per-loop buffer and noise generator are
 // the evaluation's pooled ones.
 func (s *Session) caliperProfile(exe *compiler.Executable, sc *evalScratch, phase string, k int) caliper.Profile {
