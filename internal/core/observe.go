@@ -193,7 +193,6 @@ func (s *Session) AttachTrace(r *trace.Recorder) {
 		r.SetBatchPooling(false)
 	}
 	s.tr = r
-	s.wireCacheObserver()
 	r.Session(s.Prog.Name + "/" + s.Machine.Name + "/" + s.Config.Seed)
 }
 
@@ -214,7 +213,10 @@ func (s *Session) AttachMetrics(reg *metrics.Registry) {
 	s.qmu.Lock()
 	s.met.quarantined.Set(float64(len(s.quarantine)))
 	s.qmu.Unlock()
-	s.wireCacheObserver()
+	// The toolchain cache reports each request's outcome to the counters.
+	if cc := s.Toolchain.Cache(); cc != nil {
+		cc.Observe(s.observeCache)
+	}
 }
 
 // MetricsSnapshot freezes the session's registry (zero Snapshot when no
@@ -226,42 +228,23 @@ func (s *Session) MetricsSnapshot() metrics.Snapshot { return s.reg.Snapshot() }
 // scheduling-neutral but moment-dependent; it never enters results.
 func (s *Session) CompletedEvals() int64 { return s.completed.Load() }
 
-// wireCacheObserver routes the toolchain cache's per-request outcomes
-// into the session's metrics and trace. Installed once, on the first
-// Attach; the observer reads s.tr/s.met at call time, so attach order
-// doesn't matter.
-func (s *Session) wireCacheObserver() {
-	if s.cacheWired {
-		return
-	}
-	cc := s.Toolchain.Cache()
-	if cc == nil {
-		return
-	}
-	s.cacheWired = true
-	cc.Observe(func(tier string, oc objcache.Outcome) { s.observeCache(tier, oc) })
-}
-
-// observeCache records one cache request. Cache classification depends
-// on goroutine scheduling (a racing worker turns a miss into a
-// coalesced wait), so the trace event is marked Sched and excluded from
-// the canonical trace — the same reasoning that keeps CacheStats out of
-// Report.Fingerprint.
+// observeCache counts one cache request in its tier's outcome counter.
+// It emits no trace event: the counters, Report.Cache and
+// Report.Metrics already carry the same per-tier classification, and a
+// per-lookup event would only repeat it at several times the cost of
+// the rest of the trace. Classification depends on goroutine scheduling
+// (a racing worker turns a miss into a coalesced wait), which is why it
+// stays out of the canonical trace and Report.Fingerprint.
 func (s *Session) observeCache(tier string, oc objcache.Outcome) {
-	if s.met.enabled && int(oc) < len(s.met.cacheObj) {
-		switch tier {
-		case compiler.ObjectTier:
-			s.met.cacheObj[oc].Inc()
-		case compiler.LinkTier:
-			s.met.cacheLink[oc].Inc()
-		}
+	if int(oc) >= len(s.met.cacheObj) {
+		return
 	}
-	s.tr.Emit(trace.Event{
-		Kind:   trace.KindCache,
-		Sample: -1,
-		Name:   tier + "-" + oc.String(),
-		Sched:  true,
-	})
+	switch tier {
+	case compiler.ObjectTier:
+		s.met.cacheObj[oc].Inc()
+	case compiler.LinkTier:
+		s.met.cacheLink[oc].Inc()
+	}
 }
 
 // closeEval stamps the evaluation-close event ("ok" for a finite

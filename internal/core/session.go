@@ -406,12 +406,11 @@ type Session struct {
 
 	// Observability (see observe.go). tr is nil and met disabled unless
 	// AttachTrace/AttachMetrics were called; completed feeds progress
-	// reporting; cacheWired guards one-time cache-observer installation.
-	tr         *trace.Recorder
-	met        sessionMetrics
-	reg        *metrics.Registry
-	completed  atomic.Int64
-	cacheWired bool
+	// reporting.
+	tr        *trace.Recorder
+	met       sessionMetrics
+	reg       *metrics.Registry
+	completed atomic.Int64
 
 	// Optional checkpoint sink/source for Collect and CFR.
 	ckpt *Checkpointer

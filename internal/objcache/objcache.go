@@ -230,7 +230,7 @@ func (c *Cache) SetObserver(fn func(Outcome)) {
 }
 
 // observe reports one completed Get. Must be called without shard locks
-// held: observers may do their own locking (trace recorders do).
+// held: an observer is arbitrary code and may take locks of its own.
 func (c *Cache) observe(o Outcome) {
 	if fn := c.obs.Load(); fn != nil {
 		(*fn)(o)

@@ -134,10 +134,13 @@ type Job struct {
 	dedupKey uint64
 	deduped  bool
 
-	mu        sync.Mutex
-	state     string
-	err       string
-	report    *funcytuner.Report
+	mu    sync.Mutex
+	state string
+	err   string
+	// result is the done job's rendered Report, without the ID. The job
+	// keeps nothing else of the run but its trace, so a finished job
+	// does not pin the session behind the Report.
+	result    *Result
 	served    bool
 	submitted time.Time
 	ended     time.Time
@@ -403,21 +406,21 @@ func (m *Manager) attach(ctx context.Context, j, leader *Job) {
 	select {
 	case <-leader.done:
 		leader.mu.Lock()
-		rep, errStr, state := leader.report, leader.err, leader.state
+		res, errStr, state := leader.result, leader.err, leader.state
 		leader.mu.Unlock()
 		switch state {
 		case StateDone:
-			m.finish(j, rep, nil)
+			m.finish(j, res, false, nil)
 		case StateCancelled:
-			m.finish(j, nil, context.Canceled)
+			m.finish(j, nil, false, context.Canceled)
 		default:
 			if errStr == "" {
 				errStr = "leader job failed"
 			}
-			m.finish(j, nil, errors.New(errStr))
+			m.finish(j, nil, false, errors.New(errStr))
 		}
 	case <-ctx.Done():
-		m.finish(j, nil, ctx.Err())
+		m.finish(j, nil, false, ctx.Err())
 	}
 }
 
@@ -436,7 +439,7 @@ func (m *Manager) run(ctx context.Context, j *Job, resumeFrom string) {
 	if j.Spec.Distributed {
 		var err error
 		if evaluator, err = m.cfg.Fleet.Evaluator(j.ID, spec); err != nil {
-			m.finish(j, nil, err)
+			m.finish(j, nil, false, err)
 			return
 		}
 		// Evaluations run on the workers' CPUs; holding local gate slots
@@ -458,22 +461,28 @@ func (m *Manager) run(ctx context.Context, j *Job, resumeFrom string) {
 		ProgressEvery:   time.Second,
 	})
 	if err != nil {
-		m.finish(j, nil, err)
+		m.finish(j, nil, false, err)
 		return
 	}
 	rep, err := tuner.Run(ctx, prog, in, spec)
-	m.finish(j, rep, err)
+	if err != nil {
+		m.finish(j, nil, false, err)
+		return
+	}
+	m.finish(j, newResult(rep), rep.Served, nil)
 }
 
 // finish records a job's terminal state and updates the server metrics.
-func (m *Manager) finish(j *Job, rep *funcytuner.Report, err error) {
+// A done job keeps res, its rendered result; served marks one answered
+// from the results repository.
+func (m *Manager) finish(j *Job, res *Result, served bool, err error) {
 	j.mu.Lock()
 	j.ended = time.Now()
 	switch {
 	case err == nil:
 		j.state = StateDone
-		j.report = rep
-		if rep != nil && rep.Served && !j.deduped {
+		j.result = res
+		if served {
 			j.served = true
 			m.reg.Counter(MetricJobsServedRepo).Inc()
 		}
@@ -597,17 +606,23 @@ func (j *Job) Status() Status {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result renders the completed job's report; an error for any other
-// state.
+// Result returns the completed job's rendered report; an error for any
+// other state. Its map and slices are shared with the job (and with any
+// deduplicated follower): read them, do not modify them.
 func (j *Job) Result() (Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone || j.report == nil {
+	if j.state != StateDone || j.result == nil {
 		return Result{}, fmt.Errorf("server: job %s is %s, not done", j.ID, j.state)
 	}
-	rep := j.report
-	res := Result{
-		ID:          j.ID,
+	res := *j.result
+	res.ID = j.ID
+	return res, nil
+}
+
+// newResult renders rep as a job result without the job's ID.
+func newResult(rep *funcytuner.Report) *Result {
+	res := &Result{
 		Algorithm:   rep.Best.Algorithm,
 		Speedup:     rep.Best.Speedup,
 		Baseline:    rep.Best.Baseline,
@@ -627,5 +642,5 @@ func (j *Job) Result() (Result, error) {
 	for _, cv := range rep.Best.ModuleCVs {
 		res.ModuleFlags = append(res.ModuleFlags, cv.String())
 	}
-	return res, nil
+	return res
 }

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +170,76 @@ func TestJobSpecJSONPinned(t *testing.T) {
 	const want = `{"benchmark":"CL","machine":"broadwell","samples":60,"topx":50,"seed":"pin","workers":2,"fault_rate":0.5,"distributed":true,"adaptive":true,"compare":true,"technique":"bo","warm_start":true,"checkpoint_every":5,"resume":"job-0001"}`
 	if string(got) != want {
 		t.Errorf("JobSpec JSON changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestResultJSONPinned pins the bytes GET /jobs/{id}/result serves for
+// a finished job: a small single-worker CL/broadwell job renders the
+// same Result JSON, cache and metric counters included, on every run
+// and whichever way the job keeps its outcome.
+func TestResultJSONPinned(t *testing.T) {
+	mgr := newTestManager(t, Config{})
+	j, err := mgr.Submit(JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 20, TopX: 5, Seed: "pin", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	res, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "97fea4847a598fa71e417866184ae797ead4a919df84938cd24e428acb33077d"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != want {
+		t.Errorf("Result JSON changed: sha256 %s, want %s (%d bytes):\n%s", sum, want, len(got), got)
+	}
+}
+
+// TestFinishedJobHeapBounded bounds what a finished job keeps alive: a
+// long-running daemon must not hold each job's session (toolchain,
+// private compile cache, collection) once the job is done. Paper-scale
+// jobs run one at a time after a warm-up; the live heap may grow by at
+// most 2 MB per finished job, which leaves room for the job's trace and
+// rendered result but not for its session.
+func TestFinishedJobHeapBounded(t *testing.T) {
+	mgr := newTestManager(t, Config{Gate: NewGate(2)})
+	run := func(seed string) {
+		t.Helper()
+		j, err := mgr.Submit(JobSpec{Benchmark: "CL", Machine: "broadwell", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		if st := j.Status(); st.State != StateDone {
+			t.Fatalf("job %s: state %q (err %q)", j.ID, st.State, st.Error)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run("heap-warmup")
+	before := liveHeap()
+	const jobs = 6
+	for i := 0; i < jobs; i++ {
+		run(fmt.Sprintf("heap-%d", i))
+	}
+	after := liveHeap()
+	if n, _ := mgr.Counts(); n != jobs+1 {
+		t.Fatalf("manager holds %d jobs, want %d", n, jobs+1)
+	}
+	const budget = 2 << 20
+	perJob := (float64(after) - float64(before)) / jobs
+	t.Logf("live heap %.1f → %.1f MB over %d jobs: %.2f MB per finished job",
+		float64(before)/(1<<20), float64(after)/(1<<20), jobs, perJob/(1<<20))
+	if perJob > budget {
+		t.Errorf("live heap grew %.2f MB per finished job, budget %d MB", perJob/(1<<20), budget>>20)
 	}
 }
 

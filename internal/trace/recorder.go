@@ -1,6 +1,9 @@
 package trace
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Recorder accumulates events from a running session. A nil *Recorder
 // is a valid, zero-cost recorder: every method no-ops, so call sites
@@ -11,9 +14,17 @@ import "sync"
 // Phase and Session markers must come from the orchestrating goroutine
 // between parallel regions — phase sequencing is deterministic precisely
 // because it is not racing the workers.
+//
+// Events are stored in fixed-capacity chunks rather than one growing
+// slice: an append fills the last chunk and starts a new one when it is
+// full, so no append ever copies the events already recorded, and the
+// unused capacity is at most one chunk.
 type Recorder struct {
-	mu     sync.Mutex
-	events []Event
+	mu sync.Mutex
+	// chunks hold the recorded events in order, each with capacity
+	// chunkSize; every chunk but the last is full. n counts the events.
+	chunks [][]Event
+	n      int
 	// pseq is the current phase ordinal. Written only by the
 	// orchestrating goroutine (in Phase, between parallel regions) and
 	// read by workers opening batches; the go-statement / wait barriers
@@ -42,6 +53,21 @@ func (r *Recorder) SetBatchPooling(on bool) {
 	r.noPool = !on
 }
 
+// chunkSize is the event capacity of one recorder chunk.
+const chunkSize = 1024
+
+// push appends one event to the last chunk, starting a new chunk when
+// the last is full. r.mu must be held.
+func (r *Recorder) push(e Event) {
+	last := len(r.chunks) - 1
+	if last < 0 || len(r.chunks[last]) == chunkSize {
+		r.chunks = append(r.chunks, make([]Event, 0, chunkSize))
+		last++
+	}
+	r.chunks[last] = append(r.chunks[last], e)
+	r.n++
+}
+
 // NewRecorder returns an empty recorder with no wall clock.
 func NewRecorder() *Recorder { return &Recorder{} }
 
@@ -63,7 +89,7 @@ func (r *Recorder) now() int64 {
 
 // Emit appends one event under the recorder lock, stamping the current
 // phase ordinal and wall clock. Used for events outside an evaluation
-// span (session markers, cache activity).
+// span (session and phase markers).
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
@@ -71,7 +97,7 @@ func (r *Recorder) Emit(e Event) {
 	e.PhaseSeq = r.pseq
 	e.Wall = r.now()
 	r.mu.Lock()
-	r.events = append(r.events, e)
+	r.push(e)
 	r.mu.Unlock()
 }
 
@@ -100,18 +126,20 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
 }
 
-// Snapshot copies the recorded events into a Trace.
+// Snapshot copies the recorded events into a Trace. Only the chunk
+// list is read under the lock: the events it covers never change, so
+// they are concatenated after the lock is released.
 func (r *Recorder) Snapshot() *Trace {
 	if r == nil {
 		return &Trace{}
 	}
 	r.mu.Lock()
-	evs := append([]Event(nil), r.events...)
+	chunks := slices.Clone(r.chunks)
 	r.mu.Unlock()
-	return &Trace{Events: evs}
+	return &Trace{Events: slices.Concat(chunks...)}
 }
 
 // Batch opens an evaluation span for (phase, sample): events added to
@@ -164,15 +192,13 @@ func (r *Recorder) CommitSpan(events []Event) {
 	if r == nil || len(events) == 0 {
 		return
 	}
-	now := r.now()
-	stamped := make([]Event, len(events))
-	for i, e := range events {
-		e.PhaseSeq = r.pseq
-		e.Wall = now
-		stamped[i] = e
-	}
+	pseq, now := r.pseq, r.now()
 	r.mu.Lock()
-	r.events = append(r.events, stamped...)
+	for _, e := range events {
+		e.PhaseSeq = pseq
+		e.Wall = now
+		r.push(e)
+	}
 	r.mu.Unlock()
 }
 
@@ -186,7 +212,9 @@ func (r *Recorder) Replay(t *Trace) {
 		return
 	}
 	r.mu.Lock()
-	r.events = append(r.events, t.Events...)
+	for i := range t.Events {
+		r.push(t.Events[i])
+	}
 	r.mu.Unlock()
 }
 
@@ -228,7 +256,9 @@ func (b *Batch) Commit() {
 	r := b.r
 	if len(b.events) > 0 {
 		r.mu.Lock()
-		r.events = append(r.events, b.events...)
+		for i := range b.events {
+			r.push(b.events[i])
+		}
 		r.mu.Unlock()
 	}
 	if r.noPool {

@@ -1,6 +1,8 @@
 // Package trace records span-based structured events from a tuning
 // session: session and phase markers, per-evaluation compile/link/run
-// steps, injected faults, retries, and cache activity.
+// steps, injected faults and retries. Compile-cache activity is not
+// traced: the session's metrics count it per tier and outcome (see
+// core/observe.go), which is all a per-lookup event would say.
 //
 // Determinism is the organizing constraint. The repository's invariant is
 // that every Report is a pure function of (program, machine, input, seed,
@@ -15,10 +17,12 @@
 //     no global simulated timeline: evaluations execute on concurrent
 //     workers in scheduling-dependent order, so any cross-evaluation
 //     clock would be nondeterministic. Per-evaluation offsets are exact.
-//   - Events whose very existence depends on goroutine scheduling (cache
-//     hit/miss/coalesced classification — see objcache.Stats) carry
+//   - Events whose very existence depends on goroutine scheduling carry
 //     Sched=true and are excluded from the canonical export, mirroring
-//     Report.Fingerprint's exclusion of cache counters.
+//     Report.Fingerprint's exclusion of cache counters. The session
+//     emits none; traces written by earlier versions carry
+//     per-lookup compile-cache events ("kind":"cache") marked this way,
+//     and they still decode and canonicalize to the same bytes.
 //
 // Canonical() therefore yields a byte-identical JSONL document for a
 // given (seed, config) across runs and across worker counts. Wall-clock
@@ -70,10 +74,6 @@ const (
 	// class ("compile-fail", "run-crash", "timeout", "flake", "crash",
 	// "deadline") and Seconds the simulated time it cost.
 	KindFault Kind = "fault"
-	// KindCache records a compile-cache lookup (object or link tier).
-	// Always Sched: hit/miss/coalesced classification depends on
-	// goroutine scheduling.
-	KindCache Kind = "cache"
 )
 
 // Event is one trace record. The zero value of optional fields is
@@ -87,12 +87,12 @@ type Event struct {
 	// Phase is the enclosing phase name ("collect", "cfr", ...).
 	Phase string
 	// Sample is the evaluation's sample index within the phase, or -1
-	// for events outside any evaluation (session/phase/cache).
+	// for events outside any evaluation (session/phase).
 	Sample int
 	// Step is the event's ordinal within its evaluation span.
 	Step int
-	// Name carries the event's detail: outcome, fault class, or cache
-	// tier/result.
+	// Name carries the event's detail: session identity, outcome or
+	// fault class.
 	Name string
 	// Modules is the translation-unit count for compile events.
 	Modules int
@@ -108,7 +108,10 @@ type Event struct {
 	// recorder has no wall clock). Never part of the canonical export.
 	Wall int64
 	// Sched marks events whose existence or classification depends on
-	// goroutine scheduling; Canonical drops them.
+	// goroutine scheduling; Canonical drops them. The session records
+	// no Sched event; the flag keeps the compile-cache events of traces
+	// written by earlier versions out of their canonical form, and gives
+	// wall-clock data a place outside the canonical trace.
 	Sched bool
 }
 

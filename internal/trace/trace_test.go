@@ -19,7 +19,7 @@ func sampleEvents() []Event {
 		{Kind: KindFault, PhaseSeq: 1, Phase: "collect", Sample: 1, Step: 0, Name: "flake", Attempt: 1, Seconds: 3.5},
 		{Kind: KindRetry, PhaseSeq: 1, Phase: "collect", Sample: 1, Step: 1, Attempt: 1, Seconds: 5},
 		{Kind: KindEval, PhaseSeq: 1, Phase: "collect", Sample: 1, Step: 2, Name: "lost", Seconds: math.Inf(1), Sim: 308.5},
-		{Kind: KindCache, PhaseSeq: 1, Sample: -1, Name: "object-hit", Sched: true},
+		{Kind: Kind("cache"), PhaseSeq: 1, Sample: -1, Name: "object-hit", Sched: true},
 	}
 }
 
@@ -120,7 +120,7 @@ func TestReadJSONLErrors(t *testing.T) {
 func TestCanonical(t *testing.T) {
 	tr := &Trace{Events: []Event{
 		{Kind: KindRun, PhaseSeq: 2, Phase: "cfr", Sample: 1, Step: 0, Wall: 99},
-		{Kind: KindCache, PhaseSeq: 1, Sample: -1, Name: "object-hit", Sched: true},
+		{Kind: Kind("cache"), PhaseSeq: 1, Sample: -1, Name: "object-hit", Sched: true},
 		{Kind: KindRun, PhaseSeq: 1, Phase: "collect", Sample: 1, Step: 1, Wall: 98},
 		{Kind: KindCompile, PhaseSeq: 1, Phase: "collect", Sample: 1, Step: 0, Wall: 97},
 		{Kind: KindSession, PhaseSeq: 0, Sample: -1, Name: "s", Wall: 96},
@@ -257,7 +257,7 @@ func TestRecorderConcurrency(t *testing.T) {
 				b.Add(Event{Kind: KindCompile, Modules: 3})
 				b.Add(Event{Kind: KindEval, Name: "ok", Seconds: 1})
 				b.Commit()
-				r.Emit(Event{Kind: KindCache, Sample: -1, Name: "object-hit", Sched: true})
+				r.Emit(Event{Kind: Kind("cache"), Sample: -1, Name: "object-hit", Sched: true})
 			}
 		}(w)
 	}
@@ -403,5 +403,116 @@ func TestWriteJSONLWriterError(t *testing.T) {
 		if err := tr.WriteJSONL(failWriter{broken}); !errors.Is(err, broken) {
 			t.Errorf("%s: WriteJSONL returned %v, want the writer's error", name, err)
 		}
+	}
+}
+
+// The recorder stores its events in chunks of chunkSize. Each way in —
+// Emit, a batch larger than one chunk, CommitSpan and a Replay several
+// chunks long — must cross a chunk boundary without losing, reordering
+// or restamping an event: Snapshot equals a flat reference and Len
+// matches after every step. A recorded event never moves, and every
+// chunk but the last is full.
+func TestRecorderChunkBoundaries(t *testing.T) {
+	r := NewRecorder()
+	r.WallClock(func() int64 { return 7 })
+	var want []Event
+	check := func(step string) {
+		t.Helper()
+		got := r.Snapshot().Events
+		if r.Len() != len(want) || len(got) != len(want) {
+			t.Fatalf("%s: Len %d, Snapshot %d events, want %d", step, r.Len(), len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: event %d is %+v, want %+v", step, i, got[i], want[i])
+			}
+		}
+		for i, c := range r.chunks {
+			if cap(c) != chunkSize || (i < len(r.chunks)-1 && len(c) != chunkSize) {
+				t.Fatalf("%s: chunk %d of %d has len %d, cap %d", step, i, len(r.chunks), len(c), cap(c))
+			}
+		}
+	}
+
+	r.Phase("collect")
+	want = append(want, Event{Kind: KindPhase, PhaseSeq: 1, Phase: "collect", Sample: -1, Wall: 7})
+	first := &r.chunks[0][0]
+	for i := 0; i < chunkSize; i++ {
+		r.Emit(Event{Kind: KindSession, Sample: -1, Modules: i})
+		want = append(want, Event{Kind: KindSession, PhaseSeq: 1, Sample: -1, Modules: i, Wall: 7})
+	}
+	check("emit")
+
+	b := r.Batch("collect", 4)
+	for i := 0; i < chunkSize+10; i++ {
+		b.Add(Event{Kind: KindRun, Seconds: float64(i)})
+		want = append(want, Event{Kind: KindRun, PhaseSeq: 1, Phase: "collect", Sample: 4, Step: i, Seconds: float64(i), Wall: 7})
+	}
+	b.Commit()
+	check("batch")
+
+	r.Phase("cfr")
+	want = append(want, Event{Kind: KindPhase, PhaseSeq: 2, Phase: "cfr", Sample: -1, Wall: 7})
+	span := NewSpanBatch("cfr", 9)
+	for i := 0; i < chunkSize; i++ {
+		span.Add(Event{Kind: KindCompile, Modules: i})
+		want = append(want, Event{Kind: KindCompile, PhaseSeq: 2, Phase: "cfr", Sample: 9, Step: i, Modules: i, Wall: 7})
+	}
+	r.CommitSpan(span.Events())
+	check("span")
+
+	old := make([]Event, 3*chunkSize+5)
+	for i := range old {
+		old[i] = Event{Kind: KindEval, PhaseSeq: 3, Phase: "greedy", Sample: i % 5, Step: i, Name: "ok", Wall: int64(i + 1)}
+	}
+	r.Replay(&Trace{Events: old})
+	want = append(want, old...)
+	check("replay")
+
+	if &r.chunks[0][0] != first {
+		t.Fatal("appending moved a recorded event")
+	}
+}
+
+// Batches larger than a chunk, single emits and snapshots running
+// concurrently (run under -race) lose no event, and each batch lands
+// contiguously and in step order even when it spans chunks.
+func TestRecorderChunkedConcurrentCommits(t *testing.T) {
+	r := NewRecorder()
+	r.Phase("collect")
+	const workers, batches, perBatch = 4, 3, chunkSize/2 + 7
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < batches; k++ {
+				b := r.Batch("collect", w*batches+k)
+				for i := 0; i < perBatch; i++ {
+					b.Add(Event{Kind: KindRun})
+				}
+				b.Commit()
+				r.Emit(Event{Kind: KindSession, Sample: -1})
+				if n := len(r.Snapshot().Events); n == 0 {
+					t.Error("empty snapshot during recording")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	evs := r.Snapshot().Events
+	if want := 1 + workers*batches*(perBatch+1); len(evs) != want || r.Len() != want {
+		t.Fatalf("recorded %d events (Len %d), want %d", len(evs), r.Len(), want)
+	}
+	for i := 0; i < len(evs); i++ {
+		if evs[i].Kind != KindRun {
+			continue
+		}
+		for s := 0; s < perBatch; s++ {
+			if e := evs[i+s]; e.Kind != KindRun || e.Sample != evs[i].Sample || e.Step != s {
+				t.Fatalf("batch of sample %d broken at step %d: %+v", evs[i].Sample, s, e)
+			}
+		}
+		i += perBatch - 1
 	}
 }
