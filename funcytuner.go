@@ -83,7 +83,7 @@ type (
 	// flake). The zero value disables injection.
 	FaultRates = faults.Rates
 	// Checkpoint is a tuning run's persisted progress, replayed from
-	// its checkpoint log.
+	// its checkpoint log, under the run identity it was recorded for.
 	Checkpoint = core.Checkpoint
 	// TraceRecorder accumulates structured trace events from a run (see
 	// Options.Trace and internal/trace for the event taxonomy).
@@ -278,9 +278,12 @@ type Options struct {
 	Checkpoint string
 	// Resume, when non-empty, loads a checkpoint file before tuning and
 	// skips its completed samples; the resumed run's Report is
-	// bit-identical to an uninterrupted run. A missing file starts fresh.
-	// Progress keeps checkpointing to the same file unless Checkpoint
-	// names a different one.
+	// bit-identical to an uninterrupted run. A checkpoint of a run with
+	// another outcome (any input, option or entry point that changes its
+	// run identity) is rejected, naming the first field that differs,
+	// before any evaluation. A missing file starts fresh. Progress keeps
+	// checkpointing to the same file unless Checkpoint names a different
+	// one.
 	Resume string
 	// CheckpointEvery is the flush cadence in completed evaluations
 	// (default 25). Cadence writes run in the background, so a crash
@@ -305,8 +308,8 @@ type Options struct {
 	Evaluator Evaluator
 
 	// Trace, when non-nil, records structured span events (session, phase,
-	// compile, link, run, retry, fault, cache, eval) into the recorder as
-	// the run executes. Tracing is strictly observational: a traced run's
+	// compile, link, run, retry, fault, eval) into the recorder as the
+	// run executes. Tracing is strictly observational: a traced run's
 	// Report is bit-identical to an untraced one, and the recorder's
 	// Canonical() trace is itself deterministic for a given seed/config
 	// across worker counts. Nil disables tracing at zero cost.
@@ -320,34 +323,14 @@ type Options struct {
 }
 
 // validate rejects option values that would silently misbehave. Defaults
-// have already been applied.
+// have already been applied. The values a session takes are checked by
+// core.Config.Validate, through the same mapping a run uses.
 func (o Options) validate() error {
-	if o.Samples < 1 {
-		return fmt.Errorf("funcytuner: Samples must be positive, got %d", o.Samples)
-	}
-	if o.TopX < 1 || o.TopX > o.Samples {
-		return fmt.Errorf("funcytuner: TopX must be in [1, Samples], got %d", o.TopX)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("funcytuner: Workers must be >= 0, got %d", o.Workers)
-	}
 	if !(o.HotThreshold > 0 && o.HotThreshold <= 1) {
 		return fmt.Errorf("funcytuner: HotThreshold must be in (0, 1], got %v", o.HotThreshold)
 	}
-	if o.MaxRetries < 0 {
-		return fmt.Errorf("funcytuner: MaxRetries must be >= 0, got %d", o.MaxRetries)
-	}
-	if o.BackoffSeconds < 0 || o.BackoffCapSeconds < 0 {
-		return fmt.Errorf("funcytuner: backoff seconds must be >= 0")
-	}
-	if o.TimeoutBudget < 0 || math.IsNaN(o.TimeoutBudget) || math.IsInf(o.TimeoutBudget, 0) {
-		return fmt.Errorf("funcytuner: TimeoutBudget must be a finite value >= 0, got %v", o.TimeoutBudget)
-	}
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("funcytuner: CheckpointEvery must be >= 0, got %d", o.CheckpointEvery)
-	}
-	if o.KillAfterEvals < 0 {
-		return fmt.Errorf("funcytuner: KillAfterEvals must be >= 0, got %d", o.KillAfterEvals)
 	}
 	if o.ProgressEvery < 0 {
 		return fmt.Errorf("funcytuner: ProgressEvery must be >= 0, got %v", o.ProgressEvery)
@@ -369,7 +352,7 @@ func (o Options) validate() error {
 			return fmt.Errorf("funcytuner: CacheSpill requires caching (CacheSize >= 0)")
 		}
 	}
-	return o.Faults.Validate()
+	return o.config(nil, nil).Validate()
 }
 
 // Tuner drives the FuncyTuner pipeline.
@@ -380,32 +363,64 @@ type Tuner struct {
 	err  error // deferred option-validation error, surfaced by Tune et al.
 }
 
+// withDefaults returns o with the facade's defaults applied to its unset
+// fields.
+func (o Options) withDefaults() Options {
+	if o.Machine == nil {
+		o.Machine = arch.Broadwell()
+	}
+	if o.Space == nil {
+		o.Space = flagspec.ICC()
+	}
+	if o.Samples == 0 {
+		o.Samples = 1000
+	}
+	if o.TopX == 0 {
+		o.TopX = 50
+	}
+	if o.Seed == "" {
+		o.Seed = "funcytuner"
+	}
+	if o.Noisy == nil {
+		noisy := true
+		o.Noisy = &noisy
+	}
+	if o.HotThreshold == 0 {
+		o.HotThreshold = outline.HotThreshold
+	}
+	return o
+}
+
+// config is the core session configuration of a run under o, which
+// withDefaults has completed: warm holds the run's warm-start seeds and
+// stop its early-stop rule (nil for a full search).
+func (o Options) config(warm [][]CV, stop *StopRule) core.Config {
+	return core.Config{
+		Samples:           o.Samples,
+		TopX:              o.TopX,
+		Technique:         o.Technique,
+		WarmSeeds:         warm,
+		Stop:              stop,
+		Seed:              o.Seed,
+		Workers:           o.Workers,
+		Noisy:             *o.Noisy,
+		Faults:            o.Faults,
+		MaxRetries:        o.MaxRetries,
+		BackoffSeconds:    o.BackoffSeconds,
+		BackoffCapSeconds: o.BackoffCapSeconds,
+		TimeoutBudget:     o.TimeoutBudget,
+		KillAfterEvals:    o.KillAfterEvals,
+		Gate:              o.Gate,
+		Remote:            o.Evaluator,
+		Unpooled:          o.Unpooled,
+	}
+}
+
 // NewTuner builds a tuner, applying defaults for unset options. Invalid
 // options (negative budgets, HotThreshold outside (0, 1], malformed fault
 // rates, ...) are reported by the first Tune/TuneAdaptive/Compare call.
 func NewTuner(opts Options) *Tuner {
-	if opts.Machine == nil {
-		opts.Machine = arch.Broadwell()
-	}
-	if opts.Space == nil {
-		opts.Space = flagspec.ICC()
-	}
-	if opts.Samples == 0 {
-		opts.Samples = 1000
-	}
-	if opts.TopX == 0 {
-		opts.TopX = 50
-	}
-	if opts.Seed == "" {
-		opts.Seed = "funcytuner"
-	}
-	if opts.Noisy == nil {
-		noisy := true
-		opts.Noisy = &noisy
-	}
-	if opts.HotThreshold == 0 {
-		opts.HotThreshold = outline.HotThreshold
-	}
+	opts = opts.withDefaults()
 	tc := compiler.NewToolchain(opts.Space)
 	err := opts.validate()
 	switch {
@@ -569,35 +584,14 @@ func uniform(part ir.Partition, cv CV) []CV {
 	return out
 }
 
-// session builds the outlined core session for prog on in, wiring the
-// resilience policy and (when configured) the checkpointer. warm is the
-// warm-start seed set (nil except for warm-started Tune runs).
-func (t *Tuner) session(prog *Program, in Input, warm [][]CV) (*core.Session, outline.Result, error) {
-	if t.err != nil {
-		return nil, outline.Result{}, t.err
-	}
+// session builds the outlined core session of cfg for prog on in and
+// attaches the checkpointer, when one is configured.
+func (t *Tuner) session(prog *Program, in Input, cfg core.Config) (*core.Session, outline.Result, error) {
 	res, err := outline.AutoOutline(t.tc, prog, t.opts.Machine, in, t.opts.HotThreshold, 1, nil)
 	if err != nil {
 		return nil, outline.Result{}, err
 	}
-	sess, err := core.NewSession(t.tc, prog, res.Partition, t.opts.Machine, in, core.Config{
-		Samples:           t.opts.Samples,
-		TopX:              t.opts.TopX,
-		Technique:         t.opts.Technique,
-		WarmSeeds:         warm,
-		Seed:              t.opts.Seed,
-		Workers:           t.opts.Workers,
-		Noisy:             *t.opts.Noisy,
-		Faults:            t.opts.Faults,
-		MaxRetries:        t.opts.MaxRetries,
-		BackoffSeconds:    t.opts.BackoffSeconds,
-		BackoffCapSeconds: t.opts.BackoffCapSeconds,
-		TimeoutBudget:     t.opts.TimeoutBudget,
-		KillAfterEvals:    t.opts.KillAfterEvals,
-		Gate:              t.opts.Gate,
-		Remote:            t.opts.Evaluator,
-		Unpooled:          t.opts.Unpooled,
-	})
+	sess, err := core.NewSession(t.tc, prog, res.Partition, t.opts.Machine, in, cfg)
 	if err != nil {
 		return nil, outline.Result{}, err
 	}
@@ -710,7 +704,7 @@ func (t *Tuner) EvalService(prog *Program, in Input) (*EvalService, error) {
 	if t.opts.Evaluator != nil {
 		return nil, fmt.Errorf("funcytuner: EvalService requires a local tuner (Options.Evaluator is set)")
 	}
-	sess, _, err := t.session(prog, in, nil)
+	sess, _, err := t.session(prog, in, t.opts.config(nil, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -792,27 +786,36 @@ func (t *Tuner) run(ctx context.Context, prog *Program, in Input, rule *StopRule
 	if err := checkMode(t.opts.Technique, t.opts.WarmStart, rule != nil, compare); err != nil {
 		return nil, err
 	}
-	warm, digest := t.warmSeeds(prog)
-	if rep, ok := t.serveFromRepo(prog, in, rule, compare, digest); ok {
+	if t.err != nil {
+		return nil, t.err
+	}
+	cfg := t.opts.config(t.warmSeeds(prog), rule)
+	// Checked before the repository lookup, which would serve a zero
+	// stop rule the plain tune's entry.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	key := repoKey(core.NewRunIdentity(prog, t.opts.Machine, in, t.opts.Space, cfg), t.opts.HotThreshold, compare)
+	if rep, ok := t.serveFromRepo(key, prog, in); ok {
 		return rep, nil
 	}
-	sess, out, err := t.session(prog, in, warm)
+	sess, out, err := t.session(prog, in, cfg)
 	if err != nil {
 		return nil, err
 	}
-	all, err := t.algorithms(ctx, sess, rule, compare)
+	all, err := t.algorithms(ctx, sess, compare)
 	if err != nil {
 		return nil, err
 	}
 	rep := t.report(sess, out, all)
-	t.storeInRepo(prog, in, rule, compare, rep, digest)
+	t.storeInRepo(key, rep)
 	return rep, nil
 }
 
 // algorithms runs the protocol's evaluations on sess under the progress
 // reporter: Compare's full set, or the collection and then the
-// configured technique, stopped early under rule when it is non-nil.
-func (t *Tuner) algorithms(ctx context.Context, sess *core.Session, rule *StopRule, compare bool) (map[string]*Result, error) {
+// configured technique, stopped early under the session's stop rule.
+func (t *Tuner) algorithms(ctx context.Context, sess *core.Session, compare bool) (map[string]*Result, error) {
 	k := int64(t.opts.Samples)
 	if compare {
 		// Random K + collection K + FR K + greedy 1 + CFR K.
@@ -820,11 +823,8 @@ func (t *Tuner) algorithms(ctx context.Context, sess *core.Session, rule *StopRu
 		return sess.RunAll(ctx)
 	}
 	expected := 2 * k // collection K + search K
-	if rule != nil {
-		norm, err := rule.Normalize(t.opts.Samples)
-		if err != nil {
-			return nil, err
-		}
+	if rule := sess.Config.Stop; rule != nil {
+		norm, _ := rule.Normalize(t.opts.Samples) // NewSession validated it
 		expected = k + int64(norm.MaxEvaluations)
 	}
 	defer t.startProgress(sess, expected)()
@@ -832,12 +832,7 @@ func (t *Tuner) algorithms(ctx context.Context, sess *core.Session, rule *StopRu
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
-	if rule == nil {
-		res, err = sess.Search(ctx, col)
-	} else {
-		res, err = sess.SearchAdaptive(ctx, col, *rule)
-	}
+	res, err := sess.Search(ctx, col)
 	if err != nil {
 		return nil, err
 	}

@@ -1,23 +1,23 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // StopRule configures early stopping for any search technique. §4.3
 // observes that "the tuning overhead may be dramatically reduced ... by
 // exploiting program-specific CFR convergence trends, i.e., CFR finds the
 // best code variant in tens or several hundreds of evaluations" —
-// SearchAdaptive turns that observation into a budget policy.
+// Config.Stop turns that observation into a budget policy. A search it
+// stops measures an exact prefix of the full search's assemblies, and
+// its result, named after the technique plus ".adaptive", reports how
+// many evaluations were actually spent.
 type StopRule struct {
 	// MinEvaluations always run before early stopping is considered.
-	MinEvaluations int
+	MinEvaluations int `json:"min_evaluations"`
 	// Patience stops the search after this many consecutive evaluations
 	// without a new best.
-	Patience int
+	Patience int `json:"patience"`
 	// MaxEvaluations caps the search (defaults to the session's Samples).
-	MaxEvaluations int
+	MaxEvaluations int `json:"max_evaluations"`
 }
 
 // DefaultStopRule mirrors the convergence study: a floor of 50
@@ -41,19 +41,6 @@ func (r StopRule) Normalize(samples int) (StopRule, error) {
 		r.MinEvaluations = 1
 	}
 	return r, nil
-}
-
-// SearchAdaptive is Search with early stopping: the configured technique
-// runs on the same driver, which halts as soon as rule fires. The
-// measured assemblies are an exact prefix of the full search's, and the
-// result, named after the technique plus ".adaptive", reports how many
-// evaluations were actually spent.
-func (s *Session) SearchAdaptive(ctx context.Context, col *Collection, rule StopRule) (*Result, error) {
-	rule, err := rule.Normalize(s.Config.Samples)
-	if err != nil {
-		return nil, err
-	}
-	return s.searchWith(ctx, col, TechniqueTag(s.Config.Technique), &rule)
 }
 
 // stopper applies a normalized StopRule to a search's measured times in

@@ -195,9 +195,10 @@ func (s *Session) Greedy(ctx context.Context, col *Collection) (realized, indepe
 // technique behind the generic suggest/observe driver (see search.go),
 // which reproduces the original loop step-for-step: the same
 // "cfr-assign" stream drawn in the same order, so CFR Reports and
-// canonical traces are byte-identical to the pre-interface code.
+// canonical traces are byte-identical to the pre-interface code. Like
+// Search, it stops early under Config.Stop.
 func (s *Session) CFR(ctx context.Context, col *Collection) (*Result, error) {
-	return s.searchWith(ctx, col, "", nil)
+	return s.searchWith(ctx, col, "")
 }
 
 // RunAll executes the full §4.1 protocol on the session: Random, then the

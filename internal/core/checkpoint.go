@@ -24,7 +24,7 @@ import (
 // bit-identical to an uninterrupted run.
 //
 // The file is a log of fsx sealed records: a header record holding the
-// session identity, then one record per completed evaluation in the
+// run identity, then one record per completed evaluation in the
 // order the evaluations completed. Replay stops at the first torn,
 // damaged or inconsistent record, so damage costs recomputation, never
 // a wrong result. Measured times are strconv hexadecimal float strings:
@@ -32,7 +32,7 @@ import (
 // legitimately produce (plain JSON numbers cannot encode Inf).
 
 // CheckpointVersion is the current checkpoint format version.
-const CheckpointVersion = 2
+const CheckpointVersion = 3
 
 // DefaultCheckpointEvery is the default flush cadence (completed
 // evaluations between checkpoint writes).
@@ -48,23 +48,14 @@ const (
 )
 
 // Checkpoint is a tuning run's persisted progress, replayed from its
-// log. The identity fields are the header record; the progress fields
-// gather the evaluation records that follow it.
+// log. The version, the run identity and the module count of the
+// outlined partition are the header record; a resume is accepted only
+// into a session with the same identity and module count. The progress
+// fields gather the evaluation records that follow the header.
 type Checkpoint struct {
-	Version int    `json:"version"`
-	Program string `json:"program"`
-	Machine string `json:"machine"`
-	Flavor  string `json:"flavor"`
-	Seed    string `json:"seed"`
-	Samples int    `json:"samples"`
-	TopX    int    `json:"topx"`
-	Modules int    `json:"modules"`
-
-	// Technique tags the search strategy whose progress CFRDone/CFRTimes
-	// record ("" = CFR, the default). Resuming under a different
-	// technique is rejected: the same sample indices would map to
-	// different assemblies.
-	Technique string `json:"technique,omitempty"`
+	Version int `json:"version"`
+	RunIdentity
+	Modules int `json:"modules"`
 
 	// CollectDone lists the completed collection samples in the order
 	// they completed; Totals[i] and Times[i] (one time per module) are
@@ -365,7 +356,8 @@ func (c *Checkpointer) Resume(ck *Checkpoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ck = ck
-	c.queueHeaderLocked()
+	// Cannot fail: every float in a decoded header is finite.
+	_ = c.queueHeaderLocked()
 	for i, k := range ck.CollectDone {
 		c.queueLocked(appendMark(c.mark[:0], phaseCollect, k, ck.Totals[i], ck.Times[i], CostSnapshot{}, nil))
 	}
@@ -375,11 +367,15 @@ func (c *Checkpointer) Resume(ck *Checkpoint) {
 	c.queueLocked(appendMark(c.mark[:0], phaseResumed, 0, 0, nil, ck.Cost, ck.Quarantine))
 }
 
-// queueHeaderLocked seals c.ck's identity fields as the header record.
-func (c *Checkpointer) queueHeaderLocked() {
-	// Cannot fail: the encoded fields are strings and ints.
-	hdr, _ := json.Marshal(c.ck)
+// queueHeaderLocked seals c.ck's header fields as the header record. It
+// fails only on a NaN or infinite identity float, which JSON cannot hold.
+func (c *Checkpointer) queueHeaderLocked() error {
+	hdr, err := json.Marshal(c.ck)
+	if err != nil {
+		return fmt.Errorf("core: encoding checkpoint header: %w", err)
+	}
 	c.queueLocked(hdr)
+	return nil
 }
 
 // queueLocked seals one record body onto the tail and keeps the body's
@@ -389,11 +385,12 @@ func (c *Checkpointer) queueLocked(body []byte) {
 	c.tail = fsx.AppendRecord(c.tail, body)
 }
 
-// AttachCheckpointer binds a checkpointer to the session. If the
-// checkpointer carries resumed state, it is validated against the session
-// identity (program, machine, flag-space flavor, seed, budget, module
-// count) and the persisted quarantine set and cost are restored; a
-// mismatch is rejected rather than silently producing a hybrid run.
+// AttachCheckpointer binds a checkpointer to the session. A fresh
+// checkpointer gets a header holding the session's run identity. One
+// carrying resumed state must hold the same identity and module count,
+// or the attach fails naming the first field that differs, rather than
+// silently producing a hybrid run; otherwise the persisted quarantine
+// set and cost are restored.
 func (s *Session) AttachCheckpointer(c *Checkpointer) error {
 	if c == nil {
 		s.ckpt = nil
@@ -402,41 +399,15 @@ func (s *Session) AttachCheckpointer(c *Checkpointer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.ck == nil {
-		c.ck = &Checkpoint{
-			Version:   CheckpointVersion,
-			Program:   s.Prog.Name,
-			Machine:   s.Machine.Name,
-			Flavor:    s.Toolchain.Space.Flavor.String(),
-			Seed:      s.Config.Seed,
-			Samples:   s.Config.Samples,
-			TopX:      s.Config.TopX,
-			Modules:   len(s.Part.Modules),
-			Technique: TechniqueTag(s.Config.Technique),
+		c.ck = &Checkpoint{Version: CheckpointVersion, RunIdentity: s.id, Modules: len(s.Part.Modules)}
+		if err := c.queueHeaderLocked(); err != nil {
+			c.ck = nil
+			return err
 		}
-		c.queueHeaderLocked()
 	} else {
 		ck := c.ck
-		mismatch := func(field, got, want string) error {
-			return fmt.Errorf("core: checkpoint %s %q does not match session %q", field, got, want)
-		}
-		if ck.Program != s.Prog.Name {
-			return mismatch("program", ck.Program, s.Prog.Name)
-		}
-		if ck.Machine != s.Machine.Name {
-			return mismatch("machine", ck.Machine, s.Machine.Name)
-		}
-		if flavor := s.Toolchain.Space.Flavor.String(); ck.Flavor != flavor {
-			return mismatch("flavor", ck.Flavor, flavor)
-		}
-		if ck.Seed != s.Config.Seed {
-			return mismatch("seed", ck.Seed, s.Config.Seed)
-		}
-		if tag := TechniqueTag(s.Config.Technique); ck.Technique != tag {
-			return mismatch("technique", ck.Technique, tag)
-		}
-		if ck.Samples != s.Config.Samples || ck.TopX != s.Config.TopX {
-			return fmt.Errorf("core: checkpoint budget (samples=%d, topx=%d) does not match session (samples=%d, topx=%d)",
-				ck.Samples, ck.TopX, s.Config.Samples, s.Config.TopX)
+		if ck.RunIdentity != s.id {
+			return mismatchError(ck.RunIdentity, s.id)
 		}
 		if ck.Modules != len(s.Part.Modules) {
 			return fmt.Errorf("core: checkpoint has %d modules, session has %d", ck.Modules, len(s.Part.Modules))

@@ -28,6 +28,15 @@ import (
 // kill point, checkpointing to path (resuming from it if it exists).
 func newCkptSession(t *testing.T, path string, killAfter, workers int) *Session {
 	t.Helper()
+	return ckptSession(t, path, Config{Samples: 50, TopX: 8, Seed: "ckpt-test", Noisy: true,
+		Workers: workers, Faults: faults.Default(), KillAfterEvals: killAfter})
+}
+
+// ckptSession builds a CloverLeaf/Broadwell session of cfg,
+// checkpointing to path (resuming from it if it exists) unless path is
+// empty.
+func ckptSession(t *testing.T, path string, cfg Config) *Session {
+	t.Helper()
 	tc := compiler.NewToolchain(flagspec.ICC())
 	p := apps.MustGet(apps.CloverLeaf)
 	m := arch.Broadwell()
@@ -36,8 +45,6 @@ func newCkptSession(t *testing.T, path string, killAfter, workers int) *Session 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Samples: 50, TopX: 8, Seed: "ckpt-test", Noisy: true,
-		Workers: workers, Faults: faults.Default(), KillAfterEvals: killAfter}
 	s, err := NewSession(tc, p, res.Partition, m, in, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -145,32 +152,36 @@ func TestKillResumeEquality(t *testing.T) {
 // The adaptive search replays checkpointed evaluations through the same
 // stopping logic, so a killed+resumed adaptive run matches exactly.
 func TestKillResumeAdaptiveEquality(t *testing.T) {
-	rule := StopRule{MinEvaluations: 5, Patience: 10}
-	uninterrupted := newCkptSession(t, "", 0, 1)
+	session := func(path string, killAfter int) *Session {
+		return ckptSession(t, path, Config{Samples: 50, TopX: 8, Seed: "ckpt-test", Noisy: true,
+			Workers: 1, Faults: faults.Default(), KillAfterEvals: killAfter,
+			Stop: &StopRule{MinEvaluations: 5, Patience: 10}})
+	}
+	uninterrupted := session("", 0)
 	col, err := uninterrupted.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := uninterrupted.SearchAdaptive(context.Background(), col, rule)
+	want, err := uninterrupted.Search(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	dying := newCkptSession(t, path, 55, 1)
+	dying := session(path, 55)
 	_, err = dying.Collect(context.Background())
 	if err == nil {
-		_, err = dying.SearchAdaptive(context.Background(), col, rule)
+		_, err = dying.Search(context.Background(), col)
 	}
 	if !errors.Is(err, ErrKilled) {
 		t.Fatalf("expected ErrKilled, got %v", err)
 	}
-	resumed := newCkptSession(t, path, 0, 1)
+	resumed := session(path, 0)
 	rcol, err := resumed.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := resumed.SearchAdaptive(context.Background(), rcol, rule)
+	got, err := resumed.Search(context.Background(), rcol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +191,8 @@ func TestKillResumeAdaptiveEquality(t *testing.T) {
 	}
 }
 
-// Attaching a checkpoint from a different experiment must be rejected.
+// Attaching a checkpoint from a different run must be rejected, naming
+// the first identity field that differs.
 func TestAttachMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	s := newCkptSession(t, path, 0, 1)
@@ -197,40 +209,44 @@ func TestAttachMismatch(t *testing.T) {
 		if mutate != nil {
 			mutate(&cp)
 		}
-		tc := compiler.NewToolchain(flagspec.ICC())
-		p := apps.MustGet(apps.CloverLeaf)
-		m := arch.Broadwell()
-		in := apps.TuningInput(apps.CloverLeaf, m)
-		res, err := outline.AutoOutline(tc, p, m, in, outline.HotThreshold, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := NewSession(tc, p, res.Partition, m, in, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		c := NewCheckpointer(filepath.Join(t.TempDir(), "x.ckpt"), 0)
 		c.Resume(&cp)
-		return sess.AttachCheckpointer(c)
+		return ckptSession(t, "", cfg).AttachCheckpointer(c)
 	}
-	good := Config{Samples: 50, TopX: 8, Seed: "ckpt-test", Noisy: true}
-	if err := attach(nil, good); err != nil {
-		t.Fatalf("matching checkpoint rejected: %v", err)
+	good := Config{Samples: 50, TopX: 8, Seed: "ckpt-test", Noisy: true, Faults: faults.Default()}
+	with := func(mut func(*Config)) Config {
+		cfg := good
+		mut(&cfg)
+		return cfg
+	}
+	// Scheduling and the resilience defaults spelled out are the same run.
+	for _, cfg := range []Config{good,
+		with(func(c *Config) { c.Workers, c.KillAfterEvals = 4, 9 }),
+		with(func(c *Config) {
+			c.MaxRetries, c.BackoffSeconds, c.BackoffCapSeconds = DefaultMaxRetries, DefaultBackoffSeconds, DefaultBackoffCapSeconds
+		}),
+	} {
+		if err := attach(nil, cfg); err != nil {
+			t.Fatalf("matching checkpoint rejected: %v", err)
+		}
 	}
 	cases := []struct {
-		name   string
-		mutate func(*Checkpoint)
-		cfg    Config
+		name, field string
+		mutate      func(*Checkpoint)
+		cfg         Config
 	}{
-		{"program", func(c *Checkpoint) { c.Program = "swim" }, good},
-		{"machine", func(c *Checkpoint) { c.Machine = "opteron" }, good},
-		{"flavor", func(c *Checkpoint) { c.Flavor = "gcc" }, good},
-		{"seed", nil, Config{Samples: 50, TopX: 8, Seed: "other", Noisy: true}},
-		{"budget", nil, Config{Samples: 40, TopX: 8, Seed: "ckpt-test", Noisy: true}},
+		{"program", "program", func(c *Checkpoint) { c.Program = "swim" }, good},
+		{"machine", "machine", func(c *Checkpoint) { c.Machine = "opteron" }, good},
+		{"flavor", "flavor", func(c *Checkpoint) { c.Flavor = "gcc" }, good},
+		{"seed", "seed", nil, with(func(c *Config) { c.Seed = "other" })},
+		{"budget", "samples", nil, with(func(c *Config) { c.Samples = 40 })},
+		{"faults", "faults", nil, with(func(c *Config) { c.Faults = faults.Rates{} })},
+		{"stop rule", "stop", nil, with(func(c *Config) { c.Stop = &StopRule{Patience: 10} })},
 	}
 	for _, tc := range cases {
-		if err := attach(tc.mutate, tc.cfg); err == nil {
-			t.Errorf("%s mismatch accepted", tc.name)
+		err := attach(tc.mutate, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint "+tc.field+" ") {
+			t.Errorf("%s mismatch: error %v, want one naming %q", tc.name, err, tc.field)
 		}
 	}
 }
@@ -265,7 +281,7 @@ func sealed(bodies ...string) []byte {
 	return log
 }
 
-const testHeader = `{"version":2,"program":"CL","machine":"broadwell","flavor":"icc","seed":"s","samples":4,"topx":2,"modules":2}`
+const testHeader = `{"version":3,"program":"CL","machine":"broadwell","flavor":"icc","seed":"s","samples":4,"topx":2,"modules":2}`
 
 // DecodeCheckpoint rejects a log without a valid header, naming the
 // version of a document from another format version, and replay stops
@@ -282,7 +298,8 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 		  "collect_done":[0],"times":[["0x1p+00","","",""]],"totals":["0x1p+00","","",""],"cfr_done":[],"cfr_times":["","","",""]}`)},
 		{"cut header", "no valid header", sealed(testHeader)[:40]},
 		{"header not JSON", "decoding checkpoint header", sealed(`[1]`)},
-		{"header version 99", "unsupported checkpoint version 99", sealed(strings.Replace(testHeader, `"version":2`, `"version":99`, 1))},
+		{"header version 2", "unsupported checkpoint version 2 ", sealed(strings.Replace(testHeader, `"version":3`, `"version":2`, 1))},
+		{"header version 99", "unsupported checkpoint version 99", sealed(strings.Replace(testHeader, `"version":3`, `"version":99`, 1))},
 		{"no samples", "implausible budget", sealed(strings.Replace(testHeader, `"samples":4`, `"samples":0`, 1))},
 		{"topx above samples", "implausible budget", sealed(strings.Replace(testHeader, `"topx":2`, `"topx":5`, 1))},
 		{"no modules", "0 modules", sealed(strings.Replace(testHeader, `"modules":2`, `"modules":0`, 1))},
@@ -566,7 +583,7 @@ func TestCheckpointLogPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"v":1,"sum":"3bf04f0cacdb7d79","body":{"version":2,"program":"CL","machine":"broadwell","flavor":"icc","seed":"ckpt-test","samples":50,"topx":8,"modules":12}}
+	const want = `{"v":1,"sum":"1de99c9d8a0d57d5","body":{"version":3,"program":"CL","program_seed":11576950749656252587,"input":"train","input_size":2000,"input_steps":60,"machine":"broadwell","machine_id":50675,"flavor":"icc","seed":"ckpt-test","samples":50,"topx":8,"noisy":true,"faults":{"compile_fail":0.02,"run_crash":0.01,"timeout":0.005,"flake":0.04},"max_retries":0,"backoff_seconds":0,"backoff_cap_seconds":0,"timeout_budget":0,"stop":{"min_evaluations":0,"patience":0,"max_evaluations":0},"modules":12}}
 {"v":1,"sum":"9a3ce7d0c9a9abc6","body":{"phase":"collect","k":3,"time":"+Inf","modules":["0x1.8p-01","0x1.8p+00","0x1.2p+01","0x1.8p+01","0x1.ep+01","0x1.2p+02","0x1.5p+02","0x1.8p+02","0x1.bp+02","0x1.ep+02","0x1.08p+03","0x1.2p+03"],"cost":{"compiles":12,"runs":1,"sim_micros":100,"wasted_compiles":12,"compile_fails":1},"quarantine":["feedc0de"]}}
 {"v":1,"sum":"c06d9807f7f90107","body":{"phase":"search","k":7,"time":"0x1.88p+03","cost":{"compiles":2,"runs":2,"sim_micros":12250000,"retries":1,"flakes":1}}}
 `

@@ -142,7 +142,7 @@ func TestRemoteSeamMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tag := range []string{TechniqueBO, TechniqueGA} {
-			r, err := s.searchWith(ctx, col, tag, nil)
+			r, err := s.searchWith(ctx, col, tag)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,7 +91,9 @@ func TestPropertyCFRAdaptivePrefixConsistency(t *testing.T) {
 			}
 			f := func(p uint8) bool {
 				patience := 10 + int(p%100)
-				adaptive, err := session().SearchAdaptive(context.Background(), col, StopRule{MinEvaluations: 5, Patience: patience})
+				s := session()
+				s.Config.Stop = &StopRule{MinEvaluations: 5, Patience: patience}
+				adaptive, err := s.Search(context.Background(), col)
 				if err != nil {
 					return false
 				}
@@ -135,7 +137,8 @@ func TestTechniqueAdaptiveAcquiresGatePerEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := gate.acquired.Load()
-	res, err := s.SearchAdaptive(context.Background(), col, StopRule{MinEvaluations: 5, Patience: 10})
+	s.Config.Stop = &StopRule{MinEvaluations: 5, Patience: 10}
+	res, err := s.Search(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +149,16 @@ func TestTechniqueAdaptiveAcquiresGatePerEvaluation(t *testing.T) {
 
 func TestCFRAdaptiveValidation(t *testing.T) {
 	s := newCLSession(t, 30, 5, false)
+	if _, err := NewSession(s.Toolchain, s.Prog, s.Part, s.Machine, s.Input,
+		Config{Samples: 30, TopX: 5, Stop: &StopRule{Patience: 0}}); err == nil {
+		t.Error("zero patience accepted")
+	}
 	col, err := s.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SearchAdaptive(context.Background(), col, StopRule{Patience: 0}); err == nil {
-		t.Error("zero patience accepted")
-	}
-	res, err := s.SearchAdaptive(context.Background(), col, StopRule{MinEvaluations: 0, Patience: 5, MaxEvaluations: 99999})
+	s.Config.Stop = &StopRule{MinEvaluations: 0, Patience: 5, MaxEvaluations: 99999}
+	res, err := s.Search(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}

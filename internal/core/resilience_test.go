@@ -215,11 +215,11 @@ func TestConfigResilienceValidation(t *testing.T) {
 		{Samples: 10, TopX: 2, Faults: faults.Rates{CompileFail: math.NaN()}},
 	}
 	for i, cfg := range bad {
-		if err := cfg.validate(); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
-	if err := (Config{Samples: 10, TopX: 2, Faults: faults.Default()}).validate(); err != nil {
+	if err := (Config{Samples: 10, TopX: 2, Faults: faults.Default()}).Validate(); err != nil {
 		t.Errorf("default fault rates rejected: %v", err)
 	}
 }

@@ -49,14 +49,15 @@ func TechniqueTag(name string) string {
 // algorithm behind the same suggest/observe interface. All techniques
 // share the engine's evaluation spine — parallel workers, fault
 // injection, checkpoint/resume, remote dispatch, tracing — and are
-// deterministic per seed.
+// deterministic per seed. With Config.Stop set, the search stops early
+// under that rule.
 func (s *Session) Search(ctx context.Context, col *Collection) (*Result, error) {
-	return s.searchWith(ctx, col, TechniqueTag(s.Config.Technique), nil)
+	return s.searchWith(ctx, col, TechniqueTag(s.Config.Technique))
 }
 
 // searchWith runs one named technique ("" selects CFR) on col, stopping
-// early under rule when it is non-nil.
-func (s *Session) searchWith(ctx context.Context, col *Collection, tag string, rule *StopRule) (*Result, error) {
+// early under Config.Stop when it is set.
+func (s *Session) searchWith(ctx context.Context, col *Collection, tag string) (*Result, error) {
 	if err := s.checkCollection(col); err != nil {
 		return nil, err
 	}
@@ -64,7 +65,7 @@ func (s *Session) searchWith(ctx context.Context, col *Collection, tag string, r
 	if err != nil {
 		return nil, err
 	}
-	return s.runTechnique(ctx, tech, degraded, rule, s.ckpt)
+	return s.runTechnique(ctx, tech, degraded, s.Config.Stop, s.ckpt)
 }
 
 // newTechnique prunes the collection into per-module pools (Algorithm
@@ -162,8 +163,12 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 	name := tech.Name()
 	var stop *stopper
 	if rule != nil {
+		norm, err := rule.Normalize(budget)
+		if err != nil {
+			return nil, err
+		}
 		name += ".adaptive"
-		stop = &stopper{rule: *rule}
+		stop = &stopper{rule: norm}
 	}
 	assemblies := make([][]flagspec.CV, 0, budget)
 	times := make([]float64, 0, budget)

@@ -100,6 +100,9 @@ type Config struct {
 	// baseline-padded to the module count — and seed the technique's
 	// initial design/population. Ignored by CFR.
 	WarmSeeds [][]flagspec.CV
+	// Stop, when non-nil, stops Search and CFR early under the rule
+	// (§4.3's convergence trend); nil searches the whole budget.
+	Stop *StopRule
 
 	// Faults configures deterministic fault injection on the evaluation
 	// path. The zero value disables injection entirely: the clean path
@@ -195,8 +198,9 @@ func (c Config) timeoutBudget() float64 {
 	return DefaultTimeoutBudget
 }
 
-// validate rejects configurations that would silently misbehave.
-func (c Config) validate() error {
+// Validate rejects configurations that would silently misbehave.
+// NewSession applies it.
+func (c Config) Validate() error {
 	if c.Samples < 1 {
 		return fmt.Errorf("core: Samples must be >= 1, got %d", c.Samples)
 	}
@@ -220,6 +224,11 @@ func (c Config) validate() error {
 	}
 	if !ValidTechnique(c.Technique) {
 		return fmt.Errorf("core: unknown technique %q (want one of cfr, bo, ga)", c.Technique)
+	}
+	if c.Stop != nil {
+		if _, err := c.Stop.Normalize(c.Samples); err != nil {
+			return err
+		}
 	}
 	for si, seed := range c.WarmSeeds {
 		if len(seed) == 0 {
@@ -387,6 +396,9 @@ type Session struct {
 	Input     ir.Input
 	Config    Config
 
+	// id is the run identity NewSession derived from the above.
+	id RunIdentity
+
 	// Cost accumulates across all algorithm invocations on this session.
 	Cost CostAccount
 
@@ -485,7 +497,7 @@ func NewSession(tc *compiler.Toolchain, prog *ir.Program, part ir.Partition, m *
 	if part.Program != prog {
 		return nil, fmt.Errorf("core: partition belongs to a different program")
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	baselineKey := tc.Space.Baseline().Key()
@@ -508,6 +520,7 @@ func NewSession(tc *compiler.Toolchain, prog *ir.Program, part ir.Partition, m *
 		Machine:      m,
 		Input:        in,
 		Config:       cfg,
+		id:           NewRunIdentity(prog, m, in, tc.Space, cfg),
 		rng:          xrand.NewFromString("core/" + cfg.Seed + "/" + prog.Name + "/" + m.Name),
 		faults:       faults.New(cfg.Seed, m.ID, baselineKey, cfg.Faults),
 		baselineKey:  baselineKey,

@@ -1,9 +1,9 @@
 // Package resultrepo is the content-addressed, persistent tuning-results
-// repository. It stores opaque JSON result bodies keyed the same way
-// internal/objcache keys compiles — a 64-bit content hash of everything
-// that determines a tuning outcome (program fingerprint × arch × flag
-// space × search config) — so identical submissions from any number of
-// clients resolve to one stored entry.
+// repository. It stores opaque JSON result bodies under opaque 64-bit
+// keys, which the caller derives the way internal/objcache keys
+// compiles: a content hash of everything that determines a tuning
+// outcome (the funcytuner facade hashes the run identity), so identical
+// submissions from any number of clients resolve to one stored entry.
 //
 // The repository is a cache with a durability contract, not a database:
 // writes go through the fsync-hardened atomic-commit path (a crash
@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,115 +32,7 @@ import (
 	"sync"
 
 	"funcytuner/internal/fsx"
-	"funcytuner/internal/xrand"
 )
-
-// KeySpec enumerates everything that determines a tuning outcome. Two
-// submissions with equal KeySpecs produce bit-identical Reports, so one
-// stored entry serves both. Scheduling-only knobs (worker counts, cache
-// sizes, gates, tracing, checkpoint paths) are deliberately absent:
-// the determinism suite proves they cannot change a Report.
-type KeySpec struct {
-	// Mode distinguishes the tuning protocols: "tune", "adaptive",
-	// "compare". Their Reports differ (which algorithms ran), so they
-	// must not share entries.
-	Mode string
-
-	// Program identity: benchmark name plus the seed driving all
-	// program-specific deterministic idiosyncrasies.
-	Program     string
-	ProgramSeed uint64
-
-	// Workload identity.
-	InputName  string
-	InputSize  float64
-	InputSteps int
-
-	// Platform identity.
-	Machine   string
-	MachineID uint64
-
-	// Flag-space flavor ("icc", "gcc").
-	Flavor string
-
-	// Search configuration.
-	Seed         string
-	Samples      int
-	TopX         int
-	Noisy        bool
-	HotThreshold float64
-
-	// Resilience policy — fault injection changes measured outcomes, so
-	// it is part of the key.
-	FaultCompileFail  float64
-	FaultRunCrash     float64
-	FaultTimeout      float64
-	FaultFlake        float64
-	MaxRetries        int
-	BackoffSeconds    float64
-	BackoffCapSeconds float64
-	TimeoutBudget     float64
-
-	// Early-stop rule (Mode "adaptive" only; zero otherwise).
-	StopMinEvaluations int
-	StopPatience       int
-	StopMaxEvaluations int
-
-	// Search technique ("bo", "ga"; empty for the default CFR — the
-	// empty default keeps every pre-technique key unchanged).
-	Technique string
-
-	// WarmDigest fingerprints the warm-start seed set fed to the
-	// technique (0 when warm-starting is off). Warm seeds change the
-	// search trajectory, so runs with different seed sets must not share
-	// an entry.
-	WarmDigest uint64
-}
-
-// Key folds the spec into the repository's 64-bit content address. The
-// stream is tagged per field group so field reordering or a new field
-// cannot silently collide with an old layout.
-func (ks KeySpec) Key() uint64 {
-	var h xrand.Hasher
-	add := func(vs ...uint64) {
-		for _, v := range vs {
-			h.Add(v)
-		}
-	}
-	addF := func(fs ...float64) {
-		for _, f := range fs {
-			h.Add(math.Float64bits(f))
-		}
-	}
-	b2u := func(b bool) uint64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	add(0x72657372) // "resr": domain tag, so repo keys never collide with compile keys
-	add(xrand.HashString(ks.Mode))
-	add(xrand.HashString(ks.Program), ks.ProgramSeed)
-	add(xrand.HashString(ks.InputName), uint64(ks.InputSteps))
-	addF(ks.InputSize)
-	add(xrand.HashString(ks.Machine), ks.MachineID)
-	add(xrand.HashString(ks.Flavor))
-	add(xrand.HashString(ks.Seed), uint64(ks.Samples), uint64(ks.TopX), b2u(ks.Noisy))
-	addF(ks.HotThreshold)
-	addF(ks.FaultCompileFail, ks.FaultRunCrash, ks.FaultTimeout, ks.FaultFlake)
-	add(uint64(ks.MaxRetries))
-	addF(ks.BackoffSeconds, ks.BackoffCapSeconds, ks.TimeoutBudget)
-	add(uint64(ks.StopMinEvaluations), uint64(ks.StopPatience), uint64(ks.StopMaxEvaluations))
-	// Appended fields contribute only when non-default, so every key
-	// minted before they existed is still reachable.
-	if ks.Technique != "" {
-		add(xrand.HashString("technique"), xrand.HashString(ks.Technique))
-	}
-	if ks.WarmDigest != 0 {
-		add(xrand.HashString("warm-start"), ks.WarmDigest)
-	}
-	return h.Sum()
-}
 
 // header is the first record of key's entry file.
 func header(key uint64) []byte { return fmt.Appendf(nil, `{"key":"%016x"}`, key) }

@@ -11,79 +11,9 @@ import (
 	"funcytuner/internal/fsx"
 )
 
-func testSpec() KeySpec {
-	return KeySpec{
-		Mode:         "tune",
-		Program:      "CL",
-		ProgramSeed:  42,
-		InputName:    "train",
-		InputSize:    100,
-		InputSteps:   50,
-		Machine:      "broadwell",
-		MachineID:    3,
-		Flavor:       "icc",
-		Seed:         "test-seed",
-		Samples:      1000,
-		TopX:         50,
-		Noisy:        true,
-		HotThreshold: 0.01,
-	}
-}
-
-func TestKeySpecDiscriminates(t *testing.T) {
-	base := testSpec()
-	if base.Key() != testSpec().Key() {
-		t.Fatal("equal specs produced different keys")
-	}
-	variants := map[string]KeySpec{}
-	v := base
-	v.Mode = "adaptive"
-	variants["mode"] = v
-	v = base
-	v.Program = "AMG"
-	variants["program"] = v
-	v = base
-	v.ProgramSeed = 43
-	variants["program-seed"] = v
-	v = base
-	v.InputSize = 200
-	variants["input-size"] = v
-	v = base
-	v.Machine = "opteron"
-	variants["machine"] = v
-	v = base
-	v.Flavor = "gcc"
-	variants["flavor"] = v
-	v = base
-	v.Seed = "other-seed"
-	variants["seed"] = v
-	v = base
-	v.Samples = 2000
-	variants["samples"] = v
-	v = base
-	v.TopX = 10
-	variants["topx"] = v
-	v = base
-	v.Noisy = false
-	variants["noisy"] = v
-	v = base
-	v.FaultFlake = 0.04
-	variants["faults"] = v
-	v = base
-	v.TimeoutBudget = 60
-	variants["timeout"] = v
-	v = base
-	v.StopPatience = 150
-	variants["stop-rule"] = v
-	keys := map[uint64]string{base.Key(): "base"}
-	for name, spec := range variants {
-		k := spec.Key()
-		if prev, dup := keys[k]; dup {
-			t.Errorf("variant %q collides with %q", name, prev)
-		}
-		keys[k] = name
-	}
-}
+// testKey is an arbitrary entry key: the repository treats keys as
+// opaque (the funcytuner facade derives them from a run identity).
+const testKey uint64 = 0xda9767e162871fb0
 
 // Every valid JSON body Put accepts reads back byte for byte, before
 // and after a reopen. The HTML-sensitive characters and U+2028 are the
@@ -102,7 +32,7 @@ func TestPutGetSurvivesReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := testSpec().Key()
+			key := testKey
 			body := []byte(tc.body)
 			if _, ok := r.Get(key); ok {
 				t.Fatal("hit on empty repo")
@@ -150,7 +80,7 @@ func TestPutRejectsInvalidJSON(t *testing.T) {
 // mid-rename — must read as a counted corrupt miss, never an error and
 // never a wrong body.
 func TestCorruptionTolerance(t *testing.T) {
-	key := testSpec().Key()
+	key := testKey
 	body := []byte(`{"fingerprint":"00deadbeef001234","best":"0x1.91eb851eb851fp+01"}`)
 
 	cases := []struct {
@@ -278,7 +208,7 @@ func TestOpenIgnoresJunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := testSpec().Key()
+	key := testKey
 	if err := r.Put(key, []byte(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +267,7 @@ func TestConcurrentPutGet(t *testing.T) {
 // never panic, and whatever it accepts is exactly the entry Put writes
 // for the returned body, checksums included.
 func FuzzDecode(f *testing.F) {
-	key := testSpec().Key()
+	key := testKey
 	seed := fsx.AppendRecord(fsx.AppendRecord(nil, header(key)), []byte(`{"x":1}`))
 	f.Add(seed)
 	f.Add([]byte("{}"))

@@ -83,9 +83,10 @@ type JobSpec struct {
 	WarmStart bool `json:"warm_start,omitempty"`
 	// CheckpointEvery is the flush cadence in completed evaluations.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Resume names a previous job whose checkpoint this job continues
-	// (the spec must otherwise match that job's, or the run fails its
-	// checkpoint-identity validation).
+	// Resume names a previous job whose checkpoint this job continues.
+	// An empty seed takes that job's seed (its ID when it had none); the
+	// rest of the spec must match that job's, or the run fails naming
+	// the first checkpoint-identity field that differs.
 	Resume string `json:"resume,omitempty"`
 }
 
@@ -314,6 +315,11 @@ func (m *Manager) submit(spec JobSpec) (*Job, error) {
 			return nil, fmt.Errorf("server: unknown job %q to resume", spec.Resume)
 		}
 		resumeFrom = prior.ckptPath
+		// A resume is the prior job's run: it keeps that run's seed
+		// unless it names one itself.
+		if spec.Seed == "" {
+			spec.Seed = prior.seed()
+		}
 	}
 	var leader *Job
 	if dedupable {
@@ -431,9 +437,7 @@ func (m *Manager) run(ctx context.Context, j *Job, resumeFrom string) {
 	defer j.progress.Close()
 
 	spec := j.Spec.spec()
-	if spec.Seed == "" {
-		spec.Seed = j.ID
-	}
+	spec.Seed = j.seed()
 	gate := m.cfg.Gate
 	var evaluator funcytuner.Evaluator
 	if j.Spec.Distributed {
@@ -470,6 +474,14 @@ func (m *Manager) run(ctx context.Context, j *Job, resumeFrom string) {
 		return
 	}
 	m.finish(j, newResult(rep), rep.Served, nil)
+}
+
+// seed is the seed the job runs under: its spec's, or else its ID.
+func (j *Job) seed() string {
+	if j.Spec.Seed != "" {
+		return j.Spec.Seed
+	}
+	return j.ID
 }
 
 // finish records a job's terminal state and updates the server metrics.

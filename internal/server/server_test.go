@@ -333,20 +333,11 @@ func (g *stallGate) Acquire(ctx context.Context) error {
 
 func (g *stallGate) Release() {}
 
-// TestCancelResumeFingerprintEquality is the service-level acceptance
-// test: cancel a job mid-run, confirm it drained to a resumable
-// checkpoint, resume it as a new job, and require the resumed Report's
-// fingerprint to be bit-identical to an uninterrupted run of the same
-// spec.
-func TestCancelResumeFingerprintEquality(t *testing.T) {
-	gate := newStallGate(7)
-	mgr := newTestManager(t, Config{Gate: gate})
-	ts := httptest.NewServer(NewServer(mgr))
-	defer ts.Close()
-
-	spec := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 16, TopX: 4,
-		Seed: "cancel-resume", Workers: 1, CheckpointEvery: 1}
-
+// cancelAtStall submits spec to a manager gated by gate, cancels the
+// job once the gate stalls it, and returns the cancelled job's status,
+// which must be resumable.
+func cancelAtStall(t *testing.T, ts *httptest.Server, mgr *Manager, gate *stallGate, spec JobSpec) Status {
+	t.Helper()
 	st := decode[Status](t, postJSON(t, ts.URL+"/jobs", spec))
 	select {
 	case <-gate.stalled:
@@ -367,20 +358,45 @@ func TestCancelResumeFingerprintEquality(t *testing.T) {
 	if !st.Resumable {
 		t.Fatal("cancelled job must leave a resumable checkpoint")
 	}
+	return st
+}
+
+// runJob submits spec and waits for the job to end.
+func runJob(t *testing.T, ts *httptest.Server, mgr *Manager, spec JobSpec) *Job {
+	t.Helper()
+	st := decode[Status](t, postJSON(t, ts.URL+"/jobs", spec))
+	j, ok := mgr.Get(st.ID)
+	if !ok {
+		t.Fatalf("submission rejected: %+v", st)
+	}
+	waitJob(t, j)
+	return j
+}
+
+// TestCancelResumeFingerprintEquality is the service-level acceptance
+// test: cancel a job mid-run, confirm it drained to a resumable
+// checkpoint, resume it as a new job, and require the resumed Report's
+// fingerprint to be bit-identical to an uninterrupted run of the same
+// spec.
+func TestCancelResumeFingerprintEquality(t *testing.T) {
+	gate := newStallGate(7)
+	mgr := newTestManager(t, Config{Gate: gate})
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	spec := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 16, TopX: 4,
+		Seed: "cancel-resume", Workers: 1, CheckpointEvery: 1}
+	st := cancelAtStall(t, ts, mgr, gate, spec)
 
 	resumeSpec := spec
 	resumeSpec.Resume = st.ID
-	rst := decode[Status](t, postJSON(t, ts.URL+"/jobs", resumeSpec))
-	rj, _ := mgr.Get(rst.ID)
-	waitJob(t, rj)
+	rj := runJob(t, ts, mgr, resumeSpec)
 	resumed, err := rj.Result()
 	if err != nil {
 		t.Fatalf("resumed job: %v (status %+v)", err, rj.Status())
 	}
 
-	ctrl := decode[Status](t, postJSON(t, ts.URL+"/jobs", spec))
-	cj, _ := mgr.Get(ctrl.ID)
-	waitJob(t, cj)
+	cj := runJob(t, ts, mgr, spec)
 	control, err := cj.Result()
 	if err != nil {
 		t.Fatalf("control job: %v (status %+v)", err, cj.Status())
@@ -389,6 +405,58 @@ func TestCancelResumeFingerprintEquality(t *testing.T) {
 	if resumed.Fingerprint != control.Fingerprint {
 		t.Fatalf("cancel+resume fingerprint %s != uninterrupted %s",
 			resumed.Fingerprint, control.Fingerprint)
+	}
+}
+
+// A job submitted without a seed runs under its own ID, and a resume of
+// it that names no seed continues that run: it completes with the
+// fingerprint of an uninterrupted run seeded with the first job's ID.
+func TestResumeSeedlessJob(t *testing.T) {
+	gate := newStallGate(7)
+	mgr := newTestManager(t, Config{Gate: gate})
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	spec := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 16, TopX: 4, Workers: 1, CheckpointEvery: 1}
+	st := cancelAtStall(t, ts, mgr, gate, spec)
+
+	resumeSpec := spec
+	resumeSpec.Resume = st.ID
+	rj := runJob(t, ts, mgr, resumeSpec)
+	resumed, err := rj.Result()
+	if err != nil {
+		t.Fatalf("resumed job: %v (status %+v)", err, rj.Status())
+	}
+	control := spec
+	control.Seed = st.ID
+	cj := runJob(t, ts, mgr, control)
+	want, err := cj.Result()
+	if err != nil {
+		t.Fatalf("control job: %v (status %+v)", err, cj.Status())
+	}
+	if resumed.Fingerprint != want.Fingerprint {
+		t.Fatalf("seedless resume fingerprint %s != run seeded %q %s", resumed.Fingerprint, st.ID, want.Fingerprint)
+	}
+}
+
+// A resume whose spec would change the run's outcome fails before it
+// evaluates anything, naming the checkpoint field that differs.
+func TestResumeChangedSpecFails(t *testing.T) {
+	gate := newStallGate(7)
+	mgr := newTestManager(t, Config{Gate: gate})
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	spec := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 16, TopX: 4,
+		Seed: "changed-spec", FaultRate: 3, Workers: 1, CheckpointEvery: 1}
+	st := cancelAtStall(t, ts, mgr, gate, spec)
+
+	resumeSpec := spec
+	resumeSpec.FaultRate = 0
+	resumeSpec.Resume = st.ID
+	rst := runJob(t, ts, mgr, resumeSpec).Status()
+	if rst.State != StateFailed || !strings.Contains(rst.Error, "checkpoint faults ") {
+		t.Fatalf("resume with a changed fault rate ended %q (err %q), want failed naming the faults field", rst.State, rst.Error)
 	}
 }
 

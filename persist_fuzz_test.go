@@ -60,7 +60,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		return log
 	}
-	header := `{"version":2,"program":"CL","machine":"broadwell","flavor":"icc","seed":"s","samples":3,"topx":1,"modules":2}`
+	header := `{"version":3,"program":"CL","machine":"broadwell","flavor":"icc","seed":"s","samples":3,"topx":1,"modules":2}`
 	collect := `{"phase":"collect","k":0,"time":"0x1.8p+02","modules":["0x1p+02","-0x0p+00"],"cost":{"compiles":2,"runs":1,"sim_micros":7},"quarantine":["a3"]}`
 	search := `{"phase":"search","k":2,"time":"+Inf","cost":{"runs":1,"timeouts":1}}`
 	resumed := `{"phase":"resumed","cost":{"compiles":3,"flakes":2},"quarantine":["FFFFFFFFFFFFFFFF","00a3"]}`
@@ -91,9 +91,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(real[:len(real)-9])
 	f.Add([]byte(`{"version":1,"program":"CL","machine":"broadwell","flavor":"icc","seed":"s","samples":2,"topx":1,"modules":1,` +
 		`"times":[["0x1p+02",""]],"totals":["0x1.8p+02",""],"cfr_times":["",""],"collect_done":[0],"quarantine":["a3"],"cost":{"runs":1}}`))
-	f.Add(seal(`{"version":2,"program":"C\"L\\","machine":"<b>&amp;</b>","flavor":"\u2028\u0001","seed":"\t\ud800 s\u00e9ed",`+
+	f.Add(seal(`{"version":3,"program":"C\"L\\","machine":"<b>&amp;</b>","flavor":"\u2028\u0001","seed":"\t\ud800 s\u00e9ed",`+
 		`"technique":"bo\u0000","samples":3,"topx":1,"modules":2}`, search))
 	f.Add([]byte("not json"))
+	// A version-2 header, as builds before the run identity wrote it.
+	f.Add(seal(strings.Replace(header, `"version":3`, `"version":2`, 1), collect))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := core.DecodeCheckpoint(bytes.NewReader(data))

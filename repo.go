@@ -4,7 +4,7 @@ package funcytuner
 // Report is stored, content-addressed by everything that determines it,
 // and an identical later submission is served back in one lookup —
 // no outlining, no session, no evaluations. The determinism contract
-// makes this safe: a tuning run is a pure function of its KeySpec, so a
+// makes this safe: a tuning run is a pure function of its key, so a
 // stored entry and a recompute are interchangeable, and the facade
 // proves it on every serve by recomputing Report.Fingerprint over the
 // reconstructed result and comparing it to the fingerprint stored at
@@ -21,12 +21,14 @@ package funcytuner
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"funcytuner/internal/core"
 	"funcytuner/internal/resultrepo"
 	"funcytuner/internal/trace"
+	"funcytuner/internal/xrand"
 )
 
 // ResultRepo is the content-addressed persistent tuning-results
@@ -51,50 +53,57 @@ const (
 	modeCompare  = "compare"
 )
 
-// keySpec enumerates the tuner's outcome-determining configuration for
-// prog on in under the entry point that rule and compare select (see
-// Tuner.run). Scheduling-only options (Workers, CacheSize, Gate, Trace,
-// Progress, Checkpoint/Resume, Evaluator, Unpooled) are absent by
-// design — the determinism suite proves they cannot change a Report.
-func (t *Tuner) keySpec(prog *Program, in Input, rule *StopRule, compare bool, warmDigest uint64) resultrepo.KeySpec {
-	ks := resultrepo.KeySpec{
-		Mode:              modeTune,
-		Program:           prog.Name,
-		ProgramSeed:       prog.Seed,
-		InputName:         in.Name,
-		InputSize:         in.Size,
-		InputSteps:        in.Steps,
-		Machine:           t.opts.Machine.Name,
-		MachineID:         t.opts.Machine.ID,
-		Flavor:            t.opts.Space.Flavor.String(),
-		Seed:              t.opts.Seed,
-		Samples:           t.opts.Samples,
-		TopX:              t.opts.TopX,
-		Noisy:             *t.opts.Noisy,
-		HotThreshold:      t.opts.HotThreshold,
-		FaultCompileFail:  t.opts.Faults.CompileFail,
-		FaultRunCrash:     t.opts.Faults.RunCrash,
-		FaultTimeout:      t.opts.Faults.Timeout,
-		FaultFlake:        t.opts.Faults.Flake,
-		MaxRetries:        t.opts.MaxRetries,
-		BackoffSeconds:    t.opts.BackoffSeconds,
-		BackoffCapSeconds: t.opts.BackoffCapSeconds,
-		TimeoutBudget:     t.opts.TimeoutBudget,
-		// CFR's tag is "" and a cold run's digest 0, so neither changes a
-		// key that predates techniques or warm starts, in any mode.
-		Technique:  core.TechniqueTag(t.opts.Technique),
-		WarmDigest: warmDigest,
-	}
+// repoKey is the results-repository key of the run id describes, when
+// outlined at threshold hot and, with compare set, run as the §4.1
+// protocol; an identity with a stop rule is the early-stopped protocol.
+// Two runs share a key exactly when they produce the same Report.
+// Scheduling-only options (Workers, CacheSize, Gate, Trace, Progress,
+// Checkpoint/Resume, Evaluator, Unpooled) are absent from the identity
+// by design — the determinism suite proves they cannot change a Report.
+//
+// The hash stream is pinned (TestRepoKeysPinned): a change to it
+// re-keys every stored entry. Fields added after the first layout
+// contribute only when non-default, so older keys stay reachable: CFR's
+// technique tag is "" and a cold run's warm digest 0.
+func repoKey(id core.RunIdentity, hot float64, compare bool) uint64 {
+	mode := modeTune
 	switch {
 	case compare:
-		ks.Mode = modeCompare
-	case rule != nil:
-		ks.Mode = modeAdaptive
-		ks.StopMinEvaluations = rule.MinEvaluations
-		ks.StopPatience = rule.Patience
-		ks.StopMaxEvaluations = rule.MaxEvaluations
+		mode = modeCompare
+	case id.Stop != (StopRule{}):
+		mode = modeAdaptive
 	}
-	return ks
+	noisy := uint64(0)
+	if id.Noisy {
+		noisy = 1
+	}
+	var h xrand.Hasher
+	for _, v := range []uint64{
+		0x72657372, // "resr": repository keys never collide with compile keys
+		xrand.HashString(mode),
+		xrand.HashString(id.Program), id.ProgramSeed,
+		xrand.HashString(id.Input), uint64(id.InputSteps), math.Float64bits(id.InputSize),
+		xrand.HashString(id.Machine), id.MachineID,
+		xrand.HashString(id.Flavor),
+		xrand.HashString(id.Seed), uint64(id.Samples), uint64(id.TopX), noisy,
+		math.Float64bits(hot),
+		math.Float64bits(id.Faults.CompileFail), math.Float64bits(id.Faults.RunCrash),
+		math.Float64bits(id.Faults.Timeout), math.Float64bits(id.Faults.Flake),
+		uint64(id.MaxRetries),
+		math.Float64bits(id.BackoffSeconds), math.Float64bits(id.BackoffCapSeconds), math.Float64bits(id.TimeoutBudget),
+		uint64(id.Stop.MinEvaluations), uint64(id.Stop.Patience), uint64(id.Stop.MaxEvaluations),
+	} {
+		h.Add(v)
+	}
+	if id.Technique != "" {
+		h.Add(xrand.HashString("technique"))
+		h.Add(xrand.HashString(id.Technique))
+	}
+	if id.WarmDigest != 0 {
+		h.Add(xrand.HashString("warm-start"))
+		h.Add(id.WarmDigest)
+	}
+	return h.Sum()
 }
 
 // repoResult is one algorithm's Result in wire form. CVs travel as flag
@@ -348,19 +357,17 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 	return rep, tr, b.Fingerprint, nil
 }
 
-// serveFromRepo resolves the run (see keySpec) against the repository:
-// one key derivation, one indexed Get, one decode — no outlining, no
-// session, no evaluations. The reconstructed Report's fingerprint must
-// equal the one stored with the entry; anything less invalidates the
-// entry and falls through to a real run. When the caller wants a trace,
-// an entry stored without one is also a miss (the recompute will store
-// it with the trace attached).
-func (t *Tuner) serveFromRepo(prog *Program, in Input, rule *StopRule, compare bool, warmDigest uint64) (*Report, bool) {
-	if t.repo == nil || !t.opts.SkipExist || t.err != nil ||
-		t.opts.KillAfterEvals > 0 || prog == nil {
+// serveFromRepo resolves the run of prog on in, keyed key (see repoKey),
+// against the repository: one indexed Get, one decode — no outlining,
+// no session, no evaluations. The reconstructed Report's fingerprint
+// must equal the one stored with the entry; anything less invalidates
+// the entry and falls through to a real run. When the caller wants a
+// trace, an entry stored without one is also a miss (the recompute will
+// store it with the trace attached).
+func (t *Tuner) serveFromRepo(key uint64, prog *Program, in Input) (*Report, bool) {
+	if t.repo == nil || !t.opts.SkipExist || t.opts.KillAfterEvals > 0 {
 		return nil, false
 	}
-	key := t.keySpec(prog, in, rule, compare, warmDigest).Key()
 	body, ok := t.repo.Get(key)
 	if !ok {
 		return nil, false
@@ -383,11 +390,11 @@ func (t *Tuner) serveFromRepo(prog *Program, in Input, rule *StopRule, compare b
 	return rep, true
 }
 
-// storeInRepo persists a freshly computed Report. Best-effort: a
-// storage failure never fails the tuning run that produced the result.
+// storeInRepo persists a freshly computed Report under key. Best-effort:
+// a storage failure never fails the tuning run that produced the result.
 // Crash-simulation runs (KillAfterEvals) are never stored — they are
 // the checkpoint machinery's test hook, not results.
-func (t *Tuner) storeInRepo(prog *Program, in Input, rule *StopRule, compare bool, rep *Report, warmDigest uint64) {
+func (t *Tuner) storeInRepo(key uint64, rep *Report) {
 	if t.repo == nil || t.opts.KillAfterEvals > 0 || rep == nil || rep.sess == nil {
 		return
 	}
@@ -399,7 +406,7 @@ func (t *Tuner) storeInRepo(prog *Program, in Input, rule *StopRule, compare boo
 	if err != nil {
 		return
 	}
-	_ = t.repo.Put(t.keySpec(prog, in, rule, compare, warmDigest).Key(), body)
+	_ = t.repo.Put(key, body)
 }
 
 // RepoStats snapshots the attached results repository's activity (zero

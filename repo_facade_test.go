@@ -144,7 +144,8 @@ func TestRepoKeyDiscriminates(t *testing.T) {
 	}
 
 	// Scheduling-only knobs must hit: same outcome by the determinism
-	// contract, so the stored entry serves.
+	// contract, so the stored entry serves. So must a resilience default
+	// spelled out, which is the same run as the value left unset.
 	for _, scheds := range []struct {
 		name string
 		mut  func(*Options)
@@ -152,6 +153,9 @@ func TestRepoKeyDiscriminates(t *testing.T) {
 		{"workers", func(o *Options) { o.Workers = 4 }},
 		{"cache-off", func(o *Options) { o.CacheSize = -1 }},
 		{"unpooled", func(o *Options) { o.Unpooled = true }},
+		{"default-max-retries", func(o *Options) { o.MaxRetries = 2 }},
+		{"default-backoff", func(o *Options) { o.BackoffSeconds = 5 }},
+		{"default-backoff-cap", func(o *Options) { o.BackoffCapSeconds = 60 }},
 	} {
 		opts := repoOpts(dir)
 		opts.SkipExist = true
@@ -161,7 +165,7 @@ func TestRepoKeyDiscriminates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !rep.Served {
-			t.Errorf("%s: scheduling-only knob missed the repository", scheds.name)
+			t.Errorf("%s: the same run missed the repository", scheds.name)
 		}
 	}
 

@@ -2,8 +2,11 @@ package funcytuner
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"funcytuner/internal/core"
 )
 
 // TestRepoKeysPinned pins the results-repository key of every valid
@@ -92,4 +95,55 @@ func repoEntryNames(t *testing.T, dir string) map[string]bool {
 		names[filepath.Base(p)] = true
 	}
 	return names
+}
+
+// TestRepoKeyCoversIdentity changes each field of a run identity, the
+// outlining threshold and the protocol in turn: every change must move
+// the repository key, and no two changes may share one. A field added
+// to core.RunIdentity but left out of repoKey's hash fails here, before
+// two different runs could share a stored entry.
+func TestRepoKeyCoversIdentity(t *testing.T) {
+	id := core.RunIdentity{
+		Program: "CL", ProgramSeed: 42, Input: "train", InputSize: 100, InputSteps: 50,
+		Machine: "broadwell", MachineID: 3, Flavor: "icc", Seed: "test-seed",
+		Samples: 1000, TopX: 50, Noisy: true,
+	}
+	const hot = 0.01
+	keys := map[uint64]string{}
+	add := func(name string, key uint64) {
+		if prev, dup := keys[key]; dup {
+			t.Errorf("%s keys like %s", name, prev)
+		}
+		keys[key] = name
+	}
+	add("base", repoKey(id, hot, false))
+	add("hot threshold", repoKey(id, 2*hot, false))
+	add("compare", repoKey(id, hot, true))
+	var walk func(name string, v reflect.Value)
+	walk = func(name string, v reflect.Value) {
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(name+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		case reflect.String:
+			v.SetString(v.String() + "'")
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.5)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("%s: no mutation for kind %s", name, v.Kind())
+		}
+		add(name, repoKey(id, hot, false))
+		v.Set(old)
+	}
+	walk("RunIdentity", reflect.ValueOf(&id).Elem())
 }

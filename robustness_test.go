@@ -104,6 +104,142 @@ func TestKillResumeReportEquality(t *testing.T) {
 	}
 }
 
+// A resume into a run with another outcome is rejected before any
+// evaluation: the error names the first run-identity field that
+// differs, and the checkpoint is left byte for byte as the killed run
+// wrote it. Each row changes one outcome-deciding input between the
+// killed run and its resume.
+func TestResumeRejectsChangedRun(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(CloverLeaf, m)
+	repo := filepath.Join(t.TempDir(), "repo")
+	donate := func(seed string) {
+		t.Helper()
+		if _, err := NewTuner(Options{Machine: m, Samples: 40, TopX: 8, Seed: seed, RepoPath: repo}).Tune(prog, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	donate("resume-donor-1")
+	warm := func(o *Options) { o.Technique, o.WarmStart, o.RepoPath = "bo", true, repo }
+
+	cases := []struct {
+		name, field string
+		// run configures both the killed run and its resume; change
+		// applies to the resume alone.
+		run      func(o *Options)
+		change   func(o *Options, in *Input)
+		adaptive bool
+	}{
+		{name: "fault rate", field: "faults", change: func(o *Options, _ *Input) { o.Faults = FaultRates{} }},
+		{name: "max retries", field: "max_retries", change: func(o *Options, _ *Input) { o.MaxRetries = 5 }},
+		{name: "timeout budget", field: "timeout_budget", change: func(o *Options, _ *Input) { o.TimeoutBudget = 19 }},
+		{name: "noisy", field: "noisy", change: func(o *Options, _ *Input) { o.Noisy = new(bool) }},
+		{name: "input size", field: "input_size", change: func(_ *Options, in *Input) { in.Size *= 1.5 }},
+		{name: "plain to adaptive", field: "stop", adaptive: true},
+		{name: "warm digest", field: "warm_digest", run: warm,
+			change: func(*Options, *Input) { donate("resume-donor-2") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := Options{Machine: m, Samples: 40, TopX: 8, Seed: "resume-identity", Faults: DefaultFaultRates()}
+			if tc.run != nil {
+				tc.run(&base)
+			}
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			killed := base
+			killed.Checkpoint, killed.KillAfterEvals = path, 30
+			if _, err := NewTuner(killed).Tune(prog, in); !errors.Is(err, ErrKilled) {
+				t.Fatalf("expected ErrKilled, got %v", err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			resume, rin := base, in
+			resume.Resume = path
+			if tc.change != nil {
+				tc.change(&resume, &rin)
+			}
+			tuner := NewTuner(resume)
+			if tc.adaptive {
+				_, err = tuner.TuneAdaptive(prog, rin, DefaultStopRule())
+			} else {
+				_, err = tuner.Tune(prog, rin)
+			}
+			if err == nil || !strings.Contains(err.Error(), "checkpoint "+tc.field+" ") {
+				t.Fatalf("resume error %v, want one naming %q", err, tc.field)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("the rejected resume changed the checkpoint")
+			}
+		})
+	}
+}
+
+// The protocol is not part of the run identity, only its stop rule is:
+// Compare and a plain Tune collect and search the same samples, so
+// either resumes the other's checkpoint and reproduces its own
+// uninterrupted Report. A Compare killed in its CFR phase (Random,
+// collection and FR are 40 evaluations each at K=40, greedy one) is
+// resumed as a Tune, and a Tune killed in its search as a Compare.
+func TestResumeAcrossCompareAndTune(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(CloverLeaf, m)
+	base := Options{Machine: m, Samples: 40, TopX: 8, Seed: "compare-tune", Faults: DefaultFaultRates().Scale(5)}
+	run := func(o Options, compare bool) (*Report, error) {
+		if compare {
+			return NewTuner(o).Compare(prog, in)
+		}
+		return NewTuner(o).Tune(prog, in)
+	}
+	for _, tc := range []struct {
+		name          string
+		killedCompare bool
+		killAt        int
+	}{
+		{"compare to tune", true, 141},
+		{"tune to compare", false, 60},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			killed := base
+			killed.Checkpoint, killed.KillAfterEvals = path, tc.killAt
+			if _, err := run(killed, tc.killedCompare); !errors.Is(err, ErrKilled) {
+				t.Fatalf("expected ErrKilled, got %v", err)
+			}
+			if ck, err := LoadCheckpoint(path); err != nil || len(ck.CFRDone) == 0 {
+				t.Fatalf("the kill did not land in the search phase (load error %v)", err)
+			}
+			resume := base
+			resume.Resume = path
+			got, err := run(resume, !tc.killedCompare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := run(base, !tc.killedCompare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("resumed fingerprint %016x != uninterrupted %016x", got.Fingerprint(), want.Fingerprint())
+			}
+		})
+	}
+}
+
 // A checkpoint damaged on disk costs recomputation, never a wrong
 // result. With one hex digit of a stored time flipped in the middle of
 // the log, the load keeps exactly the progress before the damaged

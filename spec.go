@@ -75,24 +75,36 @@ func (s Spec) Validate() error {
 // tracing, an evaluator); the spec's fields replace their counterparts
 // in o. The error is the tuner's option error, reported now.
 func (s Spec) Tuner(o Options) (*Tuner, *Program, Input, error) {
+	prog, in, o, err := s.resolve(o)
+	if err != nil {
+		return nil, nil, Input{}, err
+	}
+	t := NewTuner(o)
+	return t, prog, in, t.err
+}
+
+// resolve returns the program and tuning input the spec names, and o
+// with the spec's fields in place of their counterparts and the facade
+// defaults applied.
+func (s Spec) resolve(o Options) (*Program, Input, Options, error) {
 	bench := s.Benchmark
 	if bench == "" {
 		bench = CloverLeaf
 	}
 	prog, err := Benchmark(bench)
 	if err != nil {
-		return nil, nil, Input{}, err
+		return nil, Input{}, o, err
 	}
 	o.Machine = nil
 	if s.Machine != "" {
 		if o.Machine, err = MachineByName(s.Machine); err != nil {
-			return nil, nil, Input{}, err
+			return nil, Input{}, o, err
 		}
 	}
 	o.Samples, o.TopX, o.Seed, o.Technique, o.WarmStart = s.Samples, s.TopX, s.Seed, s.Technique, s.WarmStart
 	o.Faults = DefaultFaultRates().Scale(s.FaultRate)
-	t := NewTuner(o)
-	return t, prog, TuningInput(bench, t.opts.Machine), t.err
+	o = o.withDefaults()
+	return prog, TuningInput(bench, o.Machine), o, nil
 }
 
 // Key is the results-repository key of the spec's run, cold and with
@@ -109,11 +121,15 @@ func (s Spec) Key() (uint64, error) {
 		return 0, err
 	}
 	s.WarmStart = false
-	t, prog, in, err := s.Tuner(Options{CacheSize: -1})
+	prog, in, o, err := s.resolve(Options{})
 	if err != nil {
 		return 0, err
 	}
-	return t.keySpec(prog, in, s.stopRule(), s.Compare, 0).Key(), nil
+	if err := o.validate(); err != nil {
+		return 0, err
+	}
+	id := core.NewRunIdentity(prog, o.Machine, in, o.Space, o.config(nil, s.stopRule()))
+	return repoKey(id, o.HotThreshold, s.Compare), nil
 }
 
 // stopRule is the early-stop rule of an adaptive spec; nil otherwise.

@@ -240,8 +240,8 @@ func TestWarmStartFromRepo(t *testing.T) {
 }
 
 // A warm start against a repository with no usable donors must degrade
-// to the cold run, not fail: the digest of zero seeds is still folded
-// into the key, but the search itself is seedless.
+// to the cold run, not fail: the search is seedless, and the digest of
+// zero seeds is 0, so the run identity is the cold run's.
 func TestWarmStartEmptyRepo(t *testing.T) {
 	t.Parallel()
 	m, _ := MachineByName("opteron")

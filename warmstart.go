@@ -3,27 +3,26 @@ package funcytuner
 // Warm-starting: seed a technique's initial design/population with the
 // best assemblies of related prior runs already in the results
 // repository. The scan is a pure function of the repository's contents
-// at the time it runs — the chosen seed set is digested into the
-// repository key, so a warm run is reproducible (and SkipExist-servable)
-// exactly when the repository would yield the same seeds again.
+// at the time it runs — the chosen seed set is digested into the run
+// identity (core.NewRunIdentity), and so into the repository key and
+// the checkpoint header, so a warm run is reproducible (and
+// SkipExist-servable) exactly when the repository would yield the same
+// seeds again.
 
 import (
 	"encoding/json"
 	"sort"
-
-	"funcytuner/internal/xrand"
 )
 
 // maxWarmSeeds bounds how many prior-run assemblies seed a technique.
 const maxWarmSeeds = 4
 
 // warmSeeds scans the attached results repository for prior runs related
-// to prog and returns up to maxWarmSeeds winning assemblies (nearest
-// first) plus a digest of the chosen set. It returns (nil, 0) when
-// warm-starting is off; option errors surface later through session().
-func (t *Tuner) warmSeeds(prog *Program) ([][]CV, uint64) {
-	if !t.opts.WarmStart || t.err != nil || t.repo == nil || prog == nil {
-		return nil, 0
+// to prog and returns up to maxWarmSeeds winning assemblies, nearest
+// first. It returns nil when warm-starting is off.
+func (t *Tuner) warmSeeds(prog *Program) [][]CV {
+	if !t.opts.WarmStart || t.repo == nil {
+		return nil
 	}
 	type candidate struct {
 		key   uint64
@@ -65,8 +64,6 @@ func (t *Tuner) warmSeeds(prog *Program) ([][]CV, uint64) {
 	if len(cands) > maxWarmSeeds {
 		cands = cands[:maxWarmSeeds]
 	}
-	var h xrand.Hasher
-	h.Add(xrand.HashString("funcytuner/warm-start"))
 	seeds := make([][]CV, 0, len(cands))
 	for _, c := range cands {
 		assembly := make([]CV, 0, len(c.flags))
@@ -82,12 +79,8 @@ func (t *Tuner) warmSeeds(prog *Program) ([][]CV, uint64) {
 			continue
 		}
 		seeds = append(seeds, assembly)
-		h.Add(uint64(len(assembly)))
-		for _, cv := range assembly {
-			h.Add(cv.Key())
-		}
 	}
-	return seeds, h.Sum()
+	return seeds
 }
 
 // bestRepoResult is bestResult over the wire-form result map.
