@@ -274,17 +274,16 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 	return decodeCheckpoint(data)
 }
 
-// Checkpointer persists tuning progress to a log file. It is safe for
-// concurrent use by the session's evaluation workers: each mark seals
-// one record onto an in-memory tail under a lock, and every `every`
-// completed evaluations a background writer appends the tail to the
-// file and fsyncs it with the lock released, so a cadence write never
-// stalls the marking worker or its gate slot, and writes that come due
-// while one is in flight coalesce into the next. Flush, called at phase
-// boundaries and on cancellation, kill and drain, waits for the writer
-// and then writes the rest itself, so the file it leaves holds every
-// marked evaluation. A crash therefore loses at most `every`
-// evaluations plus those completed during one in-flight cadence write.
+// Checkpointer persists tuning progress to a log file, an fsx.Log. It is
+// safe for concurrent use by the session's evaluation workers: each mark
+// appends one record, and every `every` marks it requests a write-behind
+// sync, which appends and fsyncs the queued records with no lock held, so
+// a cadence write never stalls the marking worker or its gate slot, and
+// cadences that come due during a write coalesce into the next. Flush,
+// called at phase boundaries and on cancellation, kill and drain, closes
+// the log, so the file it leaves holds every marked evaluation. A crash
+// loses at most `every` evaluations plus those completed during one
+// in-flight cadence write.
 type Checkpointer struct {
 	mu      sync.Mutex
 	every   int
@@ -292,21 +291,9 @@ type Checkpointer struct {
 	// ck is the log's header and the progress Resume loaded (none for a
 	// fresh run). Marks do not update it; they only append records.
 	ck *Checkpoint
-
-	// tail holds the sealed records no write has landed yet: until the
-	// first write, the header and any resumed progress too. A write
-	// takes it and leaves spare, its previous buffer, in its place; mark
-	// is the reused record-encoding buffer.
-	tail, spare, mark []byte
-	// durable is the length of the file's landed prefix; 0 until the
-	// first write lands.
-	durable int64
-	// writer is closed when the running cadence writer exits; nil when
-	// none is running.
-	writer chan struct{}
-	// commit writes data at offset off of the checkpoint file (tests
-	// substitute it to hold a write in flight or fail it part-way).
-	commit func(off int64, data []byte) error
+	// mark is the reused record-encoding buffer.
+	mark []byte
+	log  *fsx.Log
 }
 
 // NewCheckpointer writes checkpoints to path every `every` completed
@@ -316,34 +303,7 @@ func NewCheckpointer(path string, every int) *Checkpointer {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
-	return &Checkpointer{every: every, commit: func(off int64, data []byte) error {
-		return writeLog(path, off, data)
-	}}
-}
-
-// writeLog writes data at offset off of the log at path. The first
-// write (off 0) creates the file atomically. A later one first cuts
-// away whatever a failed write left past off, so a torn append never
-// strands the records after it, then appends and fsyncs.
-func writeLog(path string, off int64, data []byte) error {
-	if off == 0 {
-		return fsx.WriteFileAtomic(path, data, 0o644)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	err = f.Truncate(off)
-	if err == nil {
-		_, err = f.WriteAt(data, off)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return &Checkpointer{every: every, log: fsx.NewLog(path)}
 }
 
 // Resume primes the checkpointer with progress LoadCheckpointFile or
@@ -378,11 +338,11 @@ func (c *Checkpointer) queueHeaderLocked() error {
 	return nil
 }
 
-// queueLocked seals one record body onto the tail and keeps the body's
+// queueLocked appends one record body to the log and keeps the body's
 // buffer for the next mark.
-func (c *Checkpointer) queueLocked(body []byte) {
+func (c *Checkpointer) queueLocked(body []byte) uint64 {
 	c.mark = body
-	c.tail = fsx.AppendRecord(c.tail, body)
+	return c.log.Append(body)
 }
 
 // AttachCheckpointer binds a checkpointer to the session. A fresh
@@ -441,76 +401,24 @@ func (c *Checkpointer) restoreCFR(times []float64, done []bool) {
 
 // record appends one completed evaluation as a record of the given
 // phase (phaseCollect or phaseSearch): its times, cost delta and the keys
-// it quarantined. It writes on cadence.
+// it quarantined. It requests a write on cadence.
 func (c *Checkpointer) record(phase string, k int, out EvalOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.queueLocked(appendMark(c.mark[:0], phase, k, out.Total, out.PerModule, out.Cost, out.Quarantined))
-	c.pending++
-	if c.pending >= c.every && c.writer == nil {
-		c.writer = make(chan struct{})
-		go c.writeBehind()
+	seq := c.queueLocked(appendMark(c.mark[:0], phase, k, out.Total, out.PerModule, out.Cost, out.Quarantined))
+	if c.pending++; c.pending >= c.every {
+		c.pending = 0
+		c.log.SyncBehind(seq)
 	}
 }
 
-// writeBehind is the cadence writer. It takes the tail under the lock,
-// writes it with the lock released, and loops while another cadence
-// came due during the write. A cadence write is best effort: a failure
-// that persists surfaces from the next Flush.
-func (c *Checkpointer) writeBehind() {
-	c.mu.Lock()
-	for c.pending >= c.every {
-		data, off := c.takeLocked()
-		c.mu.Unlock()
-		err := c.commit(off, data)
-		c.mu.Lock()
-		c.landedLocked(data, off, err)
-	}
-	close(c.writer)
-	c.writer = nil
-	c.mu.Unlock()
-}
-
-// Flush writes every record not yet on disk. It first waits for a
-// cadence write in flight to finish, then writes the rest itself and
-// returns the write's error.
+// Flush writes every record not yet on disk and releases the file. It
+// first waits for a cadence write in flight to finish, then writes the
+// rest itself and returns the write's error. The cadence restarts: the
+// next write comes due `every` marks later.
 func (c *Checkpointer) Flush() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.writer != nil {
-		w := c.writer
-		c.mu.Unlock()
-		<-w
-		c.mu.Lock()
-	}
-	if len(c.tail) == 0 {
-		return nil
-	}
-	data, off := c.takeLocked()
-	return c.landedLocked(data, off, c.commit(off, data))
-}
-
-// takeLocked resets the cadence and hands the tail to a write at the
-// durable length.
-func (c *Checkpointer) takeLocked() ([]byte, int64) {
 	c.pending = 0
-	data := c.tail
-	c.tail = c.spare[:0]
-	return data, c.durable
-}
-
-// landedLocked settles a write of data at off. On success the file's
-// durable prefix grows by data; on failure data goes back in front of
-// the records marked meanwhile, for the next write to retry at the same
-// offset.
-func (c *Checkpointer) landedLocked(data []byte, off int64, err error) error {
-	if err != nil {
-		marked := c.tail
-		c.tail = append(data, marked...)
-		c.spare = marked
-		return err
-	}
-	c.durable = off + int64(len(data))
-	c.spare = data
-	return nil
+	c.mu.Unlock()
+	return c.log.Close()
 }

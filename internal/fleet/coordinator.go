@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -12,6 +14,7 @@ import (
 
 	"funcytuner/internal/core"
 	"funcytuner/internal/faults"
+	"funcytuner/internal/fsx"
 	"funcytuner/internal/metrics"
 	"funcytuner/internal/xrand"
 )
@@ -54,10 +57,13 @@ const (
 	// MetricTasksRecovered counts in-flight tasks re-adopted from the
 	// journal at startup; MetricJournalServed counts Evaluate calls
 	// answered from pre-crash journaled outcomes without re-execution;
-	// MetricJournalRecords gauges the journal's current record count.
+	// MetricJournalRecords gauges the journal's current record count;
+	// MetricJournalSyncs counts the journal's writes, each one fsync,
+	// however many records and transitions one write carries.
 	MetricTasksRecovered = "fleet_tasks_recovered"
 	MetricJournalServed  = "fleet_journal_served"
 	MetricJournalRecords = "fleet_journal_records"
+	MetricJournalSyncs   = "fleet_journal_syncs"
 )
 
 // Sentinel errors surfaced through the HTTP layer.
@@ -258,12 +264,15 @@ type Coordinator struct {
 	closed  bool
 	// killed simulates SIGKILL for the restart tests: the process is
 	// gone, nothing is compacted, every caller sees ErrUnavailable.
-	killed  bool
-	stopped bool // reaperStop already closed
-	seq     int64
+	killed bool
+	seq    int64
 
-	journal *journal
-	cfaults *faults.CoordModel
+	// log is the write-ahead journal (journal.go), nil without a
+	// JournalPath; jseq is its last record's sequence number, and synced
+	// the log's writes already counted in mSyncs.
+	log          *fsx.Log
+	jseq, synced int64
+	cfaults      *faults.CoordModel
 	// killHook, when set (restart chaos tests), is consulted at each
 	// named kill point; returning true kills the coordinator right
 	// there — after the journal record, before the reply.
@@ -284,6 +293,7 @@ type Coordinator struct {
 	mTasks, mClaims, mOK, mStale      *metrics.Counter
 	mExpired, mRequeues, mQuarantined *metrics.Counter
 	mLostMillis, mRecovered, mServed  *metrics.Counter
+	mSyncs                            *metrics.Counter
 	gLeases, gQueue, gWorkers         *metrics.Gauge
 	gJournal                          *metrics.Gauge
 }
@@ -319,20 +329,22 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.mLostMillis = reg.Counter(MetricLostLeaseMillis)
 		c.mRecovered = reg.Counter(MetricTasksRecovered)
 		c.mServed = reg.Counter(MetricJournalServed)
+		c.mSyncs = reg.Counter(MetricJournalSyncs)
 		c.gLeases = reg.Gauge(MetricActiveLeases)
 		c.gQueue = reg.Gauge(MetricQueueDepth)
 		c.gWorkers = reg.Gauge(MetricKnownWorkers)
 		c.gJournal = reg.Gauge(MetricJournalRecords)
 	}
 	if cfg.JournalPath != "" {
-		j, st, err := openJournal(cfg.JournalPath)
+		st := newReplayState()
+		log, _, err := fsx.OpenLog(cfg.JournalPath, st.apply)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet: opening journal %s: %w", cfg.JournalPath, err)
 		}
-		c.journal = j
+		c.log = log
 		c.cfaults = faults.NewCoordModel(cfg.faultSeed(), cfg.Faults)
 		if err := c.adopt(st); err != nil {
-			j.close()
+			log.Release()
 			return nil, err
 		}
 	}
@@ -347,7 +359,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 func (c *Coordinator) adopt(st *replayState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seq = st.seq
+	c.seq, c.jseq = st.seq, st.seq
 	now := time.Now()
 	var bumps []journalBody
 	for _, id := range st.order {
@@ -393,12 +405,10 @@ func (c *Coordinator) adopt(st *replayState) error {
 	c.recovered = st.jobs
 	c.nRecov = len(st.tasks)
 	c.mRecovered.Add(int64(len(st.tasks)))
-	if len(bumps) > 0 {
-		if err := c.journal.append(bumps...); err != nil {
-			return err
-		}
+	// With no bumps this writes nothing and only sets the gauges.
+	if err := c.writeJournal(bumps); err != nil {
+		return err
 	}
-	c.gJournal.Set(float64(c.journal.records))
 	c.updateGauges()
 	return nil
 }
@@ -408,10 +418,10 @@ func (c *Coordinator) adopt(st *replayState) error {
 // coordinator died: the caller must unwind without touching state.
 // Callers hold c.mu.
 func (c *Coordinator) journalAppend(bodies ...journalBody) error {
-	if c.journal == nil {
+	if c.log == nil {
 		return nil
 	}
-	class := c.cfaults.Classify(xrand.Combine(uint64(c.journal.seq)+1, xrand.HashString(bodies[0].Op)))
+	class := c.cfaults.Classify(xrand.Combine(uint64(c.jseq)+1, xrand.HashString(bodies[0].Op)))
 	switch class {
 	case faults.CoordDieBeforeSync:
 		// Died with the record still in the page cache: the transition
@@ -419,21 +429,45 @@ func (c *Coordinator) journalAppend(bodies ...journalBody) error {
 		c.killLocked()
 		return ErrUnavailable
 	case faults.CoordTornTail:
-		c.journal.appendTorn(bodies...)
+		// Died mid-write: every record lands but the last, which is cut
+		// off mid-record with no newline. Recovery must ignore exactly
+		// the torn record.
+		write := c.log.Write
+		c.log.Write = func(off int64, data []byte) error {
+			last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+			write(off, data[:last+(len(data)-last)/2])
+			return errors.New("fleet: journal write torn by an injected fault")
+		}
+	}
+	// A journal that cannot take writes can no longer witness
+	// transitions; dying is safer than silently diverging from disk.
+	if err := c.writeJournal(bodies); err != nil || class == faults.CoordDieAfterJournal {
 		c.killLocked()
 		return ErrUnavailable
 	}
-	if err := c.journal.append(bodies...); err != nil {
-		// A journal that cannot take writes can no longer witness
-		// transitions; dying is safer than silently diverging from disk.
-		c.killLocked()
-		return ErrUnavailable
+	return nil
+}
+
+// writeJournal stamps the bodies' sequence numbers, appends them to the
+// journal log and syncs them, one write for the lot. Callers hold c.mu.
+func (c *Coordinator) writeJournal(bodies []journalBody) error {
+	var seq uint64
+	for i := range bodies {
+		c.jseq++
+		bodies[i].Seq = c.jseq
+		body, err := json.Marshal(bodies[i])
+		if err != nil {
+			return fmt.Errorf("fleet: encoding journal body: %w", err)
+		}
+		seq = c.log.Append(body)
 	}
-	c.gJournal.Set(float64(c.journal.records))
-	if class == faults.CoordDieAfterJournal {
-		c.killLocked()
-		return ErrUnavailable
+	if err := c.log.Sync(seq); err != nil {
+		return fmt.Errorf("fleet: journal sync: %w", err)
 	}
+	records, writes := c.log.Stats()
+	c.gJournal.Set(float64(records))
+	c.mSyncs.Add(writes - c.synced)
+	c.synced = writes
 	return nil
 }
 
@@ -457,19 +491,23 @@ func (c *Coordinator) killLocked() {
 		return
 	}
 	c.killed = true
+	c.stopLocked(ErrUnavailable)
+}
+
+// stopLocked ends a killed or closed coordinator: pending Evaluates fail
+// with err, pollers wake, the reaper stops, and the journal's handle is
+// released without writing. Callers hold c.mu.
+func (c *Coordinator) stopLocked(err error) {
 	for _, t := range c.tasks {
 		select {
-		case t.done <- taskResult{err: ErrUnavailable}:
+		case t.done <- taskResult{err: err}:
 		default:
 		}
 	}
 	c.broadcastLocked()
-	if !c.stopped {
-		close(c.reaperStop)
-		c.stopped = true
-	}
-	if c.journal != nil {
-		c.journal.close()
+	close(c.reaperStop)
+	if c.log != nil {
+		c.log.Release()
 	}
 }
 
@@ -497,32 +535,22 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	var compacted []journalBody
-	if c.journal != nil {
-		compacted = c.compactionLocked()
+	if c.log != nil {
+		// Compact through a fresh log over the same path, numbered from
+		// 1. Best effort: a compaction that fails leaves the old journal,
+		// which still replays.
+		compacted := c.compactionLocked()
+		c.log.Close()
+		c.log, c.jseq, c.synced = fsx.NewLog(c.cfg.JournalPath), 0, 0
+		c.writeJournal(compacted)
 	}
-	for _, t := range c.tasks {
-		select {
-		case t.done <- taskResult{err: ErrClosed}:
-		default:
-		}
-	}
+	c.stopLocked(ErrClosed)
 	c.queue = nil
 	c.leases = map[string]*lease{}
 	c.tasks = map[string]*task{}
 	c.updateGauges()
-	c.broadcastLocked()
-	if !c.stopped {
-		close(c.reaperStop)
-		c.stopped = true
-	}
-	j := c.journal
 	c.mu.Unlock()
 	c.reaperWG.Wait()
-	if j != nil {
-		j.close()
-		j.rewrite(compacted) // best-effort; the old journal still replays
-	}
 }
 
 // compactionLocked snapshots the minimal state a restart needs. With
@@ -643,12 +671,13 @@ func (c *Coordinator) RecoveredJobs() []RecoveredJob {
 func (c *Coordinator) JournalState() *JournalState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.journal == nil {
+	if c.log == nil {
 		return nil
 	}
+	records, _ := c.log.Stats()
 	return &JournalState{
-		Path:           c.journal.path,
-		Records:        c.journal.records,
+		Path:           c.cfg.JournalPath,
+		Records:        int(records),
 		RecoveredTasks: c.nRecov,
 		Served:         c.served,
 	}
@@ -721,7 +750,7 @@ func (c *Coordinator) enqueue(job string, spec Spec, req core.EvalRequest) (*tas
 		return nil, ErrUnavailable
 	}
 	var key uint64
-	if c.journal != nil {
+	if c.log != nil {
 		key = adoptionKey(spec, req.Phase, req.Sample, cvs)
 		if ro, ok := c.buffer[key]; ok {
 			t := &task{done: make(chan taskResult, 1)}
@@ -1015,7 +1044,7 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, 
 	for i, t := range won {
 		delete(c.leases, t.id)
 		delete(c.tasks, t.id)
-		if c.journal != nil {
+		if c.log != nil {
 			// Mirror the journal's completed set in memory: compaction and
 			// orphaned-report adoption both read from here.
 			c.buffer[t.key] = replayOutcome{out: bodies[i].Outcome, evalErr: bodies[i].Error}

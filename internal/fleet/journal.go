@@ -1,14 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
-	"os"
 	"strconv"
 
-	"funcytuner/internal/fsx"
 	"funcytuner/internal/xrand"
 )
 
@@ -17,9 +13,11 @@ import (
 // quarantine, abandon — is appended here (one checksummed JSON record
 // per line, fsync-hardened) *before* it becomes visible to callers, so
 // a coordinator rebuilt from the journal re-adopts exactly the state a
-// SIGKILLed one held. Floats ride the same lossless hex-float wire
-// encoding as the protocol itself (Outcome), so a recovered report is
-// byte-identical to the one the worker measured.
+// SIGKILLed one held. The file is an fsx.Log, replayed through
+// replayState.apply and appended to by Coordinator.journalAppend. Floats
+// ride the same lossless hex-float wire encoding as the protocol itself
+// (Outcome), so a recovered report is byte-identical to the one the
+// worker measured.
 //
 // Each line is one fsx sealed record, and replay stops at the first
 // record that fails any check — a torn or bit-flipped tail degrades to
@@ -71,15 +69,6 @@ type journalBody struct {
 	// Key is the adoption key (hex) of a compacted "outcome" record.
 	Key         string `json:"key,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
-}
-
-// encodeJournalRecord renders one body as its sealed on-disk line.
-func encodeJournalRecord(b journalBody) ([]byte, error) {
-	body, err := json.Marshal(b)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encoding journal body: %w", err)
-	}
-	return fsx.AppendRecord(nil, body), nil
 }
 
 // adoptionKey is a task's job-agnostic identity: a hash of every input
@@ -152,8 +141,8 @@ type RecoveredJob struct {
 // replayState is everything a replayed journal says about the dead
 // coordinator.
 type replayState struct {
-	seq     int64
-	records int
+	seq     int64 // the last applied record's
+	records int   // applied
 	// order preserves task introduction order (the recovered queue's
 	// FIFO order); tasks holds the live ones.
 	order []string
@@ -170,19 +159,6 @@ func newReplayState() *replayState {
 		completed: make(map[uint64]replayOutcome),
 		workers:   make(map[string]*replayWorker),
 	}
-}
-
-// replayJournal rebuilds coordinator state from raw journal bytes. It
-// never fails: replay applies records in order and stops at the first
-// one that is torn, corrupt, or inconsistent with the state built so
-// far, returning the state as of the last good record plus the byte
-// length of the valid prefix. Corruption therefore degrades to "the
-// crash happened here", exactly like a shorter journal.
-func replayJournal(data []byte) (*replayState, int) {
-	st := newReplayState()
-	var good int
-	st.records, good = fsx.ReadRecords(data, st.apply)
-	return st, good
 }
 
 // apply decodes and applies one record body; false stops replay.
@@ -273,6 +249,7 @@ func (st *replayState) apply(body []byte) bool {
 	// Committed only after the record applied: a rejected record must
 	// leave the state — including seq — exactly at the valid prefix.
 	st.seq = b.Seq
+	st.records++
 	return true
 }
 
@@ -298,105 +275,4 @@ func (st *replayState) noteJob(job string, spec Spec) {
 		}
 	}
 	st.jobs = append(st.jobs, RecoveredJob{Job: job, Spec: spec})
-}
-
-// journal is the append handle over one journal file.
-type journal struct {
-	path    string
-	f       *os.File
-	seq     int64
-	records int
-}
-
-// openJournal replays path (a missing file is an empty journal) and
-// opens it for appending. A torn or corrupt tail is first truncated
-// away — atomically, via the fsync-hardened rewrite — so appends extend
-// the last good record rather than garbage.
-func openJournal(path string) (*journal, *replayState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("fleet: reading journal %s: %w", path, err)
-	}
-	st, good := replayJournal(data)
-	if good < len(data) {
-		if err := fsx.WriteFileAtomic(path, data[:good], 0o644); err != nil {
-			return nil, nil, fmt.Errorf("fleet: truncating torn journal tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: opening journal %s: %w", path, err)
-	}
-	return &journal{path: path, f: f, seq: st.seq, records: st.records}, st, nil
-}
-
-// append writes the bodies as consecutive records and syncs once — a
-// batch of grants costs one fsync, like a single one.
-func (j *journal) append(bodies ...journalBody) error {
-	var buf bytes.Buffer
-	for i := range bodies {
-		j.seq++
-		bodies[i].Seq = j.seq
-		line, err := encodeJournalRecord(bodies[i])
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-	}
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("fleet: journal append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: journal sync: %w", err)
-	}
-	j.records += len(bodies)
-	return nil
-}
-
-// appendTorn simulates a crash mid-write for the fault-injection tests:
-// all bodies land except the last, which is cut off mid-record with no
-// newline. Recovery must ignore exactly the torn record.
-func (j *journal) appendTorn(bodies ...journalBody) {
-	var buf bytes.Buffer
-	for i := range bodies {
-		j.seq++
-		bodies[i].Seq = j.seq
-		line, err := encodeJournalRecord(bodies[i])
-		if err != nil {
-			return
-		}
-		if i == len(bodies)-1 {
-			buf.Write(line[:len(line)/2])
-		} else {
-			buf.Write(line)
-		}
-	}
-	j.f.Write(buf.Bytes())
-	j.f.Sync()
-}
-
-// close releases the append handle (no compaction — that is Close's
-// clean-shutdown job; a killed coordinator leaves the journal as-is).
-func (j *journal) close() {
-	if j.f != nil {
-		j.f.Sync()
-		j.f.Close()
-		j.f = nil
-	}
-}
-
-// rewrite atomically replaces the journal with the given compacted
-// records (fresh sequence numbers), or truncates it to empty when there
-// is nothing left worth recovering.
-func (j *journal) rewrite(bodies []journalBody) error {
-	var buf bytes.Buffer
-	for i := range bodies {
-		bodies[i].Seq = int64(i + 1)
-		line, err := encodeJournalRecord(bodies[i])
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-	}
-	return fsx.WriteFileAtomic(j.path, buf.Bytes(), 0o644)
 }

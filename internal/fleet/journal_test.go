@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,10 +12,30 @@ import (
 	"time"
 
 	"funcytuner/internal/core"
+	"funcytuner/internal/fsx"
+	"funcytuner/internal/metrics"
 )
 
+// replayJournal rebuilds coordinator state from raw journal bytes, the
+// way NewCoordinator's fsx.OpenLog does, and returns it with the byte
+// length of the valid prefix.
+func replayJournal(data []byte) (*replayState, int) {
+	st := newReplayState()
+	_, good := fsx.ReadRecords(data, st.apply)
+	return st, good
+}
+
+// encodeJournalRecord renders one body as its sealed on-disk line.
+func encodeJournalRecord(b journalBody) ([]byte, error) {
+	body, err := json.Marshal(b)
+	if err != nil {
+		return nil, err
+	}
+	return fsx.AppendRecord(nil, body), nil
+}
+
 // journalLine renders one record with an explicit sequence number, the
-// way the append handle would.
+// way the coordinator's journal writes it.
 func journalLine(t *testing.T, b journalBody) []byte {
 	t.Helper()
 	line, err := encodeJournalRecord(b)
@@ -204,13 +225,13 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, st, err := openJournal(path)
+	coord, err := NewCoordinator(CoordinatorConfig{JournalPath: path})
 	if err != nil {
-		t.Fatalf("openJournal: %v", err)
+		t.Fatalf("NewCoordinator: %v", err)
 	}
-	defer j.close()
-	if st.records != 7 {
-		t.Errorf("replayed %d records, want 7", st.records)
+	defer coord.Kill()
+	if n := coord.JournalState().Records; n != 7 {
+		t.Errorf("replayed %d records, want 7", n)
 	}
 	onDisk, err := os.ReadFile(path)
 	if err != nil {
@@ -219,15 +240,51 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 	if !bytes.Equal(onDisk, clean) {
 		t.Errorf("torn tail not truncated: %d bytes on disk, want %d", len(onDisk), len(clean))
 	}
-	if err := j.append(journalBody{Op: opWorker, Worker: "w3", Losses: 1}); err != nil {
+	coord.mu.Lock()
+	err = coord.journalAppend(journalBody{Op: opWorker, Worker: "w3", Losses: 1})
+	coord.mu.Unlock()
+	if err != nil {
 		t.Fatalf("append after truncation: %v", err)
 	}
-	_, st2, err := openJournal(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reopen: %v", err)
+		t.Fatal(err)
 	}
+	st2, _ := replayJournal(data)
 	if st2.records != 8 || st2.seq != 8 {
 		t.Errorf("after append: records/seq = %d/%d, want 8/8", st2.records, st2.seq)
+	}
+}
+
+// The journal's syncs are its log's writes: two enqueues take one each,
+// and a claim batch and a report batch of two take one each, so the
+// counter reads 4 for the journal's 6 records.
+func TestJournalSyncsCounted(t *testing.T) {
+	reg := metrics.NewRegistry()
+	coord, err := NewCoordinator(CoordinatorConfig{Registry: reg, JournalPath: filepath.Join(t.TempDir(), "journal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	for _, req := range []core.EvalRequest{baselineRequest(), secondRequest()} {
+		if _, err := coord.enqueue("job-1", testSpec(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grants, err := coord.ClaimBatch(context.Background(), "w1", time.Second, 2)
+	if err != nil || len(grants) != 2 {
+		t.Fatalf("claimed %d tasks: %v", len(grants), err)
+	}
+	reports := make([]TaskReport, len(grants))
+	for i, g := range grants {
+		reports[i] = TaskReport{Task: g.ID, Epoch: g.Epoch, Outcome: fabricatedOutcome(1.5)}
+	}
+	if ok, err := coord.ReportBatch("w1", reports); err != nil || !ok[0] || !ok[1] {
+		t.Fatalf("report batch: %v %v", ok, err)
+	}
+	snap := reg.Snapshot()
+	if syncs, records := snap.Counter(MetricJournalSyncs), snap.Gauge(MetricJournalRecords); syncs != 4 || records != 6 {
+		t.Fatalf("journal took %d syncs for %v records, want 4 for 6", syncs, records)
 	}
 }
 
@@ -665,4 +722,29 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkJournalAppend measures one enqueue-sized record appended and
+// synced through the journal's path, as every coordinator transition
+// takes it: encode, seal, one write and one fsync. ns/op depends on the
+// disk.
+func BenchmarkJournalAppend(b *testing.B) {
+	coord, err := NewCoordinator(CoordinatorConfig{JournalPath: filepath.Join(b.TempDir(), "journal")})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coord.Kill()
+	spec := testSpec()
+	cvs := encodeCVs(baselineRequest().CVs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coord.mu.Lock()
+		err := coord.journalAppend(journalBody{Op: opEnqueue, Task: fmt.Sprintf("job-0001/cfr/%d#%d", i, i+1),
+			Job: "job-0001", Spec: &spec, Phase: "cfr", Sample: i, CVs: cvs})
+		coord.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }

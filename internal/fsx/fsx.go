@@ -1,13 +1,13 @@
 // Package fsx holds the small filesystem idioms the rest of the tree
-// shares: atomic file commits with a choice of durability level, and the
+// shares: atomic file commits with a choice of durability level, the
 // sealed record (record.go), the one envelope every file FuncyTuner
-// writes is made of. The fleet journal and the checkpoint are logs of
-// records; results-repository and compile-cache spill entries are two
-// records each, a key header and the body. Each record carries Checksum
-// over its exact body bytes, and readers replay records up to the first
-// torn or damaged one.
+// writes is made of, and Log (log.go), the one writer of append-only
+// files. The checkpoint and the fleet journal are Logs; results-repository
+// and compile-cache spill entries are two records each, a key header and
+// the body. Each record carries Checksum over its exact body bytes, and
+// readers replay records up to the first torn or damaged one.
 //
-// WriteFileAtomic is the fsync-hardened path checkpoints and the results
+// WriteFileAtomic is the fsync-hardened path a fresh Log and the results
 // repository use — a crash at any point leaves either the old bytes or
 // the new bytes, never a torn file. WriteFileAtomicFast skips the fsyncs
 // for best-effort tiers (the compile-cache spill) whose readers already

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"funcytuner/internal/fsx"
@@ -106,6 +107,21 @@ func TestRepoServedBitIdentical(t *testing.T) {
 	}
 	if _, err := got.EvaluateBaseline(in); !errors.Is(err, ErrServed) {
 		t.Fatalf("EvaluateBaseline on served report: %v, want ErrServed", err)
+	}
+	if _, err := got.Attribution(); !errors.Is(err, ErrServed) {
+		t.Fatalf("Attribution on served report: %v, want ErrServed", err)
+	}
+	if _, err := got.CriticalFlags(0); !errors.Is(err, ErrServed) {
+		t.Fatalf("CriticalFlags on served report: %v, want ErrServed", err)
+	}
+	// The module layout comes from the report's own provenance.
+	for mi := range want.Best.ModuleCVs {
+		if g, w := got.ModuleName(mi), want.ModuleName(mi); g != w {
+			t.Fatalf("served module %d is named %q, computed %q", mi, g, w)
+		}
+		if g, w := got.ModuleLoops(mi), want.ModuleLoops(mi); !slices.Equal(g, w) {
+			t.Fatalf("served module %d compiles loops %v, computed %v", mi, g, w)
+		}
 	}
 }
 
