@@ -1,12 +1,15 @@
 package funcytuner
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"funcytuner/internal/core"
+	"funcytuner/internal/fsx"
 )
 
 // TestRepoKeysPinned pins the results-repository key of every valid
@@ -146,4 +149,57 @@ func TestRepoKeyCoversIdentity(t *testing.T) {
 		v.Set(old)
 	}
 	walk("RunIdentity", reflect.ValueOf(&id).Elem())
+}
+
+// TestRepoEntryPinned pins the bytes a stored entry holds — the body
+// encodeRepoBody writes, sealed behind its header — for one traced tune
+// and one traced compare of Swim under repoOpts (fault injection on, so
+// every FaultTally field is stored). TestRepoKeysPinned pins where an
+// entry is filed; this pins what is in it, so a change to the stored
+// form cannot pass unnoticed: a server with older entries would serve
+// them to a decoder that reads them differently, or invalidate them all.
+func TestRepoEntryPinned(t *testing.T) {
+	m, err := MachineByName("broadwell")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Benchmark(Swim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(Swim, m)
+	cases := []struct {
+		name    string
+		compare bool
+		want    string // key, file length, fsx.Checksum of the file
+	}{
+		{"tune", false, "3e3ecd02debe6d10 42478 4069c4797a6c2929"},
+		{"compare", true, "964dc3ef681b7034 91636 30e0e5894034f6de"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := repoOpts(dir)
+			opts.Trace = NewTraceRecorder()
+			tuner := NewTuner(opts)
+			var err error
+			if tc.compare {
+				_, err = tuner.Compare(prog, in)
+			} else {
+				_, err = tuner.Tune(prog, in)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := repoEntryPath(t, dir)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%s %d %s", strings.TrimSuffix(filepath.Base(path), ".json"), len(data), fsx.Checksum(data))
+			if got != tc.want {
+				t.Errorf("stored entry = %s, want %s", got, tc.want)
+			}
+		})
+	}
 }
