@@ -3,8 +3,8 @@
 // sealed record (record.go), the one envelope every file FuncyTuner
 // writes is made of, and Log (log.go), the one writer of append-only
 // files. The checkpoint and the fleet journal are Logs; results-repository
-// and compile-cache spill entries are two records each, a key header and
-// the body. Each record carries Checksum over its exact body bytes, and
+// and compile-cache spill files are entries (AppendEntry, ReadEntry): two
+// records each, a key header and the body. Each record carries Checksum over its exact body bytes, and
 // readers replay records up to the first torn or damaged one.
 //
 // WriteFileAtomic is the fsync-hardened path a fresh Log and the results

@@ -85,6 +85,37 @@ func TestAppendRecordPinned(t *testing.T) {
 	}
 }
 
+// An entry is exactly two intact records: AppendEntry seals the header
+// and the compacted body, ReadEntry returns both, and any other data —
+// one record, three, trailing bytes, a torn tail — is not an entry.
+func TestEntryRoundTrip(t *testing.T) {
+	head := []byte(`{"key":"00000000000000ff"}`)
+	data, err := AppendEntry(nil, head, []byte("{\n  \"a\": [1, 2]\n}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"a":[1,2]}`
+	if want := AppendRecord(AppendRecord(nil, head), []byte(body)); !bytes.Equal(data, want) {
+		t.Fatalf("AppendEntry = %q, want %q", data, want)
+	}
+	if h, b, ok := ReadEntry(data); !ok || string(h) != string(head) || string(b) != body {
+		t.Fatalf("ReadEntry = %q, %q, %v", h, b, ok)
+	}
+	if _, err := AppendEntry(nil, head, []byte("not json")); err == nil {
+		t.Error("AppendEntry accepted a body that is not JSON")
+	}
+	for name, bad := range map[string][]byte{
+		"one record":     AppendRecord(nil, head),
+		"three records":  AppendRecord(bytes.Clone(data), head),
+		"trailing bytes": append(bytes.Clone(data), 'x'),
+		"torn":           data[:len(data)-1],
+	} {
+		if _, _, ok := ReadEntry(bad); ok {
+			t.Errorf("%s read as an entry", name)
+		}
+	}
+}
+
 // ReadRecords returns every record of an intact log, verbatim and in
 // order, and stops at the first torn, damaged or rejected one with the
 // valid prefix's length.

@@ -2,6 +2,7 @@ package fsx
 
 import (
 	"bytes"
+	"encoding/json"
 
 	"funcytuner/internal/xrand"
 )
@@ -49,6 +50,34 @@ func ReadRecords(data []byte, apply func(body []byte) bool) (records, good int) 
 		records++
 	}
 	return records, good
+}
+
+// AppendEntry appends an entry to dst: exactly two sealed records, a
+// header saying what the entry is filed as, then body. header must be
+// compact JSON; body must be valid JSON and is compacted first, because
+// a record holds its body verbatim on one line. The results repository
+// and the compile-cache spill tier store one entry per file.
+func AppendEntry(dst, header, body []byte) ([]byte, error) {
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		return dst, err
+	}
+	return AppendRecord(AppendRecord(dst, header), compact.Bytes()), nil
+}
+
+// ReadEntry returns the header and body of data when data is exactly
+// one entry: two intact sealed records and no trailing bytes. Checking
+// the header is the caller's part. Both slices alias data.
+func ReadEntry(data []byte) (header, body []byte, ok bool) {
+	var recs [][]byte
+	_, good := ReadRecords(data, func(rec []byte) bool {
+		recs = append(recs, rec)
+		return len(recs) <= 2
+	})
+	if good != len(data) || len(recs) != 2 {
+		return nil, nil, false
+	}
+	return recs[0], recs[1], true
 }
 
 // openRecord returns the body of one sealed line (newline stripped), or

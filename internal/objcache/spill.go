@@ -28,8 +28,8 @@ import (
 // SpillCodec. A codec may decline values that cannot round-trip
 // (Encode returns false) — those entries simply stay memory-only.
 //
-// A spill file is two fsx sealed records: a header naming the key and
-// the entry's work, then the codec's bytes verbatim (compacted).
+// A spill file is one fsx entry: a header record naming the key and the
+// entry's work, then the codec's bytes (compacted) as the body record.
 // Durability is deliberately weaker than the results repository's:
 // files are committed by rename without fsync (readers never see a
 // partial write from a live process), and any torn, truncated or
@@ -109,21 +109,16 @@ func (c *Cache) spillLoad(key uint64) (val any, work int64, ok bool) {
 		}
 		return nil, 0, false
 	}
-	var recs [][]byte
-	_, good := fsx.ReadRecords(data, func(body []byte) bool {
-		recs = append(recs, body)
-		return true
-	})
+	head, body, ok := fsx.ReadEntry(data)
 	var h struct {
 		Work int64 `json:"work"`
 	}
-	if good != len(data) || len(recs) != 2 || json.Unmarshal(recs[0], &h) != nil || h.Work < 0 ||
-		!bytes.Equal(recs[0], spillHeader(key, h.Work)) {
+	if !ok || json.Unmarshal(head, &h) != nil || h.Work < 0 || !bytes.Equal(head, spillHeader(key, h.Work)) {
 		sp.corrupt.Add(1)
 		os.Remove(path)
 		return nil, 0, false
 	}
-	v, ok := sp.codec.Decode(key, recs[1])
+	v, ok := sp.codec.Decode(key, body)
 	if !ok {
 		sp.corrupt.Add(1)
 		os.Remove(path)
@@ -142,14 +137,13 @@ func (c *Cache) spillWrite(it spillItem) {
 	if !ok {
 		return
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, data); err != nil {
+	out, err := fsx.AppendEntry(nil, spillHeader(it.key, it.work), data)
+	if err != nil {
 		sp.errs.Add(1)
 		return
 	}
-	out := fsx.AppendRecord(fsx.AppendRecord(nil, spillHeader(it.key, it.work)), compact.Bytes())
 	sp.wmu.Lock()
-	err := fsx.WriteFileAtomicFast(sp.path(it.key), out, 0o644)
+	err = fsx.WriteFileAtomicFast(sp.path(it.key), out, 0o644)
 	sp.wmu.Unlock()
 	if err != nil {
 		sp.errs.Add(1)

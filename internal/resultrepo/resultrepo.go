@@ -10,8 +10,8 @@
 // leaves the old entry or the new one, never a torn file), and loading
 // is corruption-tolerant — a truncated, bit-flipped or otherwise
 // unreadable entry is a counted miss, never an error and never a wrong
-// result. An entry file is two fsx sealed records, a header naming the
-// key it was filed under and the body verbatim; Get verifies both
+// result. An entry file is one fsx entry: a header record naming the
+// key it was filed under, then the body record; Get verifies both
 // before returning anything, so an entry in any other layout (including
 // the one older builds wrote) is a counted miss too.
 //
@@ -23,7 +23,6 @@ package resultrepo
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -151,15 +150,11 @@ func (r *Repo) Get(key uint64) ([]byte, bool) {
 // under. Every failure mode — a missing, extra, torn or damaged record,
 // another layout, a header naming another key — reads as corrupt.
 func decode(data []byte, key uint64) ([]byte, bool) {
-	var recs [][]byte
-	_, good := fsx.ReadRecords(data, func(body []byte) bool {
-		recs = append(recs, body)
-		return true
-	})
-	if good != len(data) || len(recs) != 2 || !bytes.Equal(recs[0], header(key)) {
+	head, body, ok := fsx.ReadEntry(data)
+	if !ok || !bytes.Equal(head, header(key)) {
 		return nil, false
 	}
-	return recs[1], true
+	return body, true
 }
 
 // drop records a corrupt entry: counted, de-indexed, best-effort
@@ -191,11 +186,10 @@ func (r *Repo) Invalidate(key uint64) {
 // and serializing keeps concurrent same-key writers off each other's
 // staging files.
 func (r *Repo) Put(key uint64, body []byte) error {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, body); err != nil {
+	data, err := fsx.AppendEntry(nil, header(key), body)
+	if err != nil {
 		return fmt.Errorf("resultrepo: body for key %016x is not valid JSON: %w", key, err)
 	}
-	data := fsx.AppendRecord(fsx.AppendRecord(nil, header(key)), compact.Bytes())
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := fsx.WriteFileAtomic(r.path(key), data, 0o644); err != nil {
