@@ -130,7 +130,7 @@ func TestExplainFacade(t *testing.T) {
 	if rep.ModuleName(hotModule) == "" {
 		t.Error("empty module name")
 	}
-	if _, err := rep.sess.CriticalFlags(rep.Best.ModuleCVs, 999, 0); err == nil {
+	if _, err := rep.CriticalFlags(999); err == nil {
 		t.Error("out-of-range module accepted")
 	}
 }

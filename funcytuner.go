@@ -486,18 +486,21 @@ type Report struct {
 	// Served reports that this result came from the results repository
 	// (Options.SkipExist) rather than a fresh run. A served Report is
 	// bit-identical to the recompute it replaces — its Fingerprint is
-	// verified against the stored one on every serve — but it carries no
-	// live session, so Evaluate and EvaluateBaseline return ErrServed,
-	// and Cache/Metrics are zero (no work ran).
+	// verified against the stored one on every serve — and evaluates,
+	// explains and saves like it; only Cache and Metrics are zero (no
+	// work ran).
 	Served bool
 
-	sess   *core.Session
-	served *servedMeta
+	// space and part complete the provenance Profile carries (program,
+	// machine, input): the flag space the CVs come from and the outlined
+	// partition they compile. They are all a noise-free evaluator needs,
+	// so a Report holds no session.
+	space *Space
+	part  ir.Partition
 }
 
-// ErrServed reports an operation that needs the live tuning session on
-// a Report served from the results repository (see Report.Served).
-var ErrServed = errors.New("funcytuner: report was served from the results repository and has no live session; re-tune without SkipExist to evaluate")
+// errNoProvenance reports a Report that no Tuner built.
+var errNoProvenance = errors.New("funcytuner: report was not built by a Tuner and has no provenance")
 
 // CacheStats is the compile/link cache activity snapshot (re-exported
 // from the compiler layer).
@@ -554,10 +557,11 @@ type Evaluation struct {
 // A crashing assembly (§3.2) reports Total +Inf and no PerLoop times;
 // its Notes are still filled.
 func (r *Report) Evaluate(cvs []CV, in Input) (*Evaluation, error) {
-	if r.sess == nil {
-		return nil, ErrServed
+	sess, err := r.evaluator()
+	if err != nil {
+		return nil, err
 	}
-	exe, res, err := r.sess.TrueRun(cvs, in)
+	exe, res, err := sess.TrueRun(cvs, in)
 	if err != nil {
 		return nil, err
 	}
@@ -570,10 +574,23 @@ func (r *Report) Evaluate(cvs []CV, in Input) (*Evaluation, error) {
 
 // EvaluateBaseline measures the O3 baseline on an arbitrary input.
 func (r *Report) EvaluateBaseline(in Input) (*Evaluation, error) {
-	if r.sess == nil {
-		return nil, ErrServed
+	if r.space == nil {
+		return nil, errNoProvenance
 	}
-	return r.Evaluate(uniform(r.sess.Part, r.sess.Toolchain.Space.Baseline()), in)
+	return r.Evaluate(uniform(r.part, r.space.Baseline()), in)
+}
+
+// evaluator rebuilds, from the report's provenance, a session that
+// measures noise-free. TrueRun, CriticalFlags and Attribution read no
+// Config field, so the smallest valid Config serves. The session has no
+// compile cache (one per call costs more than it saves), and nothing of
+// it outlives the call.
+func (r *Report) evaluator() (*core.Session, error) {
+	if r.space == nil {
+		return nil, errNoProvenance
+	}
+	return core.NewSession(compiler.NewToolchain(r.space), r.part.Program, r.part,
+		r.Profile.Machine, r.Profile.Input, core.Config{Samples: 1, TopX: 1})
 }
 
 func uniform(part ir.Partition, cv CV) []CV {
@@ -840,8 +857,9 @@ func (t *Tuner) algorithms(ctx context.Context, sess *core.Session, compare bool
 }
 
 // bestResult picks the search result out of an algorithm map: the
-// technique that spent the post-collection budget, whichever ran.
-func bestResult(all map[string]*Result) *Result {
+// technique that spent the post-collection budget, whichever ran. It
+// serves a Report's results and their stored form alike.
+func bestResult[R any](all map[string]*R) *R {
 	for _, name := range []string{"CFR", "BO", "GA"} {
 		if r := all[name]; r != nil {
 			return r
@@ -878,7 +896,8 @@ func (t *Tuner) report(sess *core.Session, out outline.Result, all map[string]*R
 		},
 		Cache:   sess.CacheStats(),
 		Metrics: sess.MetricsSnapshot(),
-		sess:    sess,
+		space:   sess.Toolchain.Space,
+		part:    sess.Part,
 	}
 }
 

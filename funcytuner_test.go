@@ -1,7 +1,9 @@
 package funcytuner
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"funcytuner/internal/compiler"
@@ -174,5 +176,50 @@ func TestDeterministicTuning(t *testing.T) {
 	}
 	if a.Best.Speedup != b.Best.Speedup {
 		t.Error("same-seed tuning runs differ")
+	}
+}
+
+// TestReportHeapBounded keeps six paper-scale CloverLeaf Reports alive
+// and bounds the live heap each one holds. A Report keeps its results
+// and its provenance, not the session or the private compile cache that
+// produced it, so a caller that keeps Reports (a study over many
+// program-machine pairs, the examples, the CLI) does not pin megabytes
+// per Report that it can never use again.
+func TestReportHeapBounded(t *testing.T) {
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := MachineByName("broadwell")
+	in := TuningInput(CloverLeaf, m)
+	tune := func(seed string) *Report {
+		t.Helper()
+		rep, err := NewTuner(Options{Machine: m, Seed: seed}).Tune(prog, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	tune("heap-warmup")
+	before := liveHeap()
+	reps := make([]*Report, 6)
+	for i := range reps {
+		reps[i] = tune(fmt.Sprintf("heap-%d", i))
+	}
+	after := liveHeap()
+	runtime.KeepAlive(reps)
+	const budget = 256 << 10
+	perReport := (float64(after) - float64(before)) / float64(len(reps))
+	t.Logf("live heap %.2f → %.2f MB over %d kept Reports: %.3f MB per Report",
+		float64(before)/(1<<20), float64(after)/(1<<20), len(reps), perReport/(1<<20))
+	if perReport > budget {
+		t.Errorf("live heap grew %.0f KB per kept Report, budget %d KB", perReport/(1<<10), budget>>10)
 	}
 }

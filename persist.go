@@ -35,38 +35,25 @@ type SavedModule struct {
 	Flags string `json:"flags"`
 }
 
-// Save serializes the report's best (CFR) configuration as JSON. Works
-// on repo-served reports too: the repository entry carries the module
-// names and provenance a SavedTuning needs, so skip-exist workflows can
-// still export build configurations.
+// Save serializes the report's best (CFR) configuration as JSON, from
+// the report's own provenance, so a repository-served report saves the
+// same document as the run it replaces.
 func (r *Report) Save(w io.Writer) error {
+	if r.space == nil {
+		return errNoProvenance
+	}
 	st := SavedTuning{
+		Program:   r.Profile.Program.Name,
+		Machine:   r.Profile.Machine.Name,
+		Input:     r.Profile.Input,
 		Algorithm: r.Best.Algorithm,
+		Flavor:    r.space.Flavor.String(),
 		Speedup:   r.Best.Speedup,
 		Baseline:  r.Best.Baseline,
 	}
-	moduleName := func(mi int) string { return r.sess.Part.Modules[mi].Name }
-	switch {
-	case r.sess != nil:
-		st.Program = r.sess.Prog.Name
-		st.Machine = r.sess.Machine.Name
-		st.Input = r.sess.Input
-		st.Flavor = r.sess.Toolchain.Space.Flavor.String()
-	case r.served != nil:
-		st.Program = r.served.program
-		st.Machine = r.served.machine
-		st.Input = r.served.input
-		st.Flavor = r.served.flavor
-		if len(r.served.modules) < len(r.Best.ModuleCVs) {
-			return fmt.Errorf("funcytuner: served report names %d modules for %d CVs", len(r.served.modules), len(r.Best.ModuleCVs))
-		}
-		moduleName = func(mi int) string { return r.served.modules[mi] }
-	default:
-		return fmt.Errorf("funcytuner: report has no session or provenance to save")
-	}
 	for mi, cv := range r.Best.ModuleCVs {
 		st.Modules = append(st.Modules, SavedModule{
-			Name:  moduleName(mi),
+			Name:  r.part.Modules[mi].Name,
 			Flags: cv.String(),
 		})
 	}

@@ -3,7 +3,7 @@ package funcytuner
 // This file is the facade's results-repository integration: a completed
 // Report is stored, content-addressed by everything that determines it,
 // and an identical later submission is served back in one lookup —
-// no outlining, no session, no evaluations. The determinism contract
+// no profiling, no session, no evaluations. The determinism contract
 // makes this safe: a tuning run is a pure function of its key, so a
 // stored entry and a recompute are interchangeable, and the facade
 // proves it on every serve by recomputing Report.Fingerprint over the
@@ -22,10 +22,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"funcytuner/internal/core"
+	"funcytuner/internal/ir"
+	"funcytuner/internal/outline"
 	"funcytuner/internal/resultrepo"
 	"funcytuner/internal/trace"
 	"funcytuner/internal/xrand"
@@ -186,14 +189,14 @@ func parseHexFloats(ss []string) ([]float64, error) {
 	return out, nil
 }
 
-// encodeRepoBody serializes a freshly computed Report (live session
-// attached) plus its canonical trace for storage.
+// encodeRepoBody serializes a freshly computed Report plus its
+// canonical trace for storage.
 func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
 	b := repoBody{
 		Fingerprint:     fmt.Sprintf("%016x", rep.Fingerprint()),
-		Flavor:          rep.sess.Toolchain.Space.Flavor.String(),
-		Program:         rep.sess.Prog.Name,
-		Machine:         rep.sess.Machine.Name,
+		Flavor:          rep.space.Flavor.String(),
+		Program:         rep.Profile.Program.Name,
+		Machine:         rep.Profile.Machine.Name,
 		Results:         make(map[string]*repoResult, len(rep.All)),
 		ProfileTotal:    hexFloat(rep.Profile.Total),
 		ProfileTotalStd: hexFloat(rep.Profile.TotalStd),
@@ -216,7 +219,7 @@ func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
 			DegradedModules: rep.Faults.DegradedModules,
 		},
 	}
-	for _, m := range rep.sess.Part.Modules {
+	for _, m := range rep.part.Modules {
 		b.ModuleNames = append(b.ModuleNames, m.Name)
 	}
 	for name, res := range rep.All {
@@ -248,7 +251,10 @@ func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
 // decodeRepoBody reconstructs a served Report and the fingerprint the
 // entry was stored with. The caller supplies the identity the key was
 // derived from (prog, machine, input, space), so pointer-typed Profile
-// fields come back live. Any malformed field is an error — the caller
+// fields come back live. The session outlined the hot loops in program
+// order, so outlining them again rebuilds its partition; the stored
+// module names must name it, and the best result must carry one CV per
+// module. Any malformed or inconsistent field is an error — the caller
 // treats it as a corrupt entry.
 func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *TuningTrace, string, error) {
 	var b repoBody
@@ -297,21 +303,28 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 	if best == nil {
 		return nil, nil, "", fmt.Errorf("funcytuner: stored entry has no search result")
 	}
+	hot := slices.Clone(b.HotLoops)
+	slices.Sort(hot)
+	part, err := outline.Outline(prog, hot)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if !slices.EqualFunc(part.Modules, b.ModuleNames, func(m ir.Module, name string) bool { return m.Name == name }) {
+		return nil, nil, "", fmt.Errorf("funcytuner: stored module names %q do not name the outlined partition", b.ModuleNames)
+	}
+	if len(best.ModuleCVs) != len(part.Modules) {
+		return nil, nil, "", fmt.Errorf("funcytuner: stored %s result has %d CVs for %d modules", best.Algorithm, len(best.ModuleCVs), len(part.Modules))
+	}
 	rep := &Report{
 		Best:     best,
 		All:      all,
 		HotLoops: b.HotLoops,
-		Modules:  len(b.ModuleNames),
+		Modules:  len(part.Modules),
 		Compiles: b.Compiles,
 		Runs:     b.Runs,
 		Served:   true,
-		served: &servedMeta{
-			program: prog.Name,
-			machine: t.opts.Machine.Name,
-			input:   in,
-			flavor:  b.Flavor,
-			modules: b.ModuleNames,
-		},
+		space:    t.opts.Space,
+		part:     part,
 	}
 	rep.Profile = Profile{
 		Program: prog,
@@ -319,7 +332,6 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 		Input:   in,
 		Runs:    b.ProfileRuns,
 	}
-	var err error
 	if rep.Profile.Total, err = strconv.ParseFloat(b.ProfileTotal, 64); err != nil {
 		return nil, nil, "", err
 	}
@@ -358,7 +370,7 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 }
 
 // serveFromRepo resolves the run of prog on in, keyed key (see repoKey),
-// against the repository: one indexed Get, one decode — no outlining,
+// against the repository: one indexed Get, one decode — no profiling,
 // no session, no evaluations. The reconstructed Report's fingerprint
 // must equal the one stored with the entry; anything less invalidates
 // the entry and falls through to a real run. When the caller wants a
@@ -395,7 +407,7 @@ func (t *Tuner) serveFromRepo(key uint64, prog *Program, in Input) (*Report, boo
 // Crash-simulation runs (KillAfterEvals) are never stored — they are
 // the checkpoint machinery's test hook, not results.
 func (t *Tuner) storeInRepo(key uint64, rep *Report) {
-	if t.repo == nil || t.opts.KillAfterEvals > 0 || rep == nil || rep.sess == nil {
+	if t.repo == nil || t.opts.KillAfterEvals > 0 {
 		return
 	}
 	var tr *TuningTrace
@@ -416,14 +428,4 @@ func (t *Tuner) RepoStats() RepoStats {
 		return RepoStats{}
 	}
 	return t.repo.Stats()
-}
-
-// servedMeta carries the identity a repo-served Report needs for Save:
-// a served report has no live session, but its provenance is known.
-type servedMeta struct {
-	program string
-	machine string
-	input   Input
-	flavor  string
-	modules []string
 }

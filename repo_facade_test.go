@@ -3,9 +3,9 @@ package funcytuner
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -101,18 +101,53 @@ func TestRepoServedBitIdentical(t *testing.T) {
 		t.Fatalf("served Save diverged:\n%s\nvs\n%s", gotSave.Bytes(), wantSave.Bytes())
 	}
 
-	// A served report has no live session: evaluation surfaces say so.
-	if _, err := got.Evaluate(got.Best.ModuleCVs, in); !errors.Is(err, ErrServed) {
-		t.Fatalf("Evaluate on served report: %v, want ErrServed", err)
+	// A served report evaluates and explains from its own provenance,
+	// exactly as the computed one does.
+	wantEv, err := want.Evaluate(want.Best.ModuleCVs, in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := got.EvaluateBaseline(in); !errors.Is(err, ErrServed) {
-		t.Fatalf("EvaluateBaseline on served report: %v, want ErrServed", err)
+	gotEv, err := got.Evaluate(got.Best.ModuleCVs, in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := got.Attribution(); !errors.Is(err, ErrServed) {
-		t.Fatalf("Attribution on served report: %v, want ErrServed", err)
+	if !reflect.DeepEqual(gotEv, wantEv) || gotEv.Total != want.Best.TrueTime {
+		t.Fatalf("served Evaluate = %+v, computed %+v, tuned true time %v", gotEv, wantEv, want.Best.TrueTime)
 	}
-	if _, err := got.CriticalFlags(0); !errors.Is(err, ErrServed) {
-		t.Fatalf("CriticalFlags on served report: %v, want ErrServed", err)
+	wantBase, err := want.EvaluateBaseline(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBase, err := got.EvaluateBaseline(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotBase, wantBase) || gotBase.Total != want.Best.Baseline {
+		t.Fatalf("served EvaluateBaseline = %+v, computed %+v, tuned baseline %v", gotBase, wantBase, want.Best.Baseline)
+	}
+	wantAttr, err := want.Attribution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotAttr, err := got.Attribution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotAttr, wantAttr) {
+		t.Fatalf("served Attribution = %+v, computed %+v", gotAttr, wantAttr)
+	}
+	for mi := range want.Best.ModuleCVs {
+		wantFlags, err := want.CriticalFlags(mi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotFlags, err := got.CriticalFlags(mi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotFlags, wantFlags) {
+			t.Fatalf("served module %d critical flags %q, computed %q", mi, gotFlags, wantFlags)
+		}
 	}
 	// The module layout comes from the report's own provenance.
 	for mi := range want.Best.ModuleCVs {
@@ -343,69 +378,101 @@ func TestRepoCorruptEntryFallsThroughToRecompute(t *testing.T) {
 	}
 }
 
-// A body that passes the envelope checksum but whose content does not
-// reproduce its stored fingerprint is invalidated, not served — the
-// facade's end-to-end integrity check, one level above resultrepo's.
+// A body that passes the envelope checksum but does not describe the run
+// it is filed under is invalidated and recomputed, never served — the
+// facade's end-to-end integrity checks, one level above resultrepo's.
+// Each tamper re-seals the body record with a freshly computed checksum,
+// so only decode can catch it: a bumped evaluation count fails the
+// stored fingerprint, and a renamed module, which the fingerprint does
+// not cover, no longer names the outlined partition.
 func TestRepoFingerprintMismatchInvalidates(t *testing.T) {
-	dir := t.TempDir()
 	prog, _ := Benchmark(Swim)
 	m, _ := MachineByName("broadwell")
 	in := TuningInput(Swim, m)
-	want, err := NewTuner(repoOpts(dir)).Tune(prog, in)
-	if err != nil {
-		t.Fatal(err)
+	tampers := []struct {
+		name, field string
+		edit        func(t *testing.T, raw json.RawMessage) any
+	}{
+		{"evaluation-count", "results", func(t *testing.T, raw json.RawMessage) any {
+			var results map[string]map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &results); err != nil {
+				t.Fatal(err)
+			}
+			results["CFR"]["evaluations"] = json.RawMessage("99999")
+			return results
+		}},
+		{"module-name", "module_names", func(t *testing.T, raw json.RawMessage) any {
+			var names []string
+			if err := json.Unmarshal(raw, &names); err != nil {
+				t.Fatal(err)
+			}
+			names[0] = "loop:forged"
+			return names
+		}},
 	}
+	for _, tc := range tampers {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			want, err := NewTuner(repoOpts(dir)).Tune(prog, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := repoEntryPath(t, dir)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recs [][]byte
+			_, good := fsx.ReadRecords(raw, func(b []byte) bool {
+				recs = append(recs, b)
+				return true
+			})
+			if good != len(raw) || len(recs) != 2 {
+				t.Fatalf("stored entry is not two sealed records (%d records, %d of %d bytes)", len(recs), good, len(raw))
+			}
+			var body map[string]json.RawMessage
+			if err := json.Unmarshal(recs[1], &body); err != nil {
+				t.Fatal(err)
+			}
+			if body[tc.field], err = json.Marshal(tc.edit(t, body[tc.field])); err != nil {
+				t.Fatal(err)
+			}
+			newBody, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed := fsx.AppendRecord(fsx.AppendRecord(nil, recs[0]), newBody)
+			if err := os.WriteFile(path, sealed, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Tamper with the body (bump CFR's evaluation count) and re-seal the
-	// body record with a freshly computed checksum, so only the
-	// fingerprint verification can catch it.
-	path := repoEntryPath(t, dir)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs [][]byte
-	_, good := fsx.ReadRecords(raw, func(b []byte) bool {
-		recs = append(recs, b)
-		return true
-	})
-	if good != len(raw) || len(recs) != 2 {
-		t.Fatalf("stored entry is not two sealed records (%d records, %d of %d bytes)", len(recs), good, len(raw))
-	}
-	var body map[string]json.RawMessage
-	if err := json.Unmarshal(recs[1], &body); err != nil {
-		t.Fatal(err)
-	}
-	var results map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(body["results"], &results); err != nil {
-		t.Fatal(err)
-	}
-	results["CFR"]["evaluations"] = json.RawMessage("99999")
-	reenc, err := json.Marshal(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body["results"] = reenc
-	newBody, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed := fsx.AppendRecord(fsx.AppendRecord(nil, recs[0]), newBody)
-	if err := os.WriteFile(path, sealed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := repoOpts(dir)
-	opts.SkipExist = true
-	rep, err := NewTuner(opts).Tune(prog, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Served {
-		t.Fatal("fingerprint-mismatched entry was served")
-	}
-	if rep.Fingerprint() != want.Fingerprint() {
-		t.Fatal("recompute after tamper diverged")
+			opts := repoOpts(dir)
+			opts.SkipExist = true
+			tuner := NewTuner(opts)
+			rep, err := tuner.Tune(prog, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Served {
+				t.Fatal("tampered entry was served")
+			}
+			if st := tuner.RepoStats(); st.Corrupt != 1 || st.Puts != 1 {
+				t.Fatalf("tampered entry was not invalidated and re-stored: %+v", st)
+			}
+			if rep.Fingerprint() != want.Fingerprint() {
+				t.Fatal("recompute after tamper diverged")
+			}
+			var wantSave, gotSave bytes.Buffer
+			if err := want.Save(&wantSave); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Save(&gotSave); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotSave.Bytes(), wantSave.Bytes()) {
+				t.Fatalf("recompute after tamper saves\n%s\nwant\n%s", gotSave.Bytes(), wantSave.Bytes())
+			}
+		})
 	}
 }
 

@@ -42,7 +42,7 @@ func (t *Tuner) warmSeeds(prog *Program) [][]CV {
 		if b.Flavor != t.opts.Space.Flavor.String() {
 			continue
 		}
-		best := bestRepoResult(b.Results)
+		best := bestResult(b.Results)
 		if best == nil || len(best.ModuleFlags) == 0 {
 			continue
 		}
@@ -81,14 +81,4 @@ func (t *Tuner) warmSeeds(prog *Program) [][]CV {
 		seeds = append(seeds, assembly)
 	}
 	return seeds
-}
-
-// bestRepoResult is bestResult over the wire-form result map.
-func bestRepoResult(results map[string]*repoResult) *repoResult {
-	for _, name := range []string{"CFR", "BO", "GA"} {
-		if r := results[name]; r != nil {
-			return r
-		}
-	}
-	return nil
 }
