@@ -238,7 +238,7 @@ type Options struct {
 	Repo *ResultRepo
 	// SkipExist serves a stored result when the repository already holds
 	// an entry for the exact submission: the Tune call returns in one
-	// lookup — no outlining, no session, no evaluations — with
+	// lookup — no profiling, no session, no evaluations — with
 	// Report.Served set. The served Report is bit-identical to the
 	// recompute it replaces (its Fingerprint is re-verified against the
 	// stored one on every serve; a mismatch invalidates the entry and

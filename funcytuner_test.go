@@ -2,6 +2,7 @@ package funcytuner
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -221,5 +222,26 @@ func TestReportHeapBounded(t *testing.T) {
 		float64(before)/(1<<20), float64(after)/(1<<20), len(reps), perReport/(1<<20))
 	if perReport > budget {
 		t.Errorf("live heap grew %.0f KB per kept Report, budget %d KB", perReport/(1<<10), budget>>10)
+	}
+}
+
+// A Report that no Tuner built has no provenance: every method that
+// needs it returns an error rather than measuring or saving nothing.
+func TestReportWithoutProvenance(t *testing.T) {
+	var r Report
+	if _, err := r.Evaluate(nil, Input{}); err == nil {
+		t.Error("Evaluate accepted a report without provenance")
+	}
+	if _, err := r.EvaluateBaseline(Input{}); err == nil {
+		t.Error("EvaluateBaseline accepted a report without provenance")
+	}
+	if _, err := r.CriticalFlags(0); err == nil {
+		t.Error("CriticalFlags accepted a report without provenance")
+	}
+	if _, err := r.Attribution(); err == nil {
+		t.Error("Attribution accepted a report without provenance")
+	}
+	if err := r.Save(io.Discard); err == nil {
+		t.Error("Save accepted a report without provenance")
 	}
 }
