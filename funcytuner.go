@@ -577,7 +577,11 @@ func (r *Report) EvaluateBaseline(in Input) (*Evaluation, error) {
 	if r.space == nil {
 		return nil, errNoProvenance
 	}
-	return r.Evaluate(uniform(r.part, r.space.Baseline()), in)
+	cvs := make([]CV, len(r.part.Modules))
+	for i := range cvs {
+		cvs[i] = r.space.Baseline()
+	}
+	return r.Evaluate(cvs, in)
 }
 
 // evaluator rebuilds, from the report's provenance, a session that
@@ -589,16 +593,8 @@ func (r *Report) evaluator() (*core.Session, error) {
 	if r.space == nil {
 		return nil, errNoProvenance
 	}
-	return core.NewSession(compiler.NewToolchain(r.space), r.part.Program, r.part,
+	return core.NewSession(compiler.NewToolchain(r.space), r.Profile.Program, r.part,
 		r.Profile.Machine, r.Profile.Input, core.Config{Samples: 1, TopX: 1})
-}
-
-func uniform(part ir.Partition, cv CV) []CV {
-	out := make([]CV, len(part.Modules))
-	for i := range out {
-		out[i] = cv
-	}
-	return out
 }
 
 // session builds the outlined core session of cfg for prog on in and
@@ -874,6 +870,9 @@ func (t *Tuner) report(sess *core.Session, out outline.Result, all map[string]*R
 	if best != nil {
 		degraded = len(best.DegradedModules)
 	}
+	// A shared compile cache may have compiled the profiled baseline for
+	// a content-equal copy of prog; the Report names the program it tuned.
+	out.Profile.Program = sess.Prog
 	return &Report{
 		Best:           best,
 		All:            all,

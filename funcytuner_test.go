@@ -1,6 +1,7 @@
 package funcytuner
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -243,5 +244,45 @@ func TestReportWithoutProvenance(t *testing.T) {
 	}
 	if err := r.Save(io.Discard); err == nil {
 		t.Error("Save accepted a report without provenance")
+	}
+}
+
+// Content-equal programs share compile-cache entries, so a run of the
+// second one profiles the baseline executable compiled for the first.
+// Its Report must still name, evaluate and explain the program it tuned.
+func TestReportEvaluatesOverSharedCache(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	swim, err := Benchmark(Swim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveProgram(&buf, swim); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Machine: m, Samples: 20, TopX: 4, Seed: "shared-cache-copy", SharedCache: NewCompileCache(0)}
+	in := TuningInput(Swim, m)
+	var prog *Program
+	var rep *Report
+	for i := 0; i < 2; i++ {
+		if prog, err = LoadProgram(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err = NewTuner(opts).Tune(prog, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep.Profile.Program != prog {
+		t.Error("the Report's profile names a copy of the program it tuned")
+	}
+	if _, err := rep.Attribution(); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := rep.Evaluate(rep.Best.ModuleCVs, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Total != rep.Best.TrueTime {
+		t.Errorf("Evaluate = %v, tuned true time %v", ev.Total, rep.Best.TrueTime)
 	}
 }

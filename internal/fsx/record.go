@@ -69,15 +69,14 @@ func AppendEntry(dst, header, body []byte) ([]byte, error) {
 // one entry: two intact sealed records and no trailing bytes. Checking
 // the header is the caller's part. Both slices alias data.
 func ReadEntry(data []byte) (header, body []byte, ok bool) {
-	var recs [][]byte
-	_, good := ReadRecords(data, func(rec []byte) bool {
-		recs = append(recs, rec)
-		return len(recs) <= 2
+	records, good := ReadRecords(data, func(rec []byte) bool {
+		header, body = body, rec
+		return true
 	})
-	if good != len(data) || len(recs) != 2 {
+	if records != 2 || good != len(data) {
 		return nil, nil, false
 	}
-	return recs[0], recs[1], true
+	return header, body, true
 }
 
 // openRecord returns the body of one sealed line (newline stripped), or
