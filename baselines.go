@@ -1,6 +1,7 @@
 package funcytuner
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -11,6 +12,9 @@ import (
 	"funcytuner/internal/baselines/opentuner"
 	"funcytuner/internal/baselines/pgo"
 	"funcytuner/internal/compiler"
+	"funcytuner/internal/core"
+	"funcytuner/internal/ir"
+	"funcytuner/internal/search"
 )
 
 // BaselineResult is a prior-work tuner's outcome (§4.2 / Fig. 1).
@@ -31,31 +35,65 @@ const (
 	COBAYNHybrid  = cobayn.Hybrid
 )
 
-// evaluator builds the per-program evaluation harness behind each
-// baseline.
-func (t *Tuner) evaluator(prog *Program, in Input, technique string) *baselines.Evaluator {
-	return baselines.NewEvaluator(t.tc, prog, t.opts.Machine, in,
-		t.opts.Seed+"/"+technique, *t.opts.Noisy)
+// baseline runs the technique newTech builds on a whole-program session
+// of prog: the tuner's seed, budget, workers, noise, faults, gate,
+// compile cache and trace, with no checkpointer, results repository or
+// remote evaluator. The answer is the least-measured CV.
+func (t *Tuner) baseline(prog *Program, in Input, newTech func(*core.Session) (search.Technique, error)) (*BaselineResult, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
+	cfg := t.opts.config(nil, nil)
+	cfg.Remote = nil
+	sess, err := core.NewSession(t.tc, prog, ir.WholeProgram(prog), t.opts.Machine, in, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sess.AttachTrace(t.opts.Trace)
+	tech, err := newTech(sess)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sess.Run(context.Background(), tech)
+	if err != nil {
+		return nil, err
+	}
+	return &BaselineResult{
+		Name:        tech.Name(),
+		CV:          res.ModuleCVs[0],
+		TrueTime:    res.TrueTime,
+		Baseline:    res.Baseline,
+		Speedup:     res.Speedup,
+		Evaluations: res.Evaluations,
+	}, nil
 }
 
 // TuneOpenTuner runs the OpenTuner baseline (ensemble of DE, Nelder–Mead,
 // Torczon pattern search, GA, simulated annealing, PSO and uniform random
 // under an AUC bandit) for the tuner's sample budget.
 func (t *Tuner) TuneOpenTuner(prog *Program, in Input) (*BaselineResult, error) {
-	return opentuner.Tune(t.evaluator(prog, in, "opentuner"), t.opts.Samples)
+	return t.baseline(prog, in, func(sess *core.Session) (search.Technique, error) {
+		return opentuner.New(sess), nil
+	})
 }
 
 // TunePGO runs the Intel-PGO baseline: an instrumented profile run plus a
 // profile-guided recompilation. Result.Failed reports the §4.2.2
 // instrumentation failures (LULESH, Optewe), which fall back to plain O3.
 func (t *Tuner) TunePGO(prog *Program, in Input) (*BaselineResult, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
 	return pgo.Tune(t.tc, prog, t.opts.Machine, in)
 }
 
 // TuneCE runs Combined Elimination (Fig. 1): start from the most
-// aggressive configuration and greedily eliminate harmful flags.
+// aggressive configuration and greedily eliminate harmful flags, within
+// the tuner's sample budget.
 func (t *Tuner) TuneCE(prog *Program, in Input) (*BaselineResult, error) {
-	return ce.Tune(t.evaluator(prog, in, "ce"), ce.DefaultOptions())
+	return t.baseline(prog, in, func(*core.Session) (search.Technique, error) {
+		return ce.New(t.tc.Space, ce.DefaultOptions()), nil
+	})
 }
 
 // TrainCOBAYN characterizes a cBench-like corpus (corpusSize programs,
@@ -64,6 +102,9 @@ func (t *Tuner) TuneCE(prog *Program, in Input) (*BaselineResult, error) {
 // expensive phase (the paper reports ~1 week per benchmark for COBAYN);
 // persist the result with COBAYNModel.Save and reload it with LoadCOBAYN.
 func (t *Tuner) TrainCOBAYN(corpusSize int) (*COBAYNModel, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
 	cfg := cobayn.DefaultTrainConfig(t.opts.Seed)
 	cfg.SamplesPerProgram = t.opts.Samples
 	cfg.TopPerProgram = t.opts.Samples / 10
@@ -77,10 +118,12 @@ func (t *Tuner) TrainCOBAYN(corpusSize int) (*COBAYNModel, error) {
 // TuneCOBAYN samples the tuner's budget of CVs from a trained model and
 // evaluates them on prog.
 func (t *Tuner) TuneCOBAYN(model *COBAYNModel, prog *Program, in Input) (*BaselineResult, error) {
-	if model == nil {
-		return nil, fmt.Errorf("funcytuner: nil COBAYN model (train or load one first)")
-	}
-	return model.Infer(t.evaluator(prog, in, "cobayn-"+model.Kind.String()), t.opts.Samples)
+	return t.baseline(prog, in, func(sess *core.Session) (search.Technique, error) {
+		if model == nil {
+			return nil, fmt.Errorf("funcytuner: nil COBAYN model (train or load one first)")
+		}
+		return model.Infer(sess)
+	})
 }
 
 // LoadCOBAYN reloads a model saved with COBAYNModel.Save. The tuner must

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"funcytuner/internal/compiler"
+	"funcytuner/internal/core"
+	"funcytuner/internal/search"
 )
 
 func TestBaselineFacades(t *testing.T) {
@@ -36,12 +40,74 @@ func TestBaselineFacades(t *testing.T) {
 		t.Error("LULESH PGO should fail and fall back to O3")
 	}
 
-	ceRes, err := tuner.TuneCE(prog, in)
+	// A traced run records every evaluation under the baseline's phase.
+	rec := NewTraceRecorder()
+	traced := NewTuner(Options{Machine: m, Samples: 150, TopX: 15, Seed: "facade-baselines", Trace: rec})
+	ceRes, err := traced.TuneCE(prog, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ceRes.Speedup < 0.85 || ceRes.Speedup > 1.12 {
 		t.Errorf("CE speedup %.3f outside the Fig. 1 band", ceRes.Speedup)
+	}
+	evals := 0
+	for _, e := range rec.Snapshot().Events {
+		if e.Kind == "eval" && e.Phase == "ce" {
+			evals++
+		}
+	}
+	if evals != ceRes.Evaluations {
+		t.Errorf("trace holds %d CE evaluations, result counts %d", evals, ceRes.Evaluations)
+	}
+}
+
+// repeat is a technique that suggests one CV for every evaluation.
+type repeat struct{ cv CV }
+
+func (repeat) Name() string  { return "Repeat" }
+func (repeat) Phase() string { return "repeat" }
+
+func (r repeat) Suggest(n int) [][]CV {
+	out := make([][]CV, n)
+	for i := range out {
+		out[i] = []CV{r.cv}
+	}
+	return out
+}
+
+func (repeat) Observe(int, []CV, float64) {}
+
+// A baseline run whose every evaluated CV crashes answers the argmin CV
+// with TrueTime +Inf, as CFR does for an all-crash search, instead of
+// panicking.
+func TestBaselineAllCrash(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	prog, _ := Benchmark(Swim)
+	in := TuningInput(Swim, m)
+	crash := compiler.CrashProbe(ICCSpace(), prog.Seed, m.ID, 50000)
+	if crash.IsZero() {
+		t.Fatal("no crashing CV found")
+	}
+	tuner := NewTuner(Options{Machine: m, Samples: 6, TopX: 1, Seed: "all-crash"})
+	res, err := tuner.baseline(prog, in, func(*core.Session) (search.Technique, error) {
+		return repeat{crash}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CV.Equal(crash) || !math.IsInf(res.TrueTime, 1) || res.Speedup != 0 || res.Evaluations != 6 {
+		t.Errorf("all-crash run answered %+v; want the crashing CV, TrueTime +Inf, speedup 0, 6 evaluations", res)
+	}
+	// One-evaluation OpenTuner runs whose one CV crashed under the old
+	// evaluator, which then compiled the zero CV.
+	for _, c := range []struct{ app, seed string }{
+		{Swim, "s40"}, {LULESH, "s298"}, {CloverLeaf, "s179"}, {CloverLeaf, "s191"}, {Bwaves, "s202"},
+	} {
+		p, _ := Benchmark(c.app)
+		tuner := NewTuner(Options{Machine: m, Samples: 1, TopX: 1, Seed: c.seed})
+		if _, err := tuner.TuneOpenTuner(p, TuningInput(c.app, m)); err != nil {
+			t.Errorf("%s/%s: %v", c.app, c.seed, err)
+		}
 	}
 }
 

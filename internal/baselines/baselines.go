@@ -1,168 +1,32 @@
-// Package baselines provides the shared evaluation harness for the
-// prior-work tuners the paper compares against in §4.2: OpenTuner (ensemble
-// search), COBAYN (Bayesian networks), Intel PGO, and Combined Elimination
-// (Fig. 1). All of them tune on a per-program basis: one CV for the whole
-// program, evaluated by compiling uniformly and running once.
+// Package baselines holds the outcome type of the prior-work tuners the
+// paper compares against in §4.2: OpenTuner (ensemble search), COBAYN
+// (Bayesian networks), Intel PGO, and Combined Elimination (Fig. 1). All
+// of them tune on a per-program basis: one CV for the whole program.
+// OpenTuner, COBAYN's inference and CE are search techniques that a
+// whole-program core.Session runs (core.Session.Run); PGO compiles twice
+// and measures once.
 package baselines
 
-import (
-	"math"
-
-	"funcytuner/internal/arch"
-	"funcytuner/internal/compiler"
-	"funcytuner/internal/exec"
-	"funcytuner/internal/flagspec"
-	"funcytuner/internal/ir"
-	"funcytuner/internal/xrand"
-)
-
-// Evaluator measures per-program CVs on one (program, machine, input)
-// triple, tracking the best seen and the evaluation budget spent.
-type Evaluator struct {
-	TC      *compiler.Toolchain
-	Prog    *ir.Program
-	Machine *arch.Machine
-	Input   ir.Input
-	Noisy   bool
-
-	rng       *xrand.Rand
-	evals     int
-	bestTime  float64
-	bestCV    flagspec.CV
-	baseline  float64
-	trace     []float64
-	seen      map[uint64]float64 // measurement cache by CV key
-	cacheHits int
-}
-
-// NewEvaluator builds an evaluator; seed names the experiment.
-func NewEvaluator(tc *compiler.Toolchain, prog *ir.Program, m *arch.Machine, in ir.Input, seed string, noisy bool) *Evaluator {
-	return &Evaluator{
-		TC:      tc,
-		Prog:    prog,
-		Machine: m,
-		Input:   in,
-		Noisy:   noisy,
-		rng: xrand.NewFromString(
-			"baselines/" + seed + "/" + prog.Name + "/" + m.Name + "/" + in.Name),
-		bestTime: math.Inf(1),
-		seen:     make(map[uint64]float64),
-	}
-}
-
-// Space returns the flag space under tuning.
-func (e *Evaluator) Space() *flagspec.Space { return e.TC.Space }
-
-// Rand returns a deterministic child stream for search-algorithm draws.
-func (e *Evaluator) Rand(key string) *xrand.Rand { return e.rng.Split(key, 0) }
-
-// Measure compiles the whole program with cv and runs it once, returning
-// the (noisy) end-to-end time. Repeated measurements of the same CV reuse
-// the first result, as a real tuning harness caches evaluated configs.
-func (e *Evaluator) Measure(cv flagspec.CV) (float64, error) {
-	if t, ok := e.seen[cv.Key()]; ok {
-		e.cacheHits++
-		return t, nil
-	}
-	exe, err := e.TC.CompileUniform(e.Prog, ir.WholeProgram(e.Prog), cv, e.Machine)
-	if err != nil {
-		return 0, err
-	}
-	if exe.Crashes() {
-		// §3.2-style runtime failure: the variant scores +Inf and never
-		// becomes the incumbent.
-		e.evals++
-		e.seen[cv.Key()] = math.Inf(1)
-		e.trace = append(e.trace, e.bestTime)
-		return math.Inf(1), nil
-	}
-	var noise *xrand.Rand
-	if e.Noisy {
-		noise = e.rng.Split("noise", e.evals)
-	}
-	res := exec.Run(exe, e.Machine, e.Input, exec.Options{Noise: noise})
-	e.evals++
-	e.seen[cv.Key()] = res.Total
-	if res.Total < e.bestTime {
-		e.bestTime = res.Total
-		e.bestCV = cv
-	}
-	e.trace = append(e.trace, e.bestTime)
-	return res.Total, nil
-}
-
-// Evaluations returns the number of distinct program runs spent.
-func (e *Evaluator) Evaluations() int { return e.evals }
-
-// Best returns the best measured CV and its measured time.
-func (e *Evaluator) Best() (flagspec.CV, float64) { return e.bestCV, e.bestTime }
-
-// Trace returns the best-so-far convergence trace.
-func (e *Evaluator) Trace() []float64 { return append([]float64(nil), e.trace...) }
-
-// Baseline returns the noise-free O3 end-to-end time (cached).
-func (e *Evaluator) Baseline() (float64, error) {
-	if e.baseline > 0 {
-		return e.baseline, nil
-	}
-	exe, err := e.TC.CompileUniform(e.Prog, ir.WholeProgram(e.Prog), e.TC.Space.Baseline(), e.Machine)
-	if err != nil {
-		return 0, err
-	}
-	e.baseline = exec.Run(exe, e.Machine, e.Input, exec.Options{}).Total
-	return e.baseline, nil
-}
-
-// TrueTime re-measures a CV noise-free on an arbitrary input. Crashing
-// variants report +Inf.
-func (e *Evaluator) TrueTime(cv flagspec.CV, in ir.Input) (float64, error) {
-	exe, err := e.TC.CompileUniform(e.Prog, ir.WholeProgram(e.Prog), cv, e.Machine)
-	if err != nil {
-		return 0, err
-	}
-	if exe.Crashes() {
-		return math.Inf(1), nil
-	}
-	return exec.Run(exe, e.Machine, in, exec.Options{}).Total, nil
-}
+import "funcytuner/internal/flagspec"
 
 // Result is the common outcome type for per-program baselines.
 type Result struct {
 	// Name identifies the technique ("OpenTuner", "COBAYN-static", ...).
 	Name string
-	// CV is the winning compilation vector (zero CV when the technique
-	// fell back to the O3 baseline, e.g. a failed PGO instrumentation).
+	// CV is the winning compilation vector: the least-measured one, or
+	// the O3 baseline for PGO.
 	CV flagspec.CV
-	// TrueTime is the noise-free time of the winner on the tuning input.
+	// TrueTime is the noise-free time of the winner on the tuning input
+	// (+Inf when every measured CV crashed).
 	TrueTime float64
 	// Baseline is the noise-free O3 time.
 	Baseline float64
 	// Speedup = Baseline / TrueTime.
 	Speedup float64
-	// Evaluations spent.
+	// Evaluations is the number of measured suggestions.
 	Evaluations int
 	// Failed marks techniques that could not run (PGO on LULESH/Optewe).
 	Failed bool
 	// Note carries failure or convergence details.
 	Note string
-}
-
-// Finish packages a winning CV into a Result.
-func (e *Evaluator) Finish(name string, cv flagspec.CV) (*Result, error) {
-	baseline, err := e.Baseline()
-	if err != nil {
-		return nil, err
-	}
-	trueTime, err := e.TrueTime(cv, e.Input)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Name:        name,
-		CV:          cv,
-		TrueTime:    trueTime,
-		Baseline:    baseline,
-		Speedup:     baseline / trueTime,
-		Evaluations: e.Evaluations(),
-	}, nil
 }

@@ -1,118 +1,129 @@
 package baselines
 
+// The per-program baselines measure on a whole-program core.Session.
+// These tests pin what they rely on from it.
+
 import (
+	"context"
 	"math"
 	"testing"
 
 	"funcytuner/internal/apps"
 	"funcytuner/internal/arch"
 	"funcytuner/internal/compiler"
+	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/ir"
+	"funcytuner/internal/search"
+	"funcytuner/internal/xrand"
 )
 
-func newEval(t *testing.T, app string, noisy bool) *Evaluator {
+func newSession(t *testing.T, app string, samples int, noisy bool) *core.Session {
 	t.Helper()
 	tc := compiler.NewToolchain(flagspec.ICC())
 	prog := apps.MustGet(app)
 	m := arch.Broadwell()
-	return NewEvaluator(tc, prog, m, apps.TuningInput(app, m), "test", noisy)
+	sess, err := core.NewSession(tc, prog, ir.WholeProgram(prog), m, apps.TuningInput(app, m),
+		core.Config{Samples: samples, TopX: 1, Seed: "test", Noisy: noisy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// sampled is a technique issuing cvs in order.
+func sampled(t *testing.T, cvs ...flagspec.CV) search.Technique {
+	t.Helper()
+	tech, err := search.NewRandom(search.Config{
+		Pools: [][]flagspec.CV{cvs}, Budget: len(cvs), Rng: xrand.NewFromString("unused"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech
 }
 
 func TestMeasureTracksBest(t *testing.T) {
-	e := newEval(t, apps.Swim, false)
-	r := e.Rand("draws")
-	var least float64 = math.Inf(1)
-	for i := 0; i < 20; i++ {
-		v, err := e.Measure(e.Space().Random(r))
+	sess := newSession(t, apps.Swim, 20, false)
+	cvs := sess.Toolchain.Space.Sample(xrand.NewFromString("draws"), 20)
+	res, err := sess.Run(context.Background(), sampled(t, cvs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := math.Inf(1)
+	for _, cv := range cvs {
+		v, err := sess.TrueTime([]flagspec.CV{cv})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v < least {
-			least = v
-		}
+		least = math.Min(least, v)
 	}
-	if _, best := e.Best(); best != least {
-		t.Errorf("Best() = %v, want %v", best, least)
+	if res.BestMeasured != least {
+		t.Errorf("BestMeasured = %v, want %v", res.BestMeasured, least)
 	}
-	if e.Evaluations() != 20 {
-		t.Errorf("Evaluations = %d", e.Evaluations())
+	if res.Evaluations != 20 {
+		t.Errorf("Evaluations = %d", res.Evaluations)
 	}
-	trace := e.Trace()
-	if len(trace) != 20 {
-		t.Fatalf("trace len %d", len(trace))
+	if len(res.Trace) != 20 {
+		t.Fatalf("trace len %d", len(res.Trace))
 	}
-	for i := 1; i < len(trace); i++ {
-		if trace[i] > trace[i-1] {
+	for i := 1; i < len(res.Trace); i++ {
+		if res.Trace[i] > res.Trace[i-1] {
 			t.Fatal("trace not non-increasing")
 		}
 	}
 }
 
-func TestMeasureCachesDuplicates(t *testing.T) {
-	e := newEval(t, apps.Swim, true)
-	cv := e.Space().Baseline()
-	a, err := e.Measure(cv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Measure(cv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("repeated measurement of the same CV should be cached")
-	}
-	if e.Evaluations() != 1 {
-		t.Errorf("cached re-measurement counted as evaluation: %d", e.Evaluations())
-	}
-}
-
 func TestBaselineStable(t *testing.T) {
-	e := newEval(t, apps.Swim, true)
-	a, err := e.Baseline()
+	sess := newSession(t, apps.Swim, 1, true)
+	a, err := sess.BaselineTime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := e.Baseline()
+	b, _ := sess.BaselineTime()
 	if a != b || a <= 0 {
 		t.Errorf("baseline unstable: %v vs %v", a, b)
 	}
 }
 
 func TestFinishComputesSpeedup(t *testing.T) {
-	e := newEval(t, apps.Swim, false)
-	res, err := e.Finish("X", e.Space().Baseline())
+	sess := newSession(t, apps.Swim, 1, false)
+	res, err := sess.Run(context.Background(), sampled(t, sess.Toolchain.Space.Baseline()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Speedup-1.0) > 1e-9 {
 		t.Errorf("baseline CV speedup = %v, want 1.0", res.Speedup)
 	}
-	if res.Name != "X" {
-		t.Errorf("name = %q", res.Name)
+	if res.Algorithm != "Random" {
+		t.Errorf("name = %q", res.Algorithm)
 	}
 }
 
-func TestDeterministicAcrossEvaluators(t *testing.T) {
-	a := newEval(t, apps.CloverLeaf, true)
-	b := newEval(t, apps.CloverLeaf, true)
-	cv := a.Space().Baseline().With(flagspec.IccPrefetch, 4)
-	va, _ := a.Measure(cv)
-	vb, _ := b.Measure(cv)
-	if va != vb {
-		t.Error("same-seed evaluators disagree")
+func TestDeterministicAcrossSessions(t *testing.T) {
+	cv := flagspec.ICC().Baseline().With(flagspec.IccPrefetch, 4)
+	var got []float64
+	for i := 0; i < 2; i++ {
+		sess := newSession(t, apps.CloverLeaf, 1, true)
+		res, err := sess.Run(context.Background(), sampled(t, cv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, res.BestMeasured)
+	}
+	if got[0] != got[1] {
+		t.Error("same-seed sessions disagree")
 	}
 }
 
 func TestTrueTimeNoiseFree(t *testing.T) {
-	e := newEval(t, apps.CloverLeaf, true)
-	cv := e.Space().Baseline()
-	in := apps.TuningInput(apps.CloverLeaf, arch.Broadwell())
-	a, err := e.TrueTime(cv, in)
+	sess := newSession(t, apps.CloverLeaf, 1, true)
+	cv := []flagspec.CV{sess.Toolchain.Space.Baseline()}
+	a, err := sess.TrueTime(cv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := e.TrueTime(cv, in)
+	b, _ := sess.TrueTime(cv)
 	if a != b {
 		t.Error("TrueTime should be noise-free and stable")
 	}

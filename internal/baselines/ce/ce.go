@@ -5,15 +5,16 @@
 // improves runtime, re-examining the survivors after every elimination to
 // account for flag interactions. Its weakness, which Fig. 1 demonstrates
 // on LULESH/CloverLeaf/AMG for both GCC and ICC, is convergence to local
-// minima near the O3 baseline.
+// minima near the O3 baseline. New returns it as a search technique that
+// a whole-program core.Session runs.
 package ce
 
 import (
 	"math"
 	"sort"
 
-	"funcytuner/internal/baselines"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/search"
 )
 
 // Options parameterize a CE run.
@@ -31,25 +32,66 @@ type Options struct {
 // (§4.1: ~0.5–1.5%) are not trusted.
 func DefaultOptions() Options { return Options{MaxRounds: 4, Epsilon: 0.004} }
 
-// Tune runs combined elimination on the evaluator's program.
-func Tune(e *baselines.Evaluator, opts Options) (*baselines.Result, error) {
-	space := e.Space()
+// elimination is combined elimination as a technique on a whole-program
+// session: every assembly is one CV. It keeps only the measured times;
+// Suggest replays the algorithm over them.
+type elimination struct {
+	space *flagspec.Space
+	opts  Options
+	times []float64 // measured times, by evaluation index
+}
+
+// New builds combined elimination over space. It draws no randomness.
+func New(space *flagspec.Space, opts Options) search.Technique {
+	return &elimination{space: space, opts: opts}
+}
+
+func (e *elimination) Name() string  { return "CE" }
+func (e *elimination) Phase() string { return "ce" }
+
+// Suggest returns, cut to n, the batch CE waits on: a round's
+// single-flag eliminations, or one CV of its combine walk. It returns
+// nothing once CE has converged.
+func (e *elimination) Suggest(n int) [][]flagspec.CV {
+	next := e.replay()
+	out := make([][]flagspec.CV, max(0, min(n, len(next))))
+	for i := range out {
+		out[i] = []flagspec.CV{next[i]}
+	}
+	return out
+}
+
+// Observe records a time; the driver observes in index order.
+func (e *elimination) Observe(_ int, _ []flagspec.CV, t float64) { e.times = append(e.times, t) }
+
+// replay runs CE over the measured times and returns the unmeasured part
+// of the first batch it has no times for, or nil once it has converged.
+func (e *elimination) replay() []flagspec.CV {
+	space, opts := e.space, e.opts
 	n := space.NumFlags()
+	var next []flagspec.CV
+	k := 0
+	measured := func(batch ...flagspec.CV) ([]float64, bool) {
+		if k+len(batch) > len(e.times) {
+			next = batch[len(e.times)-k:]
+			return nil, false
+		}
+		k += len(batch)
+		return e.times[k-len(batch) : k], true
+	}
 
 	// B: the aggressive starting point — every flag at its alternative.
 	base := space.Baseline()
 	for i := 0; i < n; i++ {
 		base = base.With(i, space.AltValue(i))
 	}
-	baseTime, err := e.Measure(base)
-	if err != nil {
-		return nil, err
+	ts, ok := measured(base)
+	if !ok {
+		return next
 	}
+	baseTime := ts[0]
 
-	active := make([]bool, n) // flags still at their alternative value
-	for i := range active {
-		active[i] = true
-	}
+	eliminated := make([]bool, n) // flags reset to their default
 
 	// rip computes the relative improvement of a candidate time over the
 	// current base. A crashed base (the aggressive start can fault, §3.2)
@@ -65,22 +107,28 @@ func Tune(e *baselines.Evaluator, opts Options) (*baselines.Result, error) {
 	}
 
 	for round := 0; round < opts.MaxRounds; round++ {
-		// RIP_i: relative improvement from eliminating flag i alone.
+		// RIP_i: relative improvement from eliminating flag i alone,
+		// measured for every remaining flag as one batch.
+		var flags []int
+		var scan []flagspec.CV
+		for i := 0; i < n; i++ {
+			if !eliminated[i] {
+				flags = append(flags, i)
+				scan = append(scan, base.With(i, space.Flags[i].Default))
+			}
+		}
+		ts, ok := measured(scan...)
+		if !ok {
+			return next
+		}
 		type ripEntry struct {
 			flag int
-			v    float64
+			v, t float64
 		}
 		var negatives []ripEntry
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			t, err := e.Measure(base.With(i, space.Flags[i].Default))
-			if err != nil {
-				return nil, err
-			}
+		for j, t := range ts {
 			if r := rip(t); r < -opts.Epsilon {
-				negatives = append(negatives, ripEntry{flag: i, v: r})
+				negatives = append(negatives, ripEntry{flag: flags[j], v: r, t: t})
 			}
 		}
 		if len(negatives) == 0 {
@@ -88,34 +136,28 @@ func Tune(e *baselines.Evaluator, opts Options) (*baselines.Result, error) {
 		}
 		sort.SliceStable(negatives, func(a, b int) bool { return negatives[a].v < negatives[b].v })
 
-		// Eliminate the most harmful flag unconditionally, then walk the
-		// remaining negatives in order, keeping each elimination only if
-		// it still improves on the updated baseline (the "combined" part).
+		// Eliminate the most harmful flag unconditionally (its time is
+		// the scan's), then walk the remaining negatives in order, one
+		// CV at a time, keeping each elimination only if it still
+		// improves on the updated baseline (the "combined" part).
 		first := negatives[0].flag
 		base = base.With(first, space.Flags[first].Default)
-		active[first] = false
-		baseTime, err = e.Measure(base)
-		if err != nil {
-			return nil, err
-		}
+		eliminated[first] = true
+		baseTime = negatives[0].t
 		for _, cand := range negatives[1:] {
-			if !active[cand.flag] {
-				continue
-			}
 			trial := base.With(cand.flag, space.Flags[cand.flag].Default)
-			t, err := e.Measure(trial)
-			if err != nil {
-				return nil, err
+			ts, ok := measured(trial)
+			if !ok {
+				return next
 			}
-			if rip(t) < -opts.Epsilon {
+			if rip(ts[0]) < -opts.Epsilon {
 				base = trial
-				baseTime = t
-				active[cand.flag] = false
+				baseTime = ts[0]
+				eliminated[cand.flag] = true
 			}
 		}
 	}
-
-	return e.Finish("CE", base)
+	return nil
 }
 
 // Eliminated reports which flags a final CV has at default relative to

@@ -6,11 +6,12 @@ import (
 	"sort"
 
 	"funcytuner/internal/arch"
-	"funcytuner/internal/baselines"
 	"funcytuner/internal/compiler"
+	"funcytuner/internal/core"
 	"funcytuner/internal/exec"
 	"funcytuner/internal/flagspec"
 	"funcytuner/internal/ir"
+	"funcytuner/internal/search"
 	"funcytuner/internal/stats"
 	"funcytuner/internal/xrand"
 )
@@ -232,13 +233,15 @@ func (m *Model) effectiveNeighbors() int {
 	}
 }
 
-// Infer matches the target program's features against the corpus, fits a
-// Chow–Liu Bayesian network on the pooled top CVs of the nearest
-// programs, samples `samples` CVs from it, and evaluates each.
-func (m *Model) Infer(e *baselines.Evaluator, samples int) (*baselines.Result, error) {
+// Infer matches the session program's features against the corpus, fits
+// a Chow–Liu Bayesian network on the pooled top CVs of the nearest
+// programs, and returns the network's posterior sampler as a technique
+// for the whole-program session, drawing on its "search/cobayn-<kind>"
+// stream.
+func (m *Model) Infer(sess *core.Session) (search.Technique, error) {
 	target := map[Kind][]float64{}
 	for _, k := range kindsFor(m.Kind) {
-		f, err := Features(k, m.tc, e.Prog, m.machine, e.Input)
+		f, err := Features(k, m.tc, sess.Prog, m.machine, sess.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -264,9 +267,9 @@ func (m *Model) Infer(e *baselines.Evaluator, samples int) (*baselines.Result, e
 		keep := len(top)
 		switch m.Kind {
 		case Dynamic:
-			keep = maxInt(1, len(top)/10)
+			keep = max(1, len(top)/10)
 		case Hybrid:
-			keep = maxInt(1, len(top)/2)
+			keep = max(1, len(top)/2)
 		}
 		rows = append(rows, top[:keep]...)
 	}
@@ -279,29 +282,32 @@ func (m *Model) Infer(e *baselines.Evaluator, samples int) (*baselines.Result, e
 	case Hybrid:
 		bn.sharpen(0.6)
 	}
-
-	// Ancestral sampling + evaluation.
-	r := e.Rand("cobayn-" + m.Kind.String())
-	for i := 0; i < samples; i++ {
-		cv := m.binarizer.Decode(bn.sample(r.Split("sample", i)))
-		if _, err := e.Measure(cv); err != nil {
-			return nil, err
-		}
-	}
-	bestCV, _ := e.Best()
-	return e.Finish("COBAYN-"+m.Kind.String(), bestCV)
+	return &posterior{kind: m.Kind, bn: bn, binarizer: m.binarizer, r: sess.Rand("search/cobayn-" + m.Kind.String())}, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// posterior hands out ancestral samples of a fitted network.
+type posterior struct {
+	kind      Kind
+	bn        *bayesNet
+	binarizer *Binarizer
+	r         *xrand.Rand
+	issued    int
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+func (p *posterior) Name() string  { return "COBAYN-" + p.kind.String() }
+func (p *posterior) Phase() string { return "cobayn-" + p.kind.String() }
+
+// Suggest hands out n posterior draws as one batch. Draw k comes from
+// its own split of the stream, so the draws do not depend on how the
+// budget is batched.
+func (p *posterior) Suggest(n int) [][]flagspec.CV {
+	out := make([][]flagspec.CV, max(n, 0))
+	for i := range out {
+		out[i] = []flagspec.CV{p.binarizer.Decode(p.bn.sample(p.r.Split("sample", p.issued+i)))}
 	}
-	return b
+	p.issued += len(out)
+	return out
 }
+
+// Observe records nothing: the posterior does not learn from the target.
+func (p *posterior) Observe(int, []flagspec.CV, float64) {}

@@ -2,15 +2,18 @@ package cobayn
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"funcytuner/internal/apps"
 	"funcytuner/internal/arch"
-	"funcytuner/internal/baselines"
 	"funcytuner/internal/compiler"
+	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/ir"
 	"funcytuner/internal/xrand"
 )
 
@@ -163,18 +166,36 @@ func trainTiny(t *testing.T, kind Kind) *Model {
 	return model
 }
 
-func TestTrainAndInfer(t *testing.T) {
-	model := trainTiny(t, Static)
+// infer samples budget CVs from model for app on a noisy whole-program
+// session seeded seed.
+func infer(t *testing.T, model *Model, app string, budget int, seed string) *core.Result {
+	t.Helper()
 	tc := compiler.NewToolchain(flagspec.ICC())
-	prog := apps.MustGet(apps.Swim)
+	prog := apps.MustGet(app)
 	m := arch.Broadwell()
-	e := baselines.NewEvaluator(tc, prog, m, apps.TuningInput(apps.Swim, m), "cobayn-test", true)
-	res, err := model.Infer(e, 100)
+	sess, err := core.NewSession(tc, prog, ir.WholeProgram(prog), m, apps.TuningInput(app, m),
+		core.Config{Samples: budget, TopX: 1, Seed: seed, Noisy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Name != "COBAYN-static" {
-		t.Errorf("name %q", res.Name)
+	tech, err := model.Infer(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(context.Background(), tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestTrainAndInfer(t *testing.T) {
+	res := infer(t, trainTiny(t, Static), apps.Swim, 100, "cobayn-test")
+	if res.Algorithm != "COBAYN-static" {
+		t.Errorf("name %q", res.Algorithm)
+	}
+	if res.Evaluations != 100 {
+		t.Errorf("spent %d evaluations of a budget of 100", res.Evaluations)
 	}
 	if res.Speedup < 0.8 || res.Speedup > 1.3 {
 		t.Errorf("implausible speedup %v", res.Speedup)
@@ -225,41 +246,60 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("corpus size changed: %d vs %d", len(loaded.corpus), len(model.corpus))
 	}
 	// Inference from the loaded model matches the original exactly.
-	prog := apps.MustGet(apps.Swim)
-	m := arch.Broadwell()
-	in := apps.TuningInput(apps.Swim, m)
-	e1 := baselines.NewEvaluator(tc, prog, m, in, "persist-test", true)
-	r1, err := model.Infer(e1, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := baselines.NewEvaluator(tc, prog, m, in, "persist-test", true)
-	r2, err := loaded.Infer(e2, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Speedup != r2.Speedup || !r1.CV.Equal(r2.CV) {
+	r1 := infer(t, model, apps.Swim, 60, "persist-test")
+	r2 := infer(t, loaded, apps.Swim, 60, "persist-test")
+	if r1.Speedup != r2.Speedup || !r1.ModuleCVs[0].Equal(r2.ModuleCVs[0]) {
 		t.Error("loaded model infers differently from the original")
 	}
 }
 
 func TestModelLoadErrors(t *testing.T) {
 	tc := compiler.NewToolchain(flagspec.ICC())
-	if _, err := Load(strings.NewReader("junk"), tc); err == nil {
-		t.Error("garbage accepted")
+	var saved bytes.Buffer
+	if err := trainTiny(t, Hybrid).Save(&saved); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Load(strings.NewReader(`{"kind":"static","flavor":"gcc","machine":"broadwell"}`), tc); err == nil {
-		t.Error("flavor mismatch accepted")
+	// edit returns the saved tiny hybrid model with one change applied
+	// to its JSON form.
+	edit := func(change func(sm *savedModel)) string {
+		var sm savedModel
+		if err := json.Unmarshal(saved.Bytes(), &sm); err != nil {
+			t.Fatal(err)
+		}
+		change(&sm)
+		b, err := json.Marshal(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	if _, err := Load(strings.NewReader(`{"kind":"quantum","flavor":"icc","machine":"broadwell"}`), tc); err == nil {
-		t.Error("unknown kind accepted")
+	for _, c := range []struct {
+		name, doc string
+	}{
+		{"garbage", "junk"},
+		{"flavor mismatch", `{"kind":"static","flavor":"gcc","machine":"broadwell"}`},
+		{"unknown kind", `{"kind":"quantum","flavor":"icc","machine":"broadwell"}`},
+		{"empty corpus", `{"kind":"static","flavor":"icc","machine":"broadwell","corpus":[]}`},
+		{"wrong-length bitstring", `{"kind":"static","flavor":"icc","machine":"broadwell","corpus":[{"name":"x","features":{"static":[1]},"top_cvs":["01"]}]}`},
+		{"short std", edit(func(sm *savedModel) { sm.Std["static"] = sm.Std["static"][:2] })},
+		{"short mean", edit(func(sm *savedModel) { sm.Mean["dynamic"] = sm.Mean["dynamic"][:5] })},
+		{"missing kind", edit(func(sm *savedModel) { delete(sm.Mean, "dynamic"); delete(sm.Std, "dynamic") })},
+		{"short corpus features", edit(func(sm *savedModel) {
+			sm.Corpus[1].Features["static"] = sm.Corpus[1].Features["static"][:14]
+		})},
+		{"corpus program without a kind", edit(func(sm *savedModel) { delete(sm.Corpus[0].Features, "dynamic") })},
+	} {
+		if _, err := Load(strings.NewReader(c.doc), tc); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	empty := `{"kind":"static","flavor":"icc","machine":"broadwell","corpus":[]}`
-	if _, err := Load(strings.NewReader(empty), tc); err == nil {
-		t.Error("empty corpus accepted")
-	}
-	badBits := `{"kind":"static","flavor":"icc","machine":"broadwell","corpus":[{"name":"x","features":{"static":[1]},"top_cvs":["01"]}]}`
-	if _, err := Load(strings.NewReader(badBits), tc); err == nil {
-		t.Error("wrong-length bitstring accepted")
+	// A static model needs no dynamic vectors.
+	static := edit(func(sm *savedModel) {
+		sm.Kind = "static"
+		delete(sm.Mean, "dynamic")
+		delete(sm.Std, "dynamic")
+	})
+	if _, err := Load(strings.NewReader(static), tc); err != nil {
+		t.Errorf("static model without dynamic vectors rejected: %v", err)
 	}
 }

@@ -41,6 +41,12 @@ func (k Kind) String() string {
 	}
 }
 
+// Feature-vector dimensions of StaticFeatures and DynamicFeatures.
+const (
+	staticDim  = 15
+	dynamicDim = 6
+)
+
 // StaticFeatures extracts Milepost-style program characteristics from the
 // IR: size, loop counts, and code-structure aggregates (Milepost counts
 // instruction kinds and CFG shapes; our IR's loop features are the same

@@ -157,5 +157,23 @@ func Load(r io.Reader, tc *compiler.Toolchain) (*Model, error) {
 	if len(m.corpus) == 0 {
 		return nil, fmt.Errorf("cobayn: model has an empty corpus")
 	}
+	// Inference indexes every vector of the kinds it matches on up to
+	// the extractor's dimension.
+	for _, k := range kindsFor(kind) {
+		dim := staticDim
+		if k == Dynamic {
+			dim = dynamicDim
+		}
+		if len(m.mean[k]) != dim || len(m.std[k]) != dim {
+			return nil, fmt.Errorf("cobayn: %s normalization has %d means and %d stds, want %d",
+				k, len(m.mean[k]), len(m.std[k]), dim)
+		}
+		for _, tp := range m.corpus {
+			if len(tp.features[k]) != dim {
+				return nil, fmt.Errorf("cobayn: corpus program %q has %d %s features, want %d",
+					tp.name, len(tp.features[k]), k, dim)
+			}
+		}
+	}
 	return m, nil
 }

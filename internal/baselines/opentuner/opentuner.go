@@ -5,32 +5,48 @@
 // the multi-armed-bandit meta-technique ("AUC Bandit") that allocates each
 // evaluation to the technique with the best recent record of producing new
 // global bests. The paper runs it for 1000 test iterations on the same CV
-// space as FuncyTuner.
+// space as FuncyTuner; here it is a search technique that a whole-program
+// core.Session runs, one evaluation per Suggest.
 package opentuner
 
 import (
 	"math"
 
-	"funcytuner/internal/baselines"
+	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/search"
 	"funcytuner/internal/xrand"
 )
 
-// technique is the ask/tell interface every ensemble member implements.
-type technique interface {
-	name() string
-	// propose returns the next CV this technique wants evaluated.
+// member is the ask/tell interface every ensemble member implements.
+type member interface {
+	// propose returns the next CV this member wants evaluated.
 	propose(r *xrand.Rand) flagspec.CV
 	// tell reports the measured cost of a proposed CV.
 	tell(cv flagspec.CV, cost float64)
 }
 
-// Tune runs the ensemble for the given evaluation budget.
-func Tune(e *baselines.Evaluator, budget int) (*baselines.Result, error) {
-	space := e.Space()
-	r := e.Rand("opentuner")
-	techniques := []technique{
-		newRandomTech(space),
+// ensemble is OpenTuner's search as a technique on a whole-program
+// session: every assembly is one CV.
+type ensemble struct {
+	r       *xrand.Rand
+	members []member
+	bandit  *aucBandit
+	best    float64
+
+	issued int
+	arm    int         // member that proposed the newest suggestion
+	cv     flagspec.CV // the newest suggestion
+	t      float64     // its measured time
+}
+
+// New builds the ensemble for sess's flag space on the session's
+// "search/opentuner" stream.
+func New(sess *core.Session) search.Technique {
+	space := sess.Toolchain.Space
+	r := sess.Rand("search/opentuner")
+	members := []member{
+		&randomTech{space},
 		newDiffEvolution(space, 20, r.Split("de-init", 0)),
 		newNelderMead(space, r.Split("nm-init", 0)),
 		newTorczon(space, r.Split("pt-init", 0)),
@@ -38,30 +54,35 @@ func Tune(e *baselines.Evaluator, budget int) (*baselines.Result, error) {
 		newAnnealer(space, r.Split("sa-init", 0)),
 		newSwarm(space, 12, r.Split("ps-init", 0)),
 	}
-	bandit := newAUCBandit(len(techniques), 50, 0.05)
-
-	bestCost := math.Inf(1)
-	for i := 0; i < budget; i++ {
-		ti := bandit.choose(r)
-		cv := techniques[ti].propose(r.Split("propose", i))
-		cost, err := e.Measure(cv)
-		if err != nil {
-			return nil, err
-		}
-		techniques[ti].tell(cv, cost)
-		improved := cost < bestCost
-		if improved {
-			bestCost = cost
-		}
-		bandit.reward(ti, improved)
-	}
-	bestCV, _ := e.Best()
-	res, err := e.Finish("OpenTuner", bestCV)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &ensemble{r: r, members: members, bandit: newAUCBandit(len(members), 50, 0.05), best: math.Inf(1)}
 }
+
+func (e *ensemble) Name() string  { return "OpenTuner" }
+func (e *ensemble) Phase() string { return "opentuner" }
+
+// Suggest replays the newest observation into the member that proposed
+// it and into the bandit, then returns one proposal: the bandit's next
+// choice depends on every earlier time, so the ensemble is sequential.
+func (e *ensemble) Suggest(n int) [][]flagspec.CV {
+	if n < 1 {
+		return nil
+	}
+	if e.issued > 0 {
+		e.members[e.arm].tell(e.cv, e.t)
+		improved := e.t < e.best
+		if improved {
+			e.best = e.t
+		}
+		e.bandit.reward(e.arm, improved)
+	}
+	e.arm = e.bandit.choose(e.r)
+	e.cv = e.members[e.arm].propose(e.r.Split("propose", e.issued))
+	e.issued++
+	return [][]flagspec.CV{{e.cv}}
+}
+
+// Observe records the newest suggestion's time; Suggest replays it.
+func (e *ensemble) Observe(_ int, _ []flagspec.CV, t float64) { e.t = t }
 
 // ---- AUC bandit meta-technique ----
 
@@ -132,8 +153,5 @@ func (b *aucBandit) reward(arm int, success bool) {
 
 type randomTech struct{ space *flagspec.Space }
 
-func newRandomTech(s *flagspec.Space) *randomTech { return &randomTech{space: s} }
-
-func (t *randomTech) name() string                      { return "UniformRandom" }
 func (t *randomTech) propose(r *xrand.Rand) flagspec.CV { return t.space.Random(r) }
 func (t *randomTech) tell(cv flagspec.CV, cost float64) {}

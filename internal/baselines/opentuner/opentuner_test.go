@@ -1,52 +1,56 @@
 package opentuner
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"funcytuner/internal/apps"
 	"funcytuner/internal/arch"
-	"funcytuner/internal/baselines"
 	"funcytuner/internal/compiler"
+	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/ir"
 	"funcytuner/internal/xrand"
 )
 
-func newEval(t *testing.T, app string) *baselines.Evaluator {
+// run tunes app for budget evaluations on a noisy whole-program
+// session.
+func run(t *testing.T, app string, budget int) *core.Result {
 	t.Helper()
 	tc := compiler.NewToolchain(flagspec.ICC())
 	prog := apps.MustGet(app)
 	m := arch.Broadwell()
-	return baselines.NewEvaluator(tc, prog, m, apps.TuningInput(app, m), "ot-test", true)
-}
-
-func TestTuneImprovesOverO3(t *testing.T) {
-	e := newEval(t, apps.CloverLeaf)
-	res, err := Tune(e, 300)
+	sess, err := core.NewSession(tc, prog, ir.WholeProgram(prog), m, apps.TuningInput(app, m),
+		core.Config{Samples: budget, TopX: 1, Seed: "ot-test", Noisy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Name != "OpenTuner" {
-		t.Errorf("name %q", res.Name)
+	res, err := sess.Run(context.Background(), New(sess))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestTuneImprovesOverO3(t *testing.T) {
+	res := run(t, apps.CloverLeaf, 300)
+	if res.Algorithm != "OpenTuner" {
+		t.Errorf("name %q", res.Algorithm)
 	}
 	if res.Speedup < 1.0 {
 		t.Errorf("OpenTuner speedup %.3f below 1.0 with 300 iterations", res.Speedup)
 	}
-	if res.Evaluations > 300 {
-		t.Errorf("budget exceeded: %d distinct evaluations", res.Evaluations)
+	if res.Evaluations != 300 {
+		t.Errorf("spent %d evaluations of a budget of 300", res.Evaluations)
 	}
 }
 
 func TestTuneDeterministic(t *testing.T) {
-	r1, err := Tune(newEval(t, apps.Swim), 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Tune(newEval(t, apps.Swim), 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Speedup != r2.Speedup || !r1.CV.Equal(r2.CV) {
+	r1 := run(t, apps.Swim, 120)
+	r2 := run(t, apps.Swim, 120)
+	if r1.Speedup != r2.Speedup || !r1.ModuleCVs[0].Equal(r2.ModuleCVs[0]) {
 		t.Error("same-seed OpenTuner runs differ")
 	}
 }
@@ -105,8 +109,8 @@ func TestBanditWindowSlides(t *testing.T) {
 func TestTechniquesProposeValidCVs(t *testing.T) {
 	space := flagspec.ICC()
 	r := xrand.NewFromString("tech")
-	techs := []technique{
-		newRandomTech(space),
+	techs := []member{
+		&randomTech{space},
 		newDiffEvolution(space, 8, r.Split("de", 0)),
 		newNelderMead(space, r.Split("nm", 0)),
 		newTorczon(space, r.Split("pt", 0)),
@@ -116,9 +120,9 @@ func TestTechniquesProposeValidCVs(t *testing.T) {
 	}
 	for _, tech := range techs {
 		for i := 0; i < 80; i++ {
-			cv := tech.propose(r.Split(tech.name(), i))
+			cv := tech.propose(r.Split(fmt.Sprintf("%T", tech), i))
 			if cv.Space() != space {
-				t.Fatalf("%s proposed CV from wrong space", tech.name())
+				t.Fatalf("%T proposed CV from wrong space", tech)
 			}
 			// Fake a cost and feed it back.
 			tech.tell(cv, 10+float64(i%7))
@@ -250,5 +254,39 @@ func TestSwarmTracksGlobalBest(t *testing.T) {
 	}
 	if sw.globalCost != 3 {
 		t.Errorf("global best %v, want 3", sw.globalCost)
+	}
+}
+
+// Suggest replays the newest observation into the bandit (and the member
+// that proposed it) before it proposes again: one proposal per call.
+func TestEnsembleReplaysNewestObservation(t *testing.T) {
+	tc := compiler.NewToolchain(flagspec.ICC())
+	prog := apps.MustGet(apps.Swim)
+	m := arch.Broadwell()
+	sess, err := core.NewSession(tc, prog, ir.WholeProgram(prog), m, apps.TuningInput(apps.Swim, m),
+		core.Config{Samples: 10, TopX: 1, Seed: "ot-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(sess).(*ensemble)
+	for k := 0; k < 10; k++ {
+		batch := e.Suggest(5)
+		if len(batch) != 1 || len(batch[0]) != 1 {
+			t.Fatalf("suggestion %d: batch %v, want one single-CV assembly", k, batch)
+		}
+		uses := 0
+		for _, u := range e.bandit.uses {
+			uses += u
+		}
+		if uses != k {
+			t.Fatalf("after %d observations the bandit was rewarded %d times", k, uses)
+		}
+		e.Observe(k, batch[0], float64(100-k)) // every time a new best
+	}
+	if e.best != 100-8 {
+		t.Errorf("best replayed time %v, want %v", e.best, 100-8)
+	}
+	if e.Suggest(0) != nil {
+		t.Error("Suggest(0) returned a proposal")
 	}
 }

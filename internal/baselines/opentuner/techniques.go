@@ -30,8 +30,6 @@ func newDiffEvolution(s *flagspec.Space, popSize int, r *xrand.Rand) *diffEvolut
 	return de
 }
 
-func (de *diffEvolution) name() string { return "DifferentialEvolution" }
-
 func (de *diffEvolution) propose(r *xrand.Rand) flagspec.CV {
 	n := len(de.pop)
 	de.pending = r.Intn(n)
@@ -85,8 +83,6 @@ func newNelderMead(s *flagspec.Space, r *xrand.Rand) *nelderMead {
 	}
 	return nm
 }
-
-func (nm *nelderMead) name() string { return "NelderMead" }
 
 func (nm *nelderMead) sortSimplex() {
 	sort.SliceStable(nm.simplex, func(a, b int) bool { return nm.simplex[a].cost < nm.simplex[b].cost })
@@ -198,8 +194,6 @@ func newTorczon(s *flagspec.Space, r *xrand.Rand) *torczon {
 	}
 }
 
-func (t *torczon) name() string { return "TorczonHillclimber" }
-
 func (t *torczon) propose(r *xrand.Rand) flagspec.CV {
 	x := append([]float64(nil), t.center.x...)
 	x[t.dim] += t.sign * t.step
@@ -246,8 +240,6 @@ func newGenetic(s *flagspec.Space, popSize int, r *xrand.Rand) *genetic {
 	}
 	return g
 }
-
-func (g *genetic) name() string { return "GeneticAlgorithm" }
 
 func (g *genetic) tournament(r *xrand.Rand) individual {
 	a, b := g.pop[r.Intn(len(g.pop))], g.pop[r.Intn(len(g.pop))]

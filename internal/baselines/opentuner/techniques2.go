@@ -33,8 +33,6 @@ func newAnnealer(s *flagspec.Space, r *xrand.Rand) *annealer {
 	}
 }
 
-func (a *annealer) name() string { return "SimulatedAnnealing" }
-
 func (a *annealer) propose(r *xrand.Rand) flagspec.CV {
 	// Neighborhood: one to three flags re-sampled.
 	a.last = a.current.Mutate(r, 1+r.Intn(3))
@@ -92,8 +90,6 @@ func newSwarm(s *flagspec.Space, size int, r *xrand.Rand) *swarm {
 	sw.globalBest = append([]float64(nil), sw.particles[0].pos...)
 	return sw
 }
-
-func (sw *swarm) name() string { return "ParticleSwarm" }
 
 func (sw *swarm) propose(r *xrand.Rand) flagspec.CV {
 	sw.inFlight = sw.next

@@ -8,6 +8,7 @@ import (
 	"funcytuner/internal/flagspec"
 	"funcytuner/internal/search"
 	"funcytuner/internal/stats"
+	"funcytuner/internal/xrand"
 )
 
 // Result reports one algorithm's outcome on a session.
@@ -114,13 +115,13 @@ func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 // evaluated on the un-outlined program; construct the session with
 // ir.WholeProgram for strict fidelity (outlining is a no-op for uniform
 // compilation in this model, but the paper draws the distinction). It
-// runs on the search driver and, like FR, is not checkpointed.
+// runs through Run and, like FR, is not checkpointed.
 func (s *Session) Random(ctx context.Context) (*Result, error) {
 	tech, err := search.NewRandom(s.presampleConfig("search/random"))
 	if err != nil {
 		return nil, err
 	}
-	return s.runTechnique(ctx, tech, nil, nil, nil)
+	return s.Run(ctx, tech)
 }
 
 // FR is per-function random search (§2.2.2): for each of K rounds, every
@@ -131,8 +132,23 @@ func (s *Session) FR(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.Run(ctx, tech)
+}
+
+// Run runs tech on the search driver for Config.Samples evaluations,
+// with no stop rule and no checkpoint, and answers its least-measured
+// assembly. It is the entry for searches the session's Config does not
+// select: Random, FR, and the per-program baselines of §4.2 and Fig. 1
+// (OpenTuner, COBAYN, CE), which run on a whole-program session.
+func (s *Session) Run(ctx context.Context, tech search.Technique) (*Result, error) {
 	return s.runTechnique(ctx, tech, nil, nil, nil)
 }
+
+// Rand returns the session's private random stream named key, for a
+// technique built outside the session. Streams are pure functions of the
+// seed, program, machine and key, so drawing from one cannot perturb the
+// sampling, noise or fault streams.
+func (s *Session) Rand(key string) *xrand.Rand { return s.rng.Split(key, 0) }
 
 // presampleConfig is the search space of the §2.2 baselines: every
 // module's pool is the full, unpruned set of K pre-sampled CVs, and the
@@ -143,7 +159,7 @@ func (s *Session) presampleConfig(key string) search.Config {
 	for mi := range pools {
 		pools[mi] = cvs
 	}
-	return search.Config{Pools: pools, Budget: s.Config.Samples, Rng: s.rng.Split(key, 0)}
+	return search.Config{Pools: pools, Budget: s.Config.Samples, Rng: s.Rand(key)}
 }
 
 // Greedy implements greedy combination (§2.2.3) on a completed collection:

@@ -150,8 +150,9 @@ func (s *Session) adaptWarmSeeds() [][]flagspec.CV {
 // technique state: a resumed run replays the same Suggest/Observe
 // sequence (techniques are deterministic functions of their RNG and the
 // observations), with persisted samples substituting their recorded
-// times for re-evaluation. Random and FR run with a nil ckpt: they are
-// not checkpointed, and their times must not land in the search slots.
+// times for re-evaluation. Techniques started through Run have a nil
+// ckpt: they are not checkpointed, and their times must not land in the
+// search slots.
 func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degraded []int, rule *StopRule, ckpt *Checkpointer) (*Result, error) {
 	s.tr.Phase(tech.Phase())
 	budget := s.Config.Samples

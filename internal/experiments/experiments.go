@@ -16,8 +16,6 @@ import (
 	"funcytuner/internal/arch"
 	"funcytuner/internal/compiler"
 	"funcytuner/internal/core"
-	"funcytuner/internal/flagspec"
-	"funcytuner/internal/ir"
 	"funcytuner/internal/outline"
 	"funcytuner/internal/report"
 	"funcytuner/internal/stats"
@@ -108,17 +106,18 @@ func coreSession(cfg Config, tc *compiler.Toolchain, app string, m *arch.Machine
 	if err != nil {
 		return nil, err
 	}
-	sess, err := core.NewSession(tc, prog, res.Partition, m, in, core.Config{
+	return core.NewSession(tc, prog, res.Partition, m, in, cfg.session())
+}
+
+// session is the core configuration every experiment session runs under.
+func (cfg Config) session() core.Config {
+	return core.Config{
 		Samples: cfg.Samples,
 		TopX:    cfg.TopX,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 		Noisy:   cfg.Noisy,
-	})
-	if err != nil {
-		return nil, err
 	}
-	return sess, nil
 }
 
 // geoMeanRow appends a geometric-mean row ("GM", as the paper's figures
@@ -136,13 +135,4 @@ func geoMeanRow(t *report.Table) {
 			t.Set("GM", c, stats.GeoMean(vals))
 		}
 	}
-}
-
-// uniformCVs replicates one CV across a partition's modules.
-func uniformCVs(part ir.Partition, cv flagspec.CV) []flagspec.CV {
-	out := make([]flagspec.CV, len(part.Modules))
-	for i := range out {
-		out[i] = cv
-	}
-	return out
 }

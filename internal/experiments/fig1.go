@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"context"
+
 	"funcytuner/internal/apps"
 	"funcytuner/internal/arch"
-	"funcytuner/internal/baselines"
 	"funcytuner/internal/baselines/ce"
 	"funcytuner/internal/compiler"
+	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/ir"
 )
 
 // Fig1 reproduces Fig. 1: Combined Elimination on LULESH, CloverLeaf and
@@ -26,9 +29,11 @@ func Fig1(cfg Config) (*Output, error) {
 			"GCC": flagspec.GCC(),
 			"ICC": flagspec.ICC(),
 		} {
-			tc := compiler.NewToolchain(space)
-			e := baselines.NewEvaluator(tc, prog, m, apps.TuningInput(app, m), cfg.Seed+"/fig1/"+col, cfg.Noisy)
-			res, err := ce.Tune(e, ce.DefaultOptions())
+			sess, err := core.NewSession(compiler.NewToolchain(space), prog, ir.WholeProgram(prog), m, apps.TuningInput(app, m), cfg.session())
+			if err != nil {
+				return nil, err
+			}
+			res, err := sess.Run(context.Background(), ce.New(space, ce.DefaultOptions()))
 			if err != nil {
 				return nil, err
 			}
@@ -36,7 +41,7 @@ func Fig1(cfg Config) (*Output, error) {
 		}
 	}
 	t.AddNote("paper: CE shows no significant improvement over O3 (≈1.00); " +
-		"in this reproduction CE reaches +1-8%% but stays far below CFR's ~1.10")
+		"in this reproduction CE moves O3 by a few percent either way but stays far below CFR's ~1.10")
 	out.Tables = append(out.Tables, t)
 	out.Deviations = checkFig1(t)
 	return out, nil

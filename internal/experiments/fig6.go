@@ -5,12 +5,14 @@ import (
 
 	"funcytuner/internal/apps"
 	"funcytuner/internal/arch"
-	"funcytuner/internal/baselines"
 	"funcytuner/internal/baselines/cobayn"
 	"funcytuner/internal/baselines/opentuner"
 	"funcytuner/internal/baselines/pgo"
 	"funcytuner/internal/compiler"
+	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/ir"
+	"funcytuner/internal/search"
 )
 
 // fig6Columns is the paper's Fig. 6 legend order.
@@ -49,9 +51,20 @@ func Fig6(cfg Config) (*Output, error) {
 		}
 		in := apps.TuningInput(app, m)
 
+		// Each baseline has its own phase, so one whole-program session
+		// gives each its own noise and draws.
+		base, err := core.NewSession(tc, prog, ir.WholeProgram(prog), m, in, cfg.session())
+		if err != nil {
+			return nil, err
+		}
+		techs := map[string]search.Technique{"OpenTuner": opentuner.New(base)}
 		for name, model := range models {
-			e := baselines.NewEvaluator(tc, prog, m, in, cfg.Seed+"/fig6/"+name, cfg.Noisy)
-			res, err := model.Infer(e, cfg.Samples)
+			if techs[name], err = model.Infer(base); err != nil {
+				return nil, err
+			}
+		}
+		for name, tech := range techs {
+			res, err := base.Run(context.Background(), tech)
 			if err != nil {
 				return nil, err
 			}
@@ -63,13 +76,6 @@ func Fig6(cfg Config) (*Output, error) {
 			return nil, err
 		}
 		t.Set(app, "PGO", pgoRes.Speedup)
-
-		e := baselines.NewEvaluator(tc, prog, m, in, cfg.Seed+"/fig6/opentuner", cfg.Noisy)
-		otRes, err := opentuner.Tune(e, cfg.Samples)
-		if err != nil {
-			return nil, err
-		}
-		t.Set(app, "OpenTuner", otRes.Speedup)
 
 		// CFR under the §4.1 protocol (same numbers as Fig. 5c).
 		sess, err := coreSession(cfg, tc, app, m)

@@ -5,7 +5,6 @@ import (
 
 	"funcytuner/internal/apps"
 	"funcytuner/internal/arch"
-	"funcytuner/internal/baselines"
 	"funcytuner/internal/baselines/cobayn"
 	"funcytuner/internal/baselines/opentuner"
 	"funcytuner/internal/baselines/pgo"
@@ -13,6 +12,7 @@ import (
 	"funcytuner/internal/core"
 	"funcytuner/internal/exec"
 	"funcytuner/internal/ir"
+	"funcytuner/internal/search"
 )
 
 // fig7Columns is the technique set of Figs. 7 and 8.
@@ -23,9 +23,9 @@ var fig7Columns = []string{"Random", "G.realized", "COBAYN", "PGO", "OpenTuner",
 // §4.3 protocol: "use the same input as both tuning and test inputs" for
 // tuning, then test generalization on small/large/step-scaled inputs).
 type tunedApp struct {
-	tc      *compiler.Toolchain
-	app     string
-	machine *arch.Machine
+	// base is the whole-program session the single-CV techniques tuned
+	// on; it measures the O3 reference.
+	base *core.Session
 	// evalFns maps technique → (input → tuned runtime).
 	evalFns map[string]func(in ir.Input) (float64, error)
 }
@@ -39,7 +39,11 @@ func tuneAllTechniques(cfg Config, tc *compiler.Toolchain, app string, m *arch.M
 		return nil, err
 	}
 	in := apps.TuningInput(app, m)
-	ta := &tunedApp{tc: tc, app: app, machine: m, evalFns: map[string]func(ir.Input) (float64, error){}}
+	base, err := core.NewSession(tc, prog, ir.WholeProgram(prog), m, in, cfg.session())
+	if err != nil {
+		return nil, err
+	}
+	ta := &tunedApp{base: base, evalFns: map[string]func(ir.Input) (float64, error){}}
 
 	// Per-loop techniques: Random, G.realized, CFR via the core session.
 	sess, err := coreSession(cfg, tc, app, m)
@@ -72,23 +76,20 @@ func tuneAllTechniques(cfg Config, tc *compiler.Toolchain, app string, m *arch.M
 	}
 
 	// Single-CV techniques: COBAYN (static) and OpenTuner.
-	eC := baselines.NewEvaluator(tc, prog, m, in, cfg.Seed+"/tuned/cobayn", cfg.Noisy)
-	cRes, err := model.Infer(eC, cfg.Samples)
+	cobaynTech, err := model.Infer(base)
 	if err != nil {
 		return nil, err
 	}
-	eO := baselines.NewEvaluator(tc, prog, m, in, cfg.Seed+"/tuned/opentuner", cfg.Noisy)
-	oRes, err := opentuner.Tune(eO, cfg.Samples)
-	if err != nil {
-		return nil, err
-	}
-	for name, res := range map[string]*baselines.Result{
-		"COBAYN": cRes, "OpenTuner": oRes,
+	for name, tech := range map[string]search.Technique{
+		"COBAYN": cobaynTech, "OpenTuner": opentuner.New(base),
 	} {
-		cv := res.CV
-		ev := map[string]*baselines.Evaluator{"COBAYN": eC, "OpenTuner": eO}[name]
+		res, err := base.Run(context.Background(), tech)
+		if err != nil {
+			return nil, err
+		}
+		cvs := res.ModuleCVs
 		ta.evalFns[name] = func(in ir.Input) (float64, error) {
-			return ev.TrueTime(cv, in)
+			return base.TrueTimeOn(cvs, in)
 		}
 	}
 
@@ -107,15 +108,10 @@ func tuneAllTechniques(cfg Config, tc *compiler.Toolchain, app string, m *arch.M
 // speedupOn evaluates every tuned technique on input in, normalized to
 // the O3 baseline *on that input*.
 func (ta *tunedApp) speedupOn(in ir.Input) (map[string]float64, error) {
-	prog, err := apps.Get(ta.app)
+	baseline, err := ta.base.BaselineTimeOn(in)
 	if err != nil {
 		return nil, err
 	}
-	baseExe, err := ta.tc.CompileUniform(prog, ir.WholeProgram(prog), ta.tc.Space.Baseline(), ta.machine)
-	if err != nil {
-		return nil, err
-	}
-	baseline := exec.Run(baseExe, ta.machine, in, exec.Options{}).Total
 	out := map[string]float64{}
 	for name, fn := range ta.evalFns {
 		t, err := fn(in)

@@ -20,9 +20,9 @@
 // The built-in techniques are CFR (this package — Algorithm 1's pruned
 // re-sampling, kept byte-identical to the pre-interface implementation),
 // an analytical-surrogate Bayesian optimizer (package bo) and a
-// FOGA-style genetic algorithm (package ga). The §2.2 baselines FR and
-// Random are techniques of this package too, so every search the engine
-// runs goes through the same driver.
+// FOGA-style genetic algorithm (package ga). FR and Random (§2.2) are
+// techniques of this package too, and OpenTuner, COBAYN and CE (§4.2)
+// of internal/baselines: every search goes through the same driver.
 package search
 
 import (
@@ -84,7 +84,7 @@ func (c Config) Validate() error {
 // the next Suggest.
 type Technique interface {
 	// Name is the algorithm label reported in Result.Algorithm
-	// ("CFR", "BO", "GA", "FR", "Random").
+	// ("CFR", "BO", "GA", "FR", "Random", "OpenTuner", "CE", ...).
 	Name() string
 	// Phase is the evaluation-phase tag ("cfr", "bo", "ga", "fr",
 	// "random"). It keys the per-phase measurement-noise streams and

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -329,7 +330,8 @@ func TestResumeFromDamagedCheckpoint(t *testing.T) {
 // seed, across worker counts 1/4/GOMAXPROCS and with both zero and
 // nonzero fault rates. Report.Fingerprint covers every deterministic
 // output (all five algorithms, traces, profile, simulated costs, fault
-// tallies) and excludes only the cache counters themselves.
+// tallies) and excludes only the cache counters themselves. The search
+// baselines' results must be equal too.
 func TestCacheBitIdenticalAcrossWorkersAndFaults(t *testing.T) {
 	m, _ := MachineByName("broadwell")
 	prog, err := Benchmark(CloverLeaf)
@@ -337,6 +339,29 @@ func TestCacheBitIdenticalAcrossWorkersAndFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := TuningInput(CloverLeaf, m)
+	model, err := NewTuner(Options{Machine: m, Samples: 30, TopX: 6, Seed: "cache-equality"}).TrainCOBAYN(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// baselines runs OpenTuner, CE and COBAYN under opts, with a budget
+	// CE's rounds fit in.
+	baselines := func(opts Options) map[string]*BaselineResult {
+		opts.Samples = 150
+		tuner := NewTuner(opts)
+		out := map[string]*BaselineResult{}
+		for name, run := range map[string]func() (*BaselineResult, error){
+			"OpenTuner": func() (*BaselineResult, error) { return tuner.TuneOpenTuner(prog, in) },
+			"CE":        func() (*BaselineResult, error) { return tuner.TuneCE(prog, in) },
+			"COBAYN":    func() (*BaselineResult, error) { return tuner.TuneCOBAYN(model, prog, in) },
+		} {
+			res, err := run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out[name] = res
+		}
+		return out
+	}
 	for _, rates := range []FaultRates{{}, DefaultFaultRates()} {
 		faulty := rates != (FaultRates{})
 		off := Options{
@@ -351,6 +376,7 @@ func TestCacheBitIdenticalAcrossWorkersAndFaults(t *testing.T) {
 			t.Fatalf("faults=%v: cache-off run reported cache activity: %+v", faulty, want.Cache)
 		}
 		wantFP := want.Fingerprint()
+		wantBase := baselines(off)
 		for _, workers := range []int{1, 4, 0} {
 			on := off
 			on.Workers = workers
@@ -361,6 +387,12 @@ func TestCacheBitIdenticalAcrossWorkersAndFaults(t *testing.T) {
 			}
 			if got.Fingerprint() != wantFP {
 				t.Errorf("faults=%v workers=%d: cache-on fingerprint differs from cache-off", faulty, workers)
+			}
+			for name, res := range baselines(on) {
+				if !reflect.DeepEqual(res, wantBase[name]) {
+					t.Errorf("faults=%v workers=%d: cache-on %s result %+v differs from cache-off %+v",
+						faulty, workers, name, res, wantBase[name])
+				}
 			}
 			if got.Compiles != want.Compiles || got.Runs != want.Runs {
 				t.Errorf("faults=%v workers=%d: simulated cost changed: (%d, %d) vs (%d, %d)",
@@ -444,11 +476,27 @@ func TestNewTunerValidation(t *testing.T) {
 		{Faults: FaultRates{RunCrash: 1.5}},
 		{Faults: FaultRates{Flake: math.NaN()}},
 	}
+	model, err := NewTuner(Options{Machine: m, Samples: 20, TopX: 5}).TrainCOBAYN(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, opts := range bad {
 		opts.Machine = m
 		tuner := NewTuner(opts)
 		if _, err := tuner.Tune(prog, in); err == nil {
 			t.Errorf("bad options %d accepted: %+v", i, bad[i])
+		}
+		// The baselines reject them too, before any evaluation.
+		for name, run := range map[string]func() (any, error){
+			"TuneOpenTuner": func() (any, error) { return tuner.TuneOpenTuner(prog, in) },
+			"TuneCE":        func() (any, error) { return tuner.TuneCE(prog, in) },
+			"TuneCOBAYN":    func() (any, error) { return tuner.TuneCOBAYN(model, prog, in) },
+			"TunePGO":       func() (any, error) { return tuner.TunePGO(prog, in) },
+			"TrainCOBAYN":   func() (any, error) { return tuner.TrainCOBAYN(2) },
+		} {
+			if _, err := run(); err == nil {
+				t.Errorf("%s accepted bad options %d: %+v", name, i, bad[i])
+			}
 		}
 	}
 	// Sane options (including fault injection) still pass.
