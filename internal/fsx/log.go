@@ -14,7 +14,7 @@ import (
 // writing: group commit. A failed write leaves its records queued, and
 // the next write starts again at the durable length, cutting off what
 // the failed one left. A write that lands is one write and one fsync
-// through a handle the log holds until Close.
+// through a handle the log holds until Close or Release.
 type Log struct {
 	// Write writes data at offset off of the file and makes it durable.
 	// Tests and fault injection substitute it, while no write is in
@@ -36,9 +36,14 @@ type Log struct {
 	// requested record; size is the durable prefix's length.
 	appended, durable, want uint64
 	size, writes            int64
-	// writing: a write is in flight; behind: the background writer runs.
-	writing, behind bool
+	// writing: a write is in flight; behind: the background writer runs;
+	// released: Release was called, and no write will start again.
+	writing, behind, released bool
 }
+
+// ErrReleased is the error of a Sync that would have to write to a log
+// after its Release.
+var ErrReleased = errors.New("fsx: log released")
 
 // NewLog starts an empty log at path without touching the file: the
 // first write atomically replaces whatever path holds.
@@ -80,7 +85,8 @@ func (l *Log) Append(body []byte) uint64 {
 }
 
 // Sync returns once record seq is durable, or with the error of the
-// write that should have made it so.
+// write that should have made it so, or with ErrReleased once the log is
+// released and only a new write could make it so.
 func (l *Log) Sync(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -93,6 +99,8 @@ func (l *Log) syncLocked(seq uint64) error {
 	for l.fresh || l.durable < seq {
 		if l.writing {
 			l.done.Wait()
+		} else if l.released {
+			return ErrReleased
 		} else if err := l.writeLocked(); err != nil {
 			return err
 		}
@@ -172,22 +180,33 @@ func (l *Log) write(off int64, data []byte) error {
 	return l.f.Sync()
 }
 
-// Close makes every appended record durable, then releases the handle,
+// Close makes every appended record durable, then closes the handle,
 // and returns the error of the last write it needed; an empty fresh log
 // leaves an empty file. A later write reopens the file.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	err := l.syncLocked(l.appended)
-	l.mu.Unlock()
-	l.Release()
+	l.closeLocked()
 	return err
 }
 
 // Release closes the handle without writing what is queued, leaving the
-// file as a crash would. It waits for a write in flight.
+// file as a crash would. It waits for a write in flight, and it is
+// final: a later Sync that would have to write returns ErrReleased, so
+// nothing lands in the file after Release returns.
 func (l *Log) Release() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Set before waiting, so that a Sync the write in flight wakes
+	// does not start another.
+	l.released = true
+	l.closeLocked()
+}
+
+// closeLocked waits for a write in flight and closes the handle.
+// Callers hold l.mu.
+func (l *Log) closeLocked() {
 	for l.writing {
 		l.done.Wait()
 	}

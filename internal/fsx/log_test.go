@@ -279,6 +279,73 @@ func TestLogCloseReleasesAndReopens(t *testing.T) {
 	}
 }
 
+// Release is final. It waits for the write in flight, which lands, and
+// a Sync queued behind that write then returns ErrReleased instead of
+// writing its record, as does every later Sync or Close that would have
+// to write: the file keeps exactly what was durable when Release returned.
+func TestLogReleaseIsFinal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l := NewLog(path)
+	if err := l.Sync(l.Append([]byte(`{"a":1}`))); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	write := l.Write
+	l.Write = func(off int64, data []byte) error {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return write(off, data)
+	}
+	first := make(chan error, 1)
+	go func() { first <- l.Sync(l.Append([]byte(`{"b":2}`))) }()
+	<-entered
+	seq := l.Append([]byte(`{"c":3}`))
+	behind := make(chan error, 1)
+	go func() { behind <- l.Sync(seq) }()
+	released := make(chan struct{})
+	go func() {
+		l.Release()
+		close(released)
+	}()
+	select {
+	case <-released:
+		t.Fatal("Release returned while a write was in flight")
+	case err := <-behind:
+		t.Fatalf("a Sync behind the held write returned (%v) before it ended", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-released
+	if err := <-first; err != nil {
+		t.Fatalf("the write in flight at Release: %v", err)
+	}
+	if err := <-behind; !errors.Is(err, ErrReleased) {
+		t.Fatalf("Sync behind the held write returned %v, want ErrReleased", err)
+	}
+	want := sealed(`{"a":1}`, `{"b":2}`)
+	if got := mustRead(t, path); !bytes.Equal(got, want) {
+		t.Fatalf("after Release the file holds\n%s\nwant\n%s", got, want)
+	}
+	if err := l.Sync(2); err != nil {
+		t.Fatalf("Sync of a durable record after Release: %v", err)
+	}
+	if err := l.Sync(seq); !errors.Is(err, ErrReleased) {
+		t.Fatalf("a later Sync returned %v, want ErrReleased", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrReleased) {
+		t.Fatalf("Close after Release returned %v, want ErrReleased", err)
+	}
+	if got := mustRead(t, path); !bytes.Equal(got, want) {
+		t.Fatalf("a write landed after Release: the file holds\n%s", got)
+	}
+	if durable, writes := l.Stats(); durable != 2 || writes != 2 {
+		t.Fatalf("durable %d after %d writes, want 2 after 2", durable, writes)
+	}
+}
+
 // A fresh log replaces whatever its path held, atomically, on its first
 // write; one closed with no record leaves an empty file. Nothing is
 // touched before that write.
