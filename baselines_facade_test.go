@@ -3,6 +3,7 @@ package funcytuner
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"funcytuner/internal/compiler"
@@ -137,6 +138,36 @@ func TestCOBAYNFacadeTrainSaveLoadInfer(t *testing.T) {
 	}
 	if _, err := tuner.TuneCOBAYN(nil, prog, in); err == nil {
 		t.Error("nil model accepted")
+	}
+}
+
+// A COBAYN model draws CVs of the flag space it was trained on, so a
+// tuner of another space refuses it, whether it was loaded or handed
+// over in memory.
+func TestCOBAYNRejectsAnotherFlagSpace(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	gcc := NewTuner(Options{Machine: m, Samples: 20, TopX: 4, Seed: "facade-cobayn-gcc", Space: GCCSpace()})
+	model, err := gcc.TrainCOBAYN(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	icc := NewTuner(Options{Machine: m, Samples: 20, TopX: 4, Seed: "facade-cobayn-gcc"})
+	prog, _ := Benchmark(Swim)
+	res, err := icc.TuneCOBAYN(model, prog, TuningInput(Swim, m))
+	if err == nil {
+		t.Fatalf("an ICC tuner ran a GCC-trained model: %+v", res)
+	}
+	for _, flavor := range []string{`"gcc"`, `"icc"`} {
+		if !strings.Contains(err.Error(), flavor) {
+			t.Errorf("error %q does not name flavor %s", err, flavor)
+		}
+	}
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := icc.LoadCOBAYN(&buf); err == nil {
+		t.Error("an ICC tuner loaded a GCC-trained model")
 	}
 }
 

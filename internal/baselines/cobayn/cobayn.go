@@ -237,8 +237,12 @@ func (m *Model) effectiveNeighbors() int {
 // a Chow–Liu Bayesian network on the pooled top CVs of the nearest
 // programs, and returns the network's posterior sampler as a technique
 // for the whole-program session, drawing on its "search/cobayn-<kind>"
-// stream.
+// stream. The session must measure the flag-space flavor the model was
+// trained on: the model's draws are CVs of that space.
 func (m *Model) Infer(sess *core.Session) (search.Technique, error) {
+	if got, want := sess.Toolchain.Space.Flavor, m.tc.Space.Flavor; got != want {
+		return nil, fmt.Errorf("cobayn: model trained on %q, session toolchain is %q", want, got)
+	}
 	target := map[Kind][]float64{}
 	for _, k := range kindsFor(m.Kind) {
 		f, err := Features(k, m.tc, sess.Prog, m.machine, sess.Input)
