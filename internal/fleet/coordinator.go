@@ -82,8 +82,8 @@ var (
 
 // Kill points for the restart chaos matrix: each names the moment right
 // after a transition's journal record is durable but before the
-// transition is applied or acknowledged — the worst instant to die,
-// because the journal and the (about-to-vanish) memory disagree.
+// transition is acknowledged — the worst instant to die, because the
+// journal holds a promise no caller has heard.
 const (
 	killMidEnqueue        = "mid-enqueue"
 	killLeaseGranted      = "lease-granted"
@@ -268,10 +268,12 @@ type Coordinator struct {
 	seq    int64
 
 	// log is the write-ahead journal (journal.go), nil without a
-	// JournalPath; jseq is its last record's sequence number, and synced
-	// the log's writes already counted in mSyncs.
+	// JournalPath; jseq is its last record's journal sequence number and
+	// lseq the log's own number for it, and synced the log's writes
+	// already counted in mSyncs.
 	log          *fsx.Log
 	jseq, synced int64
+	lseq         uint64
 	cfaults      *faults.CoordModel
 	// killHook, when set (restart chaos tests), is consulted at each
 	// named kill point; returning true kills the coordinator right
@@ -413,45 +415,63 @@ func (c *Coordinator) adopt(st *replayState) error {
 	return nil
 }
 
-// journalAppend durably records the bodies (one sync for the lot),
-// applying any injected crash mode. A non-nil error means the
-// coordinator died: the caller must unwind without touching state.
-// Callers hold c.mu.
-func (c *Coordinator) journalAppend(bodies ...journalBody) error {
+// commit is a transition's place in the journal: the log its records
+// went to, the log's sequence number of the last one, and the crash mode
+// drawn for it. The zero commit, without a journal, is durable at once.
+type commit struct {
+	log   *fsx.Log
+	seq   uint64
+	class faults.CoordClass
+}
+
+// journalAppend appends one transition's records to the journal, one
+// write for the lot, and returns the commit its caller awaits once it
+// has applied the transition and released c.mu. It draws the
+// transition's injected crash mode; a non-nil error means the
+// coordinator died here and the caller must unwind without touching
+// state. Callers hold c.mu.
+func (c *Coordinator) journalAppend(bodies ...journalBody) (commit, error) {
 	if c.log == nil {
-		return nil
+		return commit{}, nil
 	}
-	class := c.cfaults.Classify(xrand.Combine(uint64(c.jseq)+1, xrand.HashString(bodies[0].Op)))
-	switch class {
+	cm := commit{log: c.log, class: c.cfaults.Classify(xrand.Combine(uint64(c.jseq)+1, xrand.HashString(bodies[0].Op)))}
+	switch cm.class {
 	case faults.CoordDieBeforeSync:
 		// Died with the record still in the page cache: the transition
 		// never happened as far as the journal is concerned.
 		c.killLocked()
-		return ErrUnavailable
+		return commit{}, ErrUnavailable
 	case faults.CoordTornTail:
 		// Died mid-write: every record lands but the last, which is cut
 		// off mid-record with no newline. Recovery must ignore exactly
-		// the torn record.
+		// the torn record. Everything appended before is made durable
+		// first, and the torn write is made under c.mu, so it carries
+		// this transition alone.
+		if c.log.Sync(c.lseq) != nil {
+			c.killLocked()
+			return commit{}, ErrUnavailable
+		}
 		write := c.log.Write
 		c.log.Write = func(off int64, data []byte) error {
 			last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
 			write(off, data[:last+(len(data)-last)/2])
 			return errors.New("fleet: journal write torn by an injected fault")
 		}
-	}
-	// A journal that cannot take writes can no longer witness
-	// transitions; dying is safer than silently diverging from disk.
-	if err := c.writeJournal(bodies); err != nil || class == faults.CoordDieAfterJournal {
+		c.writeJournal(bodies)
 		c.killLocked()
-		return ErrUnavailable
+		return commit{}, ErrUnavailable
 	}
-	return nil
+	if err := c.appendJournal(bodies); err != nil {
+		c.killLocked()
+		return commit{}, ErrUnavailable
+	}
+	cm.seq = c.lseq
+	return cm, nil
 }
 
-// writeJournal stamps the bodies' sequence numbers, appends them to the
-// journal log and syncs them, one write for the lot. Callers hold c.mu.
-func (c *Coordinator) writeJournal(bodies []journalBody) error {
-	var seq uint64
+// appendJournal stamps the bodies' sequence numbers and appends them to
+// the journal log. Callers hold c.mu.
+func (c *Coordinator) appendJournal(bodies []journalBody) error {
 	for i := range bodies {
 		c.jseq++
 		bodies[i].Seq = c.jseq
@@ -459,21 +479,76 @@ func (c *Coordinator) writeJournal(bodies []journalBody) error {
 		if err != nil {
 			return fmt.Errorf("fleet: encoding journal body: %w", err)
 		}
-		seq = c.log.Append(body)
+		c.lseq = c.log.Append(body)
 	}
-	if err := c.log.Sync(seq); err != nil {
+	return nil
+}
+
+// writeJournal appends the bodies and syncs them without releasing c.mu:
+// adoption's epoch bumps, Close's compaction and an injected torn tail.
+// Callers hold c.mu.
+func (c *Coordinator) writeJournal(bodies []journalBody) error {
+	if err := c.appendJournal(bodies); err != nil {
+		return err
+	}
+	err := c.log.Sync(c.lseq)
+	c.countSyncs()
+	if err != nil {
 		return fmt.Errorf("fleet: journal sync: %w", err)
 	}
+	return nil
+}
+
+// tip is the commit of everything appended so far, which an answer that
+// reveals state without appending awaits. Callers hold c.mu.
+func (c *Coordinator) tip() commit { return commit{log: c.log, seq: c.lseq} }
+
+// await waits, without c.mu, for a commit's records to become durable,
+// then retakes c.mu only to learn whether the coordinator may answer.
+// It may not once the coordinator is killed, and it dies here on a
+// failed write, on an injected die-after-journal and at any of the kill
+// points. One closed meanwhile answers as if the transition came first:
+// Close wrote its records and compacted it in. The journal is one
+// ordered log, so the wait also covers every record appended before.
+func (c *Coordinator) await(cm commit, points ...string) error {
+	if cm.log == nil {
+		return nil
+	}
+	err := cm.log.Sync(cm.seq)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.countSyncs()
+	switch {
+	case c.killed:
+		return ErrUnavailable
+	case c.closed && err == nil:
+		return nil
+	case err != nil, cm.class == faults.CoordDieAfterJournal:
+		// A journal that cannot take writes can no longer witness
+		// transitions; dying is safer than silently diverging from disk.
+		c.killLocked()
+		return ErrUnavailable
+	}
+	for _, p := range points {
+		if c.killAt(p) {
+			return ErrUnavailable
+		}
+	}
+	return nil
+}
+
+// countSyncs brings the journal's gauge and sync counter up to the
+// current log's writes. Callers hold c.mu.
+func (c *Coordinator) countSyncs() {
 	records, writes := c.log.Stats()
 	c.gJournal.Set(float64(records))
 	c.mSyncs.Add(writes - c.synced)
 	c.synced = writes
-	return nil
 }
 
 // killAt fires the chaos-matrix kill hook; true means the coordinator
 // just died at this point and the caller must return ErrUnavailable
-// without applying its transition. Callers hold c.mu.
+// without answering. Callers hold c.mu.
 func (c *Coordinator) killAt(point string) bool {
 	if c.killHook == nil || !c.killHook(point) {
 		return false
@@ -538,10 +613,14 @@ func (c *Coordinator) Close() {
 	if c.log != nil {
 		// Compact through a fresh log over the same path, numbered from
 		// 1. Best effort: a compaction that fails leaves the old journal,
-		// which still replays.
+		// which still replays. The old log first writes what transitions
+		// still awaiting it appended, then is released for good, so none
+		// of them writes to the file once the compaction replaced it.
 		compacted := c.compactionLocked()
 		c.log.Close()
-		c.log, c.jseq, c.synced = fsx.NewLog(c.cfg.JournalPath), 0, 0
+		c.countSyncs()
+		c.log.Release()
+		c.log, c.jseq, c.lseq, c.synced = fsx.NewLog(c.cfg.JournalPath), 0, 0, 0
 		c.writeJournal(compacted)
 	}
 	c.stopLocked(ErrClosed)
@@ -742,21 +821,28 @@ func (e *jobEvaluator) Evaluate(ctx context.Context, req core.EvalRequest) (core
 func (c *Coordinator) enqueue(job string, spec Spec, req core.EvalRequest) (*task, error) {
 	cvs := encodeCVs(req.CVs)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil, ErrClosed
 	}
 	if c.killed {
+		c.mu.Unlock()
 		return nil, ErrUnavailable
 	}
 	var key uint64
 	if c.log != nil {
 		key = adoptionKey(spec, req.Phase, req.Sample, cvs)
 		if ro, ok := c.buffer[key]; ok {
-			t := &task{done: make(chan taskResult, 1)}
-			t.done <- ro.result(req.Phase, req.Sample)
+			// The outcome may come from a report still being written.
 			c.served++
 			c.mServed.Inc()
+			cm := c.tip()
+			c.mu.Unlock()
+			if err := c.await(cm); err != nil {
+				return nil, err
+			}
+			t := &task{done: make(chan taskResult, 1)}
+			t.done <- ro.result(req.Phase, req.Sample)
 			return t, nil
 		}
 		if ts := c.orphans[key]; len(ts) > 0 {
@@ -767,6 +853,7 @@ func (c *Coordinator) enqueue(job string, spec Spec, req core.EvalRequest) (*tas
 				c.orphans[key] = ts[1:]
 			}
 			t.orphan = false
+			c.mu.Unlock()
 			return t, nil
 		}
 	}
@@ -781,20 +868,25 @@ func (c *Coordinator) enqueue(job string, spec Spec, req core.EvalRequest) (*tas
 		key:    key,
 		done:   make(chan taskResult, 1),
 	}
-	if err := c.journalAppend(journalBody{
+	cm, err := c.journalAppend(journalBody{
 		Op: opEnqueue, Task: t.id, Job: job, Spec: &spec,
 		Phase: t.phase, Sample: t.sample, CVs: t.cvs,
-	}); err != nil {
+	})
+	if err != nil {
+		c.mu.Unlock()
 		return nil, err
-	}
-	if c.killAt(killMidEnqueue) {
-		return nil, ErrUnavailable
 	}
 	c.tasks[t.id] = t
 	c.queue = append(c.queue, t)
 	c.mTasks.Inc()
 	c.updateGauges()
 	c.broadcastLocked()
+	c.mu.Unlock()
+	// A claim may grant the task before this returns; the claim's own
+	// wait covers this record too.
+	if err := c.await(cm, killMidEnqueue); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -818,15 +910,18 @@ func (ro replayOutcome) result(phase string, sample int) taskResult {
 // rejected as stale.
 func (c *Coordinator) abandon(t *task) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.killed || c.closed {
+		c.mu.Unlock()
 		return
 	}
+	var cm commit
 	if _, live := c.tasks[t.id]; live {
 		// Journal the withdrawal so a restart does not resurrect a task
 		// nobody is waiting for. A failed append means we just died;
 		// the cancelled Evaluate no longer cares either way.
-		if err := c.journalAppend(journalBody{Op: opAbandon, Task: t.id}); err != nil {
+		var err error
+		if cm, err = c.journalAppend(journalBody{Op: opAbandon, Task: t.id}); err != nil {
+			c.mu.Unlock()
 			return
 		}
 	}
@@ -839,6 +934,8 @@ func (c *Coordinator) abandon(t *task) {
 		}
 	}
 	c.updateGauges()
+	c.mu.Unlock()
+	c.await(cm)
 }
 
 // ClaimBatch leases up to max claimable tasks to worker in FIFO order,
@@ -879,7 +976,12 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 			c.workers[worker] = ws
 		}
 		if ws.quarantined {
+			// The quarantine may come from a sweep still being written.
+			cm := c.tip()
 			c.mu.Unlock()
+			if err := c.await(cm); err != nil {
+				return nil, err
+			}
 			return nil, ErrQuarantined
 		}
 		now := time.Now()
@@ -900,13 +1002,10 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 			for i, t := range picked {
 				bodies[i] = journalBody{Op: opClaim, Task: t.id, Worker: worker, Epoch: t.epoch + 1, Deadline: leaseEnd.UnixNano()}
 			}
-			if err := c.journalAppend(bodies...); err != nil {
+			cm, err := c.journalAppend(bodies...)
+			if err != nil {
 				c.mu.Unlock()
 				return nil, err
-			}
-			if c.killAt(killLeaseGranted) {
-				c.mu.Unlock()
-				return nil, ErrUnavailable
 			}
 			// picked is a subsequence of the queue: drop it in one pass,
 			// clearing the vacated tail so the backing array does not pin
@@ -944,6 +1043,9 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 			}
 			c.updateGauges()
 			c.mu.Unlock()
+			if err := c.await(cm, killLeaseGranted); err != nil {
+				return nil, err
+			}
 			return grants, nil
 		}
 		wait := c.waitCh
@@ -980,22 +1082,26 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 // recovered lease's deadline is never older than the worker believes.
 func (c *Coordinator) Heartbeat(worker, taskID string, epoch int) (bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.killed {
+		c.mu.Unlock()
 		return false, ErrUnavailable
 	}
 	l := c.leases[taskID]
 	if l == nil || l.worker != worker || l.t.epoch != epoch {
+		c.mu.Unlock()
 		return false, nil
 	}
 	deadline := time.Now().Add(c.cfg.leaseTTL())
-	if err := c.journalAppend(journalBody{Op: opHB, Task: taskID, Worker: worker, Epoch: epoch, Deadline: deadline.UnixNano()}); err != nil {
+	cm, err := c.journalAppend(journalBody{Op: opHB, Task: taskID, Worker: worker, Epoch: epoch, Deadline: deadline.UnixNano()})
+	if err != nil {
+		c.mu.Unlock()
 		return false, err
 	}
-	if c.killAt(killHeartbeatRenewed) {
-		return false, ErrUnavailable
-	}
 	l.deadline = deadline
+	c.mu.Unlock()
+	if err := c.await(cm, killHeartbeatRenewed); err != nil {
+		return false, err
+	}
 	return true, nil
 }
 
@@ -1012,7 +1118,8 @@ func (c *Coordinator) Heartbeat(worker, taskID string, epoch int) (bool, error) 
 // report — full wire outcome, trace events included — is journaled in
 // one append (one sync) before any task resolves or any verdict is
 // returned, so a crash one instant later still has the evaluations. A
-// kill or journal failure leaves the whole batch unresolved.
+// kill or journal failure fails the won tasks' Evaluate calls with
+// ErrUnavailable and answers no verdict.
 func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, error) {
 	c.mu.Lock()
 	if c.killed {
@@ -1031,14 +1138,12 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, 
 		won = append(won, l.t)
 		bodies = append(bodies, journalBody{Op: opReport, Task: r.Task, Worker: worker, Epoch: r.Epoch, Outcome: r.Outcome, Error: r.Error})
 	}
+	var cm commit
 	if len(won) > 0 {
-		if err := c.journalAppend(bodies...); err != nil {
+		var err error
+		if cm, err = c.journalAppend(bodies...); err != nil {
 			c.mu.Unlock()
 			return nil, err
-		}
-		if c.killAt(killReportAccepted) {
-			c.mu.Unlock()
-			return nil, ErrUnavailable
 		}
 	}
 	for i, t := range won {
@@ -1061,6 +1166,17 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, 
 	c.updateGauges()
 	c.mu.Unlock()
 
+	if err := c.await(cm, killReportAccepted); err != nil {
+		// The won tasks have left c.tasks, so the kill did not reach
+		// their Evaluate calls: the batch fails them itself.
+		for _, t := range won {
+			select {
+			case t.done <- taskResult{err: err}:
+			default:
+			}
+		}
+		return nil, err
+	}
 	for i, t := range won {
 		b := bodies[i]
 		var res taskResult
@@ -1122,12 +1238,11 @@ func (c *Coordinator) reap() {
 }
 
 // expireLeases requeues every overdue lease's task. The sweep's requeue
-// and quarantine records are journaled as one batch (one sync) before
-// any of it is applied.
+// and quarantine records are journaled as one batch (one sync).
 func (c *Coordinator) expireLeases() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed || c.killed {
+		c.mu.Unlock()
 		return
 	}
 	now := time.Now()
@@ -1138,6 +1253,7 @@ func (c *Coordinator) expireLeases() {
 		}
 	}
 	if len(expired) == 0 {
+		c.mu.Unlock()
 		return
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i].t.id < expired[j].t.id })
@@ -1164,16 +1280,11 @@ func (c *Coordinator) expireLeases() {
 			quarantines++
 		}
 	}
-	if err := c.journalAppend(bodies...); err != nil {
+	cm, err := c.journalAppend(bodies...)
+	if err != nil {
+		c.mu.Unlock()
 		return
 	}
-	if c.killAt(killRequeuePending) {
-		return
-	}
-	if quarantines > 0 && c.killAt(killWorkerQuarantined) {
-		return
-	}
-
 	for i, l := range expired {
 		t := l.t
 		delete(c.leases, t.id)
@@ -1193,4 +1304,10 @@ func (c *Coordinator) expireLeases() {
 	}
 	c.updateGauges()
 	c.broadcastLocked()
+	c.mu.Unlock()
+	points := []string{killRequeuePending}
+	if quarantines > 0 {
+		points = append(points, killWorkerQuarantined)
+	}
+	c.await(cm, points...)
 }

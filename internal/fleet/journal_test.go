@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,8 +243,11 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 		t.Errorf("torn tail not truncated: %d bytes on disk, want %d", len(onDisk), len(clean))
 	}
 	coord.mu.Lock()
-	err = coord.journalAppend(journalBody{Op: opWorker, Worker: "w3", Losses: 1})
+	cm, err := coord.journalAppend(journalBody{Op: opWorker, Worker: "w3", Losses: 1})
 	coord.mu.Unlock()
+	if err == nil {
+		err = coord.await(cm)
+	}
 	if err != nil {
 		t.Fatalf("append after truncation: %v", err)
 	}
@@ -285,6 +290,222 @@ func TestJournalSyncsCounted(t *testing.T) {
 	snap := reg.Snapshot()
 	if syncs, records := snap.Counter(MetricJournalSyncs), snap.Gauge(MetricJournalRecords); syncs != 4 || records != 6 {
 		t.Fatalf("journal took %d syncs for %v records, want 4 for 6", syncs, records)
+	}
+}
+
+// holdNextWrite makes the journal's next write wait, once entered is
+// closed, until release is closed; every write that lands is passed to
+// landed. Call it while no write is in flight.
+func holdNextWrite(coord *Coordinator, landed func(data []byte)) (entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	write := coord.log.Write
+	coord.log.Write = func(off int64, data []byte) error {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		if err := write(off, data); err != nil {
+			return err
+		}
+		landed(data)
+		return nil
+	}
+	return entered, release
+}
+
+// waitAppended waits until the coordinator has appended n journal
+// records.
+func waitAppended(t *testing.T, coord *Coordinator, n int64) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d journal records appended", n), func() bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return coord.jseq >= n
+	})
+}
+
+// TestJournalGroupCommit holds the journal's first write while eight
+// enqueues and a claim batch of all eight tasks append behind it. The
+// enqueues apply before their records are durable, so the claim grants
+// them while the write is held. Every record behind the held write then
+// goes out in one more write, yet no enqueue or claim answers before its
+// own records have landed, and the file replays all sixteen.
+func TestJournalGroupCommit(t *testing.T) {
+	const n = 8
+	reg := metrics.NewRegistry()
+	path := filepath.Join(t.TempDir(), "journal")
+	cfg := CoordinatorConfig{LeaseTTL: time.Minute, Heartbeat: time.Second, Registry: reg, JournalPath: path}
+	coord, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	var mu sync.Mutex
+	durable := map[string]bool{} // "op task" of every landed record
+	entered, release := holdNextWrite(coord, func(data []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		fsx.ReadRecords(data, func(body []byte) bool {
+			var b journalBody
+			if err := json.Unmarshal(body, &b); err != nil {
+				t.Error(err)
+			}
+			durable[b.Op+" "+b.Task] = true
+			return true
+		})
+	})
+	landed := func(op, task string) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return durable[op+" "+task]
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tk, err := coord.enqueue("job-1", testSpec(), batchRequest(i))
+			if err != nil {
+				t.Errorf("enqueue %d: %v", i, err)
+			} else if !landed(opEnqueue, tk.id) {
+				t.Errorf("enqueue of %s answered before its record was durable", tk.id)
+			}
+		}()
+	}
+	<-entered
+	waitAppended(t, coord, n)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		grants, err := coord.ClaimBatch(ctx, "w1", time.Second, n)
+		if err != nil || len(grants) != n {
+			t.Errorf("claim batch granted %d of %d tasks: %v", len(grants), n, err)
+		}
+		for _, g := range grants {
+			if !landed(opClaim, g.ID) {
+				t.Errorf("claim of %s answered before its record was durable", g.ID)
+			}
+		}
+	}()
+	waitAppended(t, coord, 2*n)
+	close(release)
+	wg.Wait()
+
+	snap := reg.Snapshot()
+	if syncs, records := snap.Counter(MetricJournalSyncs), snap.Gauge(MetricJournalRecords); syncs != 2 || records != 2*n {
+		t.Fatalf("journal took %d syncs for %v records, want 2 for %d: the held write and one for everything behind it", syncs, records, 2*n)
+	}
+	coord.Kill()
+	coord2, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	if js := coord2.JournalState(); js.Records != 2*n || js.RecoveredTasks != n {
+		t.Fatalf("reopened journal replayed %d records and %d tasks, want %d and %d", js.Records, js.RecoveredTasks, 2*n, n)
+	}
+}
+
+// TestJournalKillWhileSyncing kills the coordinator while a report
+// batch's write is held and enqueues and a claim batch await it behind
+// that write. Every caller answers ErrUnavailable, the reported task's
+// Evaluate included, although its record landed; nothing reaches the
+// file once Kill returns; and a restart replays the whole file.
+func TestJournalKillWhileSyncing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	cfg := CoordinatorConfig{LeaseTTL: time.Minute, Heartbeat: time.Second, JournalPath: path}
+	coord, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := coord.Evaluator("job-1", testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	// Task 0 is leased and task 1 queued before the hold; the claim's
+	// wait covers both enqueues, so no write is in flight after it.
+	done0 := evaluateAsync(ctx, ev, batchRequest(0))
+	waitFor(t, "task 0 queued", func() bool { return coord.QueueDepth() == 1 })
+	done1 := evaluateAsync(ctx, ev, batchRequest(1))
+	waitFor(t, "task 1 queued", func() bool { return coord.QueueDepth() == 2 })
+	t0, err := claimOne(ctx, coord, "w1", time.Second)
+	if err != nil || t0 == nil || t0.Sample != 0 {
+		t.Fatalf("claim: %+v %v, want task 0", t0, err)
+	}
+
+	entered, release := holdNextWrite(coord, func([]byte) {})
+	errs := make(chan error, 2)
+	go func() {
+		_, err := reportOne(coord, "w1", t0.ID, t0.Epoch, fabricatedOutcome(1.5), "")
+		errs <- err
+	}()
+	<-entered
+	var pending []<-chan taskResult
+	for i := 2; i < 5; i++ {
+		pending = append(pending, evaluateAsync(ctx, ev, batchRequest(i)))
+	}
+	waitAppended(t, coord, 7)
+	go func() {
+		_, err := coord.ClaimBatch(ctx, "w2", time.Second, 8)
+		errs <- err
+	}()
+	waitAppended(t, coord, 11)
+
+	killed := make(chan struct{})
+	go func() {
+		coord.Kill()
+		close(killed)
+	}()
+	// Task 1, leased by the waiting claim, fails once the kill is under
+	// way; Kill itself waits for the held write.
+	if res := <-done1; !errors.Is(res.err, ErrUnavailable) {
+		t.Errorf("leased task's Evaluate: %v, want ErrUnavailable", res.err)
+	}
+	select {
+	case <-killed:
+		t.Fatal("Kill returned while a journal write was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-killed
+	atKill, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := <-errs; !errors.Is(err, ErrUnavailable) {
+			t.Errorf("report or claim batch awaiting the kill: %v, want ErrUnavailable", err)
+		}
+	}
+	for _, ch := range append(pending, done0) {
+		if res := <-ch; !errors.Is(res.err, ErrUnavailable) {
+			t.Errorf("Evaluate awaiting the kill: %v, want ErrUnavailable", res.err)
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, atKill) {
+		t.Fatalf("the journal changed after Kill returned: %d bytes, then %d", len(atKill), len(after))
+	}
+	st, good := replayJournal(after)
+	if good != len(after) || st.records < 4 {
+		t.Fatalf("journal after the kill: %d of %d bytes and %d records valid, want all and at least 4", good, len(after), st.records)
+	}
+	coord2, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	if js := coord2.JournalState(); js.Records != st.records {
+		t.Fatalf("restart replayed %d records, want the file's %d", js.Records, st.records)
 	}
 }
 
@@ -726,8 +947,8 @@ func FuzzJournalReplay(f *testing.F) {
 
 // BenchmarkJournalAppend measures one enqueue-sized record appended and
 // synced through the journal's path, as every coordinator transition
-// takes it: encode, seal, one write and one fsync. ns/op depends on the
-// disk.
+// takes it: encode, seal, then, with c.mu released, one write and one
+// fsync. ns/op depends on the disk.
 func BenchmarkJournalAppend(b *testing.B) {
 	coord, err := NewCoordinator(CoordinatorConfig{JournalPath: filepath.Join(b.TempDir(), "journal")})
 	if err != nil {
@@ -740,11 +961,39 @@ func BenchmarkJournalAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coord.mu.Lock()
-		err := coord.journalAppend(journalBody{Op: opEnqueue, Task: fmt.Sprintf("job-0001/cfr/%d#%d", i, i+1),
+		cm, err := coord.journalAppend(journalBody{Op: opEnqueue, Task: fmt.Sprintf("job-0001/cfr/%d#%d", i, i+1),
 			Job: "job-0001", Spec: &spec, Phase: "cfr", Sample: i, CVs: cvs})
 		coord.mu.Unlock()
+		if err == nil {
+			err = coord.await(cm)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkJournalEnqueueParallel measures enqueues made concurrently,
+// as a job's window of parallel evaluations makes them: four goroutines
+// per CPU (eight on two, the window of a job with eight workers) each
+// append an enqueue record and wait until it is durable, so concurrent
+// enqueues can share one write and one fsync. ns/op depends on the disk.
+func BenchmarkJournalEnqueueParallel(b *testing.B) {
+	coord, err := NewCoordinator(CoordinatorConfig{JournalPath: filepath.Join(b.TempDir(), "journal")})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coord.Kill()
+	spec, req := testSpec(), baselineRequest()
+	b.SetParallelism(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := coord.enqueue("job-0001", spec, req); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
