@@ -538,4 +538,34 @@ func BenchmarkRepoServedTune(b *testing.B) {
 			}
 		}
 	})
+
+	// served-paper-traced serves a paper-scale CloverLeaf/Broadwell run
+	// (K=1000, top-50) to a caller with a trace recorder, as funcytunerd
+	// serves every resubmission: the entry embeds the run's canonical
+	// trace, about 8,000 events, which the serve decodes and replays.
+	b.Run("served-paper-traced", func(b *testing.B) {
+		prog, err := Benchmark(CloverLeaf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := TuningInput(CloverLeaf, m)
+		opts := Options{Machine: m, Samples: 1000, TopX: 50, Seed: "repo-bench", RepoPath: b.TempDir(),
+			Trace: NewTraceRecorder()}
+		if _, err := NewTuner(opts).Tune(prog, in); err != nil {
+			b.Fatal(err)
+		}
+		opts.SkipExist = true
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opts.Trace = NewTraceRecorder()
+			rep, err := NewTuner(opts).Tune(prog, in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.Served {
+				b.Fatal("not served")
+			}
+		}
+	})
 }
