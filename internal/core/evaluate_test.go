@@ -5,12 +5,16 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"funcytuner/internal/faults"
+	"funcytuner/internal/flagspec"
 	"funcytuner/internal/metrics"
 	"funcytuner/internal/trace"
+	"funcytuner/internal/xrand"
 )
 
 // checkLedger fails unless every cost counter in s's metrics equals its
@@ -90,6 +94,65 @@ type loopback struct{ worker *Session }
 
 func (l loopback) Evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error) {
 	return l.worker.EvaluateClaim(ctx, req)
+}
+
+// A claim for a sample already in flight, as when a task is granted
+// again to a worker whose first grant is still evaluating it, waits for
+// the first claim to end and then returns what a lone claim returns.
+// Cancelled while it waits, it returns the context's error.
+func TestEvaluateClaimWaitsForSameClaim(t *testing.T) {
+	rates := faults.Default().Scale(4)
+	ctx := context.Background()
+	cv := flagspec.ICC().Random(xrand.NewFromString("claim-wait"))
+	req := EvalRequest{Phase: phaseCollect, Sample: 5, CVs: []flagspec.CV{cv}}
+	lone, err := newFaultySession(t, 40, 8, 1, rates).EvaluateClaim(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := newFaultySession(t, 40, 8, 1, rates)
+	key := capKey{req.Phase, req.Sample}
+	type result struct {
+		out EvalOutcome
+		err error
+	}
+	claim := func(ctx context.Context) chan result {
+		done := make(chan result, 1)
+		go func() {
+			out, err := s.EvaluateClaim(ctx, req)
+			done <- result{out, err}
+		}()
+		return done
+	}
+
+	release, err := s.holdClaim(ctx, key, trace.NewSpanBatch(req.Phase, req.Sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := claim(ctx)
+	select {
+	case r := <-done:
+		t.Fatalf("a second claim returned (%v) while the first was in flight", r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if r := <-done; r.err != nil {
+		t.Fatalf("the waiting claim failed: %v", r.err)
+	} else if !reflect.DeepEqual(r.out, lone) {
+		t.Fatalf("the waiting claim returned\n%+v\nwant a lone claim's\n%+v", r.out, lone)
+	}
+
+	release, err = s.holdClaim(ctx, key, trace.NewSpanBatch(req.Phase, req.Sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	cctx, cancel := context.WithCancel(ctx)
+	done = claim(cctx)
+	cancel()
+	if r := <-done; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("a claim cancelled while it waits returned %v, want context.Canceled", r.err)
+	}
 }
 
 // resultBits flattens a Result into comparable words: floats by their

@@ -84,17 +84,51 @@ type capKey struct {
 	sample int
 }
 
+// capture is one in-flight claim: the detached batch its trace span
+// goes to, and a channel closed when the claim ends.
+type capture struct {
+	tb   *trace.Batch
+	done chan struct{}
+}
+
 // batchFor returns the trace batch for evaluation (phase, k): the
 // registered capture batch when EvaluateClaim is executing that claim,
 // the session recorder's batch otherwise.
 func (s *Session) batchFor(phase string, k int) *trace.Batch {
 	s.capMu.Lock()
-	tb := s.captures[capKey{phase, k}]
+	c := s.captures[capKey{phase, k}]
 	s.capMu.Unlock()
-	if tb != nil {
-		return tb
+	if c != nil {
+		return c.tb
 	}
 	return s.tr.Batch(phase, k)
+}
+
+// holdClaim registers claim key as in flight with trace batch tb. A
+// claim for the same key already in flight is waited out first: a
+// worker whose stalled evaluation outlived its lease can be granted the
+// same task again, and re-evaluating a claim gives a bit-identical
+// outcome. The returned func ends the claim.
+func (s *Session) holdClaim(ctx context.Context, key capKey, tb *trace.Batch) (func(), error) {
+	c := &capture{tb: tb, done: make(chan struct{})}
+	s.capMu.Lock()
+	for prev := s.captures[key]; prev != nil; prev = s.captures[key] {
+		s.capMu.Unlock()
+		select {
+		case <-prev.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		s.capMu.Lock()
+	}
+	s.captures[key] = c
+	s.capMu.Unlock()
+	return func() {
+		s.capMu.Lock()
+		delete(s.captures, key)
+		s.capMu.Unlock()
+		close(c.done)
+	}, nil
 }
 
 // EvaluateClaim executes one evaluation claim on this session — the
@@ -102,9 +136,9 @@ func (s *Session) batchFor(phase string, k int) *trace.Batch {
 // detached batch (the session's own recorder, if any, does not receive
 // it), and the outcome carries the exact cost delta and quarantine
 // decisions the evaluation produced. Claims for distinct (phase, sample)
-// pairs may run concurrently; re-executing the same claim returns
-// bit-identical outcomes, which is what makes lease-expiry re-dispatch
-// safe.
+// pairs may run concurrently; a claim for a pair already in flight waits
+// for it to finish. Re-executing the same claim returns bit-identical
+// outcomes, which is what makes lease-expiry re-dispatch safe.
 func (s *Session) EvaluateClaim(ctx context.Context, req EvalRequest) (EvalOutcome, error) {
 	if s.Config.Remote != nil {
 		return EvalOutcome{}, fmt.Errorf("core: EvaluateClaim on a coordinator session")
@@ -126,19 +160,11 @@ func (s *Session) EvaluateClaim(ctx context.Context, req EvalRequest) (EvalOutco
 	}
 
 	tb := trace.NewSpanBatch(req.Phase, req.Sample)
-	key := capKey{req.Phase, req.Sample}
-	s.capMu.Lock()
-	if _, busy := s.captures[key]; busy {
-		s.capMu.Unlock()
-		return EvalOutcome{}, fmt.Errorf("core: claim %s/%d already in flight", req.Phase, req.Sample)
+	release, err := s.holdClaim(ctx, capKey{req.Phase, req.Sample}, tb)
+	if err != nil {
+		return EvalOutcome{}, err
 	}
-	s.captures[key] = tb
-	s.capMu.Unlock()
-	defer func() {
-		s.capMu.Lock()
-		delete(s.captures, key)
-		s.capMu.Unlock()
-	}()
+	defer release()
 
 	out, err := s.evaluate(ctx, req)
 	if err != nil {

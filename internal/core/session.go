@@ -431,7 +431,7 @@ type Session struct {
 	// keyed by (phase, sample), consulted by batchFor so a worker-side
 	// evaluation's span is captured instead of recorded locally.
 	capMu    sync.Mutex
-	captures map[capKey]*trace.Batch
+	captures map[capKey]*capture
 
 	// runProf precomputes the run-invariant cost-model terms for
 	// (Prog, Machine, Input) — every session run goes through it. Sound
@@ -525,7 +525,7 @@ func NewSession(tc *compiler.Toolchain, prog *ir.Program, part ir.Partition, m *
 		faults:       faults.New(cfg.Seed, m.ID, baselineKey, cfg.Faults),
 		baselineKey:  baselineKey,
 		quarantine:   make(map[uint64]bool),
-		captures:     make(map[capKey]*trace.Batch),
+		captures:     make(map[capKey]*capture),
 		runProf:      runProf,
 		prep:         prep,
 		noiseStreams: make(map[string]xrand.Stream),

@@ -139,7 +139,8 @@ func reconnectDelay(poll time.Duration, failures int) time.Duration {
 // serviceKey names the run a claim belongs to. A job ID alone is not a
 // run: a restarted daemon numbers its jobs from the start again. Nor is
 // a spec: two jobs may share one (warm starts and resumes are not
-// deduplicated), and a session rejects a claim already in flight.
+// deduplicated), and one session would hold each job's claims until the
+// other's claim for the same sample ended.
 type serviceKey struct {
 	job  string
 	spec Spec

@@ -115,8 +115,10 @@ type Event struct {
 	Sched bool
 }
 
-// eventJSON is the wire form. Field order defines the canonical byte
-// encoding; floats travel as lossless hex-float strings.
+// eventJSON is the wire form that encoding/json decodes a line outside
+// the codec's canonical shape into (see codec.go). Field order defines
+// the canonical byte encoding; floats travel as lossless hex-float
+// strings.
 type eventJSON struct {
 	Kind    string `json:"kind"`
 	Pseq    int    `json:"pseq,omitempty"`
@@ -132,18 +134,7 @@ type eventJSON struct {
 	Sched   bool   `json:"sched,omitempty"`
 }
 
-// formatSeconds renders a float as a lossless hex-float string, with ""
-// for zero so unset durations stay off the wire. -0 intentionally
-// collapses to 0: the encoding must be a pure function with a stable
-// fixed point, and ParseFloat("") cannot return -0.
-func formatSeconds(v float64) string {
-	if v == 0 {
-		return ""
-	}
-	return strconv.FormatFloat(v, 'x', -1, 64)
-}
-
-// parseSeconds is the inverse of formatSeconds ("" → 0).
+// parseSeconds reads a hex-float field ("" → 0).
 func parseSeconds(s string) (float64, error) {
 	if s == "" {
 		return 0, nil
@@ -153,25 +144,15 @@ func parseSeconds(s string) (float64, error) {
 
 // MarshalJSON encodes the event in the canonical wire form.
 func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(eventJSON{
-		Kind:    string(e.Kind),
-		Pseq:    e.PhaseSeq,
-		Phase:   e.Phase,
-		Sample:  e.Sample,
-		Step:    e.Step,
-		Name:    e.Name,
-		Modules: e.Modules,
-		Attempt: e.Attempt,
-		Seconds: formatSeconds(e.Seconds),
-		Sim:     formatSeconds(e.Sim),
-		Wall:    e.Wall,
-		Sched:   e.Sched,
-	})
+	return appendEvent(make([]byte, 0, 128), &e), nil
 }
 
 // UnmarshalJSON decodes and validates one event. It never panics on
 // corrupt input; anything it accepts re-encodes byte-identically.
-func (e *Event) UnmarshalJSON(data []byte) error {
+func (e *Event) UnmarshalJSON(data []byte) error { return e.decode(data, nil) }
+
+// decodeJSON decodes and validates one event through encoding/json.
+func (e *Event) decodeJSON(data []byte) error {
 	var w eventJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
@@ -253,15 +234,10 @@ func (t *Trace) Canonical() *Trace {
 // encoding.
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i := range t.Events {
-		b, err := t.Events[i].MarshalJSON()
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(appendEvent(line[:0], &t.Events[i]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -279,6 +255,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	// traces.
 	sc.Buffer(nil, 4*1024*1024)
 	t := &Trace{}
+	names := make(map[string]string)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -287,7 +264,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			continue
 		}
 		var e Event
-		if err := e.UnmarshalJSON(raw); err != nil {
+		if err := e.decode(raw, names); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		t.Events = append(t.Events, e)
