@@ -90,7 +90,10 @@ type (
 	TraceRecorder = trace.Recorder
 	// TuningTrace is an ordered collection of trace events, as returned by
 	// TraceRecorder.Snapshot. Its Canonical view is deterministic; its
-	// WriteJSONL/ReadJSONL round-trip is byte-stable.
+	// WriteJSONL/ReadJSONL round-trip is byte-stable. Both run a
+	// hand-written codec that writes exactly the bytes encoding/json
+	// would and reads them without reflection; ReadJSONL hands any line
+	// it does not recognise to encoding/json.
 	TuningTrace = trace.Trace
 	// MetricsSnapshot is a frozen view of a run's counters, gauges and
 	// histograms (Report.Metrics).

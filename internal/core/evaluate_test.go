@@ -141,6 +141,9 @@ func TestEvaluateClaimWaitsForSameClaim(t *testing.T) {
 	} else if !reflect.DeepEqual(r.out, lone) {
 		t.Fatalf("the waiting claim returned\n%+v\nwant a lone claim's\n%+v", r.out, lone)
 	}
+	if again, err := s.EvaluateClaim(ctx, req); err != nil || !reflect.DeepEqual(again, lone) {
+		t.Fatalf("evaluating the claim again returned\n%+v (%v)\nwant a lone claim's\n%+v", again, err, lone)
+	}
 
 	release, err = s.holdClaim(ctx, key, trace.NewSpanBatch(req.Phase, req.Sample))
 	if err != nil {

@@ -115,6 +115,9 @@ func TestEventCodecEscapes(t *testing.T) {
 		"nul":              "a\x00b",
 		"unit separator":   "a\x1fb",
 		"delete":           "a\x7fb",
+		"less than":        "a<b",
+		"greater than":     "a>b",
+		"ampersand":        "a&b",
 		"html":             "<a href='x'>&amp;</a>",
 		"line separator":   "a\u2028b",
 		"para separator":   "a\u2029b",
