@@ -89,12 +89,18 @@ func TestMetricsMatchCostOnAbandonedRetry(t *testing.T) {
 }
 
 // loopback is a RemoteEvaluator that runs every claim on a second,
-// identically configured session, as a fleet worker would.
-type loopback struct{ worker *Session }
+// identically configured session, as a fleet worker would, window
+// claims at a time.
+type loopback struct {
+	worker *Session
+	window int
+}
 
 func (l loopback) Evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error) {
 	return l.worker.EvaluateClaim(ctx, req)
 }
+
+func (l loopback) Window() int { return l.window }
 
 // A claim for a sample already in flight, as when a task is granted
 // again to a worker whose first grant is still evaluating it, waits for
@@ -186,7 +192,7 @@ func TestRemoteSeamMatchesLocal(t *testing.T) {
 	local := newFaultySession(t, 40, 8, 4, rates)
 	coord := newFaultySession(t, 40, 8, 4, rates)
 	worker := newFaultySession(t, 40, 8, 4, rates)
-	coord.Config.Remote = loopback{worker}
+	coord.Config.Remote = loopback{worker: worker, window: 16}
 	recs := map[*Session]*trace.Recorder{local: trace.NewRecorder(), coord: trace.NewRecorder()}
 	for s, rec := range recs {
 		s.AttachTrace(rec)

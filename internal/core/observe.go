@@ -68,7 +68,9 @@ const (
 	MetricSearchBatches   = "search_batches"
 	MetricSearchWarmSeeds = "search_warm_seeds"
 
-	// Gauges.
+	// Gauges. MetricWorkers is the evaluation width: Config.Workers on
+	// a local session, the evaluator's window of the latest range on a
+	// remote one.
 	MetricWorkers     = "workers"
 	MetricSamples     = "samples"
 	MetricModules     = "modules"
@@ -104,7 +106,7 @@ type sessionMetrics struct {
 	searchObserved            *metrics.Counter
 	searchBatches             *metrics.Counter
 	searchWarmSeeds           *metrics.Counter
-	quarantined               *metrics.Gauge
+	workers, quarantined      *metrics.Gauge
 	evalSim, evalRetries      *metrics.Histogram
 }
 
@@ -138,6 +140,7 @@ func newSessionMetrics(reg *metrics.Registry) sessionMetrics {
 		searchObserved:  reg.Counter(MetricSearchObserved),
 		searchBatches:   reg.Counter(MetricSearchBatches),
 		searchWarmSeeds: reg.Counter(MetricSearchWarmSeeds),
+		workers:         reg.Gauge(MetricWorkers),
 		quarantined:     reg.Gauge(MetricQuarantined),
 		evalSim:         reg.Histogram(MetricEvalSimSeconds, evalSimBuckets),
 		evalRetries:     reg.Histogram(MetricEvalRetries, evalRetryBuckets),
@@ -207,7 +210,7 @@ func (s *Session) AttachMetrics(reg *metrics.Registry) {
 	}
 	s.reg = reg
 	s.met = newSessionMetrics(reg)
-	reg.Gauge(MetricWorkers).Set(float64(s.Config.workers()))
+	s.met.workers.Set(float64(s.width()))
 	reg.Gauge(MetricSamples).Set(float64(s.Config.Samples))
 	reg.Gauge(MetricModules).Set(float64(len(s.Part.Modules)))
 	s.qmu.Lock()

@@ -28,8 +28,10 @@ import (
 //     evaluator instead of compiling and running locally, and merges the
 //     outcome (quarantine, trace span, then cost and metrics through the
 //     same finishEval a local evaluation ends with) on return. The
-//     parFor claim loop is unchanged — it bounds in-flight claims
-//     exactly as it bounds local workers.
+//     evaluator, not Config.Workers, sets how many evaluations are in
+//     flight: parFor reads its Window at the start of every range (a
+//     collection, a Suggest batch) and keeps that many claims out at
+//     once, one goroutine and one Evaluate call each.
 //   - EvaluateClaim is the worker half: it runs evaluate for one claim on
 //     a local session and returns the outcome evaluate built, plus the
 //     trace span it captured through a detached batch.
@@ -73,8 +75,15 @@ type EvalOutcome struct {
 // retries and re-dispatch; an error return aborts the tuning run (the
 // session only calls it with errors it cannot recover from, e.g. a
 // cancelled context).
+//
+// Window is how many Evaluate calls the session should have in flight
+// at once. The session reads it at the start of every parallel range,
+// in place of Config.Workers, so an evaluator that learns its capacity
+// while a run goes on widens the run's next range. Where evaluations run
+// never changes a result, so neither does the window.
 type RemoteEvaluator interface {
 	Evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error)
+	Window() int
 }
 
 // capKey identifies one evaluation by phase and sample index: an

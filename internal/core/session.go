@@ -81,7 +81,8 @@ type Config struct {
 	TopX int
 	// Seed names the experiment; all randomness derives from it.
 	Seed string
-	// Workers bounds evaluation parallelism; 0 = GOMAXPROCS.
+	// Workers bounds evaluation parallelism; 0 = GOMAXPROCS. A remote
+	// session ignores it: its evaluator's Window bounds it instead.
 	Workers int
 	// Noisy enables measurement noise (on by default in experiments;
 	// tests may disable it for exactness).
@@ -137,7 +138,8 @@ type Config struct {
 	// compiling and running locally, and the returned outcome is merged
 	// as if the evaluation had run in-process (see remote.go). Because
 	// each evaluation is a pure function of its claim, the merged results
-	// are bit-identical to a local run's.
+	// are bit-identical to a local run's. The evaluator's Window, not
+	// Workers, bounds how many evaluations are in flight.
 	Remote RemoteEvaluator
 
 	// Unpooled disables every allocation-reuse fast path on the session's
@@ -706,16 +708,29 @@ func (s *Session) claim(ctx context.Context, wp *workerPanic, i int, fn func(i i
 	return wp.run(i, fn)
 }
 
-// parFor runs fn(i) for i in [0,n) on the session's worker pool. fn must
-// only write to index-disjoint state. A panicking fn no longer kills the
-// process anonymously: the panicking worker stops claiming work, the
-// remaining workers drain, and the first panic is re-raised with its
-// sample index and original stack. A cancelled ctx stops the pool from
-// scheduling new indices; evaluations already underway complete (and are
-// checkpointed), so cancellation always lands on an evaluation boundary.
+// width is parFor's parallelism for one range: Config.Workers on a
+// local session; on a remote one, the evaluator's window, read afresh
+// for every range and reported on the workers gauge.
+func (s *Session) width() int {
+	if s.Config.Remote == nil {
+		return s.Config.workers()
+	}
+	w := s.Config.Remote.Window()
+	s.met.workers.Set(float64(w))
+	return w
+}
+
+// parFor runs fn(i) for i in [0,n) on the session's worker pool, width()
+// wide. fn must only write to index-disjoint state. A panicking fn no
+// longer kills the process anonymously: the panicking worker stops
+// claiming work, the remaining workers drain, and the first panic is
+// re-raised with its sample index and original stack. A cancelled ctx
+// stops the pool from scheduling new indices; evaluations already
+// underway complete (and are checkpointed), so cancellation always lands
+// on an evaluation boundary.
 func (s *Session) parFor(ctx context.Context, n int, fn func(i int)) {
 	var wp workerPanic
-	workers := s.Config.workers()
+	workers := s.width()
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if !s.claim(ctx, &wp, i, fn) {

@@ -232,10 +232,14 @@ type lease struct {
 	deadline time.Time
 }
 
-// workerState tracks one worker's lease-loss record.
+// workerState tracks one worker's lease-loss record and claim capacity.
 type workerState struct {
 	losses      int // consecutive; reset by an accepted report
 	quarantined bool
+	// claiming sums max over the worker's ClaimBatch calls in progress,
+	// and capacity is its high-water mark: a worker with c claim loops
+	// of batch b reaches c×b whenever its loops poll together.
+	claiming, capacity int
 }
 
 // JournalState is the health view of the coordinator's journal.
@@ -777,9 +781,9 @@ func (c *Coordinator) updateGauges() {
 
 // Evaluator returns the per-job core.RemoteEvaluator that feeds this
 // coordinator: each Evaluate call enqueues one claim and blocks until a
-// worker's accepted report (or ctx cancellation) resolves it. Plugged
-// into funcytuner.Options.Evaluator, it turns an ordinary tuning run
-// into the fleet's search loop.
+// worker's accepted report (or ctx cancellation) resolves it, and its
+// Window is the coordinator's. Plugged into funcytuner.Options.Evaluator,
+// it turns an ordinary tuning run into the fleet's search loop.
 func (c *Coordinator) Evaluator(job string, spec Spec) (core.RemoteEvaluator, error) {
 	if err := validateSpec(spec); err != nil {
 		return nil, err
@@ -787,11 +791,32 @@ func (c *Coordinator) Evaluator(job string, spec Spec) (core.RemoteEvaluator, er
 	return &jobEvaluator{c: c, job: job, spec: spec}, nil
 }
 
+// Window is how many of one job's evaluations the fleet should hold at
+// once, queued or leased: max(maxClaimBatch, 2 × the summed claim
+// capacity of the workers not quarantined). That keeps one batch
+// evaluating and one waiting for every claimer, and never less than one
+// maximal claim, even before any worker has claimed.
+func (c *Coordinator) Window() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slots := 0
+	for _, ws := range c.workers {
+		if !ws.quarantined {
+			slots += ws.capacity
+		}
+	}
+	return max(maxClaimBatch, 2*slots)
+}
+
 type jobEvaluator struct {
 	c    *Coordinator
 	job  string
 	spec Spec
 }
+
+// Window implements core.RemoteEvaluator: the session reads it at the
+// start of every range, so a job widens as workers join.
+func (e *jobEvaluator) Window() int { return e.c.Window() }
 
 // Evaluate implements core.RemoteEvaluator: one claim, one accepted
 // report. Lease losses along the way are invisible here — the task is
@@ -958,6 +983,14 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 		return nil, fmt.Errorf("fleet: claim batch size %d < 1", max)
 	}
 	deadline := time.Now().Add(maxWait)
+	var ws *workerState
+	defer func() {
+		if ws != nil {
+			c.mu.Lock()
+			ws.claiming -= max
+			c.mu.Unlock()
+		}
+	}()
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -968,12 +1001,17 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 			c.mu.Unlock()
 			return nil, ErrUnavailable
 		}
-		ws := c.workers[worker]
 		if ws == nil {
-			// First contact — mid-run rejoin is this cheap: claiming is
-			// registration.
-			ws = &workerState{}
-			c.workers[worker] = ws
+			if ws = c.workers[worker]; ws == nil {
+				// First contact — mid-run rejoin is this cheap: claiming
+				// is registration.
+				ws = &workerState{}
+				c.workers[worker] = ws
+			}
+			ws.claiming += max
+			if ws.claiming > ws.capacity {
+				ws.capacity = ws.claiming
+			}
 		}
 		if ws.quarantined {
 			// The quarantine may come from a sweep still being written.

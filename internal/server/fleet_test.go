@@ -1,20 +1,25 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
 
 	"funcytuner/internal/fleet"
+	"funcytuner/internal/metrics"
 )
 
 // startFleetWorkers runs n fleet workers against the server's mounted
-// /fleet/ routes until the test ends.
-func startFleetWorkers(t *testing.T, baseURL string, n int) {
+// /fleet/ routes until stop is called or the test ends.
+func startFleetWorkers(t *testing.T, baseURL string, n int) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -35,10 +40,15 @@ func startFleetWorkers(t *testing.T, baseURL string, n int) {
 			w.Run(ctx) //nolint:errcheck // cancelled at cleanup
 		}()
 	}
-	t.Cleanup(func() {
-		cancel()
-		wg.Wait()
-	})
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			cancel()
+			wg.Wait()
+		})
+	}
+	t.Cleanup(stop)
+	return stop
 }
 
 // TestDistributedJobMatchesLocalFingerprint submits the same seeded spec
@@ -85,6 +95,115 @@ func TestDistributedJobMatchesLocalFingerprint(t *testing.T) {
 	remote := run(true)
 	if local.Fingerprint != remote.Fingerprint {
 		t.Errorf("distributed fingerprint %s != local %s", remote.Fingerprint, local.Fingerprint)
+	}
+}
+
+// TestCancelDistributedJobWithdrawsWindow cancels a distributed job
+// mid-collect while its window is full: hundreds of its tasks are queued
+// or leased at once. Every one of them leaves the coordinator, the
+// journal keeps no live task for a restart to resurrect, the job's
+// goroutines all end, and the same spec submitted again still matches
+// the single-node fingerprint.
+func TestCancelDistributedJobWithdrawsWindow(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal")
+	reg := metrics.NewRegistry()
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
+		LeaseTTL:    2 * time.Second,
+		Heartbeat:   200 * time.Millisecond,
+		JournalPath: journal,
+		Registry:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	mgr := newTestManager(t, Config{Fleet: coord})
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+	idle := http.DefaultTransport.(*http.Transport)
+	// goroutines counts what is left once idle keep-alive connections,
+	// the workers' and this test's, have closed.
+	goroutines := func() int {
+		idle.CloseIdleConnections()
+		return runtime.NumGoroutine()
+	}
+	settled := goroutines()
+	time.Sleep(20 * time.Millisecond)
+	settled = min(settled, goroutines())
+
+	stop := startFleetWorkers(t, ts.URL, 2)
+	spec := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 600, TopX: 30, Seed: "cancel-window", Workers: 2, FaultRate: 1, Distributed: true}
+	j, err := mgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := coord.Window()
+	deadline := time.Now().Add(testTimeout)
+	for reg.Snapshot().Counter(fleet.MetricReportsOK) < 16 || coord.QueueDepth() < window/2 {
+		if time.Now().After(deadline) || j.Status().State != StateRunning {
+			t.Fatalf("never saw the collection under way with a full window (state %s, %d queued)", j.Status().State, coord.QueueDepth())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	inFlight := coord.QueueDepth() + coord.ActiveLeases()
+	if _, err := mgr.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	if st := j.Status(); st.State != StateCancelled {
+		t.Fatalf("job ended %s (%s), want %s", st.State, st.Error, StateCancelled)
+	}
+	if q, l := coord.QueueDepth(), coord.ActiveLeases(); q != 0 || l != 0 {
+		t.Errorf("after the cancel the coordinator holds %d queued and %d leased tasks of about %d", q, l, inFlight)
+	}
+
+	stop()
+	for n := goroutines(); n > settled; n = goroutines() {
+		if time.Now().After(deadline) {
+			var buf bytes.Buffer
+			pprof.Lookup("goroutine").WriteTo(&buf, 1)
+			t.Fatalf("%d goroutines after the cancel, %d before the job:\n%s", n, settled, buf.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A restart over this journal adopts nothing: every withdrawal was
+	// journaled before the job ended.
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened := filepath.Join(t.TempDir(), "journal")
+	if err := os.WriteFile(reopened, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := fleet.NewCoordinator(fleet.CoordinatorConfig{JournalPath: reopened})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := replay.RecoveredTasks(); n != 0 {
+		t.Errorf("the reopened journal replays %d live tasks, want 0", n)
+	}
+	replay.Close()
+
+	startFleetWorkers(t, ts.URL, 2)
+	fingerprint := func(spec JobSpec) string {
+		t.Helper()
+		j, err := mgr.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		res, err := j.Result()
+		if err != nil {
+			t.Fatalf("distributed=%v: %v (status %+v)", spec.Distributed, err, j.Status())
+		}
+		return res.Fingerprint
+	}
+	remote := fingerprint(spec)
+	spec.Distributed = false
+	if local := fingerprint(spec); remote != local {
+		t.Errorf("resubmitted distributed fingerprint %s != local %s", remote, local)
 	}
 }
 
