@@ -37,6 +37,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -245,8 +246,14 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 }
 
 // ReadJSONL decodes a JSONL trace. Corrupt input yields an error naming
-// the offending line; it never panics.
+// the offending line; it never panics. A seekable input (a file, a
+// bytes.Reader, a strings.Reader) has its lines counted first, so the
+// events are decoded into one slice allocated at its final size.
 func ReadJSONL(r io.Reader) (*Trace, error) {
+	lines, err := countLines(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
 	sc := bufio.NewScanner(r)
 	// No eager buffer: the scanner starts small and grows geometrically on
 	// demand (JSONL trace lines are short), but may still grow to 4 MiB
@@ -254,7 +261,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	// buffer here cost one large allocation on every load, even for tiny
 	// traces.
 	sc.Buffer(nil, 4*1024*1024)
-	t := &Trace{}
+	t := &Trace{Events: make([]Event, 0, lines)}
 	names := make(map[string]string)
 	line := 0
 	for sc.Scan() {
@@ -272,7 +279,42 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: line %d: %w", line, err)
 	}
+	if len(t.Events) == 0 {
+		t.Events = nil // an empty trace decodes to nil events, counted or not
+	}
 	return t, nil
+}
+
+// countLines counts the lines left in r, a bound on the events they
+// hold, and seeks r back to where it was. It counts nothing, leaving the
+// event slice to grow as it decodes, when r cannot seek. A read error
+// ends the count early; the decode meets the same error at its line.
+func countLines(r io.Reader) (int, error) {
+	s, ok := r.(io.ReadSeeker)
+	if !ok {
+		return 0, nil
+	}
+	start, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, nil
+	}
+	buf := make([]byte, 4096)
+	n, last := 0, byte('\n')
+	for {
+		k, err := s.Read(buf)
+		if k > 0 {
+			n += bytes.Count(buf[:k], []byte{'\n'})
+			last = buf[k-1]
+		}
+		if err != nil {
+			break
+		}
+	}
+	if last != '\n' {
+		n++
+	}
+	_, err = s.Seek(start, io.SeekStart)
+	return n, err
 }
 
 // Diff reports the first divergence between two traces as a human-

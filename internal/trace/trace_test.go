@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -112,6 +113,56 @@ func TestReadJSONLErrors(t *testing.T) {
 	_, err = ReadJSONL(strings.NewReader("{\"kind\":\"run\",\"sample\":0}\nnot json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("expected a line-2 error, got %v", err)
+	}
+}
+
+// A seekable input is counted before it is decoded, from wherever it
+// stands, into a slice of exactly its events; what decodes, and the
+// error a line past the 4 MiB limit gives, match an input that cannot
+// seek.
+func TestReadJSONLSized(t *testing.T) {
+	var doc bytes.Buffer
+	if err := (&Trace{Events: sampleEvents()}).WriteJSONL(&doc); err != nil {
+		t.Fatal(err)
+	}
+	want := sampleEvents()
+	sized, err := ReadJSONL(bytes.NewReader(doc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sized.Events) != len(want) || cap(sized.Events) != len(want) {
+		t.Errorf("seekable input decoded %d events into capacity %d, want %d and %d", len(sized.Events), cap(sized.Events), len(want), len(want))
+	}
+	streamed, err := ReadJSONL(struct{ io.Reader }{bytes.NewReader(doc.Bytes())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := Diff(sized, &Trace{Events: want}); d != "" {
+		t.Errorf("seekable decode: %s", d)
+	}
+	if d := Diff(sized, streamed); d != "" {
+		t.Errorf("seekable and streamed decodes differ: %s", d)
+	}
+	// Past the first line, the count and the decode both start there.
+	first := bytes.IndexByte(doc.Bytes(), '\n') + 1
+	r := bytes.NewReader(doc.Bytes())
+	r.Seek(int64(first), io.SeekStart)
+	rest, err := ReadJSONL(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := Diff(rest, &Trace{Events: want[1:]}); d != "" || cap(rest.Events) != len(want)-1 {
+		t.Errorf("decode from the second line: %s (capacity %d)", d, cap(rest.Events))
+	}
+	if tr, err := ReadJSONL(strings.NewReader("\n\n")); err != nil || tr.Events != nil {
+		t.Errorf("blank input decoded to %#v, %v; want nil events", tr, err)
+	}
+
+	long := `{"kind":"run","sample":0,"name":"` + strings.Repeat("x", 4<<20) + `"}` + "\n"
+	_, errSized := ReadJSONL(strings.NewReader(long))
+	_, errStreamed := ReadJSONL(struct{ io.Reader }{strings.NewReader(long)})
+	if errSized == nil || errStreamed == nil || errSized.Error() != errStreamed.Error() {
+		t.Errorf("over-long line: seekable error %v, streamed error %v", errSized, errStreamed)
 	}
 }
 
