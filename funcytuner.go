@@ -209,7 +209,8 @@ type Options struct {
 	Seed string
 	// Noisy applies measurement noise (default true, like real runs).
 	Noisy *bool
-	// Workers bounds parallel evaluation (0 = GOMAXPROCS).
+	// Workers bounds parallel evaluation (0 = GOMAXPROCS). A run with an
+	// Evaluator ignores it: the evaluator's window bounds it instead.
 	Workers int
 	// HotThreshold is the outlining threshold (default 0.01, §3.3).
 	HotThreshold float64
@@ -308,6 +309,9 @@ type Options struct {
 	// in-process, and its outcome is merged as if measured locally. The
 	// Report is bit-identical to a local run's — evaluations are pure
 	// functions of their claims, so where they execute is unobservable.
+	// The evaluator's Window, read at the start of every collection and
+	// Suggest batch, sets how many evaluations are in flight; Workers
+	// does not.
 	Evaluator Evaluator
 
 	// Trace, when non-nil, records structured span events (session, phase,

@@ -128,8 +128,6 @@ func TestCancelDistributedJobWithdrawsWindow(t *testing.T) {
 		return runtime.NumGoroutine()
 	}
 	settled := goroutines()
-	time.Sleep(20 * time.Millisecond)
-	settled = min(settled, goroutines())
 
 	stop := startFleetWorkers(t, ts.URL, 2)
 	spec := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 600, TopX: 30, Seed: "cancel-window", Workers: 2, FaultRate: 1, Distributed: true}

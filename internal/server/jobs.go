@@ -62,7 +62,9 @@ type JobSpec struct {
 	// Seed names the run; equal seeds reproduce bit-identically.
 	Seed string `json:"seed,omitempty"`
 	// Workers bounds the job's own parallelism (0 = GOMAXPROCS); the
-	// manager's shared gate still caps evaluations across all jobs.
+	// manager's shared gate still caps evaluations across all jobs. A
+	// distributed job accepts it but is bounded by the fleet's window
+	// instead (fleet.Coordinator.Window).
 	Workers int `json:"workers,omitempty"`
 	// FaultRate scales the default injected fault mix (0 = clean).
 	FaultRate float64 `json:"fault_rate,omitempty"`
