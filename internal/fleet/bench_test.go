@@ -6,9 +6,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"funcytuner"
 	"funcytuner/internal/metrics"
@@ -29,6 +31,87 @@ func (g *grantCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
+// benchFleet is one benchmark iteration's fleet: a journaled coordinator
+// behind loopback HTTP and two workers (concurrency 1, claim batch 16),
+// bench/'s fleet-journal fleet.
+type benchFleet struct {
+	reg    *metrics.Registry
+	coord  *Coordinator
+	rt     *grantCounter
+	ctx    context.Context
+	cancel context.CancelFunc
+	srv    *httptest.Server
+	wg     sync.WaitGroup
+}
+
+func newBenchFleet(b *testing.B) *benchFleet {
+	b.Helper()
+	f := &benchFleet{reg: metrics.NewRegistry(), rt: &grantCounter{inner: &http.Transport{MaxIdleConnsPerHost: 4}}}
+	var err error
+	f.coord, err = NewCoordinator(CoordinatorConfig{Registry: f.reg, JournalPath: filepath.Join(b.TempDir(), "journal")})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.srv = httptest.NewServer(f.coord.Handler())
+	f.ctx, f.cancel = context.WithCancel(context.Background())
+	for w := 1; w <= 2; w++ {
+		worker, err := NewWorker(WorkerConfig{
+			ID:          fmt.Sprintf("bench-worker-%d", w),
+			Coordinator: f.srv.URL,
+			Concurrency: 1,
+			ClaimBatch:  16,
+			HTTPClient:  &http.Client{Transport: f.rt},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			worker.Run(f.ctx) //nolint:errcheck // stopped by close
+		}()
+	}
+	return f
+}
+
+// tune runs spec as job with Workers 8, the width bench/ gives a job.
+func (f *benchFleet) tune(job string, spec Spec) error {
+	ev, err := f.coord.Evaluator(job, spec)
+	if err != nil {
+		return err
+	}
+	tuner, prog, in, err := spec.Tuner(funcytuner.Options{Workers: 8, Evaluator: ev})
+	if err != nil {
+		return err
+	}
+	_, err = tuner.Run(f.ctx, prog, in, spec)
+	return err
+}
+
+// fleetCounts sums what the benchmark's fleets did.
+type fleetCounts struct{ syncs, evals, tasks, claims int64 }
+
+// close stops the workers and the coordinator and adds the fleet's
+// counts to n.
+func (f *benchFleet) close(n *fleetCounts) {
+	snap := f.reg.Snapshot()
+	n.syncs += snap.Counter(MetricJournalSyncs)
+	n.evals += snap.Counter(MetricReportsOK)
+	n.tasks += snap.Counter(MetricClaims)
+	n.claims += f.rt.granted.Load()
+	f.cancel()
+	f.wg.Wait()
+	f.srv.Close()
+	f.coord.Close()
+}
+
+// report adds the journal's writes (each one fsync) per evaluation and
+// the tasks a granted claim carried on average.
+func (n fleetCounts) report(b *testing.B) {
+	b.ReportMetric(float64(n.syncs)/float64(n.evals), "syncs/eval")
+	b.ReportMetric(float64(n.tasks)/float64(n.claims), "tasks/claim")
+}
+
 // BenchmarkDistributedTune times one distributed CloverLeaf/Broadwell
 // CFR job (K=250, top-25, Workers 8), the job bench/'s fleet-journal
 // workload submits: every evaluation crosses loopback HTTP to one of two
@@ -40,60 +123,69 @@ func (g *grantCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 // carried on average.
 func BenchmarkDistributedTune(b *testing.B) {
 	spec := Spec{Benchmark: funcytuner.CloverLeaf, Machine: "broadwell", Samples: 250, TopX: 25, Seed: "bench-distributed"}
-	var syncs, evals, tasks, claims int64
+	var n fleetCounts
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		reg := metrics.NewRegistry()
-		coord, err := NewCoordinator(CoordinatorConfig{Registry: reg, JournalPath: filepath.Join(b.TempDir(), "journal")})
-		if err != nil {
+		f := newBenchFleet(b)
+		b.StartTimer()
+		if err := f.tune(fmt.Sprintf("job-%d", i), spec); err != nil {
 			b.Fatal(err)
 		}
-		srv := httptest.NewServer(coord.Handler())
-		rt := &grantCounter{inner: &http.Transport{MaxIdleConnsPerHost: 4}}
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		for w := 1; w <= 2; w++ {
-			worker, err := NewWorker(WorkerConfig{
-				ID:          fmt.Sprintf("bench-worker-%d", w),
-				Coordinator: srv.URL,
-				Concurrency: 1,
-				ClaimBatch:  16,
-				HTTPClient:  &http.Client{Transport: rt},
-			})
+		b.StopTimer()
+		f.close(&n)
+	}
+	n.report(b)
+}
+
+// BenchmarkDistributedTuneConcurrent shares one fleet between two
+// clients, each tuning two of BenchmarkDistributedTune's jobs (own
+// seeds) one after the other. The second client starts once the first
+// job's first evaluation is on the fleet, so its job's tasks queue
+// behind the first job's. ns/op is the time all four jobs take; job-ms
+// and max-job-ms are the median and the longest time one job took,
+// over every iteration.
+func BenchmarkDistributedTuneConcurrent(b *testing.B) {
+	const clients, jobsPerClient = 2, 2
+	var (
+		n         fleetCounts
+		latencies []float64
+	)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f := newBenchFleet(b)
+		lat := make([]float64, clients*jobsPerClient)
+		errs := make([]error, clients)
+		var clientsWG sync.WaitGroup
+		b.StartTimer()
+		for c := 0; c < clients; c++ {
+			if c > 0 {
+				for f.reg.Snapshot().Counter(MetricTasksEnqueued) == 0 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			clientsWG.Add(1)
+			go func() {
+				defer clientsWG.Done()
+				for j := 0; j < jobsPerClient && errs[c] == nil; j++ {
+					spec := Spec{Benchmark: funcytuner.CloverLeaf, Machine: "broadwell", Samples: 250, TopX: 25, Seed: fmt.Sprintf("bench-concurrent-%d-%d", c, j)}
+					start := time.Now()
+					errs[c] = f.tune(fmt.Sprintf("job-%d-%d-%d", i, c, j), spec)
+					lat[c*jobsPerClient+j] = float64(time.Since(start)) / float64(time.Millisecond)
+				}
+			}()
+		}
+		clientsWG.Wait()
+		b.StopTimer()
+		for _, err := range errs {
 			if err != nil {
 				b.Fatal(err)
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker.Run(ctx) //nolint:errcheck // stopped by cancel below
-			}()
 		}
-		ev, err := coord.Evaluator(fmt.Sprintf("job-%d", i), spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuner, prog, in, err := spec.Tuner(funcytuner.Options{Workers: 8, Evaluator: ev})
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		b.StartTimer()
-		if _, err := tuner.Run(ctx, prog, in, spec); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-
-		snap := reg.Snapshot()
-		syncs += snap.Counter(MetricJournalSyncs)
-		evals += snap.Counter(MetricReportsOK)
-		tasks += snap.Counter(MetricClaims)
-		claims += rt.granted.Load()
-		cancel()
-		wg.Wait()
-		srv.Close()
-		coord.Close()
+		latencies = append(latencies, lat...)
+		f.close(&n)
 	}
-	b.ReportMetric(float64(syncs)/float64(evals), "syncs/eval")
-	b.ReportMetric(float64(tasks)/float64(claims), "tasks/claim")
+	n.report(b)
+	slices.Sort(latencies)
+	b.ReportMetric(latencies[len(latencies)/2], "job-ms")
+	b.ReportMetric(latencies[len(latencies)-1], "max-job-ms")
 }
