@@ -78,9 +78,8 @@ type EvalOutcome struct {
 //
 // Window is how many Evaluate calls the session should have in flight
 // at once. The session reads it at the start of every parallel range,
-// in place of Config.Workers, so an evaluator that learns its capacity
-// while a run goes on widens the run's next range. Where evaluations run
-// never changes a result, so neither does the window.
+// in place of Config.Workers. Where evaluations run never changes a
+// result, so neither does the window.
 type RemoteEvaluator interface {
 	Evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error)
 	Window() int

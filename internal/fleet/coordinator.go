@@ -232,14 +232,10 @@ type lease struct {
 	deadline time.Time
 }
 
-// workerState tracks one worker's lease-loss record and claim capacity.
+// workerState tracks one worker's lease-loss record.
 type workerState struct {
 	losses      int // consecutive; reset by an accepted report
 	quarantined bool
-	// claiming sums max over the worker's ClaimBatch calls in progress,
-	// and capacity is its high-water mark: a worker with c claim loops
-	// of batch b reaches c×b whenever its loops poll together.
-	claiming, capacity int
 }
 
 // JournalState is the health view of the coordinator's journal.
@@ -791,22 +787,12 @@ func (c *Coordinator) Evaluator(job string, spec Spec) (core.RemoteEvaluator, er
 	return &jobEvaluator{c: c, job: job, spec: spec}, nil
 }
 
-// Window is how many of one job's evaluations the fleet should hold at
-// once, queued or leased: max(maxClaimBatch, 2 × the summed claim
-// capacity of the workers not quarantined). That keeps one batch
-// evaluating and one waiting for every claimer, and never less than one
-// maximal claim, even before any worker has claimed.
-func (c *Coordinator) Window() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slots := 0
-	for _, ws := range c.workers {
-		if !ws.quarantined {
-			slots += ws.capacity
-		}
-	}
-	return max(maxClaimBatch, 2*slots)
-}
+// Window is how many of one job's evaluations the fleet holds at once,
+// queued or leased, whatever the job's Workers: maxClaimBatch, one
+// maximal claim. A fleet of up to maxClaimBatch/2 claim slots thus finds
+// a batch waiting for every batch it evaluates. The window does not grow
+// with the fleet: no measured fleet has had more slots (DESIGN §12).
+func (c *Coordinator) Window() int { return maxClaimBatch }
 
 type jobEvaluator struct {
 	c    *Coordinator
@@ -814,8 +800,7 @@ type jobEvaluator struct {
 	spec Spec
 }
 
-// Window implements core.RemoteEvaluator: the session reads it at the
-// start of every range, so a job widens as workers join.
+// Window implements core.RemoteEvaluator: the coordinator's window.
 func (e *jobEvaluator) Window() int { return e.c.Window() }
 
 // Evaluate implements core.RemoteEvaluator: one claim, one accepted
@@ -983,14 +968,6 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 		return nil, fmt.Errorf("fleet: claim batch size %d < 1", max)
 	}
 	deadline := time.Now().Add(maxWait)
-	var ws *workerState
-	defer func() {
-		if ws != nil {
-			c.mu.Lock()
-			ws.claiming -= max
-			c.mu.Unlock()
-		}
-	}()
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -1001,17 +978,12 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 			c.mu.Unlock()
 			return nil, ErrUnavailable
 		}
+		ws := c.workers[worker]
 		if ws == nil {
-			if ws = c.workers[worker]; ws == nil {
-				// First contact — mid-run rejoin is this cheap: claiming
-				// is registration.
-				ws = &workerState{}
-				c.workers[worker] = ws
-			}
-			ws.claiming += max
-			if ws.claiming > ws.capacity {
-				ws.capacity = ws.claiming
-			}
+			// First contact — mid-run rejoin is this cheap: claiming is
+			// registration.
+			ws = &workerState{}
+			c.workers[worker] = ws
 		}
 		if ws.quarantined {
 			// The quarantine may come from a sweep still being written.

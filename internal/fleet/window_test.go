@@ -175,85 +175,13 @@ func TestWindowBoundsInFlight(t *testing.T) {
 	r := newWindowRun(t)
 	r.startJob(spec, 8)
 	window := r.coord.Window()
-	if window != maxClaimBatch {
-		t.Fatalf("window before any claim = %d, want %d", window, maxClaimBatch)
-	}
 	r.waitFor("a full window queued", func() bool { return r.coord.QueueDepth() == window })
 	time.Sleep(50 * time.Millisecond)
 	if n := r.coord.QueueDepth(); n != window {
 		t.Fatalf("queue grew from %d to %d with no worker", window, n)
 	}
-	// Two workers of one loop and batch 16 have 32 slots: 64 < 256.
 	r.startWorkers(2, 1, 16)
 	if peak := r.finish(spec); peak > window {
 		t.Errorf("coordinator held %d tasks at once, window %d", peak, window)
-	}
-	if got := r.coord.Window(); got != window {
-		t.Errorf("window after the run = %d, want %d", got, window)
-	}
-}
-
-// The window follows the fleet's claim capacity: one worker whose three
-// loops poll together with batches of 50 has 150 slots, so the window
-// is 300, and a job's ranges use it. A quarantined worker's slots no
-// longer count.
-func TestWindowGrowsWithFleet(t *testing.T) {
-	spec := testSpec()
-	spec.Samples, spec.TopX, spec.Seed = 400, 20, "window-grows"
-	coord, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	// Three claims in progress together: the worker's capacity is their
-	// sum, and stays its high-water mark once they return.
-	ctx, cancel := context.WithCancel(context.Background())
-	var polls sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		polls.Add(1)
-		go func() {
-			defer polls.Done()
-			coord.ClaimBatch(ctx, "wide", testTimeout, 50) //nolint:errcheck // cancelled below
-		}()
-	}
-	deadline := time.Now().Add(testTimeout)
-	for coord.Window() != 300 {
-		if time.Now().After(deadline) {
-			t.Fatalf("window = %d with three claims of 50 polling, want 300", coord.Window())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	polls.Wait()
-	if got := coord.Window(); got != 300 {
-		t.Errorf("window = %d once the claims returned, want 300", got)
-	}
-	if _, err := coord.ClaimBatch(context.Background(), "narrow", 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if got := coord.Window(); got != 320 {
-		t.Errorf("window = %d with 160 slots, want 320", got)
-	}
-	coord.mu.Lock()
-	coord.workers["wide"].quarantined = true
-	coord.mu.Unlock()
-	if got := coord.Window(); got != maxClaimBatch {
-		t.Errorf("window = %d with the wide worker quarantined, want %d", got, maxClaimBatch)
-	}
-
-	// End to end: a worker of three loops and batch 50 over HTTP widens
-	// the window to 300 while its loops wait for work, and the job's
-	// first range puts more than 256 tasks on the fleet.
-	r := newWindowRun(t)
-	r.startWorkers(1, 3, 50)
-	r.waitFor("the worker's three claims polling together", func() bool { return r.coord.Window() == 300 })
-	r.startJob(spec, 8)
-	peak := r.finish(spec)
-	if got := r.coord.Window(); got != 300 || r.width != 300 {
-		t.Errorf("window with one worker of 3 loops × 50 = %d, the job's workers gauge %v; want 300", got, r.width)
-	}
-	if peak <= maxClaimBatch || peak > 300 {
-		t.Errorf("coordinator held at most %d tasks at once, want more than %d and at most 300", peak, maxClaimBatch)
 	}
 }
