@@ -3,6 +3,7 @@ package funcytuner
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -539,26 +540,37 @@ func BenchmarkRepoServedTune(b *testing.B) {
 		}
 	})
 
-	// served-paper-traced serves a paper-scale CloverLeaf/Broadwell run
-	// (K=1000, top-50) to a caller with a trace recorder, as funcytunerd
-	// serves every resubmission: the entry embeds the run's canonical
-	// trace, about 8,000 events, which the serve decodes and replays.
-	b.Run("served-paper-traced", func(b *testing.B) {
+	// The served-paper sub-benchmarks serve a paper-scale
+	// CloverLeaf/Broadwell run (K=1000, top-50), stored once with its
+	// canonical trace of about 8,000 events, as funcytunerd stores every
+	// run. served-paper-traced serves it to a caller with a trace
+	// recorder, as funcytunerd serves every resubmission, so the serve
+	// decodes and replays the trace; served-paper-untraced serves the
+	// same entry to a caller without one, which decodes no trace.
+	paperDir := b.TempDir()
+	var paperStored bool
+	paper := func(b *testing.B, traced bool) {
 		prog, err := Benchmark(CloverLeaf)
 		if err != nil {
 			b.Fatal(err)
 		}
 		in := TuningInput(CloverLeaf, m)
-		opts := Options{Machine: m, Samples: 1000, TopX: 50, Seed: "repo-bench", RepoPath: b.TempDir(),
-			Trace: NewTraceRecorder()}
-		if _, err := NewTuner(opts).Tune(prog, in); err != nil {
-			b.Fatal(err)
+		opts := Options{Machine: m, Samples: 1000, TopX: 50, Seed: "repo-bench", RepoPath: paperDir}
+		if !paperStored {
+			opts.Trace = NewTraceRecorder()
+			if _, err := NewTuner(opts).Tune(prog, in); err != nil {
+				b.Fatal(err)
+			}
+			paperStored = true
 		}
 		opts.SkipExist = true
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			opts.Trace = NewTraceRecorder()
+			opts.Trace = nil
+			if traced {
+				opts.Trace = NewTraceRecorder()
+			}
 			rep, err := NewTuner(opts).Tune(prog, in)
 			if err != nil {
 				b.Fatal(err)
@@ -567,5 +579,38 @@ func BenchmarkRepoServedTune(b *testing.B) {
 				b.Fatal("not served")
 			}
 		}
-	})
+	}
+	b.Run("served-paper-traced", func(b *testing.B) { paper(b, true) })
+	b.Run("served-paper-untraced", func(b *testing.B) { paper(b, false) })
+}
+
+// BenchmarkWarmSeeds is one warm-start scan of a repository holding 16
+// paper-scale CloverLeaf/Broadwell runs (K=1000, top-50), each stored
+// with its canonical trace as funcytunerd stores every run: the scan a
+// warm bo or ga job pays before it starts.
+func BenchmarkWarmSeeds(b *testing.B) {
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := TuningInput(CloverLeaf, m)
+	dir := b.TempDir()
+	cache := NewCompileCache(0)
+	for i := 0; i < 16; i++ {
+		opts := Options{Machine: m, Samples: 1000, TopX: 50, Seed: fmt.Sprintf("warm-bench-%d", i),
+			RepoPath: dir, SharedCache: cache, Trace: NewTraceRecorder()}
+		if _, err := NewTuner(opts).Tune(prog, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tuner := NewTuner(Options{Machine: m, Samples: 1000, TopX: 50, Seed: "warm-bench",
+		RepoPath: dir, Technique: "bo", WarmStart: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if seeds := tuner.warmSeeds(prog); len(seeds) != maxWarmSeeds {
+			b.Fatalf("scan found %d seeds, want %d", len(seeds), maxWarmSeeds)
+		}
+	}
 }
