@@ -109,11 +109,11 @@ func (c *Cache) spillLoad(key uint64) (val any, work int64, ok bool) {
 		}
 		return nil, 0, false
 	}
-	head, body, ok := fsx.ReadEntry(data)
+	head, body, tail, ok := fsx.ReadEntry(data)
 	var h struct {
 		Work int64 `json:"work"`
 	}
-	if !ok || json.Unmarshal(head, &h) != nil || h.Work < 0 || !bytes.Equal(head, spillHeader(key, h.Work)) {
+	if !ok || tail != nil || json.Unmarshal(head, &h) != nil || h.Work < 0 || !bytes.Equal(head, spillHeader(key, h.Work)) {
 		sp.corrupt.Add(1)
 		os.Remove(path)
 		return nil, 0, false
@@ -137,7 +137,7 @@ func (c *Cache) spillWrite(it spillItem) {
 	if !ok {
 		return
 	}
-	out, err := fsx.AppendEntry(nil, spillHeader(it.key, it.work), data)
+	out, err := fsx.AppendEntry(nil, spillHeader(it.key, it.work), data, nil)
 	if err != nil {
 		sp.errs.Add(1)
 		return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -74,14 +75,46 @@ func TestPutRejectsInvalidJSON(t *testing.T) {
 	}
 }
 
+// testEntry is an entry with all three parts: a summary, a body and a
+// multi-line trace.
+func testEntry() Entry {
+	return Entry{
+		Summary: []byte(`{"flavor":"icc","module_flags":["-O2","-O3"]}`),
+		Body:    []byte(`{"fingerprint":"00deadbeef001234","best":"0x1.91eb851eb851fp+01"}`),
+		Trace:   []byte("{\"kind\":\"session\",\"name\":\"tune\"}\n{\"kind\":\"eval\",\"index\":1}\n"),
+	}
+}
+
 // TestCorruptionTolerance is the satellite table test: every way an
-// entry can be damaged on disk — truncation, bit flips, garbage, an
-// entry in the layout older builds wrote, a key mismatch, a writer crash
-// mid-rename — must read as a counted corrupt miss, never an error and
-// never a wrong body.
+// entry can be damaged on disk — truncation, bit flips in any of its
+// three parts, garbage, an entry in a layout older builds wrote, a key
+// mismatch, a writer crash mid-rename — must read as a counted corrupt
+// miss, never an error and never a wrong entry.
 func TestCorruptionTolerance(t *testing.T) {
 	key := testKey
-	body := []byte(`{"fingerprint":"00deadbeef001234","best":"0x1.91eb851eb851fp+01"}`)
+	entry := testEntry()
+	body := entry.Body
+	// otherEntry is the same entry filed under another key: every part
+	// is intact and checksummed, only the key it names is wrong.
+	otherEntry := func(t *testing.T) []byte {
+		data, err := encode(key^1, entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// lineEnd is the offset just past the n-th line of data.
+	lineEnd := func(t *testing.T, data []byte, n int) int {
+		end := 0
+		for i := 0; i < n; i++ {
+			nl := bytes.IndexByte(data[end:], '\n')
+			if nl < 0 {
+				t.Fatalf("entry has fewer than %d lines", n)
+			}
+			end += nl + 1
+		}
+		return end
+	}
 
 	cases := []struct {
 		name    string
@@ -105,18 +138,43 @@ func TestCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, data)
 		}, true},
 		{"flipped-byte-in-checksum", func(t *testing.T, path string) {
+			// The body record's checksum, the second of the entry's three.
 			data := mustRead(t, path)
-			i := bytes.LastIndex(data, []byte(`"sum":"`))
+			i := bytes.Index(data[lineEnd(t, data, 1):], []byte(`"sum":"`))
 			if i < 0 {
 				t.Fatal("checksum marker not found")
 			}
-			i += len(`"sum":"`)
+			i += lineEnd(t, data, 1) + len(`"sum":"`)
 			if data[i] == '0' {
 				data[i] = '1'
 			} else {
 				data[i] = '0'
 			}
 			mustWrite(t, path, data)
+		}, true},
+		{"flipped-byte-in-trace", func(t *testing.T, path string) {
+			data := mustRead(t, path)
+			i := bytes.LastIndex(data, []byte("eval"))
+			if i < lineEnd(t, data, 3) {
+				t.Fatal("trace marker not found")
+			}
+			data[i] ^= 0x01
+			mustWrite(t, path, data)
+		}, true},
+		{"truncated-trace", func(t *testing.T, path string) {
+			data := mustRead(t, path)
+			mustWrite(t, path, data[:len(data)-5])
+		}, true},
+		{"trace-length-mismatch", func(t *testing.T, path string) {
+			// The seal's checksum still covers the trace's exact bytes;
+			// only the length it gives is one short.
+			data := mustRead(t, path)
+			n := len(entry.Trace)
+			old := fmt.Sprintf(`,"tail":%d}`, n)
+			if !bytes.Contains(data, []byte(old)) {
+				t.Fatal("trace seal not found")
+			}
+			mustWrite(t, path, bytes.Replace(data, []byte(old), []byte(fmt.Sprintf(`,"tail":%d}`, n-1)), 1))
 		}, true},
 		{"garbage", func(t *testing.T, path string) {
 			mustWrite(t, path, []byte("\x00\xff\x00\xffnot even json"))
@@ -126,14 +184,34 @@ func TestCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, []byte(fmt.Sprintf(`{"version":1,"key":"%016x","checksum":"%s","body":%s}`,
 				key, fsx.Checksum(body), body)))
 		}, true},
+		{"two-record-layout", func(t *testing.T, path string) {
+			// The layout before summaries and raw traces, intact: a
+			// header naming the key alone, then a body embedding the
+			// trace as one escaped string.
+			old, err := fsx.AppendEntry(nil, fmt.Appendf(nil, `{"key":"%016x"}`, key),
+				fmt.Appendf(nil, `{"fingerprint":"00deadbeef001234","trace_jsonl":%q}`, entry.Trace), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustWrite(t, path, old)
+		}, true},
 		{"wrong-key", func(t *testing.T, path string) {
-			mustWrite(t, path, fsx.AppendRecord(fsx.AppendRecord(nil, header(1)), body))
+			mustWrite(t, path, fsx.AppendRecord(fsx.AppendRecord(nil, header(1, entry.Summary)), body))
+		}, true},
+		{"header-under-other-key", func(t *testing.T, path string) {
+			mustWrite(t, path, otherEntry(t))
+		}, true},
+		{"summary-under-other-key", func(t *testing.T, path string) {
+			// Another key's header record, summary and all, spliced onto
+			// this entry's body and trace.
+			other, data := otherEntry(t), mustRead(t, path)
+			mustWrite(t, path, append(other[:lineEnd(t, other, 1):lineEnd(t, other, 1)], data[lineEnd(t, data, 1):]...))
 		}, true},
 		{"extra-record", func(t *testing.T, path string) {
 			mustWrite(t, path, fsx.AppendRecord(mustRead(t, path), body))
 		}, true},
 		{"missing-body", func(t *testing.T, path string) {
-			mustWrite(t, path, fsx.AppendRecord(nil, header(key)))
+			mustWrite(t, path, fsx.AppendRecord(nil, header(key, entry.Summary)))
 		}, true},
 		{"deleted-file", func(t *testing.T, path string) {
 			if err := os.Remove(path); err != nil {
@@ -157,12 +235,12 @@ func TestCorruptionTolerance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Put(key, body); err != nil {
+			if err := r.PutEntry(key, entry); err != nil {
 				t.Fatal(err)
 			}
 			tc.mangle(t, r.path(key))
 
-			got, ok := r.Get(key)
+			got, ok := r.GetEntry(key)
 			if ok {
 				t.Fatalf("Get returned %q for a damaged entry", got)
 			}
@@ -175,7 +253,7 @@ func TestCorruptionTolerance(t *testing.T) {
 			}
 			// A second Get is a clean (non-corrupt) miss: the entry was
 			// de-indexed.
-			if _, ok := r.Get(key); ok {
+			if _, ok := r.GetEntry(key); ok {
 				t.Fatal("damaged entry resurrected")
 			}
 			if st2 := r.Stats(); st2.Corrupt != st.Corrupt {
@@ -188,17 +266,72 @@ func TestCorruptionTolerance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := r2.Get(key); ok {
+			if got, ok := r2.GetEntry(key); ok {
 				t.Fatalf("reopened Get returned %q for a damaged entry", got)
 			}
-			if err := r2.Put(key, body); err != nil {
+			if err := r2.PutEntry(key, entry); err != nil {
 				t.Fatal(err)
 			}
-			got, ok = r2.Get(key)
-			if !ok || !bytes.Equal(got, body) {
+			got, ok = r2.GetEntry(key)
+			if !ok || !reflect.DeepEqual(got, entry) {
 				t.Fatalf("re-Put after damage: Get = %q, %v", got, ok)
 			}
 		})
+	}
+}
+
+// Summary reads the header alone: it returns the stored summary without
+// verifying, or being slowed by, the body and the trace, while a damaged
+// header, or one in a layout older builds wrote, is a counted corrupt
+// miss that drops the entry. Put stores a body with the empty summary {}.
+func TestSummary(t *testing.T) {
+	r, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := testEntry()
+	if err := r.PutEntry(testKey, entry); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := r.Summary(testKey); !ok || !bytes.Equal(got, entry.Summary) {
+		t.Fatalf("Summary = %q, %v; want %q", got, ok, entry.Summary)
+	}
+	if err := r.Put(testKey+1, entry.Body); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := r.Summary(testKey + 1); !ok || string(got) != "{}" {
+		t.Fatalf("Summary of a body-only entry = %q, %v; want {}", got, ok)
+	}
+	if _, ok := r.Summary(testKey + 2); ok {
+		t.Fatal("Summary of an absent key hit")
+	}
+	if st := r.Stats(); st.Hits != 0 || st.Misses != 0 || st.Corrupt != 0 {
+		t.Fatalf("summary reads counted lookups: %+v", st)
+	}
+
+	// A damaged trace does not stop the summary; GetEntry finds it.
+	data := mustRead(t, r.path(testKey))
+	data[len(data)-2] ^= 0x01
+	mustWrite(t, r.path(testKey), data)
+	if got, ok := r.Summary(testKey); !ok || !bytes.Equal(got, entry.Summary) {
+		t.Fatalf("Summary with a damaged trace = %q, %v", got, ok)
+	}
+	if _, ok := r.GetEntry(testKey); ok {
+		t.Fatal("GetEntry returned an entry with a damaged trace")
+	}
+
+	// A header in the two-record layout names no summary.
+	old, err := fsx.AppendEntry(nil, fmt.Appendf(nil, `{"key":"%016x"}`, testKey+1), entry.Body, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, r.path(testKey+1), old)
+	before := r.Stats().Corrupt
+	if got, ok := r.Summary(testKey + 1); ok {
+		t.Fatalf("Summary of a two-record entry = %q", got)
+	}
+	if st := r.Stats(); st.Corrupt != before+1 || r.Has(testKey+1) {
+		t.Fatalf("two-record entry not dropped as corrupt: %+v", st)
 	}
 }
 
@@ -265,21 +398,32 @@ func TestConcurrentPutGet(t *testing.T) {
 
 // FuzzDecode drives the entry validator with arbitrary bytes: it must
 // never panic, and whatever it accepts is exactly the entry Put writes
-// for the returned body, checksums included.
+// for the parts it returns, checksums and trace seal included.
 func FuzzDecode(f *testing.F) {
 	key := testKey
-	seed := fsx.AppendRecord(fsx.AppendRecord(nil, header(key)), []byte(`{"x":1}`))
+	seed, err := encode(key, testEntry())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(seed)
 	f.Add([]byte("{}"))
 	f.Add([]byte(""))
 	f.Add(seed[:len(seed)/2])
+	untraced := testEntry()
+	untraced.Trace = nil
+	if seed, err = encode(key, untraced); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(fsx.AppendRecord(fsx.AppendRecord(nil, fmt.Appendf(nil, `{"key":"%016x"}`, key)), []byte(`{"x":1}`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, ok := decode(data, key)
+		e, ok := decode(data, key)
 		if !ok {
 			return
 		}
-		if resealed := fsx.AppendRecord(fsx.AppendRecord(nil, header(key)), body); !bytes.Equal(resealed, data) {
-			t.Fatalf("decode accepted %q, which is not the entry of its body %q", data, body)
+		resealed, err := encode(key, e)
+		if err != nil || !bytes.Equal(resealed, data) {
+			t.Fatalf("decode accepted %q, which is not the entry of its parts %q (%v)", data, e, err)
 		}
 	})
 }

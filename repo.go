@@ -15,16 +15,18 @@ package funcytuner
 // Everything round-trips losslessly: floats travel as strconv hex-float
 // strings (NaN and ±Inf included — G.Independent's TrueTime is NaN by
 // contract), CVs as their flag-string form re-parsed against the same
-// flag space, and the canonical trace as embedded JSONL replayed
-// verbatim into the caller's recorder.
+// flag space, and the canonical trace as raw JSONL, the entry's third
+// part, replayed verbatim into the caller's recorder. A serve decodes
+// the trace only for a caller that traces, and a warm start reads only
+// the entries' summaries (repoSummary).
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 
 	"funcytuner/internal/core"
 	"funcytuner/internal/ir"
@@ -137,10 +139,20 @@ type repoFaults struct {
 	DegradedModules int    `json:"degraded_modules"`
 }
 
+// repoSummary is an entry's summary: what the run tuned and its best
+// result's module flags, all a warm start reads of a prior run.
+type repoSummary struct {
+	Flavor      string   `json:"flavor"`
+	Program     string   `json:"program,omitempty"`
+	Machine     string   `json:"machine,omitempty"`
+	ModuleFlags []string `json:"module_flags,omitempty"`
+}
+
 // repoBody is the stored form of a complete Report, minus the
 // observability fields (Cache, Metrics) that Fingerprint excludes for
 // the same reason storage does: they describe the run that happened to
-// produce the result, not the result.
+// produce the result, not the result. The run's trace is stored beside
+// it, as the entry's raw third part.
 type repoBody struct {
 	Fingerprint     string                 `json:"fingerprint"`
 	Flavor          string                 `json:"flavor"`
@@ -158,7 +170,6 @@ type repoBody struct {
 	Runs            int64                  `json:"runs"`
 	SimulatedHours  string                 `json:"simulated_hours"`
 	Faults          repoFaults             `json:"faults"`
-	TraceJSONL      string                 `json:"trace_jsonl,omitempty"`
 }
 
 func hexFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
@@ -189,9 +200,9 @@ func parseHexFloats(ss []string) ([]float64, error) {
 	return out, nil
 }
 
-// encodeRepoBody serializes a freshly computed Report plus its
-// canonical trace for storage.
-func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
+// encodeRepoBody serializes a freshly computed Report plus its canonical
+// trace into the three parts of a repository entry.
+func encodeRepoBody(rep *Report, tr *TuningTrace) (resultrepo.Entry, error) {
 	b := repoBody{
 		Fingerprint:     fmt.Sprintf("%016x", rep.Fingerprint()),
 		Flavor:          rep.space.Flavor.String(),
@@ -238,14 +249,26 @@ func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
 		}
 		b.Results[name] = rr
 	}
-	if tr != nil && len(tr.Events) > 0 {
-		var sb strings.Builder
-		if err := tr.WriteJSONL(&sb); err != nil {
-			return nil, err
-		}
-		b.TraceJSONL = sb.String()
+	sum := repoSummary{Flavor: b.Flavor, Program: b.Program, Machine: b.Machine}
+	if best := bestResult(b.Results); best != nil {
+		sum.ModuleFlags = best.ModuleFlags
 	}
-	return json.Marshal(&b)
+	var e resultrepo.Entry
+	var err error
+	if e.Summary, err = json.Marshal(&sum); err != nil {
+		return e, err
+	}
+	if e.Body, err = json.Marshal(&b); err != nil {
+		return e, err
+	}
+	if tr != nil && len(tr.Events) > 0 {
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			return e, err
+		}
+		e.Trace = buf.Bytes()
+	}
+	return e, nil
 }
 
 // decodeRepoBody reconstructs a served Report and the fingerprint the
@@ -256,16 +279,16 @@ func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
 // module names must name it, and the best result must carry one CV per
 // module. Any malformed or inconsistent field is an error — the caller
 // treats it as a corrupt entry.
-func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *TuningTrace, string, error) {
+func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, string, error) {
 	var b repoBody
 	if err := json.Unmarshal(body, &b); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	if b.Flavor != t.opts.Space.Flavor.String() {
-		return nil, nil, "", fmt.Errorf("funcytuner: stored flavor %q does not match %q", b.Flavor, t.opts.Space.Flavor)
+		return nil, "", fmt.Errorf("funcytuner: stored flavor %q does not match %q", b.Flavor, t.opts.Space.Flavor)
 	}
 	if len(b.Results) == 0 {
-		return nil, nil, "", fmt.Errorf("funcytuner: stored entry has no results")
+		return nil, "", fmt.Errorf("funcytuner: stored entry has no results")
 	}
 	all := make(map[string]*Result, len(b.Results))
 	for name, rr := range b.Results {
@@ -276,24 +299,24 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 		}
 		var err error
 		if res.BestMeasured, err = strconv.ParseFloat(rr.BestMeasured, 64); err != nil {
-			return nil, nil, "", err
+			return nil, "", err
 		}
 		if res.TrueTime, err = strconv.ParseFloat(rr.TrueTime, 64); err != nil {
-			return nil, nil, "", err
+			return nil, "", err
 		}
 		if res.Baseline, err = strconv.ParseFloat(rr.Baseline, 64); err != nil {
-			return nil, nil, "", err
+			return nil, "", err
 		}
 		if res.Speedup, err = strconv.ParseFloat(rr.Speedup, 64); err != nil {
-			return nil, nil, "", err
+			return nil, "", err
 		}
 		if res.Trace, err = parseHexFloats(rr.Trace); err != nil {
-			return nil, nil, "", err
+			return nil, "", err
 		}
 		for _, flags := range rr.ModuleFlags {
 			cv, err := t.opts.Space.Parse(flags)
 			if err != nil {
-				return nil, nil, "", err
+				return nil, "", err
 			}
 			res.ModuleCVs = append(res.ModuleCVs, cv)
 		}
@@ -301,19 +324,19 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 	}
 	best := bestResult(all)
 	if best == nil {
-		return nil, nil, "", fmt.Errorf("funcytuner: stored entry has no search result")
+		return nil, "", fmt.Errorf("funcytuner: stored entry has no search result")
 	}
 	hot := slices.Clone(b.HotLoops)
 	slices.Sort(hot)
 	part, err := outline.Outline(prog, hot)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	if !slices.EqualFunc(part.Modules, b.ModuleNames, func(m ir.Module, name string) bool { return m.Name == name }) {
-		return nil, nil, "", fmt.Errorf("funcytuner: stored module names %q do not name the outlined partition", b.ModuleNames)
+		return nil, "", fmt.Errorf("funcytuner: stored module names %q do not name the outlined partition", b.ModuleNames)
 	}
 	if len(best.ModuleCVs) != len(part.Modules) {
-		return nil, nil, "", fmt.Errorf("funcytuner: stored %s result has %d CVs for %d modules", best.Algorithm, len(best.ModuleCVs), len(part.Modules))
+		return nil, "", fmt.Errorf("funcytuner: stored %s result has %d CVs for %d modules", best.Algorithm, len(best.ModuleCVs), len(part.Modules))
 	}
 	rep := &Report{
 		Best:     best,
@@ -333,19 +356,19 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 		Runs:    b.ProfileRuns,
 	}
 	if rep.Profile.Total, err = strconv.ParseFloat(b.ProfileTotal, 64); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	if rep.Profile.TotalStd, err = strconv.ParseFloat(b.ProfileTotalStd, 64); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	if rep.Profile.NonLoop, err = strconv.ParseFloat(b.ProfileNonLoop, 64); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	if rep.Profile.PerLoop, err = parseHexFloats(b.ProfilePerLoop); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	if rep.SimulatedHours, err = strconv.ParseFloat(b.SimulatedHours, 64); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	rep.Faults = FaultTally{
 		CompileFailures: b.Faults.CompileFailures,
@@ -358,38 +381,33 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 		DegradedModules: b.Faults.DegradedModules,
 	}
 	if rep.Faults.LostHours, err = strconv.ParseFloat(b.Faults.LostHours, 64); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
-	var tr *TuningTrace
-	if b.TraceJSONL != "" {
-		if tr, err = trace.ReadJSONL(strings.NewReader(b.TraceJSONL)); err != nil {
-			return nil, nil, "", err
-		}
-	}
-	return rep, tr, b.Fingerprint, nil
+	return rep, b.Fingerprint, nil
 }
 
 // serveFromRepo resolves the run of prog on in, keyed key (see repoKey),
-// against the repository: one indexed Get, one decode — no profiling,
-// no session, no evaluations. The reconstructed Report's fingerprint
-// must equal the one stored with the entry; anything less invalidates
-// the entry and falls through to a real run. When the caller wants a
-// trace, an entry stored without one is also a miss (the recompute will
-// store it with the trace attached).
+// against the repository: one indexed read, one decode of the body — no
+// profiling, no session, no evaluations. The reconstructed Report's
+// fingerprint must equal the one stored with the entry; anything less
+// invalidates the entry and falls through to a real run. The trace is
+// decoded only when the caller wants one: an entry stored without a
+// trace is then a plain miss (the recompute will store it with the trace
+// attached), and one whose trace does not decode is invalidated.
 func (t *Tuner) serveFromRepo(key uint64, prog *Program, in Input) (*Report, bool) {
 	if t.repo == nil || !t.opts.SkipExist || t.opts.KillAfterEvals > 0 {
 		return nil, false
 	}
-	body, ok := t.repo.Get(key)
+	e, ok := t.repo.GetEntry(key)
 	if !ok {
 		return nil, false
 	}
-	rep, tr, fp, err := t.decodeRepoBody(body, prog, in)
+	rep, fp, err := t.decodeRepoBody(e.Body, prog, in)
 	if err != nil {
 		t.repo.Invalidate(key)
 		return nil, false
 	}
-	if t.opts.Trace != nil && tr == nil {
+	if t.opts.Trace != nil && len(e.Trace) == 0 {
 		return nil, false
 	}
 	if got := fmt.Sprintf("%016x", rep.Fingerprint()); got != fp {
@@ -397,6 +415,11 @@ func (t *Tuner) serveFromRepo(key uint64, prog *Program, in Input) (*Report, boo
 		return nil, false
 	}
 	if t.opts.Trace != nil {
+		tr, err := trace.ReadJSONL(bytes.NewReader(e.Trace))
+		if err != nil {
+			t.repo.Invalidate(key)
+			return nil, false
+		}
 		t.opts.Trace.Replay(tr)
 	}
 	return rep, true
@@ -414,11 +437,11 @@ func (t *Tuner) storeInRepo(key uint64, rep *Report) {
 	if t.opts.Trace != nil {
 		tr = t.opts.Trace.Snapshot().Canonical()
 	}
-	body, err := encodeRepoBody(rep, tr)
+	e, err := encodeRepoBody(rep, tr)
 	if err != nil {
 		return
 	}
-	_ = t.repo.Put(key, body)
+	_ = t.repo.PutEntry(key, e)
 }
 
 // RepoStats snapshots the attached results repository's activity (zero

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"funcytuner/internal/fsx"
@@ -474,6 +475,180 @@ func TestRepoFingerprintMismatchInvalidates(t *testing.T) {
 				t.Fatalf("recompute after tamper saves\n%s\nwant\n%s", gotSave.Bytes(), wantSave.Bytes())
 			}
 		})
+	}
+}
+
+// rewriteEntry replaces the single entry file under dir by what edit
+// makes of its header, body and trace, sealed again with fresh
+// checksums, so only the facade's own checks can refuse it.
+func rewriteEntry(t *testing.T, dir string, edit func(head, body, tail []byte) (newHead, newBody, newTail []byte)) {
+	t.Helper()
+	path := repoEntryPath(t, dir)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, body, tail, ok := fsx.ReadEntry(raw)
+	if !ok {
+		t.Fatal("stored entry is not an fsx entry")
+	}
+	head, body, tail = edit(head, body, tail)
+	sealed, err := fsx.AppendEntry(nil, head, body, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A serve decodes the stored trace only for a caller that traces. An
+// entry whose trace part is intact on disk but does not decode still
+// serves an untraced caller, with the stored fingerprint; to a tracing
+// caller it is one counted corrupt miss, and the recompute re-stores a
+// trace that serves.
+func TestRepoUntracedServeSkipsTrace(t *testing.T) {
+	dir := t.TempDir()
+	prog, _ := Benchmark(Swim)
+	m, _ := MachineByName("broadwell")
+	in := TuningInput(Swim, m)
+	opts := repoOpts(dir)
+	rec := NewTraceRecorder()
+	opts.Trace = rec
+	want, err := NewTuner(opts).Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewriteEntry(t, dir, func(head, body, tail []byte) ([]byte, []byte, []byte) {
+		if len(tail) == 0 {
+			t.Fatal("traced run stored no trace")
+		}
+		return head, body, []byte("not a trace event\n")
+	})
+
+	untraced := repoOpts(dir)
+	untraced.SkipExist = true
+	tuner := NewTuner(untraced)
+	rep, err := tuner.Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Served || rep.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("untraced caller: served %v, fingerprint %016x, want served %016x", rep.Served, rep.Fingerprint(), want.Fingerprint())
+	}
+	if st := tuner.RepoStats(); st.Corrupt != 0 {
+		t.Fatalf("untraced serve judged the trace: %+v", st)
+	}
+
+	traced := repoOpts(dir)
+	traced.SkipExist = true
+	traced.Trace = NewTraceRecorder()
+	tuner = NewTuner(traced)
+	rep, err = tuner.Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Served {
+		t.Fatal("an undecodable trace was served to a tracing caller")
+	}
+	if st := tuner.RepoStats(); st.Corrupt != 1 || st.Puts != 1 {
+		t.Fatalf("undecodable trace was not one corrupt miss and a re-store: %+v", st)
+	}
+	if rep.Fingerprint() != want.Fingerprint() {
+		t.Fatal("recompute after an undecodable trace diverged")
+	}
+
+	again := repoOpts(dir)
+	again.SkipExist = true
+	rec3 := NewTraceRecorder()
+	again.Trace = rec3
+	rep, err = NewTuner(again).Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantTr, gotTr bytes.Buffer
+	if err := rec.Snapshot().Canonical().WriteJSONL(&wantTr); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec3.Snapshot().Canonical().WriteJSONL(&gotTr); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Served || !bytes.Equal(gotTr.Bytes(), wantTr.Bytes()) {
+		t.Fatalf("re-stored entry: served %v, canonical trace equal %v", rep.Served, bytes.Equal(gotTr.Bytes(), wantTr.Bytes()))
+	}
+}
+
+// An entry in the layout before summaries and raw traces — two records,
+// a header naming the key alone and a body embedding the trace as one
+// escaped JSON string — is read once as a counted corrupt miss, seeds no
+// warm start, and is recomputed to the same fingerprint and re-stored
+// in the current layout, byte for byte what a fresh store writes.
+func TestRepoTwoRecordEntryRestored(t *testing.T) {
+	prog, _ := Benchmark(Swim)
+	m, _ := MachineByName("broadwell")
+	in := TuningInput(Swim, m)
+	dir := t.TempDir()
+	opts := repoOpts(dir)
+	opts.Trace = NewTraceRecorder()
+	want, err := NewTuner(opts).Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := repoEntryPath(t, dir)
+	current, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.TrimSuffix(filepath.Base(path), ".json")
+	toTwoRecords := func(head, body, tail []byte) ([]byte, []byte, []byte) {
+		quoted, err := json.Marshal(string(tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := append(bytes.Clone(body[:len(body)-1]), `,"trace_jsonl":`...)
+		return []byte(`{"key":"` + key + `"}`), append(append(old, quoted...), '}'), nil
+	}
+
+	// A warm start finds no summary in it.
+	rewriteEntry(t, dir, toTwoRecords)
+	warm := repoOpts(dir)
+	warm.Technique, warm.WarmStart = "bo", true
+	tuner := NewTuner(warm)
+	if seeds := tuner.warmSeeds(prog); len(seeds) != 0 {
+		t.Fatalf("a two-record entry seeded %d warm starts", len(seeds))
+	}
+	if st := tuner.RepoStats(); st.Corrupt != 1 {
+		t.Fatalf("warm scan of a two-record entry: %+v, want 1 corrupt", st)
+	}
+
+	// A resubmission recomputes and re-stores it.
+	if err := os.WriteFile(path, current, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rewriteEntry(t, dir, toTwoRecords)
+	again := repoOpts(dir)
+	again.SkipExist = true
+	again.Trace = NewTraceRecorder()
+	tuner = NewTuner(again)
+	rep, err := tuner.Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Served {
+		t.Fatal("a two-record entry was served")
+	}
+	if st := tuner.RepoStats(); st.Corrupt != 1 || st.Puts != 1 {
+		t.Fatalf("two-record entry was not one corrupt miss and a re-store: %+v", st)
+	}
+	if rep.Fingerprint() != want.Fingerprint() {
+		t.Fatal("recompute of a two-record entry diverged")
+	}
+	restored, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(restored, current) {
+		t.Fatalf("re-stored entry (%d bytes) is not the current layout's (%d bytes)", len(restored), len(current))
 	}
 }
 
