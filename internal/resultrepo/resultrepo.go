@@ -190,8 +190,8 @@ func (r *Repo) GetEntry(key uint64) (Entry, bool) {
 	return e, true
 }
 
-// Summary returns the summary of key's entry, reading the entry's header
-// record and nothing after it, so a scan of the repository costs its
+// Summary returns the summary of key's entry, reading the entry file only
+// as far as its header record, so a scan of the repository costs its
 // headers, not its bodies and traces. The body and trace are not
 // verified; GetEntry does that. A missing or damaged header is dropped
 // as corrupt, as GetEntry drops it; a summary read counts nothing else.
