@@ -252,9 +252,9 @@ func (r *Repo) drop(key uint64, path string) {
 }
 
 // Invalidate drops key as corrupt: counted, de-indexed, best-effort
-// removed. Callers use it when a body passes the envelope checksum but
-// fails a higher-level integrity check (e.g. a stored fingerprint that
-// does not match the reconstructed result).
+// removed. Callers use it when an entry passes its checksums but fails a
+// higher-level integrity check (e.g. a stored fingerprint that does not
+// match the reconstructed result, or a trace that does not decode).
 func (r *Repo) Invalidate(key uint64) {
 	r.drop(key, r.path(key))
 }
