@@ -148,7 +148,7 @@ func TestEntryTail(t *testing.T) {
 		"longer seal":       []byte(strings.Replace(string(data), `"tail":20}`, `"tail":21}`, 1)),
 		"empty tail":        data[:len(data)-len(tail)],
 		"seal alone":        data[:twoRecords+len(seal)-1],
-		"record as seal":    append(AppendRecord(bytes.Clone(data[:twoRecords]), tail[:10]), tail...),
+		"record as seal":    append(AppendRecord(bytes.Clone(data[:twoRecords]), tail[:9]), tail...),
 	} {
 		if _, _, _, ok := ReadEntry(bad); ok {
 			t.Errorf("%s read as an entry", name)
