@@ -652,6 +652,43 @@ func TestRepoTwoRecordEntryRestored(t *testing.T) {
 	}
 }
 
+// A warm start reads each entry's summary and nothing else: with the
+// stored trace damaged on disk, which any full read would count as
+// corrupt and drop, the scan still finds the donor's winner, counts no
+// lookup and leaves the entry in place.
+func TestWarmScanReadsSummariesOnly(t *testing.T) {
+	dir := t.TempDir()
+	prog, _ := Benchmark(Swim)
+	m, _ := MachineByName("broadwell")
+	in := TuningInput(Swim, m)
+	opts := repoOpts(dir)
+	opts.Trace = NewTraceRecorder()
+	donor, err := NewTuner(opts).Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := repoEntryPath(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0x01 // inside the trace, the entry's last part
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := repoOpts(dir)
+	warm.Technique, warm.WarmStart = "bo", true
+	tuner := NewTuner(warm)
+	seeds := tuner.warmSeeds(prog)
+	if len(seeds) != 1 || !slices.EqualFunc(seeds[0], donor.Best.ModuleCVs, func(a, b CV) bool { return a.Key() == b.Key() }) {
+		t.Fatalf("warm scan found %d seeds, want the donor's winner", len(seeds))
+	}
+	if st := tuner.RepoStats(); st != (RepoStats{Entries: 1}) {
+		t.Fatalf("warm scan read more than summaries: %+v", st)
+	}
+}
+
 // SkipExist without a repository is a configuration error, surfaced by
 // the first Tune call like every other deferred validation failure.
 func TestRepoOptionValidation(t *testing.T) {
