@@ -18,7 +18,7 @@ import (
 // paperTrace runs the paper-scale CloverLeaf/Broadwell session (K=1000,
 // top-50, collection then CFR) under the given fault rates with a trace
 // recorder attached, and returns its canonical trace: what a traced
-// repository entry of that run embeds.
+// repository entry of that run stores.
 func paperTrace(tb testing.TB, rates faults.Rates) *trace.Trace {
 	tb.Helper()
 	prog := apps.MustGet(apps.CloverLeaf)
@@ -99,7 +99,7 @@ func TestPaperTraceEncodesAsReference(t *testing.T) {
 // BenchmarkTraceJSONL encodes and decodes the canonical trace of the
 // paper-scale CloverLeaf/Broadwell session, about 8,000 events: the
 // trace a traced repository entry stores on every Put and decodes on
-// every serve.
+// every serve to a tracing caller.
 func BenchmarkTraceJSONL(b *testing.B) {
 	tr := paperTrace(b, faults.Rates{})
 	var doc bytes.Buffer
