@@ -5,9 +5,9 @@
 // files. The checkpoint and the fleet journal are Logs; results-repository
 // and compile-cache spill files are entries (AppendEntry, ReadEntry): two
 // records each, a key header and the body, and for a repository entry a
-// raw tail behind a seal line. Each record carries Checksum over its
-// exact body bytes, a seal over its tail's, and readers replay records up
-// to the first torn or damaged one.
+// raw tail after them that its header accounts for. Each record carries
+// Checksum over its exact body bytes, and readers replay records up to
+// the first torn or damaged one.
 //
 // WriteFileAtomic is the fsync-hardened path a fresh Log and the results
 // repository use — a crash at any point leaves either the old bytes or

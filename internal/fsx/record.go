@@ -1,11 +1,8 @@
 package fsx
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"io"
-	"strconv"
 
 	"funcytuner/internal/xrand"
 )
@@ -55,36 +52,32 @@ func ReadRecords(data []byte, apply func(body []byte) bool) (records, good int) 
 	return records, good
 }
 
-// AppendEntry appends an entry to dst: a header record saying what the
-// entry is filed as, then body's record, then — when tail is not empty —
-// tail verbatim behind its seal line, {"v":1,"sum":"<16 hex>","tail":<n>}
-// and a newline, which carries Checksum over tail and its length n.
-// header must be compact JSON; body must be valid JSON and is compacted
-// first, because a record holds its body verbatim on one line. tail is
-// any bytes: it is stored raw, so a reader that does not want it never
-// parses it. The results repository and the compile-cache spill tier
+// AppendEntry appends an entry to dst: two sealed records, a header
+// saying what the entry is filed as and then body, followed by tail
+// verbatim. header must be compact JSON; body must be valid JSON and is
+// compacted first, because a record holds its body verbatim on one line.
+// tail is any bytes, stored raw so that a reader that does not want them
+// never parses them; no record seals them, so the header must account
+// for them (the results repository's names the tail's length and
+// checksum). The results repository and the compile-cache spill tier
 // store one entry per file; only repository entries have a tail.
 func AppendEntry(dst, header, body, tail []byte) ([]byte, error) {
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, body); err != nil {
 		return dst, err
 	}
-	dst = AppendRecord(AppendRecord(dst, header), compact.Bytes())
-	if len(tail) == 0 {
-		return dst, nil
-	}
-	return append(appendTailSeal(dst, tail), tail...), nil
+	return append(AppendRecord(AppendRecord(dst, header), compact.Bytes()), tail...), nil
 }
 
-// ReadEntry returns the header, body and tail of data when data is
-// exactly one entry: two intact sealed records, then either nothing or a
-// seal line and the tail it seals, to the last byte. A tail is nil when
-// the entry has none. Checking the header, and refusing a tail it does
-// not expect, is the caller's part. All three slices alias data.
+// ReadEntry returns the header, body and tail of data when data starts
+// with two intact sealed records. The tail is every byte after them (nil
+// when there are none), bytes that would open as a third record
+// included. Checking the header, and checking the tail against it or
+// refusing one, is the caller's part. All three slices alias data.
 func ReadEntry(data []byte) (header, body, tail []byte, ok bool) {
 	records, good := ReadRecords(data, func(rec []byte) bool {
 		if header != nil {
-			return false // a third record
+			return false // the tail starts here
 		}
 		header, body = body, rec
 		return true
@@ -92,40 +85,10 @@ func ReadEntry(data []byte) (header, body, tail []byte, ok bool) {
 	if records != 2 {
 		return nil, nil, nil, false
 	}
-	rest := data[good:]
-	if len(rest) == 0 {
-		return header, body, nil, true
-	}
-	nl := bytes.IndexByte(rest, '\n')
-	if nl < 0 {
-		return nil, nil, nil, false
-	}
-	tail = rest[nl+1:]
-	var seal [64]byte
-	if len(tail) == 0 || !bytes.Equal(rest[:nl+1], appendTailSeal(seal[:0], tail)) {
-		return nil, nil, nil, false
+	if good < len(data) {
+		tail = data[good:]
 	}
 	return header, body, tail, true
-}
-
-// ReadEntryHeader returns the header of the entry r starts with. It stops
-// reading r at the chunk that ends the header's line, so a scan of many
-// entries pays for their headers, not for their bodies or tails.
-func ReadEntryHeader(r io.Reader) ([]byte, bool) {
-	line, err := bufio.NewReaderSize(r, 4096).ReadBytes('\n')
-	if err != nil {
-		return nil, false
-	}
-	return openRecord(line[:len(line)-1])
-}
-
-// appendTailSeal appends the seal line of tail to dst.
-func appendTailSeal(dst, tail []byte) []byte {
-	dst = append(dst, recordHead...)
-	dst = appendSum(dst, tail)
-	dst = append(dst, `","tail":`...)
-	dst = strconv.AppendInt(dst, int64(len(tail)), 10)
-	return append(dst, recordTail...)
 }
 
 // openRecord returns the body of one sealed line (newline stripped), or

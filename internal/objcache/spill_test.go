@@ -227,6 +227,34 @@ func TestSpillCorruptionTolerance(t *testing.T) {
 	}
 }
 
+// A spill file is two records and nothing more: an entry with a tail,
+// which only results-repository entries carry, is a counted corrupt miss.
+func TestSpillRefusesTail(t *testing.T) {
+	key := uint64(9)
+	for name, tail := range map[string][]byte{
+		"trailing bytes": []byte("x"),
+		"a third record": fsx.AppendRecord(nil, []byte(`"good"`)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := newSpilled(t, 1024, dir)
+			c.Get(key, func() (any, int64) { return "good", 1 })
+			c.SpillAll()
+			path := c.spill.path(key)
+			mustWrite(t, path, append(mustRead(t, path), tail...))
+
+			c2 := newSpilled(t, 1024, dir)
+			computed := false
+			if got := c2.Get(key, func() (any, int64) { computed = true; return "good", 1 }); got != "good" || !computed {
+				t.Fatalf("Get = %v, computed %v; want a recompute", got, computed)
+			}
+			if st := c2.Stats(); st.SpillCorrupt != 1 || st.SpillHits != 0 {
+				t.Fatalf("a spill file with a tail was not one corrupt miss: %+v", st)
+			}
+		})
+	}
+}
+
 func TestSpillDeclinedValuesStayMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
 	c := newSpilled(t, 1024, dir)

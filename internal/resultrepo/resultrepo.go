@@ -5,10 +5,8 @@
 // facade hashes the run identity), so identical submissions from any
 // number of clients resolve to one stored entry.
 //
-// An Entry has three parts: a small JSON summary, which a scan of the
-// whole repository reads alone (Summary); the JSON result body; and a
-// trace stored as raw bytes, which a reader that does not want it never
-// parses.
+// An Entry has two parts: the JSON result body, and a trace stored as
+// raw bytes, which a reader that does not want it never parses.
 //
 // The repository is a cache with a durability contract, not a database:
 // writes go through the fsync-hardened atomic-commit path (a crash
@@ -16,21 +14,20 @@
 // is corruption-tolerant — a truncated, bit-flipped or otherwise
 // unreadable entry is a counted miss, never an error and never a wrong
 // result. An entry file is one fsx entry: a header record naming the
-// key it was filed under and holding the summary, then the body record,
-// then the trace behind its seal when there is one. Each part carries
-// its own checksum, and GetEntry verifies all three before returning
-// anything, so an entry in any other layout (including the ones older
-// builds wrote) is a counted miss too.
+// key it was filed under and the length and checksum of its trace, then
+// the body record, then the trace's raw bytes. GetEntry verifies the two
+// records and the trace against the header before returning anything, so
+// an entry in any other layout (including the ones older builds wrote)
+// is a counted miss too.
 //
 // Layout: <dir>/<kk>/<key16>.json, sharded by the key's top byte so no
 // directory grows unboundedly. The in-memory index is built from file
-// names at Open (content is validated lazily, at first read), so opening
+// names at Open (content is validated lazily, at first Get), so opening
 // a million-entry repository stats directories, not files.
 package resultrepo
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,33 +40,18 @@ import (
 
 // Entry is what one repository entry holds.
 type Entry struct {
-	// Summary is small JSON describing the entry, the one part Summary
-	// reads. PutEntry stores an empty Summary as {}.
-	Summary []byte
 	// Body is the JSON result body.
 	Body []byte
 	// Trace is stored verbatim; it is empty when the entry has none.
 	Trace []byte
 }
 
-// headerPrefix is the start of key's header record, {"key":"<16 hex>",
-// "summary":<summary>}: the header names the key the entry is filed
-// under and carries the summary, so reading the summary checks the key.
-func headerPrefix(key uint64) []byte { return fmt.Appendf(nil, `{"key":"%016x","summary":`, key) }
-
-// header is the first record of key's entry file.
-func header(key uint64, summary []byte) []byte {
-	return append(append(headerPrefix(key), summary...), '}')
-}
-
-// summaryOf returns the summary a header record of key's entry carries,
-// or false if head is not one.
-func summaryOf(head []byte, key uint64) ([]byte, bool) {
-	prefix := headerPrefix(key)
-	if len(head) <= len(prefix)+1 || !bytes.HasPrefix(head, prefix) || head[len(head)-1] != '}' {
-		return nil, false
-	}
-	return head[len(prefix) : len(head)-1], true
+// header is the first record of key's entry file: the key the entry is
+// filed under and the length and checksum of its trace, so that one
+// comparison checks where the entry belongs and that its trace is the
+// one stored with it.
+func header(key uint64, trace []byte) []byte {
+	return fmt.Appendf(nil, `{"key":"%016x","trace_len":%d,"trace_sum":"%s"}`, key, len(trace), fsx.Checksum(trace))
 }
 
 // Stats is a snapshot of repository activity since Open.
@@ -77,8 +59,8 @@ type Stats struct {
 	// Entries is the current index size.
 	Entries int
 	// Hits and Misses count Get and GetEntry outcomes; Corrupt counts
-	// entries that failed validation when read, by them or by Summary
-	// (each corrupt read is also a miss).
+	// entries that failed validation when read (each corrupt read is
+	// also a miss).
 	Hits, Misses, Corrupt int64
 	// Puts counts successful stores.
 	Puts int64
@@ -190,54 +172,21 @@ func (r *Repo) GetEntry(key uint64) (Entry, bool) {
 	return e, true
 }
 
-// Summary returns the summary of key's entry, reading the entry file only
-// as far as its header record, so a scan of the repository costs its
-// headers, not its bodies and traces. The body and trace are not
-// verified; GetEntry does that. A missing or damaged header is dropped
-// as corrupt, as GetEntry drops it; a summary read counts nothing else.
-func (r *Repo) Summary(key uint64) ([]byte, bool) {
-	if !r.Has(key) {
-		return nil, false
-	}
-	path := r.path(key)
-	f, err := os.Open(path)
-	if err != nil {
-		r.drop(key, path)
-		return nil, false
-	}
-	head, ok := fsx.ReadEntryHeader(f)
-	f.Close()
-	var summary []byte
-	if ok {
-		summary, ok = summaryOf(head, key)
-	}
-	if !ok {
-		r.drop(key, path)
-		return nil, false
-	}
-	return summary, true
-}
-
 // decode validates one on-disk entry against the key it was filed
-// under. Every failure mode — a missing, extra, torn or damaged record, a
-// damaged or mis-sized trace, another layout, a header naming another
-// key — reads as corrupt.
+// under. Every failure mode — a missing, torn or damaged record, a
+// damaged, cut or extended trace, another layout, a header naming
+// another key — reads as corrupt.
 func decode(data []byte, key uint64) (Entry, bool) {
 	head, body, trace, ok := fsx.ReadEntry(data)
-	if !ok {
+	if !ok || !bytes.Equal(head, header(key, trace)) {
 		return Entry{}, false
 	}
-	summary, ok := summaryOf(head, key)
-	if !ok {
-		return Entry{}, false
-	}
-	return Entry{Summary: summary, Body: body, Trace: trace}, true
+	return Entry{Body: body, Trace: trace}, true
 }
 
-// encode is the entry file of e under key. e's summary and body must be
-// compact JSON.
+// encode is the entry file of e under key. e's body must be valid JSON.
 func encode(key uint64, e Entry) ([]byte, error) {
-	return fsx.AppendEntry(nil, header(key, e.Summary), e.Body, e.Trace)
+	return fsx.AppendEntry(nil, header(key, e.Trace), e.Body, e.Trace)
 }
 
 // drop records a corrupt entry: counted, de-indexed, best-effort
@@ -259,29 +208,20 @@ func (r *Repo) Invalidate(key uint64) {
 	r.drop(key, r.path(key))
 }
 
-// Put stores body alone under key: an entry with an empty summary and
-// no trace.
+// Put stores body alone under key: an entry with no trace.
 func (r *Repo) Put(key uint64, body []byte) error { return r.PutEntry(key, Entry{Body: body}) }
 
 // PutEntry stores e under key via the fsync-hardened atomic write path.
-// Its summary and body must be valid JSON; they are compacted, because a
-// sealed record holds its body verbatim on one line, and GetEntry returns
-// the compacted bytes. The trace is stored as it is. Re-putting an
+// Its body must be valid JSON; it is compacted, because a sealed record
+// holds its body verbatim on one line, and GetEntry returns the
+// compacted bytes. The trace is stored as it is. Re-putting an
 // existing key rewrites it — identical keys imply identical entries, so
 // this is idempotent in correct use. Puts are serialized (they share the
 // index lock): a results repository sees one Put per completed tuning
 // run, so write contention is not a concern, and serializing keeps
 // concurrent same-key writers off each other's staging files.
 func (r *Repo) PutEntry(key uint64, e Entry) error {
-	summary := []byte("{}")
-	if len(e.Summary) > 0 {
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, e.Summary); err != nil {
-			return fmt.Errorf("resultrepo: summary for key %016x is not valid JSON: %w", key, err)
-		}
-		summary = compact.Bytes()
-	}
-	data, err := encode(key, Entry{Summary: summary, Body: e.Body, Trace: e.Trace})
+	data, err := encode(key, e)
 	if err != nil {
 		return fmt.Errorf("resultrepo: body for key %016x is not valid JSON: %w", key, err)
 	}
@@ -296,9 +236,9 @@ func (r *Repo) PutEntry(key uint64, e Entry) error {
 }
 
 // Keys returns every indexed key in ascending order. It snapshots the
-// index under the lock; entries may still prove corrupt when read. Used
-// by warm-start scans, which read the summary of every entry looking for
-// related prior runs.
+// index under the lock; entries may still prove corrupt at Get. Used by
+// warm-start scans, which read the whole repository looking for related
+// prior runs.
 func (r *Repo) Keys() []uint64 {
 	r.mu.Lock()
 	keys := make([]uint64, 0, len(r.index))

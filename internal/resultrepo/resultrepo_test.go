@@ -75,19 +75,17 @@ func TestPutRejectsInvalidJSON(t *testing.T) {
 	}
 }
 
-// testEntry is an entry with all three parts: a summary, a body and a
-// multi-line trace.
+// testEntry is an entry with a body and a multi-line trace.
 func testEntry() Entry {
 	return Entry{
-		Summary: []byte(`{"flavor":"icc","module_flags":["-O2","-O3"]}`),
-		Body:    []byte(`{"fingerprint":"00deadbeef001234","best":"0x1.91eb851eb851fp+01"}`),
-		Trace:   []byte("{\"kind\":\"session\",\"name\":\"tune\"}\n{\"kind\":\"eval\",\"index\":1}\n"),
+		Body:  []byte(`{"fingerprint":"00deadbeef001234","best":"0x1.91eb851eb851fp+01"}`),
+		Trace: []byte("{\"kind\":\"session\",\"name\":\"tune\"}\n{\"kind\":\"eval\",\"index\":1}\n"),
 	}
 }
 
 // TestCorruptionTolerance is the satellite table test: every way an
-// entry can be damaged on disk — truncation, bit flips in any of its
-// three parts, garbage, an entry in a layout older builds wrote, a key
+// entry can be damaged on disk — truncation, bit flips in its header,
+// body or trace, garbage, an entry in a layout older builds wrote, a key
 // mismatch, a writer crash mid-rename — must read as a counted corrupt
 // miss, never an error and never a wrong entry.
 func TestCorruptionTolerance(t *testing.T) {
@@ -138,7 +136,7 @@ func TestCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, data)
 		}, true},
 		{"flipped-byte-in-checksum", func(t *testing.T, path string) {
-			// The body record's checksum, the second of the entry's three.
+			// The body record's checksum, after the header's line.
 			data := mustRead(t, path)
 			i := bytes.Index(data[lineEnd(t, data, 1):], []byte(`"sum":"`))
 			if i < 0 {
@@ -155,7 +153,7 @@ func TestCorruptionTolerance(t *testing.T) {
 		{"flipped-byte-in-trace", func(t *testing.T, path string) {
 			data := mustRead(t, path)
 			i := bytes.LastIndex(data, []byte("eval"))
-			if i < lineEnd(t, data, 3) {
+			if i < lineEnd(t, data, 2) {
 				t.Fatal("trace marker not found")
 			}
 			data[i] ^= 0x01
@@ -166,15 +164,20 @@ func TestCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, data[:len(data)-5])
 		}, true},
 		{"trace-length-mismatch", func(t *testing.T, path string) {
-			// The seal's checksum still covers the trace's exact bytes;
-			// only the length it gives is one short.
-			data := mustRead(t, path)
+			// A sealed header whose trace checksum still covers the
+			// trace's exact bytes; only the length it gives is one short.
 			n := len(entry.Trace)
-			old := fmt.Sprintf(`,"tail":%d}`, n)
-			if !bytes.Contains(data, []byte(old)) {
-				t.Fatal("trace seal not found")
+			old := fmt.Sprintf(`"trace_len":%d,`, n)
+			head := header(key, entry.Trace)
+			if !bytes.Contains(head, []byte(old)) {
+				t.Fatal("trace length not found in the header")
 			}
-			mustWrite(t, path, bytes.Replace(data, []byte(old), []byte(fmt.Sprintf(`,"tail":%d}`, n-1)), 1))
+			head = bytes.Replace(head, []byte(old), []byte(fmt.Sprintf(`"trace_len":%d,`, n-1)), 1)
+			data, err := fsx.AppendEntry(nil, head, body, entry.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustWrite(t, path, data)
 		}, true},
 		{"garbage", func(t *testing.T, path string) {
 			mustWrite(t, path, []byte("\x00\xff\x00\xffnot even json"))
@@ -185,9 +188,9 @@ func TestCorruptionTolerance(t *testing.T) {
 				key, fsx.Checksum(body), body)))
 		}, true},
 		{"two-record-layout", func(t *testing.T, path string) {
-			// The layout before summaries and raw traces, intact: a
-			// header naming the key alone, then a body embedding the
-			// trace as one escaped string.
+			// The layout before raw traces, intact: a header naming the
+			// key alone, then a body embedding the trace as one escaped
+			// string.
 			old, err := fsx.AppendEntry(nil, fmt.Appendf(nil, `{"key":"%016x"}`, key),
 				fmt.Appendf(nil, `{"fingerprint":"00deadbeef001234","trace_jsonl":%q}`, entry.Trace), nil)
 			if err != nil {
@@ -196,22 +199,16 @@ func TestCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, old)
 		}, true},
 		{"wrong-key", func(t *testing.T, path string) {
-			mustWrite(t, path, fsx.AppendRecord(fsx.AppendRecord(nil, header(1, entry.Summary)), body))
+			mustWrite(t, path, fsx.AppendRecord(fsx.AppendRecord(nil, header(1, nil)), body))
 		}, true},
 		{"header-under-other-key", func(t *testing.T, path string) {
 			mustWrite(t, path, otherEntry(t))
-		}, true},
-		{"summary-under-other-key", func(t *testing.T, path string) {
-			// Another key's header record, summary and all, spliced onto
-			// this entry's body and trace.
-			other, data := otherEntry(t), mustRead(t, path)
-			mustWrite(t, path, append(other[:lineEnd(t, other, 1):lineEnd(t, other, 1)], data[lineEnd(t, data, 1):]...))
 		}, true},
 		{"extra-record", func(t *testing.T, path string) {
 			mustWrite(t, path, fsx.AppendRecord(mustRead(t, path), body))
 		}, true},
 		{"missing-body", func(t *testing.T, path string) {
-			mustWrite(t, path, fsx.AppendRecord(nil, header(key, entry.Summary)))
+			mustWrite(t, path, fsx.AppendRecord(nil, header(key, nil)))
 		}, true},
 		{"deleted-file", func(t *testing.T, path string) {
 			if err := os.Remove(path); err != nil {
@@ -280,61 +277,6 @@ func TestCorruptionTolerance(t *testing.T) {
 	}
 }
 
-// Summary reads the header alone: it returns the stored summary without
-// verifying, or being slowed by, the body and the trace, while a damaged
-// header, or one in a layout older builds wrote, is a counted corrupt
-// miss that drops the entry. Put stores a body with the empty summary {}.
-func TestSummary(t *testing.T) {
-	r, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry := testEntry()
-	if err := r.PutEntry(testKey, entry); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := r.Summary(testKey); !ok || !bytes.Equal(got, entry.Summary) {
-		t.Fatalf("Summary = %q, %v; want %q", got, ok, entry.Summary)
-	}
-	if err := r.Put(testKey+1, entry.Body); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := r.Summary(testKey + 1); !ok || string(got) != "{}" {
-		t.Fatalf("Summary of a body-only entry = %q, %v; want {}", got, ok)
-	}
-	if _, ok := r.Summary(testKey + 2); ok {
-		t.Fatal("Summary of an absent key hit")
-	}
-	if st := r.Stats(); st.Hits != 0 || st.Misses != 0 || st.Corrupt != 0 {
-		t.Fatalf("summary reads counted lookups: %+v", st)
-	}
-
-	// A damaged trace does not stop the summary; GetEntry finds it.
-	data := mustRead(t, r.path(testKey))
-	data[len(data)-2] ^= 0x01
-	mustWrite(t, r.path(testKey), data)
-	if got, ok := r.Summary(testKey); !ok || !bytes.Equal(got, entry.Summary) {
-		t.Fatalf("Summary with a damaged trace = %q, %v", got, ok)
-	}
-	if _, ok := r.GetEntry(testKey); ok {
-		t.Fatal("GetEntry returned an entry with a damaged trace")
-	}
-
-	// A header in the two-record layout names no summary.
-	old, err := fsx.AppendEntry(nil, fmt.Appendf(nil, `{"key":"%016x"}`, testKey+1), entry.Body, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustWrite(t, r.path(testKey+1), old)
-	before := r.Stats().Corrupt
-	if got, ok := r.Summary(testKey + 1); ok {
-		t.Fatalf("Summary of a two-record entry = %q", got)
-	}
-	if st := r.Stats(); st.Corrupt != before+1 || r.Has(testKey+1) {
-		t.Fatalf("two-record entry not dropped as corrupt: %+v", st)
-	}
-}
-
 func TestOpenIgnoresJunk(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir)
@@ -398,7 +340,7 @@ func TestConcurrentPutGet(t *testing.T) {
 
 // FuzzDecode drives the entry validator with arbitrary bytes: it must
 // never panic, and whatever it accepts is exactly the entry Put writes
-// for the parts it returns, checksums and trace seal included.
+// for the body and trace it returns, header and checksums included.
 func FuzzDecode(f *testing.F) {
 	key := testKey
 	seed, err := encode(key, testEntry())

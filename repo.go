@@ -15,10 +15,9 @@ package funcytuner
 // Everything round-trips losslessly: floats travel as strconv hex-float
 // strings (NaN and ±Inf included — G.Independent's TrueTime is NaN by
 // contract), CVs as their flag-string form re-parsed against the same
-// flag space, and the canonical trace as raw JSONL, the entry's third
-// part, replayed verbatim into the caller's recorder. A serve decodes
-// the trace only for a caller that traces, and a warm start reads only
-// the entries' summaries (repoSummary).
+// flag space, and the canonical trace as raw JSONL beside the body,
+// replayed verbatim into the caller's recorder. A serve decodes the
+// trace only for a caller that traces.
 
 import (
 	"bytes"
@@ -139,20 +138,11 @@ type repoFaults struct {
 	DegradedModules int    `json:"degraded_modules"`
 }
 
-// repoSummary is an entry's summary: what the run tuned and its best
-// result's module flags, all a warm start reads of a prior run.
-type repoSummary struct {
-	Flavor      string   `json:"flavor"`
-	Program     string   `json:"program,omitempty"`
-	Machine     string   `json:"machine,omitempty"`
-	ModuleFlags []string `json:"module_flags,omitempty"`
-}
-
 // repoBody is the stored form of a complete Report, minus the
 // observability fields (Cache, Metrics) that Fingerprint excludes for
 // the same reason storage does: they describe the run that happened to
 // produce the result, not the result. The run's trace is stored beside
-// it, as the entry's raw third part.
+// it, as raw JSONL.
 type repoBody struct {
 	Fingerprint     string                 `json:"fingerprint"`
 	Flavor          string                 `json:"flavor"`
@@ -201,7 +191,7 @@ func parseHexFloats(ss []string) ([]float64, error) {
 }
 
 // encodeRepoBody serializes a freshly computed Report plus its canonical
-// trace into the three parts of a repository entry.
+// trace into a repository entry: the body and the raw JSONL trace.
 func encodeRepoBody(rep *Report, tr *TuningTrace) (resultrepo.Entry, error) {
 	b := repoBody{
 		Fingerprint:     fmt.Sprintf("%016x", rep.Fingerprint()),
@@ -249,18 +239,11 @@ func encodeRepoBody(rep *Report, tr *TuningTrace) (resultrepo.Entry, error) {
 		}
 		b.Results[name] = rr
 	}
-	sum := repoSummary{Flavor: b.Flavor, Program: b.Program, Machine: b.Machine}
-	if best := bestResult(b.Results); best != nil {
-		sum.ModuleFlags = best.ModuleFlags
+	body, err := json.Marshal(&b)
+	if err != nil {
+		return resultrepo.Entry{}, err
 	}
-	var e resultrepo.Entry
-	var err error
-	if e.Summary, err = json.Marshal(&sum); err != nil {
-		return e, err
-	}
-	if e.Body, err = json.Marshal(&b); err != nil {
-		return e, err
-	}
+	e := resultrepo.Entry{Body: body}
 	if tr != nil && len(tr.Events) > 0 {
 		var buf bytes.Buffer
 		if err := tr.WriteJSONL(&buf); err != nil {

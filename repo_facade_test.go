@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"funcytuner/internal/fsx"
+	"funcytuner/internal/resultrepo"
 )
 
 // repoOpts is the shared configuration for repository facade tests:
@@ -478,26 +480,25 @@ func TestRepoFingerprintMismatchInvalidates(t *testing.T) {
 	}
 }
 
-// rewriteEntry replaces the single entry file under dir by what edit
-// makes of its header, body and trace, sealed again with fresh
-// checksums, so only the facade's own checks can refuse it.
-func rewriteEntry(t *testing.T, dir string, edit func(head, body, tail []byte) (newHead, newBody, newTail []byte)) {
+// rewriteEntry replaces the single entry under dir by what edit makes of
+// its body and trace, stored again through the repository, so only the
+// facade's own checks can refuse it.
+func rewriteEntry(t *testing.T, dir string, edit func(body, trace []byte) (newBody, newTrace []byte)) {
 	t.Helper()
-	path := repoEntryPath(t, dir)
-	raw, err := os.ReadFile(path)
+	key, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(repoEntryPath(t, dir)), ".json"), 16, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, body, tail, ok := fsx.ReadEntry(raw)
+	repo, err := resultrepo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := repo.GetEntry(key)
 	if !ok {
-		t.Fatal("stored entry is not an fsx entry")
+		t.Fatal("stored entry does not read back")
 	}
-	head, body, tail = edit(head, body, tail)
-	sealed, err := fsx.AppendEntry(nil, head, body, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+	e.Body, e.Trace = edit(e.Body, e.Trace)
+	if err := repo.PutEntry(key, e); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -519,11 +520,11 @@ func TestRepoUntracedServeSkipsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewriteEntry(t, dir, func(head, body, tail []byte) ([]byte, []byte, []byte) {
-		if len(tail) == 0 {
+	rewriteEntry(t, dir, func(body, trace []byte) ([]byte, []byte) {
+		if len(trace) == 0 {
 			t.Fatal("traced run stored no trace")
 		}
-		return head, body, []byte("not a trace event\n")
+		return body, []byte("not a trace event\n")
 	})
 
 	untraced := repoOpts(dir)
@@ -578,11 +579,11 @@ func TestRepoUntracedServeSkipsTrace(t *testing.T) {
 	}
 }
 
-// An entry in the layout before summaries and raw traces — two records,
-// a header naming the key alone and a body embedding the trace as one
-// escaped JSON string — is read once as a counted corrupt miss, seeds no
-// warm start, and is recomputed to the same fingerprint and re-stored
-// in the current layout, byte for byte what a fresh store writes.
+// An entry in the layout before raw traces — two records, a header
+// naming the key alone and a body embedding the trace as one escaped
+// JSON string — is read once as a counted corrupt miss, seeds no warm
+// start, and is recomputed to the same fingerprint and re-stored in the
+// current layout, byte for byte what a fresh store writes.
 func TestRepoTwoRecordEntryRestored(t *testing.T) {
 	prog, _ := Benchmark(Swim)
 	m, _ := MachineByName("broadwell")
@@ -599,18 +600,24 @@ func TestRepoTwoRecordEntryRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := strings.TrimSuffix(filepath.Base(path), ".json")
-	toTwoRecords := func(head, body, tail []byte) ([]byte, []byte, []byte) {
-		quoted, err := json.Marshal(string(tail))
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := append(bytes.Clone(body[:len(body)-1]), `,"trace_jsonl":`...)
-		return []byte(`{"key":"` + key + `"}`), append(append(old, quoted...), '}'), nil
+	_, body, trace, ok := fsx.ReadEntry(current)
+	if !ok || len(trace) == 0 {
+		t.Fatal("traced run stored no trace")
+	}
+	quoted, err := json.Marshal(string(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldBody := append(append(append(bytes.Clone(body[:len(body)-1]), `,"trace_jsonl":`...), quoted...), '}')
+	old, err := fsx.AppendEntry(nil, []byte(`{"key":"`+strings.TrimSuffix(filepath.Base(path), ".json")+`"}`), oldBody, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// A warm start finds no summary in it.
-	rewriteEntry(t, dir, toTwoRecords)
+	// A warm start drops it and seeds nothing from it.
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	warm := repoOpts(dir)
 	warm.Technique, warm.WarmStart = "bo", true
 	tuner := NewTuner(warm)
@@ -622,10 +629,9 @@ func TestRepoTwoRecordEntryRestored(t *testing.T) {
 	}
 
 	// A resubmission recomputes and re-stores it.
-	if err := os.WriteFile(path, current, 0o644); err != nil {
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rewriteEntry(t, dir, toTwoRecords)
 	again := repoOpts(dir)
 	again.SkipExist = true
 	again.Trace = NewTraceRecorder()
@@ -649,43 +655,6 @@ func TestRepoTwoRecordEntryRestored(t *testing.T) {
 	}
 	if !bytes.Equal(restored, current) {
 		t.Fatalf("re-stored entry (%d bytes) is not the current layout's (%d bytes)", len(restored), len(current))
-	}
-}
-
-// A warm start reads each entry's summary and nothing else: with the
-// stored trace damaged on disk, which any full read would count as
-// corrupt and drop, the scan still finds the donor's winner, counts no
-// lookup and leaves the entry in place.
-func TestWarmScanReadsSummariesOnly(t *testing.T) {
-	dir := t.TempDir()
-	prog, _ := Benchmark(Swim)
-	m, _ := MachineByName("broadwell")
-	in := TuningInput(Swim, m)
-	opts := repoOpts(dir)
-	opts.Trace = NewTraceRecorder()
-	donor, err := NewTuner(opts).Tune(prog, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := repoEntryPath(t, dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-2] ^= 0x01 // inside the trace, the entry's last part
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	warm := repoOpts(dir)
-	warm.Technique, warm.WarmStart = "bo", true
-	tuner := NewTuner(warm)
-	seeds := tuner.warmSeeds(prog)
-	if len(seeds) != 1 || !slices.EqualFunc(seeds[0], donor.Best.ModuleCVs, func(a, b CV) bool { return a.Key() == b.Key() }) {
-		t.Fatalf("warm scan found %d seeds, want the donor's winner", len(seeds))
-	}
-	if st := tuner.RepoStats(); st != (RepoStats{Entries: 1}) {
-		t.Fatalf("warm scan read more than summaries: %+v", st)
 	}
 }
 

@@ -19,9 +19,7 @@ const maxWarmSeeds = 4
 
 // warmSeeds scans the attached results repository for prior runs related
 // to prog and returns up to maxWarmSeeds winning assemblies, nearest
-// first. It reads each entry's summary alone, never a body or a trace;
-// an entry without a usable summary, such as one older builds wrote,
-// seeds nothing. It returns nil when warm-starting is off.
+// first. It returns nil when warm-starting is off.
 func (t *Tuner) warmSeeds(prog *Program) [][]CV {
 	if !t.opts.WarmStart || t.repo == nil {
 		return nil
@@ -33,25 +31,29 @@ func (t *Tuner) warmSeeds(prog *Program) [][]CV {
 	}
 	var cands []candidate
 	for _, key := range t.repo.Keys() {
-		raw, ok := t.repo.Summary(key)
+		body, ok := t.repo.Get(key)
 		if !ok {
 			continue
 		}
-		var sum repoSummary
-		if err := json.Unmarshal(raw, &sum); err != nil {
+		var b repoBody
+		if err := json.Unmarshal(body, &b); err != nil {
 			continue
 		}
-		if sum.Flavor != t.opts.Space.Flavor.String() || len(sum.ModuleFlags) == 0 {
+		if b.Flavor != t.opts.Space.Flavor.String() {
+			continue
+		}
+		best := bestResult(b.Results)
+		if best == nil || len(best.ModuleFlags) == 0 {
 			continue
 		}
 		score := 0
-		if sum.Machine == t.opts.Machine.Name {
+		if b.Machine == t.opts.Machine.Name {
 			score += 2
 		}
-		if sum.Program == prog.Name {
+		if b.Program == prog.Name {
 			score++
 		}
-		cands = append(cands, candidate{key: key, score: score, flags: sum.ModuleFlags})
+		cands = append(cands, candidate{key: key, score: score, flags: best.ModuleFlags})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].score != cands[j].score {
