@@ -151,14 +151,14 @@ func TestRepoKeyCoversIdentity(t *testing.T) {
 	walk("RunIdentity", reflect.ValueOf(&id).Elem())
 }
 
-// TestRepoEntryPinned pins the bytes a stored entry holds — the summary,
-// body and raw trace encodeRepoBody writes, sealed behind the header —
-// for one traced tune and one traced compare of Swim under repoOpts
-// (fault injection on, so every FaultTally field is stored).
-// TestRepoKeysPinned pins where an
-// entry is filed; this pins what is in it, so a change to the stored
-// form cannot pass unnoticed: a server with older entries would serve
-// them to a decoder that reads them differently, or invalidate them all.
+// TestRepoEntryPinned pins the bytes a stored entry holds — the body and
+// raw trace encodeRepoBody writes, behind the header that names the
+// trace's length and checksum — for one traced tune and one traced
+// compare of Swim under repoOpts (fault injection on, so every
+// FaultTally field is stored). TestRepoKeysPinned pins where an entry
+// is filed; this pins what is in it, so a change to the stored form
+// cannot pass unnoticed: a server with older entries would serve them to
+// a decoder that reads them differently, or invalidate them all.
 func TestRepoEntryPinned(t *testing.T) {
 	m, err := MachineByName("broadwell")
 	if err != nil {
@@ -174,8 +174,8 @@ func TestRepoEntryPinned(t *testing.T) {
 		compare bool
 		want    string // key, file length, fsx.Checksum of the file
 	}{
-		{"tune", false, "3e3ecd02debe6d10 39953 0fadf47e8e2eff70"},
-		{"compare", true, "964dc3ef681b7034 82872 af786eb8cb52569f"},
+		{"tune", false, "3e3ecd02debe6d10 36045 14731df4afd90463"},
+		{"compare", true, "964dc3ef681b7034 78964 111785cb2e464142"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
