@@ -92,15 +92,6 @@ func TestCorruptionTolerance(t *testing.T) {
 	key := testKey
 	entry := testEntry()
 	body := entry.Body
-	// otherEntry is the same entry filed under another key: every part
-	// is intact and checksummed, only the key it names is wrong.
-	otherEntry := func(t *testing.T) []byte {
-		data, err := encode(key^1, entry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	// lineEnd is the offset just past the n-th line of data.
 	lineEnd := func(t *testing.T, data []byte, n int) int {
 		end := 0
@@ -202,7 +193,13 @@ func TestCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, fsx.AppendRecord(fsx.AppendRecord(nil, header(1, nil)), body))
 		}, true},
 		{"header-under-other-key", func(t *testing.T, path string) {
-			mustWrite(t, path, otherEntry(t))
+			// The same entry filed under another key: every part is
+			// intact and checksummed, only the key it names is wrong.
+			other, err := encode(key^1, entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustWrite(t, path, other)
 		}, true},
 		{"extra-record", func(t *testing.T, path string) {
 			mustWrite(t, path, fsx.AppendRecord(mustRead(t, path), body))
