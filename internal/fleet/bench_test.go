@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -33,7 +36,8 @@ func (g *grantCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // benchFleet is one benchmark iteration's fleet: a journaled coordinator
 // behind loopback HTTP and two workers (concurrency 1, claim batch 16),
-// bench/'s fleet-journal fleet.
+// bench/'s fleet-journal fleet. The workers' requests go through inner,
+// or a plain transport when it is nil.
 type benchFleet struct {
 	reg    *metrics.Registry
 	coord  *Coordinator
@@ -44,9 +48,12 @@ type benchFleet struct {
 	wg     sync.WaitGroup
 }
 
-func newBenchFleet(b *testing.B) *benchFleet {
+func newBenchFleet(b *testing.B, inner http.RoundTripper) *benchFleet {
 	b.Helper()
-	f := &benchFleet{reg: metrics.NewRegistry(), rt: &grantCounter{inner: &http.Transport{MaxIdleConnsPerHost: 4}}}
+	if inner == nil {
+		inner = &http.Transport{MaxIdleConnsPerHost: 4}
+	}
+	f := &benchFleet{reg: metrics.NewRegistry(), rt: &grantCounter{inner: inner}}
 	var err error
 	f.coord, err = NewCoordinator(CoordinatorConfig{Registry: f.reg, JournalPath: filepath.Join(b.TempDir(), "journal")})
 	if err != nil {
@@ -126,7 +133,7 @@ func BenchmarkDistributedTune(b *testing.B) {
 	var n fleetCounts
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		f := newBenchFleet(b)
+		f := newBenchFleet(b, nil)
 		b.StartTimer()
 		if err := f.tune(fmt.Sprintf("job-%d", i), spec); err != nil {
 			b.Fatal(err)
@@ -152,7 +159,7 @@ func BenchmarkDistributedTuneConcurrent(b *testing.B) {
 	)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		f := newBenchFleet(b)
+		f := newBenchFleet(b, nil)
 		lat := make([]float64, clients*jobsPerClient)
 		errs := make([]error, clients)
 		var clientsWG sync.WaitGroup
@@ -188,4 +195,120 @@ func BenchmarkDistributedTuneConcurrent(b *testing.B) {
 	slices.Sort(latencies)
 	b.ReportMetric(latencies[len(latencies)/2], "job-ms")
 	b.ReportMetric(latencies[len(latencies)-1], "max-job-ms")
+}
+
+// wireTap keeps the body of the first claim batch response that grants a
+// full batch of 16 tasks and of the first report batch request that
+// carries 16 reports.
+type wireTap struct {
+	inner         http.RoundTripper
+	mu            sync.Mutex
+	claim, report []byte
+}
+
+func (w *wireTap) RoundTrip(r *http.Request) (*http.Response, error) {
+	var sent []byte
+	if r.URL.Path == "/fleet/reportbatch" {
+		body, err := r.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		if sent, err = io.ReadAll(body); err != nil {
+			return nil, err
+		}
+	}
+	resp, err := w.inner.RoundTrip(r)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch r.URL.Path {
+	case "/fleet/reportbatch":
+		var req reportBatchRequest
+		if w.report == nil && json.Unmarshal(sent, &req) == nil && len(req.Reports) == 16 {
+			w.report = sent
+		}
+	case "/fleet/claimbatch":
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(got))
+		var cr claimBatchResponse
+		if w.claim == nil && json.Unmarshal(got, &cr) == nil && len(cr.Tasks) == 16 {
+			w.claim = got
+		}
+	}
+	return resp, nil
+}
+
+// bodyWriter is a ResponseWriter that keeps the body.
+type bodyWriter struct {
+	header http.Header
+	body   []byte
+}
+
+func (w *bodyWriter) Header() http.Header { return w.header }
+func (w *bodyWriter) WriteHeader(int)     {}
+func (w *bodyWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// BenchmarkFleetWire encodes and decodes one claim batch and one report
+// batch of BenchmarkDistributedTune's job, each of 16 evaluations, taken
+// from a run of that job: the coordinator's claim batch response, read
+// by a worker, and a worker's report batch request, read by the
+// coordinator. Its bytes/op and allocs/op are the wire's cost per 16
+// evaluations.
+func BenchmarkFleetWire(b *testing.B) {
+	spec := Spec{Benchmark: funcytuner.CloverLeaf, Machine: "broadwell", Samples: 250, TopX: 25, Seed: "bench-distributed"}
+	tap := &wireTap{inner: &http.Transport{MaxIdleConnsPerHost: 4}}
+	f := newBenchFleet(b, tap)
+	err := f.tune("job-wire", spec)
+	f.close(&fleetCounts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tap.claim == nil || tap.report == nil {
+		b.Fatal("the job sent no full claim batch or no full report batch")
+	}
+	var claim claimBatchResponse
+	var report reportBatchRequest
+	if err := json.Unmarshal(tap.claim, &claim); err != nil {
+		b.Fatal(err)
+	}
+	if err := json.Unmarshal(tap.report, &report); err != nil {
+		b.Fatal(err)
+	}
+	w := &bodyWriter{header: http.Header{}}
+	writeClaimBatch(w, &claim)
+	sent, err := encodeReportBatch(&report)
+	if err != nil || !bytes.Equal(w.body, tap.claim) || !bytes.Equal(sent, tap.report) {
+		b.Fatalf("re-encoding the tapped batches changed their bytes (%v)", err)
+	}
+	var rd bytes.Reader
+	b.SetBytes(int64(len(tap.claim) + len(tap.report)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.body = w.body[:0]
+		writeClaimBatch(w, &claim)
+		rd.Reset(w.body)
+		var gotClaim claimBatchResponse
+		if err := readClaimBatch(&rd, &gotClaim); err != nil {
+			b.Fatal(err)
+		}
+		sent, err := encodeReportBatch(&report)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rd.Reset(sent)
+		var gotReport reportBatchRequest
+		if err := readReportBatch(&rd, &gotReport); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

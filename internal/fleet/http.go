@@ -103,7 +103,7 @@ func (c *Coordinator) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
 	case len(ts) == 0:
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		writeJSON(w, http.StatusOK, claimBatchResponse{Tasks: ts, Granted: clamped})
+		writeClaimBatch(w, &claimBatchResponse{Tasks: ts, Granted: clamped})
 	}
 }
 
@@ -126,8 +126,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleReportBatch(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[reportBatchRequest](w, r)
-	if !ok {
+	var req reportBatchRequest
+	if err := readReportBatch(r.Body, &req); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	accepted, err := c.ReportBatch(req.Worker, req.Reports)
@@ -155,13 +156,9 @@ func newClient(base string, hc *http.Client) *client {
 	return &client{base: base, hc: hc}
 }
 
-// post sends one JSON request and decodes the response body (when out is
-// non-nil and the status has a body). It returns the status code.
-func (cl *client) post(ctx context.Context, path string, in, out any) (int, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, err
-	}
+// post sends one request body and hands the response body to read when
+// read is non-nil and the status has a body. It returns the status code.
+func (cl *client) post(ctx context.Context, path string, body []byte, read func(io.Reader) error) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
@@ -172,8 +169,8 @@ func (cl *client) post(ctx context.Context, path string, in, out any) (int, erro
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {
+	if read != nil && resp.StatusCode == http.StatusOK {
+		if err := read(resp.Body); err != nil {
 			return resp.StatusCode, fmt.Errorf("fleet: decoding %s response: %w", path, err)
 		}
 		return resp.StatusCode, nil
@@ -186,9 +183,12 @@ func (cl *client) post(ctx context.Context, path string, in, out any) (int, erro
 // claimable. granted is non-zero when the coordinator clamped max to its
 // own per-round-trip cap — callers should shrink later requests to it.
 func (cl *client) claimBatch(ctx context.Context, worker string, wait time.Duration, max int) (ts []*Task, granted int, err error) {
+	body, err := json.Marshal(claimBatchRequest{Worker: worker, WaitMillis: wait.Milliseconds(), Max: max})
+	if err != nil {
+		return nil, 0, err
+	}
 	var resp claimBatchResponse
-	code, err := cl.post(ctx, "/fleet/claimbatch",
-		claimBatchRequest{Worker: worker, WaitMillis: wait.Milliseconds(), Max: max}, &resp)
+	code, err := cl.post(ctx, "/fleet/claimbatch", body, func(r io.Reader) error { return readClaimBatch(r, &resp) })
 	if err != nil {
 		return nil, 0, err
 	}
@@ -210,7 +210,11 @@ func (cl *client) claimBatch(ctx context.Context, worker string, wait time.Durat
 
 // heartbeat extends a lease; ok=false means the lease is gone (fence).
 func (cl *client) heartbeat(ctx context.Context, worker, taskID string, epoch int) (ok bool, err error) {
-	code, err := cl.post(ctx, "/fleet/heartbeat", heartbeatRequest{Worker: worker, Task: taskID, Epoch: epoch}, nil)
+	body, err := json.Marshal(heartbeatRequest{Worker: worker, Task: taskID, Epoch: epoch})
+	if err != nil {
+		return false, err
+	}
+	code, err := cl.post(ctx, "/fleet/heartbeat", body, nil)
 	if err != nil {
 		return false, err
 	}
@@ -229,8 +233,14 @@ func (cl *client) heartbeat(ctx context.Context, worker, taskID string, epoch in
 // reportBatch delivers several outcomes; accepted[i]=false means report
 // i was stale. The verdict slice always matches len(reports).
 func (cl *client) reportBatch(ctx context.Context, worker string, reports []TaskReport) ([]bool, error) {
+	body, err := encodeReportBatch(&reportBatchRequest{Worker: worker, Reports: reports})
+	if err != nil {
+		return nil, err
+	}
 	var resp reportBatchResponse
-	code, err := cl.post(ctx, "/fleet/reportbatch", reportBatchRequest{Worker: worker, Reports: reports}, &resp)
+	code, err := cl.post(ctx, "/fleet/reportbatch", body, func(r io.Reader) error {
+		return json.NewDecoder(io.LimitReader(r, maxBodyBytes)).Decode(&resp)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -244,4 +254,27 @@ func (cl *client) reportBatch(ctx context.Context, worker string, reports []Task
 		return nil, fmt.Errorf("fleet: reportbatch: %d verdicts for %d reports", len(resp.Accepted), len(reports))
 	}
 	return resp.Accepted, nil
+}
+
+// writeClaimBatch answers a claim with the tasks it granted.
+func writeClaimBatch(w http.ResponseWriter, resp *claimBatchResponse) {
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// readClaimBatch decodes a claim batch response body.
+func readClaimBatch(r io.Reader, resp *claimBatchResponse) error {
+	return json.NewDecoder(io.LimitReader(r, maxBodyBytes)).Decode(resp)
+}
+
+// encodeReportBatch encodes a report batch request body.
+func encodeReportBatch(req *reportBatchRequest) ([]byte, error) {
+	return json.Marshal(req)
+}
+
+// readReportBatch decodes a report batch request body, refusing unknown
+// fields.
+func readReportBatch(r io.Reader, req *reportBatchRequest) error {
+	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(req)
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -868,6 +869,48 @@ func TestJournalEnqueueLinePinned(t *testing.T) {
 	const want = `{"v":1,"sum":"823a3fb301d0f9b8","body":{"seq":1,"op":"enqueue","task":"job-0001/cfr/3#1","job":"job-0001","spec":{"benchmark":"CL","machine":"broadwell","samples":24,"topx":6,"seed":"fleet-test","fault_rate":1},"phase":"cfr","sample":3,"cvs":[[2,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0]]}}` + "\n"
 	if string(data) != want {
 		t.Errorf("enqueue journal line changed:\n got %s\nwant %s", data, want)
+	}
+}
+
+// TestJournalLinesPinned pins the claim, report and outcome lines beside
+// the enqueue line: the records a claim grant, an accepted report and a
+// compaction write through appendJournal. The report carries a whole
+// wire outcome, trace span included; the outcome record an error whose
+// quotes and HTML characters are escaped.
+func TestJournalLinesPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	coord, err := NewCoordinator(CoordinatorConfig{JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.mu.Lock()
+	err = coord.writeJournal([]journalBody{
+		{Op: opClaim, Task: "job-a/collect/0#1", Worker: "w1", Epoch: 1, Deadline: 1760875200000000000},
+		{Op: opReport, Task: "job-a/collect/0#1", Worker: "w1", Epoch: 1, Outcome: encodeOutcome(pinOutcome())},
+		{Op: opOutcome, Key: "7bc0559d383b0e76", Error: `fleet: worker w2 failed task "job-b/cfr/7#2": <timeout> & retry`},
+	})
+	coord.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Kill()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`{"v":1,"sum":"fdf25317012eacf0","body":{"seq":1,"op":"claim","task":"job-a/collect/0#1","epoch":1,"worker":"w1","deadline":1760875200000000000}}`,
+		`{"v":1,"sum":"fe6995539eca0371","body":{"seq":2,"op":"report","task":"job-a/collect/0#1","epoch":1,"worker":"w1","outcome":{"per_module":["0x1.8p+00","+Inf"],"total":"+Inf","cost":{"compiles":3,"runs":1,"sim_micros":4750000,"retries":0,"wasted_compiles":0,"fault_micros":250000,"compile_fails":0,"run_crashes":1,"timeouts":0,"flakes":0},"quarantined":["deadbeef","2a"],"events":[{"kind":"compile","phase":"collect","sample":0,"modules":3,"seconds":"0x1.2p+02","sim":"0x1.2p+02"},{"kind":"fault","phase":"collect","sample":0,"step":1,"name":"run-crash","seconds":"0x1p-02","sim":"0x1.3p+02"},{"kind":"eval","phase":"collect","sample":0,"step":2,"name":"lost","seconds":"+Inf","sim":"0x1.3p+02"}]}}}`,
+		`{"v":1,"sum":"24b1eb4c76e4f7ca","body":{"seq":3,"op":"outcome","error":"fleet: worker w2 failed task \"job-b/cfr/7#2\": \u003ctimeout\u003e \u0026 retry","key":"7bc0559d383b0e76"}}`,
+	}
+	got := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("journal holds %d lines, want %d:\n%s", len(got), len(want), data)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("journal line %d changed:\n got %s\nwant %s", i+1, got[i], want[i])
+		}
 	}
 }
 

@@ -581,7 +581,7 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	defer cancel()
 
 	for _, verb := range []string{"/fleet/claim", "/fleet/report"} {
-		code, err := cl.post(ctx, verb, map[string]string{"worker": "w1"}, nil)
+		code, err := cl.post(ctx, verb, []byte(`{"worker":"w1"}`), nil)
 		if err != nil || code != http.StatusNotFound {
 			t.Errorf("POST %s = %d, %v; want 404 (retired single-task verb)", verb, code, err)
 		}
