@@ -10,7 +10,7 @@ import (
 )
 
 // refMarshal is the reference writer: encoding/json over the eventJSON
-// wire form, whose bytes appendEvent must reproduce exactly.
+// wire form, whose bytes AppendEvent must reproduce exactly.
 func refMarshal(e Event) ([]byte, error) {
 	return json.Marshal(eventJSON{
 		Kind:    string(e.Kind),

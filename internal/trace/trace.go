@@ -145,7 +145,7 @@ func parseSeconds(s string) (float64, error) {
 
 // MarshalJSON encodes the event in the canonical wire form.
 func (e Event) MarshalJSON() ([]byte, error) {
-	return appendEvent(make([]byte, 0, 128), &e), nil
+	return AppendEvent(make([]byte, 0, 128), &e), nil
 }
 
 // UnmarshalJSON decodes and validates one event. It never panics on
@@ -237,7 +237,7 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var line []byte
 	for i := range t.Events {
-		line = append(appendEvent(line[:0], &t.Events[i]), '\n')
+		line = append(AppendEvent(line[:0], &t.Events[i]), '\n')
 		if _, err := bw.Write(line); err != nil {
 			return err
 		}
