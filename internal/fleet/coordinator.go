@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -270,10 +269,12 @@ type Coordinator struct {
 	// log is the write-ahead journal (journal.go), nil without a
 	// JournalPath; jseq is its last record's journal sequence number and
 	// lseq the log's own number for it, and synced the log's writes
-	// already counted in mSyncs.
+	// already counted in mSyncs. jbuf is the scratch each record's body
+	// is written in before the log seals a copy of it.
 	log          *fsx.Log
 	jseq, synced int64
 	lseq         uint64
+	jbuf         []byte
 	cfaults      *faults.CoordModel
 	// killHook, when set (restart chaos tests), is consulted at each
 	// named kill point; returning true kills the coordinator right
@@ -475,7 +476,8 @@ func (c *Coordinator) appendJournal(bodies []journalBody) error {
 	for i := range bodies {
 		c.jseq++
 		bodies[i].Seq = c.jseq
-		body, err := json.Marshal(bodies[i])
+		body, err := appendJournalBody(c.jbuf[:0], &bodies[i])
+		c.jbuf = body
 		if err != nil {
 			return fmt.Errorf("fleet: encoding journal body: %w", err)
 		}

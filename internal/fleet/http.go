@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -256,25 +257,92 @@ func (cl *client) reportBatch(ctx context.Context, worker string, reports []Task
 	return resp.Accepted, nil
 }
 
-// writeClaimBatch answers a claim with the tasks it granted.
+// scratchPool recycles the scratch the batch messages are written and
+// read with.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// writeClaimBatch answers a claim with the tasks it granted, in the
+// bytes json.NewEncoder writes: a body encoding/json cannot encode is
+// left empty, as its Encoder leaves it.
 func writeClaimBatch(w http.ResponseWriter, resp *claimBatchResponse) {
-	writeJSON(w, http.StatusOK, resp)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	body, err := appendClaimBatch(s.buf[:0], resp)
+	s.buf = body
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		w.Write(body)
+	}
 }
 
-// readClaimBatch decodes a claim batch response body.
+// readClaimBatch decodes a claim batch response body as
+// json.Decoder.Decode does.
 func readClaimBatch(r io.Reader, resp *claimBatchResponse) error {
-	return json.NewDecoder(io.LimitReader(r, maxBodyBytes)).Decode(resp)
+	return readMessage(r, resp, parseClaimBatch, false)
 }
 
-// encodeReportBatch encodes a report batch request body.
+// encodeReportBatch encodes a report batch request body in the bytes
+// json.Marshal writes. The body is a copy of the scratch it was written
+// in, since the transport may read it after the request returns.
 func encodeReportBatch(req *reportBatchRequest) ([]byte, error) {
-	return json.Marshal(req)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.buf = appendReportBatch(s.buf[:0], req)
+	return bytes.Clone(s.buf), nil
 }
 
-// readReportBatch decodes a report batch request body, refusing unknown
-// fields.
+// readReportBatch decodes a report batch request body as
+// json.Decoder.Decode does with unknown fields refused.
 func readReportBatch(r io.Reader, req *reportBatchRequest) error {
-	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+	return readMessage(r, req, parseReportBatch, true)
 }
+
+// readMessage reads at most maxBodyBytes of r and parses them by hand.
+// A body the parse declines, or whose read failed, goes to the decoder
+// call the message was always read with: json.Decoder.Decode, which
+// stops after the first value, refusing unknown fields when strict. It
+// reads the same bytes, then the read's error.
+func readMessage[T any](r io.Reader, v *T, parse func([]byte, *scratch) (T, bool), strict bool) error {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	data, err := readBody(s.buf[:0], io.LimitReader(r, maxBodyBytes))
+	s.buf = data
+	if err == nil {
+		if m, ok := parse(data, s); ok {
+			*v = m
+			return nil
+		}
+	}
+	var rest io.Reader = bytes.NewReader(data)
+	if err != nil {
+		rest = io.MultiReader(rest, errReader{err})
+	}
+	dec := json.NewDecoder(rest)
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	return dec.Decode(v)
+}
+
+// readBody appends what r holds to dst, as io.ReadAll does.
+func readBody(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
