@@ -15,14 +15,15 @@ import (
 // between parallel regions — phase sequencing is deterministic precisely
 // because it is not racing the workers.
 //
-// Events are stored in fixed-capacity chunks rather than one growing
-// slice: an append fills the last chunk and starts a new one when it is
-// full, so no append ever copies the events already recorded, and the
-// unused capacity is at most one chunk.
+// Events are stored in chunks rather than one growing slice: an append
+// fills the last chunk and starts a new one of chunkSize events when it
+// is full to its capacity, so no append ever copies the events already
+// recorded, and the unused capacity is at most one chunk. A replayed
+// trace's event slice becomes a chunk of its own, uncopied.
 type Recorder struct {
 	mu sync.Mutex
-	// chunks hold the recorded events in order, each with capacity
-	// chunkSize; every chunk but the last is full. n counts the events.
+	// chunks hold the recorded events in order; every chunk but the
+	// last is full to its capacity. n counts the events.
 	chunks [][]Event
 	n      int
 	// pseq is the current phase ordinal. Written only by the
@@ -57,10 +58,10 @@ func (r *Recorder) SetBatchPooling(on bool) {
 const chunkSize = 1024
 
 // push appends one event to the last chunk, starting a new chunk when
-// the last is full. r.mu must be held.
+// the last is full to its capacity. r.mu must be held.
 func (r *Recorder) push(e Event) {
 	last := len(r.chunks) - 1
-	if last < 0 || len(r.chunks[last]) == chunkSize {
+	if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
 		r.chunks = append(r.chunks, make([]Event, 0, chunkSize))
 		last++
 	}
@@ -206,15 +207,19 @@ func (r *Recorder) CommitSpan(events []Event) {
 // PhaseSeq, Sample, Step and Wall all preserved, nothing re-stamped.
 // The results repository uses it to hand a served run its original
 // canonical trace: replaying a Canonical() trace and snapshotting it
-// canonically again is byte-identical to the stored one. Nil-safe.
+// canonically again is byte-identical to the stored one. The recorder
+// keeps t's event slice as a chunk rather than copying it, so the caller
+// must not change those events afterwards. Nil-safe.
 func (r *Recorder) Replay(t *Trace) {
 	if r == nil || t == nil || len(t.Events) == 0 {
 		return
 	}
 	r.mu.Lock()
-	for i := range t.Events {
-		r.push(t.Events[i])
+	if last := len(r.chunks) - 1; last >= 0 {
+		r.chunks[last] = slices.Clip(r.chunks[last])
 	}
+	r.chunks = append(r.chunks, slices.Clip(t.Events))
+	r.n += len(t.Events)
 	r.mu.Unlock()
 }
 

@@ -457,12 +457,12 @@ func TestWriteJSONLWriterError(t *testing.T) {
 	}
 }
 
-// The recorder stores its events in chunks of chunkSize. Each way in —
-// Emit, a batch larger than one chunk, CommitSpan and a Replay several
-// chunks long — must cross a chunk boundary without losing, reordering
-// or restamping an event: Snapshot equals a flat reference and Len
-// matches after every step. A recorded event never moves, and every
-// chunk but the last is full.
+// The recorder stores its events in chunks. Each way in — Emit, a batch
+// larger than one chunk, CommitSpan and a Replay several chunks long,
+// which adds the replayed slice as a chunk — must cross a chunk boundary
+// without losing, reordering or restamping an event: Snapshot equals a
+// flat reference and Len matches after every step. A recorded event
+// never moves, and every chunk but the last is full to its capacity.
 func TestRecorderChunkBoundaries(t *testing.T) {
 	r := NewRecorder()
 	r.WallClock(func() int64 { return 7 })
@@ -478,8 +478,8 @@ func TestRecorderChunkBoundaries(t *testing.T) {
 				t.Fatalf("%s: event %d is %+v, want %+v", step, i, got[i], want[i])
 			}
 		}
-		for i, c := range r.chunks {
-			if cap(c) != chunkSize || (i < len(r.chunks)-1 && len(c) != chunkSize) {
+		for i, c := range r.chunks[:len(r.chunks)-1] {
+			if len(c) != cap(c) {
 				t.Fatalf("%s: chunk %d of %d has len %d, cap %d", step, i, len(r.chunks), len(c), cap(c))
 			}
 		}
