@@ -434,9 +434,6 @@ type scratch struct {
 
 // parser returns the scratch's parser over data.
 func (s *scratch) parser(data []byte) *wireParser {
-	if s.names == nil {
-		s.names = make(map[string]string)
-	}
 	clear(s.names)
 	s.p.Parser = jsonx.NewParser(data, s.names)
 	return &s.p

@@ -259,7 +259,7 @@ func (cl *client) reportBatch(ctx context.Context, worker string, reports []Task
 
 // scratchPool recycles the scratch the batch messages are written and
 // read with.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any { return &scratch{names: make(map[string]string)} }}
 
 // writeClaimBatch answers a claim with the tasks it granted, in the
 // bytes json.NewEncoder writes: a body encoding/json cannot encode is
