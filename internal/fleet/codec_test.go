@@ -165,6 +165,9 @@ func FuzzWireCodec(f *testing.F) {
 		indented.String(),
 		pinReport[:len(pinReport)/2],
 		`{"tasks":[]}` + "\n",
+		`{"tasks":[}]}` + "\n",
+		`{"worker":"w","reports":[}]}`,
+		`{"worker":"w","reports":[{"task":"t","error":"a\\b\u0041\n"}]}`,
 		`{"tasks":[{"id":"a","cvs":[[],[1,-2,0]]}],"granted":0}` + "\n",
 		`{"worker":"w","reports":[{"task":"t","epoch":-1,"outcome":{"total":"NaN","events":[]}}]}`,
 		body(`{"v":1,"sum":"fdf25317012eacf0","body":{"seq":1,"op":"claim","task":"job-a/collect/0#1","epoch":1,"worker":"w1","deadline":1760875200000000000}}`),
@@ -176,6 +179,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte("{}"), "<a & \"b\"> \xff", math.Inf(1), int64(math.MinInt64))
 	f.Add([]byte("null"), "", math.NaN(), int64(-1))
 	f.Add([]byte(""), "x", 1e-7, int64(math.MaxInt64))
+	f.Add([]byte("[]"), "", 0.0, int64(0))
 	f.Fuzz(func(t *testing.T, data []byte, s string, x float64, n int64) {
 		checkParse(t, data, parseClaimBatch, false)
 		checkParse(t, data, parseReportBatch, true)
@@ -196,6 +200,22 @@ func FuzzWireCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWireParseDamagedBodies runs every body one byte away from the
+// pinned batches, one byte dropped or doubled, through both parses: a
+// parse must decline each body encoding/json refuses and decode each
+// other one to encoding/json's value, whatever the lost or doubled byte
+// was (a comma, a bracket, a quote, a digit).
+func TestWireParseDamagedBodies(t *testing.T) {
+	for _, body := range []string{pinClaim, pinReport} {
+		for i := range body {
+			for _, damaged := range []string{body[:i] + body[i+1:], body[:i+1] + body[i:]} {
+				checkParse(t, []byte(damaged), parseClaimBatch, false)
+				checkParse(t, []byte(damaged), parseReportBatch, true)
+			}
+		}
+	}
 }
 
 // fill sets every field of v, recursively, to a value that is not zero:
