@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -55,13 +56,31 @@ func (c *Coordinator) Handler() http.Handler {
 
 func decodeBody[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var v T
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
+	if err := decodeRequest(json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)), &v); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return v, false
 	}
 	return v, true
+}
+
+// errTrailingData refuses a request body that holds more than its value.
+var errTrailingData = errors.New("fleet: request body continues after its JSON value")
+
+// decodeRequest decodes a request body's one JSON value, refusing
+// unknown fields and anything but whitespace after the value.
+func decodeRequest(dec *json.Decoder, v any) error {
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errTrailingData
+	default:
+		return err
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -292,17 +311,17 @@ func encodeReportBatch(req *reportBatchRequest) ([]byte, error) {
 	return bytes.Clone(s.buf), nil
 }
 
-// readReportBatch decodes a report batch request body as
-// json.Decoder.Decode does with unknown fields refused.
+// readReportBatch decodes a report batch request body as decodeRequest
+// does.
 func readReportBatch(r io.Reader, req *reportBatchRequest) error {
 	return readMessage(r, req, parseReportBatch, true)
 }
 
 // readMessage reads at most maxBodyBytes of r and parses them by hand.
 // A body the parse declines, or whose read failed, goes to the decoder
-// call the message was always read with: json.Decoder.Decode, which
-// stops after the first value, refusing unknown fields when strict. It
-// reads the same bytes, then the read's error.
+// call the message was always read with: a request's decodeRequest when
+// strict, and otherwise json.Decoder.Decode, which stops after the first
+// value. It reads the same bytes, then the read's error.
 func readMessage[T any](r io.Reader, v *T, parse func([]byte, *scratch) (T, bool), strict bool) error {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
@@ -320,7 +339,7 @@ func readMessage[T any](r io.Reader, v *T, parse func([]byte, *scratch) (T, bool
 	}
 	dec := json.NewDecoder(rest)
 	if strict {
-		dec.DisallowUnknownFields()
+		return decodeRequest(dec, v)
 	}
 	return dec.Decode(v)
 }

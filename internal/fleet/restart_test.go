@@ -327,7 +327,7 @@ func TestCoordinatorFaultChaosLoop(t *testing.T) {
 			coord.Kill()
 			if data, rerr := os.ReadFile(cfg.JournalPath); rerr == nil {
 				st, _ := replayJournal(data)
-				t.Logf("death %d: journal seq=%d records=%d live=%d completed=%d", deaths, st.seq, st.records, len(st.tasks), len(st.completed))
+				t.Logf("death %d: journal seq=%d live=%d completed=%d", deaths, st.seq, len(st.tasks), len(st.buffer))
 			}
 			continue
 		}

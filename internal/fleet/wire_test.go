@@ -161,10 +161,10 @@ func pinLeases(t *testing.T) (*Coordinator, *task, *task) {
 
 // TestReportBatchBodiesOverHTTP sends the coordinator report batches in
 // shapes other than the one workers write. It answers each as
-// encoding/json's Decoder, with unknown fields refused, decides: 400
-// with the decoder's error for an unknown field or a truncation, and the
-// same verdicts and outcomes as for pinReport for whitespace, reordered
-// fields, or bytes after the first value, which the decoder never reads.
+// decodeRequest, encoding/json's Decoder with unknown fields and bytes
+// after the value refused, decides: 400 with that error for an unknown
+// field, a truncation or bytes after the value, and the same verdicts
+// and outcomes as for pinReport for whitespace or reordered fields.
 func TestReportBatchBodiesOverHTTP(t *testing.T) {
 	var indented bytes.Buffer
 	if err := json.Indent(&indented, []byte(pinReport), "", "  "); err != nil {
@@ -179,7 +179,7 @@ func TestReportBatchBodiesOverHTTP(t *testing.T) {
 		{"canonical", pinReport, true},
 		{"whitespace", indented.String(), true},
 		{"reordered", reordered, true},
-		{"bytes-after-the-value", pinReport + ` {"worker":"w9"}x`, true},
+		{"bytes-after-the-value", pinReport + ` {"worker":"w9"}x`, false},
 		{"unknown-field", strings.Replace(pinReport, `"worker":"w1"`, `"worker":"w1","lease":3`, 1), false},
 		{"unknown-nested-field", strings.Replace(pinReport, `"flakes":0`, `"flakes":0,"spills":1`, 1), false},
 		{"truncated", pinReport[:len(pinReport)/2], false},
@@ -199,11 +199,9 @@ func TestReportBatchBodiesOverHTTP(t *testing.T) {
 				t.Fatal(err)
 			}
 			var req reportBatchRequest
-			dec := json.NewDecoder(strings.NewReader(tc.body))
-			dec.DisallowUnknownFields()
-			decErr := dec.Decode(&req)
+			decErr := decodeRequest(json.NewDecoder(strings.NewReader(tc.body)), &req)
 			if (decErr == nil) != tc.ok {
-				t.Fatalf("encoding/json decodes the body with error %v", decErr)
+				t.Fatalf("decodeRequest decodes the body with error %v", decErr)
 			}
 			if !tc.ok {
 				want, _ := json.Marshal(map[string]string{"error": decErr.Error()})
@@ -220,6 +218,47 @@ func TestReportBatchBodiesOverHTTP(t *testing.T) {
 			}
 			if res := <-t2.done; res.err == nil || !strings.HasSuffix(res.err.Error(), ": exec: LULESH run crashed (signal 11)") {
 				t.Errorf("failed task resolved with %v", res.err)
+			}
+		})
+	}
+}
+
+// TestRequestBodiesOverHTTP sends the coordinator claim batch and
+// heartbeat requests with bytes after their JSON value, which it
+// refuses with 400, as it does a report batch's.
+func TestRequestBodiesOverHTTP(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	refused, _ := json.Marshal(map[string]string{"error": errTrailingData.Error()})
+	for _, tc := range []struct {
+		name, path, body string
+		code             int
+	}{
+		{"claimbatch", "/fleet/claimbatch", `{"worker":"w1","max":1}`, http.StatusNoContent},
+		{"claimbatch/bytes-after-the-value", "/fleet/claimbatch", `{"worker":"w1","max":1} {"worker":"w9"}x`, http.StatusBadRequest},
+		{"heartbeat", "/fleet/heartbeat", `{"worker":"w1","task":"t","epoch":1}`, http.StatusConflict},
+		{"heartbeat/bytes-after-the-value", "/fleet/heartbeat", `{"worker":"w1","task":"t","epoch":1} {"worker":"w9"}x`, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.code {
+				t.Fatalf("answered %d %s, want %d", resp.StatusCode, got, tc.code)
+			}
+			if tc.code == http.StatusBadRequest && string(got) != string(refused)+"\n" {
+				t.Fatalf("answered 400 %s, want %s", got, refused)
 			}
 		})
 	}
