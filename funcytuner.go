@@ -106,9 +106,10 @@ type (
 	WorkerGate = core.WorkerGate
 	// Evaluator executes evaluation claims outside the tuning process —
 	// the coordinator half of a distributed fleet (see Options.Evaluator
-	// and internal/fleet). Each claim is a pure function of the run's
-	// seed and the claim identity, so remote execution cannot change any
-	// Report.
+	// and internal/fleet). It takes a whole range of claims in one
+	// Evaluate call and hands back each outcome as it lands. Each claim
+	// is a pure function of the run's seed and the claim identity, so
+	// remote execution cannot change any Report.
 	Evaluator = core.RemoteEvaluator
 	// EvalRequest identifies one evaluation claim (phase, sample, CVs).
 	EvalRequest = core.EvalRequest
@@ -210,7 +211,7 @@ type Options struct {
 	// Noisy applies measurement noise (default true, like real runs).
 	Noisy *bool
 	// Workers bounds parallel evaluation (0 = GOMAXPROCS). A run with an
-	// Evaluator ignores it: the evaluator's window bounds it instead.
+	// Evaluator ignores it: the evaluator bounds it instead.
 	Workers int
 	// HotThreshold is the outlining threshold (default 0.01, §3.3).
 	HotThreshold float64
@@ -301,17 +302,19 @@ type Options struct {
 	// Gate, when non-nil, bounds evaluation concurrency across tuners: a
 	// single gate shared by several concurrent runs (the funcytunerd job
 	// service) caps total in-flight evaluations regardless of each run's
-	// Workers setting. Nil leaves the run bounded only by Workers.
+	// Workers setting. Nil leaves the run bounded only by Workers. A run
+	// with an Evaluator holds no slot: its evaluations run elsewhere.
 	Gate WorkerGate
 	// Evaluator, when non-nil, turns the run into a fleet coordinator:
-	// every evaluation is dispatched through it (typically to remote
-	// worker processes via internal/fleet) instead of executing
-	// in-process, and its outcome is merged as if measured locally. The
-	// Report is bit-identical to a local run's — evaluations are pure
-	// functions of their claims, so where they execute is unobservable.
-	// The evaluator's Window, read at the start of every collection and
-	// Suggest batch, sets how many evaluations are in flight; Workers
-	// does not.
+	// each range of evaluations (a collection, a Suggest batch, greedy's
+	// single evaluation) is handed to it in one call (typically for
+	// remote worker processes via internal/fleet) instead of executing
+	// in-process, and every outcome is merged as if measured locally, on
+	// the calling goroutine as it lands. The Report is bit-identical to a
+	// local run's — evaluations are pure functions of their claims, so
+	// where they execute is unobservable. The evaluator decides how many
+	// evaluations are in flight; Workers does not, and its Window is only
+	// reported, on the workers gauge.
 	Evaluator Evaluator
 
 	// Trace, when non-nil, records structured span events (session, phase,

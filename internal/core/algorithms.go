@@ -76,16 +76,14 @@ func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 	if s.ckpt != nil {
 		s.ckpt.restoreCollect(col, done)
 	}
-	errs := make([]error, len(cvs))
-	s.parFor(ctx, len(cvs), func(k int) {
-		if done[k] {
-			return
+	reqs := make([]EvalRequest, 0, len(cvs))
+	for k := range cvs {
+		if !done[k] {
+			reqs = append(reqs, EvalRequest{Phase: phaseCollect, Sample: k, CVs: cvs[k : k+1 : k+1]})
 		}
-		out, err := s.evaluate(ctx, EvalRequest{Phase: phaseCollect, Sample: k, CVs: cvs[k : k+1 : k+1]})
-		if err != nil {
-			errs[k] = err
-			return
-		}
+	}
+	err := s.measure(ctx, reqs, func(i int, out EvalOutcome) {
+		k := reqs[i].Sample
 		for mi, t := range out.PerModule {
 			col.Times[mi][k] = t
 		}
@@ -99,12 +97,7 @@ func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 			return nil, err
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := s.checkCancelled(ctx); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return col, nil
@@ -179,8 +172,8 @@ func (s *Session) Greedy(ctx context.Context, col *Collection) (realized, indepe
 		chosen[mi] = col.CVs[bestK]
 		indepSum += best
 	}
-	out, err := s.evaluate(ctx, EvalRequest{Phase: "greedy", CVs: chosen})
-	if err != nil {
+	var out EvalOutcome
+	if err := s.measure(ctx, []EvalRequest{{Phase: "greedy", CVs: chosen}}, func(_ int, o EvalOutcome) { out = o }); err != nil {
 		return nil, nil, err
 	}
 	realized, err = s.finish("G.realized", chosen, out.Total, []float64{out.Total})

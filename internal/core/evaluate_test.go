@@ -88,16 +88,26 @@ func TestMetricsMatchCostOnAbandonedRetry(t *testing.T) {
 	checkLedger(t, "abandoned", s)
 }
 
-// loopback is a RemoteEvaluator that runs every claim on a second,
-// identically configured session, as a fleet worker would, window
-// claims at a time.
+// loopback is a RemoteEvaluator that runs every claim of a range on a
+// second, identically configured session, as a fleet worker would, and
+// lands the outcomes last request first, so the merge sees them out of
+// order.
 type loopback struct {
 	worker *Session
 	window int
 }
 
-func (l loopback) Evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error) {
-	return l.worker.EvaluateClaim(ctx, req)
+func (l loopback) Evaluate(ctx context.Context, reqs []EvalRequest, land func(int, EvalOutcome) error) error {
+	for i := len(reqs) - 1; i >= 0; i-- {
+		out, err := l.worker.EvaluateClaim(ctx, reqs[i])
+		if err != nil {
+			return err
+		}
+		if err := land(i, out); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (l loopback) Window() int { return l.window }

@@ -2,14 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"funcytuner/internal/metrics"
 )
 
 // A panicking evaluation worker must not crash the process anonymously:
@@ -133,58 +128,5 @@ func TestParForCancelKeepsPanicPropagation(t *testing.T) {
 	}
 	if !strings.Contains(got, "sample 3") || !strings.Contains(got, "cancelled and panicked") {
 		t.Errorf("panic lost its context under cancellation: %q", got)
-	}
-}
-
-// setWindow is a RemoteEvaluator whose window the test sets. The parFor
-// tests never evaluate through it.
-type setWindow struct{ n atomic.Int64 }
-
-func (w *setWindow) Evaluate(context.Context, EvalRequest) (EvalOutcome, error) {
-	return EvalOutcome{}, errors.New("setWindow does not evaluate")
-}
-
-func (w *setWindow) Window() int { return int(w.n.Load()) }
-
-// On a remote session parFor runs as wide as the evaluator's window,
-// read afresh for every range whatever Config.Workers says, and the
-// workers gauge reports the width the range used.
-func TestParForRemoteFollowsWindow(t *testing.T) {
-	s := newCLSession(t, 10, 2, true)
-	s.Config.Workers = 1
-	ev := &setWindow{}
-	s.Config.Remote = ev
-	reg := metrics.NewRegistry()
-	s.AttachMetrics(reg)
-	for _, window := range []int{6, 3, 9} {
-		ev.n.Store(int64(window))
-		var in, peak atomic.Int32
-		full := make(chan struct{})
-		var once sync.Once
-		timeout := time.After(30 * time.Second)
-		s.parFor(context.Background(), 3*window, func(int) {
-			n := in.Add(1)
-			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-			}
-			if n == int32(window) {
-				once.Do(func() { close(full) })
-			}
-			select {
-			case <-full:
-			case <-timeout:
-			}
-			in.Add(-1)
-		})
-		select {
-		case <-full:
-		default:
-			t.Errorf("window %d: never had %d indices in flight (peak %d)", window, window, peak.Load())
-		}
-		if p := peak.Load(); p > int32(window) {
-			t.Errorf("window %d: %d indices in flight at once", window, p)
-		}
-		if got := reg.Snapshot().Gauge(MetricWorkers); got != float64(window) {
-			t.Errorf("window %d: workers gauge reads %v", window, got)
-		}
 	}
 }

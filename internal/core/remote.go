@@ -24,14 +24,15 @@ import (
 // Session.evaluate:
 //
 //   - Config.Remote (a RemoteEvaluator) turns this session into a
-//     coordinator: evaluate dispatches each request through the
-//     evaluator instead of compiling and running locally, and merges the
-//     outcome (quarantine, trace span, then cost and metrics through the
-//     same finishEval a local evaluation ends with) on return. The
-//     evaluator, not Config.Workers, sets how many evaluations are in
-//     flight: parFor reads its Window at the start of every range (a
-//     collection, a Suggest batch) and keeps that many claims out at
-//     once, one goroutine and one Evaluate call each.
+//     coordinator: every range of evaluations (a collection, a Suggest
+//     batch, greedy's single evaluation as a range of one) goes to the
+//     evaluator in one call instead of compiling and running locally,
+//     and each outcome is merged as it lands (quarantine, trace span,
+//     then cost and metrics through the same finishEval a local
+//     evaluation ends with), all on the calling goroutine. The evaluator
+//     decides how many of the range's evaluations are in flight; no
+//     goroutine waits on any one of them, and parFor serves local
+//     sessions only.
 //   - EvaluateClaim is the worker half: it runs evaluate for one claim on
 //     a local session and returns the outcome evaluate built, plus the
 //     trace span it captured through a detached batch.
@@ -69,19 +70,24 @@ type EvalOutcome struct {
 }
 
 // RemoteEvaluator executes evaluation claims somewhere else — typically
-// the fleet coordinator fanning claims out to worker processes. Evaluate
-// must return the outcome the claim's pure evaluation function defines:
-// the session applies it verbatim. Implementations own all transport
-// retries and re-dispatch; an error return aborts the tuning run (the
-// session only calls it with errors it cannot recover from, e.g. a
-// cancelled context).
+// the fleet coordinator fanning claims out to worker processes.
 //
-// Window is how many Evaluate calls the session should have in flight
-// at once. The session reads it at the start of every parallel range,
-// in place of Config.Workers. Where evaluations run never changes a
-// result, so neither does the window.
+// Evaluate evaluates one range of requests and calls land(i, out) once
+// for each request i, in whatever order the outcomes arrive, always on
+// the goroutine that called Evaluate. Each outcome must be the one the
+// claim's pure evaluation function defines: the session applies it
+// verbatim. Evaluate returns nil once every request has landed. It
+// stops at the first error, land's or its own, withdraws whatever has
+// not landed, and returns that error; land is not called again.
+// Implementations own all transport retries and re-dispatch; an error
+// aborts the tuning run (the session only sees errors it cannot recover
+// from, e.g. a cancelled context).
+//
+// Window is the most evaluations the evaluator keeps in flight at once.
+// The session only reports it, on its workers gauge: where and how
+// widely evaluations run never changes a result.
 type RemoteEvaluator interface {
-	Evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error)
+	Evaluate(ctx context.Context, reqs []EvalRequest, land func(i int, out EvalOutcome) error) error
 	Window() int
 }
 
@@ -182,33 +188,42 @@ func (s *Session) EvaluateClaim(ctx context.Context, req EvalRequest) (EvalOutco
 	return out, nil
 }
 
-// remoteEval is evaluate on a coordinator session: it dispatches the
-// request through the configured RemoteEvaluator and merges the outcome
-// as the local path would have applied it. The cancellation check guards
-// the evaluation boundary exactly like the local path, so a cancelled run
-// never applies a partial claim's cost, and a malformed outcome is
-// rejected before anything is merged. Every ingredient of the merge is
-// commutative, so it is deterministic no matter which worker reported
-// first.
-func (s *Session) remoteEval(ctx context.Context, req EvalRequest) (EvalOutcome, error) {
+// remoteRange is measure on a coordinator session: it hands the whole
+// range to the configured RemoteEvaluator in one call and, as each
+// outcome lands, merges it as the local path would have applied it and
+// passes it to got. The range starts only on a live session, and the
+// merge that trips KillAfterEvals ends it (the evaluator withdraws the
+// rest), so a remote run stops on an evaluation boundary like a local
+// one. A malformed outcome is rejected before anything of it is merged.
+// Every ingredient of the merge is commutative, so it is deterministic
+// in whatever order the outcomes land.
+func (s *Session) remoteRange(ctx context.Context, reqs []EvalRequest, got func(i int, out EvalOutcome)) error {
+	s.met.workers.Set(float64(s.width()))
+	if len(reqs) == 0 {
+		return nil
+	}
 	if err := s.checkCancelled(ctx); err != nil {
-		return EvalOutcome{}, err
+		return err
 	}
-	out, err := s.Config.Remote.Evaluate(ctx, req)
+	err := s.Config.Remote.Evaluate(ctx, reqs, func(i int, out EvalOutcome) error {
+		req := reqs[i]
+		if math.IsNaN(out.Total) {
+			return fmt.Errorf("sample %d returned NaN", req.Sample)
+		}
+		if req.Phase == phaseCollect && len(out.PerModule) != len(s.Part.Modules) {
+			return fmt.Errorf("sample %d returned %d module times, want %d",
+				req.Sample, len(out.PerModule), len(s.Part.Modules))
+		}
+		for _, key := range out.Quarantined {
+			s.quarantineCV(key)
+		}
+		s.tr.CommitSpan(out.Events)
+		s.finishEval(out.Cost)
+		got(i, out)
+		return s.checkKilled()
+	})
 	if err != nil {
-		return EvalOutcome{}, fmt.Errorf("core: remote evaluation %s/%d: %w", req.Phase, req.Sample, err)
+		return fmt.Errorf("core: remote %s evaluation: %w", reqs[0].Phase, err)
 	}
-	if math.IsNaN(out.Total) {
-		return EvalOutcome{}, fmt.Errorf("core: remote evaluation %s/%d returned NaN", req.Phase, req.Sample)
-	}
-	if req.Phase == phaseCollect && len(out.PerModule) != len(s.Part.Modules) {
-		return EvalOutcome{}, fmt.Errorf("core: remote collect %d returned %d module times, want %d",
-			req.Sample, len(out.PerModule), len(s.Part.Modules))
-	}
-	for _, key := range out.Quarantined {
-		s.quarantineCV(key)
-	}
-	s.tr.CommitSpan(out.Events)
-	s.finishEval(out.Cost)
-	return out, nil
+	return nil
 }

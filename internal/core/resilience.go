@@ -104,7 +104,9 @@ func (s *Session) restoreQuarantine(keys []uint64) {
 }
 
 // evaluate is the one measurement path: every evaluation the pipeline
-// makes, local or remote, is a request in and an outcome out. A collect
+// makes, on a local session or on a fleet worker's (EvaluateClaim), is a
+// request in and an outcome out; a coordinator merges the outcomes its
+// workers return (remoteRange). A collect
 // request compiles its one CV into every module and runs it with Caliper
 // instrumentation (Fig. 4), reporting per-module times; any other request
 // runs its CV-per-module assembly end to end (Algorithm 1). Crashing code
@@ -116,9 +118,6 @@ func (s *Session) restoreQuarantine(keys []uint64) {
 // evaluation's cost delta and quarantine decisions, already applied to
 // the session when evaluate returns.
 func (s *Session) evaluate(ctx context.Context, req EvalRequest) (EvalOutcome, error) {
-	if s.Config.Remote != nil {
-		return s.remoteEval(ctx, req)
-	}
 	if err := s.checkCancelled(ctx); err != nil {
 		return EvalOutcome{}, err
 	}

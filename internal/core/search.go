@@ -140,11 +140,10 @@ func (s *Session) adaptWarmSeeds() [][]flagspec.CV {
 // what keeps the default technique's Report and canonical trace
 // byte-identical.
 //
-// A non-nil rule evaluates each batch one index at a time, still through
-// parFor so the gate, cancellation and panic recovery apply, and stops
-// mid-batch as soon as the rule fires. The unused suggestions are
-// dropped: they came from the technique's private stream, so an
-// early-stopped run is an exact prefix of the full one.
+// A non-nil rule evaluates each batch one index at a time, each index a
+// range of its own, and stops mid-batch as soon as the rule fires. The
+// unused suggestions are dropped: they came from the technique's private
+// stream, so an early-stopped run is an exact prefix of the full one.
 //
 // Checkpoint replay works for every technique without serializing any
 // technique state: a resumed run replays the same Suggest/Observe
@@ -186,49 +185,43 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 		}
 		k0 := len(times)
 		batchTimes := make([]float64, len(batch))
-		errs := make([]error, len(batch))
-		eval := func(i int) {
-			k := k0 + i
-			if ckDone[k] {
-				batchTimes[i] = ckTimes[k]
-				return
-			}
-			out, err := s.evaluate(ctx, EvalRequest{Phase: phase, Sample: k, CVs: batch[i]})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			batchTimes[i] = out.Total
-			if ckpt != nil {
-				ckpt.record(phaseSearch, k, out)
-			}
-		}
-		// Without a rule the whole batch is one parallel step. With one,
-		// every index is its own step, so the rule sees each time in
-		// index order and the search can stop mid-batch.
+		// Without a rule the whole batch is one range. With one, every
+		// index is its own range, so the rule sees each time in index
+		// order and the search can stop mid-batch. Samples restored from
+		// the checkpoint take their recorded times and are not measured.
 		step := len(batch)
 		if stop != nil {
 			step = 1
 		}
 		n := 0
+		var err error
 		for n < len(batch) && !stopped {
-			lo := n
-			s.parFor(ctx, step, func(i int) { eval(lo + i) })
-			n += step
+			lo, hi := n, n+step
+			var reqs []EvalRequest
+			for i := lo; i < hi; i++ {
+				if k := k0 + i; ckDone[k] {
+					batchTimes[i] = ckTimes[k]
+				} else {
+					reqs = append(reqs, EvalRequest{Phase: phase, Sample: k, CVs: batch[i]})
+				}
+			}
+			err = s.measure(ctx, reqs, func(j int, out EvalOutcome) {
+				k := reqs[j].Sample
+				batchTimes[k-k0] = out.Total
+				if ckpt != nil {
+					ckpt.record(phaseSearch, k, out)
+				}
+			})
+			n = hi
 			// An error or cancellation also ends the loop; both surface below.
-			stopped = stop != nil && (errs[lo] != nil || ctx.Err() != nil || stop.done(batchTimes[lo]))
+			stopped = err != nil || stop != nil && stop.done(batchTimes[lo])
 		}
 		if ckpt != nil {
 			if err := ckpt.Flush(); err != nil {
 				return nil, err
 			}
 		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := s.checkCancelled(ctx); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {

@@ -82,7 +82,7 @@ type Config struct {
 	// Seed names the experiment; all randomness derives from it.
 	Seed string
 	// Workers bounds evaluation parallelism; 0 = GOMAXPROCS. A remote
-	// session ignores it: its evaluator's Window bounds it instead.
+	// session ignores it: its evaluator bounds it instead.
 	Workers int
 	// Noisy enables measurement noise (on by default in experiments;
 	// tests may disable it for exactness).
@@ -129,17 +129,18 @@ type Config struct {
 	KillAfterEvals int
 
 	// Gate, when non-nil, bounds evaluation concurrency across sessions:
-	// every evaluation holds one slot while it runs. Nil leaves the
+	// every local evaluation holds one slot while it runs. Nil leaves the
 	// session bounded only by its own Workers setting.
 	Gate WorkerGate
 
 	// Remote, when non-nil, turns the session into a fleet coordinator:
-	// every evaluation is dispatched through the evaluator instead of
-	// compiling and running locally, and the returned outcome is merged
-	// as if the evaluation had run in-process (see remote.go). Because
-	// each evaluation is a pure function of its claim, the merged results
-	// are bit-identical to a local run's. The evaluator's Window, not
-	// Workers, bounds how many evaluations are in flight.
+	// each range of evaluations is handed to the evaluator in one call
+	// instead of compiling and running locally, and every outcome is
+	// merged as if the evaluation had run in-process (see remote.go).
+	// Because each evaluation is a pure function of its claim, the merged
+	// results are bit-identical to a local run's. The evaluator, not
+	// Workers, bounds how many evaluations are in flight, and a remote
+	// range holds no Gate slot.
 	Remote RemoteEvaluator
 
 	// Unpooled disables every allocation-reuse fast path on the session's
@@ -708,29 +709,27 @@ func (s *Session) claim(ctx context.Context, wp *workerPanic, i int, fn func(i i
 	return wp.run(i, fn)
 }
 
-// width is parFor's parallelism for one range: Config.Workers on a
-// local session; on a remote one, the evaluator's window, read afresh
-// for every range and reported on the workers gauge.
+// width is the session's evaluation width, as the workers gauge reports
+// it: Config.Workers on a local session, the evaluator's window on a
+// remote one.
 func (s *Session) width() int {
 	if s.Config.Remote == nil {
 		return s.Config.workers()
 	}
-	w := s.Config.Remote.Window()
-	s.met.workers.Set(float64(w))
-	return w
+	return s.Config.Remote.Window()
 }
 
-// parFor runs fn(i) for i in [0,n) on the session's worker pool, width()
-// wide. fn must only write to index-disjoint state. A panicking fn no
-// longer kills the process anonymously: the panicking worker stops
-// claiming work, the remaining workers drain, and the first panic is
-// re-raised with its sample index and original stack. A cancelled ctx
-// stops the pool from scheduling new indices; evaluations already
-// underway complete (and are checkpointed), so cancellation always lands
-// on an evaluation boundary.
+// parFor runs fn(i) for i in [0,n) on the session's worker pool,
+// Config.Workers wide. fn must only write to index-disjoint state. A
+// panicking fn no longer kills the process anonymously: the panicking
+// worker stops claiming work, the remaining workers drain, and the first
+// panic is re-raised with its sample index and original stack. A
+// cancelled ctx stops the pool from scheduling new indices; evaluations
+// already underway complete (and are checkpointed), so cancellation
+// always lands on an evaluation boundary.
 func (s *Session) parFor(ctx context.Context, n int, fn func(i int)) {
 	var wp workerPanic
-	workers := s.width()
+	workers := s.Config.workers()
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if !s.claim(ctx, &wp, i, fn) {
@@ -762,6 +761,38 @@ func (s *Session) parFor(ctx context.Context, n int, fn func(i int)) {
 	}
 	wg.Wait()
 	wp.rethrow()
+}
+
+// measure evaluates one range of requests (a collection, a Suggest
+// batch, a single evaluation) and passes each outcome to got with its
+// request's index. A local session evaluates on parFor's workers, so got
+// may run concurrently for distinct indices; a remote session hands the
+// whole range to its evaluator (remoteRange). It returns the first
+// error, by request index on a local session and by arrival on a remote
+// one, and otherwise the session's cancellation or kill, so a request
+// the pool never started is never mistaken for a measured one.
+func (s *Session) measure(ctx context.Context, reqs []EvalRequest, got func(i int, out EvalOutcome)) error {
+	if s.Config.Remote != nil {
+		if err := s.remoteRange(ctx, reqs, got); err != nil {
+			return err
+		}
+		return s.checkCancelled(ctx)
+	}
+	errs := make([]error, len(reqs))
+	s.parFor(ctx, len(reqs), func(i int) {
+		out, err := s.evaluate(ctx, reqs[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		got(i, out)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return s.checkCancelled(ctx)
 }
 
 // caliperProfile is the instrumented run of a collect evaluation. With a

@@ -12,6 +12,7 @@ import (
 	"path"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,15 @@ import (
 // test can enqueue several distinguishable tasks.
 func batchRequest(sample int) core.EvalRequest {
 	return core.EvalRequest{Phase: "cfr", Sample: sample, CVs: []flagspec.CV{flagspec.ICC().Baseline()}}
+}
+
+// enqueue puts reqs on the fleet as one range, in one enqueue
+// transition, with room for every result: the protocol tests' enqueues.
+// Request i's task is fl.tasks[i], nil when its outcome was served from
+// the buffer, and each result lands in fl.landed.
+func (c *Coordinator) enqueue(job string, spec Spec, reqs ...core.EvalRequest) (*flight, error) {
+	fl := newFlight(job, spec, reqs, len(reqs))
+	return fl, c.enqueueRange(fl, 0, len(reqs))
 }
 
 // TestClaimBatchFIFOAndPerTaskEpochs pins the batched-claim contract:
@@ -45,11 +55,11 @@ func TestClaimBatchFIFOAndPerTaskEpochs(t *testing.T) {
 	spec := testSpec()
 	var want []string
 	for s := 1; s <= 3; s++ {
-		task, err := coord.enqueue("job-batch", spec, batchRequest(s))
+		fl, err := coord.enqueue("job-batch", spec, batchRequest(s))
 		if err != nil {
 			t.Fatalf("enqueue %d: %v", s, err)
 		}
-		want = append(want, task.id)
+		want = append(want, fl.tasks[0].id)
 	}
 
 	// max below the queue depth: the two oldest tasks, in order.
@@ -123,48 +133,55 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 		defer cancel()
 
 		spec := testSpec()
-		t1, err := coord.enqueue("job-rb", spec, batchRequest(1))
+		fl, err := coord.enqueue("job-rb", spec, batchRequest(1), batchRequest(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, err := coord.enqueue("job-rb", spec, batchRequest(2))
-		if err != nil {
-			t.Fatal(err)
-		}
+		t1, t2 := fl.tasks[0], fl.tasks[1]
 		claimed, err := coord.ClaimBatch(ctx, "w1", 5*time.Second, 2)
 		if err != nil || len(claimed) != 2 {
 			t.Fatalf("claim batch: tasks %v err %v", claimed, err)
 		}
 
-		got, err := coord.ReportBatch("w1", []TaskReport{
+		got, _, err := coord.ReportBatch("w1", []TaskReport{
 			{Task: t1.id, Epoch: claimed[0].Epoch + 1, Outcome: fabricatedOutcome(1.5)}, // burned epoch
 			{Task: t2.id, Epoch: claimed[1].Epoch, Outcome: fabricatedOutcome(2.5)},     // live lease
 			{Task: "no-such-task", Epoch: 1, Outcome: fabricatedOutcome(3.5)},           // unknown
 			{Task: t1.id, Epoch: claimed[0].Epoch, Outcome: fabricatedOutcome(4.5)},     // live lease
-		})
+		}, 0)
 		if err != nil {
 			t.Fatalf("report batch: %v", err)
 		}
 		wantVerdicts(t, got, false, true, false, true)
 
 		// Duplicates of the accepted entries bounce on a later batch too.
-		dup, err := coord.ReportBatch("w1", []TaskReport{
+		dup, _, err := coord.ReportBatch("w1", []TaskReport{
 			{Task: t2.id, Epoch: claimed[1].Epoch, Outcome: fabricatedOutcome(2.5)},
-		})
+		}, 0)
 		if err != nil || len(dup) != 1 || dup[0] {
 			t.Errorf("duplicate batched report = (%v, %v), want ([false], nil)", dup, err)
 		}
 
-		// Each accepted report resolved its task with its own outcome.
+		// Each accepted report resolved its task with its own outcome,
+		// once.
+		resolved := map[int]taskResult{}
+		for more := true; more; {
+			select {
+			case l := <-fl.landed:
+				if _, dup := resolved[l.i]; dup {
+					t.Errorf("task %d resolved twice", l.i)
+				}
+				resolved[l.i] = l.res
+			default:
+				more = false
+			}
+		}
 		for i, task := range []*task{t1, t2} {
 			wantTotal := []float64{4.5, 2.5}[i]
-			select {
-			case res := <-task.done:
-				if res.err != nil || res.out.Total != wantTotal {
-					t.Errorf("task %s resolved (%v, %v), want total %v", task.id, res.out.Total, res.err, wantTotal)
-				}
-			default:
+			if res, ok := resolved[i]; !ok {
 				t.Errorf("task %s never resolved", task.id)
+			} else if res.err != nil || res.out.Total != wantTotal {
+				t.Errorf("task %s resolved (%v, %v), want total %v", task.id, res.out.Total, res.err, wantTotal)
 			}
 		}
 
@@ -187,7 +204,7 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 		defer cancel()
 
-		t1, err := coord.enqueue("job-dup", testSpec(), batchRequest(1))
+		fl, err := coord.enqueue("job-dup", testSpec(), batchRequest(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +213,7 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 			t.Fatalf("claim: %v %v", task, err)
 		}
 		entry := TaskReport{Task: task.ID, Epoch: task.Epoch, Outcome: fabricatedOutcome(1.5)}
-		got, err := coord.ReportBatch("w1", []TaskReport{entry, entry})
+		got, _, err := coord.ReportBatch("w1", []TaskReport{entry, entry}, 0)
 		if err != nil {
 			t.Fatalf("report batch: %v", err)
 		}
@@ -211,7 +228,7 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 		if reports != 1 {
 			t.Errorf("journal holds %d report records, want 1", reports)
 		}
-		if res := <-t1.done; res.err != nil || res.out.Total != 1.5 {
+		if res := (<-fl.landed).res; res.err != nil || res.out.Total != 1.5 {
 			t.Errorf("task resolved (%v, %v), want total 1.5", res.out.Total, res.err)
 		}
 		snap := reg.Snapshot()
@@ -229,13 +246,9 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 		defer cancel()
 
 		spec := testSpec()
-		var tasks []*task
-		for s := 1; s <= 3; s++ {
-			tk, err := coord.enqueue("job-kill", spec, batchRequest(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tasks = append(tasks, tk)
+		fl, err := coord.enqueue("job-kill", spec, batchRequest(1), batchRequest(2), batchRequest(3))
+		if err != nil {
+			t.Fatal(err)
 		}
 		claimed, err := coord.ClaimBatch(ctx, "w1", time.Second, 3)
 		if err != nil || len(claimed) != 3 {
@@ -246,15 +259,15 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 		for i, c := range claimed {
 			reports[i] = TaskReport{Task: c.ID, Epoch: c.Epoch, Outcome: fabricatedOutcome(float64(i) + 1.5)}
 		}
-		if _, err := coord.ReportBatch("w1", reports); !errors.Is(err, ErrUnavailable) {
+		if _, _, err := coord.ReportBatch("w1", reports, 0); !errors.Is(err, ErrUnavailable) {
 			t.Fatalf("report batch through the kill: err=%v, want ErrUnavailable", err)
 		}
 		if !fired.Load() {
 			t.Fatal("kill point never fired")
 		}
-		for _, tk := range tasks {
-			if res := <-tk.done; !errors.Is(res.err, ErrUnavailable) {
-				t.Errorf("task %s resolved (%v, %v) through the kill, want ErrUnavailable", tk.id, res.out.Total, res.err)
+		for range fl.reqs {
+			if l := <-fl.landed; !errors.Is(l.res.err, ErrUnavailable) {
+				t.Errorf("task %s resolved (%v, %v) through the kill, want ErrUnavailable", fl.tasks[l.i].id, l.res.out.Total, l.res.err)
 			}
 		}
 		coord.Kill()
@@ -268,8 +281,8 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("evaluator: %v", err)
 		}
-		for i := range tasks {
-			out, err := ev.Evaluate(ctx, batchRequest(i+1))
+		for i := range fl.reqs {
+			out, err := evaluateOne(ctx, ev, batchRequest(i+1))
 			if err != nil || out.Total != float64(i)+1.5 {
 				t.Errorf("sample %d after restart = (%v, %v), want the journaled %v", i+1, out.Total, err, float64(i)+1.5)
 			}
@@ -366,6 +379,53 @@ func TestBatchedWorkersSurviveChaos(t *testing.T) {
 	}
 }
 
+// failFirstReport is a worker transport whose first report batch fails
+// before it is sent, as on a connection reset.
+type failFirstReport struct{ failed atomic.Bool }
+
+func (f *failFirstReport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/fleet/reportbatch" && f.failed.CompareAndSwap(false, true) {
+		if r.Body != nil {
+			r.Body.Close()
+		}
+		return nil, errors.New("connection reset by peer (injected)")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestWorkerResendsFailedReport runs one worker claiming batches of four
+// at the default MaxLeaseLosses, whose first report batch fails at the
+// transport. The worker sends the batch again while its leases live, so
+// none of them expires, the worker is not quarantined (four losses
+// would pass the bound of three), and the run, which has no other
+// worker, ends at the local run's fingerprint.
+func TestWorkerResendsFailedReport(t *testing.T) {
+	spec := testSpec()
+	wantFP, wantTrace := localRun(t, spec)
+	reg := metrics.NewRegistry()
+	rt := &failFirstReport{}
+	gotFP, gotTrace := distributedRun(t, spec,
+		CoordinatorConfig{LeaseTTL: time.Second, Heartbeat: 100 * time.Millisecond, Registry: reg},
+		[]WorkerConfig{{ID: "w-resend", Concurrency: 1, ClaimBatch: 4, Poll: 100 * time.Millisecond}},
+		[]http.RoundTripper{rt})
+	if !rt.failed.Load() {
+		t.Fatal("no report batch failed; the test proved nothing")
+	}
+	if gotFP != wantFP {
+		t.Errorf("fingerprint %016x != local %016x", gotFP, wantFP)
+	}
+	if !bytes.Equal(gotTrace, wantTrace) {
+		t.Errorf("canonical trace differs from local (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counter(MetricLeasesExpired); n != 0 {
+		t.Errorf("%d leases expired, want none", n)
+	}
+	if n := snap.Counter(MetricWorkersQuarantined); n != 0 {
+		t.Errorf("%d workers quarantined, want none", n)
+	}
+}
+
 // verbCounter is a worker transport that counts requests per protocol
 // verb and stamps when each claimbatch left and each reportbatch was
 // answered.
@@ -426,15 +486,16 @@ func TestWorkerFaultModesInsideBatch(t *testing.T) {
 		reg   *metrics.Registry
 		rt    *verbCounter
 		tasks []*task
+		fl    *flight
 	}
 	counter := func(r run, name string) int64 { return r.reg.Snapshot().Counter(name) }
 	resolveAll := func(t *testing.T, r run) {
 		t.Helper()
-		for _, tk := range r.tasks {
+		for range r.tasks {
 			select {
-			case <-tk.done:
+			case <-r.fl.landed:
 			case <-time.After(testTimeout):
-				t.Fatalf("task %s never resolved", tk.id)
+				t.Fatal("a task never resolved")
 			}
 		}
 	}
@@ -522,15 +583,16 @@ func TestWorkerFaultModesInsideBatch(t *testing.T) {
 			defer srv.Close()
 
 			r := run{reg: reg, rt: &verbCounter{counts: map[string]int{}}}
+			var reqs []core.EvalRequest
 			for s := 1; s <= tc.batch; s++ {
 				// Collect-phase claims carry one uniform CV, which a real
 				// worker executes without the benchmark's module partition.
-				tk, err := coord.enqueue("job-faults", testSpec(), core.EvalRequest{Phase: "collect", Sample: s, CVs: []flagspec.CV{flagspec.ICC().Baseline()}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.tasks = append(r.tasks, tk)
+				reqs = append(reqs, core.EvalRequest{Phase: "collect", Sample: s, CVs: []flagspec.CV{flagspec.ICC().Baseline()}})
 			}
+			if r.fl, err = coord.enqueue("job-faults", testSpec(), reqs...); err != nil {
+				t.Fatal(err)
+			}
+			r.tasks = r.fl.tasks
 			w, err := NewWorker(WorkerConfig{
 				ID: "w-fault", Coordinator: srv.URL, Concurrency: 1, ClaimBatch: tc.batch,
 				Poll: 100 * time.Millisecond, Faults: tc.rates,

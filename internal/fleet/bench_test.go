@@ -19,8 +19,9 @@ import (
 	"funcytuner/internal/metrics"
 )
 
-// grantCounter counts the claim round trips that granted at least one
-// task (status 200; 204 means the long poll expired empty).
+// grantCounter counts the round trips that granted at least one task: a
+// claim batch answered 200 (204 means the long poll expired empty), and
+// a report batch whose answer carries tasks.
 type grantCounter struct {
 	inner   http.RoundTripper
 	granted atomic.Int64
@@ -28,10 +29,38 @@ type grantCounter struct {
 
 func (g *grantCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	resp, err := g.inner.RoundTrip(r)
-	if err == nil && r.URL.Path == "/fleet/claimbatch" && resp.StatusCode == http.StatusOK {
-		g.granted.Add(1)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp, err
 	}
-	return resp, err
+	switch r.URL.Path {
+	case "/fleet/claimbatch":
+		g.granted.Add(1)
+	case "/fleet/reportbatch":
+		resp.Body = &answerHead{ReadCloser: resp.Body, head: make([]byte, 0, 2048), g: g}
+	}
+	return resp, nil
+}
+
+// answerHead passes a report batch answer to the worker and keeps its
+// first bytes, which hold its "tasks" key if it has one (they follow the
+// verdicts), so that the counter need not copy the answer.
+type answerHead struct {
+	io.ReadCloser
+	head []byte
+	g    *grantCounter
+}
+
+func (a *answerHead) Read(p []byte) (int, error) {
+	n, err := a.ReadCloser.Read(p)
+	a.head = append(a.head, p[:min(n, cap(a.head)-len(a.head))]...)
+	return n, err
+}
+
+func (a *answerHead) Close() error {
+	if bytes.Contains(a.head, []byte(`],"tasks":[`)) {
+		a.g.granted.Add(1)
+	}
+	return a.ReadCloser.Close()
 }
 
 // benchFleet is one benchmark iteration's fleet: a journaled coordinator
@@ -113,7 +142,7 @@ func (f *benchFleet) close(n *fleetCounts) {
 }
 
 // report adds the journal's writes (each one fsync) per evaluation and
-// the tasks a granted claim carried on average.
+// the tasks a round trip that granted any carried on average.
 func (n fleetCounts) report(b *testing.B) {
 	b.ReportMetric(float64(n.syncs)/float64(n.evals), "syncs/eval")
 	b.ReportMetric(float64(n.tasks)/float64(n.claims), "tasks/claim")
@@ -126,8 +155,9 @@ func (n fleetCounts) report(b *testing.B) {
 // coordinator. Each iteration sets up a fresh coordinator, journal and
 // pair of workers with the timer stopped, so every iteration runs the
 // same job from the same state. Besides ns/op it reports the journal's
-// writes (each one fsync) per evaluation and the tasks a granted claim
-// carried on average.
+// writes (each one fsync) per evaluation and the tasks a round trip that
+// granted any carried on average, claim batches and report batches
+// alike.
 func BenchmarkDistributedTune(b *testing.B) {
 	spec := Spec{Benchmark: funcytuner.CloverLeaf, Machine: "broadwell", Samples: 250, TopX: 25, Seed: "bench-distributed"}
 	var n fleetCounts
@@ -198,12 +228,12 @@ func BenchmarkDistributedTuneConcurrent(b *testing.B) {
 }
 
 // wireTap keeps the body of the first claim batch response that grants a
-// full batch of 16 tasks and of the first report batch request that
-// carries 16 reports.
+// full batch of 16 tasks, of the first report batch request that carries
+// 16 reports and of the first report batch answer that grants 16 tasks.
 type wireTap struct {
-	inner         http.RoundTripper
-	mu            sync.Mutex
-	claim, report []byte
+	inner                 http.RoundTripper
+	mu                    sync.Mutex
+	claim, report, answer []byte
 }
 
 func (w *wireTap) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -223,25 +253,47 @@ func (w *wireTap) RoundTrip(r *http.Request) (*http.Response, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(got))
 	switch r.URL.Path {
 	case "/fleet/reportbatch":
 		var req reportBatchRequest
 		if w.report == nil && json.Unmarshal(sent, &req) == nil && len(req.Reports) == 16 {
 			w.report = sent
 		}
-	case "/fleet/claimbatch":
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
+		var answer reportBatchResponse
+		if w.answer == nil && json.Unmarshal(got, &answer) == nil && len(answer.Tasks) == 16 {
+			w.answer = got
 		}
-		resp.Body = io.NopCloser(bytes.NewReader(got))
+	case "/fleet/claimbatch":
 		var cr claimBatchResponse
 		if w.claim == nil && json.Unmarshal(got, &cr) == nil && len(cr.Tasks) == 16 {
 			w.claim = got
 		}
 	}
 	return resp, nil
+}
+
+// tapJob runs BenchmarkDistributedTune's job once through a wireTap and
+// returns the tap, holding each of its bodies.
+func tapJob(b *testing.B) *wireTap {
+	b.Helper()
+	spec := Spec{Benchmark: funcytuner.CloverLeaf, Machine: "broadwell", Samples: 250, TopX: 25, Seed: "bench-distributed"}
+	tap := &wireTap{inner: &http.Transport{MaxIdleConnsPerHost: 4}}
+	f := newBenchFleet(b, tap)
+	err := f.tune("job-wire", spec)
+	f.close(&fleetCounts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tap.claim == nil || tap.report == nil || tap.answer == nil {
+		b.Fatal("the job sent no full claim batch, full report batch or full report batch answer")
+	}
+	return tap
 }
 
 // bodyWriter is a ResponseWriter that keeps the body.
@@ -264,17 +316,7 @@ func (w *bodyWriter) Write(p []byte) (int, error) {
 // coordinator. Its bytes/op and allocs/op are the wire's cost per 16
 // evaluations.
 func BenchmarkFleetWire(b *testing.B) {
-	spec := Spec{Benchmark: funcytuner.CloverLeaf, Machine: "broadwell", Samples: 250, TopX: 25, Seed: "bench-distributed"}
-	tap := &wireTap{inner: &http.Transport{MaxIdleConnsPerHost: 4}}
-	f := newBenchFleet(b, tap)
-	err := f.tune("job-wire", spec)
-	f.close(&fleetCounts{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if tap.claim == nil || tap.report == nil {
-		b.Fatal("the job sent no full claim batch or no full report batch")
-	}
+	tap := tapJob(b)
 	var claim claimBatchResponse
 	var report reportBatchRequest
 	if err := json.Unmarshal(tap.claim, &claim); err != nil {
@@ -308,6 +350,37 @@ func BenchmarkFleetWire(b *testing.B) {
 		rd.Reset(sent)
 		var gotReport reportBatchRequest
 		if err := readReportBatch(&rd, &gotReport); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReportGrant writes and reads one report batch answer of
+// BenchmarkDistributedTune's job that grants 16 tasks, taken from a run
+// of that job: the coordinator's answer, read by a worker. Its bytes/op
+// and allocs/op are the wire's cost of a claim of 16 that rides a
+// report.
+func BenchmarkReportGrant(b *testing.B) {
+	tap := tapJob(b)
+	var answer reportBatchResponse
+	if err := json.Unmarshal(tap.answer, &answer); err != nil {
+		b.Fatal(err)
+	}
+	w := &bodyWriter{header: http.Header{}}
+	writeReportBatch(w, &answer)
+	if !bytes.Equal(w.body, tap.answer) {
+		b.Fatal("re-encoding the tapped answer changed its bytes")
+	}
+	var rd bytes.Reader
+	b.SetBytes(int64(len(tap.answer)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.body = w.body[:0]
+		writeReportBatch(w, &answer)
+		rd.Reset(w.body)
+		var got reportBatchResponse
+		if err := readReportBatchResponse(&rd, &got); err != nil {
 			b.Fatal(err)
 		}
 	}

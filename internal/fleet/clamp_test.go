@@ -105,14 +105,14 @@ func TestClaimBatchClampAdaptsWorker(t *testing.T) {
 	// A collect-phase claim carries a single uniform CV, so a real worker
 	// can execute it without knowing the benchmark's module partition.
 	req := core.EvalRequest{Phase: "collect", Sample: 1, CVs: []flagspec.CV{flagspec.ICC().Baseline()}}
-	task, err := coord.enqueue("job-clamp-adapt", testSpec(), req)
+	fl, err := coord.enqueue("job-clamp-adapt", testSpec(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case res := <-task.done:
-		if res.err != nil {
-			t.Fatalf("task resolved with error: %v", res.err)
+	case l := <-fl.landed:
+		if l.res.err != nil {
+			t.Fatalf("task resolved with error: %v", l.res.err)
 		}
 	case <-time.After(testTimeout):
 		t.Fatal("task never resolved")

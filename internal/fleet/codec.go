@@ -2,15 +2,15 @@ package fleet
 
 // This file is the fleet's hand codec for the messages it sends per
 // evaluation: the claim batch response, the report batch request and
-// every journal record. The writers produce exactly the bytes
-// encoding/json writes for them: json.NewEncoder's for the claim batch,
-// newline included, and json.Marshal's for the other two; an outcome's
-// trace span goes through the trace event codec. The readers parse the
-// two batches in that canonical shape only, and their callers hand any
-// other body to encoding/json (see readMessage), so accepted bodies,
-// decoded values and error texts are encoding/json's. Journal replay
-// stays on encoding/json. FuzzWireCodec holds both halves to
-// encoding/json.
+// response, and every journal record. The writers produce exactly the
+// bytes encoding/json writes for them: json.NewEncoder's for the two
+// responses, newline included, and json.Marshal's for the other two; an
+// outcome's trace span goes through the trace event codec. The readers
+// parse the three batch messages in that canonical shape only, and their
+// callers hand any other body to encoding/json (see readMessage), so
+// accepted bodies, decoded values and error texts are encoding/json's.
+// Journal replay stays on encoding/json. FuzzWireCodec holds both halves
+// to encoding/json.
 
 import (
 	"encoding/json"
@@ -31,30 +31,65 @@ func specError(sp *Spec) error {
 	return nil
 }
 
-// appendClaimBatch appends the claim batch response body.
-func appendClaimBatch(dst []byte, r *claimBatchResponse) ([]byte, error) {
-	for _, t := range r.Tasks {
+// tasksError is the error json.Marshal gives tasks one of whose specs
+// it cannot encode.
+func tasksError(ts []*Task) error {
+	for _, t := range ts {
 		if t != nil {
 			if err := specError(&t.Spec); err != nil {
-				return dst, err
+				return err
 			}
 		}
 	}
-	dst = append(dst, `{"tasks":`...)
-	if r.Tasks == nil {
+	return nil
+}
+
+// appendClaimBatch appends the claim batch response body.
+func appendClaimBatch(dst []byte, r *claimBatchResponse) ([]byte, error) {
+	if err := tasksError(r.Tasks); err != nil {
+		return dst, err
+	}
+	dst = appendTasks(append(dst, `{"tasks":`...), r.Tasks)
+	dst = jsonx.OmitInt(dst, `,"granted":`, int64(r.Granted))
+	return append(dst, "}\n"...), nil
+}
+
+// appendReportBatchResponse appends the report batch response body.
+func appendReportBatchResponse(dst []byte, r *reportBatchResponse) ([]byte, error) {
+	if err := tasksError(r.Tasks); err != nil {
+		return dst, err
+	}
+	dst = append(dst, `{"accepted":`...)
+	if r.Accepted == nil {
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
-		for i, t := range r.Tasks {
+		for i, ok := range r.Accepted {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendTask(dst, t)
+			dst = strconv.AppendBool(dst, ok)
 		}
 		dst = append(dst, ']')
 	}
-	dst = jsonx.OmitInt(dst, `,"granted":`, int64(r.Granted))
+	if len(r.Tasks) > 0 {
+		dst = appendTasks(append(dst, `,"tasks":`...), r.Tasks)
+	}
 	return append(dst, "}\n"...), nil
+}
+
+func appendTasks(dst []byte, ts []*Task) []byte {
+	if ts == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, t := range ts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendTask(dst, t)
+	}
+	return append(dst, ']')
 }
 
 func appendTask(dst []byte, t *Task) []byte {
@@ -128,11 +163,18 @@ func appendReportBatch(dst []byte, r *reportBatchRequest) []byte {
 	dst = jsonx.AppendString(append(dst, `{"worker":`...), r.Worker)
 	dst = append(dst, `,"reports":`...)
 	if r.Reports == nil {
-		return append(dst, "null}"...)
+		dst = append(dst, "null"...)
+	} else {
+		dst = appendReports(dst, r.Reports)
 	}
+	dst = jsonx.OmitInt(dst, `,"max":`, int64(r.Max))
+	return append(dst, '}')
+}
+
+func appendReports(dst []byte, reports []TaskReport) []byte {
 	dst = append(dst, '[')
-	for i := range r.Reports {
-		rep := &r.Reports[i]
+	for i := range reports {
+		rep := &reports[i]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -144,7 +186,7 @@ func appendReportBatch(dst []byte, r *reportBatchRequest) []byte {
 		dst = jsonx.OmitString(dst, `,"error":`, rep.Error)
 		dst = append(dst, '}')
 	}
-	return append(dst, "]}"...)
+	return append(dst, ']')
 }
 
 func appendOutcome(dst []byte, o *Outcome) []byte {
@@ -271,12 +313,45 @@ func parseClaimBatch(data []byte, s *scratch) (claimBatchResponse, bool) {
 	if !p.Lit(`{"tasks":[`) {
 		return r, false
 	}
-	r.Tasks = []*Task{}
-	for p.more(len(r.Tasks)) {
-		r.Tasks = append(r.Tasks, p.task())
-	}
+	r.Tasks = p.tasks()
 	r.Granted = p.int(`,"granted":`)
 	return r, p.Lit("}\n") && p.End()
+}
+
+// parseReportBatchResponse parses a report batch response body of the
+// shape appendReportBatchResponse writes. It reports false for any
+// other body.
+func parseReportBatchResponse(data []byte, s *scratch) (reportBatchResponse, bool) {
+	p := s.parser(data)
+	var r reportBatchResponse
+	if !p.Lit(`{"accepted":[`) {
+		return r, false
+	}
+	r.Accepted = []bool{}
+	for p.more(len(r.Accepted)) {
+		switch {
+		case p.Lit("true"):
+			r.Accepted = append(r.Accepted, true)
+		case p.Lit("false"):
+			r.Accepted = append(r.Accepted, false)
+		default:
+			p.Fail()
+		}
+	}
+	if p.Lit(`,"tasks":[`) {
+		r.Tasks = p.tasks()
+	}
+	return r, p.Lit("}\n") && p.End()
+}
+
+// tasks reads the elements of a task array whose opening bracket was
+// read.
+func (p *wireParser) tasks() []*Task {
+	ts := []*Task{}
+	for p.more(len(ts)) {
+		ts = append(ts, p.task())
+	}
+	return ts
 }
 
 func (p *wireParser) task() *Task {
@@ -359,6 +434,7 @@ func parseReportBatch(data []byte, s *scratch) (reportBatchRequest, bool) {
 		p.need("}")
 		r.Reports = append(r.Reports, rep)
 	}
+	r.Max = p.int(`,"max":`)
 	return r, p.Lit("}") && p.End()
 }
 

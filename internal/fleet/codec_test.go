@@ -53,11 +53,12 @@ func sameValue(a, b reflect.Value) bool {
 	panic("sameValue: unexpected kind " + a.Kind().String())
 }
 
-// refEncode is what encoding/json writes for a claim batch response (its
-// Encoder, newline included), a report batch request or a journal body
-// (json.Marshal).
+// refEncode is what encoding/json writes for a claim or report batch
+// response (its Encoder, newline included), a report batch request or a
+// journal body (json.Marshal).
 func refEncode(v any) ([]byte, error) {
-	if _, ok := v.(*claimBatchResponse); ok {
+	switch v.(type) {
+	case *claimBatchResponse, *reportBatchResponse:
 		var buf bytes.Buffer
 		err := json.NewEncoder(&buf).Encode(v)
 		return buf.Bytes(), err
@@ -65,13 +66,15 @@ func refEncode(v any) ([]byte, error) {
 	return json.Marshal(v)
 }
 
-// handEncode is what the hand codec writes for the same three.
+// handEncode is what the hand codec writes for the same four.
 func handEncode(v any) ([]byte, error) {
 	switch m := v.(type) {
 	case *claimBatchResponse:
 		return appendClaimBatch(nil, m)
 	case *reportBatchRequest:
 		return appendReportBatch(nil, m), nil
+	case *reportBatchResponse:
+		return appendReportBatchResponse(nil, m)
 	case *journalBody:
 		return appendJournalBody(nil, m)
 	}
@@ -112,7 +115,7 @@ func checkParse[T any](t *testing.T, data []byte, parse func([]byte, *scratch) (
 	}
 }
 
-// constructed builds the three messages, with every journal op as the
+// constructed builds the four messages, with every journal op as the
 // coordinator writes it, from a string, a float and an integer.
 func constructed(s string, x float64, n int64) []any {
 	spec := Spec{Benchmark: s, Machine: s + "m", Samples: int(n), TopX: int(-n), Seed: s, FaultRate: x,
@@ -123,11 +126,15 @@ func constructed(s string, x float64, n int64) []any {
 	out := &Outcome{PerModule: []string{s, ""}, Total: s,
 		Cost:        core.CostSnapshot{Compiles: n, Runs: -n, SimMicros: n, Retries: n, WastedCompiles: n, FaultMicros: n, CompileFails: n, RunCrashes: n, Timeouts: n, Flakes: n},
 		Quarantined: []string{s}, Events: []trace.Event{ev, {Kind: trace.KindRun}}}
+	task := &Task{ID: s, Job: s, Spec: spec, Phase: s, Sample: int(n), CVs: cvs, Epoch: int(n), LeaseMillis: n, HeartbeatMillis: -n}
 	return []any{
-		&claimBatchResponse{Tasks: []*Task{{ID: s, Job: s, Spec: spec, Phase: s, Sample: int(n), CVs: cvs, Epoch: int(n), LeaseMillis: n, HeartbeatMillis: -n}, nil, {}}, Granted: int(n)},
+		&claimBatchResponse{Tasks: []*Task{task, nil, {}}, Granted: int(n)},
 		&claimBatchResponse{},
-		&reportBatchRequest{Worker: s, Reports: []TaskReport{{Task: s, Epoch: int(n), Outcome: out, Error: s}, {Task: s, Outcome: &Outcome{}}, {}}},
+		&reportBatchRequest{Worker: s, Reports: []TaskReport{{Task: s, Epoch: int(n), Outcome: out, Error: s}, {Task: s, Outcome: &Outcome{}}, {}}, Max: int(n)},
 		&reportBatchRequest{Worker: s},
+		&reportBatchResponse{Accepted: []bool{n%2 == 0, true, false}, Tasks: []*Task{task, {}}},
+		&reportBatchResponse{Accepted: []bool{}, Tasks: []*Task{}},
+		&reportBatchResponse{},
 		&journalBody{Op: opEnqueue, Task: s, Job: s, Spec: &spec, Phase: s, Sample: int(n), CVs: cvs},
 		&journalBody{Op: opTask, Task: s, Job: s, Spec: &spec, Phase: s, Sample: int(n), CVs: cvs, Epoch: int(n), Losses: int(n), NotBefore: n},
 		&journalBody{Op: opClaim, Task: s, Worker: s, Epoch: int(n), Deadline: n},
@@ -143,12 +150,12 @@ func constructed(s string, x float64, n int64) []any {
 
 // FuzzWireCodec holds the fleet's hand codec to encoding/json. For any
 // input, each batch parse declines or yields the value encoding/json
-// decodes (with unknown fields refused for the report batch, as the
-// coordinator reads it). For any value encoding/json decodes from the
-// input, as a batch or a journal body, and for the messages constructed
-// from the other arguments, every journal op among them, the hand
-// encoder writes encoding/json's bytes, or fails as it does on a fault
-// rate no JSON number holds.
+// decodes (with unknown fields refused for the report batch request, as
+// the coordinator reads it). For any value encoding/json decodes from
+// the input, as a batch message or a journal body, and for the messages
+// constructed from the other arguments, every journal op among them, the
+// hand encoder writes encoding/json's bytes, or fails as it does on a
+// fault rate no JSON number holds.
 func FuzzWireCodec(f *testing.F) {
 	body := func(line string) string {
 		return line[strings.Index(line, `"body":`)+len(`"body":`) : len(line)-1]
@@ -158,6 +165,14 @@ func FuzzWireCodec(f *testing.F) {
 	for _, seed := range []string{
 		pinClaim,
 		pinReport,
+		pinReportMax,
+		pinAnswer,
+		pinAnswerTasks,
+		strings.Replace(pinAnswerTasks, `"accepted":[true,true]`, `"accepted":[true,false,true]`, 1),
+		`{"accepted":[],"tasks":[]}` + "\n",
+		`{"accepted":null}` + "\n",
+		`{"accepted":[true,1]}` + "\n",
+		pinReports + `,"max":-7}`,
 		strings.TrimSuffix(pinClaim, "\n"),
 		strings.Replace(pinClaim, `"granted":256`, `"granted":256,"x":1`, 1),
 		strings.Replace(pinClaim, `"fault_rate":0.35`, `"fault_rate":-2.5e-7`, 1),
@@ -183,6 +198,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, s string, x float64, n int64) {
 		checkParse(t, data, parseClaimBatch, false)
 		checkParse(t, data, parseReportBatch, true)
+		checkParse(t, data, parseReportBatchResponse, false)
 		var b journalBody
 		if json.Unmarshal(data, &b) == nil {
 			checkEncode(t, &b)
@@ -197,6 +213,10 @@ func FuzzWireCodec(f *testing.F) {
 				}
 			case *reportBatchRequest:
 				checkParse(t, enc, parseReportBatch, true)
+			case *reportBatchResponse:
+				if err == nil {
+					checkParse(t, enc, parseReportBatchResponse, false)
+				}
 			}
 		}
 	})
@@ -208,19 +228,21 @@ func FuzzWireCodec(f *testing.F) {
 // other one to encoding/json's value, whatever the lost or doubled byte
 // was (a comma, a bracket, a quote, a digit).
 func TestWireParseDamagedBodies(t *testing.T) {
-	for _, body := range []string{pinClaim, pinReport} {
+	for _, body := range []string{pinClaim, pinReportMax, pinAnswerTasks} {
 		for i := range body {
 			for _, damaged := range []string{body[:i] + body[i+1:], body[:i+1] + body[i:]} {
 				checkParse(t, []byte(damaged), parseClaimBatch, false)
 				checkParse(t, []byte(damaged), parseReportBatch, true)
+				checkParse(t, []byte(damaged), parseReportBatchResponse, false)
 			}
 		}
 	}
 }
 
-// fill sets every field of v, recursively, to a value that is not zero:
-// strings to ones that need no escaping, numbers to k, booleans to true,
-// slices to two elements and pointers to filled values.
+// fill sets every exported field of v, recursively, to a value that is
+// not zero: strings to ones that need no escaping, numbers to k,
+// booleans to true, slices to two elements and pointers to filled
+// values. Unexported fields, which no encoder writes, stay zero.
 func fill(v reflect.Value, k *int) {
 	*k++
 	switch v.Kind() {
@@ -241,21 +263,23 @@ func fill(v reflect.Value, k *int) {
 		fill(v.Index(1), k)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fill(v.Field(i), k)
+			if v.Type().Field(i).IsExported() {
+				fill(v.Field(i), k)
+			}
 		}
 	default:
 		panic("fill: unexpected kind " + v.Kind().String())
 	}
 }
 
-// TestWireCodecEveryField fills every field of the three messages and
+// TestWireCodecEveryField fills every field of the four messages and
 // checks the hand codec against encoding/json, so a field added to any
 // type they carry (a spec, a CV matrix, a cost, a trace event) fails
 // here until the codec writes it. The filled batches also parse back to
 // themselves by hand.
 func TestWireCodecEveryField(t *testing.T) {
 	k := 0
-	for _, v := range []any{&claimBatchResponse{}, &reportBatchRequest{}, &journalBody{}} {
+	for _, v := range []any{&claimBatchResponse{}, &reportBatchRequest{}, &reportBatchResponse{}, &journalBody{}} {
 		fill(reflect.ValueOf(v).Elem(), &k)
 		checkEncode(t, v)
 	}
@@ -275,5 +299,11 @@ func TestWireCodecEveryField(t *testing.T) {
 	enc, _ = handEncode(&report)
 	if got, ok := parseReportBatch(enc, new(scratch)); !ok || !reflect.DeepEqual(got, report) {
 		t.Fatalf("filled report batch parsed as %+v, %v", got, ok)
+	}
+	var answer reportBatchResponse
+	fill(reflect.ValueOf(&answer).Elem(), &k)
+	enc, _ = handEncode(&answer)
+	if got, ok := parseReportBatchResponse(enc, new(scratch)); !ok || !reflect.DeepEqual(got, answer) {
+		t.Fatalf("filled report batch answer parsed as %+v, %v", got, ok)
 	}
 }

@@ -192,10 +192,36 @@ func (c CoordinatorConfig) validate() error {
 	return nil
 }
 
-// taskResult is what Evaluate unblocks on.
+// taskResult is one task's end: the outcome of its accepted report, or
+// the error that ended it.
 type taskResult struct {
 	out core.EvalOutcome
 	err error
+}
+
+// flight is one range of a job's evaluations while it is on the fleet:
+// the requests, the task each has while it waits, and the channel its
+// results land in. At most its window of requests is put on the fleet
+// and not yet taken, and each ends exactly once, so landed never blocks.
+type flight struct {
+	job  string
+	spec Spec
+	reqs []core.EvalRequest
+	// tasks[i] is request i's task once it is enqueued or adopted, nil
+	// for one served from the outcome buffer; only the goroutine running
+	// the range touches it.
+	tasks  []*task
+	landed chan landing
+}
+
+// landing is one request's result, by its index in the range.
+type landing struct {
+	i   int
+	res taskResult
+}
+
+func newFlight(job string, spec Spec, reqs []core.EvalRequest, window int) *flight {
+	return &flight{job: job, spec: spec, reqs: reqs, tasks: make([]*task, len(reqs)), landed: make(chan landing, min(window, len(reqs)))}
 }
 
 // task is the coordinator-side state of one claim.
@@ -221,7 +247,24 @@ type task struct {
 	// leasedAt, while leased, is the grant time (drives the lost-lease
 	// cost accounting when the lease expires).
 	leasedAt time.Time
-	done     chan taskResult // buffered 1; exactly one accepted report
+	// fl is the range waiting on the task, as its request idx; nil for
+	// an orphan, whose accepted report lands in the outcome buffer only.
+	fl  *flight
+	idx int
+}
+
+// resolve lands the task's one result in the range waiting on it. The
+// range's buffer holds every result it can have outstanding, so a full
+// one is a bug; callers may hold c.mu, so it must not wait.
+func (t *task) resolve(res taskResult) {
+	if t.fl == nil {
+		return
+	}
+	select {
+	case t.fl.landed <- landing{t.idx, res}:
+	default:
+		panic(fmt.Sprintf("fleet: the range of task %s has more results than its window", t.id))
+	}
 }
 
 // lease is one live claim grant.
@@ -536,10 +579,7 @@ func (c *Coordinator) killLocked() {
 // released without writing. Callers hold c.mu.
 func (c *Coordinator) stopLocked(err error) {
 	for _, t := range c.tasks {
-		select {
-		case t.done <- taskResult{err: err}:
-		default:
-		}
+		t.resolve(taskResult{err: err})
 	}
 	c.broadcastLocked()
 	close(c.reaperStop)
@@ -719,9 +759,9 @@ func (c *Coordinator) updateGauges() {
 }
 
 // Evaluator returns the per-job core.RemoteEvaluator that feeds this
-// coordinator: each Evaluate call enqueues one claim and blocks until a
-// worker's accepted report (or ctx cancellation) resolves it, and its
-// Window is the coordinator's. Plugged into funcytuner.Options.Evaluator,
+// coordinator: each Evaluate call puts one range of evaluations on the
+// fleet and lands each outcome as a worker's accepted report (or the
+// outcome buffer) resolves it. Plugged into funcytuner.Options.Evaluator,
 // it turns an ordinary tuning run into the fleet's search loop.
 func (c *Coordinator) Evaluator(job string, spec Spec) (core.RemoteEvaluator, error) {
 	if err := validateSpec(spec); err != nil {
@@ -730,8 +770,8 @@ func (c *Coordinator) Evaluator(job string, spec Spec) (core.RemoteEvaluator, er
 	return &jobEvaluator{c: c, job: job, spec: spec}, nil
 }
 
-// Window is how many of one job's evaluations the fleet holds at once,
-// queued or leased, whatever the job's Workers: maxClaimBatch, one
+// Window is how many of one range's evaluations the fleet holds at
+// once, queued or leased, whatever the job's Workers: maxClaimBatch, one
 // maximal claim. A fleet of up to maxClaimBatch/2 claim slots thus finds
 // a batch waiting for every batch it evaluates. The window does not grow
 // with the fleet: no measured fleet has had more slots (DESIGN §12).
@@ -746,99 +786,152 @@ type jobEvaluator struct {
 // Window implements core.RemoteEvaluator: the coordinator's window.
 func (e *jobEvaluator) Window() int { return e.c.Window() }
 
-// Evaluate implements core.RemoteEvaluator: one claim, one accepted
-// report. Lease losses along the way are invisible here — the task is
-// simply re-dispatched until some worker's report lands.
-func (e *jobEvaluator) Evaluate(ctx context.Context, req core.EvalRequest) (core.EvalOutcome, error) {
-	t, err := e.c.enqueue(e.job, e.spec, req)
-	if err != nil {
-		return core.EvalOutcome{}, err
-	}
-	select {
-	case res := <-t.done:
-		if res.err != nil {
-			return core.EvalOutcome{}, res.err
+// Evaluate implements core.RemoteEvaluator. It puts the range on the
+// fleet a window at a time: one enqueue transition for the first window,
+// then, each time outcomes have landed, one more for as many requests as
+// landed. Lease losses along the way are invisible here: a task is
+// simply re-dispatched until some worker's report lands. A cancelled
+// context, a failed task or an error from land withdraws every task of
+// the range still on the fleet in one abandon transition.
+func (e *jobEvaluator) Evaluate(ctx context.Context, reqs []core.EvalRequest, land func(int, core.EvalOutcome) error) error {
+	window := e.c.Window()
+	fl := newFlight(e.job, e.spec, reqs, window)
+	// reqs[:next] went to the fleet, and out of them have not been taken.
+	next, out := 0, 0
+	for next < len(reqs) || out > 0 {
+		if n := min(window-out, len(reqs)-next); n > 0 {
+			if err := e.c.enqueueRange(fl, next, next+n); err != nil {
+				return err
+			}
+			next, out = next+n, out+n
 		}
-		return res.out, nil
-	case <-ctx.Done():
-		e.c.abandon(t)
-		return core.EvalOutcome{}, ctx.Err()
+		var l landing
+		select {
+		case l = <-fl.landed:
+		case <-ctx.Done():
+			e.c.abandon(fl)
+			return ctx.Err()
+		}
+		for more := true; more; {
+			out--
+			err := l.res.err
+			if errors.Is(err, ErrUnavailable) || errors.Is(err, ErrClosed) {
+				// The coordinator died or closed, which ended every task:
+				// there is nothing to withdraw, and a kill may hold c.mu
+				// until its last write lands.
+				return err
+			}
+			if err == nil {
+				err = land(l.i, l.res.out)
+			}
+			if err != nil {
+				e.c.abandon(fl)
+				return err
+			}
+			select {
+			case l = <-fl.landed:
+			default:
+				more = false
+			}
+		}
 	}
+	return nil
 }
 
-// enqueue registers one claim and wakes the pollers. With a journal it
-// first consults the recovery state: an outcome already accepted before
-// the crash is served back byte-identically without re-execution, and a
-// recovered in-flight task with the same adoption identity is adopted
-// instead of duplicated.
-func (c *Coordinator) enqueue(job string, spec Spec, req core.EvalRequest) (*task, error) {
-	cvs := encodeCVs(req.CVs)
+// enqueueRange puts requests [lo, hi) of a range on the fleet in one
+// enqueue transition. With a journal it first consults the recovery state for
+// each request: an outcome already accepted before the crash is served
+// back byte-identically without re-execution, landing as soon as what
+// it rests on is durable, and a recovered in-flight task with the same
+// adoption identity is adopted instead of duplicated. Every other
+// request becomes a task, and all of them are journaled in one append,
+// take one sync and wake the pollers once.
+func (c *Coordinator) enqueueRange(fl *flight, lo, hi int) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if c.killed {
 		c.mu.Unlock()
-		return nil, ErrUnavailable
+		return ErrUnavailable
 	}
-	if c.journaled {
-		key := adoptionKey(spec, req.Phase, req.Sample, cvs)
-		if ro, ok := c.buffer[key]; ok {
-			// The outcome may come from a report still being written.
-			c.served++
-			c.mServed.Inc()
-			cm := c.tip()
-			c.mu.Unlock()
-			if err := c.await(cm); err != nil {
-				return nil, err
+	var served []landing
+	bodies := make([]journalBody, 0, hi-lo)
+	idx := make([]int, 0, hi-lo) // the request index of each body
+	for i := lo; i < hi; i++ {
+		req := fl.reqs[i]
+		cvs := encodeCVs(req.CVs)
+		var key uint64
+		if c.journaled {
+			key = adoptionKey(fl.spec, req.Phase, req.Sample, cvs)
+			if ro, ok := c.buffer[key]; ok {
+				c.served++
+				c.mServed.Inc()
+				served = append(served, landing{i, ro.result(req.Phase, req.Sample)})
+				continue
 			}
-			t := &task{done: make(chan taskResult, 1)}
-			t.done <- ro.result(req.Phase, req.Sample)
-			return t, nil
-		}
-		if ts := c.orphans[key]; len(ts) > 0 {
-			t := ts[0]
-			if len(ts) == 1 {
-				delete(c.orphans, key)
-			} else {
-				c.orphans[key] = ts[1:]
+			if ts := c.orphans[key]; len(ts) > 0 {
+				t := ts[0]
+				if len(ts) == 1 {
+					delete(c.orphans, key)
+				} else {
+					c.orphans[key] = ts[1:]
+				}
+				t.orphan, t.fl, t.idx = false, fl, i
+				fl.tasks[i] = t
+				continue
 			}
-			t.orphan = false
-			c.mu.Unlock()
-			return t, nil
 		}
+		// A task recovered from a compacted journal may hold the next ID:
+		// compaction numbers the journal afresh, not the tasks.
+		var id string
+		for id == "" || c.tasks[id] != nil {
+			c.taskSeq++
+			id = fmt.Sprintf("%s/%s/%d#%d", fl.job, req.Phase, req.Sample, c.taskSeq)
+		}
+		bodies = append(bodies, journalBody{
+			Op: opEnqueue, Task: id, Job: fl.job, Spec: &fl.spec,
+			Phase: req.Phase, Sample: req.Sample, CVs: cvs, key: key,
+		})
+		idx = append(idx, i)
 	}
-	// A task recovered from a compacted journal may hold the next ID:
-	// compaction numbers the journal afresh, not the tasks.
-	var id string
-	for id == "" || c.tasks[id] != nil {
-		c.taskSeq++
-		id = fmt.Sprintf("%s/%s/%d#%d", job, req.Phase, req.Sample, c.taskSeq)
+	var cm commit
+	if len(served) > 0 {
+		// A served outcome may come from a report still being written.
+		cm = c.tip()
 	}
-	cm, err := c.journalAppend(journalBody{
-		Op: opEnqueue, Task: id, Job: job, Spec: &spec,
-		Phase: req.Phase, Sample: req.Sample, CVs: cvs,
-	})
-	if err != nil {
-		c.mu.Unlock()
-		return nil, err
+	var points []string
+	if len(bodies) > 0 {
+		var err error
+		if cm, err = c.journalAppend(bodies...); err != nil {
+			c.mu.Unlock()
+			return err
+		}
+		for j, b := range bodies {
+			t := c.tasks[b.Task]
+			t.fl, t.idx = fl, idx[j]
+			fl.tasks[idx[j]] = t
+		}
+		c.mTasks.Add(int64(len(bodies)))
+		c.updateGauges()
+		c.broadcastLocked()
+		points = append(points, killMidEnqueue)
 	}
-	t := c.tasks[id]
-	c.mTasks.Inc()
-	c.updateGauges()
-	c.broadcastLocked()
 	c.mu.Unlock()
-	// A claim may grant the task before this returns; the claim's own
-	// wait covers this record too.
-	if err := c.await(cm, killMidEnqueue); err != nil {
-		return nil, err
+	// A claim may grant the tasks before this returns; the claim's own
+	// wait covers these records too.
+	if err := c.await(cm, points...); err != nil {
+		return err
 	}
-	return t, nil
+	for _, l := range served {
+		fl.landed <- l
+	}
+	return nil
 }
 
-// result converts a journaled outcome into the taskResult an Evaluate
-// call unblocks on — the same decode path an accepted report takes.
+// result converts a journaled outcome into the taskResult a range
+// lands — the same decode path an accepted report takes.
 func (ro replayOutcome) result(phase string, sample int) taskResult {
 	var res taskResult
 	switch {
@@ -852,22 +945,28 @@ func (ro replayOutcome) result(phase string, sample int) taskResult {
 	return res
 }
 
-// abandon withdraws a task whose Evaluate context was cancelled: it
-// leaves the queue and the lease table, and any late report for it is
-// rejected as stale.
-func (c *Coordinator) abandon(t *task) {
+// abandon withdraws the tasks a range still has on the fleet, when its
+// context is cancelled or it failed: they leave the queue and the lease
+// table in one transition, and any late report for them is rejected as
+// stale. The withdrawal is journaled so that a restart does not
+// resurrect tasks nobody waits for. A failed append means the
+// coordinator just died; the range no longer cares either way.
+func (c *Coordinator) abandon(fl *flight) {
 	c.mu.Lock()
 	if c.killed || c.closed {
 		c.mu.Unlock()
 		return
 	}
+	var bodies []journalBody
+	for _, t := range fl.tasks {
+		if t != nil && c.tasks[t.id] == t {
+			bodies = append(bodies, journalBody{Op: opAbandon, Task: t.id})
+		}
+	}
 	var cm commit
-	if _, live := c.tasks[t.id]; live {
-		// Journal the withdrawal so a restart does not resurrect a task
-		// nobody is waiting for. A failed append means we just died;
-		// the cancelled Evaluate no longer cares either way.
+	if len(bodies) > 0 {
 		var err error
-		if cm, err = c.journalAppend(journalBody{Op: opAbandon, Task: t.id}); err != nil {
+		if cm, err = c.journalAppend(bodies...); err != nil {
 			c.mu.Unlock()
 			return
 		}
@@ -888,7 +987,9 @@ func (c *Coordinator) abandon(t *task) {
 // been claimed alone: heartbeats, expiry, requeue backoff and report
 // fencing are all per-task. Batching changes the transport economics
 // only, never the lease protocol. The whole batch's grant records cost
-// one journal sync, taken before the worker hears about any lease.
+// one journal sync, taken before the worker hears about any lease. It is
+// the only call that waits for work: a report batch grants only what is
+// ready (ReportBatch).
 func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait time.Duration, max int) ([]*Task, error) {
 	if worker == "" {
 		return nil, fmt.Errorf("fleet: claim with empty worker ID")
@@ -907,15 +1008,7 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 			c.mu.Unlock()
 			return nil, ErrUnavailable
 		}
-		ws := c.workers[worker]
-		if ws == nil {
-			// First contact — mid-run rejoin is this cheap: claiming is
-			// registration. A zero record is what no record means, so
-			// registering journals nothing.
-			ws = &workerState{}
-			c.workers[worker] = ws
-		}
-		if ws.quarantined {
+		if c.register(worker).quarantined {
 			// The quarantine may come from a sweep still being written.
 			cm := c.tip()
 			c.mu.Unlock()
@@ -924,46 +1017,12 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 			}
 			return nil, ErrQuarantined
 		}
-		now := time.Now()
-		var picked []*task
-		nextReady := time.Time{}
-		for _, t := range c.queue {
-			if len(picked) < max && !t.notBefore.After(now) {
-				picked = append(picked, t)
-				continue
-			}
-			if t.notBefore.After(now) && (nextReady.IsZero() || t.notBefore.Before(nextReady)) {
-				nextReady = t.notBefore
-			}
+		grants, cm, nextReady, err := c.grant(worker, max, nil)
+		if err != nil {
+			c.mu.Unlock()
+			return nil, err
 		}
-		if len(picked) > 0 {
-			leaseEnd := now.Add(c.cfg.leaseTTL())
-			bodies := make([]journalBody, len(picked))
-			for i, t := range picked {
-				bodies[i] = journalBody{Op: opClaim, Task: t.id, Worker: worker, Epoch: t.epoch + 1, Deadline: leaseEnd.UnixNano()}
-			}
-			cm, err := c.journalAppend(bodies...)
-			if err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
-			grants := make([]*Task, len(picked))
-			for i, t := range picked {
-				t.leasedAt = now
-				c.mClaims.Inc()
-				grants[i] = &Task{
-					ID:              t.id,
-					Job:             t.job,
-					Spec:            t.spec,
-					Phase:           t.phase,
-					Sample:          t.sample,
-					CVs:             t.cvs,
-					Epoch:           t.epoch,
-					LeaseMillis:     c.cfg.leaseTTL().Milliseconds(),
-					HeartbeatMillis: c.cfg.heartbeat().Milliseconds(),
-				}
-			}
-			c.updateGauges()
+		if len(grants) > 0 {
 			c.mu.Unlock()
 			if err := c.await(cm, killLeaseGranted); err != nil {
 				return nil, err
@@ -995,6 +1054,71 @@ func (c *Coordinator) ClaimBatch(ctx context.Context, worker string, maxWait tim
 			timer.Stop()
 		}
 	}
+}
+
+// register returns worker's record, registering it on first contact:
+// mid-run rejoin is this cheap, since claiming is registration. A zero
+// record is what no record means, so registering journals nothing.
+// Callers hold c.mu.
+func (c *Coordinator) register(worker string) *workerState {
+	ws := c.workers[worker]
+	if ws == nil {
+		ws = &workerState{}
+		c.workers[worker] = ws
+	}
+	return ws
+}
+
+// grant leases up to max ready tasks to worker in FIFO order, the one
+// grant path of ClaimBatch and ReportBatch. It journals the records of
+// the transition it ends, pre, and the grants' claim records in one
+// append, and returns the grants with the commit the caller awaits
+// once it has released c.mu. A quarantined worker, or a closed
+// coordinator, is granted nothing. nextReady is when the first
+// backoff-delayed task becomes claimable, zero if none waits. With no
+// records at all it appends nothing. Callers hold c.mu.
+func (c *Coordinator) grant(worker string, max int, pre []journalBody) (grants []*Task, cm commit, nextReady time.Time, err error) {
+	now := time.Now()
+	var picked []*task
+	if max > 0 && !c.closed && !c.register(worker).quarantined {
+		for _, t := range c.queue {
+			if len(picked) < max && !t.notBefore.After(now) {
+				picked = append(picked, t)
+				continue
+			}
+			if t.notBefore.After(now) && (nextReady.IsZero() || t.notBefore.Before(nextReady)) {
+				nextReady = t.notBefore
+			}
+		}
+	}
+	if len(pre)+len(picked) == 0 {
+		return nil, commit{}, nextReady, nil
+	}
+	leaseEnd := now.Add(c.cfg.leaseTTL())
+	bodies := pre
+	for _, t := range picked {
+		bodies = append(bodies, journalBody{Op: opClaim, Task: t.id, Worker: worker, Epoch: t.epoch + 1, Deadline: leaseEnd.UnixNano()})
+	}
+	if cm, err = c.journalAppend(bodies...); err != nil {
+		return nil, commit{}, nextReady, err
+	}
+	for _, t := range picked {
+		t.leasedAt = now
+		c.mClaims.Inc()
+		grants = append(grants, &Task{
+			ID:              t.id,
+			Job:             t.job,
+			Spec:            t.spec,
+			Phase:           t.phase,
+			Sample:          t.sample,
+			CVs:             t.cvs,
+			Epoch:           t.epoch,
+			LeaseMillis:     c.cfg.leaseTTL().Milliseconds(),
+			HeartbeatMillis: c.cfg.heartbeat().Milliseconds(),
+		})
+	}
+	c.updateGauges()
+	return grants, cm, nextReady, nil
 }
 
 // Heartbeat extends a live lease. It reports false when the lease is
@@ -1034,17 +1158,22 @@ func (c *Coordinator) Heartbeat(worker, taskID string, epoch int) (bool, error) 
 // not poison its batchmates, which is what keeps the merged run
 // byte-identical to a clean one.
 //
+// With max > 0 the batch also carries the worker's next claim: it leases
+// up to max tasks that are ready right now, through the grant path
+// ClaimBatch takes, without ever waiting for one. A worker granted
+// nothing long-polls ClaimBatch.
+//
 // The whole batch is judged under one lock hold, and every accepted
-// report — full wire outcome, trace events included — is journaled in
-// one append (one sync) before any task resolves or any verdict is
-// returned, so a crash one instant later still has the evaluations. A
-// kill or journal failure fails the won tasks' Evaluate calls with
-// ErrUnavailable and answers no verdict.
-func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, error) {
+// report — full wire outcome, trace events included — is journaled with
+// the grants' claim records in one append (one sync) before any task
+// resolves, any verdict returns or any grant leaves, so a crash one
+// instant later still has the evaluations. A kill or journal failure
+// fails the won tasks' ranges with ErrUnavailable and answers nothing.
+func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) ([]bool, []*Task, error) {
 	c.mu.Lock()
 	if c.killed {
 		c.mu.Unlock()
-		return nil, ErrUnavailable
+		return nil, nil, ErrUnavailable
 	}
 	accepted := make([]bool, len(reports))
 	var bodies []journalBody
@@ -1058,12 +1187,13 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, 
 		won = append(won, l.t)
 		bodies = append(bodies, journalBody{Op: opReport, Task: r.Task, Worker: worker, Epoch: r.Epoch, Outcome: r.Outcome, Error: r.Error})
 	}
+	var grants []*Task
 	var cm commit
-	if len(won) > 0 {
+	if worker != "" {
 		var err error
-		if cm, err = c.journalAppend(bodies...); err != nil {
+		if grants, cm, _, err = c.grant(worker, max, bodies); err != nil {
 			c.mu.Unlock()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	c.mOK.Add(int64(len(won)))
@@ -1071,16 +1201,20 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, 
 	c.updateGauges()
 	c.mu.Unlock()
 
-	if err := c.await(cm, killReportAccepted); err != nil {
+	var points []string
+	if len(won) > 0 {
+		points = append(points, killReportAccepted)
+	}
+	if len(grants) > 0 {
+		points = append(points, killLeaseGranted)
+	}
+	if err := c.await(cm, points...); err != nil {
 		// The won tasks have left c.tasks, so the kill did not reach
-		// their Evaluate calls: the batch fails them itself.
+		// their ranges: the batch fails them itself.
 		for _, t := range won {
-			select {
-			case t.done <- taskResult{err: err}:
-			default:
-			}
+			t.resolve(taskResult{err: err})
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	for i, t := range won {
 		b := bodies[i]
@@ -1093,12 +1227,9 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport) ([]bool, 
 		default:
 			res.out, res.err = b.Outcome.decode()
 		}
-		select {
-		case t.done <- res:
-		default:
-		}
+		t.resolve(res)
 	}
-	return accepted, nil
+	return accepted, grants, nil
 }
 
 // reap expires overdue leases. An expired lease is a worker fault: the

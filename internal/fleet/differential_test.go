@@ -23,12 +23,13 @@ const differentialTTL = 20 * time.Millisecond
 // TestJournalReplayMatchesLive drives a seeded schedule of transitions
 // on one journaled coordinator and, after every step, replays the
 // journal file into a fresh state and requires it to equal the live
-// one. The schedule mixes enqueues; claim batches of 1–8 by three
-// workers; live and stale heartbeats; report batches with stale,
-// duplicate and error entries; cancels; lease expiry at a bound of two
-// losses, so that workers are quarantined; kills and reopens, among
-// them reopens whose recovered leases expire before their worker is
-// back; and clean closes and reopens. Every run opens with the sequence
+// one. The schedule mixes enqueues of ranges of one to four requests;
+// claim batches of 1–8 by three workers; live and stale heartbeats;
+// report batches with stale, duplicate and error entries, half of them
+// also leasing up to four tasks; cancels of whole ranges; lease expiry
+// at a bound of two losses, so that workers are quarantined; kills and
+// reopens, among them reopens whose recovered leases expire before their
+// worker is back; and clean closes and reopens. Every run opens with the sequence
 // that once parted live from replayed state: a worker holds two leases
 // across a kill, and the reopened coordinator, which has no record of
 // the worker, sweeps both before it is back. The reaper runs as it
@@ -75,10 +76,10 @@ type schedule struct {
 	rng   *rand.Rand
 	cfg   CoordinatorConfig
 	coord *Coordinator
-	// tasks are the live coordinator's enqueued tasks, which an Evaluate
-	// would wait on; held are each worker's grants.
-	tasks []*task
-	held  map[string][]*Task
+	// ranges are the live coordinator's enqueued ranges, which an
+	// Evaluate would wait on; held are each worker's grants.
+	ranges []*flight
+	held   map[string][]*Task
 }
 
 var differentialWorkers = []string{"w0", "w1", "w2"}
@@ -89,7 +90,7 @@ func (s *schedule) open() {
 		s.t.Fatalf("opening the coordinator: %v", err)
 	}
 	s.coord = c
-	s.tasks = nil
+	s.ranges = nil
 }
 
 // step takes one seeded step and names it.
@@ -115,15 +116,19 @@ func (s *schedule) step() string {
 }
 
 func (s *schedule) enqueue() string {
-	req := core.EvalRequest{Phase: "cfr", Sample: s.rng.IntN(12), CVs: []flagspec.CV{flagspec.ICC().Baseline()}}
-	t, err := s.coord.enqueue(fmt.Sprintf("job-%d", s.rng.IntN(2)), testSpec(), req)
+	var reqs []core.EvalRequest
+	var samples []int
+	for range 1 + s.rng.IntN(4) {
+		req := core.EvalRequest{Phase: "cfr", Sample: s.rng.IntN(12), CVs: []flagspec.CV{flagspec.ICC().Baseline()}}
+		reqs = append(reqs, req)
+		samples = append(samples, req.Sample)
+	}
+	fl, err := s.coord.enqueue(fmt.Sprintf("job-%d", s.rng.IntN(2)), testSpec(), reqs...)
 	if err != nil {
 		s.t.Fatalf("enqueue: %v", err)
 	}
-	if t.id != "" { // not served from the buffer
-		s.tasks = append(s.tasks, t)
-	}
-	return fmt.Sprintf("enqueue sample %d", req.Sample)
+	s.ranges = append(s.ranges, fl)
+	return fmt.Sprintf("enqueue samples %v", samples)
 }
 
 func (s *schedule) claim(w string, n int) string {
@@ -181,11 +186,16 @@ func (s *schedule) report(w string) string {
 	if len(reports) == 0 {
 		return w + " holds nothing to report"
 	}
-	verdicts, err := s.coord.ReportBatch(w, reports)
+	max := 0
+	if s.rng.IntN(2) == 0 {
+		max = 1 + s.rng.IntN(4)
+	}
+	verdicts, ts, err := s.coord.ReportBatch(w, reports, max)
 	if err != nil {
 		s.t.Fatalf("report batch: %v", err)
 	}
-	return fmt.Sprintf("%s reports %d: %v", w, len(reports), verdicts)
+	s.held[w] = append(s.held[w], ts...)
+	return fmt.Sprintf("%s reports %d, max %d: %v, granted %d", w, len(reports), max, verdicts, len(ts))
 }
 
 // pick is one of w's grants, nil when it holds none.
@@ -197,14 +207,14 @@ func (s *schedule) pick(w string) *Task {
 }
 
 func (s *schedule) cancel() string {
-	if len(s.tasks) == 0 {
+	if len(s.ranges) == 0 {
 		return "nothing to cancel"
 	}
-	i := s.rng.IntN(len(s.tasks))
-	t := s.tasks[i]
-	s.tasks = slices.Delete(s.tasks, i, i+1)
-	s.coord.abandon(t)
-	return "cancel " + t.id
+	i := s.rng.IntN(len(s.ranges))
+	fl := s.ranges[i]
+	s.ranges = slices.Delete(s.ranges, i, i+1)
+	s.coord.abandon(fl)
+	return fmt.Sprintf("cancel a range of %d", len(fl.reqs))
 }
 
 // expire lets every lease not heartbeaten since run out, and sweeps.

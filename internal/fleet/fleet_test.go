@@ -327,7 +327,7 @@ func claimOne(ctx context.Context, c *Coordinator, worker string, wait time.Dura
 // reportOne delivers one outcome as a report batch of one and returns
 // its verdict.
 func reportOne(c *Coordinator, worker, taskID string, epoch int, out *Outcome, evalErr string) (bool, error) {
-	verdicts, err := c.ReportBatch(worker, []TaskReport{{Task: taskID, Epoch: epoch, Outcome: out, Error: evalErr}})
+	verdicts, _, err := c.ReportBatch(worker, []TaskReport{{Task: taskID, Epoch: epoch, Outcome: out, Error: evalErr}}, 0)
 	if err != nil {
 		return false, err
 	}
@@ -370,7 +370,7 @@ func TestStaleReportRejectedOnce(t *testing.T) {
 	}
 	resCh := make(chan evalRes, 1)
 	go func() {
-		out, err := ev.Evaluate(ctx, baselineRequest())
+		out, err := evaluateOne(ctx, ev, baselineRequest())
 		resCh <- evalRes{out, err}
 	}()
 
@@ -439,7 +439,8 @@ func TestStaleReportRejectedOnce(t *testing.T) {
 
 // TestWorkerQuarantineAfterLeaseLosses proves the per-worker quarantine:
 // after MaxLeaseLosses consecutive expiries the worker's claims answer
-// ErrQuarantined while healthy workers keep claiming.
+// ErrQuarantined and its report batches grant nothing, while healthy
+// workers keep claiming.
 func TestWorkerQuarantineAfterLeaseLosses(t *testing.T) {
 	reg := metrics.NewRegistry()
 	coord, err := NewCoordinator(CoordinatorConfig{
@@ -463,7 +464,7 @@ func TestWorkerQuarantineAfterLeaseLosses(t *testing.T) {
 	}
 	evalCtx, evalCancel := context.WithCancel(ctx)
 	defer evalCancel()
-	go ev.Evaluate(evalCtx, baselineRequest()) //nolint:errcheck // cancelled at cleanup
+	go evaluateOne(evalCtx, ev, baselineRequest()) //nolint:errcheck // cancelled at cleanup
 
 	for loss := 0; loss < 2; loss++ {
 		task, err := claimOne(ctx, coord, "w-flaky", 5*time.Second)
@@ -480,6 +481,15 @@ func TestWorkerQuarantineAfterLeaseLosses(t *testing.T) {
 	}
 	if _, err := claimOne(ctx, coord, "w-flaky", 100*time.Millisecond); err != ErrQuarantined {
 		t.Errorf("quarantined worker claim error = %v, want ErrQuarantined", err)
+	}
+	// Nor does a report batch grant it the task that is waiting.
+	waitFor(t, "the task claimable again", func() bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.queue) == 1 && !coord.queue[0].notBefore.After(time.Now())
+	})
+	if _, ts, err := coord.ReportBatch("w-flaky", nil, 4); err != nil || len(ts) != 0 {
+		t.Errorf("quarantined worker's report batch granted %d tasks (%v), want none", len(ts), err)
 	}
 	if task, err := claimOne(ctx, coord, "w-healthy", 5*time.Second); err != nil || task == nil {
 		t.Errorf("healthy worker blocked after peer quarantine: task %v err %v", task, err)
@@ -514,7 +524,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := ev.Evaluate(ctx, baselineRequest())
+		_, err := evaluateOne(ctx, ev, baselineRequest())
 		done <- err
 	}()
 	task, err := claimOne(ctx, coord, "w1", 5*time.Second)
@@ -556,7 +566,7 @@ func TestCoordinatorClosedAndCancelled(t *testing.T) {
 	cctx, ccancel := context.WithCancel(ctx)
 	done := make(chan error, 1)
 	go func() {
-		_, err := ev.Evaluate(cctx, baselineRequest())
+		_, err := evaluateOne(cctx, ev, baselineRequest())
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -583,7 +593,7 @@ func TestCoordinatorClosedAndCancelled(t *testing.T) {
 	if _, err := claimOne(ctx, coord, "w1", 10*time.Millisecond); err != ErrClosed {
 		t.Errorf("claim on closed coordinator: %v, want ErrClosed", err)
 	}
-	if _, err := ev.Evaluate(ctx, baselineRequest()); err != ErrClosed {
+	if _, err := evaluateOne(ctx, ev, baselineRequest()); err != ErrClosed {
 		t.Errorf("evaluate on closed coordinator: %v, want ErrClosed", err)
 	}
 }

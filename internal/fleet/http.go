@@ -20,9 +20,16 @@ import (
 //	                         mid-flight) | 503 coordinator closed
 //	POST /fleet/heartbeat    200 lease extended | 409 lease gone/stale
 //	                         epoch | 502 coordinator dead
-//	POST /fleet/reportbatch  200 {accepted[]} (per-entry verdicts; a stale
-//	                         entry is accepted[i]=false) | 502 coordinator
+//	POST /fleet/reportbatch  200 {accepted[], tasks} (per-entry verdicts; a
+//	                         stale entry is accepted[i]=false; with max > 0,
+//	                         up to max tasks ready right now, leased as a
+//	                         claim batch would lease them) | 502 coordinator
 //	                         dead | 400 malformed
+//
+// claimbatch is the only verb that waits for work. A report batch grants
+// only what is ready, and a worker whose report brought no tasks
+// long-polls claimbatch; one whose report brought some goes straight to
+// evaluating them, with no claim round trip between its batches.
 //
 // 409 and a false verdict are deliberately not errors for the worker: a
 // stale heartbeat or report is the normal aftermath of a lease the
@@ -151,7 +158,7 @@ func (c *Coordinator) handleReportBatch(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	accepted, err := c.ReportBatch(req.Worker, req.Reports)
+	accepted, ts, err := c.ReportBatch(req.Worker, req.Reports, min(max(req.Max, 0), maxClaimBatch))
 	if err == ErrUnavailable {
 		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
@@ -160,7 +167,7 @@ func (c *Coordinator) handleReportBatch(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, reportBatchResponse{Accepted: accepted})
+	writeReportBatch(w, &reportBatchResponse{Accepted: accepted, Tasks: ts})
 }
 
 // client is the worker's view of the coordinator's HTTP surface.
@@ -250,43 +257,53 @@ func (cl *client) heartbeat(ctx context.Context, worker, taskID string, epoch in
 	}
 }
 
-// reportBatch delivers several outcomes; accepted[i]=false means report
-// i was stale. The verdict slice always matches len(reports).
-func (cl *client) reportBatch(ctx context.Context, worker string, reports []TaskReport) ([]bool, error) {
-	body, err := encodeReportBatch(&reportBatchRequest{Worker: worker, Reports: reports})
+// reportBatch delivers several outcomes and asks for up to max more
+// tasks; accepted[i]=false means report i was stale. The verdict slice
+// always matches len(reports), and ts holds the tasks granted.
+func (cl *client) reportBatch(ctx context.Context, worker string, reports []TaskReport, max int) (accepted []bool, ts []*Task, err error) {
+	body, err := encodeReportBatch(&reportBatchRequest{Worker: worker, Reports: reports, Max: max})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var resp reportBatchResponse
-	code, err := cl.post(ctx, "/fleet/reportbatch", body, func(r io.Reader) error {
-		return json.NewDecoder(io.LimitReader(r, maxBodyBytes)).Decode(&resp)
-	})
+	code, err := cl.post(ctx, "/fleet/reportbatch", body, func(r io.Reader) error { return readReportBatchResponse(r, &resp) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if code == http.StatusBadGateway {
-		return nil, ErrUnavailable
+		return nil, nil, ErrUnavailable
 	}
 	if code != http.StatusOK {
-		return nil, fmt.Errorf("fleet: reportbatch: unexpected status %d", code)
+		return nil, nil, fmt.Errorf("fleet: reportbatch: unexpected status %d", code)
 	}
 	if len(resp.Accepted) != len(reports) {
-		return nil, fmt.Errorf("fleet: reportbatch: %d verdicts for %d reports", len(resp.Accepted), len(reports))
+		return nil, nil, fmt.Errorf("fleet: reportbatch: %d verdicts for %d reports", len(resp.Accepted), len(reports))
 	}
-	return resp.Accepted, nil
+	return resp.Accepted, resp.Tasks, nil
 }
 
 // scratchPool recycles the scratch the batch messages are written and
 // read with.
 var scratchPool = sync.Pool{New: func() any { return &scratch{names: make(map[string]string)} }}
 
-// writeClaimBatch answers a claim with the tasks it granted, in the
+// writeClaimBatch answers a claim with the tasks it granted.
+func writeClaimBatch(w http.ResponseWriter, resp *claimBatchResponse) {
+	writeMessage(w, resp, appendClaimBatch)
+}
+
+// writeReportBatch answers a report batch with its verdicts and the
+// tasks it granted.
+func writeReportBatch(w http.ResponseWriter, resp *reportBatchResponse) {
+	writeMessage(w, resp, appendReportBatchResponse)
+}
+
+// writeMessage answers 200 with a response body written by hand in the
 // bytes json.NewEncoder writes: a body encoding/json cannot encode is
 // left empty, as its Encoder leaves it.
-func writeClaimBatch(w http.ResponseWriter, resp *claimBatchResponse) {
+func writeMessage[T any](w http.ResponseWriter, resp *T, write func([]byte, *T) ([]byte, error)) {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	body, err := appendClaimBatch(s.buf[:0], resp)
+	body, err := write(s.buf[:0], resp)
 	s.buf = body
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -299,6 +316,12 @@ func writeClaimBatch(w http.ResponseWriter, resp *claimBatchResponse) {
 // json.Decoder.Decode does.
 func readClaimBatch(r io.Reader, resp *claimBatchResponse) error {
 	return readMessage(r, resp, parseClaimBatch, false)
+}
+
+// readReportBatchResponse decodes a report batch response body as
+// json.Decoder.Decode does.
+func readReportBatchResponse(r io.Reader, resp *reportBatchResponse) error {
+	return readMessage(r, resp, parseReportBatchResponse, false)
 }
 
 // encodeReportBatch encodes a report batch request body in the bytes

@@ -73,6 +73,10 @@ type journalBody struct {
 	// Key is the adoption key (hex) of a compacted "outcome" record.
 	Key         string `json:"key,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
+	// key is the adoption key a live enqueue already computed for the
+	// task it introduces, so that apply does not hash it again. It is
+	// never journaled: replay computes it from the record.
+	key uint64
 }
 
 // adoptionKey is a task's job-agnostic identity: a hash of every input
@@ -182,9 +186,9 @@ func (s *state) apply(b *journalBody) bool {
 			id: b.Task, job: b.Job, spec: *b.Spec,
 			phase: b.Phase, sample: b.Sample, cvs: b.CVs,
 			epoch: b.Epoch, losses: b.Losses, notBefore: time.Unix(0, b.NotBefore),
-			done: make(chan taskResult, 1),
+			key: b.key,
 		}
-		if s.journaled {
+		if s.journaled && t.key == 0 {
 			t.key = adoptionKey(t.spec, t.phase, t.sample, t.cvs)
 		}
 		s.tasks[t.id] = t

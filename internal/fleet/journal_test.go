@@ -29,10 +29,10 @@ func replayJournal(data []byte) (*state, int) {
 }
 
 // snapshot renders what the journal decides about a state: its last
-// sequence number, the queue in order, every task's job, epoch, losses
-// and not-before, every lease's worker and deadline in unix
-// nanoseconds, the workers' loss records (a zero record reads as none,
-// which is what it means) and the outcome buffer.
+// sequence number, the queue in order, every task's job, adoption key,
+// epoch, losses and not-before, every lease's worker and deadline in
+// unix nanoseconds, the workers' loss records (a zero record reads as
+// none, which is what it means) and the outcome buffer.
 func snapshot(s *state) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seq %d\nqueue", s.seq)
@@ -41,7 +41,7 @@ func snapshot(s *state) string {
 	}
 	for _, id := range sortedKeys(s.tasks) {
 		t := s.tasks[id]
-		fmt.Fprintf(&b, "\ntask %s job=%s epoch=%d losses=%d not_before=%d", id, t.job, t.epoch, t.losses, t.notBefore.UnixNano())
+		fmt.Fprintf(&b, "\ntask %s job=%s key=%016x epoch=%d losses=%d not_before=%d", id, t.job, t.key, t.epoch, t.losses, t.notBefore.UnixNano())
 		if l := s.leases[id]; l != nil {
 			fmt.Fprintf(&b, " lease=%s@%d", l.worker, l.deadline.UnixNano())
 		}
@@ -330,9 +330,10 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 	}
 }
 
-// The journal's syncs are its log's writes: two enqueues take one each,
-// and a claim batch and a report batch of two take one each, so the
-// counter reads 4 for the journal's 6 records.
+// The journal's syncs are its log's writes: a range of three enqueues
+// takes one, a claim batch of two one, and a report batch of two that
+// also leases the third task one, so the counter reads 3 for the
+// journal's 8 records.
 func TestJournalSyncsCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	coord, err := NewCoordinator(CoordinatorConfig{Registry: reg, JournalPath: filepath.Join(t.TempDir(), "journal")})
@@ -340,10 +341,8 @@ func TestJournalSyncsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Kill()
-	for _, req := range []core.EvalRequest{baselineRequest(), secondRequest()} {
-		if _, err := coord.enqueue("job-1", testSpec(), req); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := coord.enqueue("job-1", testSpec(), baselineRequest(), secondRequest(), batchRequest(9)); err != nil {
+		t.Fatal(err)
 	}
 	grants, err := coord.ClaimBatch(context.Background(), "w1", time.Second, 2)
 	if err != nil || len(grants) != 2 {
@@ -353,12 +352,19 @@ func TestJournalSyncsCounted(t *testing.T) {
 	for i, g := range grants {
 		reports[i] = TaskReport{Task: g.ID, Epoch: g.Epoch, Outcome: fabricatedOutcome(1.5)}
 	}
-	if ok, err := coord.ReportBatch("w1", reports); err != nil || !ok[0] || !ok[1] {
+	ok, next, err := coord.ReportBatch("w1", reports, 4)
+	if err != nil || !ok[0] || !ok[1] {
 		t.Fatalf("report batch: %v %v", ok, err)
 	}
+	if len(next) != 1 || next[0].Sample != 9 || next[0].Epoch != 1 {
+		t.Fatalf("report batch granted %+v, want the third task at epoch 1", next)
+	}
 	snap := reg.Snapshot()
-	if syncs, records := snap.Counter(MetricJournalSyncs), snap.Gauge(MetricJournalRecords); syncs != 4 || records != 6 {
-		t.Fatalf("journal took %d syncs for %v records, want 4 for 6", syncs, records)
+	if syncs, records := snap.Counter(MetricJournalSyncs), snap.Gauge(MetricJournalRecords); syncs != 3 || records != 8 {
+		t.Fatalf("journal took %d syncs for %v records, want 3 for 8", syncs, records)
+	}
+	if got := snap.Counter(MetricClaims); got != 3 {
+		t.Fatalf("fleet_claims = %d, want 3", got)
 	}
 }
 
@@ -437,11 +443,11 @@ func TestJournalGroupCommit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tk, err := coord.enqueue("job-1", testSpec(), batchRequest(i))
+			fl, err := coord.enqueue("job-1", testSpec(), batchRequest(i))
 			if err != nil {
 				t.Errorf("enqueue %d: %v", i, err)
-			} else if !landed(opEnqueue, tk.id) {
-				t.Errorf("enqueue of %s answered before its record was durable", tk.id)
+			} else if !landed(opEnqueue, fl.tasks[0].id) {
+				t.Errorf("enqueue of %s answered before its record was durable", fl.tasks[0].id)
 			}
 		}()
 	}
@@ -578,15 +584,26 @@ func TestJournalKillWhileSyncing(t *testing.T) {
 	}
 }
 
-// evaluateAsync starts one Evaluate and returns a channel with its
-// result — protocol tests drive claims and reports against it.
+// evaluateAsync starts evaluating req as a range of one and returns a
+// channel with its result — protocol tests drive claims and reports
+// against it.
 func evaluateAsync(ctx context.Context, ev core.RemoteEvaluator, req core.EvalRequest) <-chan taskResult {
 	ch := make(chan taskResult, 1)
 	go func() {
-		out, err := ev.Evaluate(ctx, req)
+		out, err := evaluateOne(ctx, ev, req)
 		ch <- taskResult{out: out, err: err}
 	}()
 	return ch
+}
+
+// evaluateOne evaluates req through ev as a range of one.
+func evaluateOne(ctx context.Context, ev core.RemoteEvaluator, req core.EvalRequest) (core.EvalOutcome, error) {
+	var out core.EvalOutcome
+	err := ev.Evaluate(ctx, []core.EvalRequest{req}, func(_ int, o core.EvalOutcome) error {
+		out = o
+		return nil
+	})
+	return out, err
 }
 
 // secondRequest is a second distinct claim for protocol tests.
@@ -673,7 +690,7 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	}
 	// The completed claim is served from the journal, byte-identically,
 	// with no worker involved.
-	out, err := ev2.Evaluate(ctx, baselineRequest())
+	out, err := evaluateOne(ctx, ev2, baselineRequest())
 	if err != nil {
 		t.Fatalf("served evaluate: %v", err)
 	}
@@ -793,7 +810,7 @@ func TestRecoveryKeepsLiveLease(t *testing.T) {
 	// The outcome buffered before any re-run asked for it is served the
 	// moment the re-attached job gets there.
 	ev2, _ := coord2.Evaluator("job-retry", testSpec())
-	out, err := ev2.Evaluate(ctx, baselineRequest())
+	out, err := evaluateOne(ctx, ev2, baselineRequest())
 	if err != nil {
 		t.Fatalf("buffered evaluate: %v", err)
 	}
@@ -1100,11 +1117,12 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalEnqueueParallel measures enqueues made concurrently,
-// as a job's window of parallel evaluations makes them: four goroutines
-// per CPU (eight on two, the window of a job with eight workers) each
-// append an enqueue record and wait until it is durable, so concurrent
-// enqueues can share one write and one fsync. ns/op depends on the disk.
+// BenchmarkJournalEnqueueParallel measures enqueue transitions made
+// concurrently, as concurrent jobs' ranges make them: four goroutines
+// per CPU each enqueue a range of one and wait until its record is
+// durable, so concurrent enqueues can share one write and one fsync.
+// (A job makes one enqueue transition per range and refill, whatever
+// its window.) ns/op depends on the disk.
 func BenchmarkJournalEnqueueParallel(b *testing.B) {
 	coord, err := NewCoordinator(CoordinatorConfig{JournalPath: filepath.Join(b.TempDir(), "journal")})
 	if err != nil {

@@ -139,7 +139,9 @@ func TestCoordinatorChaosMatrix(t *testing.T) {
 		tweak func(*CoordinatorConfig)
 		probe func(context.Context, *Coordinator)
 	}{
-		{name: "mid-enqueue", point: killMidEnqueue, hit: 10},
+		// A job enqueues each range in one transition: the collection's
+		// and the search's, so the second hit is the search's enqueue.
+		{name: "mid-enqueue", point: killMidEnqueue, hit: 2},
 		{name: "lease-granted", point: killLeaseGranted, hit: 8},
 		{name: "report-accepted", point: killReportAccepted, hit: 5},
 		{name: "heartbeat-renewed", point: killHeartbeatRenewed, hit: 1, probe: probeHeartbeat},
@@ -428,7 +430,7 @@ func TestWorkerReconnectReusedJobID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := evA.Evaluate(ctx, req); err != nil {
+	if _, err := evaluateOne(ctx, evA, req); err != nil {
 		t.Fatalf("spec A: %v", err)
 	}
 	coord1.Kill()
@@ -445,7 +447,7 @@ func TestWorkerReconnectReusedJobID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := evB.Evaluate(ctx, req)
+	got, err := evaluateOne(ctx, evB, req)
 	if err != nil {
 		t.Fatalf("spec B under a reused job ID: %v", err)
 	}
@@ -614,7 +616,8 @@ func TestHTTPProtocolSurface(t *testing.T) {
 		t.Errorf("stale-epoch heartbeat = %v, %v; want false, nil (409)", ok, err)
 	}
 	report := func(epoch int) ([]bool, error) {
-		return cl.reportBatch(ctx, "w1", []TaskReport{{Task: task.ID, Epoch: epoch, Outcome: fabricatedOutcome(1)}})
+		verdicts, _, err := cl.reportBatch(ctx, "w1", []TaskReport{{Task: task.ID, Epoch: epoch, Outcome: fabricatedOutcome(1)}}, 1)
+		return verdicts, err
 	}
 	if verdicts, err := report(task.Epoch + 1); err != nil || len(verdicts) != 1 || verdicts[0] {
 		t.Errorf("stale-epoch report = %v, %v; want [false], nil", verdicts, err)
@@ -643,7 +646,7 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	if _, err := report(task.Epoch); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("report after kill: %v, want ErrUnavailable", err)
 	}
-	if _, err := cl.reportBatch(ctx, "w1", []TaskReport{{Task: task.ID, Epoch: task.Epoch}}); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := cl.reportBatch(ctx, "w1", []TaskReport{{Task: task.ID, Epoch: task.Epoch}}, 0); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("outcome-less report after kill: %v, want ErrUnavailable", err)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -183,5 +184,21 @@ func TestWindowBoundsInFlight(t *testing.T) {
 	r.startWorkers(2, 1, 16)
 	if peak := r.finish(spec); peak > window {
 		t.Errorf("coordinator held %d tasks at once, window %d", peak, window)
+	}
+}
+
+// A job holding a full window of tasks on the fleet waits on all of them
+// from one goroutine: the coordinator's process runs far fewer extra
+// goroutines than the window, not one blocked in each evaluation.
+func TestWindowHoldsNoGoroutinePerTask(t *testing.T) {
+	spec := testSpec()
+	spec.Samples, spec.TopX, spec.Seed = 600, 30, "window-goroutines"
+	r := newWindowRun(t)
+	before := runtime.NumGoroutine()
+	r.startJob(spec, 8)
+	window := r.coord.Window()
+	r.waitFor("a full window queued", func() bool { return r.coord.QueueDepth() == window })
+	if extra := runtime.NumGoroutine() - before; extra >= 64 {
+		t.Errorf("%d goroutines more than before the job while it holds %d tasks, want fewer than 64", extra, window)
 	}
 }

@@ -225,15 +225,20 @@ type TaskReport struct {
 }
 
 // reportBatchRequest delivers several claims' outcomes in one
-// round-trip.
+// round-trip. Max, when positive, asks for up to that many more tasks in
+// the same round trip: the worker's next claim, which never waits.
 type reportBatchRequest struct {
 	Worker  string       `json:"worker"`
 	Reports []TaskReport `json:"reports"`
+	Max     int          `json:"max,omitempty"`
 }
 
 // reportBatchResponse echoes one accept/reject verdict per report, in
-// request order. A false entry means the lease moved on: the worker
-// drops that outcome (self-fence, no retry).
+// request order, and the tasks the request's Max leased, in FIFO grant
+// order. A false entry means the lease moved on: the worker drops that
+// outcome (self-fence, no retry). No tasks means none was ready, and the
+// worker long-polls claimbatch.
 type reportBatchResponse struct {
-	Accepted []bool `json:"accepted"`
+	Accepted []bool  `json:"accepted"`
+	Tasks    []*Task `json:"tasks,omitempty"`
 }

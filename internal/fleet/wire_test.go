@@ -54,16 +54,32 @@ func pinOutcome() core.EvalOutcome {
 // to worker w1, and pinReport that worker's report batch request for
 // them: pinOutcome for the collect claim and an error for the cfr one.
 const (
-	pinClaim  = `{"tasks":[{"id":"job-a/collect/0#1","job":"job-a","spec":{"benchmark":"CL","machine":"broadwell","samples":24,"topx":6,"seed":"fleet-test","fault_rate":1},"phase":"collect","sample":0,"cvs":[[2,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0]],"epoch":1,"lease_millis":60000,"heartbeat_millis":15000},{"id":"job-b/cfr/7#2","job":"job-b","spec":{"benchmark":"LULESH","machine":"opteron","samples":40,"topx":5,"seed":"pin","fault_rate":0.35,"technique":"bo","adaptive":true},"phase":"cfr","sample":7,"cvs":[[2,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0],[0,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0],[2,0,1,3,0,1,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0]],"epoch":1,"lease_millis":60000,"heartbeat_millis":15000}],"granted":256}` + "\n"
-	pinReport = `{"worker":"w1","reports":[{"task":"job-a/collect/0#1","epoch":1,"outcome":{"per_module":["0x1.8p+00","+Inf"],"total":"+Inf","cost":{"compiles":3,"runs":1,"sim_micros":4750000,"retries":0,"wasted_compiles":0,"fault_micros":250000,"compile_fails":0,"run_crashes":1,"timeouts":0,"flakes":0},"quarantined":["deadbeef","2a"],"events":[{"kind":"compile","phase":"collect","sample":0,"modules":3,"seconds":"0x1.2p+02","sim":"0x1.2p+02"},{"kind":"fault","phase":"collect","sample":0,"step":1,"name":"run-crash","seconds":"0x1p-02","sim":"0x1.3p+02"},{"kind":"eval","phase":"collect","sample":0,"step":2,"name":"lost","seconds":"+Inf","sim":"0x1.3p+02"}]}},{"task":"job-b/cfr/7#2","epoch":1,"error":"exec: LULESH run crashed (signal 11)"}]}`
+	pinClaim   = `{"tasks":[{"id":"job-a/collect/0#1","job":"job-a","spec":{"benchmark":"CL","machine":"broadwell","samples":24,"topx":6,"seed":"fleet-test","fault_rate":1},"phase":"collect","sample":0,"cvs":[[2,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0]],"epoch":1,"lease_millis":60000,"heartbeat_millis":15000},{"id":"job-b/cfr/7#2","job":"job-b","spec":{"benchmark":"LULESH","machine":"opteron","samples":40,"topx":5,"seed":"pin","fault_rate":0.35,"technique":"bo","adaptive":true},"phase":"cfr","sample":7,"cvs":[[2,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0],[0,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0],[2,0,1,3,0,1,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0]],"epoch":1,"lease_millis":60000,"heartbeat_millis":15000}],"granted":256}` + "\n"
+	pinReports = `{"worker":"w1","reports":[{"task":"job-a/collect/0#1","epoch":1,"outcome":{"per_module":["0x1.8p+00","+Inf"],"total":"+Inf","cost":{"compiles":3,"runs":1,"sim_micros":4750000,"retries":0,"wasted_compiles":0,"fault_micros":250000,"compile_fails":0,"run_crashes":1,"timeouts":0,"flakes":0},"quarantined":["deadbeef","2a"],"events":[{"kind":"compile","phase":"collect","sample":0,"modules":3,"seconds":"0x1.2p+02","sim":"0x1.2p+02"},{"kind":"fault","phase":"collect","sample":0,"step":1,"name":"run-crash","seconds":"0x1p-02","sim":"0x1.3p+02"},{"kind":"eval","phase":"collect","sample":0,"step":2,"name":"lost","seconds":"+Inf","sim":"0x1.3p+02"}]}},{"task":"job-b/cfr/7#2","epoch":1,"error":"exec: LULESH run crashed (signal 11)"}]`
+	pinReport  = pinReports + `}`
+	// pinReportMax is pinReport asking for up to 16 more tasks, and
+	// pinAnswer and pinAnswerTasks the coordinator's answers to the two:
+	// the verdicts alone when no task is ready, and with the third claim,
+	// pinNext, when it is.
+	pinReportMax   = pinReports + `,"max":16}`
+	pinAnswer      = `{"accepted":[true,true]}` + "\n"
+	pinAnswerTasks = `{"accepted":[true,true],"tasks":[{"id":"job-a/collect/1#3","job":"job-a","spec":{"benchmark":"CL","machine":"broadwell","samples":24,"topx":6,"seed":"fleet-test","fault_rate":1},"phase":"collect","sample":1,"cvs":[[2,0,1,3,0,0,0,2,1,2,0,0,0,1,0,0,1,0,0,0,1,0,0,1,0,0,0,0,1,0,0,0,0]],"epoch":1,"lease_millis":60000,"heartbeat_millis":15000}]}` + "\n"
 )
 
-// TestWireBatchesPinned pins the bytes of the two batch messages: the
-// claim batch response the coordinator writes and the report batch
-// request a worker writes, and checks that the other side decodes them
-// to the values that were sent. Coordinators and workers of different
-// builds talk to each other across a rolling restart, so neither may
-// change.
+// pinNext is a third claim, queued once pinClaim's two are granted.
+func pinNext() core.EvalRequest {
+	collect, _ := pinRequests()
+	collect.Sample = 1
+	return collect
+}
+
+// TestWireBatchesPinned pins the bytes of the batch messages: the claim
+// batch response the coordinator writes, the report batch request a
+// worker writes, with and without max, and the coordinator's answer to
+// one with max that grants a task, and checks that the other side
+// decodes them to the values that were sent. Coordinators and workers
+// of different builds talk to each other across a rolling restart, so
+// none may change.
 func TestWireBatchesPinned(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, Heartbeat: 15 * time.Second})
 	if err != nil {
@@ -71,14 +87,15 @@ func TestWireBatchesPinned(t *testing.T) {
 	}
 	defer coord.Close()
 	collect, cfr := pinRequests()
-	t1, err := coord.enqueue("job-a", testSpec(), collect)
+	f1, err := coord.enqueue("job-a", testSpec(), collect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := coord.enqueue("job-b", pinSpec(), cfr)
+	f2, err := coord.enqueue("job-b", pinSpec(), cfr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t1, t2 := f1.tasks[0], f2.tasks[0]
 
 	// A claim for more than the coordinator grants at once is clamped,
 	// and the response says so in granted.
@@ -103,7 +120,9 @@ func TestWireBatchesPinned(t *testing.T) {
 	}
 
 	// The worker reports an outcome for the first task and an error for
-	// the second; the coordinator resolves both from the bytes.
+	// the second, asking for up to 16 more tasks or for none; the
+	// coordinator resolves both from the bytes and grants the third
+	// task, queued meanwhile, and the worker decodes the grant.
 	reports := []TaskReport{
 		{Task: t1.id, Epoch: 1, Outcome: encodeOutcome(pinOutcome())},
 		{Task: t2.id, Epoch: 1, Error: "exec: LULESH run crashed (signal 11)"},
@@ -112,32 +131,47 @@ func TestWireBatchesPinned(t *testing.T) {
 	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
 		sent = string(b)
-		io.WriteString(w, `{"accepted":[true,true]}`)
+		io.WriteString(w, pinAnswerTasks)
 	}))
 	defer sink.Close()
-	if _, err := newClient(sink.URL, nil).reportBatch(ctx, "w1", reports); err != nil {
+	f3, err := coord.enqueue("job-a", testSpec(), pinNext())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sent != pinReport {
-		t.Fatalf("report batch request changed:\n got %s\nwant %s", sent, pinReport)
+	wantNext := []*Task{{ID: f3.tasks[0].id, Job: "job-a", Spec: testSpec(), Phase: "collect", Sample: 1, CVs: encodeCVs(pinNext().CVs), Epoch: 1, LeaseMillis: 60000, HeartbeatMillis: 15000}}
+	for _, tc := range []struct {
+		max  int
+		want string
+	}{{0, pinReport}, {16, pinReportMax}} {
+		accepted, next, err := newClient(sink.URL, nil).reportBatch(ctx, "w1", reports, tc.max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent != tc.want {
+			t.Fatalf("report batch request with max %d changed:\n got %s\nwant %s", tc.max, sent, tc.want)
+		}
+		if !reflect.DeepEqual(accepted, []bool{true, true}) || !reflect.DeepEqual(next, wantNext) {
+			t.Fatalf("worker decoded the report batch answer as %v, %+v; want [true true], %+v", accepted, next, wantNext)
+		}
 	}
 	rec = httptest.NewRecorder()
-	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/reportbatch", strings.NewReader(pinReport)))
-	if rec.Code != http.StatusOK || rec.Body.String() != `{"accepted":[true,true]}`+"\n" {
-		t.Fatalf("report batch answered %d %s", rec.Code, rec.Body)
+	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/reportbatch", strings.NewReader(pinReportMax)))
+	if rec.Code != http.StatusOK || rec.Body.String() != pinAnswerTasks {
+		t.Fatalf("report batch answer changed: status %d\n got %s\nwant %s", rec.Code, rec.Body, pinAnswerTasks)
 	}
-	if res := <-t1.done; res.err != nil || !reflect.DeepEqual(res.out, pinOutcome()) {
+	if res := (<-f1.landed).res; res.err != nil || !reflect.DeepEqual(res.out, pinOutcome()) {
 		t.Errorf("coordinator decoded the outcome as %+v, %v; want %+v", res.out, res.err, pinOutcome())
 	}
 	wantErr := "fleet: worker w1 failed task " + t2.id + ": exec: LULESH run crashed (signal 11)"
-	if res := <-t2.done; res.err == nil || res.err.Error() != wantErr {
+	if res := (<-f2.landed).res; res.err == nil || res.err.Error() != wantErr {
 		t.Errorf("coordinator resolved the failed task with %v, want %s", res.err, wantErr)
 	}
 }
 
 // pinLeases is a coordinator that has granted pinRequests' claims to
-// worker w1, as pinClaim says.
-func pinLeases(t *testing.T) (*Coordinator, *task, *task) {
+// worker w1, as pinClaim says, and queued pinNext's. It returns the
+// ranges of the two granted claims.
+func pinLeases(t *testing.T) (*Coordinator, *flight, *flight) {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, Heartbeat: 15 * time.Second})
 	if err != nil {
@@ -145,48 +179,65 @@ func pinLeases(t *testing.T) (*Coordinator, *task, *task) {
 	}
 	t.Cleanup(coord.Close)
 	collect, cfr := pinRequests()
-	t1, err := coord.enqueue("job-a", testSpec(), collect)
+	f1, err := coord.enqueue("job-a", testSpec(), collect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := coord.enqueue("job-b", pinSpec(), cfr)
+	f2, err := coord.enqueue("job-b", pinSpec(), cfr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ts, err := coord.ClaimBatch(context.Background(), "w1", 0, 2); err != nil || len(ts) != 2 {
 		t.Fatalf("claim = %d tasks, %v", len(ts), err)
 	}
-	return coord, t1, t2
+	if _, err := coord.enqueue("job-a", testSpec(), pinNext()); err != nil {
+		t.Fatal(err)
+	}
+	return coord, f1, f2
 }
 
 // TestReportBatchBodiesOverHTTP sends the coordinator report batches in
 // shapes other than the one workers write. It answers each as
 // decodeRequest, encoding/json's Decoder with unknown fields and bytes
 // after the value refused, decides: 400 with that error for an unknown
-// field, a truncation or bytes after the value, and the same verdicts
-// and outcomes as for pinReport for whitespace or reordered fields.
+// field, a truncation, bytes after the value or a max that is no
+// integer, and the same verdicts and outcomes as for pinReport for
+// whitespace or reordered fields. A max of at least one also grants the
+// queued third claim (a max past the coordinator's cap is clamped to
+// it); a max below one grants nothing.
 func TestReportBatchBodiesOverHTTP(t *testing.T) {
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, []byte(pinReport), "", "  "); err != nil {
-		t.Fatal(err)
+	indent := func(body string) string {
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, []byte(body), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		return indented.String()
 	}
 	reordered := strings.Replace(pinReport, `{"worker":"w1","reports":`, `{"reports":`, 1)
 	reordered = strings.Replace(reordered[:len(reordered)-1], `{"task":"job-b/cfr/7#2","epoch":1,`, `{"epoch":1,"task":"job-b/cfr/7#2",`, 1) + `,"worker":"w1"}`
+	withMax := func(max string) string { return pinReports + `,"max":` + max + `}` }
 	for _, tc := range []struct {
 		name, body string
-		ok         bool
+		ok, grants bool
 	}{
-		{"canonical", pinReport, true},
-		{"whitespace", indented.String(), true},
-		{"reordered", reordered, true},
-		{"bytes-after-the-value", pinReport + ` {"worker":"w9"}x`, false},
-		{"unknown-field", strings.Replace(pinReport, `"worker":"w1"`, `"worker":"w1","lease":3`, 1), false},
-		{"unknown-nested-field", strings.Replace(pinReport, `"flakes":0`, `"flakes":0,"spills":1`, 1), false},
-		{"truncated", pinReport[:len(pinReport)/2], false},
-		{"empty", "", false},
+		{"canonical", pinReport, true, false},
+		{"whitespace", indent(pinReport), true, false},
+		{"reordered", reordered, true, false},
+		{"max", pinReportMax, true, true},
+		{"max/whitespace", indent(pinReportMax), true, true},
+		{"max/first", `{"max":16,` + reordered[1:], true, true},
+		{"max/past-the-cap", withMax("1000"), true, true},
+		{"max/zero", withMax("0"), true, false},
+		{"max/negative", withMax("-3"), true, false},
+		{"max/fraction", withMax("1.5"), false, false},
+		{"bytes-after-the-value", pinReport + ` {"worker":"w9"}x`, false, false},
+		{"unknown-field", strings.Replace(pinReport, `"worker":"w1"`, `"worker":"w1","lease":3`, 1), false, false},
+		{"unknown-nested-field", strings.Replace(pinReport, `"flakes":0`, `"flakes":0,"spills":1`, 1), false, false},
+		{"truncated", pinReport[:len(pinReport)/2], false, false},
+		{"empty", "", false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			coord, t1, t2 := pinLeases(t)
+			coord, f1, f2 := pinLeases(t)
 			srv := httptest.NewServer(coord.Handler())
 			defer srv.Close()
 			resp, err := http.Post(srv.URL+"/fleet/reportbatch", "application/json", strings.NewReader(tc.body))
@@ -210,13 +261,17 @@ func TestReportBatchBodiesOverHTTP(t *testing.T) {
 				}
 				return
 			}
-			if resp.StatusCode != http.StatusOK || string(got) != `{"accepted":[true,true]}`+"\n" {
-				t.Fatalf("answered %d %s", resp.StatusCode, got)
+			want := pinAnswer
+			if tc.grants {
+				want = pinAnswerTasks
 			}
-			if res := <-t1.done; res.err != nil || !reflect.DeepEqual(res.out, pinOutcome()) {
+			if resp.StatusCode != http.StatusOK || string(got) != want {
+				t.Fatalf("answered %d %s, want %s", resp.StatusCode, got, want)
+			}
+			if res := (<-f1.landed).res; res.err != nil || !reflect.DeepEqual(res.out, pinOutcome()) {
 				t.Errorf("outcome decoded as %+v, %v", res.out, res.err)
 			}
-			if res := <-t2.done; res.err == nil || !strings.HasSuffix(res.err.Error(), ": exec: LULESH run crashed (signal 11)") {
+			if res := (<-f2.landed).res; res.err == nil || !strings.HasSuffix(res.err.Error(), ": exec: LULESH run crashed (signal 11)") {
 				t.Errorf("failed task resolved with %v", res.err)
 			}
 		})
@@ -303,6 +358,53 @@ func TestClaimBatchBodiesOverHTTP(t *testing.T) {
 			}
 			if len(ts) != 2 || ts[1].Spec != pinSpec() {
 				t.Fatalf("decoded %d tasks, second spec %+v", len(ts), ts[len(ts)-1].Spec)
+			}
+		})
+	}
+}
+
+// TestReportBatchAnswersOverHTTP serves a worker report batch answers in
+// shapes other than the one the coordinator writes. The worker decodes
+// each as encoding/json's Decoder does: whitespace, unknown fields and
+// bytes after the first value decode to pinAnswerTasks' verdicts and
+// task, and a truncated body fails with the decoder's error.
+func TestReportBatchAnswersOverHTTP(t *testing.T) {
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(pinAnswerTasks), "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	reports := []TaskReport{{Task: "job-a/collect/0#1", Epoch: 1}, {Task: "job-b/cfr/7#2", Epoch: 1}}
+	for _, tc := range []struct{ name, body string }{
+		{"canonical", pinAnswerTasks},
+		{"no-tasks", pinAnswer},
+		{"whitespace", indented.String()},
+		{"no-newline", strings.TrimSuffix(pinAnswerTasks, "\n")},
+		{"tasks-first", `{"tasks":` + pinAnswerTasks[strings.Index(pinAnswerTasks, "["+`{"id"`):len(pinAnswerTasks)-2] + `,"accepted":[true,true]}`},
+		{"unknown-fields", strings.Replace(pinAnswerTasks, `"epoch":1,`, `"epoch":1,"slot":2,`, 1)},
+		{"bytes-after-the-value", pinAnswerTasks + `{"accepted":[]}` + "\x00"},
+		{"truncated", pinAnswerTasks[:len(pinAnswerTasks)/3]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.WriteString(w, tc.body)
+			}))
+			defer srv.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+			defer cancel()
+			accepted, ts, err := newClient(srv.URL, nil).reportBatch(ctx, "w1", reports, 16)
+			var want reportBatchResponse
+			if decErr := json.NewDecoder(strings.NewReader(tc.body)).Decode(&want); decErr != nil {
+				wantErr := "fleet: decoding /fleet/reportbatch response: " + decErr.Error()
+				if err == nil || err.Error() != wantErr {
+					t.Fatalf("report failed with %v, want %s", err, wantErr)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(accepted, want.Accepted) || !reflect.DeepEqual(ts, want.Tasks) {
+				t.Fatalf("decoded %v, %+v, %v; want %v, %+v", accepted, ts, err, want.Accepted, want.Tasks)
+			}
+			if tc.name != "no-tasks" && (len(ts) != 1 || ts[0].Sample != 1) {
+				t.Fatalf("decoded %d tasks, want pinNext's", len(ts))
 			}
 		})
 	}

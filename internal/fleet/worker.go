@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"sync"
 	"time"
@@ -225,14 +226,23 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
+// loop evaluates one batch after another. A batch's report brings the
+// next batch; only when it brings none does the loop long-poll
+// claimbatch.
 func (w *Worker) loop(ctx context.Context) error {
 	batch := w.cfg.claimBatch()
 	failures := 0
+	var next []*Task
 	for {
 		if ctx.Err() != nil {
 			return nil
 		}
-		ts, granted, err := w.cl.claimBatch(ctx, w.cfg.ID, w.cfg.poll(), batch)
+		var granted int
+		var err error
+		ts := next
+		if len(ts) == 0 {
+			ts, granted, err = w.cl.claimBatch(ctx, w.cfg.ID, w.cfg.poll(), batch)
+		}
 		if granted > 0 && granted < batch {
 			asked := batch
 			w.clampOnce.Do(func() {
@@ -274,7 +284,7 @@ func (w *Worker) loop(ctx context.Context) error {
 			w.logf("fleet worker %s: coordinator back after %d failed claims", w.cfg.ID, failures)
 			failures = 0
 		}
-		if err := w.executeBatch(ctx, ts); err != nil {
+		if next, err = w.executeBatch(ctx, ts, batch); err != nil {
 			w.logf("fleet worker %s: batch of %d: %v", w.cfg.ID, len(ts), err)
 		}
 	}
@@ -332,21 +342,23 @@ func buildService(spec Spec, cache *funcytuner.CompileCache) (*funcytuner.EvalSe
 	return tuner.EvalService(prog, in)
 }
 
-// executeBatch runs one claim round-trip's leases end to end: it
-// evaluates them in order under one heartbeat loop, then delivers every
-// surviving outcome in one batched report. Lease hygiene is per task: a
-// task whose heartbeat bounces is fenced (its evaluation is skipped or
-// abandoned and it is left out of the report) without disturbing its
-// batchmates, and a claim whose lease we know we lost is never reported.
+// executeBatch runs one batch of leases end to end: it evaluates them in
+// order under one heartbeat loop, then delivers every surviving outcome
+// in one batched report, which asks for up to max tasks more and returns
+// the ones granted. Lease hygiene is per task: a task whose heartbeat
+// bounces is fenced (its evaluation is skipped or abandoned and it is
+// left out of the report) without disturbing its batchmates, and a claim
+// whose lease we know we lost is never reported.
 //
 // Injected fault modes are drawn per lease (classify) and act inside the
 // batch. die-mid-eval on any lease takes the whole batch dark. A stalled
 // lease gets no heartbeats and is evaluated only after sleeping past its
 // deadline at its slot, while its batchmates keep beating; its late
 // entry stays in the report and bounces. stale-report entries are sent
-// again after the report, and report-then-die sits out a lease TTL
-// before the next claim.
-func (w *Worker) executeBatch(ctx context.Context, ts []*Task) error {
+// again after the report, and report-then-die asks for no task with its
+// report and sits out a lease TTL before the next claim.
+func (w *Worker) executeBatch(ctx context.Context, ts []*Task, max int) ([]*Task, error) {
+	start := time.Now()
 	leaseTTL := time.Duration(ts[0].LeaseMillis) * time.Millisecond
 	hb := time.Duration(ts[0].HeartbeatMillis) * time.Millisecond
 
@@ -361,7 +373,7 @@ func (w *Worker) executeBatch(ctx context.Context, ts []*Task) error {
 		// Go dark mid-batch: no heartbeat, no report. Sitting out the
 		// leases models the death; claiming again models the rejoin.
 		sleepCtx(ctx, leaseTTL+hb)
-		return nil
+		return nil, nil
 	}
 
 	evalCtxs := make([]context.Context, len(ts))
@@ -377,13 +389,16 @@ func (w *Worker) executeBatch(ctx context.Context, ts []*Task) error {
 		}
 	}
 
+	// The leases expire leaseTTL after the last grant or heartbeat the
+	// coordinator answered, which the worker heard after it was made.
 	hbStop := make(chan struct{})
 	var hbWG sync.WaitGroup
+	lastOK := start
 	if len(beating) > 0 {
 		hbWG.Add(1)
 		go func() {
 			defer hbWG.Done()
-			w.batchHeartbeatLoop(ctx, beating, fences, hbStop, leaseTTL, hb)
+			lastOK = w.batchHeartbeatLoop(ctx, beating, fences, hbStop, start, leaseTTL, hb)
 		}()
 	}
 
@@ -420,7 +435,7 @@ func (w *Worker) executeBatch(ctx context.Context, ts []*Task) error {
 	hbWG.Wait()
 
 	if ctx.Err() != nil {
-		return nil // shutting down; the leases expire on their own
+		return nil, nil // shutting down; the leases expire on their own
 	}
 	// Report only claims whose lease we still believe in. A fenced task
 	// is dropped (self-fencing): the coordinator already re-dispatched
@@ -436,43 +451,73 @@ func (w *Worker) executeBatch(ctx context.Context, ts []*Task) error {
 		reported = append(reported, i)
 	}
 	if len(reports) == 0 {
-		return nil
+		return nil, nil
 	}
-	accepted, rerr := w.cl.reportBatch(ctx, w.cfg.ID, reports)
+	die := false
+	for _, i := range reported {
+		die = die || modes[i] == faults.WorkerReportThenDie
+	}
+	if die {
+		max = 0 // a worker about to go dark takes no new leases
+	}
+	accepted, next, rerr := w.report(ctx, reports, max, lastOK.Add(leaseTTL))
 	if rerr != nil {
-		return rerr // leases expire on their own; the claims are re-dispatched
+		return nil, rerr // leases expire on their own; the claims are re-dispatched
 	}
 	var replay []TaskReport
-	die := false
 	for k, i := range reported {
 		if !accepted[k] {
 			w.logf("fleet worker %s: report for task %s epoch %d rejected as stale", w.cfg.ID, ts[i].ID, ts[i].Epoch)
 		}
-		switch modes[i] {
-		case faults.WorkerStaleReport:
+		if modes[i] == faults.WorkerStaleReport {
 			replay = append(replay, reports[k])
-		case faults.WorkerReportThenDie:
-			die = true
 		}
 	}
 	if len(replay) > 0 {
 		// Replay those entries, modeling a rejoining worker flushing its
 		// send buffer: the duplicates must be rejected and change nothing.
-		w.cl.reportBatch(ctx, w.cfg.ID, replay)
+		w.cl.reportBatch(ctx, w.cfg.ID, replay, 0)
 	}
 	if die {
 		// The report landed; now the worker goes dark before its next
 		// claim, so peers must carry the run until it rejoins.
 		sleepCtx(ctx, leaseTTL)
 	}
-	return nil
+	return next, nil
+}
+
+// report sends a batch's reports, asking for up to max more tasks. A
+// send that gets no answer (a transport failure, or a coordinator that
+// died, 502) is sent again, with the claim loop's backoff, until an
+// answer arrives, ctx ends, or the batch's leases have expired at
+// expiry. Until then an accepted report still counts, and no lease of
+// the batch expires as this worker's loss. A resend cannot count twice:
+// the coordinator accepts one report per lease epoch.
+func (w *Worker) report(ctx context.Context, reports []TaskReport, max int, expiry time.Time) ([]bool, []*Task, error) {
+	for failures := 1; ; failures++ {
+		accepted, next, err := w.cl.reportBatch(ctx, w.cfg.ID, reports, max)
+		var transport *url.Error
+		if ctx.Err() != nil || !errors.Is(err, ErrUnavailable) && !errors.As(err, &transport) {
+			return accepted, next, err
+		}
+		d := reconnectDelay(w.cfg.poll(), failures)
+		if time.Now().Add(d).After(expiry) {
+			return nil, nil, err
+		}
+		if failures == 1 {
+			w.logf("fleet worker %s: report batch of %d failed, sending it again: %v", w.cfg.ID, len(reports), err)
+		}
+		sleepCtx(ctx, d)
+	}
 }
 
 // batchHeartbeatLoop keeps a batch's leases alive while the evaluations
 // run. Verdicts are per task: a bounced heartbeat fences only that
 // task. Transport silence for a full lease TTL fences the whole batch —
-// a partitioned worker must assume every lease expired.
-func (w *Worker) batchHeartbeatLoop(ctx context.Context, ts []*Task, cancels []context.CancelFunc, stop <-chan struct{}, leaseTTL, hb time.Duration) {
+// a partitioned worker must assume every lease expired. It returns when
+// the coordinator last answered a heartbeat, or granted the batch at
+// start if it answered none.
+func (w *Worker) batchHeartbeatLoop(ctx context.Context, ts []*Task, cancels []context.CancelFunc, stop <-chan struct{}, start time.Time, leaseTTL, hb time.Duration) time.Time {
 	if hb <= 0 {
 		hb = leaseTTL / 4
 	}
@@ -485,13 +530,13 @@ func (w *Worker) batchHeartbeatLoop(ctx context.Context, ts []*Task, cancels []c
 	for i := range live {
 		live[i] = true
 	}
-	lastOK := time.Now()
+	lastOK := start
 	for {
 		select {
 		case <-stop:
-			return
+			return lastOK
 		case <-ctx.Done():
-			return
+			return lastOK
 		case <-ticker.C:
 			anyLive, anyOK, anyErr := false, false, false
 			for i, t := range ts {
@@ -521,10 +566,10 @@ func (w *Worker) batchHeartbeatLoop(ctx context.Context, ts []*Task, cancels []c
 						cancels[i]()
 					}
 				}
-				return
+				return lastOK
 			}
 			if !anyLive {
-				return
+				return lastOK
 			}
 		}
 	}
