@@ -839,13 +839,13 @@ func (e *jobEvaluator) Evaluate(ctx context.Context, reqs []core.EvalRequest, la
 }
 
 // enqueueRange puts requests [lo, hi) of a range on the fleet in one
-// enqueue transition. With a journal it first consults the recovery state for
-// each request: an outcome already accepted before the crash is served
-// back byte-identically without re-execution, landing as soon as what
-// it rests on is durable, and a recovered in-flight task with the same
-// adoption identity is adopted instead of duplicated. Every other
-// request becomes a task, and all of them are journaled in one append,
-// take one sync and wake the pollers once.
+// enqueue transition. With a journal it first consults the recovery
+// state for each request: an outcome already accepted before the crash
+// is served back byte-identically without re-execution, landing as soon
+// as what it rests on is durable, and a recovered in-flight task with
+// the same adoption identity is adopted instead of duplicated. Every
+// other request becomes a task, and all of them are journaled in one
+// append, take one sync and wake the pollers once.
 func (c *Coordinator) enqueueRange(fl *flight, lo, hi int) error {
 	c.mu.Lock()
 	if c.closed {
