@@ -159,6 +159,12 @@ func TestWireBatchesPinned(t *testing.T) {
 	if rec.Code != http.StatusOK || rec.Body.String() != pinAnswerTasks {
 		t.Fatalf("report batch answer changed: status %d\n got %s\nwant %s", rec.Code, rec.Body, pinAnswerTasks)
 	}
+	// An answer that grants nothing keeps the verdicts' bytes alone.
+	rec = httptest.NewRecorder()
+	writeReportBatch(rec, &reportBatchResponse{Accepted: []bool{true, true}})
+	if rec.Body.String() != pinAnswer {
+		t.Fatalf("report batch answer without tasks changed:\n got %s\nwant %s", rec.Body, pinAnswer)
+	}
 	if res := (<-f1.landed).res; res.err != nil || !reflect.DeepEqual(res.out, pinOutcome()) {
 		t.Errorf("coordinator decoded the outcome as %+v, %v; want %+v", res.out, res.err, pinOutcome())
 	}
