@@ -197,7 +197,7 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 		var err error
 		for n < len(batch) && !stopped {
 			lo, hi := n, n+step
-			var reqs []EvalRequest
+			reqs := make([]EvalRequest, 0, step)
 			for i := lo; i < hi; i++ {
 				if k := k0 + i; ckDone[k] {
 					batchTimes[i] = ckTimes[k]
