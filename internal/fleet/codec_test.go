@@ -228,7 +228,7 @@ func FuzzWireCodec(f *testing.F) {
 // other one to encoding/json's value, whatever the lost or doubled byte
 // was (a comma, a bracket, a quote, a digit).
 func TestWireParseDamagedBodies(t *testing.T) {
-	for _, body := range []string{pinClaim, pinReportMax, pinAnswerTasks} {
+	for _, body := range []string{pinClaim, pinReport, pinReportMax, pinAnswer, pinAnswerTasks} {
 		for i := range body {
 			for _, damaged := range []string{body[:i] + body[i+1:], body[:i+1] + body[i:]} {
 				checkParse(t, []byte(damaged), parseClaimBatch, false)
