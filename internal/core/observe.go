@@ -69,8 +69,7 @@ const (
 	MetricSearchWarmSeeds = "search_warm_seeds"
 
 	// Gauges. MetricWorkers is the evaluation width: Config.Workers on
-	// a local session, the evaluator's window of the latest range on a
-	// remote one.
+	// a local session, the evaluator's window on a remote one.
 	MetricWorkers     = "workers"
 	MetricSamples     = "samples"
 	MetricModules     = "modules"

@@ -198,7 +198,6 @@ func (s *Session) EvaluateClaim(ctx context.Context, req EvalRequest) (EvalOutco
 // Every ingredient of the merge is commutative, so it is deterministic
 // in whatever order the outcomes land.
 func (s *Session) remoteRange(ctx context.Context, reqs []EvalRequest, got func(i int, out EvalOutcome)) error {
-	s.met.workers.Set(float64(s.width()))
 	if len(reqs) == 0 {
 		return nil
 	}
