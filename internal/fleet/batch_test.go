@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -393,36 +394,119 @@ func (f *failFirstReport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(r)
 }
 
+// refuseMax is a worker transport in front of a coordinator from before
+// the report batch's max: it refuses a report batch that carries max as
+// that coordinator's strict decoder did, 400 naming the unknown field,
+// and passes every other request on.
+type refuseMax struct{ refused, passed atomic.Int64 }
+
+func (f *refuseMax) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != "/fleet/reportbatch" {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	body, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var older struct {
+		Worker  string       `json:"worker"`
+		Reports []TaskReport `json:"reports"`
+	}
+	if err := decodeRequest(json.NewDecoder(bytes.NewReader(body)), &older); err != nil {
+		f.refused.Add(1)
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return rec.Result(), nil
+	}
+	f.passed.Add(1)
+	r = r.Clone(r.Context())
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// dropFirstAnswer is a worker transport that delivers its first report
+// batch and then loses the coordinator's answer, as on a connection
+// reset after the handler ran. It counts the tasks the lost answer
+// granted.
+type dropFirstAnswer struct {
+	dropped atomic.Bool
+	grants  atomic.Int64
+}
+
+func (f *dropFirstAnswer) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.URL.Path != "/fleet/reportbatch" || !f.dropped.CompareAndSwap(false, true) {
+		return resp, err
+	}
+	defer resp.Body.Close()
+	var answer reportBatchResponse
+	if err := readReportBatchResponse(resp.Body, &answer); err != nil {
+		return nil, err
+	}
+	f.grants.Store(int64(len(answer.Tasks)))
+	return nil, errors.New("connection reset by peer (injected after the answer)")
+}
+
 // TestWorkerResendsFailedReport runs one worker claiming batches of four
-// at the default MaxLeaseLosses, whose first report batch fails at the
-// transport. The worker sends the batch again while its leases live, so
-// none of them expires, the worker is not quarantined (four losses
-// would pass the bound of three), and the run, which has no other
-// worker, ends at the local run's fingerprint.
+// whose report batch fails, in each way the worker sends it again, and
+// checks that the run, which has no other worker, ends at the local
+// run's fingerprint with the leases each way loses expired:
+//
+//   - before-send: the first report batch fails at the transport before
+//     it is sent. The worker sends it again while its leases live, so
+//     none expires and the worker is not quarantined at the default
+//     MaxLeaseLosses (four losses would pass the bound of three).
+//   - older-coordinator: every report batch carrying max is refused, as
+//     a coordinator from before max refused it. The worker sends each
+//     again at once without max and long-polls for its next batch.
+//   - answer-lost: the first report batch's answer is lost after the
+//     coordinator judged the reports and leased the next batch. The
+//     resend gets stale verdicts and as many tasks again; the lost
+//     answer's four grants, which no worker knows of, expire as this
+//     worker's losses. That would quarantine it at the default bound
+//     (ROADMAP item 10), so this row raises the bound above the batch.
 func TestWorkerResendsFailedReport(t *testing.T) {
 	spec := testSpec()
 	wantFP, wantTrace := localRun(t, spec)
-	reg := metrics.NewRegistry()
-	rt := &failFirstReport{}
-	gotFP, gotTrace := distributedRun(t, spec,
-		CoordinatorConfig{LeaseTTL: time.Second, Heartbeat: 100 * time.Millisecond, Registry: reg},
-		[]WorkerConfig{{ID: "w-resend", Concurrency: 1, ClaimBatch: 4, Poll: 100 * time.Millisecond}},
-		[]http.RoundTripper{rt})
-	if !rt.failed.Load() {
-		t.Fatal("no report batch failed; the test proved nothing")
-	}
-	if gotFP != wantFP {
-		t.Errorf("fingerprint %016x != local %016x", gotFP, wantFP)
-	}
-	if !bytes.Equal(gotTrace, wantTrace) {
-		t.Errorf("canonical trace differs from local (%d vs %d bytes)", len(gotTrace), len(wantTrace))
-	}
-	snap := reg.Snapshot()
-	if n := snap.Counter(MetricLeasesExpired); n != 0 {
-		t.Errorf("%d leases expired, want none", n)
-	}
-	if n := snap.Counter(MetricWorkersQuarantined); n != 0 {
-		t.Errorf("%d workers quarantined, want none", n)
+	failed, older, lost := &failFirstReport{}, &refuseMax{}, &dropFirstAnswer{}
+	for _, tc := range []struct {
+		name      string
+		rt        http.RoundTripper
+		maxLosses int
+		fired     func() bool
+		expired   int64
+	}{
+		{"before-send", failed, 0, failed.failed.Load, 0},
+		{"older-coordinator", older, 0, func() bool {
+			n := older.refused.Load()
+			return n > 0 && n == older.passed.Load()
+		}, 0},
+		{"answer-lost", lost, 5, func() bool { return lost.grants.Load() == 4 }, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			gotFP, gotTrace := distributedRun(t, spec,
+				CoordinatorConfig{LeaseTTL: time.Second, Heartbeat: 100 * time.Millisecond, MaxLeaseLosses: tc.maxLosses, Registry: reg},
+				[]WorkerConfig{{ID: "w-resend", Concurrency: 1, ClaimBatch: 4, Poll: 100 * time.Millisecond}},
+				[]http.RoundTripper{tc.rt})
+			if !tc.fired() {
+				t.Fatal("no report batch failed as the row asks; the test proved nothing")
+			}
+			if gotFP != wantFP {
+				t.Errorf("fingerprint %016x != local %016x", gotFP, wantFP)
+			}
+			if !bytes.Equal(gotTrace, wantTrace) {
+				t.Errorf("canonical trace differs from local (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+			}
+			snap := reg.Snapshot()
+			if n := snap.Counter(MetricLeasesExpired); n != tc.expired {
+				t.Errorf("%d leases expired, want %d", n, tc.expired)
+			}
+			if n := snap.Counter(MetricWorkersQuarantined); n != 0 {
+				t.Errorf("%d workers quarantined, want none", n)
+			}
+		})
 	}
 }
 

@@ -29,7 +29,10 @@ import (
 // claimbatch is the only verb that waits for work. A report batch grants
 // only what is ready, and a worker whose report brought no tasks
 // long-polls claimbatch; one whose report brought some goes straight to
-// evaluating them, with no claim round trip between its batches.
+// evaluating them, with no claim round trip between its batches. A
+// coordinator older than max answers 400 to a report that carries it,
+// having judged none of its reports, and the worker sends the same
+// reports again without max.
 //
 // 409 and a false verdict are deliberately not errors for the worker: a
 // stale heartbeat or report is the normal aftermath of a lease the
@@ -257,6 +260,11 @@ func (cl *client) heartbeat(ctx context.Context, worker, taskID string, epoch in
 	}
 }
 
+// errRefused is a 400 answer to a report batch: the coordinator could
+// not read the request, so it judged none of its reports. A coordinator
+// older than the request's max answers so to a request that carries it.
+var errRefused = errors.New("fleet: reportbatch: request refused")
+
 // reportBatch delivers several outcomes and asks for up to max more
 // tasks; accepted[i]=false means report i was stale. The verdict slice
 // always matches len(reports), and ts holds the tasks granted.
@@ -270,10 +278,13 @@ func (cl *client) reportBatch(ctx context.Context, worker string, reports []Task
 	if err != nil {
 		return nil, nil, err
 	}
-	if code == http.StatusBadGateway {
+	switch code {
+	case http.StatusOK:
+	case http.StatusBadRequest:
+		return nil, nil, errRefused
+	case http.StatusBadGateway:
 		return nil, nil, ErrUnavailable
-	}
-	if code != http.StatusOK {
+	default:
 		return nil, nil, fmt.Errorf("fleet: reportbatch: unexpected status %d", code)
 	}
 	if len(resp.Accepted) != len(reports) {

@@ -493,9 +493,18 @@ func (w *Worker) executeBatch(ctx context.Context, ts []*Task, max int) ([]*Task
 // expiry. Until then an accepted report still counts, and no lease of
 // the batch expires as this worker's loss. A resend cannot count twice:
 // the coordinator accepts one report per lease epoch.
+//
+// A coordinator older than max refuses a request that carries it (400)
+// before judging any report, so a refused request with max is sent once
+// more at once without it, in the bytes that coordinator reads; the
+// worker then claims its next batch by long poll.
 func (w *Worker) report(ctx context.Context, reports []TaskReport, max int, expiry time.Time) ([]bool, []*Task, error) {
 	for failures := 1; ; failures++ {
 		accepted, next, err := w.cl.reportBatch(ctx, w.cfg.ID, reports, max)
+		if max > 0 && errors.Is(err, errRefused) {
+			max = 0
+			accepted, next, err = w.cl.reportBatch(ctx, w.cfg.ID, reports, max)
+		}
 		var transport *url.Error
 		if ctx.Err() != nil || !errors.Is(err, ErrUnavailable) && !errors.As(err, &transport) {
 			return accepted, next, err
