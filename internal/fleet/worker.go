@@ -495,9 +495,9 @@ func (w *Worker) executeBatch(ctx context.Context, ts []*Task, max int) ([]*Task
 // the coordinator accepts one report per lease epoch.
 //
 // A coordinator older than max refuses a request that carries it (400)
-// before judging any report, so a refused request with max is sent once
-// more at once without it, in the bytes that coordinator reads; the
-// worker then claims its next batch by long poll.
+// before judging any report, so a request with max that is refused is
+// sent again at once without it, in the bytes that coordinator reads;
+// the worker then claims its next batch by long poll.
 func (w *Worker) report(ctx context.Context, reports []TaskReport, max int, expiry time.Time) ([]bool, []*Task, error) {
 	for failures := 1; ; failures++ {
 		accepted, next, err := w.cl.reportBatch(ctx, w.cfg.ID, reports, max)
