@@ -97,26 +97,43 @@ func TestCancelCheckpointMatchesKill(t *testing.T) {
 		Machine: m, Samples: 30, TopX: 6, Seed: "cancel-vs-kill",
 		Faults: DefaultFaultRates(), Workers: 1, CheckpointEvery: 1,
 	}
-	for _, n := range []int{7, 45} {
+	// A tune's collection and search are 30 evaluations each. Compare's
+	// Random, collection and FR are too, then greedy is one (the 91st)
+	// and CFR 30 more: its rows cancel in Random, the collection, FR,
+	// greedy (the cancel refuses the 91st evaluation; the kill lands at
+	// the end of FR), after greedy, and in CFR.
+	for _, tc := range []struct {
+		compare bool
+		n       int
+	}{{false, 7}, {false, 45}, {true, 7}, {true, 45}, {true, 75}, {true, 90}, {true, 91}, {true, 100}} {
+		run := func(ctx context.Context, o Options) error {
+			var err error
+			if tc.compare {
+				_, err = NewTuner(o).CompareContext(ctx, prog, in)
+			} else {
+				_, err = NewTuner(o).TuneContext(ctx, prog, in)
+			}
+			return err
+		}
 		dir := t.TempDir()
 
 		killPath := filepath.Join(dir, "kill.ckpt")
 		kOpts := base
 		kOpts.Checkpoint = killPath
-		kOpts.KillAfterEvals = n
-		if _, err := NewTuner(kOpts).Tune(prog, in); !errors.Is(err, ErrKilled) {
-			t.Fatalf("n=%d: expected ErrKilled, got %v", n, err)
+		kOpts.KillAfterEvals = tc.n
+		if err := run(context.Background(), kOpts); !errors.Is(err, ErrKilled) {
+			t.Fatalf("%+v: expected ErrKilled, got %v", tc, err)
 		}
 
 		cancelPath := filepath.Join(dir, "cancel.ckpt")
 		ctx, cancel := context.WithCancel(context.Background())
 		cOpts := base
 		cOpts.Checkpoint = cancelPath
-		cOpts.Gate = &cancelAfterGate{cancel: cancel, after: int32(n + 1)}
-		_, err := NewTuner(cOpts).TuneContext(ctx, prog, in)
+		cOpts.Gate = &cancelAfterGate{cancel: cancel, after: int32(tc.n + 1)}
+		err := run(ctx, cOpts)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("n=%d: expected context.Canceled, got %v", n, err)
+			t.Fatalf("%+v: expected context.Canceled, got %v", tc, err)
 		}
 
 		killed, err := os.ReadFile(killPath)
@@ -128,8 +145,15 @@ func TestCancelCheckpointMatchesKill(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(killed, cancelled) {
-			t.Fatalf("n=%d: cancel checkpoint differs from kill checkpoint\nkill:   %d bytes\ncancel: %d bytes",
-				n, len(killed), len(cancelled))
+			t.Fatalf("%+v: cancel checkpoint differs from kill checkpoint\nkill:   %d bytes\ncancel: %d bytes",
+				tc, len(killed), len(cancelled))
+		}
+		ck, err := LoadCheckpoint(killPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ck.Done) != tc.n {
+			t.Fatalf("%+v: the checkpoint holds %d evaluations", tc, len(ck.Done))
 		}
 	}
 }

@@ -279,16 +279,22 @@ type Options struct {
 	// runs exceeding it are killed and score +Inf. 0 disables it.
 	TimeoutBudget float64
 	// Checkpoint, when non-empty, persists tuning progress to this file so
-	// a killed run can be resumed.
+	// a killed run can be resumed: every completed evaluation of every
+	// phase (Compare's Random, FR and greedy as well as the collection
+	// and the search), each with its own cost and quarantine decisions.
 	Checkpoint string
 	// Resume, when non-empty, loads a checkpoint file before tuning and
-	// skips its completed samples; the resumed run's Report is
-	// bit-identical to an uninterrupted run. A checkpoint of a run with
-	// another outcome (any input, option or entry point that changes its
-	// run identity) is rejected, naming the first field that differs,
-	// before any evaluation. A missing file starts fresh. Progress keeps
-	// checkpointing to the same file unless Checkpoint names a different
-	// one.
+	// answers its completed evaluations from it, each with the cost and
+	// quarantine it recorded, instead of measuring them again; the
+	// resumed run's Report is bit-identical to an uninterrupted run. A
+	// Tune and a Compare of the same run collect and search the same
+	// samples, so either resumes the other's checkpoint, and a Tune takes
+	// on nothing of a Compare's Random, FR and greedy. A checkpoint of a
+	// run with another outcome (any input, option or entry point that
+	// changes its run identity) is rejected, naming the first field that
+	// differs, before any evaluation. A missing file starts fresh.
+	// Progress keeps checkpointing to the same file unless Checkpoint
+	// names a different one.
 	Resume string
 	// CheckpointEvery is the flush cadence in completed evaluations
 	// (default 25). Cadence writes run in the background, so a crash

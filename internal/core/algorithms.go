@@ -55,12 +55,10 @@ type Collection struct {
 
 // Collect runs the per-loop data-collection phase: every pre-sampled CV
 // compiles all modules uniformly, runs once with Caliper instrumentation,
-// and records per-module times. With a checkpointer attached, completed
-// samples are persisted as they land and previously persisted samples are
-// restored instead of re-evaluated — each sample is a pure function of
-// (seed, index), so the resumed collection is bit-identical. Cancelling
-// ctx stops the phase at an evaluation boundary with the checkpoint
-// flushed; the error satisfies errors.Is(err, context.Canceled).
+// and records per-module times. Like every phase it measures through
+// measure, which checkpoints it, and flushes the checkpoint at its end.
+// Cancelling ctx stops the phase at an evaluation boundary with the
+// checkpoint flushed; the error satisfies errors.Is(err, context.Canceled).
 func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 	s.tr.Phase(phaseCollect)
 	cvs := s.PreSample()
@@ -72,30 +70,18 @@ func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 	for mi := range col.Times {
 		col.Times[mi] = make([]float64, len(cvs))
 	}
-	done := make([]bool, len(cvs))
-	if s.ckpt != nil {
-		s.ckpt.restoreCollect(col, done)
-	}
-	reqs := make([]EvalRequest, 0, len(cvs))
+	reqs := make([]EvalRequest, len(cvs))
 	for k := range cvs {
-		if !done[k] {
-			reqs = append(reqs, EvalRequest{Phase: phaseCollect, Sample: k, CVs: cvs[k : k+1 : k+1]})
-		}
+		reqs[k] = EvalRequest{Phase: phaseCollect, Sample: k, CVs: cvs[k : k+1 : k+1]}
 	}
-	err := s.measure(ctx, reqs, func(i int, out EvalOutcome) {
-		k := reqs[i].Sample
+	err := s.measure(ctx, reqs, func(k int, out EvalOutcome) {
 		for mi, t := range out.PerModule {
 			col.Times[mi][k] = t
 		}
 		col.Totals[k] = out.Total
-		if s.ckpt != nil {
-			s.ckpt.record(phaseCollect, k, out)
-		}
 	})
-	if s.ckpt != nil {
-		if err := s.ckpt.Flush(); err != nil {
-			return nil, err
-		}
+	if err == nil {
+		err = s.ckpt.Flush()
 	}
 	if err != nil {
 		return nil, err
@@ -108,7 +94,7 @@ func (s *Session) Collect(ctx context.Context) (*Collection, error) {
 // evaluated on the un-outlined program; construct the session with
 // ir.WholeProgram for strict fidelity (outlining is a no-op for uniform
 // compilation in this model, but the paper draws the distinction). It
-// runs through Run and, like FR, is not checkpointed.
+// runs through Run.
 func (s *Session) Random(ctx context.Context) (*Result, error) {
 	tech, err := search.NewRandom(s.presampleConfig("search/random"))
 	if err != nil {
@@ -129,12 +115,14 @@ func (s *Session) FR(ctx context.Context) (*Result, error) {
 }
 
 // Run runs tech on the search driver for Config.Samples evaluations,
-// with no stop rule and no checkpoint, and answers its least-measured
-// assembly. It is the entry for searches the session's Config does not
-// select: Random, FR, and the per-program baselines of §4.2 and Fig. 1
-// (OpenTuner, COBAYN, CE), which run on a whole-program session.
+// with no stop rule, and answers its least-measured assembly. It is the
+// entry for searches the session's Config does not select: Random, FR,
+// and the per-program baselines of §4.2 and Fig. 1 (OpenTuner, COBAYN,
+// CE), which run on a whole-program session. Random and FR are
+// checkpointed and resume by replay like the configured search; a
+// baseline's evaluations are not recorded.
 func (s *Session) Run(ctx context.Context, tech search.Technique) (*Result, error) {
-	return s.runTechnique(ctx, tech, nil, nil, nil)
+	return s.runTechnique(ctx, tech, nil, nil)
 }
 
 // Rand returns the session's private random stream named key, for a
@@ -164,7 +152,7 @@ func (s *Session) Greedy(ctx context.Context, col *Collection) (realized, indepe
 	if err := s.checkCollection(col); err != nil {
 		return nil, nil, err
 	}
-	s.tr.Phase("greedy")
+	s.tr.Phase(phaseGreedy)
 	chosen := make([]flagspec.CV, len(s.Part.Modules))
 	indepSum := 0.0
 	for mi := range s.Part.Modules {
@@ -173,7 +161,11 @@ func (s *Session) Greedy(ctx context.Context, col *Collection) (realized, indepe
 		indepSum += best
 	}
 	var out EvalOutcome
-	if err := s.measure(ctx, []EvalRequest{{Phase: "greedy", CVs: chosen}}, func(_ int, o EvalOutcome) { out = o }); err != nil {
+	err = s.measure(ctx, []EvalRequest{{Phase: phaseGreedy, CVs: chosen}}, func(_ int, o EvalOutcome) { out = o })
+	if err == nil {
+		err = s.ckpt.Flush()
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	realized, err = s.finish("G.realized", chosen, out.Total, []float64{out.Total})

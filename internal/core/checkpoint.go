@@ -1,13 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -16,12 +16,12 @@ import (
 
 // Checkpoint/resume for long tuning runs. The paper's real campaigns run
 // 1.5 days to a week (§4.3); a killed process must not lose the whole
-// Collection. The checkpoint persists every completed sample of the
-// collection phase and of the search phase, with the cost and the
-// quarantine decisions of exactly those samples. Because every
-// evaluation is a pure function of (seed, sample index), a resumed
-// session recomputes only the missing samples and produces a result
-// bit-identical to an uninterrupted run.
+// Collection. The checkpoint persists every completed evaluation of
+// every phase a session checkpoints, each with its own cost and
+// quarantine decisions. Because every evaluation is a pure function of
+// (seed, phase, sample index), a resumed session recomputes only the
+// missing samples and produces a result bit-identical to an
+// uninterrupted run. Session.measure is the one reader and writer.
 //
 // The file is a log of fsx sealed records: a header record holding the
 // run identity, then one record per completed evaluation in the
@@ -38,41 +38,47 @@ const CheckpointVersion = 3
 // evaluations between checkpoint writes).
 const DefaultCheckpointEvery = 25
 
-// Record phases: a completed collection or search-phase sample, and the
-// cost and quarantine a resumed log inherited from its samples.
-// phaseCollect is also the collection phase's evaluation name.
+// Record phases, one per evaluation phase a session checkpoints: the
+// collection, the configured search technique ("search", whichever it
+// is), and Compare's Random, FR and greedy evaluations, each also that
+// phase's evaluation name. Older builds wrote a "resumed" record after
+// the zero-cost samples of a resumed log, carrying their cost and
+// quarantine; a session reads it but writes none.
 const (
 	phaseCollect = "collect"
 	phaseSearch  = "search"
+	phaseRandom  = "random"
+	phaseFR      = "fr"
+	phaseGreedy  = "greedy"
 	phaseResumed = "resumed"
 )
 
 // Checkpoint is a tuning run's persisted progress, replayed from its
 // log. The version, the run identity and the module count of the
 // outlined partition are the header record; a resume is accepted only
-// into a session with the same identity and module count. The progress
-// fields gather the evaluation records that follow the header.
+// into a session with the same identity and module count.
 type Checkpoint struct {
 	Version int `json:"version"`
 	RunIdentity
 	Modules int `json:"modules"`
 
-	// CollectDone lists the completed collection samples in the order
-	// they completed; Totals[i] and Times[i] (one time per module) are
-	// sample CollectDone[i]'s measurements.
-	CollectDone []int       `json:"-"`
-	Totals      []float64   `json:"-"`
-	Times       [][]float64 `json:"-"`
+	// Done lists the records that follow the header, in the order they
+	// were written: the completed evaluations, and the "resumed" records
+	// of a log an older build resumed, which attaching applies.
+	Done []Sample `json:"-"`
+}
 
-	// CFRDone / CFRTimes mirror the search phase.
-	CFRDone  []int     `json:"-"`
-	CFRTimes []float64 `json:"-"`
-
-	// Quarantine holds the poison CV fingerprints, sorted.
-	Quarantine []uint64 `json:"-"`
-
-	// Cost is the cumulative cost of exactly the persisted samples.
-	Cost CostSnapshot `json:"-"`
+// Sample is one completed evaluation of a checkpoint: its record phase
+// and sample index, its measured time (and a collection sample's time
+// per module), and the cost and quarantine keys it charged. A "resumed"
+// record has only the cost and keys.
+type Sample struct {
+	Phase      string
+	K          int
+	Time       float64
+	Modules    []float64
+	Cost       CostSnapshot
+	Quarantine []uint64
 }
 
 func appendTime(b []byte, v float64) []byte {
@@ -140,8 +146,9 @@ func appendMark(b []byte, phase string, k int, t float64, per []float64, cost Co
 
 // apply adds one progress record to the replayed checkpoint, or reports
 // false, changing nothing, if the record does not fit the header and
-// the records before it. done holds the samples already replayed.
-func (ck *Checkpoint) apply(body []byte, done map[capKey]bool) bool {
+// the records before it. done holds the samples already replayed and
+// total the cost of every record so far.
+func (ck *Checkpoint) apply(body []byte, done map[capKey]bool, total *CostSnapshot) bool {
 	var r struct {
 		Phase      string       `json:"phase"`
 		K          int          `json:"k"`
@@ -154,9 +161,9 @@ func (ck *Checkpoint) apply(body []byte, done map[capKey]bool) bool {
 		return false
 	}
 	// Deltas are non-negative, so a negative sum means it overflowed.
-	cost := ck.Cost
-	cost.add(r.Cost)
-	if cost.validate() != nil {
+	sum := *total
+	sum.add(r.Cost)
+	if sum.validate() != nil {
 		return false
 	}
 	keys := make([]uint64, len(r.Quarantine))
@@ -167,39 +174,36 @@ func (ck *Checkpoint) apply(body []byte, done map[capKey]bool) bool {
 		}
 		keys[i] = v
 	}
+	smp := Sample{Phase: r.Phase, Cost: r.Cost, Quarantine: keys}
 	if r.Phase != phaseResumed {
 		key := capKey{r.Phase, r.K}
 		t, err := parseTime(r.Time)
 		if err != nil || r.K < 0 || r.K >= ck.Samples || done[key] {
 			return false
 		}
+		smp.K, smp.Time = r.K, t
 		switch r.Phase {
 		case phaseCollect:
 			if len(r.Modules) != ck.Modules {
 				return false
 			}
-			per := make([]float64, len(r.Modules))
+			smp.Modules = make([]float64, len(r.Modules))
 			for mi, s := range r.Modules {
-				if per[mi], err = parseTime(s); err != nil {
+				if smp.Modules[mi], err = parseTime(s); err != nil {
 					return false
 				}
 			}
-			ck.CollectDone = append(ck.CollectDone, r.K)
-			ck.Totals = append(ck.Totals, t)
-			ck.Times = append(ck.Times, per)
-		case phaseSearch:
+		case phaseSearch, phaseRandom, phaseFR, phaseGreedy:
 			if len(r.Modules) != 0 {
 				return false
 			}
-			ck.CFRDone = append(ck.CFRDone, r.K)
-			ck.CFRTimes = append(ck.CFRTimes, t)
 		default:
 			return false
 		}
 		done[key] = true
 	}
-	ck.Cost = cost
-	ck.Quarantine = append(ck.Quarantine, keys...)
+	ck.Done = append(ck.Done, smp)
+	*total = sum
 	return true
 }
 
@@ -209,10 +213,11 @@ func (ck *Checkpoint) apply(body []byte, done map[capKey]bool) bool {
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var ck *Checkpoint
 	var err error
+	var total CostSnapshot
 	done := make(map[capKey]bool)
 	fsx.ReadRecords(data, func(body []byte) bool {
 		if ck != nil {
-			return ck.apply(body, done)
+			return ck.apply(body, done, &total)
 		}
 		ck, err = decodeHeader(body)
 		return err == nil
@@ -230,8 +235,6 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	slices.Sort(ck.Quarantine)
-	ck.Quarantine = slices.Compact(ck.Quarantine)
 	return ck, nil
 }
 
@@ -291,6 +294,10 @@ type Checkpointer struct {
 	// ck is the log's header and the progress Resume loaded (none for a
 	// fresh run). Marks do not update it; they only append records.
 	ck *Checkpoint
+	// logged indexes ck.Done by record phase and sample: the evaluations
+	// a resumed session answers from the log. Resume builds it, and
+	// nothing changes it after.
+	logged map[capKey]*Sample
 	// mark is the reused record-encoding buffer.
 	mark []byte
 	log  *fsx.Log
@@ -309,22 +316,21 @@ func NewCheckpointer(path string, every int) *Checkpointer {
 // Resume primes the checkpointer with progress LoadCheckpointFile or
 // DecodeCheckpoint returned. It must be called before
 // AttachCheckpointer. It queues a fresh log of that progress — the
-// header, one record per done sample, then one record with the cost
-// and quarantine — encoded from the parsed values, so nothing read from
-// disk is copied raw into a later file.
+// header, then each record with its own cost and quarantine — encoded
+// from the parsed values, so nothing read from disk is copied raw into
+// a later file.
 func (c *Checkpointer) Resume(ck *Checkpoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ck = ck
 	// Cannot fail: every float in a decoded header is finite.
 	_ = c.queueHeaderLocked()
-	for i, k := range ck.CollectDone {
-		c.queueLocked(appendMark(c.mark[:0], phaseCollect, k, ck.Totals[i], ck.Times[i], CostSnapshot{}, nil))
+	c.logged = make(map[capKey]*Sample, len(ck.Done))
+	for i := range ck.Done {
+		smp := &ck.Done[i]
+		c.logged[capKey{smp.Phase, smp.K}] = smp
+		c.queueLocked(appendMark(c.mark[:0], smp.Phase, smp.K, smp.Time, smp.Modules, smp.Cost, smp.Quarantine))
 	}
-	for i, k := range ck.CFRDone {
-		c.queueLocked(appendMark(c.mark[:0], phaseSearch, k, ck.CFRTimes[i], nil, CostSnapshot{}, nil))
-	}
-	c.queueLocked(appendMark(c.mark[:0], phaseResumed, 0, 0, nil, ck.Cost, ck.Quarantine))
 }
 
 // queueHeaderLocked seals c.ck's header fields as the header record. It
@@ -349,8 +355,9 @@ func (c *Checkpointer) queueLocked(body []byte) uint64 {
 // checkpointer gets a header holding the session's run identity. One
 // carrying resumed state must hold the same identity and module count,
 // or the attach fails naming the first field that differs, rather than
-// silently producing a hybrid run; otherwise the persisted quarantine
-// set and cost are restored.
+// silently producing a hybrid run; otherwise the cost and quarantine an
+// older build's "resumed" records carried are applied. Each logged
+// sample's own cost and quarantine are merged as measure serves it.
 func (s *Session) AttachCheckpointer(c *Checkpointer) error {
 	if c == nil {
 		s.ckpt = nil
@@ -372,36 +379,36 @@ func (s *Session) AttachCheckpointer(c *Checkpointer) error {
 		if ck.Modules != len(s.Part.Modules) {
 			return fmt.Errorf("core: checkpoint has %d modules, session has %d", ck.Modules, len(s.Part.Modules))
 		}
-		s.restoreQuarantine(ck.Quarantine)
-		s.Cost.restore(ck.Cost)
+		for _, smp := range ck.Done {
+			if smp.Phase == phaseResumed {
+				s.Cost.add(smp.Cost)
+				for _, key := range smp.Quarantine {
+					s.quarantineCV(key)
+				}
+			}
+		}
 	}
 	s.ckpt = c
 	return nil
 }
 
-// restoreCollect fills completed collection samples into col and done.
-func (c *Checkpointer) restoreCollect(col *Collection, done []bool) {
-	ck := c.ck
-	for i, k := range ck.CollectDone {
-		done[k] = true
-		col.Totals[k] = ck.Totals[i]
-		for mi := range col.Times {
-			col.Times[mi][k] = ck.Times[i][mi]
-		}
+// recordPhase is the record phase of an evaluation phase, or "" for one
+// the session does not checkpoint: a technique other than the
+// configured search, such as CFR on a bo session or a §4.2 baseline.
+// The cfr, bo and ga techniques evaluate under their own names.
+func (s *Session) recordPhase(phase string) string {
+	switch phase {
+	case phaseCollect, phaseRandom, phaseFR, phaseGreedy:
+		return phase
+	case cmp.Or(s.Config.Technique, TechniqueCFR):
+		return phaseSearch
 	}
-}
-
-// restoreCFR fills completed search-phase samples into times and done.
-func (c *Checkpointer) restoreCFR(times []float64, done []bool) {
-	for i, k := range c.ck.CFRDone {
-		done[k] = true
-		times[k] = c.ck.CFRTimes[i]
-	}
+	return ""
 }
 
 // record appends one completed evaluation as a record of the given
-// phase (phaseCollect or phaseSearch): its times, cost delta and the keys
-// it quarantined. It requests a write on cadence.
+// record phase: its times, cost delta and the keys it quarantined. It
+// requests a write on cadence.
 func (c *Checkpointer) record(phase string, k int, out EvalOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -415,8 +422,12 @@ func (c *Checkpointer) record(phase string, k int, out EvalOutcome) {
 // Flush writes every record not yet on disk and releases the file. It
 // first waits for a cadence write in flight to finish, then writes the
 // rest itself and returns the write's error. The cadence restarts: the
-// next write comes due `every` marks later.
+// next write comes due `every` marks later. A nil checkpointer has
+// nothing to write.
 func (c *Checkpointer) Flush() error {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	c.pending = 0
 	c.mu.Unlock()

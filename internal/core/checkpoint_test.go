@@ -21,6 +21,7 @@ import (
 	"funcytuner/internal/faults"
 	"funcytuner/internal/flagspec"
 	"funcytuner/internal/fsx"
+	"funcytuner/internal/metrics"
 	"funcytuner/internal/outline"
 )
 
@@ -327,7 +328,8 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 		`{"phase":"search","k":2,"time":"0x1p+00","cost":{"runs":-1}}`,
 		`{"phase":"search","k":2,"time":"0x1p+00","cost":{"runs":9223372036854775807}}`,
 		`{"phase":"search","k":2,"time":"0x1p+00","quarantine":["zz"]}`,
-		`{"phase":"greedy","k":2,"time":"0x1p+00"}`,
+		`{"phase":"cobayn-static","k":2,"time":"0x1p+00"}`,
+		`{"phase":"random","k":2,"time":"0x1p+00","modules":["0x1p+00","0x1p+00"]}`,
 		`{"k":2,"time":"0x1p+00"}`,
 		`not json`,
 	} {
@@ -335,8 +337,9 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %s: %v", bad, err)
 		}
-		if !slices.Equal(ck.CollectDone, []int{1}) || !slices.Equal(ck.CFRDone, []int{1}) ||
-			!slices.Equal(ck.Quarantine, []uint64{0xa3}) || ck.Cost != (CostSnapshot{Compiles: 2, Runs: 2, SimMicros: 7}) {
+		cost, keys := ckTotals(ck)
+		if !slices.Equal(sampleKs(ck, phaseCollect), []int{1}) || !slices.Equal(sampleKs(ck, phaseSearch), []int{1}) ||
+			len(ck.Done) != 2 || !slices.Equal(keys, []uint64{0xa3}) || cost != (CostSnapshot{Compiles: 2, Runs: 2, SimMicros: 7}) {
 			t.Errorf("record %s: replay did not stop before it: %+v", bad, ck)
 		}
 	}
@@ -395,7 +398,32 @@ func recordEnds(log []byte) []int {
 }
 
 // progress counts the samples a checkpoint holds.
-func progress(ck *Checkpoint) int { return len(ck.CollectDone) + len(ck.CFRDone) }
+func progress(ck *Checkpoint) int { return len(ck.Done) }
+
+// sampleKs lists the sample indices of one record phase a checkpoint
+// holds, in completion order.
+func sampleKs(ck *Checkpoint, phase string) []int {
+	var ks []int
+	for _, smp := range ck.Done {
+		if smp.Phase == phase {
+			ks = append(ks, smp.K)
+		}
+	}
+	return ks
+}
+
+// ckTotals sums the cost of every record a checkpoint holds and returns
+// it with the sorted set of every quarantined key.
+func ckTotals(ck *Checkpoint) (CostSnapshot, []uint64) {
+	var cost CostSnapshot
+	var keys []uint64
+	for _, smp := range ck.Done {
+		cost.add(smp.Cost)
+		keys = append(keys, smp.Quarantine...)
+	}
+	slices.Sort(keys)
+	return cost, slices.Compact(keys)
+}
 
 // A checkpoint log torn at any byte — as a crash mid-append leaves it —
 // loads as its valid prefix; only a log torn inside its header is
@@ -505,7 +533,7 @@ func TestFlushFailureLeavesResumableCheckpoint(t *testing.T) {
 	if !bytes.HasPrefix(torn, before) || len(torn) == len(before) {
 		t.Fatalf("the failed write did not leave a torn append after the previous log (%d -> %d bytes)", len(before), len(torn))
 	}
-	if ck, err := LoadCheckpointFile(path); err != nil || ck.CollectDone[0] != 0 {
+	if ck, err := LoadCheckpointFile(path); err != nil || !slices.Equal(sampleKs(ck, phaseCollect), []int{0}) {
 		t.Fatalf("previous log unreadable after a failed write: %v", err)
 	}
 
@@ -524,9 +552,10 @@ func TestFlushFailureLeavesResumableCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(ck.CollectDone, []int{0, 1}) || !slices.Equal(ck.Totals, []float64{1.5, 2.5}) ||
-		!slices.Equal(ck.CFRDone, []int{0}) || !slices.Equal(ck.CFRTimes, []float64{3.5}) ||
-		!slices.Equal(ck.Quarantine, []uint64{0x7}) || ck.Cost != (CostSnapshot{Runs: 3, SimMicros: 60}) {
+	cost, keys := ckTotals(ck)
+	if len(ck.Done) != 3 || !slices.Equal(sampleKs(ck, phaseCollect), []int{0, 1}) || ck.Done[0].Time != 1.5 || ck.Done[1].Time != 2.5 ||
+		!slices.Equal(sampleKs(ck, phaseSearch), []int{0}) || ck.Done[2].Time != 3.5 ||
+		!slices.Equal(keys, []uint64{0x7}) || cost != (CostSnapshot{Runs: 3, SimMicros: 60}) {
 		t.Fatalf("retried log lost marks: %+v", ck)
 	}
 }
@@ -603,15 +632,223 @@ func TestCheckpointLogPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(ck.CollectDone, []int{3}) || !math.IsInf(ck.Totals[0], 1) || !slices.Equal(ck.Times[0], per) ||
-		!slices.Equal(ck.CFRDone, []int{7}) || !slices.Equal(ck.CFRTimes, []float64{12.25}) ||
-		!slices.Equal(ck.Quarantine, []uint64{0xfeedc0de}) {
+	if len(ck.Done) != 2 || !slices.Equal(sampleKs(ck, phaseCollect), []int{3}) || !math.IsInf(ck.Done[0].Time, 1) ||
+		!slices.Equal(ck.Done[0].Modules, per) || !slices.Equal(ck.Done[0].Quarantine, []uint64{0xfeedc0de}) ||
+		!slices.Equal(sampleKs(ck, phaseSearch), []int{7}) || ck.Done[1].Time != 12.25 || len(ck.Done[1].Quarantine) != 0 {
 		t.Fatalf("decoded progress differs from the marks: %+v", ck)
 	}
 	wantCost := CostSnapshot{Compiles: int64(len(per)) + 2, Runs: 3, SimMicros: 12250100, Retries: 1,
 		WastedCompiles: int64(len(per)), CompileFails: 1, Flakes: 1}
-	if ck.Cost != wantCost {
-		t.Fatalf("decoded cost %+v, want %+v", ck.Cost, wantCost)
+	if cost, _ := ckTotals(ck); cost != wantCost {
+		t.Fatalf("decoded cost %+v, want %+v", cost, wantCost)
+	}
+}
+
+// One record of each phase Compare adds is pinned too: Random's, FR's
+// and greedy's evaluations log like a search sample under their own
+// phase, and each decodes back to what was marked.
+func TestCheckpointComparePhasesPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.json")
+	s := newCkptSession(t, "", 0, 1)
+	c := NewCheckpointer(path, 100)
+	if err := s.AttachCheckpointer(c); err != nil {
+		t.Fatal(err)
+	}
+	marks := []struct {
+		phase string
+		k     int
+		out   EvalOutcome
+	}{
+		{phaseRandom, 5, EvalOutcome{Total: 3.5, Cost: CostSnapshot{Compiles: 12, Runs: 1, SimMicros: 3500000}}},
+		{phaseFR, 9, EvalOutcome{Total: math.Inf(1), Cost: CostSnapshot{Compiles: 12, Runs: 1, SimMicros: 100000,
+			FaultMicros: 100000, RunCrashes: 1}, Quarantined: []uint64{0xfeedc0de}}},
+		{phaseGreedy, 0, EvalOutcome{Total: 12.25, Cost: CostSnapshot{Compiles: 12, Runs: 2, SimMicros: 12250000, Retries: 1, Flakes: 1}}},
+	}
+	for _, m := range marks {
+		c.record(m.phase, m.k, m.out)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"v":1,"sum":"465ad80ec0a1a405","body":{"phase":"random","k":5,"time":"0x1.cp+01","cost":{"compiles":12,"runs":1,"sim_micros":3500000}}}
+{"v":1,"sum":"f9bdbfc1876a01d8","body":{"phase":"fr","k":9,"time":"+Inf","cost":{"compiles":12,"runs":1,"sim_micros":100000,"fault_micros":100000,"run_crashes":1},"quarantine":["feedc0de"]}}
+{"v":1,"sum":"830fc444d518e76b","body":{"phase":"greedy","k":0,"time":"0x1.88p+03","cost":{"compiles":12,"runs":2,"sim_micros":12250000,"retries":1,"flakes":1}}}
+`
+	if got := string(data[bytes.IndexByte(data, '\n')+1:]); got != want {
+		t.Errorf("records changed:\n got %s\nwant %s", got, want)
+	}
+	ck, err := LoadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Done) != len(marks) {
+		t.Fatalf("decoded %d samples, want %d", len(ck.Done), len(marks))
+	}
+	for i, m := range marks {
+		got := ck.Done[i]
+		if got.Phase != m.phase || got.K != m.k || got.Time != m.out.Total || got.Modules != nil ||
+			got.Cost != m.out.Cost || !slices.Equal(got.Quarantine, m.out.Quarantined) {
+			t.Errorf("sample %d decoded as %+v, marked %s %d %+v", i, got, m.phase, m.k, m.out)
+		}
+	}
+}
+
+// A log in the shape an older build's resume wrote — zero-cost samples,
+// then one "resumed" record with their cost and quarantine — resumes to
+// the uninterrupted run, and so does the log that resume writes when it
+// is killed in turn: Resume carries the inherited cost forward, and a
+// log without one gains no "resumed" record.
+func TestResumeOlderResumedLog(t *testing.T) {
+	uninterrupted := newCkptSession(t, "", 0, 4)
+	col, err := uninterrupted.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := uninterrupted.CFR(context.Background(), col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	dying := newCkptSession(t, path, 63, 4)
+	if _, err := dying.Collect(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dying.CFR(context.Background(), col); !errors.Is(err, ErrKilled) {
+		t.Fatalf("expected ErrKilled, got %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"resumed"`)) {
+		t.Fatal("a fresh run wrote a resumed record")
+	}
+	ck, err := DecodeCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old []byte
+	fsx.ReadRecords(data, func(body []byte) bool {
+		old = fsx.AppendRecord(old, body) // the header
+		return false
+	})
+	for _, smp := range ck.Done {
+		old = fsx.AppendRecord(old, appendMark(nil, smp.Phase, smp.K, smp.Time, smp.Modules, CostSnapshot{}, nil))
+	}
+	cost, keys := ckTotals(ck)
+	old = fsx.AppendRecord(old, appendMark(nil, phaseResumed, 0, 0, nil, cost, keys))
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, killAt := range []int{10, 0} {
+		resumed := newCkptSession(t, path, killAt, 4)
+		rcol, err := resumed.Collect(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := resumed.CFR(context.Background(), rcol)
+		if killAt > 0 {
+			if !errors.Is(err, ErrKilled) {
+				t.Fatalf("kill %d into the resume: expected ErrKilled, got %v", killAt, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.BestMeasured != want.BestMeasured || !slices.Equal(got.Trace, want.Trace) ||
+			snapshot(resumed) != snapshot(uninterrupted) || !slices.Equal(resumed.Quarantined(), uninterrupted.Quarantined()) {
+			t.Fatalf("resumed twice from an older resumed log: best %v, cost %+v; uninterrupted %v, %+v",
+				got.BestMeasured, snapshot(resumed), want.BestMeasured, snapshot(uninterrupted))
+		}
+	}
+}
+
+// A checkpointed session writes its log at phase ends: a plain tune at
+// the end of the collection and of its one search batch, an adaptive
+// search once per Suggest batch, never once per evaluation, and Compare
+// once more for each of Random, FR and greedy. Every record the
+// checkpointer writes replays, including on a bo session that also runs
+// CFR, which is not its configured search and so writes nothing.
+func TestCheckpointFlushesAndReplays(t *testing.T) {
+	ctx := context.Background()
+	tune := func(s *Session) error {
+		col, err := s.Collect(ctx)
+		if err == nil {
+			_, err = s.Search(ctx, col)
+		}
+		return err
+	}
+	compare := func(s *Session) error {
+		_, err := s.RunAll(ctx)
+		return err
+	}
+	cfrThenTune := func(s *Session) error {
+		col, err := s.Collect(ctx)
+		if err == nil {
+			_, err = s.CFR(ctx, col)
+		}
+		if err == nil {
+			_, err = s.Search(ctx, col)
+		}
+		return err
+	}
+	base := Config{Samples: 40, TopX: 8, Seed: "flushes", Noisy: true, Workers: 2, Faults: faults.Default()}
+	adaptive, bo := base, base
+	adaptive.Technique, adaptive.Stop = TechniqueBO, &StopRule{MinEvaluations: 5, Patience: 30}
+	bo.Technique = TechniqueBO
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		run  func(*Session) error
+		// extra counts the log writes besides one per search batch (a
+		// Random or FR batch is one too): the collection's, greedy's,
+		// less CFR's on the bo session.
+		extra int64
+	}{
+		{"plain", base, tune, 1},
+		{"adaptive", adaptive, tune, 1},
+		{"compare", base, compare, 2},
+		{"bo with cfr", bo, cfrThenTune, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := ckptSession(t, "", tc.cfg)
+			reg := metrics.NewRegistry()
+			s.AttachMetrics(reg)
+			path := filepath.Join(t.TempDir(), "ck.json")
+			c := NewCheckpointer(path, 1<<30)
+			if err := s.AttachCheckpointer(c); err != nil {
+				t.Fatal(err)
+			}
+			var writes atomic.Int64
+			write := c.log.Write
+			c.log.Write = func(off int64, data []byte) error {
+				writes.Add(1)
+				return write(off, data)
+			}
+			if err := tc.run(s); err != nil {
+				t.Fatal(err)
+			}
+			batches, evals := reg.Snapshot().Counter(MetricSearchBatches), reg.Snapshot().Counter(MetricEvals)
+			if got := writes.Load(); got != tc.extra+batches || got*4 > evals {
+				t.Errorf("%d log writes for %d search batches and %d evaluations, want %d", got, batches, evals, tc.extra+batches)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := DecodeCheckpoint(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if records := len(recordEnds(data)); len(ck.Done) != records-1 {
+				t.Errorf("%d of %d records replay", len(ck.Done)+1, records)
+			}
+		})
 	}
 }
 
@@ -694,26 +931,28 @@ func TestCheckpointWriteBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ck.CollectDone) != 60 || len(ck.CFRDone) != 60 {
-		t.Fatalf("final checkpoint has %d collect and %d search samples, want 60 each", len(ck.CollectDone), len(ck.CFRDone))
+	if n, m := len(sampleKs(ck, phaseCollect)), len(sampleKs(ck, phaseSearch)); n != 60 || m != 60 {
+		t.Fatalf("final checkpoint has %d collect and %d search samples, want 60 each", n, m)
 	}
-	for i, k := range ck.CollectDone {
-		if ck.Totals[i] != col.Totals[k] {
-			t.Fatalf("total %d: file has %v, collection measured %v", k, ck.Totals[i], col.Totals[k])
+	best := math.Inf(1)
+	for _, smp := range ck.Done {
+		k := smp.K
+		if smp.Phase == phaseSearch {
+			best = math.Min(best, smp.Time)
+			continue
+		}
+		if smp.Time != col.Totals[k] {
+			t.Fatalf("total %d: file has %v, collection measured %v", k, smp.Time, col.Totals[k])
 		}
 		for mi := range col.Times {
-			if ck.Times[i][mi] != col.Times[mi][k] {
-				t.Fatalf("time %d/%d: file has %v, collection measured %v", mi, k, ck.Times[i][mi], col.Times[mi][k])
+			if smp.Modules[mi] != col.Times[mi][k] {
+				t.Fatalf("time %d/%d: file has %v, collection measured %v", mi, k, smp.Modules[mi], col.Times[mi][k])
 			}
 		}
 	}
-	best := math.Inf(1)
-	for _, v := range ck.CFRTimes {
-		best = math.Min(best, v)
-	}
-	if best != res.BestMeasured || ck.Cost != snapshot(s) || !slices.Equal(ck.Quarantine, s.Quarantined()) {
+	if cost, keys := ckTotals(ck); best != res.BestMeasured || cost != snapshot(s) || !slices.Equal(keys, s.Quarantined()) {
 		t.Fatalf("file replays to best %v, cost %+v, %d quarantined; session measured %v, %+v, %d",
-			best, ck.Cost, len(ck.Quarantine), res.BestMeasured, snapshot(s), len(s.Quarantined()))
+			best, cost, len(keys), res.BestMeasured, snapshot(s), len(s.Quarantined()))
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)
@@ -763,7 +1002,7 @@ func TestCheckpointWriteBehind(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("Flush after clearing the temp path: %v", err)
 	}
-	if ck, err := LoadCheckpointFile(path); err != nil || len(ck.CollectDone) != 1 {
+	if ck, err := LoadCheckpointFile(path); err != nil || len(sampleKs(ck, phaseCollect)) != 1 {
 		t.Fatalf("recovered checkpoint: %v (%+v)", err, ck)
 	}
 }

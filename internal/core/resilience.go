@@ -95,14 +95,6 @@ func (s *Session) Quarantined() []uint64 {
 	return keys
 }
 
-func (s *Session) restoreQuarantine(keys []uint64) {
-	s.qmu.Lock()
-	for _, k := range keys {
-		s.quarantine[k] = true
-	}
-	s.qmu.Unlock()
-}
-
 // evaluate is the one measurement path: every evaluation the pipeline
 // makes, on a local session or on a fleet worker's (EvaluateClaim), is a
 // request in and an outcome out; a coordinator merges the outcomes its

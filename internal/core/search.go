@@ -65,7 +65,7 @@ func (s *Session) searchWith(ctx context.Context, col *Collection, tag string) (
 	if err != nil {
 		return nil, err
 	}
-	return s.runTechnique(ctx, tech, degraded, s.Config.Stop, s.ckpt)
+	return s.runTechnique(ctx, tech, degraded, s.Config.Stop)
 }
 
 // newTechnique prunes the collection into per-module pools (Algorithm
@@ -133,9 +133,9 @@ func (s *Session) adaptWarmSeeds() [][]flagspec.CV {
 
 // runTechnique is the one suggest/evaluate/observe driver every search
 // runs on. Each Suggest batch is evaluated on the session's worker pool
-// (or fleet), checkpointed per sample under the batch's global indices
-// when ckpt is set, and fed back through Observe in index order before
-// the next Suggest. For CFR — a single Suggest of the whole budget — the
+// (or fleet) under the batch's global indices, the checkpoint is flushed,
+// and the times are fed back through Observe in index order before the
+// next Suggest. For CFR — a single Suggest of the whole budget — the
 // loop body is step-for-step the pre-interface implementation, which is
 // what keeps the default technique's Report and canonical trace
 // byte-identical.
@@ -148,18 +148,11 @@ func (s *Session) adaptWarmSeeds() [][]flagspec.CV {
 // Checkpoint replay works for every technique without serializing any
 // technique state: a resumed run replays the same Suggest/Observe
 // sequence (techniques are deterministic functions of their RNG and the
-// observations), with persisted samples substituting their recorded
-// times for re-evaluation. Techniques started through Run have a nil
-// ckpt: they are not checkpointed, and their times must not land in the
-// search slots.
-func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degraded []int, rule *StopRule, ckpt *Checkpointer) (*Result, error) {
+// observations), and measure answers each logged sample with its
+// recorded time instead of evaluating it.
+func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degraded []int, rule *StopRule) (*Result, error) {
 	s.tr.Phase(tech.Phase())
 	budget := s.Config.Samples
-	ckTimes := make([]float64, budget)
-	ckDone := make([]bool, budget)
-	if ckpt != nil {
-		ckpt.restoreCFR(ckTimes, ckDone)
-	}
 	name := tech.Name()
 	var stop *stopper
 	if rule != nil {
@@ -187,8 +180,7 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 		batchTimes := make([]float64, len(batch))
 		// Without a rule the whole batch is one range. With one, every
 		// index is its own range, so the rule sees each time in index
-		// order and the search can stop mid-batch. Samples restored from
-		// the checkpoint take their recorded times and are not measured.
+		// order and the search can stop mid-batch.
 		step := len(batch)
 		if stop != nil {
 			step = 1
@@ -197,29 +189,17 @@ func (s *Session) runTechnique(ctx context.Context, tech search.Technique, degra
 		var err error
 		for n < len(batch) && !stopped {
 			lo, hi := n, n+step
-			reqs := make([]EvalRequest, 0, step)
-			for i := lo; i < hi; i++ {
-				if k := k0 + i; ckDone[k] {
-					batchTimes[i] = ckTimes[k]
-				} else {
-					reqs = append(reqs, EvalRequest{Phase: phase, Sample: k, CVs: batch[i]})
-				}
+			reqs := make([]EvalRequest, hi-lo)
+			for i := range reqs {
+				reqs[i] = EvalRequest{Phase: phase, Sample: k0 + lo + i, CVs: batch[lo+i]}
 			}
-			err = s.measure(ctx, reqs, func(j int, out EvalOutcome) {
-				k := reqs[j].Sample
-				batchTimes[k-k0] = out.Total
-				if ckpt != nil {
-					ckpt.record(phaseSearch, k, out)
-				}
-			})
+			err = s.measure(ctx, reqs, func(i int, out EvalOutcome) { batchTimes[lo+i] = out.Total })
 			n = hi
 			// An error or cancellation also ends the loop; both surface below.
 			stopped = err != nil || stop != nil && stop.done(batchTimes[lo])
 		}
-		if ckpt != nil {
-			if err := ckpt.Flush(); err != nil {
-				return nil, err
-			}
+		if err == nil {
+			err = s.ckpt.Flush()
 		}
 		if err != nil {
 			return nil, err

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -376,20 +377,6 @@ func (s CostSnapshot) validate() error {
 	return nil
 }
 
-// restore overwrites the account with a snapshot (checkpoint resume).
-func (c *CostAccount) restore(s CostSnapshot) {
-	c.compiles.Store(s.Compiles)
-	c.runs.Store(s.Runs)
-	c.simMicros.Store(s.SimMicros)
-	c.retries.Store(s.Retries)
-	c.wastedCompiles.Store(s.WastedCompiles)
-	c.faultMicros.Store(s.FaultMicros)
-	c.compileFails.Store(s.CompileFails)
-	c.runCrashes.Store(s.RunCrashes)
-	c.timeouts.Store(s.Timeouts)
-	c.flakes.Store(s.Flakes)
-}
-
 // Session is one (program, partition, machine, input) tuning context.
 type Session struct {
 	Toolchain *compiler.Toolchain
@@ -427,7 +414,7 @@ type Session struct {
 	reg       *metrics.Registry
 	completed atomic.Int64
 
-	// Optional checkpoint sink/source for Collect and CFR.
+	// Optional checkpoint log, which only measure reads and writes.
 	ckpt *Checkpointer
 
 	// In-flight claim captures (EvaluateClaim): detached trace batches
@@ -551,20 +538,12 @@ func (s *Session) PreSample() []flagspec.CV {
 	return s.Toolchain.Space.Sample(s.rng.Split("presample", 0), s.Config.Samples)
 }
 
-// noise returns the measurement-noise stream for evaluation (phase, k),
-// or nil when the session is configured exact.
-func (s *Session) noise(phase string, k int) *xrand.Rand {
-	if !s.Config.Noisy {
-		return nil
-	}
-	return s.rng.Split("noise/"+phase, k)
-}
-
-// noiseFor is noise writing into the evaluation's scratch generator:
-// Stream(key).Into(dst, k) reseeds dst with exactly the state
-// Split("noise/"+phase, k) would construct, without the key hash or the
-// generator allocation. A nil scratch (Config.Unpooled) falls back to
-// the allocating path.
+// noiseFor returns the measurement-noise stream for evaluation (phase,
+// k), or nil when the session is configured exact, written into the
+// evaluation's scratch generator: Stream(key).Into(dst, k) reseeds dst
+// with exactly the state Split("noise/"+phase, k) would construct,
+// without the key hash or the generator allocation. A nil scratch
+// (Config.Unpooled) falls back to the allocating Split.
 func (s *Session) noiseFor(sc *evalScratch, phase string, k int) *xrand.Rand {
 	if !s.Config.Noisy {
 		return nil
@@ -763,36 +742,79 @@ func (s *Session) parFor(ctx context.Context, n int, fn func(i int)) {
 	wp.rethrow()
 }
 
-// measure evaluates one range of requests (a collection, a Suggest
-// batch, a single evaluation) and passes each outcome to got with its
-// request's index. A local session evaluates on parFor's workers, so got
-// may run concurrently for distinct indices; a remote session hands the
-// whole range to its evaluator (remoteRange). It returns the first
-// error, by request index on a local session and by arrival on a remote
-// one, and otherwise the session's cancellation or kill, so a request
-// the pool never started is never mistaken for a measured one.
+// measure evaluates one range of requests of one phase (a collection, a
+// Suggest batch, a single evaluation) and passes each outcome to got
+// with its request's index. It is the checkpoint's one reader and
+// writer: a request the resumed log holds is answered from the log, its
+// recorded cost and quarantine merged into the session (not into the
+// metrics, the trace or the kill count), and every other outcome is
+// recorded as it lands. A local session evaluates on parFor's workers,
+// so got may run concurrently for distinct indices; a remote session
+// hands the rest of the range to its evaluator (remoteRange). It
+// returns the first error, by request index on a local session and by
+// arrival on a remote one, and otherwise the session's cancellation or
+// kill, so a request the pool never started is never mistaken for a
+// measured one. A range that ends in an error leaves its records
+// flushed.
 func (s *Session) measure(ctx context.Context, reqs []EvalRequest, got func(i int, out EvalOutcome)) error {
+	phase := ""
+	if s.ckpt != nil && len(reqs) > 0 {
+		phase = s.recordPhase(reqs[0].Phase)
+	}
+	// todo are the requests left to evaluate; at maps each to its index
+	// in reqs once the log has answered some.
+	todo, at := reqs, []int(nil)
+	if phase != "" && len(s.ckpt.logged) > 0 {
+		todo = nil
+		for i, r := range reqs {
+			smp := s.ckpt.logged[capKey{phase, r.Sample}]
+			if smp == nil {
+				todo, at = append(todo, r), append(at, i)
+				continue
+			}
+			s.Cost.add(smp.Cost)
+			for _, key := range smp.Quarantine {
+				s.quarantineCV(key)
+			}
+			got(i, EvalOutcome{PerModule: smp.Modules, Total: smp.Time, Cost: smp.Cost, Quarantined: smp.Quarantine})
+		}
+	}
+	land := func(j int, out EvalOutcome) {
+		if phase != "" {
+			s.ckpt.record(phase, todo[j].Sample, out)
+		}
+		if at != nil {
+			j = at[j]
+		}
+		got(j, out)
+	}
+	var err error
 	if s.Config.Remote != nil {
-		if err := s.remoteRange(ctx, reqs, got); err != nil {
-			return err
+		err = s.remoteRange(ctx, todo, land)
+	} else {
+		errs := make([]error, len(todo))
+		s.parFor(ctx, len(todo), func(j int) {
+			out, err := s.evaluate(ctx, todo[j])
+			if err != nil {
+				errs[j] = err
+				return
+			}
+			land(j, out)
+		})
+		for _, e := range errs {
+			if e != nil {
+				err = e
+				break
+			}
 		}
-		return s.checkCancelled(ctx)
 	}
-	errs := make([]error, len(reqs))
-	s.parFor(ctx, len(reqs), func(i int) {
-		out, err := s.evaluate(ctx, reqs[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		got(i, out)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err == nil {
+		err = s.checkCancelled(ctx)
 	}
-	return s.checkCancelled(ctx)
+	if err != nil {
+		return cmp.Or(s.ckpt.Flush(), err)
+	}
+	return nil
 }
 
 // caliperProfile is the instrumented run of a collect evaluation. With a
@@ -800,7 +822,7 @@ func (s *Session) measure(ctx context.Context, reqs []EvalRequest, got func(i in
 // the evaluation's pooled ones.
 func (s *Session) caliperProfile(exe *compiler.Executable, sc *evalScratch, phase string, k int) caliper.Profile {
 	if sc == nil {
-		return caliper.CollectWith(s.runProf, exe, 1, s.noise(phase, k))
+		return caliper.CollectWith(s.runProf, exe, 1, s.noiseFor(nil, phase, k))
 	}
 	return caliper.CollectInto(s.runProf, exe, 1, s.noiseFor(sc, phase, k), sc.perLoop)
 }

@@ -15,8 +15,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -85,10 +88,12 @@ type JobSpec struct {
 	WarmStart bool `json:"warm_start,omitempty"`
 	// CheckpointEvery is the flush cadence in completed evaluations.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Resume names a previous job whose checkpoint this job continues.
-	// An empty seed takes that job's seed (its ID when it had none); the
-	// rest of the spec must match that job's, or the run fails naming
-	// the first checkpoint-identity field that differs.
+	// Resume names a previous job whose checkpoint this job continues:
+	// one this manager ran, or one an earlier daemon left under the same
+	// Dir (<Dir>/<id>/checkpoint.json). An empty seed takes that job's
+	// seed (its ID when it had none; the checkpoint's for an earlier
+	// daemon's job); the rest of the spec must match that job's, or the
+	// run fails naming the first checkpoint-identity field that differs.
 	Resume string `json:"resume,omitempty"`
 }
 
@@ -238,7 +243,10 @@ type Manager struct {
 	wg       sync.WaitGroup
 }
 
-// NewManager builds a job manager rooted at cfg.Dir.
+// NewManager builds a job manager rooted at cfg.Dir. It numbers new
+// jobs after the highest job directory already there, so a restarted
+// daemon never reuses an earlier one's job ID or overwrites its
+// checkpoint.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("server: Config.Dir is required")
@@ -251,6 +259,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		reg:      metrics.NewRegistry(),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[uint64]*Job),
+	}
+	entries, err := os.ReadDir(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if n, ok := jobNumber(e.Name()); ok && e.IsDir() {
+			m.seq = max(m.seq, n)
+		}
 	}
 	if g, ok := cfg.Gate.(*Gate); ok && g != nil {
 		m.reg.Gauge(MetricWorkerSlots).Set(float64(g.Slots()))
@@ -304,24 +321,23 @@ func (m *Manager) submit(spec JobSpec) (*Job, error) {
 	// start (a warm run's outcome depends on the repository's contents at
 	// scan time, not on the spec alone).
 	dedupable := spec.Seed != "" && spec.Resume == "" && !spec.WarmStart
+	var resumeFrom string
+	if spec.Resume != "" {
+		path, seed, err := m.resumeSource(spec.Resume)
+		if err != nil {
+			return nil, err
+		}
+		resumeFrom = path
+		// A resume is the prior job's run: it keeps that run's seed
+		// unless it names one itself.
+		if spec.Seed == "" {
+			spec.Seed = seed
+		}
+	}
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("server: shutting down, not accepting jobs")
-	}
-	var resumeFrom string
-	if spec.Resume != "" {
-		prior, ok := m.jobs[spec.Resume]
-		if !ok {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("server: unknown job %q to resume", spec.Resume)
-		}
-		resumeFrom = prior.ckptPath
-		// A resume is the prior job's run: it keeps that run's seed
-		// unless it names one itself.
-		if spec.Seed == "" {
-			spec.Seed = prior.seed()
-		}
 	}
 	var leader *Job
 	if dedupable {
@@ -369,6 +385,38 @@ func (m *Manager) submit(spec JobSpec) (*Job, error) {
 		go m.run(ctx, j, resumeFrom)
 	}
 	return j, nil
+}
+
+// resumeSource is the checkpoint of the job a resume names, and the seed
+// that job ran under. A job this manager never ran, such as one an
+// earlier daemon drained, is read from its directory under Dir, so the
+// ID must be one the manager could have given.
+func (m *Manager) resumeSource(id string) (path, seed string, err error) {
+	if _, ok := jobNumber(id); !ok {
+		return "", "", fmt.Errorf("server: resume %q is not a job ID", id)
+	}
+	if prior, ok := m.Get(id); ok {
+		return prior.ckptPath, prior.seed(), nil
+	}
+	path = filepath.Join(m.cfg.Dir, id, "checkpoint.json")
+	ck, err := funcytuner.LoadCheckpoint(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return "", "", fmt.Errorf("server: unknown job %q to resume", id)
+	}
+	if err != nil {
+		return "", "", fmt.Errorf("server: job %q to resume: %w", id, err)
+	}
+	return path, ck.Seed, nil
+}
+
+// jobNumber parses a job ID: "job-" followed by digits.
+func jobNumber(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
 }
 
 // ReattachFleetJobs resubmits the distributed jobs a journal-recovered

@@ -460,6 +460,76 @@ func TestResumeChangedSpecFails(t *testing.T) {
 	}
 }
 
+// A job drained by one daemon outlives it: a second Manager over the
+// same directory numbers its jobs after the drained one, resumes it by
+// ID with no seed to the fingerprint of an uninterrupted run under the
+// drained job's seed, and leaves the drained checkpoint as it was. A
+// resume that is not a job ID, or names a job with no checkpoint, is
+// refused.
+func TestResumeAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	gate := newStallGate(7)
+	first := newTestManager(t, Config{Dir: dir, Gate: gate})
+	spec := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 16, TopX: 4, Workers: 1, CheckpointEvery: 1}
+	drained, err := first.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.stalled:
+	case <-time.After(testTimeout):
+		t.Fatal("job never reached the stall point")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	if err := first.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := drained.Status()
+	if st.State != StateCancelled || !st.Resumable {
+		t.Fatalf("drained job is %q, resumable %v", st.State, st.Resumable)
+	}
+	before, err := os.ReadFile(st.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	second := newTestManager(t, Config{Dir: dir})
+	ts := httptest.NewServer(NewServer(second))
+	defer ts.Close()
+	resume := spec
+	resume.Resume = drained.ID
+	rj := runJob(t, ts, second, resume)
+	if rj.ID != "job-0002" {
+		t.Fatalf("the restarted manager's first job is %s, want job-0002 after the drained %s", rj.ID, drained.ID)
+	}
+	resumed, err := rj.Result()
+	if err != nil {
+		t.Fatalf("resumed job: %v (status %+v)", err, rj.Status())
+	}
+	control := spec
+	control.Seed = drained.ID
+	want, err := runJob(t, ts, second, control).Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Fingerprint != want.Fingerprint {
+		t.Fatalf("resumed after a restart: fingerprint %s, uninterrupted %s", resumed.Fingerprint, want.Fingerprint)
+	}
+	if after, err := os.ReadFile(st.Checkpoint); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the drained checkpoint changed (%d -> %d bytes, %v)", len(before), len(after), err)
+	}
+	for _, id := range []string{"../x", "job-", "job-1/..", "job--1", "job-0099"} {
+		bad := spec
+		bad.Resume = id
+		resp := postJSON(t, ts.URL+"/jobs", bad)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("resume %q: got %d, want 400", id, resp.StatusCode)
+		}
+	}
+}
+
 // TestConcurrentJobsBoundedGate runs 8 jobs at once through a 3-slot
 // gate and checks (a) all complete, (b) in-flight evaluations never
 // exceeded the gate's capacity, and (c) the shared gate does not leak

@@ -64,6 +64,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	collect := `{"phase":"collect","k":0,"time":"0x1.8p+02","modules":["0x1p+02","-0x0p+00"],"cost":{"compiles":2,"runs":1,"sim_micros":7},"quarantine":["a3"]}`
 	search := `{"phase":"search","k":2,"time":"+Inf","cost":{"runs":1,"timeouts":1}}`
 	resumed := `{"phase":"resumed","cost":{"compiles":3,"flakes":2},"quarantine":["FFFFFFFFFFFFFFFF","00a3"]}`
+	random := `{"phase":"random","k":1,"time":"0x1.4p+02","cost":{"compiles":2,"runs":1,"compile_fails":1},"quarantine":["a3"]}`
+	fr := `{"phase":"fr","k":2,"time":"-Inf","cost":{"runs":2,"flakes":1,"retries":1}}`
+	greedy := `{"phase":"greedy","k":0,"time":"0x1.2p+02","cost":{"compiles":2,"runs":1}}`
 
 	m, _ := MachineByName("broadwell")
 	prog, err := Benchmark(CloverLeaf)
@@ -84,6 +87,12 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	f.Add(real)
 	f.Add(seal(header, collect, search, resumed))
+	f.Add(seal(header, random, collect, fr, greedy, search))
+	f.Add(seal(header, random, random, fr, `{"phase":"greedy","k":0,"time":"0x1p+00","modules":["0x1p+02","0x1p+02"]}`))
+	// The shape an older build's resume wrote: zero-cost samples, then the
+	// cost and quarantine they inherited.
+	f.Add(seal(header, `{"phase":"collect","k":0,"time":"0x1.8p+02","modules":["0x1p+02","-0x0p+00"]}`,
+		`{"phase":"search","k":2,"time":"+Inf"}`, resumed, search))
 	f.Add(seal(header, collect, collect, search))
 	flipped := seal(header, collect, search)
 	flipped[len(flipped)/2] ^= 0x04
@@ -132,18 +141,27 @@ func sameProgress(a, b *core.Checkpoint) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	bits := func(c *core.Checkpoint) []uint64 {
-		var out []uint64
-		for _, row := range append([][]float64{c.Totals, c.CFRTimes}, c.Times...) {
-			for _, v := range row {
-				out = append(out, math.Float64bits(v))
-			}
+	if len(a.Done) != len(b.Done) {
+		return false
+	}
+	bits := func(s core.Sample) []uint64 {
+		out := []uint64{math.Float64bits(s.Time)}
+		for _, v := range s.Modules {
+			out = append(out, math.Float64bits(v))
 		}
 		return out
 	}
+	for i, s := range a.Done {
+		if !slices.Equal(bits(s), bits(b.Done[i])) {
+			return false
+		}
+	}
 	strip := func(c core.Checkpoint) core.Checkpoint {
-		c.Totals, c.Times, c.CFRTimes = nil, nil, nil
+		c.Done = slices.Clone(c.Done)
+		for i := range c.Done {
+			c.Done[i].Time, c.Done[i].Modules = 0, nil
+		}
 		return c
 	}
-	return reflect.DeepEqual(strip(*a), strip(*b)) && slices.Equal(bits(a), bits(b))
+	return reflect.DeepEqual(strip(*a), strip(*b))
 }

@@ -2,12 +2,14 @@ package funcytuner
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -221,7 +223,7 @@ func TestResumeAcrossCompareAndTune(t *testing.T) {
 			if _, err := run(killed, tc.killedCompare); !errors.Is(err, ErrKilled) {
 				t.Fatalf("expected ErrKilled, got %v", err)
 			}
-			if ck, err := LoadCheckpoint(path); err != nil || len(ck.CFRDone) == 0 {
+			if ck, err := LoadCheckpoint(path); err != nil || ck.Done[len(ck.Done)-1].Phase != "search" {
 				t.Fatalf("the kill did not land in the search phase (load error %v)", err)
 			}
 			resume := base
@@ -238,6 +240,58 @@ func TestResumeAcrossCompareAndTune(t *testing.T) {
 				t.Fatalf("resumed fingerprint %016x != uninterrupted %016x", got.Fingerprint(), want.Fingerprint())
 			}
 		})
+	}
+}
+
+// countingGate counts the evaluations a run makes: each one holds a
+// slot.
+type countingGate struct{ n atomic.Int64 }
+
+func (g *countingGate) Acquire(ctx context.Context) error {
+	g.n.Add(1)
+	return ctx.Err()
+}
+
+func (g *countingGate) Release() {}
+
+// A Compare resumes by replay in every phase: killed inside Random,
+// inside FR, or 20 evaluations into CFR (Random, the collection and FR
+// are 40 evaluations each at K=40, greedy one), the resumed run makes
+// exactly the evaluations the log lacks and reproduces the
+// uninterrupted fingerprint.
+func TestCompareResumeMakesOnlyMissingEvaluations(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(CloverLeaf, m)
+	base := Options{Machine: m, Samples: 40, TopX: 8, Seed: "compare-resume", Faults: DefaultFaultRates(), Workers: 1}
+	want, err := NewTuner(base).Compare(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 4*40 + 1
+	for _, killAt := range []int{17, 100, 141} {
+		path := filepath.Join(t.TempDir(), "compare.ckpt")
+		killed := base
+		killed.Checkpoint, killed.KillAfterEvals = path, killAt
+		if _, err := NewTuner(killed).Compare(prog, in); !errors.Is(err, ErrKilled) {
+			t.Fatalf("kill at %d: expected ErrKilled, got %v", killAt, err)
+		}
+		gate := new(countingGate)
+		resume := base
+		resume.Resume, resume.Gate = path, gate
+		got, err := NewTuner(resume).Compare(prog, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := gate.n.Load(); n != total-int64(killAt) {
+			t.Errorf("kill at %d: the resume made %d evaluations, want the %d missing", killAt, n, total-killAt)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("kill at %d: resumed fingerprint %016x != uninterrupted %016x", killAt, got.Fingerprint(), want.Fingerprint())
+		}
 	}
 }
 
@@ -262,7 +316,7 @@ func TestResumeFromDamagedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progress := func(ck *Checkpoint) int { return len(ck.CollectDone) + len(ck.CFRDone) }
+	progress := func(ck *Checkpoint) int { return len(ck.Done) }
 	for _, killAt := range []int{13, 52} {
 		path := filepath.Join(t.TempDir(), "tune.ckpt")
 		killOpts := base
@@ -549,7 +603,7 @@ func TestLoadCheckpointFromRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Program != prog.Name || ck.Samples != 30 || len(ck.CollectDone) == 0 {
+	if ck.Program != prog.Name || ck.Samples != 30 || len(ck.Done) == 0 || ck.Done[0].Phase != "collect" {
 		t.Fatalf("checkpoint does not reflect the run: %+v", ck)
 	}
 }
