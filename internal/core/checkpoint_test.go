@@ -697,77 +697,6 @@ func TestCheckpointComparePhasesPinned(t *testing.T) {
 	}
 }
 
-// A log in the shape an older build's resume wrote — zero-cost samples,
-// then one "resumed" record with their cost and quarantine — resumes to
-// the uninterrupted run, and so does the log that resume writes when it
-// is killed in turn: Resume carries the inherited cost forward, and a
-// log without one gains no "resumed" record.
-func TestResumeOlderResumedLog(t *testing.T) {
-	uninterrupted := newCkptSession(t, "", 0, 4)
-	col, err := uninterrupted.Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := uninterrupted.CFR(context.Background(), col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	dying := newCkptSession(t, path, 63, 4)
-	if _, err := dying.Collect(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dying.CFR(context.Background(), col); !errors.Is(err, ErrKilled) {
-		t.Fatalf("expected ErrKilled, got %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(data, []byte(`"resumed"`)) {
-		t.Fatal("a fresh run wrote a resumed record")
-	}
-	ck, err := DecodeCheckpoint(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old []byte
-	fsx.ReadRecords(data, func(body []byte) bool {
-		old = fsx.AppendRecord(old, body) // the header
-		return false
-	})
-	for _, smp := range ck.Done {
-		old = fsx.AppendRecord(old, appendMark(nil, smp.Phase, smp.K, smp.Time, smp.Modules, CostSnapshot{}, nil))
-	}
-	cost, keys := ckTotals(ck)
-	old = fsx.AppendRecord(old, appendMark(nil, phaseResumed, 0, 0, nil, cost, keys))
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, killAt := range []int{10, 0} {
-		resumed := newCkptSession(t, path, killAt, 4)
-		rcol, err := resumed.Collect(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := resumed.CFR(context.Background(), rcol)
-		if killAt > 0 {
-			if !errors.Is(err, ErrKilled) {
-				t.Fatalf("kill %d into the resume: expected ErrKilled, got %v", killAt, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.BestMeasured != want.BestMeasured || !slices.Equal(got.Trace, want.Trace) ||
-			snapshot(resumed) != snapshot(uninterrupted) || !slices.Equal(resumed.Quarantined(), uninterrupted.Quarantined()) {
-			t.Fatalf("resumed twice from an older resumed log: best %v, cost %+v; uninterrupted %v, %+v",
-				got.BestMeasured, snapshot(resumed), want.BestMeasured, snapshot(uninterrupted))
-		}
-	}
-}
-
 // A checkpointed session writes its log at phase ends: a plain tune at
 // the end of the collection and of its one search batch, an adaptive
 // search once per Suggest batch, never once per evaluation, and Compare

@@ -3,14 +3,19 @@ package funcytuner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"funcytuner/internal/fsx"
 )
 
 // Every benchmark must complete a tuning run under the default fault mix
@@ -292,6 +297,94 @@ func TestCompareResumeMakesOnlyMissingEvaluations(t *testing.T) {
 		if got.Fingerprint() != want.Fingerprint() {
 			t.Errorf("kill at %d: resumed fingerprint %016x != uninterrupted %016x", killAt, got.Fingerprint(), want.Fingerprint())
 		}
+	}
+}
+
+// A log in the shape an older build's resume wrote — every sample with
+// zero cost, then one "resumed" record with their cost and quarantine —
+// resumes to the uninterrupted fingerprint, and so does the log that
+// resume writes when it is killed in turn: the "resumed" record is
+// carried forward. A fresh run writes none.
+func TestResumeOlderResumedLog(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(CloverLeaf, m)
+	base := Options{Machine: m, Samples: 40, TopX: 8, Seed: "older-resume", Faults: DefaultFaultRates().Scale(5)}
+	want, err := NewTuner(base).Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tune.ckpt")
+	killed := base
+	killed.Checkpoint, killed.KillAfterEvals = path, 55
+	if _, err := NewTuner(killed).Tune(prog, in); !errors.Is(err, ErrKilled) {
+		t.Fatalf("expected ErrKilled, got %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"resumed"`)) {
+		t.Fatal("a fresh run wrote a resumed record")
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hex := func(v float64) string { return `"` + strconv.FormatFloat(v, 'x', -1, 64) + `"` }
+	var old []byte
+	fsx.ReadRecords(data, func(header []byte) bool {
+		old = fsx.AppendRecord(old, header)
+		return false
+	})
+	cost := make(map[string]int64)
+	var keys []string
+	for _, smp := range ck.Done {
+		body := fmt.Sprintf(`{"phase":%q,"k":%d,"time":%s`, smp.Phase, smp.K, hex(smp.Time))
+		if len(smp.Modules) > 0 {
+			times := make([]string, len(smp.Modules))
+			for i, v := range smp.Modules {
+				times[i] = hex(v)
+			}
+			body += `,"modules":[` + strings.Join(times, ",") + "]"
+		}
+		old = fsx.AppendRecord(old, []byte(body+"}"))
+		var delta map[string]int64
+		if b, err := json.Marshal(smp.Cost); err != nil || json.Unmarshal(b, &delta) != nil {
+			t.Fatalf("cost %+v does not round-trip through JSON", smp.Cost)
+		}
+		for name, v := range delta {
+			cost[name] += v
+		}
+		for _, q := range smp.Quarantine {
+			keys = append(keys, strconv.FormatUint(q, 16))
+		}
+	}
+	if cost["run_crashes"]+cost["compile_fails"] == 0 || len(keys) == 0 {
+		t.Fatal("the killed run saw no permanent fault; the resumed record carries nothing to check")
+	}
+	resumed, err := json.Marshal(map[string]any{"phase": "resumed", "cost": cost, "quarantine": keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, fsx.AppendRecord(old, resumed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resume := base
+	resume.Resume, resume.KillAfterEvals = path, 10
+	if _, err := NewTuner(resume).Tune(prog, in); !errors.Is(err, ErrKilled) {
+		t.Fatalf("kill 10 evaluations into the resume: expected ErrKilled, got %v", err)
+	}
+	resume.KillAfterEvals = 0
+	got, err := NewTuner(resume).Tune(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("resumed twice from an older resumed log: fingerprint %016x != uninterrupted %016x", got.Fingerprint(), want.Fingerprint())
 	}
 }
 
