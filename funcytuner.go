@@ -213,8 +213,6 @@ type Options struct {
 	// Workers bounds parallel evaluation (0 = GOMAXPROCS). A run with an
 	// Evaluator ignores it: the evaluator bounds it instead.
 	Workers int
-	// HotThreshold is the outlining threshold (default 0.01, §3.3).
-	HotThreshold float64
 	// CacheSize bounds the content-addressed compile/link cache, in
 	// entries. 0 selects the default size (compiler.DefaultCacheSize);
 	// negative disables caching entirely. Compilation is a pure function
@@ -342,9 +340,6 @@ type Options struct {
 // have already been applied. The values a session takes are checked by
 // core.Config.Validate, through the same mapping a run uses.
 func (o Options) validate() error {
-	if !(o.HotThreshold > 0 && o.HotThreshold <= 1) {
-		return fmt.Errorf("funcytuner: HotThreshold must be in (0, 1], got %v", o.HotThreshold)
-	}
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("funcytuner: CheckpointEvery must be >= 0, got %d", o.CheckpointEvery)
 	}
@@ -400,9 +395,6 @@ func (o Options) withDefaults() Options {
 	if o.Noisy == nil {
 		noisy := true
 		o.Noisy = &noisy
-	}
-	if o.HotThreshold == 0 {
-		o.HotThreshold = outline.HotThreshold
 	}
 	return o
 }
@@ -616,7 +608,7 @@ func (r *Report) evaluator() (*core.Session, error) {
 // session builds the outlined core session of cfg for prog on in and
 // attaches the checkpointer, when one is configured.
 func (t *Tuner) session(prog *Program, in Input, cfg core.Config) (*core.Session, outline.Result, error) {
-	res, err := outline.AutoOutline(t.tc, prog, t.opts.Machine, in, t.opts.HotThreshold, 1, nil)
+	res, err := outline.AutoOutline(t.tc, prog, t.opts.Machine, in, outline.HotThreshold, 1, nil)
 	if err != nil {
 		return nil, outline.Result{}, err
 	}
@@ -657,8 +649,10 @@ func (t *Tuner) session(prog *Program, in Input, cfg core.Config) (*core.Session
 // startProgress launches the periodic progress reporter when
 // Options.Progress is set. expected is the nominal evaluation budget of
 // the protocol about to run (an upper bound for early-stopped searches).
-// The returned stop function ends the reporter and emits a final line;
-// it is safe to call exactly once.
+// The count includes what a resumed checkpoint answers, and the ETA
+// times only the evaluations this run makes. The returned stop function
+// ends the reporter and emits a final line; it is safe to call exactly
+// once.
 func (t *Tuner) startProgress(sess *core.Session, expected int64) func() {
 	w := t.opts.Progress
 	if w == nil {
@@ -681,7 +675,7 @@ func (t *Tuner) startProgress(sess *core.Session, expected int64) func() {
 		line := fmt.Sprintf("funcytuner: %d/%d evals (%.1f%%), %.1f simulated hours",
 			n, expected, pct, sess.Cost.SimulatedHours())
 		if !final && n > 0 && n < expected {
-			if rate := float64(n) / time.Since(start).Seconds(); rate > 0 {
+			if rate := float64(n-sess.ReplayedEvals()) / time.Since(start).Seconds(); rate > 0 {
 				eta := time.Duration(float64(expected-n) / rate * float64(time.Second))
 				line += fmt.Sprintf(", eta %s", eta.Round(time.Second))
 			}
@@ -824,7 +818,7 @@ func (t *Tuner) run(ctx context.Context, prog *Program, in Input, rule *StopRule
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	key := repoKey(core.NewRunIdentity(prog, t.opts.Machine, in, t.opts.Space, cfg), t.opts.HotThreshold, compare)
+	key := repoKey(core.NewRunIdentity(prog, t.opts.Machine, in, t.opts.Space, cfg), compare)
 	if rep, ok := t.serveFromRepo(key, prog, in); ok {
 		return rep, nil
 	}

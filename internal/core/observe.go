@@ -226,9 +226,14 @@ func (s *Session) AttachMetrics(reg *metrics.Registry) {
 func (s *Session) MetricsSnapshot() metrics.Snapshot { return s.reg.Snapshot() }
 
 // CompletedEvals returns the number of evaluations this session has
-// finished — the progress-reporting feed. Like all observability it is
+// finished or answered from its resumed checkpoint log — the
+// progress-reporting feed. Like all observability it is
 // scheduling-neutral but moment-dependent; it never enters results.
 func (s *Session) CompletedEvals() int64 { return s.completed.Load() }
+
+// ReplayedEvals returns how many of CompletedEvals the checkpoint log
+// answered; the rest are the evaluations this run made.
+func (s *Session) ReplayedEvals() int64 { return s.replayed.Load() }
 
 // observeCache counts one cache request in its tier's outcome counter.
 // It emits no trace event: the counters, Report.Cache and

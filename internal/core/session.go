@@ -408,11 +408,12 @@ type Session struct {
 
 	// Observability (see observe.go). tr is nil and met disabled unless
 	// AttachTrace/AttachMetrics were called; completed feeds progress
-	// reporting.
-	tr        *trace.Recorder
-	met       sessionMetrics
-	reg       *metrics.Registry
-	completed atomic.Int64
+	// reporting, and replayed counts the part of it the checkpoint log
+	// answered.
+	tr                  *trace.Recorder
+	met                 sessionMetrics
+	reg                 *metrics.Registry
+	completed, replayed atomic.Int64
 
 	// Optional checkpoint log, which only measure reads and writes.
 	ckpt *Checkpointer
@@ -746,9 +747,9 @@ func (s *Session) parFor(ctx context.Context, n int, fn func(i int)) {
 // Suggest batch, a single evaluation) and passes each outcome to got
 // with its request's index. It is the checkpoint's one reader and
 // writer: a request the resumed log holds is answered from the log, its
-// recorded cost and quarantine merged into the session (not into the
-// metrics, the trace or the kill count), and every other outcome is
-// recorded as it lands. A local session evaluates on parFor's workers,
+// recorded cost and quarantine merged into the session and the answer
+// counted in CompletedEvals (not in the metrics, the trace or the kill
+// count), and every other outcome is recorded as it lands. A local session evaluates on parFor's workers,
 // so got may run concurrently for distinct indices; a remote session
 // hands the rest of the range to its evaluator (remoteRange). It
 // returns the first error, by request index on a local session and by
@@ -776,6 +777,8 @@ func (s *Session) measure(ctx context.Context, reqs []EvalRequest, got func(i in
 			for _, key := range smp.Quarantine {
 				s.quarantineCV(key)
 			}
+			s.completed.Add(1)
+			s.replayed.Add(1)
 			got(i, EvalOutcome{PerModule: smp.Modules, Total: smp.Time, Cost: smp.Cost, Quarantined: smp.Quarantine})
 		}
 	}

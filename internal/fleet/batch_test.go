@@ -32,8 +32,7 @@ func batchRequest(sample int) core.EvalRequest {
 
 // enqueue puts reqs on the fleet as one range, in one enqueue
 // transition, with room for every result: the protocol tests' enqueues.
-// Request i's task is fl.tasks[i], nil when its outcome was served from
-// the buffer, and each result lands in fl.landed.
+// Request i's task is fl.tasks[i], and each result lands in fl.landed.
 func (c *Coordinator) enqueue(job string, spec Spec, reqs ...core.EvalRequest) (*flight, error) {
 	fl := newFlight(job, spec, reqs, len(reqs))
 	return fl, c.enqueueRange(fl, 0, len(reqs))
@@ -273,23 +272,37 @@ func TestReportBatchIndependentVerdicts(t *testing.T) {
 		}
 		coord.Kill()
 
+		// The journaled reports retired the three tasks, and the
+		// coordinator keeps no outcome: the re-run enqueues each again.
+		reg2 := metrics.NewRegistry()
+		cfg.Registry = reg2
 		coord2, err := NewCoordinator(cfg)
 		if err != nil {
 			t.Fatalf("restart: %v", err)
 		}
 		defer coord2.Close()
+		if n := coord2.RecoveredTasks(); n != 0 {
+			t.Errorf("recovered %d tasks, want 0: every one was reported", n)
+		}
 		ev, err := coord2.Evaluator("job-retry", spec)
 		if err != nil {
 			t.Fatalf("evaluator: %v", err)
 		}
 		for i := range fl.reqs {
-			out, err := evaluateOne(ctx, ev, batchRequest(i+1))
-			if err != nil || out.Total != float64(i)+1.5 {
-				t.Errorf("sample %d after restart = (%v, %v), want the journaled %v", i+1, out.Total, err, float64(i)+1.5)
+			done := evaluateAsync(ctx, ev, batchRequest(i+1))
+			task, err := claimOne(ctx, coord2, "w1", 5*time.Second)
+			if err != nil || task == nil || task.Sample != i+1 {
+				t.Fatalf("claim of sample %d after restart: %+v %v", i+1, task, err)
+			}
+			if acc, err := reportOne(coord2, "w1", task.ID, task.Epoch, fabricatedOutcome(float64(i)+1.5), ""); err != nil || !acc {
+				t.Fatalf("report of sample %d after restart: accepted=%v err=%v", i+1, acc, err)
+			}
+			if res := <-done; res.err != nil || res.out.Total != float64(i)+1.5 {
+				t.Errorf("sample %d after restart = (%v, %v), want %v", i+1, res.out.Total, res.err, float64(i)+1.5)
 			}
 		}
-		if js := coord2.JournalState(); js.Served != 3 {
-			t.Errorf("journal served = %d, want 3", js.Served)
+		if n := reg2.Snapshot().Counter(MetricTasksEnqueued); n != 3 {
+			t.Errorf("restarted coordinator enqueued %d tasks, want the 3 reported before the kill", n)
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -54,13 +53,11 @@ const (
 	MetricQueueDepth      = "fleet_queue_depth"
 	MetricKnownWorkers    = "fleet_workers"
 	// MetricTasksRecovered counts in-flight tasks re-adopted from the
-	// journal at startup; MetricJournalServed counts Evaluate calls
-	// answered from pre-crash journaled outcomes without re-execution;
-	// MetricJournalRecords gauges the journal's current record count;
-	// MetricJournalSyncs counts the journal's writes, each one fsync,
-	// however many records and transitions one write carries.
+	// journal at startup; MetricJournalRecords gauges the journal's
+	// current record count; MetricJournalSyncs counts the journal's
+	// writes, each one fsync, however many records and transitions one
+	// write carries.
 	MetricTasksRecovered = "fleet_tasks_recovered"
-	MetricJournalServed  = "fleet_journal_served"
 	MetricJournalRecords = "fleet_journal_records"
 	MetricJournalSyncs   = "fleet_journal_syncs"
 )
@@ -114,8 +111,9 @@ type CoordinatorConfig struct {
 	// before it becomes visible (journal.go), and NewCoordinator replays
 	// the journal so a restarted coordinator re-adopts in-flight work —
 	// live leases stay live, expired ones are re-issued with bumped
-	// epochs, accepted outcomes are served back without re-execution.
-	// Empty disables journaling (the exact pre-durability behaviour).
+	// epochs. Accepted outcomes are the jobs' own: each job's checkpoint
+	// keeps them. Empty disables journaling (the exact pre-durability
+	// behaviour).
 	JournalPath string
 	// Faults injects coordinator-side crash modes at journal appends
 	// (die-before-sync, die-after-journal-before-reply, torn tail) for
@@ -207,9 +205,8 @@ type flight struct {
 	job  string
 	spec Spec
 	reqs []core.EvalRequest
-	// tasks[i] is request i's task once it is enqueued or adopted, nil
-	// for one served from the outcome buffer; only the goroutine running
-	// the range touches it.
+	// tasks[i] is request i's task once it is enqueued or adopted; only
+	// the goroutine running the range touches it.
 	tasks  []*task
 	landed chan landing
 }
@@ -232,11 +229,11 @@ type task struct {
 	phase  string
 	sample int
 	cvs    [][]int
-	// key is the job-agnostic adoption identity (journal.go); 0 when
-	// journaling is off.
+	// key is the job-agnostic adoption identity (journal.go) of a
+	// recovered task, set when it becomes an orphan; 0 otherwise.
 	key uint64
 	// orphan marks a recovered task no Evaluate call is waiting on yet;
-	// its accepted report lands in the outcome buffer instead.
+	// its accepted report resolves nothing.
 	orphan bool
 	// epoch is the lease generation, incremented on every grant.
 	epoch int
@@ -248,7 +245,7 @@ type task struct {
 	// cost accounting when the lease expires).
 	leasedAt time.Time
 	// fl is the range waiting on the task, as its request idx; nil for
-	// an orphan, whose accepted report lands in the outcome buffer only.
+	// an orphan.
 	fl  *flight
 	idx int
 }
@@ -285,7 +282,6 @@ type JournalState struct {
 	Path           string `json:"path"`
 	Records        int    `json:"records"`
 	RecoveredTasks int    `json:"recovered_tasks"`
-	Served         int64  `json:"served"`
 }
 
 // Coordinator owns the task queue, the lease table and the worker
@@ -322,32 +318,30 @@ type Coordinator struct {
 	// there — after the journal record, before the reply.
 	killHook func(point string) bool
 	nRecov   int
-	served   int64
 
 	reaperStop chan struct{}
 	reaperWG   sync.WaitGroup
 
 	mTasks, mClaims, mOK, mStale      *metrics.Counter
 	mExpired, mRequeues, mQuarantined *metrics.Counter
-	mLostMillis, mRecovered, mServed  *metrics.Counter
-	mSyncs                            *metrics.Counter
+	mLostMillis, mRecovered, mSyncs   *metrics.Counter
 	gLeases, gQueue, gWorkers         *metrics.Gauge
 	gJournal                          *metrics.Gauge
 }
 
 // NewCoordinator builds a coordinator and starts its lease reaper. With
-// cfg.JournalPath set it first replays the journal: completed outcomes
-// go to the serve buffer, live leases whose deadline has not passed
-// stay live (their workers heartbeat and report across the restart),
-// and expired leases are re-issued with bumped epochs so any stale
-// pre-crash report stays fenced.
+// cfg.JournalPath set it first replays the journal: every live task
+// becomes an orphan a re-run may adopt, live leases whose deadline has
+// not passed stay live (their workers heartbeat and report across the
+// restart), and expired leases are re-issued with bumped epochs so any
+// stale pre-crash report stays fenced.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		state:      newState(cfg.JournalPath != ""),
+		state:      newState(),
 		waitCh:     make(chan struct{}),
 		reaperStop: make(chan struct{}),
 	}
@@ -361,7 +355,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.mQuarantined = reg.Counter(MetricWorkersQuarantined)
 		c.mLostMillis = reg.Counter(MetricLostLeaseMillis)
 		c.mRecovered = reg.Counter(MetricTasksRecovered)
-		c.mServed = reg.Counter(MetricJournalServed)
 		c.mSyncs = reg.Counter(MetricJournalSyncs)
 		c.gLeases = reg.Gauge(MetricActiveLeases)
 		c.gQueue = reg.Gauge(MetricQueueDepth)
@@ -420,9 +413,11 @@ type commit struct {
 // its caller awaits once it has released c.mu. It draws the
 // transition's injected crash mode; a non-nil error means the
 // coordinator died here, before anything applied, and the caller must
-// unwind. Without a journal it only applies. Callers hold c.mu.
+// unwind. Without a journal it only numbers and applies. Callers hold
+// c.mu.
 func (c *Coordinator) journalAppend(bodies ...journalBody) (commit, error) {
 	if c.log == nil {
+		c.number(bodies)
 		c.applyAll(bodies)
 		return commit{}, nil
 	}
@@ -473,12 +468,19 @@ func (c *Coordinator) applyAll(bodies []journalBody) {
 	}
 }
 
-// appendJournal stamps the bodies' sequence numbers and appends them to
-// the journal log. Callers hold c.mu.
-func (c *Coordinator) appendJournal(bodies []journalBody) error {
+// number stamps the bodies' sequence numbers. Callers hold c.mu.
+func (c *Coordinator) number(bodies []journalBody) {
 	for i := range bodies {
 		c.jseq++
 		bodies[i].Seq = c.jseq
+	}
+}
+
+// appendJournal numbers the bodies and appends them to the journal log.
+// Callers hold c.mu.
+func (c *Coordinator) appendJournal(bodies []journalBody) error {
+	c.number(bodies)
+	for i := range bodies {
 		body, err := appendJournalBody(c.jbuf[:0], &bodies[i])
 		c.jbuf = body
 		if err != nil {
@@ -602,8 +604,8 @@ func (c *Coordinator) Kill() {
 // fail, claims answer ErrClosed, the reaper stops, and the journal is
 // compacted — truncated to empty when nothing is outstanding (the clean
 // drain), or rewritten as a minimal snapshot (live tasks with their
-// accumulated epoch/backoff state, worker records, completed outcomes)
-// when work remains. Idempotent; a no-op after Kill.
+// accumulated epoch/backoff state, worker records) when work remains.
+// Idempotent; a no-op after Kill.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed || c.killed {
@@ -670,10 +672,6 @@ func (c *Coordinator) compactionLocked() []journalBody {
 		}
 		bodies = append(bodies, journalBody{Op: opWorker, Worker: w, Losses: ws.losses, Quarantined: ws.quarantined})
 	}
-	for _, k := range sortedKeys(c.buffer) {
-		ro := c.buffer[k]
-		bodies = append(bodies, journalBody{Op: opOutcome, Key: strconv.FormatUint(k, 16), Outcome: ro.out, Error: ro.evalErr})
-	}
 	return bodies
 }
 
@@ -717,9 +715,10 @@ func (c *Coordinator) RecoveredTasks() int {
 }
 
 // RecoveredJobs lists the jobs the replayed journal mentioned, in
-// first-seen order. The server resubmits these after a daemon restart;
-// re-running them from scratch is cheap because every already-accepted
-// evaluation is served straight from the journal's outcome buffer.
+// first-seen order. After a daemon restart the server resubmits each as
+// a resume of the job's own checkpoint: the coordinator keeps no
+// outcome, so the checkpoint answers the evaluations it holds, and the
+// resumed ranges adopt the job's recovered in-flight tasks.
 func (c *Coordinator) RecoveredJobs() []RecoveredJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -741,7 +740,6 @@ func (c *Coordinator) JournalState() *JournalState {
 		Path:           c.cfg.JournalPath,
 		Records:        int(records),
 		RecoveredTasks: c.nRecov,
-		Served:         c.served,
 	}
 }
 
@@ -760,9 +758,10 @@ func (c *Coordinator) updateGauges() {
 
 // Evaluator returns the per-job core.RemoteEvaluator that feeds this
 // coordinator: each Evaluate call puts one range of evaluations on the
-// fleet and lands each outcome as a worker's accepted report (or the
-// outcome buffer) resolves it. Plugged into funcytuner.Options.Evaluator,
-// it turns an ordinary tuning run into the fleet's search loop.
+// fleet and lands each outcome as a worker's accepted report resolves
+// it. Plugged into funcytuner.Options.Evaluator, it turns an ordinary
+// tuning run into the fleet's search loop, and the run's checkpoint
+// keeps the outcomes: the coordinator holds none once they land.
 func (c *Coordinator) Evaluator(job string, spec Spec) (core.RemoteEvaluator, error) {
 	if err := validateSpec(spec); err != nil {
 		return nil, err
@@ -839,11 +838,8 @@ func (e *jobEvaluator) Evaluate(ctx context.Context, reqs []core.EvalRequest, la
 }
 
 // enqueueRange puts requests [lo, hi) of a range on the fleet in one
-// enqueue transition. With a journal it first consults the recovery
-// state for each request: an outcome already accepted before the crash
-// is served back byte-identically without re-execution, landing as soon
-// as what it rests on is durable, and a recovered in-flight task with
-// the same adoption identity is adopted instead of duplicated. Every
+// enqueue transition. While recovered orphans remain, a request with an
+// orphan's adoption identity adopts it instead of duplicating it. Every
 // other request becomes a task, and all of them are journaled in one
 // append, take one sync and wake the pollers once.
 func (c *Coordinator) enqueueRange(fl *flight, lo, hi int) error {
@@ -856,27 +852,18 @@ func (c *Coordinator) enqueueRange(fl *flight, lo, hi int) error {
 		c.mu.Unlock()
 		return ErrUnavailable
 	}
-	var served []landing
 	bodies := make([]journalBody, 0, hi-lo)
 	idx := make([]int, 0, hi-lo) // the request index of each body
 	for i := lo; i < hi; i++ {
 		req := fl.reqs[i]
 		cvs := encodeCVs(req.CVs)
-		var key uint64
-		if c.journaled {
-			key = adoptionKey(fl.spec, req.Phase, req.Sample, cvs)
-			if ro, ok := c.buffer[key]; ok {
-				c.served++
-				c.mServed.Inc()
-				served = append(served, landing{i, ro.result(req.Phase, req.Sample)})
-				continue
-			}
-			if ts := c.orphans[key]; len(ts) > 0 {
+		if len(c.orphans) > 0 {
+			if ts := c.orphans[adoptionKey(fl.spec, req.Phase, req.Sample, cvs)]; len(ts) > 0 {
 				t := ts[0]
 				if len(ts) == 1 {
-					delete(c.orphans, key)
+					delete(c.orphans, t.key)
 				} else {
-					c.orphans[key] = ts[1:]
+					c.orphans[t.key] = ts[1:]
 				}
 				t.orphan, t.fl, t.idx = false, fl, i
 				fl.tasks[i] = t
@@ -892,57 +879,31 @@ func (c *Coordinator) enqueueRange(fl *flight, lo, hi int) error {
 		}
 		bodies = append(bodies, journalBody{
 			Op: opEnqueue, Task: id, Job: fl.job, Spec: &fl.spec,
-			Phase: req.Phase, Sample: req.Sample, CVs: cvs, key: key,
+			Phase: req.Phase, Sample: req.Sample, CVs: cvs,
 		})
 		idx = append(idx, i)
 	}
-	var cm commit
-	if len(served) > 0 {
-		// A served outcome may come from a report still being written.
-		cm = c.tip()
+	if len(bodies) == 0 {
+		c.mu.Unlock()
+		return nil
 	}
-	var points []string
-	if len(bodies) > 0 {
-		var err error
-		if cm, err = c.journalAppend(bodies...); err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		for j, b := range bodies {
-			t := c.tasks[b.Task]
-			t.fl, t.idx = fl, idx[j]
-			fl.tasks[idx[j]] = t
-		}
-		c.mTasks.Add(int64(len(bodies)))
-		c.updateGauges()
-		c.broadcastLocked()
-		points = append(points, killMidEnqueue)
+	cm, err := c.journalAppend(bodies...)
+	if err != nil {
+		c.mu.Unlock()
+		return err
 	}
+	for j, b := range bodies {
+		t := c.tasks[b.Task]
+		t.fl, t.idx = fl, idx[j]
+		fl.tasks[idx[j]] = t
+	}
+	c.mTasks.Add(int64(len(bodies)))
+	c.updateGauges()
+	c.broadcastLocked()
 	c.mu.Unlock()
 	// A claim may grant the tasks before this returns; the claim's own
 	// wait covers these records too.
-	if err := c.await(cm, points...); err != nil {
-		return err
-	}
-	for _, l := range served {
-		fl.landed <- l
-	}
-	return nil
-}
-
-// result converts a journaled outcome into the taskResult a range
-// lands — the same decode path an accepted report takes.
-func (ro replayOutcome) result(phase string, sample int) taskResult {
-	var res taskResult
-	switch {
-	case ro.evalErr != "":
-		res.err = fmt.Errorf("fleet: recovered report for %s/%d failed: %s", phase, sample, ro.evalErr)
-	case ro.out == nil:
-		res.err = fmt.Errorf("fleet: recovered report for %s/%d has no outcome", phase, sample)
-	default:
-		res.out, res.err = ro.out.decode()
-	}
-	return res
+	return c.await(cm, killMidEnqueue)
 }
 
 // abandon withdraws the tasks a range still has on the fleet, when its
@@ -1164,11 +1125,12 @@ func (c *Coordinator) Heartbeat(worker, taskID string, epoch int) (bool, error) 
 // nothing long-polls ClaimBatch.
 //
 // The whole batch is judged under one lock hold, and every accepted
-// report — full wire outcome, trace events included — is journaled with
-// the grants' claim records in one append (one sync) before any task
-// resolves, any verdict returns or any grant leaves, so a crash one
-// instant later still has the evaluations. A kill or journal failure
-// fails the won tasks' ranges with ErrUnavailable and answers nothing.
+// report is journaled with the grants' claim records in one append (one
+// sync) before any task resolves, any verdict returns or any grant
+// leaves, so a crash one instant later cannot accept the same lease
+// again. The outcome itself goes only to the range waiting on the task,
+// whose job's checkpoint keeps it. A kill or journal failure fails the
+// won tasks' ranges with ErrUnavailable and answers nothing.
 func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) ([]bool, []*Task, error) {
 	c.mu.Lock()
 	if c.killed {
@@ -1178,6 +1140,7 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) 
 	accepted := make([]bool, len(reports))
 	var bodies []journalBody
 	var won []*task
+	var wonAt []int // the report of each won task
 	for i, r := range reports {
 		l := c.leases[r.Task]
 		if l == nil || l.worker != worker || l.t.epoch != r.Epoch || slices.Contains(won, l.t) {
@@ -1185,6 +1148,7 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) 
 		}
 		accepted[i] = true
 		won = append(won, l.t)
+		wonAt = append(wonAt, i)
 		bodies = append(bodies, journalBody{Op: opReport, Task: r.Task, Worker: worker, Epoch: r.Epoch, Outcome: r.Outcome, Error: r.Error})
 	}
 	var grants []*Task
@@ -1216,16 +1180,16 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) 
 		}
 		return nil, nil, err
 	}
-	for i, t := range won {
-		b := bodies[i]
+	for k, t := range won {
+		r := &reports[wonAt[k]]
 		var res taskResult
 		switch {
-		case b.Error != "":
-			res.err = fmt.Errorf("fleet: worker %s failed task %s: %s", worker, t.id, b.Error)
-		case b.Outcome == nil:
+		case r.Error != "":
+			res.err = fmt.Errorf("fleet: worker %s failed task %s: %s", worker, t.id, r.Error)
+		case r.Outcome == nil:
 			res.err = fmt.Errorf("fleet: worker %s reported task %s with no outcome", worker, t.id)
 		default:
-			res.out, res.err = b.Outcome.decode()
+			res.out, res.err = r.Outcome.decode()
 		}
 		t.resolve(res)
 	}

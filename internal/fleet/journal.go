@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
-	"strconv"
 	"time"
 
 	"funcytuner/internal/xrand"
@@ -19,9 +18,9 @@ import (
 // appends its records (Coordinator.journalAppend) and applies them
 // through state.apply, and the file, an fsx.Log, replays through the
 // same apply, so a coordinator rebuilt from the journal holds exactly
-// the state a SIGKILLed one held. Floats ride the same lossless
-// hex-float wire encoding as the protocol itself (Outcome), so a
-// recovered report is byte-identical to the one the worker measured.
+// the state a SIGKILLed one held. The journal keeps live work, lease
+// fencing and quarantine only: an accepted report's outcome goes to the
+// job that waits on it, whose checkpoint is its one durable copy.
 //
 // Each line is one fsx sealed record, and replay stops at the first
 // record that fails any check — a torn or bit-flipped tail degrades to
@@ -32,8 +31,9 @@ import (
 // a live epoch.
 
 // Journal op codes. "enqueue" and "task" both introduce a task ("task"
-// is the compacted form carrying accumulated epoch/backoff state);
-// "outcome" is the compacted form of a completed "report".
+// is the compacted form carrying accumulated epoch/backoff state).
+// "outcome" is the compacted form of a completed "report" that older
+// builds wrote; replay accepts it and takes nothing from it.
 const (
 	opEnqueue = "enqueue"
 	opTask    = "task"
@@ -73,17 +73,13 @@ type journalBody struct {
 	// Key is the adoption key (hex) of a compacted "outcome" record.
 	Key         string `json:"key,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
-	// key is the adoption key a live enqueue already computed for the
-	// task it introduces, so that apply does not hash it again. It is
-	// never journaled: replay computes it from the record.
-	key uint64
 }
 
 // adoptionKey is a task's job-agnostic identity: a hash of every input
 // that determines its outcome (spec, phase, sample, CV matrix) and
 // nothing that doesn't (job ID, task ID, epochs). A re-attached job
-// gets a fresh job ID, so recovered in-flight tasks and journaled
-// outcomes are matched to its Evaluate calls by this key.
+// gets a fresh job ID, so recovered in-flight tasks are matched to its
+// Evaluate calls by this key.
 func adoptionKey(spec Spec, phase string, sample int, cvs [][]int) uint64 {
 	var h xrand.Hasher
 	h.Add(0x6674616b) // "ftak": fleet task adoption key domain
@@ -105,16 +101,9 @@ func adoptionKey(spec Spec, phase string, sample int, cvs [][]int) uint64 {
 	return h.Sum()
 }
 
-// replayOutcome is one accepted report, buffered by adoption key.
-type replayOutcome struct {
-	out     *Outcome
-	evalErr string
-}
-
 // RecoveredJob names one tuning job found in a replayed journal, in
 // first-seen order. The server re-attaches these after a daemon
-// restart: re-running the spec from scratch costs nothing, because
-// every pre-crash evaluation is served back from the journal.
+// restart, each as a resume of the job's own checkpoint.
 type RecoveredJob struct {
 	Job  string
 	Spec Spec
@@ -122,36 +111,30 @@ type RecoveredJob struct {
 
 // state is what the journal's records decide about the coordinator, and
 // they are its only input: the queue, the tasks and their leases, the
-// workers' loss records, the outcome buffer and the orphan index. A
-// live transition applies the records it journaled, and replay applies
-// the file's, through the one apply.
+// workers' loss records and the orphan index. A live transition applies
+// the records it numbered, journaled or not, and replay applies the
+// file's, through the one apply. No outcome is kept: a job's
+// checkpoint holds its accepted evaluations.
 type state struct {
-	// journaled: records carry sequence numbers, and tasks the adoption
-	// keys the buffer and the orphan index go by.
-	journaled bool
-	seq       int64             // the last applied record's
-	queue     []*task           // FIFO; entries may be backoff-delayed
-	tasks     map[string]*task  // task ID → any non-finished task
-	leases    map[string]*lease // task ID → live lease
-	workers   map[string]*workerState
-	// buffer holds accepted outcomes by adoption key, so re-runs never
-	// re-execute finished work; orphans indexes recovered tasks by
-	// adoption key until a re-run's Evaluate adopts them.
-	buffer  map[uint64]replayOutcome
+	seq     int64             // the last applied record's
+	queue   []*task           // FIFO; entries may be backoff-delayed
+	tasks   map[string]*task  // task ID → any non-finished task
+	leases  map[string]*lease // task ID → live lease
+	workers map[string]*workerState
+	// orphans indexes recovered tasks by adoption key until a re-run's
+	// Evaluate adopts them.
 	orphans map[uint64][]*task
 	// jobs lists the jobs the replayed journal mentioned, in first-seen
 	// order.
 	jobs []RecoveredJob
 }
 
-func newState(journaled bool) state {
+func newState() state {
 	return state{
-		journaled: journaled,
-		tasks:     make(map[string]*task),
-		leases:    make(map[string]*lease),
-		workers:   make(map[string]*workerState),
-		buffer:    make(map[uint64]replayOutcome),
-		orphans:   make(map[uint64][]*task),
+		tasks:   make(map[string]*task),
+		leases:  make(map[string]*lease),
+		workers: make(map[string]*workerState),
+		orphans: make(map[uint64][]*task),
 	}
 }
 
@@ -173,7 +156,7 @@ func (s *state) replay(body []byte) bool {
 func (s *state) apply(b *journalBody) bool {
 	// Sequence numbers are strictly increasing in a well-formed journal;
 	// a duplicate or reordered record is treated as corruption.
-	if s.journaled && b.Seq <= s.seq {
+	if b.Seq <= s.seq {
 		return false
 	}
 	t, l := s.tasks[b.Task], s.leases[b.Task]
@@ -186,10 +169,6 @@ func (s *state) apply(b *journalBody) bool {
 			id: b.Task, job: b.Job, spec: *b.Spec,
 			phase: b.Phase, sample: b.Sample, cvs: b.CVs,
 			epoch: b.Epoch, losses: b.Losses, notBefore: time.Unix(0, b.NotBefore),
-			key: b.key,
-		}
-		if s.journaled && t.key == 0 {
-			t.key = adoptionKey(t.spec, t.phase, t.sample, t.cvs)
 		}
 		s.tasks[t.id] = t
 		s.queue = append(s.queue, t)
@@ -208,9 +187,6 @@ func (s *state) apply(b *journalBody) bool {
 	case opReport:
 		if l == nil || l.worker != b.Worker || l.t.epoch != b.Epoch {
 			return false
-		}
-		if s.journaled {
-			s.buffer[l.t.key] = replayOutcome{out: b.Outcome, evalErr: b.Error}
 		}
 		s.drop(l.t)
 		if w := s.workers[b.Worker]; w != nil {
@@ -248,11 +224,8 @@ func (s *state) apply(b *journalBody) bool {
 		}
 		s.drop(t)
 	case opOutcome:
-		key, err := strconv.ParseUint(b.Key, 16, 64)
-		if err != nil {
-			return false
-		}
-		s.buffer[key] = replayOutcome{out: b.Outcome, evalErr: b.Error}
+		// An older build's compacted outcome: the job's checkpoint holds
+		// it, so only its place in the sequence counts.
 	default:
 		return false
 	}
@@ -331,9 +304,11 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// adoptable marks t an orphan and indexes it by its adoption key.
+// adoptable marks t an orphan and indexes it by its adoption key, which
+// only an orphan needs.
 func (s *state) adoptable(t *task) {
 	t.orphan = true
+	t.key = adoptionKey(t.spec, t.phase, t.sample, t.cvs)
 	s.orphans[t.key] = append(s.orphans[t.key], t)
 }
 

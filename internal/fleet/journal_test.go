@@ -23,16 +23,17 @@ import (
 // way NewCoordinator's fsx.OpenLog does, and returns it with the byte
 // length of the valid prefix.
 func replayJournal(data []byte) (*state, int) {
-	st := newState(true)
+	st := newState()
 	_, good := fsx.ReadRecords(data, st.replay)
 	return &st, good
 }
 
 // snapshot renders what the journal decides about a state: its last
-// sequence number, the queue in order, every task's job, adoption key,
-// epoch, losses and not-before, every lease's worker and deadline in
-// unix nanoseconds, the workers' loss records (a zero record reads as
-// none, which is what it means) and the outcome buffer.
+// sequence number, the queue in order, every task's job, epoch, losses
+// and not-before, every lease's worker and deadline in unix
+// nanoseconds, and the workers' loss records (a zero record reads as
+// none, which is what it means). An orphan's adoption key is recovery's,
+// not the journal's.
 func snapshot(s *state) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seq %d\nqueue", s.seq)
@@ -41,7 +42,7 @@ func snapshot(s *state) string {
 	}
 	for _, id := range sortedKeys(s.tasks) {
 		t := s.tasks[id]
-		fmt.Fprintf(&b, "\ntask %s job=%s key=%016x epoch=%d losses=%d not_before=%d", id, t.job, t.key, t.epoch, t.losses, t.notBefore.UnixNano())
+		fmt.Fprintf(&b, "\ntask %s job=%s epoch=%d losses=%d not_before=%d", id, t.job, t.epoch, t.losses, t.notBefore.UnixNano())
 		if l := s.leases[id]; l != nil {
 			fmt.Fprintf(&b, " lease=%s@%d", l.worker, l.deadline.UnixNano())
 		}
@@ -50,14 +51,6 @@ func snapshot(s *state) string {
 		if ws := s.workers[w]; *ws != (workerState{}) {
 			fmt.Fprintf(&b, "\nworker %s losses=%d quarantined=%v", w, ws.losses, ws.quarantined)
 		}
-	}
-	for _, k := range sortedKeys(s.buffer) {
-		ro := s.buffer[k]
-		out := "none"
-		if ro.out != nil {
-			out = string(appendOutcome(nil, ro.out))
-		}
-		fmt.Fprintf(&b, "\noutcome %016x %s error=%q", k, out, ro.evalErr)
 	}
 	return b.String()
 }
@@ -157,17 +150,38 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	if len(st.queue) != 1 || st.queue[0].id != "job-1/cfr/1#2" {
 		t.Errorf("queue = %v, want [task B]", st.queue)
 	}
-	key := adoptionKey(testSpec(), "cfr", 0, [][]int{{1, 2}})
-	ro, ok := st.buffer[key]
-	if !ok || ro.out == nil || ro.out.Total != formatFloat(1.25) {
-		t.Errorf("completed outcome for task A missing or wrong: %+v", ro)
-	}
 	if w := st.workers["w2"]; w == nil || w.losses != 1 || w.quarantined {
 		t.Errorf("worker w2 replayed wrong: %+v", w)
 	}
 	if len(st.jobs) != 1 || st.jobs[0].Job != "job-1" || st.jobs[0].Spec != testSpec() {
 		t.Errorf("recovered jobs = %+v, want [job-1]", st.jobs)
 	}
+
+	// The journal keeps nothing of task A's outcome: a coordinator
+	// restarted over it enqueues A's evaluation again, as a new task.
+	path := filepath.Join(t.TempDir(), "journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, Heartbeat: time.Second, Registry: reg, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	ev, err := coord.Evaluator("job-retry", testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := evaluateAsync(ctx, ev, core.EvalRequest{Phase: "cfr", Sample: 0, CVs: baselineRequest().CVs})
+	waitFor(t, "task A enqueued again", func() bool { return coord.QueueDepth() == 2 })
+	if n := reg.Snapshot().Counter(MetricTasksEnqueued); n != 1 {
+		t.Errorf("restarted coordinator enqueued %d tasks for task A, want 1", n)
+	}
+	cancel()
+	<-done
 }
 
 // TestJournalReplayStopsAtDamage: any damage — torn tail, bit flip, bad
@@ -237,7 +251,6 @@ func TestJournalConsistencyRulesStopReplay(t *testing.T) {
 		{"enqueue invalid spec", journalBody{Seq: 3, Op: opEnqueue, Task: "B", Job: "j", Spec: &badSpec}},
 		{"worker without id", journalBody{Seq: 3, Op: opWorker, Losses: 1}},
 		{"abandon unknown task", journalBody{Seq: 3, Op: opAbandon, Task: "nope"}},
-		{"outcome with bad key", journalBody{Seq: 3, Op: opOutcome, Key: "zz", Outcome: fabricatedOutcome(1)}},
 		{"unknown op", journalBody{Seq: 3, Op: "frobnicate", Task: "A"}},
 	}
 	for _, tc := range cases {
@@ -616,9 +629,9 @@ func secondRequest() core.EvalRequest {
 // TestCoordinatorKillRecovery walks the tentpole sequence at protocol
 // level: journaling coordinator, one report accepted, one task still
 // queued, SIGKILL, restart from the journal. The restarted coordinator
-// must re-adopt the queued task (not duplicate it), serve the accepted
-// outcome byte-identically without re-execution, and surface both
-// through the recovery accessors.
+// must re-adopt the queued task (not duplicate it) and surface it
+// through the recovery accessors, and, keeping no outcome of its own,
+// enqueue the accepted evaluation again when it is asked for.
 func TestCoordinatorKillRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	cfg := CoordinatorConfig{
@@ -667,6 +680,8 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	}
 
 	// Restart: same journal, fresh coordinator.
+	reg2 := metrics.NewRegistry()
+	cfg.Registry = reg2
 	coord2, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
@@ -688,18 +703,6 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("evaluator 2: %v", err)
 	}
-	// The completed claim is served from the journal, byte-identically,
-	// with no worker involved.
-	out, err := evaluateOne(ctx, ev2, baselineRequest())
-	if err != nil {
-		t.Fatalf("served evaluate: %v", err)
-	}
-	if want, _ := fabricatedOutcome(1.5).decode(); out.Total != want.Total || out.Cost != want.Cost {
-		t.Errorf("served outcome differs from the pre-crash report: %+v vs %+v", out, want)
-	}
-	if js := coord2.JournalState(); js.Served != 1 {
-		t.Errorf("journal served = %d, want 1", js.Served)
-	}
 	// The still-pending claim is adopted, not re-enqueued: the queue
 	// already held it, so depth stays 1 and its recovered ID is granted.
 	done3 := evaluateAsync(ctx, ev2, secondRequest())
@@ -718,6 +721,30 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	}
 	if res3 := <-done3; res3.err != nil {
 		t.Fatalf("adopted evaluate: %v", res3.err)
+	}
+	if n := reg2.Snapshot().Counter(MetricTasksEnqueued); n != 0 {
+		t.Errorf("the adoption enqueued %d tasks, want 0", n)
+	}
+	// The completed claim's report retired its task, and the coordinator
+	// keeps no outcome: asked for again, it is enqueued again, for a
+	// worker to evaluate.
+	done0 := evaluateAsync(ctx, ev2, baselineRequest())
+	t0, err := claimOne(ctx, coord2, "w1", 5*time.Second)
+	if err != nil || t0 == nil || t0.Job != "job-retry" || t0.Sample != baselineRequest().Sample {
+		t.Fatalf("claim of the completed evaluation after restart: %+v %v, want a new job-retry task", t0, err)
+	}
+	if n := reg2.Snapshot().Counter(MetricTasksEnqueued); n != 1 {
+		t.Errorf("restarted coordinator enqueued %d tasks, want the completed one again", n)
+	}
+	if acc, err := reportOne(coord2, "w1", t0.ID, t0.Epoch, fabricatedOutcome(1.5), ""); err != nil || !acc {
+		t.Fatalf("report of the re-enqueued task: accepted=%v err=%v", acc, err)
+	}
+	res0 := <-done0
+	if res0.err != nil {
+		t.Fatalf("re-enqueued evaluate: %v", res0.err)
+	}
+	if want, _ := fabricatedOutcome(1.5).decode(); res0.out.Total != want.Total || res0.out.Cost != want.Cost {
+		t.Errorf("re-enqueued outcome differs from the pre-crash report: %+v vs %+v", res0.out, want)
 	}
 }
 
@@ -793,6 +820,8 @@ func TestRecoveryKeepsLiveLease(t *testing.T) {
 	coord.Kill()
 	<-done
 
+	reg2 := metrics.NewRegistry()
+	cfg.Registry = reg2
 	coord2, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
@@ -807,15 +836,26 @@ func TestRecoveryKeepsLiveLease(t *testing.T) {
 	if acc, err := reportOne(coord2, "w1", t1.ID, t1.Epoch, fabricatedOutcome(4), ""); err != nil || !acc {
 		t.Fatalf("live lease report rejected after restart (acc=%v err=%v)", acc, err)
 	}
-	// The outcome buffered before any re-run asked for it is served the
-	// moment the re-attached job gets there.
+	// No re-run waited on the recovered lease, and the coordinator keeps
+	// no outcome: the re-attached job's request is enqueued again.
 	ev2, _ := coord2.Evaluator("job-retry", testSpec())
-	out, err := evaluateOne(ctx, ev2, baselineRequest())
-	if err != nil {
-		t.Fatalf("buffered evaluate: %v", err)
+	done2 := evaluateAsync(ctx, ev2, baselineRequest())
+	t2, err := claimOne(ctx, coord2, "w1", 5*time.Second)
+	if err != nil || t2 == nil || t2.Job != "job-retry" {
+		t.Fatalf("claim after the recovered report: %+v %v, want a new job-retry task", t2, err)
 	}
-	if want, _ := fabricatedOutcome(4).decode(); out.Total != want.Total {
-		t.Errorf("buffered outcome = %v, want %v", out.Total, want.Total)
+	if n := reg2.Snapshot().Counter(MetricTasksEnqueued); n != 1 {
+		t.Errorf("restarted coordinator enqueued %d tasks, want 1", n)
+	}
+	if acc, err := reportOne(coord2, "w1", t2.ID, t2.Epoch, fabricatedOutcome(4), ""); err != nil || !acc {
+		t.Fatalf("report of the re-enqueued task: accepted=%v err=%v", acc, err)
+	}
+	res := <-done2
+	if res.err != nil {
+		t.Fatalf("re-enqueued evaluate: %v", res.err)
+	}
+	if want, _ := fabricatedOutcome(4).decode(); res.out.Total != want.Total {
+		t.Errorf("re-enqueued outcome = %v, want %v", res.out.Total, want.Total)
 	}
 }
 
@@ -996,6 +1036,74 @@ func TestJournalLinesPinned(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("journal line %d changed:\n got %s\nwant %s", i+1, got[i], want[i])
 		}
+	}
+}
+
+// olderReport and olderOutcome are a report record that carries its
+// outcome and an outcome record, as builds that kept an outcome buffer
+// wrote them (the bodies TestJournalLinesPinned pinned then), numbered
+// to follow an enqueue and a claim.
+const (
+	olderReport  = `{"seq":3,"op":"report","task":"job-a/collect/0#1","epoch":1,"worker":"w1","outcome":{"per_module":["0x1.8p+00","+Inf"],"total":"+Inf","cost":{"compiles":3,"runs":1,"sim_micros":4750000,"retries":0,"wasted_compiles":0,"fault_micros":250000,"compile_fails":0,"run_crashes":1,"timeouts":0,"flakes":0},"quarantined":["deadbeef","2a"],"events":[{"kind":"compile","phase":"collect","sample":0,"modules":3,"seconds":"0x1.2p+02","sim":"0x1.2p+02"},{"kind":"fault","phase":"collect","sample":0,"step":1,"name":"run-crash","seconds":"0x1p-02","sim":"0x1.3p+02"},{"kind":"eval","phase":"collect","sample":0,"step":2,"name":"lost","seconds":"+Inf","sim":"0x1.3p+02"}]}}`
+	olderOutcome = `{"seq":4,"op":"outcome","error":"fleet: worker w2 failed task \"job-b/cfr/7#2\": \u003ctimeout\u003e \u0026 retry","key":"7bc0559d383b0e76"}`
+)
+
+// TestJournalReplaysOlderOutcomes replays a journal an older build
+// wrote: a report that carries its outcome and a compacted outcome
+// record, followed by live records. Replay reads the report as one
+// without its outcome and the outcome record as a place in the
+// sequence, so it keeps going past them, and reaches the state of the
+// same journal written without those outcomes; a coordinator restarted
+// over it re-adopts the live task.
+func TestJournalReplaysOlderOutcomes(t *testing.T) {
+	spec := testSpec()
+	far := time.Now().Add(time.Hour).UnixNano()
+	records := func(bodies ...journalBody) []byte {
+		var buf bytes.Buffer
+		for _, b := range bodies {
+			buf.Write(journalLine(t, b))
+		}
+		return buf.Bytes()
+	}
+	head := records(
+		journalBody{Seq: 1, Op: opEnqueue, Task: "job-a/collect/0#1", Job: "job-a", Spec: &spec, Phase: "collect", Sample: 0, CVs: [][]int{{1, 2}}},
+		journalBody{Seq: 2, Op: opClaim, Task: "job-a/collect/0#1", Worker: "w1", Epoch: 1, Deadline: far},
+	)
+	live := records(
+		journalBody{Seq: 5, Op: opEnqueue, Task: "job-b/cfr/7#2", Job: "job-b", Spec: &spec, Phase: "cfr", Sample: 7, CVs: [][]int{{3, 4}}},
+		journalBody{Seq: 6, Op: opClaim, Task: "job-b/cfr/7#2", Worker: "w2", Epoch: 1, Deadline: far},
+		journalBody{Seq: 7, Op: opHB, Task: "job-b/cfr/7#2", Worker: "w2", Epoch: 1, Deadline: far + 1},
+		journalBody{Seq: 8, Op: opWorker, Worker: "w3", Losses: 2},
+	)
+	older := bytes.Join([][]byte{head, fsx.AppendRecord(nil, []byte(olderReport)), fsx.AppendRecord(nil, []byte(olderOutcome)), live}, nil)
+	current := bytes.Join([][]byte{head, records(journalBody{Seq: 3, Op: opReport, Task: "job-a/collect/0#1", Worker: "w1", Epoch: 1}), live}, nil)
+
+	got, good := replayJournal(older)
+	if good != len(older) {
+		t.Fatalf("the older journal replays %d of %d bytes", good, len(older))
+	}
+	want, good := replayJournal(current)
+	if good != len(current) {
+		t.Fatalf("the journal without outcomes replays %d of %d bytes", good, len(current))
+	}
+	if g, w := snapshot(got), snapshot(want); g != w {
+		t.Errorf("the older journal replays to\n%s\nnot the state without its outcomes\n%s", g, w)
+	}
+	if l := got.leases["job-b/cfr/7#2"]; got.seq != 8 || len(got.tasks) != 1 || l == nil || l.worker != "w2" {
+		t.Errorf("older journal: seq %d, %d live tasks, lease %+v; want seq 8 and job-b's task leased to w2", got.seq, len(got.tasks), l)
+	}
+
+	path := filepath.Join(t.TempDir(), "journal")
+	if err := os.WriteFile(path, older, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, Heartbeat: time.Second, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Kill()
+	if js := coord.JournalState(); js.Records != 8 || js.RecoveredTasks != 1 || coord.ActiveLeases() != 1 {
+		t.Errorf("restart over the older journal: %+v, %d leases; want 8 records and the one live task leased", js, coord.ActiveLeases())
 	}
 }
 

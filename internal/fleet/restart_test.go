@@ -60,13 +60,14 @@ func armKill(coord *Coordinator, point string, n int) *atomic.Bool {
 	return fired
 }
 
-// tuneOnce runs one tuning attempt against ev and returns the
-// fingerprint + canonical trace, or the run's error (a kill mid-run
-// surfaces as ErrUnavailable through the evaluator).
-func tuneOnce(ctx context.Context, t *testing.T, spec Spec, ev core.RemoteEvaluator) (uint64, []byte, error) {
+// tuneOnce runs one tuning attempt against ev (in-process when nil),
+// resuming and checkpointing to the file resume names when it is set,
+// and returns the fingerprint + canonical trace, or the run's error (a
+// kill mid-run surfaces as ErrUnavailable through the evaluator).
+func tuneOnce(ctx context.Context, t *testing.T, spec Spec, ev core.RemoteEvaluator, resume string) (uint64, []byte, error) {
 	t.Helper()
 	rec := funcytuner.NewTraceRecorder()
-	tuner := funcytuner.NewTuner(funcytuner.Options{
+	opts := funcytuner.Options{
 		Machine:   mustMachine(t, spec.Machine),
 		Samples:   spec.Samples,
 		TopX:      spec.TopX,
@@ -74,8 +75,10 @@ func tuneOnce(ctx context.Context, t *testing.T, spec Spec, ev core.RemoteEvalua
 		Faults:    funcytuner.DefaultFaultRates().Scale(spec.FaultRate),
 		Workers:   4,
 		Evaluator: ev,
+		Resume:    resume,
 		Trace:     rec,
-	})
+	}
+	tuner := funcytuner.NewTuner(opts)
 	prog := mustBenchmark(t, spec.Benchmark)
 	in := funcytuner.TuningInput(spec.Benchmark, mustMachine(t, spec.Machine))
 	rep, err := tuner.TuneContext(ctx, prog, in)
@@ -213,7 +216,7 @@ func TestCoordinatorChaosMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("evaluator: %v", err)
 			}
-			if _, _, err := tuneOnce(ctx, t, spec, ev); err == nil {
+			if _, _, err := tuneOnce(ctx, t, spec, ev, ""); err == nil {
 				t.Fatalf("run survived a coordinator kill at %s", tc.point)
 			}
 			if !fired.Load() {
@@ -233,7 +236,7 @@ func TestCoordinatorChaosMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("evaluator 2: %v", err)
 			}
-			gotFP, gotTrace, err := tuneOnce(ctx, t, spec, ev2)
+			gotFP, gotTrace, err := tuneOnce(ctx, t, spec, ev2, "")
 			if err != nil {
 				t.Fatalf("post-restart run: %v", err)
 			}
@@ -257,14 +260,22 @@ func TestCoordinatorChaosMatrix(t *testing.T) {
 // one surgical kill, the coordinator's own fault model (seeded, like the
 // worker faults) murders it probabilistically at journal appends —
 // before the sync, after the append, mid-record — and the harness just
-// keeps restarting it from the same journal until a run completes. The
-// completed run must still match single-node byte-for-byte. Convergence
-// is structural: every restart serves more evaluations straight from the
-// journal buffer, so each attempt needs fewer live appends (fewer fault
-// draws) than the last.
+// keeps restarting it from the same journal, each attempt resuming the
+// one checkpoint every attempt before it wrote, until a run completes.
+// The completed run must give the uninterrupted single-node fingerprint,
+// and its canonical trace must be byte for byte that of a single-node
+// run resumed from a copy of the checkpoint the attempt started from.
+// Convergence is structural: an attempt's landed outcomes reach the
+// checkpoint even when the coordinator dies under it (a range that ends
+// in an error flushes), so each attempt needs fewer live appends (fewer
+// fault draws) than the last.
 func TestCoordinatorFaultChaosLoop(t *testing.T) {
 	spec := testSpec()
-	wantFP, wantTrace := localRun(t, spec)
+	wantFP, _ := localRun(t, spec)
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "checkpoint.json")
+	// started holds the checkpoint as the latest attempt found it.
+	started := filepath.Join(dir, "started.json")
 	cfg := CoordinatorConfig{
 		LeaseTTL:          200 * time.Millisecond,
 		Heartbeat:         40 * time.Millisecond,
@@ -322,14 +333,16 @@ func TestCoordinatorFaultChaosLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("evaluator %d: %v", attempt, err)
 		}
-		gotFP, gotTrace, err := tuneOnce(ctx, t, spec, ev)
+		copyCheckpoint(t, ckpt, started)
+		gotFP, gotTrace, err := tuneOnce(ctx, t, spec, ev, ckpt)
 		if err != nil {
 			deaths++
 			ss.set(placeholder)
 			coord.Kill()
 			if data, rerr := os.ReadFile(cfg.JournalPath); rerr == nil {
 				st, _ := replayJournal(data)
-				t.Logf("death %d: journal seq=%d live=%d completed=%d", deaths, st.seq, len(st.tasks), len(st.buffer))
+				ck, _ := funcytuner.LoadCheckpoint(ckpt)
+				t.Logf("death %d: journal seq=%d live=%d, checkpoint holds %d", deaths, st.seq, len(st.tasks), len(ck.Done))
 			}
 			continue
 		}
@@ -340,13 +353,38 @@ func TestCoordinatorFaultChaosLoop(t *testing.T) {
 		if gotFP != wantFP {
 			t.Errorf("chaos-loop fingerprint %016x != local %016x", gotFP, wantFP)
 		}
+		reference := filepath.Join(dir, "reference.json")
+		copyCheckpoint(t, started, reference)
+		_, wantTrace, err := tuneOnce(ctx, t, spec, nil, reference)
+		if err != nil {
+			t.Fatalf("local run resumed from the attempt's checkpoint: %v", err)
+		}
 		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Errorf("chaos-loop canonical trace differs from local")
+			t.Errorf("chaos-loop canonical trace differs from a local run resumed from the checkpoint it started from")
 		}
 		coord.Close()
 		return
 	}
 	t.Fatalf("no attempt completed within %d coordinator restarts", maxRestarts)
+}
+
+// copyCheckpoint copies the checkpoint at from to to, removing to when
+// from does not exist yet.
+func copyCheckpoint(t *testing.T, from, to string) {
+	t.Helper()
+	data, err := os.ReadFile(from)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		if err := os.Remove(to); err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+	case err != nil:
+		t.Fatal(err)
+	default:
+		if err := os.WriteFile(to, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestWorkerReconnectGiveUp: a coordinator that is permanently gone must

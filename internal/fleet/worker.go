@@ -168,7 +168,6 @@ type Worker struct {
 
 	mu       sync.Mutex
 	services map[serviceKey]*funcytuner.EvalService
-	models   map[string]*faults.WorkerModel
 }
 
 // NewWorker builds a worker for cfg.
@@ -187,7 +186,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cl:       newClient(cfg.Coordinator, cfg.HTTPClient),
 		cache:    cache,
 		services: make(map[serviceKey]*funcytuner.EvalService),
-		models:   make(map[string]*faults.WorkerModel),
 	}, nil
 }
 
@@ -290,20 +288,16 @@ func (w *Worker) loop(ctx context.Context) error {
 	}
 }
 
-// classify draws the injected worker fault mode for one lease. The draw
-// folds the lease epoch into the key, so a re-dispatched claim draws
-// fresh — a worker that died on a task is not doomed to die on it again.
+// classify draws the injected worker fault mode for one lease, from the
+// model of the task's run and this worker, built for the draw: it costs
+// two string hashes and keeps nothing. The draw folds the lease epoch
+// into the key, so a re-dispatched claim draws fresh — a worker that
+// died on a task is not doomed to die on it again.
 func (w *Worker) classify(t *Task) faults.WorkerClass {
 	if !w.cfg.Faults.Enabled() {
 		return faults.WorkerOK
 	}
-	w.mu.Lock()
-	m, ok := w.models[t.Spec.Seed]
-	if !ok {
-		m = faults.NewWorkerModel(t.Spec.Seed, w.cfg.ID, w.cfg.Faults)
-		w.models[t.Spec.Seed] = m
-	}
-	w.mu.Unlock()
+	m := faults.NewWorkerModel(t.Spec.Seed, w.cfg.ID, w.cfg.Faults)
 	return m.Classify(xrand.Combine(xrand.HashString(t.ID), uint64(t.Epoch)))
 }
 

@@ -9,10 +9,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"funcytuner"
+	"funcytuner/internal/core"
 	"funcytuner/internal/fleet"
 	"funcytuner/internal/metrics"
 )
@@ -281,18 +284,20 @@ func TestHealthzReportsState(t *testing.T) {
 
 // TestReattachRecoveredFleetJob is the daemon-level restart story: a
 // distributed job is mid-flight when the coordinator process dies; a new
-// manager built over a coordinator recovered from the same journal
-// re-attaches the job automatically, the re-run completes against the
-// journal-buffered evaluations, and its fingerprint matches a local run
-// of the same spec. The probe endpoint reports the recovery.
+// manager over the same Dir, built over a coordinator recovered from the
+// same journal, re-attaches the job automatically as a resume of its
+// checkpoint, the resumed run enqueues only what that checkpoint did not
+// hold, and its fingerprint matches a local run of the same spec. The
+// probe endpoint reports the recovery.
 //
 // The re-attached job must be the journaled run as it was submitted: an
 // adaptive job comes back adaptive, and a job that left Technique empty
 // stays CFR even when the restarted daemon defaults jobs to another
 // technique. That row's local reference spells "cfr" out, because a
-// local run on the defaulted manager would turn into GA as well.
+// local run on the defaulted manager would turn into GA as well. A job
+// whose checkpoint is gone starts fresh, and its progress says why.
 func TestReattachRecoveredFleetJob(t *testing.T) {
-	base := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 20, TopX: 5, Seed: "reattach", Workers: 4, FaultRate: 1, Distributed: true}
+	base := JobSpec{Benchmark: "CL", Machine: "broadwell", Samples: 20, TopX: 5, Seed: "reattach", Workers: 4, FaultRate: 1, Distributed: true, CheckpointEvery: 4}
 	adaptive := base
 	adaptive.Adaptive = true
 	spelledCFR := base
@@ -304,18 +309,22 @@ func TestReattachRecoveredFleetJob(t *testing.T) {
 		local JobSpec
 		// defaultTechnique configures the restarted daemon.
 		defaultTechnique string
+		// lose removes the killed job's checkpoint before the restart.
+		lose bool
 	}{
 		{name: "plain", spec: base, local: base},
 		{name: "adaptive", spec: adaptive, local: adaptive},
 		{name: "empty-technique-under-daemon-default", spec: base, local: spelledCFR, defaultTechnique: "ga"},
+		{name: "checkpoint-lost", spec: base, local: base, lose: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testReattach(t, tc.spec, tc.local, tc.defaultTechnique)
+			testReattach(t, tc.spec, tc.local, tc.defaultTechnique, tc.lose)
 		})
 	}
 }
 
-func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string) {
+func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string, lose bool) {
+	dir := t.TempDir()
 	journal := filepath.Join(t.TempDir(), "journal")
 	ccfg := fleet.CoordinatorConfig{
 		LeaseTTL:    2 * time.Second,
@@ -323,12 +332,13 @@ func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string) {
 		JournalPath: journal,
 	}
 
-	// Daemon incarnation 1: run distributed, die mid-flight.
+	// Daemon incarnation 1: run distributed, die mid-flight once the
+	// job's checkpoint holds some of its evaluations.
 	coord1, err := fleet.NewCoordinator(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr1 := newTestManager(t, Config{Fleet: coord1})
+	mgr1 := newTestManager(t, Config{Dir: dir, Fleet: coord1})
 	ts1 := httptest.NewServer(NewServer(mgr1))
 	defer ts1.Close()
 	startFleetWorkers(t, ts1.URL, 2)
@@ -343,12 +353,13 @@ func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string) {
 	}
 	deadline := time.Now().Add(testTimeout)
 	for {
+		ck, err := funcytuner.LoadCheckpoint(st.Checkpoint)
 		js := coord1.JournalState()
-		if js != nil && js.Records >= 15 && (coord1.ActiveLeases() > 0 || coord1.QueueDepth() > 0) {
+		if err == nil && len(ck.Done) > 0 && js != nil && js.Records >= 15 && (coord1.ActiveLeases() > 0 || coord1.QueueDepth() > 0) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("journal never accumulated in-flight work to crash on")
+			t.Fatal("journal and checkpoint never accumulated in-flight work to crash on")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -357,14 +368,30 @@ func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string) {
 	if got := j1.Status().State; got != StateFailed {
 		t.Fatalf("job state after coordinator death = %q, want %q", got, StateFailed)
 	}
+	ck, err := funcytuner.LoadCheckpoint(st.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := int64(len(ck.Done))
+	if held == 0 {
+		t.Fatal("the killed job's checkpoint holds no evaluation")
+	}
+	if lose {
+		if err := os.Remove(st.Checkpoint); err != nil {
+			t.Fatal(err)
+		}
+		held = 0
+	}
 
 	// Daemon incarnation 2: recover from the journal, re-attach, finish.
+	reg := metrics.NewRegistry()
+	ccfg.Registry = reg
 	coord2, err := fleet.NewCoordinator(ccfg)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	defer coord2.Close()
-	mgr2 := newTestManager(t, Config{Fleet: coord2, DefaultTechnique: defaultTechnique})
+	mgr2 := newTestManager(t, Config{Dir: dir, Fleet: coord2, DefaultTechnique: defaultTechnique})
 	reattached, err := mgr2.ReattachFleetJobs()
 	if err != nil {
 		t.Fatalf("re-attach: %v", err)
@@ -372,17 +399,29 @@ func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string) {
 	if len(reattached) != 1 {
 		t.Fatalf("re-attached %d jobs, want 1", len(reattached))
 	}
-	if got, want := outcomeFields(reattached[0].Status().Spec), outcomeFields(spec); got != want {
+	rj := reattached[0]
+	if got, want := outcomeFields(rj.Status().Spec), outcomeFields(spec); got != want {
 		t.Errorf("re-attached spec %+v, want the submitted %+v", got, want)
+	}
+	wantResume, wantLine := j1.ID, "resuming its checkpoint"
+	if lose {
+		wantResume, wantLine = "", "starting fresh: server: unknown job"
+	}
+	if got := rj.Status().Spec.Resume; got != wantResume {
+		t.Errorf("re-attached job resumes %q, want %q", got, wantResume)
+	}
+	if lines := rj.progress.Lines(); len(lines) == 0 || !strings.Contains(lines[0], wantLine) {
+		t.Errorf("re-attached job's progress %q does not say %q", lines, wantLine)
 	}
 	ts2 := httptest.NewServer(NewServer(mgr2))
 	defer ts2.Close()
 	startFleetWorkers(t, ts2.URL, 2)
-	waitJob(t, reattached[0])
-	res, err := reattached[0].Result()
+	waitJob(t, rj)
+	res, err := rj.Result()
 	if err != nil {
-		t.Fatalf("re-attached job result: %v (status %+v)", err, reattached[0].Status())
+		t.Fatalf("re-attached job result: %v (status %+v)", err, rj.Status())
 	}
+	enqueued := reg.Snapshot().Counter(fleet.MetricTasksEnqueued)
 
 	// The probe shows what recovery did.
 	hresp, err := http.Get(ts2.URL + "/healthz")
@@ -400,7 +439,8 @@ func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string) {
 		t.Errorf("healthz journal = %+v", h.Fleet.Journal)
 	}
 
-	// Byte-identical to a local run of the same spec.
+	// Byte-identical to a local run of the same spec, and the restarted
+	// coordinator enqueued no evaluation the checkpoint held.
 	local.Distributed = false
 	lresp := postJSON(t, ts2.URL+"/jobs", local)
 	if lresp.StatusCode != http.StatusAccepted {
@@ -415,6 +455,11 @@ func testReattach(t *testing.T, spec, local JobSpec, defaultTechnique string) {
 	}
 	if res.Fingerprint != lres.Fingerprint {
 		t.Errorf("re-attached fingerprint %s (%s) != local %s (%s)", res.Fingerprint, res.Algorithm, lres.Fingerprint, lres.Algorithm)
+	}
+	evals := lres.Metrics.Counter(core.MetricEvals)
+	t.Logf("the checkpoint held %d of %d evaluations; the restarted coordinator enqueued %d and recovered %d", held, evals, enqueued, h.Fleet.RecoveredTasks)
+	if enqueued > evals-held {
+		t.Errorf("restarted coordinator enqueued %d tasks; the uninterrupted run makes %d evaluations and the checkpoint held %d", enqueued, evals, held)
 	}
 }
 

@@ -421,12 +421,16 @@ func jobNumber(id string) (int, bool) {
 
 // ReattachFleetJobs resubmits the distributed jobs a journal-recovered
 // fleet coordinator was carrying when the previous daemon died. Each
-// comes back as a fresh job (new ID, the journaled spec, Distributed
-// set) that re-runs the search from the top — cheaply,
-// because the coordinator serves every evaluation it accepted before
-// the crash straight from its journal, and re-adopts the in-flight
-// tasks workers are still heartbeating. Call once, after NewManager and
-// before serving traffic. No coordinator or no journal = no-op.
+// comes back as a new job (new ID, the journaled spec, Distributed set)
+// that resumes the recovered job's own checkpoint,
+// <Dir>/<journaled id>/checkpoint.json, through the same submit a
+// client's resume takes: the checkpoint answers every evaluation it
+// holds, and the job's ranges adopt the in-flight tasks workers are
+// still heartbeating. A job whose checkpoint is missing or does not load
+// starts fresh, and its first progress line says why, so one bad
+// checkpoint cannot stop the daemon from starting. Call once, after
+// NewManager and before serving traffic. No coordinator or no journal =
+// no-op.
 func (m *Manager) ReattachFleetJobs() ([]*Job, error) {
 	if m.cfg.Fleet == nil {
 		return nil, nil
@@ -436,16 +440,21 @@ func (m *Manager) ReattachFleetJobs() ([]*Job, error) {
 		// The journaled spec as it is: the manager's defaults are for new
 		// submissions, and this one was submitted before the restart.
 		s := rj.Spec
-		j, err := m.submit(JobSpec{
+		spec := JobSpec{
 			Benchmark: s.Benchmark, Machine: s.Machine, Samples: s.Samples, TopX: s.TopX,
 			Seed: s.Seed, FaultRate: s.FaultRate, Technique: s.Technique,
 			Adaptive: s.Adaptive, Compare: s.Compare, WarmStart: s.WarmStart,
-			Distributed: true,
-		})
+			Distributed: true, Resume: rj.Job,
+		}
+		how := "resuming its checkpoint"
+		if _, _, err := m.resumeSource(rj.Job); err != nil {
+			spec.Resume, how = "", fmt.Sprintf("starting fresh: %v", err)
+		}
+		j, err := m.submit(spec)
 		if err != nil {
 			return jobs, fmt.Errorf("server: re-attaching recovered fleet job %s: %w", rj.Job, err)
 		}
-		fmt.Fprintf(j.progress, "funcytuner: re-attached from fleet journal (was %s)\n", rj.Job)
+		fmt.Fprintf(j.progress, "funcytuner: re-attached from fleet journal (was %s), %s\n", rj.Job, how)
 		jobs = append(jobs, j)
 	}
 	return jobs, nil

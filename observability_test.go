@@ -1,9 +1,10 @@
 package funcytuner
 
 import (
-	"context"
-
 	"bytes"
+	"context"
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -367,5 +368,61 @@ func TestProgressReporting(t *testing.T) {
 		if !strings.HasPrefix(line, "funcytuner: ") || !strings.Contains(line, "simulated hours") {
 			t.Fatalf("malformed progress line %q in:\n%s", line, out)
 		}
+	}
+}
+
+// A resumed run's progress counts what its checkpoint answers, so its
+// final line is the uninterrupted run's: a Tune and a Compare of a
+// faulted K=40 run, each killed and resumed with progress on, end on
+// the budget, at the uninterrupted run's simulated hours.
+func TestResumedProgressReachesBudget(t *testing.T) {
+	m, _ := MachineByName("broadwell")
+	prog, err := Benchmark(CloverLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := TuningInput(CloverLeaf, m)
+	base := Options{Machine: m, Samples: 40, TopX: 8, Seed: "resumed-progress", Faults: DefaultFaultRates()}
+	final := func(opts Options, compare bool) string {
+		t.Helper()
+		var buf bytes.Buffer
+		opts.Progress, opts.ProgressEvery = &buf, time.Hour
+		run := NewTuner(opts).Tune
+		if compare {
+			run = NewTuner(opts).Compare
+		}
+		if _, err := run(prog, in); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		return lines[len(lines)-1]
+	}
+	for _, tc := range []struct {
+		name    string
+		compare bool
+		killAt  int
+		want    string
+	}{
+		{"tune", false, 50, "80/80 evals (100.0%)"},
+		{"compare", true, 141, "161/161 evals (100.0%)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			killed := base
+			killed.Checkpoint, killed.KillAfterEvals = path, tc.killAt
+			run := NewTuner(killed).Tune
+			if tc.compare {
+				run = NewTuner(killed).Compare
+			}
+			if _, err := run(prog, in); !errors.Is(err, ErrKilled) {
+				t.Fatalf("expected ErrKilled, got %v", err)
+			}
+			resume := base
+			resume.Resume = path
+			got, want := final(resume, tc.compare), final(base, tc.compare)
+			if !strings.Contains(got, tc.want) || got != want {
+				t.Errorf("resumed run's final progress line %q, want the uninterrupted %q with %q", got, want, tc.want)
+			}
+		})
 	}
 }

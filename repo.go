@@ -58,8 +58,10 @@ const (
 )
 
 // repoKey is the results-repository key of the run id describes, when
-// outlined at threshold hot and, with compare set, run as the §4.1
-// protocol; an identity with a stop rule is the early-stopped protocol.
+// outlined at the paper's threshold (outline.HotThreshold, still hashed
+// so that stored keys stay valid) and, with compare set, run as the
+// §4.1 protocol; an identity with a stop rule is the early-stopped
+// protocol.
 // Two runs share a key exactly when they produce the same Report.
 // Scheduling-only options (Workers, CacheSize, Gate, Trace, Progress,
 // Checkpoint/Resume, Evaluator, Unpooled) are absent from the identity
@@ -69,7 +71,7 @@ const (
 // re-keys every stored entry. Fields added after the first layout
 // contribute only when non-default, so older keys stay reachable: CFR's
 // technique tag is "" and a cold run's warm digest 0.
-func repoKey(id core.RunIdentity, hot float64, compare bool) uint64 {
+func repoKey(id core.RunIdentity, compare bool) uint64 {
 	mode := modeTune
 	switch {
 	case compare:
@@ -90,7 +92,7 @@ func repoKey(id core.RunIdentity, hot float64, compare bool) uint64 {
 		xrand.HashString(id.Machine), id.MachineID,
 		xrand.HashString(id.Flavor),
 		xrand.HashString(id.Seed), uint64(id.Samples), uint64(id.TopX), noisy,
-		math.Float64bits(hot),
+		math.Float64bits(outline.HotThreshold),
 		math.Float64bits(id.Faults.CompileFail), math.Float64bits(id.Faults.RunCrash),
 		math.Float64bits(id.Faults.Timeout), math.Float64bits(id.Faults.Flake),
 		uint64(id.MaxRetries),

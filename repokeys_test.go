@@ -100,8 +100,8 @@ func repoEntryNames(t *testing.T, dir string) map[string]bool {
 	return names
 }
 
-// TestRepoKeyCoversIdentity changes each field of a run identity, the
-// outlining threshold and the protocol in turn: every change must move
+// TestRepoKeyCoversIdentity changes each field of a run identity and
+// the protocol in turn: every change must move
 // the repository key, and no two changes may share one. A field added
 // to core.RunIdentity but left out of repoKey's hash fails here, before
 // two different runs could share a stored entry.
@@ -111,7 +111,6 @@ func TestRepoKeyCoversIdentity(t *testing.T) {
 		Machine: "broadwell", MachineID: 3, Flavor: "icc", Seed: "test-seed",
 		Samples: 1000, TopX: 50, Noisy: true,
 	}
-	const hot = 0.01
 	keys := map[uint64]string{}
 	add := func(name string, key uint64) {
 		if prev, dup := keys[key]; dup {
@@ -119,9 +118,8 @@ func TestRepoKeyCoversIdentity(t *testing.T) {
 		}
 		keys[key] = name
 	}
-	add("base", repoKey(id, hot, false))
-	add("hot threshold", repoKey(id, 2*hot, false))
-	add("compare", repoKey(id, hot, true))
+	add("base", repoKey(id, false))
+	add("compare", repoKey(id, true))
 	var walk func(name string, v reflect.Value)
 	walk = func(name string, v reflect.Value) {
 		old := reflect.New(v.Type()).Elem()
@@ -145,7 +143,7 @@ func TestRepoKeyCoversIdentity(t *testing.T) {
 		default:
 			t.Fatalf("%s: no mutation for kind %s", name, v.Kind())
 		}
-		add(name, repoKey(id, hot, false))
+		add(name, repoKey(id, false))
 		v.Set(old)
 	}
 	walk("RunIdentity", reflect.ValueOf(&id).Elem())

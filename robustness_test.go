@@ -611,8 +611,6 @@ func TestNewTunerValidation(t *testing.T) {
 		{TopX: -5},
 		{Workers: -2},
 		{Samples: 10, TopX: 50}, // TopX > Samples
-		{HotThreshold: -0.5},
-		{HotThreshold: 1.5},
 		{MaxRetries: -1},
 		{BackoffSeconds: -1},
 		{BackoffCapSeconds: -1},

@@ -129,7 +129,7 @@ func (s Spec) Key() (uint64, error) {
 		return 0, err
 	}
 	id := core.NewRunIdentity(prog, o.Machine, in, o.Space, o.config(nil, s.stopRule()))
-	return repoKey(id, o.HotThreshold, s.Compare), nil
+	return repoKey(id, s.Compare), nil
 }
 
 // stopRule is the early-stop rule of an adaptive spec; nil otherwise.
