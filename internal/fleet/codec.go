@@ -258,11 +258,6 @@ func appendJournalBody(dst []byte, b *journalBody) ([]byte, error) {
 	dst = jsonx.OmitInt(dst, `,"not_before":`, b.NotBefore)
 	dst = jsonx.OmitString(dst, `,"worker":`, b.Worker)
 	dst = jsonx.OmitInt(dst, `,"deadline":`, b.Deadline)
-	if b.Outcome != nil {
-		dst = appendOutcome(append(dst, `,"outcome":`...), b.Outcome)
-	}
-	dst = jsonx.OmitString(dst, `,"error":`, b.Error)
-	dst = jsonx.OmitString(dst, `,"key":`, b.Key)
 	dst = appendTrue(dst, `,"quarantined":true`, b.Quarantined)
 	return append(dst, '}'), nil
 }

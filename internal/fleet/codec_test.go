@@ -139,11 +139,10 @@ func constructed(s string, x float64, n int64) []any {
 		&journalBody{Op: opTask, Task: s, Job: s, Spec: &spec, Phase: s, Sample: int(n), CVs: cvs, Epoch: int(n), Losses: int(n), NotBefore: n},
 		&journalBody{Op: opClaim, Task: s, Worker: s, Epoch: int(n), Deadline: n},
 		&journalBody{Op: opHB, Task: s, Worker: s, Epoch: int(n), Deadline: -n},
-		&journalBody{Op: opReport, Task: s, Worker: s, Epoch: int(n), Outcome: out, Error: s},
+		&journalBody{Op: opReport, Task: s, Worker: s, Epoch: int(n)},
 		&journalBody{Op: opRequeue, Task: s, Worker: s, Epoch: int(n), Losses: int(n), NotBefore: n},
 		&journalBody{Op: opWorker, Worker: s, Losses: int(n), Quarantined: n%2 == 0},
 		&journalBody{Op: opAbandon, Task: s},
-		&journalBody{Op: opOutcome, Key: s, Outcome: out, Error: s},
 		&journalBody{Seq: n, Op: s, CVs: [][]int{}},
 	}
 }

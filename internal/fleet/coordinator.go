@@ -1149,7 +1149,7 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) 
 		accepted[i] = true
 		won = append(won, l.t)
 		wonAt = append(wonAt, i)
-		bodies = append(bodies, journalBody{Op: opReport, Task: r.Task, Worker: worker, Epoch: r.Epoch, Outcome: r.Outcome, Error: r.Error})
+		bodies = append(bodies, journalBody{Op: opReport, Task: r.Task, Worker: worker, Epoch: r.Epoch})
 	}
 	var grants []*Task
 	var cm commit

@@ -65,13 +65,9 @@ type journalBody struct {
 	Losses int `json:"losses,omitempty"`
 	// NotBefore (requeue/task) delays re-claiming; Deadline (claim/hb)
 	// is the lease expiry. Both unix nanos.
-	NotBefore int64    `json:"not_before,omitempty"`
-	Worker    string   `json:"worker,omitempty"`
-	Deadline  int64    `json:"deadline,omitempty"`
-	Outcome   *Outcome `json:"outcome,omitempty"`
-	Error     string   `json:"error,omitempty"`
-	// Key is the adoption key (hex) of a compacted "outcome" record.
-	Key         string `json:"key,omitempty"`
+	NotBefore   int64  `json:"not_before,omitempty"`
+	Worker      string `json:"worker,omitempty"`
+	Deadline    int64  `json:"deadline,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
 }
 
@@ -139,7 +135,8 @@ func newState() state {
 }
 
 // replay decodes and applies one record body, noting the job of a task
-// it introduces; false stops replay.
+// it introduces; false stops replay. The fields an older build wrote
+// into report and outcome records (outcome, error, key) are read past.
 func (s *state) replay(body []byte) bool {
 	var b journalBody
 	if err := json.Unmarshal(body, &b); err != nil || !s.apply(&b) {

@@ -122,7 +122,7 @@ func sampleJournal(t *testing.T) []byte {
 		{Seq: 2, Op: opEnqueue, Task: "job-1/cfr/1#2", Job: "job-1", Spec: &spec, Phase: "cfr", Sample: 1, CVs: [][]int{{3, 4}}},
 		{Seq: 3, Op: opClaim, Task: "job-1/cfr/0#1", Worker: "w1", Epoch: 1, Deadline: far},
 		{Seq: 4, Op: opHB, Task: "job-1/cfr/0#1", Worker: "w1", Epoch: 1, Deadline: far + 1},
-		{Seq: 5, Op: opReport, Task: "job-1/cfr/0#1", Worker: "w1", Epoch: 1, Outcome: fabricatedOutcome(1.25)},
+		{Seq: 5, Op: opReport, Task: "job-1/cfr/0#1", Worker: "w1", Epoch: 1},
 		{Seq: 6, Op: opClaim, Task: "job-1/cfr/1#2", Worker: "w2", Epoch: 1, Deadline: far},
 		{Seq: 7, Op: opRequeue, Task: "job-1/cfr/1#2", Worker: "w2", Losses: 1, NotBefore: far + 2},
 	} {
@@ -246,7 +246,7 @@ func TestJournalConsistencyRulesStopReplay(t *testing.T) {
 		{"claim on leased task", journalBody{Seq: 3, Op: opClaim, Task: "A", Worker: "w2", Epoch: 2}},
 		{"heartbeat wrong worker", journalBody{Seq: 3, Op: opHB, Task: "A", Worker: "w2", Epoch: 1}},
 		{"heartbeat wrong epoch", journalBody{Seq: 3, Op: opHB, Task: "A", Worker: "w1", Epoch: 2}},
-		{"report wrong epoch", journalBody{Seq: 3, Op: opReport, Task: "A", Worker: "w1", Epoch: 2, Outcome: fabricatedOutcome(1)}},
+		{"report wrong epoch", journalBody{Seq: 3, Op: opReport, Task: "A", Worker: "w1", Epoch: 2}},
 		{"enqueue duplicate id", journalBody{Seq: 3, Op: opEnqueue, Task: "A", Job: "j", Spec: &spec}},
 		{"enqueue invalid spec", journalBody{Seq: 3, Op: opEnqueue, Task: "B", Job: "j", Spec: &badSpec}},
 		{"worker without id", journalBody{Seq: 3, Op: opWorker, Losses: 1}},
@@ -997,11 +997,10 @@ func TestJournalEnqueueLinePinned(t *testing.T) {
 	}
 }
 
-// TestJournalLinesPinned pins the claim, report and outcome lines beside
-// the enqueue line: the records a claim grant, an accepted report and a
-// compaction write through appendJournal. The report carries a whole
-// wire outcome, trace span included; the outcome record an error whose
-// quotes and HTML characters are escaped.
+// TestJournalLinesPinned pins the claim and report lines beside the
+// enqueue line: the records a claim grant and an accepted report write
+// through appendJournal. A report carries its task, worker and epoch
+// only: the outcome goes to the job, whose checkpoint keeps it.
 func TestJournalLinesPinned(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	coord, err := NewCoordinator(CoordinatorConfig{JournalPath: path})
@@ -1011,8 +1010,7 @@ func TestJournalLinesPinned(t *testing.T) {
 	coord.mu.Lock()
 	err = coord.writeJournal([]journalBody{
 		{Op: opClaim, Task: "job-a/collect/0#1", Worker: "w1", Epoch: 1, Deadline: 1760875200000000000},
-		{Op: opReport, Task: "job-a/collect/0#1", Worker: "w1", Epoch: 1, Outcome: encodeOutcome(pinOutcome())},
-		{Op: opOutcome, Key: "7bc0559d383b0e76", Error: `fleet: worker w2 failed task "job-b/cfr/7#2": <timeout> & retry`},
+		{Op: opReport, Task: "job-a/collect/0#1", Worker: "w1", Epoch: 1},
 	})
 	coord.mu.Unlock()
 	if err != nil {
@@ -1025,8 +1023,7 @@ func TestJournalLinesPinned(t *testing.T) {
 	}
 	want := []string{
 		`{"v":1,"sum":"fdf25317012eacf0","body":{"seq":1,"op":"claim","task":"job-a/collect/0#1","epoch":1,"worker":"w1","deadline":1760875200000000000}}`,
-		`{"v":1,"sum":"fe6995539eca0371","body":{"seq":2,"op":"report","task":"job-a/collect/0#1","epoch":1,"worker":"w1","outcome":{"per_module":["0x1.8p+00","+Inf"],"total":"+Inf","cost":{"compiles":3,"runs":1,"sim_micros":4750000,"retries":0,"wasted_compiles":0,"fault_micros":250000,"compile_fails":0,"run_crashes":1,"timeouts":0,"flakes":0},"quarantined":["deadbeef","2a"],"events":[{"kind":"compile","phase":"collect","sample":0,"modules":3,"seconds":"0x1.2p+02","sim":"0x1.2p+02"},{"kind":"fault","phase":"collect","sample":0,"step":1,"name":"run-crash","seconds":"0x1p-02","sim":"0x1.3p+02"},{"kind":"eval","phase":"collect","sample":0,"step":2,"name":"lost","seconds":"+Inf","sim":"0x1.3p+02"}]}}}`,
-		`{"v":1,"sum":"24b1eb4c76e4f7ca","body":{"seq":3,"op":"outcome","error":"fleet: worker w2 failed task \"job-b/cfr/7#2\": \u003ctimeout\u003e \u0026 retry","key":"7bc0559d383b0e76"}}`,
+		`{"v":1,"sum":"014d5bd2ffb5af65","body":{"seq":2,"op":"report","task":"job-a/collect/0#1","epoch":1,"worker":"w1"}}`,
 	}
 	got := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	if len(got) != len(want) {
@@ -1122,12 +1119,12 @@ func FuzzJournalReplay(f *testing.F) {
 	for _, b := range []journalBody{
 		{Seq: 1, Op: opEnqueue, Task: "A", Job: "j", Spec: &spec, Phase: "cfr", Sample: 0, CVs: [][]int{{1, 2}}},
 		{Seq: 2, Op: opClaim, Task: "A", Worker: "w1", Epoch: 1, Deadline: far},
-		{Seq: 3, Op: opReport, Task: "A", Worker: "w1", Epoch: 1, Outcome: fabricatedOutcome(1.5)},
+		{Seq: 3, Op: opReport, Task: "A", Worker: "w1", Epoch: 1},
 		{Seq: 4, Op: opTask, Task: "B", Job: "j", Spec: &spec, Phase: "cfr", Sample: 1, Epoch: 2, Losses: 1, NotBefore: far},
 		{Seq: 5, Op: opClaim, Task: "B", Worker: "w2", Epoch: 3, Deadline: far},
 		{Seq: 6, Op: opRequeue, Task: "B", Worker: "w2", Losses: 2, NotBefore: far},
 		{Seq: 7, Op: opWorker, Worker: "w2", Losses: 2, Quarantined: true},
-		{Seq: 8, Op: opOutcome, Key: "deadbeef", Outcome: fabricatedOutcome(2)},
+		{Seq: 8, Op: opOutcome},
 		{Seq: 9, Op: opAbandon, Task: "B"},
 	} {
 		line, err := encodeJournalRecord(b)
@@ -1145,6 +1142,22 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("{}\n{}\n"))
 	f.Add([]byte(nil))
+	// An older build's report that carries its outcome, and its
+	// compacted outcome record, behind the enqueue and claim they follow.
+	var older bytes.Buffer
+	for _, b := range []journalBody{
+		{Seq: 1, Op: opEnqueue, Task: "job-a/collect/0#1", Job: "job-a", Spec: &spec, Phase: "collect", CVs: [][]int{{1, 2}}},
+		{Seq: 2, Op: opClaim, Task: "job-a/collect/0#1", Worker: "w1", Epoch: 1, Deadline: far},
+	} {
+		line, err := encodeJournalRecord(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		older.Write(line)
+	}
+	older.Write(fsx.AppendRecord(nil, []byte(olderReport)))
+	older.Write(fsx.AppendRecord(nil, []byte(olderOutcome)))
+	f.Add(older.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, good := replayJournal(data) // must not panic
