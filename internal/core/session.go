@@ -749,14 +749,14 @@ func (s *Session) parFor(ctx context.Context, n int, fn func(i int)) {
 // writer: a request the resumed log holds is answered from the log, its
 // recorded cost and quarantine merged into the session and the answer
 // counted in CompletedEvals (not in the metrics, the trace or the kill
-// count), and every other outcome is recorded as it lands. A local session evaluates on parFor's workers,
-// so got may run concurrently for distinct indices; a remote session
-// hands the rest of the range to its evaluator (remoteRange). It
-// returns the first error, by request index on a local session and by
-// arrival on a remote one, and otherwise the session's cancellation or
-// kill, so a request the pool never started is never mistaken for a
-// measured one. A range that ends in an error leaves its records
-// flushed.
+// count), and every other outcome is recorded as it lands. A local
+// session evaluates on parFor's workers, so got may run concurrently
+// for distinct indices; a remote session hands the rest of the range to
+// its evaluator (remoteRange). It returns the first error, by request
+// index on a local session and by arrival on a remote one, and
+// otherwise the session's cancellation or kill, so a request the pool
+// never started is never mistaken for a measured one. A range that ends
+// in an error leaves its records flushed.
 func (s *Session) measure(ctx context.Context, reqs []EvalRequest, got func(i int, out EvalOutcome)) error {
 	phase := ""
 	if s.ckpt != nil && len(reqs) > 0 {

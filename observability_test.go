@@ -387,9 +387,10 @@ func TestResumedProgressReachesBudget(t *testing.T) {
 		t.Helper()
 		var buf bytes.Buffer
 		opts.Progress, opts.ProgressEvery = &buf, time.Hour
-		run := NewTuner(opts).Tune
+		tuner := NewTuner(opts)
+		run := tuner.Tune
 		if compare {
-			run = NewTuner(opts).Compare
+			run = tuner.Compare
 		}
 		if _, err := run(prog, in); err != nil {
 			t.Fatal(err)
@@ -410,9 +411,10 @@ func TestResumedProgressReachesBudget(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			killed := base
 			killed.Checkpoint, killed.KillAfterEvals = path, tc.killAt
-			run := NewTuner(killed).Tune
+			tuner := NewTuner(killed)
+			run := tuner.Tune
 			if tc.compare {
-				run = NewTuner(killed).Compare
+				run = tuner.Compare
 			}
 			if _, err := run(prog, in); !errors.Is(err, ErrKilled) {
 				t.Fatalf("expected ErrKilled, got %v", err)
