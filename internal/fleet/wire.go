@@ -42,8 +42,8 @@ import (
 // Spec identifies a tuning run precisely enough for a worker to rebuild
 // the coordinator's session bit-for-bit. Claims ignore its technique and
 // protocol (workers replay the CVs a claim carries), but recovery needs
-// them: a journal-recovered job must re-run as submitted, or none of its
-// journaled claims would be served.
+// them: a journal-recovered job resumes as submitted, or its checkpoint
+// would not load and none of its recovered tasks would be adopted.
 type Spec = funcytuner.Spec
 
 // validateSpec rejects specs a worker could not faithfully execute. Zero
