@@ -1139,8 +1139,7 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) 
 	}
 	accepted := make([]bool, len(reports))
 	var bodies []journalBody
-	var won []*task
-	var wonAt []int // the report of each won task
+	var won []*task // the task of each accepted report, in request order
 	for i, r := range reports {
 		l := c.leases[r.Task]
 		if l == nil || l.worker != worker || l.t.epoch != r.Epoch || slices.Contains(won, l.t) {
@@ -1148,7 +1147,6 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) 
 		}
 		accepted[i] = true
 		won = append(won, l.t)
-		wonAt = append(wonAt, i)
 		bodies = append(bodies, journalBody{Op: opReport, Task: r.Task, Worker: worker, Epoch: r.Epoch})
 	}
 	var grants []*Task
@@ -1180,8 +1178,12 @@ func (c *Coordinator) ReportBatch(worker string, reports []TaskReport, max int) 
 		}
 		return nil, nil, err
 	}
-	for k, t := range won {
-		r := &reports[wonAt[k]]
+	for i := range reports {
+		if !accepted[i] {
+			continue
+		}
+		t, r := won[0], &reports[i]
+		won = won[1:]
 		var res taskResult
 		switch {
 		case r.Error != "":
