@@ -619,6 +619,19 @@ func evaluateOne(ctx context.Context, ev core.RemoteEvaluator, req core.EvalRequ
 	return out, err
 }
 
+// waitAdopted waits until Evaluate calls have adopted every task the
+// restarted coordinator recovered, so that a claim cannot take one
+// first: a recovered task reported before it is adopted resolves
+// nothing, and its request is enqueued again.
+func waitAdopted(t *testing.T, c *Coordinator) {
+	t.Helper()
+	waitFor(t, "the recovered tasks adopted", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.orphans) == 0
+	})
+}
+
 // secondRequest is a second distinct claim for protocol tests.
 func secondRequest() core.EvalRequest {
 	r := baselineRequest()
@@ -706,6 +719,7 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	// The still-pending claim is adopted, not re-enqueued: the queue
 	// already held it, so depth stays 1 and its recovered ID is granted.
 	done3 := evaluateAsync(ctx, ev2, secondRequest())
+	waitAdopted(t, coord2)
 	if depth := coord2.QueueDepth(); depth != 1 {
 		t.Errorf("queue depth after adoption = %d, want 1", depth)
 	}
@@ -784,6 +798,7 @@ func TestRecoveryBumpsExpiredLeaseEpoch(t *testing.T) {
 	}
 	ev2, _ := coord2.Evaluator("job-retry", testSpec())
 	done2 := evaluateAsync(ctx, ev2, baselineRequest())
+	waitAdopted(t, coord2)
 	t2, err := claimOne(ctx, coord2, "w2", 5*time.Second)
 	if err != nil || t2 == nil {
 		t.Fatalf("re-claim: %v %v", t2, err)
